@@ -325,28 +325,13 @@ def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> Total
     ``[V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j)``."""
     if V.patch.dims != W.patch.dims:
         raise ValueError("bracket operands must live on the same patch")
-    m, n = V.patch.dims
-    comps_V = V.a + V.b
-    comps_W = W.a + W.b
-    vals_V = []
-    grads_V = []
-    for c in comps_V:
-        val, grad = gradient(c, p)
-        vals_V.append(val)
-        grads_V.append(grad)
-    vals_W = []
-    grads_W = []
-    for c in comps_W:
-        val, grad = gradient(c, p)
-        vals_W.append(val)
-        grads_W.append(grad)
-    width = m + n
+    m = V.patch.base_dim
+    vals_V, grads_V = zip(*(gradient(c, p) for c in V.a + V.b))
+    vals_W, grads_W = zip(*(gradient(c, p) for c in W.a + W.b))
     out = []
-    for i in range(width):
-        gW = grads_W[i]
-        gV = grads_V[i]
+    for gV, gW in zip(grads_V, grads_W):
         acc = 0.0
-        for j in range(width):
+        for j in range(len(vals_V)):
             acc += vals_V[j] * gW[j] - vals_W[j] * gV[j]
         out.append(acc)
     return TotalTangent(p, tuple(out[:m]), tuple(out[m:]))
@@ -415,8 +400,9 @@ def nijenhuis_curvature(
     t4 = lie_bracket(PV, PW, p).b
     four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
 
-    worst = max((abs(a - b) for a, b in zip(two, four)), default=0.0)
-    if worst > consistency_tol:
+    # np.max keeps a NaN, and a NaN never passes the comparison
+    worst = float(np.max(np.abs(np.subtract(two, four)), initial=0.0))
+    if not worst <= consistency_tol:
         raise InternalDisagreement(
             f"two-term and four-term curvature differ by {worst:.3e} "
             f"(tolerance {consistency_tol:.1e}) at {p}"
@@ -433,10 +419,8 @@ def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     gf = np.empty((n, m, n))
     for a in range(n):
         for mu in range(m):
-            val, grad = gradient(field.gamma[a][mu], p)
-            vals[a, mu] = val
-            gx[a, mu, :] = grad[:m]
-            gf[a, mu, :] = grad[m:]
+            vals[a, mu], grad = gradient(field.gamma[a][mu], p)
+            gx[a, mu], gf[a, mu] = grad[:m], grad[m:]
     R = np.zeros((n, m, m))
     for a in range(n):
         for mu in range(m):
@@ -485,15 +469,15 @@ def is_parallel_morphism(
     m = field.patch.base_dim
     residuals = []
     for p in samples:
-        worst = 0.0
+        fiber_parts = []
         for mu in range(1, m + 1):
             xi = tuple(1.0 if i == mu else 0.0 for i in range(1, m + 1))
             lifted = horizontal_lift(field, p, xi)
             pushed = pushforward(phi, lifted)
-            res = project(field_hat, pushed)
-            worst = max(worst, max(abs(v) for v in res.w))
-        residuals.append(worst)
-    max_res = max(residuals, default=0.0)
+            fiber_parts.extend(project(field_hat, pushed).w)
+        # np.max keeps a NaN, which then never counts as parallel
+        residuals.append(float(np.max(np.abs(fiber_parts))))
+    max_res = float(np.max(residuals, initial=0.0))
     return ParallelMorphismReport(
         residuals=tuple(residuals),
         max_residual=max_res,

@@ -13,6 +13,7 @@ seed is the check's own ``seed`` field when present, else the suite seed.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +55,27 @@ class CheckOutcome:
     samples: int
     passed: bool
     detail: str = ""
+
+
+class _Worst:
+    """Running maximum of a check's residuals.  ``max(0.0, nan)`` is
+    ``0.0``, so a plain fold lets a NaN pass; here the first non-finite
+    residual is kept, and it fails the row with its sample in the detail."""
+
+    value = 0.0
+    nonfinite = ""
+
+    def add(self, residual: float, sample: int | None = None) -> None:
+        if math.isfinite(residual):
+            self.value = max(self.value, residual)
+        elif not self.nonfinite:
+            where = "" if sample is None else f" at sample {sample}"
+            self.nonfinite = f"non-finite residual {residual}{where}"
+
+    def outcome(self, samples: int, passed: bool, detail: str = "") -> CheckOutcome:
+        if self.nonfinite:
+            return CheckOutcome(None, samples, False, self.nonfinite)
+        return CheckOutcome(self.value, samples, passed, detail)
 
 
 _RUNNERS = {}
@@ -119,13 +141,13 @@ def _run_curvature_coefficients(
     """
     field = spec.params["connection"]
     m, n = field.patch.dims
-    worst = 0.0
-    for _ in range(spec.samples):
+    worst = _Worst()
+    for sample in range(spec.samples):
         p = sample_point(rng, m, n)
         exact = curvature_coefficients(field, p)
         approx = _fd_curvature(field, p, _FD_STEP)
-        worst = max(worst, float(np.abs(exact - approx).max()))
-    return CheckOutcome(worst, spec.samples, worst <= tol)
+        worst.add(float(np.abs(exact - approx).max()), sample)
+    return worst.outcome(spec.samples, worst.value <= tol)
 
 
 @_runner("nijenhuis-vs-coefficients")
@@ -138,16 +160,16 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome
     field = spec.params["connection"]
     m, n = field.patch.dims
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
-    worst = 0.0
-    for _ in range(spec.samples):
+    worst = _Worst()
+    for sample in range(spec.samples):
         p = sample_point(rng, m, n)
         coeffs = curvature_coefficients(field, p)
         for mu in range(m):
             for nu in range(m):
                 value = nijenhuis_curvature(field, coords[mu], coords[nu], p)
                 for a in range(n):
-                    worst = max(worst, abs(value.w[a] - coeffs[a, mu, nu]))
-    return CheckOutcome(worst, spec.samples, worst <= tol)
+                    worst.add(abs(value.w[a] - coeffs[a, mu, nu]), sample)
+    return worst.outcome(spec.samples, worst.value <= tol)
 
 
 @_runner("commutator-identity")
@@ -161,8 +183,8 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcom
     field = spec.params["connection"]
     named = spec.params.get("section")
     m, n = field.patch.dims
-    worst = 0.0
-    for _ in range(spec.samples):
+    worst = _Worst()
+    for sample in range(spec.samples):
         s = named if named is not None else sample_section(rng, field.patch)
         x = tuple(rng.symmetric(1.0) for _ in range(m))
         coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
@@ -170,8 +192,8 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcom
             for nu in range(1, m + 1):
                 value = commutator_curvature(field, s, mu, nu, x)
                 for a in range(n):
-                    worst = max(worst, abs(value.w[a] - coeffs[a, mu - 1, nu - 1]))
-    return CheckOutcome(worst, spec.samples, worst <= tol)
+                    worst.add(abs(value.w[a] - coeffs[a, mu - 1, nu - 1]), sample)
+    return worst.outcome(spec.samples, worst.value <= tol)
 
 
 @_runner("theta-equivariance")
@@ -185,8 +207,8 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     """
     m = spec.params.get("base_dim", 2)
     n = spec.params.get("fiber_dim", 2)
-    worst = 0.0
-    for _ in range(spec.samples):
+    worst = _Worst()
+    for sample in range(spec.samples):
         h = sample_transition(rng, n)
         j = sample_second_jet(rng, m, n)
         if theta(theta(j)) != j:
@@ -201,8 +223,8 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
         b = theta(pushforward_second_jet(h, j))
         for slot in ("x", "f", "fdot", "fcirc", "fcircdot"):
             for u, v in zip(getattr(a, slot), getattr(b, slot)):
-                worst = max(worst, abs(u - v))
-    return CheckOutcome(worst, spec.samples, worst <= tol)
+                worst.add(abs(u - v), sample)
+    return worst.outcome(spec.samples, worst.value <= tol)
 
 
 @_runner("parallel-morphism")
@@ -219,6 +241,9 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     m, n = field.patch.dims
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     report = is_parallel_morphism(phi, field, field_hat, points, tol)
+    worst = _Worst()
+    for sample, residual in enumerate(report.residuals):
+        worst.add(residual, sample)
     detail = ""
     if not report.parallel:
         index = max(range(len(report.residuals)), key=report.residuals.__getitem__)
@@ -230,7 +255,7 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     passed = report.parallel == (expect == "parallel")
     if not passed and report.parallel:
         detail = f"expected a violation but all {spec.samples} samples are parallel"
-    return CheckOutcome(report.max_residual, spec.samples, passed, detail)
+    return worst.outcome(spec.samples, passed, detail)
 
 
 @_runner("connection-axiom")
@@ -240,7 +265,9 @@ def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     Draw order is fixed by :func:`curvcheck.principal.check_axiom`.
     """
     report = check_axiom(spec.params["potential"], trials=spec.samples, tol=tol, rng=rng)
-    return CheckOutcome(report.max_residual, report.trials, report.passed)
+    worst = _Worst()
+    worst.add(report.max_residual)
+    return worst.outcome(report.trials, report.passed)
 
 
 @_runner("cartan-cross-check")
@@ -254,9 +281,9 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     potential = spec.params["potential"]
     group_samples = spec.params.get("group_samples", 3)
     section_samples = spec.params.get("section_samples", 2)
-    worst = 0.0
+    worst = _Worst()
     passed = True
-    for _ in range(spec.samples):
+    for sample in range(spec.samples):
         x = tuple(rng.symmetric(1.0) for _ in range(potential.base_dim))
         report = curvature_cross_check(
             potential,
@@ -266,9 +293,9 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
             section_samples=section_samples,
             rng=rng,
         )
-        worst = max(worst, report.max_deviation)
+        worst.add(report.max_deviation, sample)
         passed = passed and report.passed
-    return CheckOutcome(worst, spec.samples, passed)
+    return worst.outcome(spec.samples, passed)
 
 
 @_runner("bch-theta")
@@ -280,17 +307,17 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     """
     algebra = spec.params["algebra"]
     slot_scale = 0.5 / algebra.k
-    worst = 0.0
+    worst = _Worst()
     passed = True
-    for _ in range(spec.samples):
+    for sample in range(spec.samples):
         g = exp(sample_algebra_element(rng, algebra, 0.5))
         x = sample_algebra_element(rng, algebra, slot_scale)
         y = sample_algebra_element(rng, algebra, slot_scale)
         z = sample_algebra_element(rng, algebra, slot_scale)
         report = theta_bch_verify(g, x, y, z, tol=tol)
-        worst = max(worst, report.max_deviation)
+        worst.add(report.max_deviation, sample)
         passed = passed and report.passed
-    return CheckOutcome(worst, spec.samples, passed)
+    return worst.outcome(spec.samples, passed)
 
 
 @_runner("linearity")
@@ -306,12 +333,14 @@ def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome
         kwargs["lambdas"] = spec.params["lambdas"]
     report = linearity_detect(field, samples=spec.samples, tol=tol, rng=rng, **kwargs)
     violation = report.violation
-    residual = 0.0 if violation is None else abs(violation.actual - violation.expected)
+    worst = _Worst()
+    if violation is not None:
+        worst.add(abs(violation.actual - violation.expected))
     passed = report.linear == (expect == "linear")
     detail = "" if violation is None else str(violation)
     if not passed and violation is None:
         detail = f"no violation found in {spec.samples} samples"
-    return CheckOutcome(residual, spec.samples, passed, detail)
+    return worst.outcome(spec.samples, passed, detail)
 
 
 @_runner("linear-consistency")
@@ -324,14 +353,14 @@ def _run_linear_consistency(
     """
     linear = spec.params["linear_connection"]
     m, n = linear.patch.dims
-    worst = 0.0
+    worst = _Worst()
     passed = True
-    for _ in range(spec.samples):
+    for sample in range(spec.samples):
         p = sample_point(rng, m, n)
         report = linear_curvature_consistency(linear, p.x, p.f, tol)
-        worst = max(worst, report.max_deviation)
+        worst.add(report.max_deviation, sample)
         passed = passed and report.passed
-    return CheckOutcome(worst, spec.samples, passed)
+    return worst.outcome(spec.samples, passed)
 
 
 def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> CheckResult:

@@ -15,14 +15,16 @@ accepted alias for ``f<i>`` (handy when the fiber is a vector space).  ``^``
 binds tighter than unary minus, which binds tighter than ``*`` and ``/``,
 which bind tighter than ``+`` and ``-``.  Binary operators of equal precedence
 associate to the left.  Exponents are literal integers (negative allowed).
-There is no implicit multiplication: ``2x1`` is a syntax error.
+There is no implicit multiplication: ``2x1`` is a syntax error.  Parentheses,
+function calls and unary minus nest at most :data:`MAX_NESTING` deep.
 
-Expression trees are immutable, hashable, and compare structurally, so they
-are safe to share across threads and to use as cache keys.  ``unparse``
-produces source that reparses to a structurally identical tree; the parser
-never produces negative ``Const`` nodes (a leading minus becomes a ``neg``
-node), and programmatic trees should follow the same normal form if they need
-the round-trip property.
+Expression trees are immutable and compare structurally, so they are safe to
+share across threads.  ``unparse`` produces source that reparses to a
+structurally identical tree; the parser never produces negative ``Const``
+nodes (a leading minus becomes a ``neg`` node), and programmatic trees should
+follow the same normal form if they need the round-trip property.
+:func:`compile_expr` turns a tree, once, into the post-order tape that
+:mod:`curvcheck.numcore` runs (:class:`Program`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ExprSyntaxError, IndexOutOfRange, UnknownIdentifier
 
@@ -41,18 +44,27 @@ __all__ = [
     "Binary",
     "Power",
     "FUNCTIONS",
+    "MAX_NESTING",
+    "Program",
     "parse",
     "unparse",
+    "compile_expr",
     "max_indices",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
+#: Deepest nesting of parentheses, function calls and unary minus the parser
+#: accepts; each level costs a few frames of the default recursion limit.
+MAX_NESTING = 100
+
 
 class Expression:
-    """Base class for expression tree nodes."""
+    """Base class for expression tree nodes.  ``_program`` holds the
+    :class:`Program` once :func:`compile_expr` ran on the node; not being a
+    dataclass field, it takes no part in equality, hashing or pickling."""
 
-    __slots__ = ()
+    __slots__ = ("_program",)
 
     def __str__(self) -> str:
         return unparse(self)
@@ -135,6 +147,7 @@ class _Parser:
         self._i = 0
         self._m = base_dim
         self._n = fiber_dim
+        self._depth = 0
 
     def _peek(self) -> tuple[str, str, int]:
         return self._tokens[self._i]
@@ -143,6 +156,15 @@ class _Parser:
         token = self._tokens[self._i]
         self._i += 1
         return token
+
+    def _nested(self, pos: int, parse) -> Expression:
+        """``parse()`` one nesting level deeper; ``pos`` is where it opens."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
+        node = parse()
+        self._depth -= 1
+        return node
 
     def _match_sym(self, *symbols: str) -> str | None:
         kind, text, _ = self._peek()
@@ -175,8 +197,9 @@ class _Parser:
             node = Binary(op, node, self._factor())
 
     def _factor(self) -> Expression:
+        _, _, pos = self._peek()
         if self._match_sym("-"):
-            return Unary("neg", self._factor())
+            return Unary("neg", self._nested(pos, self._factor))
         return self._power()
 
     def _power(self) -> Expression:
@@ -197,14 +220,18 @@ class _Parser:
         if kind == "num":
             return Const(float(text))
         if kind == "sym" and text == "(":
-            node = self._expr()
-            if not self._match_sym(")"):
-                _, _, closepos = self._peek()
-                raise ExprSyntaxError("expected ')'", closepos)
-            return node
+            return self._nested(pos, self._group)
         if kind == "name":
             return self._name(text, pos)
         raise ExprSyntaxError("expected a number, identifier, or '('", pos)
+
+    def _group(self) -> Expression:
+        """An expression closed by ``)``."""
+        node = self._expr()
+        if not self._match_sym(")"):
+            _, _, closepos = self._peek()
+            raise ExprSyntaxError("expected ')'", closepos)
+        return node
 
     def _name(self, text: str, pos: int) -> Expression:
         if text == "pi":
@@ -213,11 +240,7 @@ class _Parser:
             if not self._match_sym("("):
                 _, _, argpos = self._peek()
                 raise ExprSyntaxError(f"expected '(' after function {text!r}", argpos)
-            node = self._expr()
-            if not self._match_sym(")"):
-                _, _, closepos = self._peek()
-                raise ExprSyntaxError("expected ')'", closepos)
-            return Unary(text, node)
+            return Unary(text, self._nested(pos, self._group))
         ident = _IDENT.match(text)
         if ident is None:
             raise UnknownIdentifier(f"unknown identifier {text!r} at offset {pos}")
@@ -243,8 +266,9 @@ def parse(source: str, dims: tuple[int, int]) -> Expression:
 
     ``dims = (m, n)`` declares the base and fiber dimensions; variable indices
     are validated against them (raising :class:`IndexOutOfRange`).  Raises
-    :class:`ExprSyntaxError` with the failing offset on malformed input and
-    :class:`UnknownIdentifier` for names outside the grammar.
+    :class:`ExprSyntaxError` with the failing offset on malformed input or
+    nesting deeper than :data:`MAX_NESTING`, and :class:`UnknownIdentifier`
+    for names outside the grammar.
     """
     m, n = dims
     if m < 1 or n < 1:
@@ -309,27 +333,90 @@ def unparse(e: Expression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+class Program(NamedTuple):
+    """Post-order tape of one expression, built by :func:`compile_expr`.
+
+    ``code[i] = (op, a, b)`` computes register ``i`` from earlier registers:
+
+    * ``("c", value, sign)`` -- a constant (``sign`` only keeps ``0.0`` and
+      ``-0.0`` apart when repeated subexpressions are merged);
+    * ``("x", i, 0)`` or ``("f", i, 0)`` -- a coordinate, ``i`` 0-based;
+    * ``(op, a, 0)`` -- ``neg`` or one of :data:`FUNCTIONS` of register ``a``;
+    * ``("^", a, k)`` -- register ``a`` to the integer power ``k``;
+    * ``(op, a, b)`` -- ``+ - * /`` of registers ``a`` and ``b``.
+
+    The last register holds the value of the whole expression.  ``max_x`` and
+    ``max_f`` are the largest base and fiber indices referenced (0 if none).
+    """
+
+    code: tuple
+    max_x: int
+    max_f: int
+
+
+def compile_expr(e: Expression) -> Program:
+    """The :class:`Program` of ``e``, compiled on first use and kept on
+    ``e``, so it lives exactly as long as the tree.
+
+    The walk is iterative, so depth is not bounded by the recursion limit.
+    Subtrees shared by reference are visited once, and an instruction equal
+    in operator and operand registers to an earlier one is not emitted again,
+    so repeated subexpressions share a register.  No node is hashed.
+    """
+    try:
+        return e._program
+    except AttributeError:
+        if not isinstance(e, Expression):
+            raise TypeError(f"not an expression node: {e!r}") from None
+    code = []
+    registers = {}  # instruction -> its register
+    done = {}  # id(node) -> its register, for nodes of this tree
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the operands of the node below are done
+            node = stack.pop()
+            if isinstance(node, Binary):
+                instr = (node.op, done[id(node.left)], done[id(node.right)])
+            elif isinstance(node, Unary):
+                instr = (node.op, done[id(node.operand)], 0)
+            else:
+                instr = ("^", done[id(node.base)], node.exponent)
+        elif id(node) in done:
+            continue
+        elif isinstance(node, Const):
+            instr = ("c", node.value, math.copysign(1.0, node.value))
+        elif isinstance(node, Var):
+            instr = ("x" if node.kind == "x" else "f", node.index - 1, 0)
+        else:
+            stack.append(node)
+            stack.append(None)
+            if isinstance(node, Binary):
+                stack.append(node.right)
+                stack.append(node.left)
+            elif isinstance(node, Unary):
+                stack.append(node.operand)
+            elif isinstance(node, Power):
+                stack.append(node.base)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            continue
+        register = registers.get(instr)
+        if register is None:
+            register = registers[instr] = len(code)
+            code.append(instr)
+        done[id(node)] = register
+    max_x, max_f = (max((a + 1 for op, a, _ in code if op == kind), default=0) for kind in "xf")
+    program = Program(tuple(code), max_x, max_f)
+    object.__setattr__(e, "_program", program)
+    return program
+
+
 def max_indices(e: Expression) -> tuple[int, int]:
     """Largest base and fiber variable indices referenced by ``e`` (0 if none).
 
     Containers use this to validate expressions against their own dimensions
-    at bind time.
+    at bind time; it reads them from the program of ``e``.
     """
-    max_x = 0
-    max_f = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            if node.kind == "x":
-                max_x = max(max_x, node.index)
-            else:
-                max_f = max(max_f, node.index)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Power):
-            stack.append(node.base)
-    return max_x, max_f
+    program = compile_expr(e)
+    return program.max_x, program.max_f

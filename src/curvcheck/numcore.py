@@ -1,29 +1,32 @@
-"""Evaluation and forward-mode differentiation of expression trees.
+"""Evaluation and forward-mode differentiation of expressions.
 
-Three evaluators share the same primitive domain rules and all memoize on
-node identity within a single call, so DAG-shaped trees (shared subtrees)
-cost what their unique nodes cost:
+Every function here runs the :class:`~curvcheck.exprdsl.Program` of its
+expression (see :func:`~curvcheck.exprdsl.compile_expr`) through one
+interpreter of two sweeps over the tape:
 
-* :func:`evaluate` -- plain IEEE double recursion.
-* :func:`gradient` -- value plus first partials with respect to every
-  coordinate of the evaluation point, in the order ``x1..xm, f1..fn``.
-* :func:`mixed_second` -- a two-direction second-order jet
-  (:class:`Jet2`) carrying ``value, d1, d2, d12``; ``d12`` is the mixed
-  second derivative.  No general Hessians are kept anywhere.
-
-Domain failures (``log`` of a non-positive value, ``sqrt`` of a negative
-value, division by zero, ``0`` raised to a negative power) raise
-:class:`~curvcheck.errors.DomainError`.  ``sqrt`` at exactly zero evaluates
-fine but has no finite derivative, so the derivative evaluators refuse it.
+* the **primal sweep** computes every register in IEEE double precision and
+  holds all the domain checks: ``log`` of a non-positive value, ``sqrt`` of
+  a negative value, division by zero, ``0`` to a negative power and ``exp``
+  overflow raise :class:`~curvcheck.errors.DomainError`; so does ``sqrt`` at
+  exactly zero when derivatives are wanted, as it has no finite one there;
+* the **tangent sweep** pushes derivatives forward along seeded coordinate
+  directions (tape-based forward mode: Griewank & Walther, *Evaluating
+  Derivatives*, 2nd ed., SIAM 2008).  A tangent has one slot per direction
+  for :func:`gradient` and :func:`partial`, and the slots ``d1, d2, d12`` of
+  a two-direction jet for :func:`mixed_second`.  Every primitive takes its
+  first and second derivatives from one table, ``_DERIVATIVES``.  A register
+  that depends on no seeded direction carries no tangent, so constant
+  subexpressions cost nothing here.  No general Hessians are kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .exprdsl import Binary, Const, Expression, Power, Unary, Var
+from .exprdsl import Expression, Program, compile_expr
 
 __all__ = [
     "EvalPoint",
@@ -59,6 +62,217 @@ class EvalPoint:
 
 
 # ---------------------------------------------------------------------------
+# the primitives
+
+
+def _apply(op: str, u: float, v, smooth: bool) -> float:
+    """Value of ``op`` at ``u`` for every primitive but ``+ - * neg``, with
+    its domain checks (``v`` is the divisor of ``/`` and the exponent of
+    ``^``).  ``smooth`` also rejects points where the value exists but the
+    derivative does not."""
+    if op == "/":
+        if v == 0.0:
+            raise DomainError("division by zero")
+        return u / v
+    if op == "^":
+        if v < 0 and u == 0.0:
+            raise DomainError("zero raised to a negative power")
+        return u**v
+    if op == "sin":
+        return math.sin(u)
+    if op == "cos":
+        return math.cos(u)
+    if op == "exp":
+        try:
+            return math.exp(u)
+        except OverflowError as exc:
+            raise DomainError(f"exp overflow at {u}") from exc
+    if op == "log":
+        if u <= 0.0:
+            raise DomainError(f"log of non-positive value {u}")
+        return math.log(u)
+    if op == "sqrt":
+        if u < 0.0:
+            raise DomainError(f"sqrt of negative value {u}")
+        if smooth and u == 0.0:
+            raise DomainError("sqrt has no finite derivative at zero")
+        return math.sqrt(u)
+    raise ValueError(f"unknown operator {op!r}")
+
+
+def _power_derivatives(u: float, y: float, k: int) -> tuple[float, float]:
+    first = 0.0 if k == 0 else k * u ** (k - 1)
+    second = 0.0 if k in (0, 1) else k * (k - 1) * u ** (k - 2)
+    return first, second
+
+
+#: First and second derivatives of every primitive.  A unary entry maps
+#: ``(u, y, k)`` -- operand, value, exponent of ``^`` -- to ``(dy/du,
+#: d2y/du2)``.  A binary entry maps ``(u, v, y)`` to ``(dy/du, dy/dv,
+#: d2y/du dv, d2y/dv2)``; ``d2y/du2`` vanishes for every binary primitive.
+_DERIVATIVES = {
+    "neg": lambda u, y, k: (-1.0, 0.0),
+    "sin": lambda u, y, k: (math.cos(u), -y),
+    "cos": lambda u, y, k: (-math.sin(u), -y),
+    "exp": lambda u, y, k: (y, y),
+    "log": lambda u, y, k: (1.0 / u, -1.0 / (u * u)),
+    "sqrt": lambda u, y, k: (0.5 / y, -0.25 / (u * y)),
+    "^": _power_derivatives,
+    "+": lambda u, v, y: (1.0, 1.0, 0.0, 0.0),
+    "-": lambda u, v, y: (1.0, -1.0, 0.0, 0.0),
+    "*": lambda u, v, y: (v, u, 1.0, 0.0),
+    "/": lambda u, v, y: (1.0 / v, -y / v, -1.0 / (v * v), 2.0 * y / (v * v)),
+}
+
+_BINARY = frozenset("+-*/")
+
+
+def _unary_tangent(t: list, first: float, second: float, jet: bool) -> list:
+    """Chain rule through a unary primitive.  For a jet, ``d1*d2`` is formed
+    on its own, so swapping the directions gives a bit-identical ``d12``."""
+    out = [first * d for d in t]
+    if jet:
+        out[2] = second * (t[0] * t[1]) + first * t[2]
+    return out
+
+
+def _binary_tangent(tu: list, tv: list, partials: tuple, jet: bool) -> list:
+    """Chain rule through a binary primitive with the ``partials`` of its
+    table entry.  For a jet, the cross terms are summed as a group so that
+    swapping the directions gives a bit-identical ``d12`` (floating addition
+    is commutative but not associative); terms with a zero coefficient are
+    left out."""
+    du, dv, duv, dvv = partials
+    out = [du * a + dv * b for a, b in zip(tu, tv)]
+    if jet:
+        d12 = du * tu[2]
+        if duv:
+            d12 += duv * (tu[0] * tv[1] + tu[1] * tv[0])
+        d12 += dv * tv[2]
+        if dvv:
+            d12 += dvv * (tv[0] * tv[1])
+        out[2] = d12
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the interpreter
+
+
+def _primal(program: Program, point: EvalPoint, smooth: bool = False) -> list:
+    """Values of all registers of ``program`` at ``point``."""
+    x, f = point.x, point.f
+    if program.max_x > len(x) or program.max_f > len(f):
+        raise ValueError(
+            f"expression references x{program.max_x} and f{program.max_f} but "
+            f"the point has dims ({len(x)}, {len(f)})"
+        )
+    vals = []
+    push = vals.append
+    for op, a, b in program.code:
+        if op == "*":
+            push(vals[a] * vals[b])
+        elif op == "+":
+            push(vals[a] + vals[b])
+        elif op == "x":
+            push(x[a])
+        elif op == "f":
+            push(f[a])
+        elif op == "c":
+            push(a)
+        elif op == "-":
+            push(vals[a] - vals[b])
+        elif op == "neg":
+            push(-vals[a])
+        elif op == "/":
+            push(_apply(op, vals[a], vals[b], smooth))
+        else:
+            push(_apply(op, vals[a], b, smooth))
+    return vals
+
+
+def _sweep(e: Expression, point: EvalPoint, seeds: dict, width: int, jet: bool):
+    """Value of ``e`` at ``point`` and its tangent, None where it depends on
+    no seeded direction.
+
+    ``seeds`` maps a coordinate instruction ``(kind, index)`` to its tangent;
+    no tangent is modified once made.  All tangents have ``width`` slots;
+    for a jet that is 3 and the last slot is the mixed second derivative.
+    """
+    program = compile_expr(e)
+    vals = _primal(program, point, smooth=True)
+    zero = [0.0] * width
+    tangents = []
+    push = tangents.append
+    for (op, a, b), y in zip(program.code, vals):
+        if op == "c":
+            push(None)
+        elif op == "x" or op == "f":
+            push(seeds.get((op, a)))
+        elif op in _BINARY:
+            ta, tb = tangents[a], tangents[b]
+            if ta is None and tb is None:
+                push(None)
+            else:
+                partials = _DERIVATIVES[op](vals[a], vals[b], y)
+                push(_binary_tangent(zero if ta is None else ta,
+                                     zero if tb is None else tb, partials, jet))
+        elif tangents[a] is None:
+            push(None)
+        else:
+            first, second = _DERIVATIVES[op](vals[a], y, b)
+            push(_unary_tangent(tangents[a], first, second, jet))
+    return vals[-1], tangents[-1]
+
+
+def evaluate(e: Expression, point: EvalPoint) -> float:
+    """Evaluate ``e`` at ``point`` in IEEE double precision."""
+    return _primal(compile_expr(e), point)[-1]
+
+
+def gradient(e: Expression, point: EvalPoint) -> tuple[float, tuple[float, ...]]:
+    """Value and first partials of ``e`` at ``point``.
+
+    The gradient covers every coordinate of the point, base before fiber:
+    index ``i`` is the partial with respect to ``x{i+1}`` for ``i < m`` and
+    with respect to ``f{i-m+1}`` otherwise.
+    """
+    width = len(point.x) + len(point.f)
+    value, t = _sweep(e, point, _unit_seeds(len(point.x), len(point.f)), width, jet=False)
+    return value, (0.0,) * width if t is None else tuple(t)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_seeds(m: int, n: int) -> dict:
+    """Unit tangents of all coordinates of an ``(m, n)`` point (read only)."""
+    coords = [("x", i) for i in range(m)] + [("f", i) for i in range(n)]
+    return {c: tuple(float(i == j) for j in range(m + n)) for i, c in enumerate(coords)}
+
+
+def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:
+    """First partial derivative of ``e`` at ``point`` along ``direction``."""
+    kind, index = direction
+    _, t = _sweep(e, point, {(kind, index - 1): [1.0]}, 1, jet=False)
+    return 0.0 if t is None else t[0]
+
+
+def mixed_second(
+    e: Expression, point: EvalPoint, first: Coordinate, second: Coordinate
+) -> float:
+    """Mixed second derivative of ``e`` at ``point``.
+
+    ``first`` and ``second`` may name the same coordinate, in which case this
+    is the plain second derivative along it.  Bit-symmetric in its
+    directions: every second-order rule is symmetric under swapping them.
+    """
+    seeds = {}
+    for slot, (kind, index) in enumerate((first, second)):
+        seeds.setdefault((kind, index - 1), [0.0, 0.0, 0.0])[slot] = 1.0
+    _, t = _sweep(e, point, seeds, 3, jet=True)
+    return 0.0 if t is None else t[2]
+
+
+# ---------------------------------------------------------------------------
 # second-order two-direction jets
 
 
@@ -67,9 +281,9 @@ class Jet2:
     """Truncated second-order jet in two directions.
 
     ``d1`` and ``d2`` are directional first derivatives, ``d12`` the mixed
-    second derivative.  The arithmetic implements the usual Leibniz and chain
-    rules; e.g. for a product, ``d12 = a.d12*b.value + a.d1*b.d2 + a.d2*b.d1
-    + a.value*b.d12``.
+    second derivative.  The arithmetic applies the interpreter's rules to a
+    single jet; e.g. for a product, ``d12 = a.d12*b.value + (a.d1*b.d2 +
+    a.d2*b.d1) + a.value*b.d12``.
     """
 
     value: float
@@ -82,332 +296,51 @@ class Jet2:
         return cls(float(value), 0.0, 0.0, 0.0)
 
     def __add__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.value + other.value,
-            self.d1 + other.d1,
-            self.d2 + other.d2,
-            self.d12 + other.d12,
-        )
+        return _jet_binary("+", self, other, self.value + other.value)
 
     def __sub__(self, other: "Jet2") -> "Jet2":
-        return Jet2(
-            self.value - other.value,
-            self.d1 - other.d1,
-            self.d2 - other.d2,
-            self.d12 - other.d12,
-        )
+        return _jet_binary("-", self, other, self.value - other.value)
 
     def __neg__(self) -> "Jet2":
         return Jet2(-self.value, -self.d1, -self.d2, -self.d12)
 
     def __mul__(self, other: "Jet2") -> "Jet2":
-        # The cross terms are summed as a group so that swapping the two
-        # tagged directions gives a bit-identical d12 (floating addition is
-        # commutative but not associative).
-        return Jet2(
-            self.value * other.value,
-            self.d1 * other.value + self.value * other.d1,
-            self.d2 * other.value + self.value * other.d2,
-            self.d12 * other.value
-            + (self.d1 * other.d2 + self.d2 * other.d1)
-            + self.value * other.d12,
-        )
+        return _jet_binary("*", self, other, self.value * other.value)
 
     def __truediv__(self, other: "Jet2") -> "Jet2":
-        if other.value == 0.0:
-            raise DomainError("division by zero")
-        q = self.value / other.value
-        d1 = (self.d1 - q * other.d1) / other.value
-        d2 = (self.d2 - q * other.d2) / other.value
-        # Cross terms grouped for direction-swap symmetry, as in __mul__.
-        d12 = (self.d12 - (d1 * other.d2 + d2 * other.d1) - q * other.d12) / other.value
-        return Jet2(q, d1, d2, d12)
+        return _jet_binary("/", self, other, _apply("/", self.value, other.value, True))
 
 
-def _jet_chain(a: Jet2, value: float, first: float, second: float) -> Jet2:
-    # d1*d2 is computed as its own product so the chain rule, too, is
-    # bit-identical under swapping the tagged directions.
-    return Jet2(
-        value,
-        first * a.d1,
-        first * a.d2,
-        second * (a.d1 * a.d2) + first * a.d12,
-    )
+def _jet_binary(op: str, a: Jet2, b: Jet2, y: float) -> Jet2:
+    partials = _DERIVATIVES[op](a.value, b.value, y)
+    return Jet2(y, *_binary_tangent([a.d1, a.d2, a.d12], [b.d1, b.d2, b.d12], partials, True))
+
+
+def _jet_unary(op: str, a: Jet2, k: int = 0) -> Jet2:
+    y = _apply(op, a.value, k, True)
+    first, second = _DERIVATIVES[op](a.value, y, k)
+    return Jet2(y, *_unary_tangent([a.d1, a.d2, a.d12], first, second, True))
 
 
 def jet_sin(a: Jet2) -> Jet2:
-    s = math.sin(a.value)
-    return _jet_chain(a, s, math.cos(a.value), -s)
+    return _jet_unary("sin", a)
 
 
 def jet_cos(a: Jet2) -> Jet2:
-    c = math.cos(a.value)
-    return _jet_chain(a, c, -math.sin(a.value), -c)
+    return _jet_unary("cos", a)
 
 
 def jet_exp(a: Jet2) -> Jet2:
-    try:
-        e = math.exp(a.value)
-    except OverflowError as exc:
-        raise DomainError(f"exp overflow at {a.value}") from exc
-    return _jet_chain(a, e, e, e)
+    return _jet_unary("exp", a)
 
 
 def jet_log(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
-        raise DomainError(f"log of non-positive value {a.value}")
-    inv = 1.0 / a.value
-    return _jet_chain(a, math.log(a.value), inv, -inv * inv)
+    return _jet_unary("log", a)
 
 
 def jet_sqrt(a: Jet2) -> Jet2:
-    if a.value < 0.0:
-        raise DomainError(f"sqrt of negative value {a.value}")
-    if a.value == 0.0:
-        raise DomainError("sqrt has no finite derivative at zero")
-    root = math.sqrt(a.value)
-    first = 0.5 / root
-    return _jet_chain(a, root, first, -0.25 / (a.value * root))
+    return _jet_unary("sqrt", a)
 
 
 def jet_pow(a: Jet2, k: int) -> Jet2:
-    if k < 0 and a.value == 0.0:
-        raise DomainError("zero raised to a negative power")
-    value = a.value**k
-    first = 0.0 if k == 0 else k * a.value ** (k - 1)
-    second = 0.0 if k in (0, 1) else k * (k - 1) * a.value ** (k - 2)
-    return _jet_chain(a, value, first, second)
-
-
-# ---------------------------------------------------------------------------
-# plain value evaluation
-
-
-def _var_value(node: Var, point: EvalPoint) -> float:
-    seq = point.x if node.kind == "x" else point.f
-    try:
-        return seq[node.index - 1]
-    except IndexError:
-        raise ValueError(
-            f"expression references {node.kind}{node.index} but the point has "
-            f"dims ({len(point.x)}, {len(point.f)})"
-        ) from None
-
-
-def _value(e: Expression, point: EvalPoint, memo: dict) -> float:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = e.value
-    elif isinstance(e, Var):
-        out = _var_value(e, point)
-    elif isinstance(e, Binary):
-        left = _value(e.left, point, memo)
-        right = _value(e.right, point, memo)
-        if e.op == "+":
-            out = left + right
-        elif e.op == "-":
-            out = left - right
-        elif e.op == "*":
-            out = left * right
-        else:
-            if right == 0.0:
-                raise DomainError("division by zero")
-            out = left / right
-    elif isinstance(e, Unary):
-        v = _value(e.operand, point, memo)
-        if e.op == "neg":
-            out = -v
-        elif e.op == "sin":
-            out = math.sin(v)
-        elif e.op == "cos":
-            out = math.cos(v)
-        elif e.op == "exp":
-            try:
-                out = math.exp(v)
-            except OverflowError as exc:
-                raise DomainError(f"exp overflow at {v}") from exc
-        elif e.op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v}")
-            out = math.log(v)
-        else:
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v}")
-            out = math.sqrt(v)
-    elif isinstance(e, Power):
-        base = _value(e.base, point, memo)
-        if e.exponent < 0 and base == 0.0:
-            raise DomainError("zero raised to a negative power")
-        out = base**e.exponent
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
-    return out
-
-
-def evaluate(e: Expression, point: EvalPoint) -> float:
-    """Evaluate ``e`` at ``point`` in IEEE double precision."""
-    return _value(e, point, {})
-
-
-# ---------------------------------------------------------------------------
-# value + full first-order gradient
-
-
-def _grad(e: Expression, point: EvalPoint, width: int, memo: dict):
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = (e.value, [0.0] * width)
-    elif isinstance(e, Var):
-        g = [0.0] * width
-        if e.kind == "x":
-            g[e.index - 1] = 1.0
-        else:
-            g[len(point.x) + e.index - 1] = 1.0
-        out = (_var_value(e, point), g)
-    elif isinstance(e, Binary):
-        lv, lg = _grad(e.left, point, width, memo)
-        rv, rg = _grad(e.right, point, width, memo)
-        if e.op == "+":
-            out = (lv + rv, [a + b for a, b in zip(lg, rg)])
-        elif e.op == "-":
-            out = (lv - rv, [a - b for a, b in zip(lg, rg)])
-        elif e.op == "*":
-            out = (lv * rv, [a * rv + lv * b for a, b in zip(lg, rg)])
-        else:
-            if rv == 0.0:
-                raise DomainError("division by zero")
-            q = lv / rv
-            out = (q, [(a - q * b) / rv for a, b in zip(lg, rg)])
-    elif isinstance(e, Unary):
-        v, g = _grad(e.operand, point, width, memo)
-        if e.op == "neg":
-            out = (-v, [-a for a in g])
-        elif e.op == "sin":
-            c = math.cos(v)
-            out = (math.sin(v), [c * a for a in g])
-        elif e.op == "cos":
-            s = -math.sin(v)
-            out = (math.cos(v), [s * a for a in g])
-        elif e.op == "exp":
-            try:
-                ev = math.exp(v)
-            except OverflowError as exc:
-                raise DomainError(f"exp overflow at {v}") from exc
-            out = (ev, [ev * a for a in g])
-        elif e.op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v}")
-            out = (math.log(v), [a / v for a in g])
-        else:
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v}")
-            if v == 0.0:
-                raise DomainError("sqrt has no finite derivative at zero")
-            root = math.sqrt(v)
-            half = 0.5 / root
-            out = (root, [half * a for a in g])
-    elif isinstance(e, Power):
-        v, g = _grad(e.base, point, width, memo)
-        k = e.exponent
-        if k < 0 and v == 0.0:
-            raise DomainError("zero raised to a negative power")
-        if k == 0:
-            out = (1.0, [0.0] * width)
-        else:
-            coeff = k * v ** (k - 1)
-            out = (v**k, [coeff * a for a in g])
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
-    return out
-
-
-def gradient(e: Expression, point: EvalPoint) -> tuple[float, tuple[float, ...]]:
-    """Value and first partials of ``e`` at ``point``.
-
-    The gradient covers every coordinate of the point, base before fiber:
-    index ``i`` is the partial with respect to ``x{i+1}`` for ``i < m`` and
-    with respect to ``f{i-m+1}`` otherwise.
-    """
-    width = len(point.x) + len(point.f)
-    value, g = _grad(e, point, width, {})
-    return value, tuple(g)
-
-
-def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:
-    """First partial derivative of ``e`` at ``point`` along ``direction``."""
-    kind, index = direction
-    value, g = _grad(e, point, len(point.x) + len(point.f), {})
-    offset = index - 1 if kind == "x" else len(point.x) + index - 1
-    return g[offset]
-
-
-# ---------------------------------------------------------------------------
-# mixed second derivatives via two-direction jets
-
-
-def _jet(e: Expression, point: EvalPoint, seed1, seed2, memo: dict) -> Jet2:
-    key = id(e)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(e, Const):
-        out = Jet2.constant(e.value)
-    elif isinstance(e, Var):
-        ref = (e.kind, e.index)
-        out = Jet2(
-            _var_value(e, point),
-            1.0 if ref == seed1 else 0.0,
-            1.0 if ref == seed2 else 0.0,
-            0.0,
-        )
-    elif isinstance(e, Binary):
-        left = _jet(e.left, point, seed1, seed2, memo)
-        right = _jet(e.right, point, seed1, seed2, memo)
-        if e.op == "+":
-            out = left + right
-        elif e.op == "-":
-            out = left - right
-        elif e.op == "*":
-            out = left * right
-        else:
-            out = left / right
-    elif isinstance(e, Unary):
-        a = _jet(e.operand, point, seed1, seed2, memo)
-        if e.op == "neg":
-            out = -a
-        elif e.op == "sin":
-            out = jet_sin(a)
-        elif e.op == "cos":
-            out = jet_cos(a)
-        elif e.op == "exp":
-            out = jet_exp(a)
-        elif e.op == "log":
-            out = jet_log(a)
-        else:
-            out = jet_sqrt(a)
-    elif isinstance(e, Power):
-        out = jet_pow(_jet(e.base, point, seed1, seed2, memo), e.exponent)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    memo[key] = out
-    return out
-
-
-def mixed_second(
-    e: Expression, point: EvalPoint, first: Coordinate, second: Coordinate
-) -> float:
-    """Mixed second derivative of ``e`` at ``point``.
-
-    ``first`` and ``second`` may name the same coordinate, in which case this
-    is the plain second derivative along it.  Symmetric in its directions by
-    construction (the jet rules are symmetric under swapping the two seeds).
-    """
-    return _jet(e, point, first, second, {}).d12
+    return _jet_unary("^", a, k)

@@ -37,12 +37,20 @@ second jet whose mixed slot is
 
 and the theta-twisted affine difference of the two orders recovers the
 curvature coefficients: see :func:`commutator_curvature`.
+
+The symbolic constructions are built once and kept on the objects they
+belong to, so they live exactly as long as those objects: the prolonged
+connection on its field, and the velocity-paired sections of
+:func:`second_covariant` on their section (for the last field they were
+paired under).  Nothing is looked up by object identity or by hashing a
+tree.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _symbolic
 from .bundle import (
@@ -194,48 +202,17 @@ def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet
 # induced connection on the vertical bundle
 
 
-class _IdCache:
-    """Tiny identity-keyed cache holding strong references to its keys.
-
-    Expression containers are immutable, so caching on object identity is
-    sound; strong references prevent id reuse while an entry is alive.
-    """
-
-    def __init__(self, capacity: int = 64):
-        self._capacity = capacity
-        self._data: dict[tuple[int, ...], tuple] = {}
-        self._lock = threading.Lock()
-
-    def get(self, *keys):
-        entry = self._data.get(tuple(id(k) for k in keys))
-        if entry is None:
-            return None
-        stored_keys, value = entry
-        if all(a is b for a, b in zip(stored_keys, keys)):
-            return value
-        return None
-
-    def put(self, value, *keys):
-        with self._lock:
-            if len(self._data) >= self._capacity:
-                self._data.clear()
-            self._data[tuple(id(k) for k in keys)] = (tuple(keys), value)
-
-
-_prolonged_cache = _IdCache()
-_velocity_cache = _IdCache()
-
-
 def vertical_connection(field: ChristoffelField) -> ChristoffelField:
     """The induced connection on the vertical bundle of ``field``'s patch.
 
     The prolonged patch has the same base and fiber dimension ``2n``: fiber
     variables ``f1..fn`` are the position block and ``f(n+1)..f(2n)`` the
-    variation block.  See the module docstring for the symbol layout.
+    variation block.  See the module docstring for the symbol layout.  Built
+    once per field and kept on it.
     """
-    cached = _prolonged_cache.get(field)
-    if cached is not None:
-        return cached
+    prolonged = field.__dict__.get("_vertical_connection")
+    if prolonged is not None:
+        return prolonged
     m, n = field.patch.dims
     prolonged_patch = BundlePatch(m, 2 * n)
     rows = list(field.gamma)
@@ -248,18 +225,20 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
                 acc = _symbolic.add(acc, _symbolic.mul(d, Var("f", n + b + 1)))
             row.append(acc)
         rows.append(tuple(row))
-    out = ChristoffelField(prolonged_patch, tuple(rows))
-    _prolonged_cache.put(out, field)
-    return out
+    prolonged = ChristoffelField(prolonged_patch, tuple(rows))
+    # frozen dataclass: written the way its own __post_init__ writes
+    object.__setattr__(field, "_vertical_connection", prolonged)
+    return prolonged
 
 
 def _section_with_velocity(field: ChristoffelField, s: Section, nu: int) -> Section:
     """Section of the vertical bundle pairing ``s`` with its covariant
-    derivative along ``d/dx^nu``, as expressions of x."""
-    by_direction = _velocity_cache.get(field, s)
-    if by_direction is None:
+    derivative along ``d/dx^nu``, as expressions of x.  Kept on ``s`` for
+    the last field it was paired under."""
+    owner, by_direction = s.__dict__.get("_velocity_sections", (None, None))
+    if owner is not field:
         by_direction = {}
-        _velocity_cache.put(by_direction, field, s)
+        object.__setattr__(s, "_velocity_sections", (field, by_direction))
     if nu in by_direction:
         return by_direction[nu]
     prolonged = vertical_connection(field)
@@ -295,22 +274,11 @@ def second_covariant(
     if not (1 <= mu <= m and 1 <= nu <= m):
         raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
     base_pt = EvalPoint.of(x)
-    svals = []
-    sgrads = []
-    for c in s.comps:
-        val, grad = gradient(c, base_pt)
-        svals.append(val)
-        sgrads.append(grad)
-    at = EvalPoint(base_pt.x, tuple(svals))
-    gvals = [[0.0] * m for _ in range(n)]
-    ggradx = [[None] * m for _ in range(n)]
-    ggradf = [[None] * m for _ in range(n)]
-    for a in range(n):
-        for k in range(m):
-            val, grad = gradient(field.gamma[a][k], at)
-            gvals[a][k] = val
-            ggradx[a][k] = grad[:m]
-            ggradf[a][k] = grad[m:]
+    svals, sgrads = zip(*(gradient(c, base_pt) for c in s.comps))
+    at = EvalPoint(base_pt.x, svals)
+    gamma = [[gradient(e, at) for e in row] for row in field.gamma]
+    gvals = [[value for value, _ in row] for row in gamma]
+    ggrad = [[grad for _, grad in row] for row in gamma]  # x partials, then f
     i_mu = mu - 1
     i_nu = nu - 1
     fdot = tuple(sgrads[a][i_nu] + gvals[a][i_nu] for a in range(n))
@@ -318,24 +286,22 @@ def second_covariant(
     mixed = []
     for a in range(n):
         acc = mixed_second(s.comps[a], base_pt, ("x", mu), ("x", nu))
-        acc += ggradx[a][i_nu][i_mu]
+        acc += ggrad[a][i_nu][i_mu]
         for b in range(n):
-            acc += ggradf[a][i_mu][b] * gvals[b][i_nu]
-            acc += ggradf[a][i_nu][b] * sgrads[b][i_mu]
-            acc += ggradf[a][i_mu][b] * sgrads[b][i_nu]
+            acc += ggrad[a][i_mu][m + b] * gvals[b][i_nu]
+            acc += ggrad[a][i_nu][m + b] * sgrads[b][i_mu]
+            acc += ggrad[a][i_mu][m + b] * sgrads[b][i_nu]
         mixed.append(acc)
-    jet = SecondJet(base_pt.x, tuple(svals), fdot, fcirc, tuple(mixed))
+    jet = SecondJet(base_pt.x, svals, fdot, fcirc, tuple(mixed))
 
     # redundant route: covariant derivative of the velocity-paired section
     # under the prolonged connection
     prolonged = vertical_connection(field)
     paired = _section_with_velocity(field, s, nu)
     check = covariant_derivative(prolonged, paired, mu, base_pt.x)
-    worst = 0.0
-    for a in range(n):
-        worst = max(worst, abs(check.w[a] - fcirc[a]))
-        worst = max(worst, abs(check.w[n + a] - mixed[a]))
-    if worst > consistency_tol:
+    # np.max keeps a NaN, and a NaN never passes the comparison
+    worst = float(np.max(np.abs(np.subtract(check.w, fcirc + tuple(mixed)))))
+    if not worst <= consistency_tol:
         raise InternalDisagreement(
             f"explicit and prolonged-connection routes for the second "
             f"covariant derivative differ by {worst:.3e} "

@@ -56,6 +56,45 @@ def test_domain_error_becomes_error_row(tmp_path):
     assert result.detail.startswith("DomainError:")
 
 
+def test_non_finite_residuals_never_pass(tmp_path):
+    # x1*1e300*1e300 overflows to +-inf, and inf - inf or inf*0 is NaN;
+    # max(0.0, nan) is 0.0, which once let these rows pass with residual 0.
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"inf": {"patch": "p", "gamma": [["x1*1e300*1e300", "0"]]}},
+        "checks": [
+            {"name": kind, "kind": kind, "connection": "inf"}
+            for kind in (
+                "curvature-coefficients",
+                "nijenhuis-vs-coefficients",
+                "commutator-identity",
+            )
+        ],
+    }
+    report = run_suite(_config(tmp_path, doc))
+    rows = {c.name: c for c in report.checks}
+    assert report.verdict == "fail"
+    coefficients = rows["curvature-coefficients"]
+    assert coefficients.verdict == "fail"
+    assert coefficients.max_residual is None
+    assert coefficients.detail == "non-finite residual nan at sample 0"
+    # the in-route guards refuse a NaN deviation
+    for name in ("nijenhuis-vs-coefficients", "commutator-identity"):
+        assert rows[name].verdict == "error"
+        assert rows[name].detail.startswith("InternalDisagreement:")
+        assert "differ by nan" in rows[name].detail
+
+
+def test_three_thousand_term_symbol_is_checked(tmp_path):
+    # a left-deep sum far past the recursion limit once gave an error row
+    terms = " + ".join(f"0.001*x1^{k % 3}*f1" for k in range(3000))
+    config = _single_check_config(tmp_path, [terms, "x1*x2"])
+    result = run_check(config.checks[0], config.seed)
+    assert result.verdict == "pass", result.detail
+    assert result.max_residual <= 1e-9
+
+
 def test_unreachable_tolerance_fails(tmp_path):
     config = _single_check_config(tmp_path, ["0", "x1*f1"], tolerance=1e-30)
     result = run_check(config.checks[0], config.seed)

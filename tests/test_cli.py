@@ -78,6 +78,12 @@ def test_parse_expr_respects_dims(capsys):
     assert capsys.readouterr().out == "f3\n"
 
 
+def test_parse_expr_rejects_deep_nesting(capsys):
+    assert main(["parse-expr", "(" * 400 + "x1" + ")" * 400]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("curvcheck: nesting deeper than")
+
+
 def test_parse_expr_rejects_malformed_dims(capsys):
     for dims in ("2", "2,0", "0,2", "a,b", "1,2,3"):
         assert main(["parse-expr", "x1", "--dims", dims]) == 2
@@ -119,6 +125,19 @@ def test_check_exit_two_on_schema_error(tmp_path, capsys):
     config = _write_config(tmp_path, {"version": 1, "bananas": {}})
     assert main(["check", config]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_check_exit_two_on_deeply_nested_expression(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"g": {"patch": "p", "gamma": [["0", "(" * 400 + "x1" + ")" * 400]]}},
+        "checks": [{"name": "deep", "kind": "curvature-coefficients", "connection": "g"}],
+    }
+    assert main(["check", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvcheck: ")
+    assert "nesting deeper than" in err
 
 
 def test_check_rejects_bad_flags(capsys):

@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvcheck.errors import DomainError, ExprSyntaxError, IndexOutOfRange, UnknownIdentifier
-from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, max_indices, parse, unparse
+from curvcheck.exprdsl import (
+    MAX_NESTING,
+    Binary,
+    Const,
+    Power,
+    Unary,
+    Var,
+    compile_expr,
+    max_indices,
+    parse,
+    unparse,
+)
 from curvcheck.numcore import EvalPoint, evaluate
 
 DIMS = (3, 3)
@@ -138,6 +149,75 @@ def test_max_indices():
     assert max_indices(parse("x2*sin(f1) + v3", (2, 3))) == (2, 3)
     assert max_indices(Const(1.0)) == (0, 0)
     assert max_indices(parse("x1^2", (1, 1))) == (1, 0)
+
+
+# --- nesting limit ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "opening, closing",
+    [("(", ")"), ("sin(", ")"), ("-", "")],
+    ids=["parentheses", "functions", "unary-minus"],
+)
+def test_nesting_limit(opening, closing):
+    at_limit = opening * MAX_NESTING + "x1" + closing * MAX_NESTING
+    assert max_indices(parse(at_limit, DIMS)) == (1, 0)
+    past = opening * (MAX_NESTING + 1) + "x1" + closing * (MAX_NESTING + 1)
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        parse(past, DIMS)
+    assert excinfo.value.offset == MAX_NESTING * len(opening)
+
+
+def test_long_sums_are_not_nesting():
+    tree = parse(" + ".join(["x1"] * 3000), DIMS)
+    assert max_indices(tree) == (1, 0)
+
+
+# --- compilation to a tape --------------------------------------------------
+
+
+def test_program_is_compiled_once_and_kept_on_the_tree():
+    tree = parse("x1*f2 + 1", DIMS)
+    program = compile_expr(tree)
+    assert compile_expr(tree) is program
+    # a structurally equal tree is a different owner with its own program
+    assert compile_expr(parse("x1*f2 + 1", DIMS)) is not program
+    assert (program.max_x, program.max_f) == (1, 2)
+
+
+def test_program_does_not_change_equality_or_hashing():
+    tree = parse("x1 + f1", (1, 1))
+    before = hash(tree)
+    compile_expr(tree)
+    assert hash(tree) == before
+    assert tree == parse("x1 + f1", (1, 1))
+
+
+def test_repeated_subexpressions_share_a_register():
+    program = compile_expr(parse("sin(x1*x2) + sin(x1*x2)", DIMS))
+    assert [op for op, _, _ in program.code] == ["x", "x", "*", "sin", "+"]
+    _, left, right = program.code[-1]
+    assert left == right
+
+
+def test_signed_zeros_stay_apart():
+    program = compile_expr(Binary("+", Const(0.0), Const(-0.0)))
+    assert len(program.code) == 3
+
+
+def test_program_is_post_order():
+    program = compile_expr(parse("(x1 + f1)^2/x2 - -x3", DIMS))
+    for i, (op, a, b) in enumerate(program.code):
+        if op in ("+", "-", "*", "/"):
+            assert a < i and b < i
+        elif op not in ("c", "x", "f"):
+            assert a < i
+    assert program.code[-1][0] == "-"
+
+
+def test_compile_rejects_non_expressions():
+    with pytest.raises(TypeError):
+        compile_expr(3.0)
 
 
 # --- generated round-trips -------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvcheck import _symbolic
 from curvcheck.errors import DomainError
 from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
 from curvcheck.numcore import (
@@ -158,6 +159,106 @@ def test_partial_matches_finite_differences_on_random_expressions():
             continue
         assert abs(exact - _fd_partial(e, point, direction)) <= 1e-7
         checked += 1
+
+
+def _random_smooth_expr(rng: SplitMix64, depth: int):
+    """Random expression over every primitive, inside every domain: the
+    divisors and the arguments of log and sqrt are at least 0.5."""
+    if depth == 0 or rng.int_below(5) == 0:
+        return _random_expr(rng, 0)
+    op = rng.int_below(8)
+    if op < 3:
+        left = _random_smooth_expr(rng, depth - 1)
+        return Binary("+-*"[op], left, _random_smooth_expr(rng, depth - 1))
+    if op == 3:
+        return Binary("/", _random_smooth_expr(rng, depth - 1), _positive(rng, depth - 1))
+    if op == 4:
+        return Unary(("sin", "cos", "neg")[rng.int_below(3)], _random_smooth_expr(rng, depth - 1))
+    if op == 5:
+        return Unary(("log", "sqrt")[rng.int_below(2)], _positive(rng, depth - 1))
+    if op == 6:
+        return Unary("exp", Unary("sin", _random_smooth_expr(rng, depth - 1)))
+    return Power(_random_smooth_expr(rng, depth - 1), rng.int_below(4))
+
+
+def _positive(rng: SplitMix64, depth: int):
+    """``c + sin(e)^2`` with ``c`` in {0.5, 1.5, 2.5}."""
+    inner = Unary("sin", _random_smooth_expr(rng, depth))
+    return Binary("+", Const(0.5 + rng.int_below(3)), Power(inner, 2))
+
+
+def test_partial_matches_symbolic_derivative_on_random_expressions():
+    # _symbolic.derivative states the differentiation rules a second time,
+    # structurally; evaluating its result is an independent reference.
+    rng = SplitMix64(4049)
+    directions = [("x", 1), ("x", 2), ("x", 3), ("f", 1), ("f", 2), ("f", 3)]
+    for _ in range(300):
+        e = _random_smooth_expr(rng, 4)
+        point = _random_point(rng)
+        value, grad = gradient(e, point)
+        assert value == evaluate(e, point)
+        for i, direction in enumerate(directions):
+            reference = evaluate(_symbolic.derivative(e, *direction), point)
+            assert abs(grad[i] - reference) <= 1e-9 * max(1.0, abs(reference))
+            assert partial(e, point, direction) == grad[i]
+
+
+def test_mixed_second_matches_symbolic_second_derivative():
+    rng = SplitMix64(811)
+    directions = [("x", 1), ("x", 2), ("f", 1), ("f", 3)]
+    for _ in range(150):
+        e = _random_smooth_expr(rng, 3)
+        point = _random_point(rng)
+        a = directions[rng.int_below(4)]
+        b = directions[rng.int_below(4)]
+        reference = evaluate(
+            _symbolic.derivative(_symbolic.derivative(e, *a), *b), point
+        )
+        exact = mixed_second(e, point, a, b)
+        assert abs(exact - reference) <= 1e-8 * max(1.0, abs(reference))
+
+
+def test_mixed_second_agrees_with_jet_arithmetic():
+    # The interpreter's second-order sweep and Jet2 apply the same rules.
+    x1 = Jet2(0.7, 1.0, 0.0, 0.0)
+    f2 = Jet2(-0.4, 0.0, 1.0, 0.0)
+    by_jets = jet_sin(x1 * f2) / (Jet2.constant(2.0) + x1 * x1) - f2 * f2
+    e = _e("sin(x1*f2)/(2 + x1*x1) - f2*f2")
+    point = EvalPoint((0.7, 0.0, 0.0), (0.0, -0.4, 0.0))
+    assert mixed_second(e, point, ("x", 1), ("f", 2)) == by_jets.d12
+    assert gradient(e, point)[1][0] == by_jets.d1
+
+
+# --- deep and long trees ----------------------------------------------------
+
+
+def test_three_thousand_term_sum_at_the_default_recursion_limit():
+    source = " + ".join(f"{k % 5 + 1}*x1^{k % 3}*f1 - x2" for k in range(1500))
+    e = parse(source, (2, 1))
+    point = EvalPoint((0.5, -0.25), (2.0,))
+    # closed forms: sum over k of c_k x1^p_k f1, minus 1500 x2
+    cs = [(k % 5 + 1, k % 3) for k in range(1500)]
+    value = sum(c * 0.5**p * 2.0 for c, p in cs) + 1500 * 0.25
+    d_x1 = sum(c * p * 0.5 ** (p - 1) * 2.0 for c, p in cs if p)
+    d_f1 = sum(c * 0.5**p for c, p in cs)
+    d_x1_f1 = sum(c * p * 0.5 ** (p - 1) for c, p in cs if p)
+    assert evaluate(e, point) == pytest.approx(value, rel=1e-12)
+    got_value, grad = gradient(e, point)
+    assert got_value == pytest.approx(value, rel=1e-12)
+    assert grad == pytest.approx((d_x1, -1500.0, d_f1), rel=1e-12)
+    assert mixed_second(e, point, ("x", 1), ("f", 1)) == pytest.approx(d_x1_f1, rel=1e-12)
+
+
+def test_deep_nesting_of_built_trees():
+    e = Var("x", 1)
+    for _ in range(5000):
+        e = Unary("sin", e)
+    point = EvalPoint((0.3,))
+    expected = 0.3
+    for _ in range(5000):
+        expected = math.sin(expected)
+    assert evaluate(e, point) == expected
+    assert 0.0 < partial(e, point, ("x", 1)) < 1.0
 
 
 def test_mixed_second_symmetric_bit_exact():

@@ -183,6 +183,26 @@ def test_vertical_connection_is_cached():
     assert vertical_connection(field) is vertical_connection(field)
 
 
+def test_vertical_connection_belongs_to_its_field():
+    field = ChristoffelField.from_strings(P11, [["f1^2"]])
+    twin = ChristoffelField.from_strings(P11, [["f1^2"]])
+    assert vertical_connection(field) is not vertical_connection(twin)
+    assert vertical_connection(field) == vertical_connection(twin)
+
+
+def test_velocity_sections_follow_the_field():
+    # A section paired under one field and then another must not reuse the
+    # first field's velocity sections: the in-route guard would refuse them.
+    s = Section.from_strings(P21, ["x1*x2 + 1"])
+    skew = ChristoffelField.from_strings(P21, [["0", "x1"]])
+    other = ChristoffelField.from_strings(P21, [["f1^2", "x2*f1"]])
+    x = (0.3, -0.6)
+    first = second_covariant(skew, s, 1, 2, x)
+    fresh = Section.from_strings(P21, ["x1*x2 + 1"])
+    assert second_covariant(other, s, 1, 2, x) == second_covariant(other, fresh, 1, 2, x)
+    assert second_covariant(skew, s, 1, 2, x) == first
+
+
 # --- second covariant derivatives -------------------------------------------
 
 
