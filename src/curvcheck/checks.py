@@ -267,7 +267,7 @@ def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     report = check_axiom(spec.params["potential"], trials=spec.samples, tol=tol, rng=rng)
     worst = _Worst()
     worst.add(report.max_residual)
-    return worst.outcome(report.trials, report.passed)
+    return worst.outcome(report.trials, worst.value <= tol)
 
 
 @_runner("cartan-cross-check")

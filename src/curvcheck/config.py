@@ -4,8 +4,13 @@ The config is a single JSON document (schema version 1) declaring named
 patches, connections, linear connections, sections, morphisms, algebras,
 and gauge potentials, plus a list of checks referencing them.  Validation
 is strict: unknown keys, unresolved names, bad shapes, and expression
-syntax errors all raise :class:`ConfigSchemaError` carrying the JSON path
-of the offending field.  docs/config-schema.md documents the format.
+syntax errors all raise :class:`ConfigSchemaError` whose message starts
+with the JSON path of the offending field.  docs/config-schema.md
+documents the format.
+
+Every declaration block goes through one walker (:func:`_entries`), every
+array of expressions through one grid parser (:func:`_grid`), and every
+check through one table of kinds (:data:`_KINDS`).
 """
 
 from __future__ import annotations
@@ -24,58 +29,59 @@ from .errors import (
     IoError,
     UnknownIdentifier,
 )
-from .exprdsl import Expression, parse
+from .exprdsl import parse
 from .lie import MatrixLieAlgebra, builtin_algebra
 from .linear import LinearChristoffel
 from .principal import GaugePotential
 
 __all__ = ["CheckSpec", "SuiteConfig", "load_config", "CHECK_KINDS"]
 
-CHECK_KINDS = (
-    "curvature-coefficients",
-    "nijenhuis-vs-coefficients",
-    "commutator-identity",
-    "theta-equivariance",
-    "parallel-morphism",
-    "connection-axiom",
-    "cartan-cross-check",
-    "bch-theta",
-    "linearity",
-    "linear-consistency",
-)
-
-# kind -> (default sample count, default tolerance)
-_KIND_DEFAULTS = {
-    "curvature-coefficients": (10, 1e-9),
-    "nijenhuis-vs-coefficients": (10, 1e-9),
-    "commutator-identity": (10, 1e-9),
-    "theta-equivariance": (50, 1e-9),
-    "parallel-morphism": (10, 1e-9),
-    "connection-axiom": (100, 1e-8),
-    "cartan-cross-check": (3, 1e-6),
-    "bch-theta": (5, 1e-4),
-    "linearity": (64, 1e-9),
-    "linear-consistency": (10, 1e-9),
+# kind -> (default samples, default tolerance, required keys, optional keys)
+_KINDS = {
+    "curvature-coefficients": (10, 1e-9, ("connection",), ()),
+    "nijenhuis-vs-coefficients": (10, 1e-9, ("connection",), ()),
+    "commutator-identity": (10, 1e-9, ("connection",), ("section",)),
+    "theta-equivariance": (50, 1e-9, (), ("base_dim", "fiber_dim")),
+    "parallel-morphism": (
+        10, 1e-9, ("morphism", "connection", "connection_hat"), ("expect",)
+    ),
+    "connection-axiom": (100, 1e-8, ("potential",), ()),
+    "cartan-cross-check": (
+        3, 1e-6, ("potential",), ("group_samples", "section_samples")
+    ),
+    "bch-theta": (5, 1e-4, ("algebra",), ()),
+    "linearity": (64, 1e-9, ("connection",), ("expect", "lambdas")),
+    "linear-consistency": (10, 1e-9, ("linear_connection",), ()),
 }
 
-_TOP_LEVEL_KEYS = {
-    "version",
-    "seed",
-    "patches",
-    "connections",
-    "linear_connections",
-    "sections",
-    "morphisms",
-    "algebras",
-    "potentials",
-    "checks",
+CHECK_KINDS = tuple(_KINDS)
+
+_CHECK_COMMON_KEYS = ("name", "kind", "samples", "tolerance", "seed")
+
+# check key naming a declaration -> (declaration table, label in errors)
+_REFERENCES = {
+    "connection": ("connections", "connection"),
+    "connection_hat": ("connections", "connection"),
+    "section": ("sections", "section"),
+    "morphism": ("morphisms", "morphism"),
+    "potential": ("potentials", "potential"),
+    "algebra": ("algebras", "algebra"),
+    "linear_connection": ("linear_connections", "linear connection"),
 }
 
+# check keys holding a positive integer
+_INT_PARAMS = ("fiber_dim", "base_dim", "group_samples", "section_samples")
+
+# allowed values of ``expect`` per kind
+_EXPECT = {
+    "parallel-morphism": ("parallel", "not-parallel"),
+    "linearity": ("linear", "nonlinear"),
+}
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One validated check: resolved targets live in ``params`` alongside
-    the original names (``*_name`` keys) for reporting."""
+    """One validated check: ``params`` holds the check's kind-specific keys,
+    with declaration names resolved to the declared objects."""
 
     name: str
     kind: str
@@ -104,317 +110,213 @@ def _fail(path: str, message: str):
     raise ConfigSchemaError(f"{path}: {message}")
 
 
-def _expect_object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        _fail(path, f"expected an object, got {type(value).__name__}")
-    return value
+_JSON_TYPES = {
+    "object": dict,
+    "array": list,
+    "string": str,
+    "integer": int,
+    "number": (int, float),
+}
 
 
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _expect_string(value, path: str) -> str:
-    if not isinstance(value, str):
-        _fail(path, f"expected a string, got {type(value).__name__}")
+def _expect(value, kind: str, path: str):
+    """``value`` if it has the JSON type ``kind``; JSON ``true`` and
+    ``false`` are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        article = "an" if kind[0] in "aeiou" else "a"
+        _fail(path, f"expected {article} {kind}, got {type(value).__name__}")
     return value
 
 
 def _expect_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {type(value).__name__}")
+    _expect(value, "integer", path)
     if minimum is not None and value < minimum:
         _fail(path, f"must be at least {minimum}, got {value}")
     return value
 
 
 def _expect_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {type(value).__name__}")
+    _expect(value, "number", path)
     if not math.isfinite(value):
         _fail(path, "must be finite")
     return float(value)
 
 
-def _reject_unknown(obj: dict, allowed: set, path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _reject_unknown(obj: dict, allowed, path: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
     if unknown:
         _fail(path, f"unknown key {unknown[0]!r}")
 
 
-def _parse_expr(source, dims: tuple[int, int], path: str) -> Expression:
-    text = _expect_string(source, path)
-    try:
-        return parse(text, dims)
-    except (ExprSyntaxError, UnknownIdentifier, IndexOutOfRange) as exc:
-        raise ConfigSchemaError(f"{path}: {exc}") from exc
+def _require(obj: dict, keys, path: str, needs: str = "needs") -> None:
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        _fail(path, f"{needs} {' and '.join(missing)}")
+
+
+def _entries(block, path: str, required: tuple, optional: tuple = ()):
+    """Yield ``(name, json path, body)`` for each declaration of a block,
+    once its body is known to be an object with every key of ``required``
+    and no key outside ``required`` and ``optional``."""
+    for name, body in _expect(block, "object", path).items():
+        here = f"{path}.{name}"
+        _expect(body, "object", here)
+        _reject_unknown(body, required + optional, here)
+        _require(body, required, here)
+        yield name, here, body
+
+
+def _grid(value, shape: tuple, dims: tuple[int, int], path: str, rows: str = "entries"):
+    """Nested tuples of the expressions in ``value``, an array of
+    ``shape[0]`` arrays of ``shape[1]`` ... expression strings, parsed
+    against ``dims``.  ``rows`` names the outermost entries in a length
+    error."""
+    items = _expect(value, "array", path)
+    if len(items) != shape[0]:
+        _fail(path, f"needs {shape[0]} {rows}, got {len(items)}")
+    if len(shape) > 1:
+        return tuple(
+            _grid(item, shape[1:], dims, f"{path}[{i}]")
+            for i, item in enumerate(items)
+        )
+    parsed = []
+    for i, source in enumerate(items):
+        here = f"{path}[{i}]"
+        try:
+            parsed.append(parse(_expect(source, "string", here), dims))
+        except (ExprSyntaxError, UnknownIdentifier, IndexOutOfRange) as exc:
+            raise ConfigSchemaError(f"{here}: {exc}") from exc
+    return tuple(parsed)
 
 
 def _resolve(table: dict, name, table_label: str, path: str):
-    key = _expect_string(name, path)
+    key = _expect(name, "string", path)
     if key not in table:
         _fail(path, f"undeclared {table_label} {key!r}")
     return table[key]
 
 
-def _load_patches(block, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"base_dim", "fiber_dim"}, here)
-        if "base_dim" not in body or "fiber_dim" not in body:
-            _fail(here, "needs base_dim and fiber_dim")
-        out[name] = BundlePatch(
-            _expect_int(body["base_dim"], f"{here}.base_dim", 1),
-            _expect_int(body["fiber_dim"], f"{here}.fiber_dim", 1),
-        )
-    return out
+def _build(path: str, make, *args):
+    """``make(*args)``, with its ``ValueError`` reported at ``path``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
-def _load_connections(block, patches: dict, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"patch", "gamma"}, here)
-        if "patch" not in body or "gamma" not in body:
-            _fail(here, "needs patch and gamma")
-        patch = _resolve(patches, body["patch"], "patch", f"{here}.patch")
-        m, n = patch.dims
-        rows = _expect_list(body["gamma"], f"{here}.gamma")
-        if len(rows) != n:
-            _fail(f"{here}.gamma", f"needs {n} rows (one per fiber index), got {len(rows)}")
-        gamma = []
-        for a, row in enumerate(rows):
-            row = _expect_list(row, f"{here}.gamma[{a}]")
-            if len(row) != m:
-                _fail(f"{here}.gamma[{a}]", f"needs {m} entries, got {len(row)}")
-            gamma.append(
-                tuple(
-                    _parse_expr(src, (m, n), f"{here}.gamma[{a}][{mu}]")
-                    for mu, src in enumerate(row)
-                )
-            )
-        try:
-            out[name] = ChristoffelField(patch, tuple(gamma))
-        except ValueError as exc:
-            _fail(here, str(exc))
-    return out
+def _matrix(entry, path: str) -> list:
+    """One basis matrix, given as nested rows or as a row-major list."""
+    entry = _expect(entry, "array", path)
+    if entry and isinstance(entry[0], list):
+        rows = [
+            [
+                _expect_number(v, f"{path}[{r}][{c}]")
+                for c, v in enumerate(_expect(row, "array", f"{path}[{r}]"))
+            ]
+            for r, row in enumerate(entry)
+        ]
+        if any(len(row) != len(rows) for row in rows):
+            _fail(path, "matrix must be square")
+        return rows
+    flat = [_expect_number(v, f"{path}[{j}]") for j, v in enumerate(entry)]
+    d = math.isqrt(len(flat))
+    if d * d != len(flat):
+        _fail(path, f"row-major matrix needs a square length, got {len(flat)}")
+    return [flat[r * d : (r + 1) * d] for r in range(d)]
 
 
-def _load_linear_connections(block, patches: dict, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"patch", "gamma3"}, here)
-        if "patch" not in body or "gamma3" not in body:
-            _fail(here, "needs patch and gamma3")
-        patch = _resolve(patches, body["patch"], "patch", f"{here}.patch")
-        m, n = patch.dims
-        rows = _expect_list(body["gamma3"], f"{here}.gamma3")
-        if len(rows) != n:
-            _fail(f"{here}.gamma3", f"needs {n} rows, got {len(rows)}")
-        gamma3 = []
-        for alpha, row in enumerate(rows):
-            row = _expect_list(row, f"{here}.gamma3[{alpha}]")
-            if len(row) != m:
-                _fail(f"{here}.gamma3[{alpha}]", f"needs {m} entries, got {len(row)}")
-            mid = []
-            for mu, inner in enumerate(row):
-                inner = _expect_list(inner, f"{here}.gamma3[{alpha}][{mu}]")
-                if len(inner) != n:
-                    _fail(
-                        f"{here}.gamma3[{alpha}][{mu}]",
-                        f"needs {n} entries, got {len(inner)}",
-                    )
-                mid.append(
-                    tuple(
-                        _parse_expr(src, (m, n), f"{here}.gamma3[{alpha}][{mu}][{w}]")
-                        for w, src in enumerate(inner)
-                    )
-                )
-            gamma3.append(tuple(mid))
-        try:
-            out[name] = LinearChristoffel(patch, tuple(gamma3))
-        except ValueError as exc:
-            _fail(here, str(exc))
-    return out
+def _patch_at(tables: dict, body: dict, here: str, key: str = "patch"):
+    return _resolve(tables["patches"], body[key], "patch", f"{here}.{key}")
 
 
-def _load_sections(block, patches: dict, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"patch", "comps"}, here)
-        if "patch" not in body or "comps" not in body:
-            _fail(here, "needs patch and comps")
-        patch = _resolve(patches, body["patch"], "patch", f"{here}.patch")
-        comps = _expect_list(body["comps"], f"{here}.comps")
-        if len(comps) != patch.fiber_dim:
-            _fail(f"{here}.comps", f"needs {patch.fiber_dim} entries, got {len(comps)}")
-        parsed = tuple(
-            _parse_expr(src, patch.dims, f"{here}.comps[{i}]")
-            for i, src in enumerate(comps)
-        )
-        try:
-            out[name] = Section(patch, parsed)
-        except ValueError as exc:
-            _fail(here, str(exc))
-    return out
+def _patch(name: str, here: str, body: dict, tables: dict) -> BundlePatch:
+    base_dim = _expect_int(body["base_dim"], f"{here}.base_dim", 1)
+    fiber_dim = _expect_int(body["fiber_dim"], f"{here}.fiber_dim", 1)
+    return BundlePatch(base_dim, fiber_dim)
 
 
-def _load_morphisms(block, patches: dict, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"source", "target", "comps"}, here)
-        for key in ("source", "target", "comps"):
-            if key not in body:
-                _fail(here, f"needs {key}")
-        source = _resolve(patches, body["source"], "patch", f"{here}.source")
-        target = _resolve(patches, body["target"], "patch", f"{here}.target")
-        comps = _expect_list(body["comps"], f"{here}.comps")
-        if len(comps) != target.fiber_dim:
-            _fail(f"{here}.comps", f"needs {target.fiber_dim} entries, got {len(comps)}")
-        parsed = tuple(
-            _parse_expr(src, source.dims, f"{here}.comps[{i}]")
-            for i, src in enumerate(comps)
-        )
-        try:
-            out[name] = FiberBundleMorphism(source, target, parsed)
-        except ValueError as exc:
-            _fail(here, str(exc))
-    return out
+def _algebra(name: str, here: str, body: dict, tables: dict) -> MatrixLieAlgebra:
+    if ("builtin" in body) == ("basis" in body):
+        _fail(here, "needs exactly one of builtin or basis")
+    if "builtin" in body:
+        label = _expect(body["builtin"], "string", f"{here}.builtin")
+        return _build(f"{here}.builtin", builtin_algebra, label)
+    basis = _expect(body["basis"], "array", f"{here}.basis")
+    if not basis:
+        _fail(f"{here}.basis", "needs at least one matrix")
+    matrices = [_matrix(entry, f"{here}.basis[{i}]") for i, entry in enumerate(basis)]
+    try:
+        return MatrixLieAlgebra.from_basis(matrices, name=name)
+    except (ValueError, ClosureViolation) as exc:
+        raise ConfigSchemaError(f"{here}.basis: {exc}") from exc
 
 
-def _load_algebras(block, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"builtin", "basis"}, here)
-        if ("builtin" in body) == ("basis" in body):
-            _fail(here, "needs exactly one of builtin or basis")
-        if "builtin" in body:
-            label = _expect_string(body["builtin"], f"{here}.builtin")
-            try:
-                out[name] = builtin_algebra(label)
-            except ValueError as exc:
-                _fail(f"{here}.builtin", str(exc))
-            continue
-        basis_raw = _expect_list(body["basis"], f"{here}.basis")
-        if not basis_raw:
-            _fail(f"{here}.basis", "needs at least one matrix")
-        matrices = []
-        for i, entry in enumerate(basis_raw):
-            entry_path = f"{here}.basis[{i}]"
-            entry = _expect_list(entry, entry_path)
-            if entry and isinstance(entry[0], list):
-                rows = [
-                    [
-                        _expect_number(v, f"{entry_path}[{r}][{c}]")
-                        for c, v in enumerate(_expect_list(rowv, f"{entry_path}[{r}]"))
-                    ]
-                    for r, rowv in enumerate(entry)
-                ]
-                d = len(rows)
-                if any(len(r) != d for r in rows):
-                    _fail(entry_path, "matrix must be square")
-                matrices.append(rows)
-            else:
-                flat = [
-                    _expect_number(v, f"{entry_path}[{j}]") for j, v in enumerate(entry)
-                ]
-                d = math.isqrt(len(flat))
-                if d * d != len(flat):
-                    _fail(
-                        entry_path,
-                        f"row-major matrix needs a square length, got {len(flat)}",
-                    )
-                matrices.append([flat[r * d : (r + 1) * d] for r in range(d)])
-        try:
-            out[name] = MatrixLieAlgebra.from_basis(matrices, name=name)
-        except (ValueError, ClosureViolation) as exc:
-            raise ConfigSchemaError(f"{here}.basis: {exc}") from exc
-    return out
+def _connection(name: str, here: str, body: dict, tables: dict) -> ChristoffelField:
+    patch = _patch_at(tables, body, here)
+    m, n = patch.dims
+    rows = "rows (one per fiber index)"
+    gamma = _grid(body["gamma"], (n, m), patch.dims, f"{here}.gamma", rows)
+    return _build(here, ChristoffelField, patch, gamma)
 
 
-def _load_potentials(block, algebras: dict, path: str) -> dict:
-    out = {}
-    for name, body in _expect_object(block, path).items():
-        here = f"{path}.{name}"
-        body = _expect_object(body, here)
-        _reject_unknown(body, {"algebra", "base_dim", "a"}, here)
-        for key in ("algebra", "base_dim", "a"):
-            if key not in body:
-                _fail(here, f"needs {key}")
-        algebra = _resolve(algebras, body["algebra"], "algebra", f"{here}.algebra")
-        m = _expect_int(body["base_dim"], f"{here}.base_dim", 1)
-        rows = _expect_list(body["a"], f"{here}.a")
-        if len(rows) != m:
-            _fail(f"{here}.a", f"needs {m} rows (one per base direction), got {len(rows)}")
-        parsed = []
-        for mu, row in enumerate(rows):
-            row = _expect_list(row, f"{here}.a[{mu}]")
-            if len(row) != algebra.k:
-                _fail(f"{here}.a[{mu}]", f"needs {algebra.k} entries, got {len(row)}")
-            parsed.append(
-                tuple(
-                    _parse_expr(src, (m, 1), f"{here}.a[{mu}][{e}]")
-                    for e, src in enumerate(row)
-                )
-            )
-        try:
-            out[name] = GaugePotential(algebra, m, tuple(parsed))
-        except ValueError as exc:
-            _fail(here, str(exc))
-    return out
+def _linear_connection(name: str, here: str, body: dict, tables: dict):
+    patch = _patch_at(tables, body, here)
+    m, n = patch.dims
+    gamma3 = _grid(body["gamma3"], (n, m, n), patch.dims, f"{here}.gamma3", "rows")
+    return _build(here, LinearChristoffel, patch, gamma3)
 
 
-_CHECK_COMMON_KEYS = {"name", "kind", "samples", "tolerance", "seed"}
+def _section(name: str, here: str, body: dict, tables: dict) -> Section:
+    patch = _patch_at(tables, body, here)
+    comps = _grid(body["comps"], (patch.fiber_dim,), patch.dims, f"{here}.comps")
+    return _build(here, Section, patch, comps)
 
-# extra keys allowed per check kind (required ones listed separately)
-_CHECK_KIND_KEYS = {
-    "curvature-coefficients": ({"connection"}, set()),
-    "nijenhuis-vs-coefficients": ({"connection"}, set()),
-    "commutator-identity": ({"connection"}, {"section"}),
-    "theta-equivariance": (set(), {"fiber_dim", "base_dim"}),
-    "parallel-morphism": (
-        {"morphism", "connection", "connection_hat"},
-        {"expect"},
-    ),
-    "connection-axiom": ({"potential"}, set()),
-    "cartan-cross-check": ({"potential"}, {"group_samples", "section_samples"}),
-    "bch-theta": ({"algebra"}, set()),
-    "linearity": ({"connection"}, {"expect", "lambdas"}),
-    "linear-consistency": ({"linear_connection"}, set()),
+
+def _morphism(name: str, here: str, body: dict, tables: dict) -> FiberBundleMorphism:
+    source = _patch_at(tables, body, here, "source")
+    target = _patch_at(tables, body, here, "target")
+    comps = _grid(body["comps"], (target.fiber_dim,), source.dims, f"{here}.comps")
+    return _build(here, FiberBundleMorphism, source, target, comps)
+
+
+def _potential(name: str, here: str, body: dict, tables: dict) -> GaugePotential:
+    algebras = tables["algebras"]
+    algebra = _resolve(algebras, body["algebra"], "algebra", f"{here}.algebra")
+    m = _expect_int(body["base_dim"], f"{here}.base_dim", 1)
+    rows = "rows (one per base direction)"
+    a = _grid(body["a"], (m, algebra.k), (m, 1), f"{here}.a", rows)
+    return _build(here, GaugePotential, algebra, m, a)
+
+
+# declaration block -> (required keys, optional keys, loader of one entry),
+# in loading order: a block may refer to the blocks above it
+_DECLARATIONS = {
+    "patches": (("base_dim", "fiber_dim"), (), _patch),
+    "algebras": ((), ("builtin", "basis"), _algebra),
+    "connections": (("patch", "gamma"), (), _connection),
+    "linear_connections": (("patch", "gamma3"), (), _linear_connection),
+    "sections": (("patch", "comps"), (), _section),
+    "morphisms": (("source", "target", "comps"), (), _morphism),
+    "potentials": (("algebra", "base_dim", "a"), (), _potential),
 }
+
+_TOP_LEVEL_KEYS = ("version", "seed", *_DECLARATIONS, "checks")
 
 
 def _load_check(body, index: int, tables: dict) -> CheckSpec:
     here = f"checks[{index}]"
-    body = _expect_object(body, here)
-    if "name" not in body or "kind" not in body:
-        _fail(here, "needs name and kind")
-    name = _expect_string(body["name"], f"{here}.name")
+    _expect(body, "object", here)
+    _require(body, ("name", "kind"), here)
+    name = _expect(body["name"], "string", f"{here}.name")
     if not name:
         _fail(f"{here}.name", "must not be empty")
-    kind = _expect_string(body["kind"], f"{here}.kind")
-    if kind not in _KIND_DEFAULTS:
+    kind = _expect(body["kind"], "string", f"{here}.kind")
+    if kind not in _KINDS:
         known = ", ".join(CHECK_KINDS)
         _fail(f"{here}.kind", f"unknown check kind {kind!r} (known: {known})")
-    required, optional = _CHECK_KIND_KEYS[kind]
-    _reject_unknown(body, _CHECK_COMMON_KEYS | required | optional, here)
-    for key in required:
-        if key not in body:
-            _fail(here, f"kind {kind!r} needs {key}")
-    default_samples, default_tol = _KIND_DEFAULTS[kind]
+    default_samples, default_tol, required, optional = _KINDS[kind]
+    _reject_unknown(body, _CHECK_COMMON_KEYS + required + optional, here)
+    _require(body, required, here, f"kind {kind!r} needs")
     samples = _expect_int(body.get("samples", default_samples), f"{here}.samples", 1)
     tolerance = _expect_number(body.get("tolerance", default_tol), f"{here}.tolerance")
     if tolerance <= 0:
@@ -424,81 +326,34 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
         seed = _expect_int(body["seed"], f"{here}.seed", 0)
 
     params: dict = {}
-    if "connection" in body:
-        params["connection"] = _resolve(
-            tables["connections"], body["connection"], "connection", f"{here}.connection"
-        )
-        params["connection_name"] = body["connection"]
-    if "connection_hat" in body:
-        params["connection_hat"] = _resolve(
-            tables["connections"],
-            body["connection_hat"],
-            "connection",
-            f"{here}.connection_hat",
-        )
-    if "section" in body:
-        params["section"] = _resolve(
-            tables["sections"], body["section"], "section", f"{here}.section"
-        )
-        if params["section"].patch != params["connection"].patch:
-            _fail(f"{here}.section", "section and connection patches differ")
-    if "morphism" in body:
-        params["morphism"] = _resolve(
-            tables["morphisms"], body["morphism"], "morphism", f"{here}.morphism"
-        )
-    if "potential" in body:
-        params["potential"] = _resolve(
-            tables["potentials"], body["potential"], "potential", f"{here}.potential"
-        )
-    if "algebra" in body:
-        params["algebra"] = _resolve(
-            tables["algebras"], body["algebra"], "algebra", f"{here}.algebra"
-        )
-    if "linear_connection" in body:
-        params["linear_connection"] = _resolve(
-            tables["linear_connections"],
-            body["linear_connection"],
-            "linear connection",
-            f"{here}.linear_connection",
-        )
+    for key, (table, label) in _REFERENCES.items():
+        if key in body:
+            params[key] = _resolve(tables[table], body[key], label, f"{here}.{key}")
+    if "section" in params and params["section"].patch != params["connection"].patch:
+        _fail(f"{here}.section", "section and connection patches differ")
     if kind == "parallel-morphism":
         phi = params["morphism"]
         if phi.source != params["connection"].patch:
             _fail(f"{here}.morphism", "morphism source and connection patches differ")
         if phi.target != params["connection_hat"].patch:
             _fail(
-                f"{here}.morphism",
-                "morphism target and connection_hat patches differ",
+                f"{here}.morphism", "morphism target and connection_hat patches differ"
             )
     if "expect" in body:
-        expect = _expect_string(body["expect"], f"{here}.expect")
-        allowed = (
-            ("parallel", "not-parallel")
-            if kind == "parallel-morphism"
-            else ("linear", "nonlinear")
-        )
-        if expect not in allowed:
-            _fail(f"{here}.expect", f"must be one of {allowed}, got {expect!r}")
+        expect = _expect(body["expect"], "string", f"{here}.expect")
+        if expect not in _EXPECT[kind]:
+            _fail(f"{here}.expect", f"must be one of {_EXPECT[kind]}, got {expect!r}")
         params["expect"] = expect
     if "lambdas" in body:
-        values = _expect_list(body["lambdas"], f"{here}.lambdas")
+        values = _expect(body["lambdas"], "array", f"{here}.lambdas")
         if not values:
             _fail(f"{here}.lambdas", "must not be empty")
         params["lambdas"] = tuple(
             _expect_number(v, f"{here}.lambdas[{i}]") for i, v in enumerate(values)
         )
-    if "fiber_dim" in body:
-        params["fiber_dim"] = _expect_int(body["fiber_dim"], f"{here}.fiber_dim", 1)
-    if "base_dim" in body:
-        params["base_dim"] = _expect_int(body["base_dim"], f"{here}.base_dim", 1)
-    if "group_samples" in body:
-        params["group_samples"] = _expect_int(
-            body["group_samples"], f"{here}.group_samples", 1
-        )
-    if "section_samples" in body:
-        params["section_samples"] = _expect_int(
-            body["section_samples"], f"{here}.section_samples", 1
-        )
+    for key in _INT_PARAMS:
+        if key in body:
+            params[key] = _expect_int(body[key], f"{here}.{key}", 1)
     return CheckSpec(name, kind, samples, tolerance, seed, params)
 
 
@@ -517,7 +372,9 @@ def load_config(path: str) -> SuiteConfig:
         raise ConfigSchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    document = _expect_object(document, "config")
+    except RecursionError:
+        raise ConfigSchemaError(f"{path}: JSON nests too deeply to read") from None
+    _expect(document, "object", "config")
     _reject_unknown(document, _TOP_LEVEL_KEYS, "config")
     if "version" not in document:
         _fail("config", "needs a version field (current schema version is 1)")
@@ -525,28 +382,17 @@ def load_config(path: str) -> SuiteConfig:
     if version != 1:
         _fail("version", f"unsupported schema version {version} (supported: 1)")
     seed = _expect_int(document.get("seed", 0), "seed", 0)
+    tables = {}
+    for block, (required, optional, load) in _DECLARATIONS.items():
+        entries = _entries(document.get(block, {}), block, required, optional)
+        tables[block] = {
+            name: load(name, here, body, tables) for name, here, body in entries
+        }
 
-    patches = _load_patches(document.get("patches", {}), "patches")
-    algebras = _load_algebras(document.get("algebras", {}), "algebras")
-    connections = _load_connections(document.get("connections", {}), patches, "connections")
-    linear_connections = _load_linear_connections(
-        document.get("linear_connections", {}), patches, "linear_connections"
-    )
-    sections = _load_sections(document.get("sections", {}), patches, "sections")
-    morphisms = _load_morphisms(document.get("morphisms", {}), patches, "morphisms")
-    potentials = _load_potentials(document.get("potentials", {}), algebras, "potentials")
-
-    tables = {
-        "connections": connections,
-        "linear_connections": linear_connections,
-        "sections": sections,
-        "morphisms": morphisms,
-        "algebras": algebras,
-        "potentials": potentials,
-    }
     checks = []
     seen = set()
-    for index, body in enumerate(_expect_list(document.get("checks", []), "checks")):
+    bodies = _expect(document.get("checks", []), "array", "checks")
+    for index, body in enumerate(bodies):
         spec = _load_check(body, index, tables)
         if spec.name in seen:
             _fail(f"checks[{index}].name", f"duplicate check name {spec.name!r}")
@@ -557,12 +403,6 @@ def load_config(path: str) -> SuiteConfig:
         version=version,
         seed=seed,
         digest=hashlib.sha256(raw).hexdigest(),
-        patches=patches,
-        connections=connections,
-        linear_connections=linear_connections,
-        sections=sections,
-        morphisms=morphisms,
-        algebras=algebras,
-        potentials=potentials,
         checks=tuple(checks),
+        **tables,
     )

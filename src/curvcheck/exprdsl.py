@@ -325,9 +325,17 @@ def unparse(e: Expression) -> str:
             return "-" + _wrap(e.operand, _PREC_NEG)
         return f"{e.op}({unparse(e.operand)})"
     if isinstance(e, Binary):
+        # walk the left-associative chain of one precedence level in a loop,
+        # so a long sum or product costs no recursion per term
         if e.op in "+-":
-            return f"{_wrap(e.left, _PREC_ADD)} {e.op} {_wrap(e.right, _PREC_ADD + 1)}"
-        return f"{_wrap(e.left, _PREC_MUL)}{e.op}{_wrap(e.right, _PREC_MUL + 1)}"
+            ops, prec, gap = "+-", _PREC_ADD, " "
+        else:
+            ops, prec, gap = "*/", _PREC_MUL, ""
+        tail = []
+        while isinstance(e, Binary) and e.op in ops:
+            tail.append(f"{gap}{e.op}{gap}{_wrap(e.right, prec + 1)}")
+            e = e.left
+        return _wrap(e, prec) + "".join(reversed(tail))
     if isinstance(e, Power):
         return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
     raise TypeError(f"not an expression node: {e!r}")

@@ -233,7 +233,7 @@ def linearity_detect(
                     reference = evaluate(field.gamma[alpha][mu], pt)
                     actual = evaluate(field.gamma[alpha][mu], scaled)
                     expected = lam * reference
-                    if abs(actual - expected) > tol * max(1.0, abs(expected)):
+                    if not abs(actual - expected) <= tol * max(1.0, abs(expected)):
                         return LinearityReport(
                             None,
                             LinearityViolation(
@@ -266,7 +266,7 @@ def linearity_detect(
             for mu in range(m):
                 original = evaluate(field.gamma[alpha][mu], pt)
                 rebuilt = evaluate(expansion.gamma[alpha][mu], pt)
-                if abs(rebuilt - original) > tol * max(1.0, abs(original)):
+                if not abs(rebuilt - original) <= tol * max(1.0, abs(original)):
                     return LinearityReport(
                         None,
                         LinearityViolation(

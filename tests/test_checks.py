@@ -86,6 +86,45 @@ def test_non_finite_residuals_never_pass(tmp_path):
         assert "differ by nan" in rows[name].detail
 
 
+def test_connection_axiom_never_passes_a_non_finite_potential(tmp_path):
+    # check_axiom once folded with max(worst, residual), which drops a NaN
+    doc = {
+        "version": 1,
+        "algebras": {"so3": {"builtin": "so3"}},
+        "potentials": {
+            "inf": {
+                "algebra": "so3",
+                "base_dim": 2,
+                "a": [["x1*1e300*1e300", "0", "0"], ["0", "0", "0"]],
+            }
+        },
+        "checks": [
+            {
+                "name": "axiom",
+                "kind": "connection-axiom",
+                "potential": "inf",
+                "samples": 5,
+            }
+        ],
+    }
+    (row,) = run_suite(_config(tmp_path, doc)).checks
+    assert row.verdict != "pass"
+    assert row.max_residual is None
+    assert row.detail.startswith("non-finite residual")
+
+
+@pytest.mark.parametrize("expect", ["linear", "nonlinear"])
+def test_linearity_never_passes_a_non_finite_connection(tmp_path, expect):
+    # linearity_detect once compared with >, which is False for a NaN, so
+    # a connection that is infinite everywhere counted as linear
+    config = _single_check_config(
+        tmp_path, ["x1*1e300*1e300*f1", "0"], kind="linearity", expect=expect
+    )
+    (row,) = run_suite(config).checks
+    assert row.verdict != "pass"
+    assert row.detail.startswith("non-finite residual")
+
+
 def test_three_thousand_term_symbol_is_checked(tmp_path):
     # a left-deep sum far past the recursion limit once gave an error row
     terms = " + ".join(f"0.001*x1^{k % 3}*f1" for k in range(3000))

@@ -140,6 +140,23 @@ def test_check_exit_two_on_deeply_nested_expression(tmp_path, capsys):
     assert "nesting deeper than" in err
 
 
+def test_check_exit_two_on_deeply_nested_json(tmp_path, capsys):
+    # json.loads raises RecursionError on nesting this deep
+    path = tmp_path / "deep.json"
+    depth = 100000
+    path.write_text('{"version": 1, "checks": ' + "[" * depth + "]" * depth + "}")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvcheck: {path}: ")
+    assert "Traceback" not in err
+
+
+def test_parse_expr_prints_a_three_thousand_term_sum(capsys):
+    source = " + ".join(["x1"] * 3000)
+    assert main(["parse-expr", source]) == 0
+    assert capsys.readouterr().out == source + "\n"
+
+
 def test_check_rejects_bad_flags(capsys):
     assert main(["check", MINIMAL, "--jobs", "0"]) == 2
     capsys.readouterr()

@@ -3,10 +3,12 @@ expression binding, per-kind defaults, and error reporting with JSON paths."""
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from curvcheck import config as config_module
 from curvcheck.config import CHECK_KINDS, load_config
 from curvcheck.errors import ConfigSchemaError, IoError
 
@@ -341,3 +343,122 @@ def test_potential_fiber_reference_rejected(tmp_path):
 def test_empty_checks_allowed(tmp_path):
     config = load_config(_write(tmp_path, _base(checks=[])))
     assert config.checks == ()
+
+
+# --- docs ----------------------------------------------------------------------
+
+SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "config-schema.md"
+
+
+def _doc_names(cell: str) -> tuple:
+    """The backquoted key names of a table cell, outside its parenthesized
+    remarks."""
+    return tuple(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell)))
+
+
+def test_schema_doc_kind_table_matches_the_loader():
+    table = {}
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("| `"):
+            continue
+        kind, samples, tolerance, required, optional = line.strip("|").split("|")
+        (kind,) = _doc_names(kind)
+        table[kind] = (
+            int(samples),
+            float(tolerance),
+            _doc_names(required),
+            _doc_names(optional),
+        )
+    assert list(table) == list(CHECK_KINDS)
+    assert table == config_module._KINDS
+
+
+# --- every key path of the verify fixture, mutated ---------------------------
+
+_DELETE = object()
+_REPLACEMENTS = (None, True, -1, 0.5, "x9", [], {})
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def _fixture_mutations(doc):
+    """``(label, mutated document)`` for each single mutation of each key
+    path of ``doc``: delete it, give it another JSON type, empty it, add an
+    unknown key to an object, and shrink or grow an array by one entry."""
+    for path in _paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        edits = [("retype", r) for r in _REPLACEMENTS if type(r) is not type(value)]
+        if isinstance(value, (str, list, dict)):
+            edits.append(("empty", type(value)()))
+        if isinstance(value, dict):
+            edits.append(("extra key", {**value, "zz_extra": 1}))
+        if isinstance(value, list) and value:
+            edits += [("shrink", value[:-1]), ("grow", value + value[-1:])]
+        if path:
+            edits.append(("delete", _DELETE))
+        for label, new in edits:
+            yield f"{label} {list(path)}", _replaced(doc, path, new)
+
+
+_JSON_PATH = re.compile(r"([^.\[\s]+)((?:\.[^.\[\s]+|\[\d+\])*)")
+_SEGMENT = re.compile(r"\.([^.\[]+)|\[(\d+)\]")
+
+
+def _resolves(doc, where: str) -> bool:
+    """Whether the JSON path ``where`` names a value of ``doc``; ``config``
+    is the document itself."""
+    match = _JSON_PATH.fullmatch(where)
+    if match is None:
+        return False
+    head, rest = match.groups()
+    keys = [] if head == "config" else [head]
+    keys += [key if key else int(index) for key, index in _SEGMENT.findall(rest)]
+    node = doc
+    for key in keys:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return False
+    return True
+
+
+def test_every_fixture_mutation_loads_or_names_its_json_path(tmp_path):
+    doc = json.loads((FIXTURES / "verify.json").read_text(encoding="utf-8"))
+    path = tmp_path / "mutated.json"
+    count = 0
+    for label, mutated in _fixture_mutations(doc):
+        count += 1
+        path.write_text(json.dumps(mutated), encoding="utf-8")
+        try:
+            load_config(str(path))
+        except ConfigSchemaError as exc:
+            where, sep, _ = str(exc).partition(": ")
+            assert sep and _resolves(mutated, where), (label, str(exc))
+    assert count > 1000

@@ -173,6 +173,16 @@ def test_long_sums_are_not_nesting():
     assert max_indices(tree) == (1, 0)
 
 
+@pytest.mark.parametrize("joiner", [" + ", " - ", "*", "/"])
+def test_long_chains_round_trip(joiner):
+    # unparse once recursed per term and overflowed the stack here
+    source = joiner.join(["x1", "f2", "2"] * 1000)
+    tree = parse(source, DIMS)
+    assert unparse(tree) == source
+    # tapes compare flat; == on trees this deep would itself recurse
+    assert compile_expr(parse(unparse(tree), DIMS)).code == compile_expr(tree).code
+
+
 # --- compilation to a tape --------------------------------------------------
 
 

@@ -1,21 +1,28 @@
-"""Mutation tests for the interpreter's derivative table.
+"""Mutation tests: each plants one defect and asserts that the named rows
+of ``fixtures/verify.json`` stop passing.
 
-Each test plants one defect into ``numcore._DERIVATIVES`` and asserts that
-the named rows of ``fixtures/verify.json`` stop passing.  The fixture has no
-``sin`` and no quotient, so those two defects run the fixture's rows on a
-variant of its ``skew`` connection that uses them; the unmutated variant
-passes.  A wrong first derivative is caught by the finite-difference route,
-which only evaluates values: routes that all differentiate through the
-same table agree with each other however the table is wrong.
+The first set plants defects into the interpreter's derivative table
+``numcore._DERIVATIVES``.  The fixture has no ``sin`` and no quotient, so
+those two defects run the fixture's rows on a variant of its ``skew``
+connection that uses them; the unmutated variant passes.  A wrong first
+derivative is caught by the finite-difference route, which only evaluates
+values: routes that all differentiate through the same table agree with
+each other however the table is wrong.
+
+The second set replaces one function of a route, in every module that
+binds it, by a defective wrapper of the original.
 """
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from curvcheck import numcore
+import curvcheck
+from curvcheck import bundle, checks, linear, numcore, principal, prolong
 from curvcheck.checks import run_suite
 from curvcheck.config import load_config
 
@@ -77,3 +84,97 @@ def test_planted_defect_fails_the_named_rows(monkeypatch, tmp_path, op, rule, sk
     assert sorted(verdicts) == sorted(rows)
     for row in rows:
         assert verdicts[row] in ("fail", "error"), row
+
+
+# --- defects planted in the routes of four more check kinds -----------------
+
+
+def _theta_bch_without_bracket(original):
+    # (g, X, Y, Z) -> (g, Y, X, Z) instead of (g, Y, X, Z + [X, Y])
+    return lambda g, x, y, z: (g, y, x, z)
+
+
+def _chart_series_of_order_zero(original):
+    return lambda p, center, order=6: original(p, center, 0)
+
+
+def _pushforward_without_fcirc_jacobian(original):
+    # the fcirc slot left in the old chart instead of multiplied by dh/df
+    return lambda h, j: replace(original(h, j), fcirc=j.fcirc)
+
+
+def _pushforward_without_mixed_jacobian(original):
+    # the mixed slot keeps only its quadratic term: sum dh/df * fcircdot is
+    # exactly what a zero fcircdot contributes
+    return lambda h, j: original(h, replace(j, fcircdot=(0.0,) * len(j.f)))
+
+
+def _coefficients_with_quadratic_sign_flipped(original):
+    def mutant(field, p):
+        m, n = field.patch.dims
+        vals = np.empty((n, m))
+        gf = np.empty((n, m, n))
+        for a in range(n):
+            for mu in range(m):
+                vals[a, mu], grad = numcore.gradient(field.gamma[a][mu], p)
+                gf[a, mu] = grad[m:]
+        # sum_b Gamma^b_nu dGamma^a_mu/df^b - Gamma^b_mu dGamma^a_nu/df^b
+        quadratic = np.einsum("bn,amb->amn", vals, gf)
+        quadratic -= np.einsum("bm,anb->amn", vals, gf)
+        return original(field, p) - 2.0 * quadratic
+
+    return mutant
+
+
+ROUTE_DEFECTS = [
+    pytest.param(
+        principal, "theta_bch", _theta_bch_without_bracket, "bch-rot3", id="bch-bracket"
+    ),
+    pytest.param(
+        principal,
+        "exponential_chart_connection",
+        _chart_series_of_order_zero,
+        "cartan-rot3",
+        id="chart-order-0",
+    ),
+    pytest.param(
+        prolong,
+        "pushforward_second_jet",
+        _pushforward_without_fcirc_jacobian,
+        "theta-swap",
+        id="pushforward-fcirc-jacobian",
+    ),
+    pytest.param(
+        prolong,
+        "pushforward_second_jet",
+        _pushforward_without_mixed_jacobian,
+        "theta-swap",
+        id="pushforward-mixed-jacobian",
+        marks=pytest.mark.xfail(
+            raises=AssertionError,
+            strict=True,
+            reason="theta fixes the mixed slot, and the term left out is symmetric "
+            "in the two legs, so the swap law cannot see it",
+        ),
+    ),
+    pytest.param(
+        bundle,
+        "curvature_coefficients",
+        _coefficients_with_quadratic_sign_flipped,
+        "nijenhuis-poly",
+        id="coefficients-quadratic-sign",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, row", ROUTE_DEFECTS)
+def test_planted_route_defect_fails_its_row(
+    monkeypatch, tmp_path, module, name, mutate, row
+):
+    assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
+    original = getattr(module, name)
+    mutant = mutate(original)
+    for binder in (curvcheck, bundle, checks, linear, principal, prolong):
+        if getattr(binder, name, None) is original:
+            monkeypatch.setattr(binder, name, mutant)
+    assert _verdicts(tmp_path, None, [row])[row] in ("fail", "error")
