@@ -14,7 +14,7 @@ shape, never the function represented.
 from __future__ import annotations
 
 from .errors import DifferentiationUnsupported
-from .exprdsl import Binary, Const, Expression, Power, Unary, Var
+from .exprdsl import Binary, Const, Expression, Power, Unary, compile_expr
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
@@ -80,6 +80,10 @@ def power(a: Expression, k: int) -> Expression:
     return Power(a, k)
 
 
+#: The folding constructor of each binary operator.
+_FOLD = {"+": add, "-": sub, "*": mul, "/": div}
+
+
 def const(value: float) -> Expression:
     """A constant in parser normal form (negative values wrapped in ``neg``)."""
     if value < 0:
@@ -87,72 +91,74 @@ def const(value: float) -> Expression:
     return Const(float(value))
 
 
+def _tape(e: Expression) -> tuple[tuple, tuple]:
+    """The instructions of the program of ``e`` and the subtree of each of
+    their registers."""
+    program = compile_expr(e)
+    return program.code, program.nodes + (e,)
+
+
 def derivative(e: Expression, kind: str, index: int) -> Expression:
     """Structural partial derivative of ``e`` with respect to the variable
-    ``(kind, index)``, folded."""
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if (e.kind, e.index) == (kind, index) else _ZERO
-    if isinstance(e, Binary):
-        da = derivative(e.left, kind, index)
-        db = derivative(e.right, kind, index)
-        if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        # quotient rule; keeps the denominator as an explicit square
-        return div(sub(mul(da, e.right), mul(e.left, db)), Power(e.right, 2))
-    if isinstance(e, Power):
-        inner = derivative(e.base, kind, index)
-        return mul(mul(const(e.exponent), power(e.base, e.exponent - 1)), inner)
-    if isinstance(e, Unary):
-        inner = derivative(e.operand, kind, index)
-        if e.op == "neg":
-            return neg(inner)
-        if e.op == "sin":
-            return mul(Unary("cos", e.operand), inner)
-        if e.op == "cos":
-            return neg(mul(Unary("sin", e.operand), inner))
-        if e.op == "exp":
-            return mul(e, inner)
-        if e.op == "log":
-            return div(inner, e.operand)
-        if e.op == "sqrt":
-            return div(inner, mul(Const(2.0), e))
-        raise DifferentiationUnsupported(f"no differentiation rule for {e.op!r}")
-    raise DifferentiationUnsupported(f"no differentiation rule for {e!r}")
+    ``(kind, index)``, folded.
+
+    One pass over the program of ``e``, from the leaves up, so depth is not
+    bounded by the recursion limit."""
+    target = (kind, index - 1, 0)
+    code, nodes = _tape(e)
+    ds: list[Expression] = []
+    for (op, a, b), node in zip(code, nodes):
+        if op == "c":
+            d = _ZERO
+        elif op == "x" or op == "f":
+            d = _ONE if (op, a, b) == target else _ZERO
+        elif op == "+" or op == "-":
+            d = _FOLD[op](ds[a], ds[b])
+        elif op == "*":
+            d = add(mul(ds[a], nodes[b]), mul(nodes[a], ds[b]))
+        elif op == "/":
+            # quotient rule; keeps the denominator as an explicit square
+            d = div(sub(mul(ds[a], nodes[b]), mul(nodes[a], ds[b])), Power(nodes[b], 2))
+        elif op == "^":
+            d = mul(mul(const(b), power(nodes[a], b - 1)), ds[a])
+        elif op == "neg":
+            d = neg(ds[a])
+        elif op == "sin":
+            d = mul(Unary("cos", nodes[a]), ds[a])
+        elif op == "cos":
+            d = neg(mul(Unary("sin", nodes[a]), ds[a]))
+        elif op == "exp":
+            d = mul(node, ds[a])
+        elif op == "log":
+            d = div(ds[a], nodes[a])
+        elif op == "sqrt":
+            d = div(ds[a], mul(Const(2.0), node))
+        else:
+            raise DifferentiationUnsupported(f"no differentiation rule for {op!r}")
+        ds.append(d)
+    return ds[-1]
 
 
 def substitute_fiber(e: Expression, replacements: tuple[Expression, ...]) -> Expression:
     """Replace every fiber variable ``f<i>`` by ``replacements[i-1]``, folding
-    as it goes.  Base variables are left alone."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        if e.kind == "f":
-            return replacements[e.index - 1]
-        return e
-    if isinstance(e, Binary):
-        a = substitute_fiber(e.left, replacements)
-        b = substitute_fiber(e.right, replacements)
-        if e.op == "+":
-            return add(a, b)
-        if e.op == "-":
-            return sub(a, b)
-        if e.op == "*":
-            return mul(a, b)
-        return div(a, b)
-    if isinstance(e, Unary):
-        inner = substitute_fiber(e.operand, replacements)
-        if e.op == "neg":
-            return neg(inner)
-        return Unary(e.op, inner)
-    if isinstance(e, Power):
-        return power(substitute_fiber(e.base, replacements), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
+    as it goes.  Base variables are left alone.  One pass over the program
+    of ``e``, like :func:`derivative`."""
+    code, nodes = _tape(e)
+    out: list[Expression] = []
+    for (op, a, b), node in zip(code, nodes):
+        if op == "f":
+            out.append(replacements[a])
+        elif op == "c" or op == "x":
+            out.append(node)
+        elif op in _FOLD:
+            out.append(_FOLD[op](out[a], out[b]))
+        elif op == "^":
+            out.append(power(out[a], b))
+        elif op == "neg":
+            out.append(neg(out[a]))
+        else:
+            out.append(Unary(op, out[a]))
+    return out[-1]
 
 
 def fiber_to_zero(e: Expression, fiber_dim: int) -> Expression:

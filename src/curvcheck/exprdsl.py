@@ -355,11 +355,15 @@ class Program(NamedTuple):
 
     The last register holds the value of the whole expression.  ``max_x`` and
     ``max_f`` are the largest base and fiber indices referenced (0 if none).
+    ``nodes[i]`` is the first subtree that compiled to register ``i``, for
+    every register but the last: that one is the tree itself, which holds
+    the program, so keeping it would make a reference cycle.
     """
 
     code: tuple
     max_x: int
     max_f: int
+    nodes: tuple
 
 
 def compile_expr(e: Expression) -> Program:
@@ -377,6 +381,7 @@ def compile_expr(e: Expression) -> Program:
         if not isinstance(e, Expression):
             raise TypeError(f"not an expression node: {e!r}") from None
     code = []
+    nodes = []  # the first node of each register
     registers = {}  # instruction -> its register
     done = {}  # id(node) -> its register, for nodes of this tree
     stack = [e]
@@ -413,9 +418,10 @@ def compile_expr(e: Expression) -> Program:
         if register is None:
             register = registers[instr] = len(code)
             code.append(instr)
+            nodes.append(node)
         done[id(node)] = register
     max_x, max_f = (max((a + 1 for op, a, _ in code if op == kind), default=0) for kind in "xf")
-    program = Program(tuple(code), max_x, max_f)
+    program = Program(tuple(code), max_x, max_f, tuple(nodes[:-1]))
     object.__setattr__(e, "_program", program)
     return program
 

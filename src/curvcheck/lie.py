@@ -10,12 +10,12 @@ group are synthesized from the exponential, never from a logarithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ClosureViolation, SingularMatrix
+from .errors import ClosureViolation, DomainError, SingularMatrix
 
 __all__ = [
     "MatrixLieAlgebra",
@@ -23,6 +23,7 @@ __all__ = [
     "GroupElement",
     "bracket",
     "exp",
+    "expm",
     "adjoint",
     "fiber_quotient",
     "builtin_algebra",
@@ -45,7 +46,9 @@ class MatrixLieAlgebra:
     basis: tuple  # k matrices, each a (d, d) ndarray
     structure: np.ndarray  # (k, k, k)
     name: str = "custom"
-    # pseudo-inverse of the (d*d, k) basis stack, for coefficient expansion
+    # the (d*d, k) basis stack and its pseudo-inverse, for coefficient
+    # expansion; set by from_basis
+    _basis_stack: np.ndarray = field(repr=False, compare=False, default=None)
     _basis_pinv: np.ndarray = field(repr=False, compare=False, default=None)
 
     @staticmethod
@@ -77,7 +80,7 @@ class MatrixLieAlgebra:
                 structure[b, a] = -coeffs
         _check_jacobi(structure)
         structure.setflags(write=False)
-        return MatrixLieAlgebra(d, k, mats, structure, name, pinv)
+        return MatrixLieAlgebra(d, k, mats, structure, name, stack, pinv)
 
     def element(self, coeffs) -> "AlgebraElement":
         return AlgebraElement(self, coeffs)
@@ -92,8 +95,9 @@ class MatrixLieAlgebra:
         """Coefficients of ``matrix`` in the basis, raising
         :class:`ClosureViolation` when the least-squares residual exceeds
         ``tol`` scaled by the matrix magnitude."""
-        stack = np.column_stack([b.reshape(-1) for b in self.basis])
-        coeffs, residual = _fit(self._pinv(), stack, np.asarray(matrix, dtype=float))
+        coeffs, residual = _fit(
+            self._basis_pinv, self._basis_stack, np.asarray(matrix, dtype=float)
+        )
         scale = max(1.0, float(np.abs(matrix).max()))
         if residual > tol * scale:
             raise ClosureViolation(
@@ -101,14 +105,6 @@ class MatrixLieAlgebra:
                 f"(residual {residual:.3e}, tolerance {tol * scale:.1e})"
             )
         return coeffs
-
-    def _pinv(self) -> np.ndarray:
-        if self._basis_pinv is not None:
-            return self._basis_pinv
-        stack = np.column_stack([b.reshape(-1) for b in self.basis])
-        pinv = np.linalg.pinv(stack)
-        object.__setattr__(self, "_basis_pinv", pinv)
-        return pinv
 
 
 def _fit(pinv, stack, matrix):
@@ -218,8 +214,69 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def exp(x: AlgebraElement) -> GroupElement:
-    """Matrix exponential (scaling-and-squaring Pade, order 13)."""
-    return GroupElement(scipy.linalg.expm(x.matrix))
+    """Group element ``exp(X)``, by :func:`expm`: scaling and squaring with
+    the degree-13 Pade approximant (Higham 2005).  ``exp`` of the zero
+    element is exactly the identity."""
+    return GroupElement(expm(x.matrix))
+
+
+#: Coefficients b_0..b_13 of the degree-13 Pade approximant to e^z, and the
+#: largest 1-norm at which it is accurate to double precision unscaled
+#: (Higham, "The scaling and squaring method for the matrix exponential
+#: revisited", SIAM J. Matrix Anal. Appl. 26(4), 2005, table 2.3).
+_PADE13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(matrix) -> np.ndarray:
+    """Exponential of a square matrix, or of each matrix of a stack of shape
+    ``(..., d, d)``, by scaling and squaring with the degree-13 Pade
+    approximant ``r = (V - U)^{-1} (V + U)``: each matrix is scaled by
+    ``2^-s`` until its 1-norm is at most theta_13, ``r`` is formed as
+    ``I + 2 (V - U)^{-1} U`` -- so that ``expm(0)`` is exactly the identity
+    -- and squared ``s`` times.  A non-finite entry raises
+    :class:`DomainError`."""
+    a = np.array(matrix, dtype=float)
+    shape = a.shape
+    a = a.reshape(-1, shape[-1], shape[-1])
+    norm = np.abs(a).sum(axis=1).max(axis=1)
+    if not np.isfinite(norm).all():
+        raise DomainError("matrix exponential of a non-finite matrix")
+    squarings = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    a = np.ldexp(a, -squarings[:, None, None])
+    b = _PADE13
+    ident = np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    for j in range(squarings.max(initial=0)):
+        more = squarings > j
+        r[more] = r[more] @ r[more]
+    return r.reshape(shape)
 
 
 def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:

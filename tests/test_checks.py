@@ -2,10 +2,12 @@
 error capture, tolerance scaling, per-check streams, and rendering."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
+from curvcheck.cli import main
 from curvcheck.config import load_config
 from curvcheck.checks import run_check, run_suite
 from curvcheck.report import CheckResult, RunReport, emit, render_text, to_json_dict
@@ -86,8 +88,9 @@ def test_non_finite_residuals_never_pass(tmp_path):
         assert "differ by nan" in rows[name].detail
 
 
-def test_connection_axiom_never_passes_a_non_finite_potential(tmp_path):
-    # check_axiom once folded with max(worst, residual), which drops a NaN
+def test_connection_axiom_never_passes_a_non_finite_potential(tmp_path, capsys):
+    # check_axiom once folded with max(worst, residual), which drops a NaN;
+    # then it named no sample, and numpy warned about inf * 0 on stderr
     doc = {
         "version": 1,
         "algebras": {"so3": {"builtin": "so3"}},
@@ -107,10 +110,20 @@ def test_connection_axiom_never_passes_a_non_finite_potential(tmp_path):
             }
         ],
     }
-    (row,) = run_suite(_config(tmp_path, doc)).checks
-    assert row.verdict != "pass"
-    assert row.max_residual is None
-    assert row.detail.startswith("non-finite residual")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["check", str(config), "--format", "json", "--out", str(out)])
+    assert code == 1
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    (row,) = json.loads(out.read_text(encoding="utf-8"))["checks"]
+    assert row["verdict"] != "pass"
+    assert row["max_residual"] is None
+    assert row["detail"].startswith("non-finite residual")
+    assert " at sample " in row["detail"]
 
 
 @pytest.mark.parametrize("expect", ["linear", "nonlinear"])
@@ -132,6 +145,24 @@ def test_three_thousand_term_symbol_is_checked(tmp_path):
     result = run_check(config.checks[0], config.seed)
     assert result.verdict == "pass", result.detail
     assert result.max_residual <= 1e-9
+
+
+def test_three_thousand_term_symbol_is_differentiated_symbolically(tmp_path):
+    # the prolonged connection and the linearity probe differentiate the
+    # symbol as a tree, which once recursed per node into a RecursionError
+    terms = " + ".join(f"{k % 7 + 1}e-4*x1*f1" for k in range(3000))
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"g": {"patch": "p", "gamma": [[terms, "x2*f1"]]}},
+        "checks": [
+            {"name": "commutator", "kind": "commutator-identity", "connection": "g"},
+            {"name": "linearity", "kind": "linearity", "connection": "g"},
+        ],
+    }
+    report = run_suite(_config(tmp_path, doc))
+    for row in report.checks:
+        assert row.verdict == "pass", (row.name, row.detail)
 
 
 def test_unreachable_tolerance_fails(tmp_path):

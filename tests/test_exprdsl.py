@@ -210,6 +210,16 @@ def test_repeated_subexpressions_share_a_register():
     assert left == right
 
 
+def test_program_keeps_the_subtree_of_each_register_but_the_root():
+    tree = parse("sin(x1*x2) + sin(x1*x2)", DIMS)
+    program = compile_expr(tree)
+    # the first of two equal subtrees stands for their shared register
+    assert program.nodes[3] is tree.left
+    # the root holds the program, so keeping it would make a cycle
+    assert len(program.nodes) == len(program.code) - 1
+    assert all(node is not tree for node in program.nodes)
+
+
 def test_signed_zeros_stay_apart():
     program = compile_expr(Binary("+", Const(0.0), Const(-0.0)))
     assert len(program.code) == 3

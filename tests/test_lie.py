@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvcheck.errors import ClosureViolation, SingularMatrix
+from curvcheck.errors import ClosureViolation, DomainError, SingularMatrix
 from curvcheck.lie import (
     AlgebraElement,
     GroupElement,
@@ -15,6 +15,7 @@ from curvcheck.lie import (
     bracket,
     builtin_algebra,
     exp,
+    expm,
     fiber_quotient,
 )
 from curvcheck.rng import SplitMix64
@@ -207,6 +208,66 @@ def test_exp_matches_series_oracle():
             if frob > 2.0:
                 x = x.scaled(2.0 / frob)
             assert np.max(np.abs(exp(x).g - _series_exp(x.matrix))) <= 1e-12
+
+
+def _so2_closed_form(coeffs):
+    return _rotation(coeffs[0]).g
+
+
+def _so3_rodrigues(coeffs):
+    w = SO3.element(coeffs).matrix
+    theta = float(np.linalg.norm(coeffs))
+    return (
+        np.eye(3)
+        + math.sin(theta) / theta * w
+        + (1.0 - math.cos(theta)) / theta**2 * (w @ w)
+    )
+
+
+def _sl2_hyperbolic(coeffs):
+    # X = hH + eE + fF squares to (h^2 + ef) I
+    x = SL2.element(coeffs).matrix
+    h, e, f = coeffs
+    delta = math.sqrt(h * h + e * f)
+    return math.cosh(delta) * np.eye(2) + math.sinh(delta) / delta * x
+
+
+@pytest.mark.parametrize(
+    "alg, coeffs, closed_form",
+    [
+        (SO2, (0.3,), _so2_closed_form),
+        (SO2, (40.0 * math.pi + 0.3,), _so2_closed_form),
+        (SO3, (0.2, -0.1, 0.2), _so3_rodrigues),
+        (SO3, (20.0, -10.0, 20.0), _so3_rodrigues),
+        (SL2, (0.4, 0.3, 0.2), _sl2_hyperbolic),
+        (SL2, (4.0, 3.0, 2.0), _sl2_hyperbolic),
+        (SL2, (0.0, 9.0, 4.0), _sl2_hyperbolic),
+    ],
+    ids=["so2", "so2-40pi", "so3", "so3-30", "sl2", "sl2-norm7", "sl2-norm9"],
+)
+def test_exp_matches_closed_forms(alg, coeffs, closed_form):
+    # the larger inputs have 1-norm past theta_13 = 5.37, so they also run
+    # the squaring phase
+    expected = closed_form(coeffs)
+    out = exp(alg.element(coeffs)).g
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_expm_of_a_stack_is_the_stack_of_expms():
+    # each matrix of a stack is scaled and squared on its own
+    rng = SplitMix64(43)
+    x = sample_algebra_element(rng, SO3)
+    mats = np.array([x.scaled(s).matrix for s in (1e-4, 1.0, 30.0)])
+    stacked = expm(mats.reshape(3, 1, 3, 3))
+    assert stacked.shape == (3, 1, 3, 3)
+    for m, out in zip(mats, stacked):
+        assert np.array_equal(out[0], expm(m))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expm_of_non_finite_matrix_is_a_domain_error(bad):
+    with pytest.raises(DomainError):
+        expm(np.array([[0.0, bad], [1.0, 0.0]]))
 
 
 # --- adjoint ----------------------------------------------------------------

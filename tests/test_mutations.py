@@ -10,7 +10,8 @@ values: routes that all differentiate through the same table agree with
 each other however the table is wrong.
 
 The second set replaces one function of a route, in every module that
-binds it, by a defective wrapper of the original.
+binds it, by a defective wrapper of the original, or one table of a route
+(the Pade coefficients of ``lie.expm``) by a defective copy.
 """
 
 import json
@@ -22,9 +23,10 @@ import numpy as np
 import pytest
 
 import curvcheck
-from curvcheck import bundle, checks, linear, numcore, principal, prolong
+from curvcheck import bundle, checks, lie, linear, numcore, principal, prolong
 from curvcheck.checks import run_suite
 from curvcheck.config import load_config
+from curvcheck.exprdsl import Const
 
 VERIFY = Path(__file__).resolve().parent.parent / "fixtures" / "verify.json"
 
@@ -126,7 +128,85 @@ def _coefficients_with_quadratic_sign_flipped(original):
     return mutant
 
 
+def _omega_without_conjugation(original):
+    # A_x(xi) + v instead of Ad_{g^{-1}} A_x(xi) + v
+    return lambda p, t, drop_adjoint: original(p, t, True)
+
+
+def _lift_with_fiber_sign_flipped(original):
+    # fiber part +Gamma xi instead of -Gamma xi
+    def mutant(field, p, xi):
+        lifted = original(field, p, xi)
+        return replace(lifted, b=tuple(-v for v in lifted.b))
+
+    return mutant
+
+
+def _expansion_without_a_term(original):
+    # the omega = 1 term of Gamma^1_1 left out of the sum
+    def mutant(linear_connection):
+        rows = [[list(inner) for inner in row] for row in linear_connection.gamma3]
+        rows[0][0][0] = Const(0.0)
+        return original(replace(linear_connection, gamma3=rows))
+
+    return mutant
+
+
+def _classical_with_derivative_sign_flipped(original):
+    # d_nu Gamma_mu - d_mu Gamma_nu instead of d_mu Gamma_nu - d_nu Gamma_mu.
+    # The fixture's linear connection has a one-dimensional fiber, where the
+    # quadratic term vanishes, so a defect there could not show.
+    def mutant(linear_connection, x):
+        m = linear_connection.patch.base_dim
+        pt = numcore.EvalPoint.of(x)
+        # d[alpha, mu, omega, nu] = d_nu Gamma^alpha_{mu omega}
+        d = np.array(
+            [
+                [[numcore.gradient(c, pt)[1][:m] for c in inner] for inner in row]
+                for row in linear_connection.gamma3
+            ]
+        )
+        derivative = np.einsum("anwm->amnw", d) - np.einsum("amwn->amnw", d)
+        return original(linear_connection, x) - 2.0 * derivative
+
+    return mutant
+
+
+def _pade_with_wrong_first_coefficient(original):
+    # b_1 is b_0 / 2; scaled by 0.9, expm(A) is I + 0.9 A + O(A^2)
+    return (original[0], 0.9 * original[1], *original[2:])
+
+
 ROUTE_DEFECTS = [
+    pytest.param(
+        principal,
+        "_omega",
+        _omega_without_conjugation,
+        "axiom-rot3",
+        id="omega-conjugation",
+    ),
+    pytest.param(
+        bundle,
+        "horizontal_lift",
+        _lift_with_fiber_sign_flipped,
+        "parallel-linleg",
+        id="lift-sign",
+    ),
+    pytest.param(
+        linear,
+        "expand_linear",
+        _expansion_without_a_term,
+        "linearity-linleg",
+        id="expansion-term",
+    ),
+    pytest.param(
+        linear,
+        "classical_curvature",
+        _classical_with_derivative_sign_flipped,
+        "consistency-lin1",
+        id="classical-derivative-sign",
+    ),
+    pytest.param(lie, "_PADE13", _pade_with_wrong_first_coefficient, "bch-rot3", id="pade-b1"),
     pytest.param(
         principal, "theta_bch", _theta_bch_without_bracket, "bch-rot3", id="bch-bracket"
     ),
@@ -174,7 +254,7 @@ def test_planted_route_defect_fails_its_row(
     assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
     original = getattr(module, name)
     mutant = mutate(original)
-    for binder in (curvcheck, bundle, checks, linear, principal, prolong):
+    for binder in (curvcheck, bundle, checks, lie, linear, principal, prolong):
         if getattr(binder, name, None) is original:
             monkeypatch.setattr(binder, name, mutant)
     assert _verdicts(tmp_path, None, [row])[row] in ("fail", "error")

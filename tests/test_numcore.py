@@ -218,6 +218,80 @@ def test_mixed_second_matches_symbolic_second_derivative():
         assert abs(exact - reference) <= 1e-8 * max(1.0, abs(reference))
 
 
+# --- _symbolic against its recursive reference -------------------------------
+
+
+def _reference_derivative(e, kind, index):
+    """The recursive structural derivative that ``_symbolic.derivative``
+    replaced; it recurses once per node."""
+    s = _symbolic
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0) if (e.kind, e.index) == (kind, index) else Const(0.0)
+    if isinstance(e, Binary):
+        da = _reference_derivative(e.left, kind, index)
+        db = _reference_derivative(e.right, kind, index)
+        if e.op == "+":
+            return s.add(da, db)
+        if e.op == "-":
+            return s.sub(da, db)
+        if e.op == "*":
+            return s.add(s.mul(da, e.right), s.mul(e.left, db))
+        return s.div(s.sub(s.mul(da, e.right), s.mul(e.left, db)), Power(e.right, 2))
+    if isinstance(e, Power):
+        inner = _reference_derivative(e.base, kind, index)
+        return s.mul(s.mul(s.const(e.exponent), s.power(e.base, e.exponent - 1)), inner)
+    inner = _reference_derivative(e.operand, kind, index)
+    return {
+        "neg": lambda: s.neg(inner),
+        "sin": lambda: s.mul(Unary("cos", e.operand), inner),
+        "cos": lambda: s.neg(s.mul(Unary("sin", e.operand), inner)),
+        "exp": lambda: s.mul(e, inner),
+        "log": lambda: s.div(inner, e.operand),
+        "sqrt": lambda: s.div(inner, s.mul(Const(2.0), e)),
+    }[e.op]()
+
+
+def _reference_substitute_fiber(e, replacements):
+    """The recursive fiber substitution that ``_symbolic.substitute_fiber``
+    replaced."""
+    s = _symbolic
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        return replacements[e.index - 1] if e.kind == "f" else e
+    if isinstance(e, Binary):
+        a = _reference_substitute_fiber(e.left, replacements)
+        b = _reference_substitute_fiber(e.right, replacements)
+        return {"+": s.add, "-": s.sub, "*": s.mul, "/": s.div}[e.op](a, b)
+    if isinstance(e, Unary):
+        inner = _reference_substitute_fiber(e.operand, replacements)
+        return s.neg(inner) if e.op == "neg" else Unary(e.op, inner)
+    return s.power(_reference_substitute_fiber(e.base, replacements), e.exponent)
+
+
+def test_symbolic_trees_equal_the_recursive_reference():
+    rng = SplitMix64(6007)
+    directions = [("x", 1), ("x", 2), ("x", 3), ("f", 1), ("f", 2), ("f", 3)]
+    zero = Const(0.0)
+    for _ in range(300):
+        e = _random_smooth_expr(rng, 4)
+        # a subtree shared by reference, and the constants folding meets
+        shared = Binary("*", e, Binary("-", e, Const(0.0)))
+        for tree in (e, shared, Binary("+", Const(1.0), Unary("neg", Const(2.0)))):
+            for direction in directions:
+                assert _symbolic.derivative(tree, *direction) == _reference_derivative(
+                    tree, *direction
+                )
+            replacements = tuple(
+                _random_smooth_expr(rng, 2) if rng.int_below(3) else zero for _ in range(3)
+            )
+            assert _symbolic.substitute_fiber(tree, replacements) == (
+                _reference_substitute_fiber(tree, replacements)
+            )
+
+
 def test_mixed_second_agrees_with_jet_arithmetic():
     # The interpreter's second-order sweep and Jet2 apply the same rules.
     x1 = Jet2(0.7, 1.0, 0.0, 0.0)
