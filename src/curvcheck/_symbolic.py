@@ -8,7 +8,11 @@ numerically via forward-mode jets.
 
 The smart constructors fold trivial algebra (zeros, ones, constant
 arithmetic) so that derivative trees stay small.  Folding changes only tree
-shape, never the function represented.
+shape, never the function represented.  Every symbolic linear combination
+in the package -- projections of vector fields, expanded linear symbols,
+the prolonged connection, the exponential-chart symbols -- is built by
+:func:`dot`, which adds ``weights[i] * exprs[i]`` from left to right onto a
+start value with the same folding, so the fold order is written once.
 """
 
 from __future__ import annotations
@@ -89,6 +93,16 @@ def const(value: float) -> Expression:
     if value < 0:
         return Unary("neg", Const(-value))
     return Const(float(value))
+
+
+def dot(weights, exprs, start: Expression = _ZERO) -> Expression:
+    """``start + weights[0]*exprs[0] + weights[1]*exprs[1] + ...``, added
+    from left to right with folding and cut at the shorter of the two
+    sequences.  A number among the weights enters as :func:`const`."""
+    acc = start
+    for w, e in zip(weights, exprs):
+        acc = add(acc, mul(w if isinstance(w, Expression) else const(w), e))
+    return acc
 
 
 def _tape(e: Expression) -> tuple[tuple, tuple]:

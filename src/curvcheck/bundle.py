@@ -343,13 +343,7 @@ def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> Total
 
 def _vertical_component_exprs(field: ChristoffelField, V: TotalVectorField):
     """Fiber components of P(V) as expressions: b^a + sum_mu Gamma^a_mu a^mu."""
-    out = []
-    for row, b in zip(field.gamma, V.b):
-        acc = b
-        for e, a in zip(row, V.a):
-            acc = _symbolic.add(acc, _symbolic.mul(e, a))
-        out.append(acc)
-    return tuple(out)
+    return tuple(_symbolic.dot(row, V.a, start=b) for row, b in zip(field.gamma, V.b))
 
 
 def vertical_projection_field(field: ChristoffelField, V: TotalVectorField) -> TotalVectorField:
@@ -365,13 +359,8 @@ def vertical_projection_field(field: ChristoffelField, V: TotalVectorField) -> T
 def horizontal_part_field(field: ChristoffelField, V: TotalVectorField) -> TotalVectorField:
     """(id - P)(V): base part kept, fiber part ``-sum_mu Gamma^a_mu a^mu``
     (independent of V's own fiber part)."""
-    out = []
-    for row in field.gamma:
-        acc = _symbolic.const(0.0)
-        for e, a in zip(row, V.a):
-            acc = _symbolic.add(acc, _symbolic.mul(e, a))
-        out.append(_symbolic.neg(acc))
-    return TotalVectorField(V.patch, V.a, tuple(out))
+    out = tuple(_symbolic.neg(_symbolic.dot(row, V.a)) for row in field.gamma)
+    return TotalVectorField(V.patch, V.a, out)
 
 
 def nijenhuis_curvature(

@@ -60,16 +60,18 @@ class CheckOutcome:
 class _Worst:
     """Running maximum of a check's residuals.  ``max(0.0, nan)`` is
     ``0.0``, so a plain fold lets a NaN pass; here the first non-finite
-    residual is kept, and it fails the row with its sample in the detail."""
+    residual is kept, and it fails the row with its sample in the detail:
+    the sample's index, or ``where`` for a sample that has none."""
 
     value = 0.0
     nonfinite = ""
 
-    def add(self, residual: float, sample: int | None = None) -> None:
+    def add(self, residual: float, sample: int | None = None, where: str = "") -> None:
         if math.isfinite(residual):
             self.value = max(self.value, residual)
         elif not self.nonfinite:
-            where = "" if sample is None else f" at sample {sample}"
+            if sample is not None:
+                where = f" at sample {sample}"
             self.nonfinite = f"non-finite residual {residual}{where}"
 
     def outcome(self, samples: int, passed: bool, detail: str = "") -> CheckOutcome:
@@ -336,7 +338,7 @@ def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome
     violation = report.violation
     worst = _Worst()
     if violation is not None:
-        worst.add(abs(violation.actual - violation.expected))
+        worst.add(abs(violation.actual - violation.expected), where=f": {violation}")
     passed = report.linear == (expect == "linear")
     detail = "" if violation is None else str(violation)
     if not passed and violation is None:

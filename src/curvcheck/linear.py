@@ -102,22 +102,11 @@ class LinearChristoffel:
 
 def expand_linear(linear: LinearChristoffel) -> ChristoffelField:
     """Generalized symbols ``sum_omega Gamma^alpha_{mu omega}(x) v^omega``."""
-    m, n = linear.patch.dims
-    gamma = []
-    for alpha in range(n):
-        row = []
-        for mu in range(m):
-            acc = _symbolic.const(0.0)
-            for omega in range(n):
-                acc = _symbolic.add(
-                    acc,
-                    _symbolic.mul(
-                        linear.gamma3[alpha][mu][omega], Var("f", omega + 1)
-                    ),
-                )
-            row.append(acc)
-        gamma.append(tuple(row))
-    return ChristoffelField(linear.patch, tuple(gamma))
+    fiber = [Var("f", omega + 1) for omega in range(linear.patch.fiber_dim)]
+    gamma = tuple(
+        tuple(_symbolic.dot(inner, fiber) for inner in row) for row in linear.gamma3
+    )
+    return ChristoffelField(linear.patch, gamma)
 
 
 def classical_curvature(linear: LinearChristoffel, x) -> np.ndarray:

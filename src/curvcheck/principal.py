@@ -34,7 +34,12 @@ forces
 
 truncated at a configurable order (default 6; the first omitted nonzero
 term is order 8, so within chart radius 1/2 the truncation sits near 1e-9,
-well inside the 1e-6 cross-check budget).
+well inside the 1e-6 cross-check budget).  The series is never expanded
+into monomials of ``c``: starting from the expressions
+``w = Ad_{g0^{-1}} A_mu(x)``, each term ``(ad_C)^j w`` is built once from
+the one before by ``(ad_C v)^e = sum_b c_b sum_a c[b, a, e] v_a`` and shared
+by every later term, so the symbols form one DAG whose size grows linearly
+in the order.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ import numpy as np
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, curvature_coefficients
 from .errors import ClosureViolation, NotVertical
-from .exprdsl import Expression, Var, max_indices, parse
+from .exprdsl import Var, max_indices, parse
 from .lie import (
     AlgebraElement,
     GroupElement,
@@ -353,54 +358,6 @@ def _ad_generator_matrices(alg: MatrixLieAlgebra) -> list[np.ndarray]:
     return [alg.structure[b].T.copy() for b in range(alg.k)]
 
 
-def _chart_series_poly(alg: MatrixLieAlgebra, order: int) -> dict:
-    """``K(ad_C)`` as a polynomial in the chart coordinates: maps a monomial
-    exponent tuple over (c_1..c_k) to a (k, k) coordinate matrix."""
-    if not 0 <= order < len(_CHART_SERIES):
-        raise ValueError(
-            f"chart order must be between 0 and {len(_CHART_SERIES) - 1}"
-        )
-    ad_mats = _ad_generator_matrices(alg)
-    k = alg.k
-    zero_mono = (0,) * k
-    poly: dict[tuple, np.ndarray] = {zero_mono: _CHART_SERIES[0] * np.eye(k)}
-    layer: dict[tuple, np.ndarray] = {zero_mono: np.eye(k)}
-    for j in range(1, order + 1):
-        next_layer: dict[tuple, np.ndarray] = {}
-        for mono, mat in layer.items():
-            for b in range(k):
-                bumped = list(mono)
-                bumped[b] += 1
-                bumped = tuple(bumped)
-                prod = ad_mats[b] @ mat
-                if bumped in next_layer:
-                    next_layer[bumped] = next_layer[bumped] + prod
-                else:
-                    next_layer[bumped] = prod
-        layer = next_layer
-        coeff = _CHART_SERIES[j]
-        if coeff == 0.0:
-            continue
-        for mono, mat in layer.items():
-            if mono in poly:
-                poly[mono] = poly[mono] + coeff * mat
-            else:
-                poly[mono] = coeff * mat
-    return poly
-
-
-def _monomial_expression(mono: tuple) -> Expression:
-    acc = _symbolic.const(1.0)
-    for b, exponent in enumerate(mono):
-        if exponent == 0:
-            continue
-        factor = Var("f", b + 1)
-        if exponent > 1:
-            factor = _symbolic.power(factor, exponent)
-        acc = _symbolic.mul(acc, factor)
-    return acc
-
-
 def exponential_chart_connection(
     p: GaugePotential, center: GroupElement, order: int = 6
 ) -> ChristoffelField:
@@ -411,28 +368,31 @@ def exponential_chart_connection(
     ``order`` (module docstring).  The fiber variables of the returned
     field are the chart coordinates ``c``.
     """
+    if not 0 <= order < len(_CHART_SERIES):
+        raise ValueError(
+            f"chart order must be between 0 and {len(_CHART_SERIES) - 1}"
+        )
     alg = p.algebra
-    k = alg.k
-    m = p.base_dim
     ad_center = _adjoint_coordinate_matrix(alg, center.inverse())
-    poly = _chart_series_poly(alg, order)
-    terms = [(_monomial_expression(mono), mat @ ad_center) for mono, mat in poly.items()]
-    rows = []
-    for a in range(k):
-        row = []
-        for mu in range(m):
-            acc = _symbolic.const(0.0)
-            for mono_expr, weights in terms:
-                combo = _symbolic.const(0.0)
-                for e in range(k):
-                    combo = _symbolic.add(
-                        combo,
-                        _symbolic.mul(_symbolic.const(weights[a, e]), p.a[mu][e]),
-                    )
-                acc = _symbolic.add(acc, _symbolic.mul(mono_expr, combo))
-            row.append(acc)
-        rows.append(tuple(row))
-    return ChristoffelField(BundlePatch(m, k), tuple(rows))
+    ad_mats = _ad_generator_matrices(alg)
+    chart = [Var("f", b + 1) for b in range(alg.k)]
+
+    def ad_chart(v: list) -> list:
+        # (ad_C v)^e = sum_b c_b (ad_{E_b} v)^e
+        return [
+            _symbolic.dot(chart, [_symbolic.dot(mat[e], v) for mat in ad_mats])
+            for e in range(alg.k)
+        ]
+
+    columns = []
+    for row in p.a:
+        # the terms (ad_C)^j w of K(ad_C) w, each built once from the last and
+        # shared by every component after it
+        terms = [[_symbolic.dot(weights, row) for weights in ad_center]]
+        for _ in range(order):
+            terms.append(ad_chart(terms[-1]))
+        columns.append([_symbolic.dot(_CHART_SERIES, term) for term in zip(*terms)])
+    return ChristoffelField(BundlePatch(p.base_dim, alg.k), tuple(zip(*columns)))
 
 
 def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
@@ -468,7 +428,6 @@ def curvature_cross_check(
     section_samples: int = 2,
     seed: int = 0,
     rng: SplitMix64 | None = None,
-    chart_order: int = 6,
 ) -> CrossCheckReport:
     """Compare three curvature routes at base point ``x``.
 
@@ -495,7 +454,7 @@ def curvature_cross_check(
         center = alg.identity_group() if i == 0 else exp(
             sample_algebra_element(generator, alg)
         )
-        field = exponential_chart_connection(p, center, chart_order)
+        field = exponential_chart_connection(p, center)
         if i == 0:
             identity_field = field
         coeffs = curvature_coefficients(field, EvalPoint(base, (0.0,) * k))
@@ -578,14 +537,18 @@ _JET_STENCIL = np.array(
     dtype=float,
 )
 
+#: Position in :data:`_JET_STENCIL` of each point with t and eps swapped.
+_JET_SWAP = [0, 3, 4, 1, 2, 5, 7, 6, 8]
+
 
 def _extract_jet(
-    alg: MatrixLieAlgebra, surface, step: float
+    alg: MatrixLieAlgebra, values: np.ndarray, step: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Numerical jet slots (g, X, Y, Z) of a matrix surface sigma(t, eps)
     of the form g e^{tX} e^{eps(Y + tZ)} via central differences.
-    ``surface`` maps arrays of t and of eps to the stack of its values."""
-    g, t_plus, t_minus, e_plus, e_minus, pp, pm, mp, mm = surface(*(step * _JET_STENCIL.T))
+    ``values`` is the stack of its values at the :data:`_JET_STENCIL`
+    points."""
+    g, t_plus, t_minus, e_plus, e_minus, pp, pm, mp, mm = values
     dt = (t_plus - t_minus) / (2.0 * step)
     de = (e_plus - e_minus) / (2.0 * step)
     mixed = (pp - pm - mp + mm) / (4.0 * step * step)
@@ -610,19 +573,12 @@ def theta_bch_verify(
     Jet slots extracted from the surface ``sigma(t, eps) =
     g exp(tX) exp(eps(Y + tZ))`` must reproduce the inputs; slots extracted
     from the swapped surface ``sigma(eps, t)`` must reproduce the algebraic
-    output, including the bracket correction in the mixed slot.
+    output, including the bracket correction in the mixed slot.  The
+    stencil is symmetric under the swap, so both read one stack of values.
     """
     alg = x.algebra
-    x_mat = x.matrix
-    y_mat = y.matrix
-    z_mat = z.matrix
-
-    def surface(t: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        t = t[:, None, None]
-        return g.g @ expm(t * x_mat) @ expm(eps[:, None, None] * (y_mat + t * z_mat))
-
-    def swapped(t: np.ndarray, eps: np.ndarray) -> np.ndarray:
-        return surface(eps, t)
+    t, eps = step * _JET_STENCIL.T[:, :, None, None]
+    surface = g.g @ expm(t * x.matrix) @ expm(eps * (y.matrix + t * z.matrix))
 
     def slot_deviation(extracted, expected) -> float:
         g_exp, *elements = expected
@@ -632,7 +588,7 @@ def theta_bch_verify(
 
     direct = slot_deviation(_extract_jet(alg, surface, step), (g, x, y, z))
     swapped_dev = slot_deviation(
-        _extract_jet(alg, swapped, step), theta_bch(g, x, y, z)
+        _extract_jet(alg, surface[_JET_SWAP], step), theta_bch(g, x, y, z)
     )
     worst = float(np.max([direct, swapped_dev]))
     return ThetaBchReport(

@@ -214,18 +214,15 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
     if prolonged is not None:
         return prolonged
     m, n = field.patch.dims
-    prolonged_patch = BundlePatch(m, 2 * n)
-    rows = list(field.gamma)
-    for a in range(n):
-        row = []
-        for mu in range(m):
-            acc = _symbolic.const(0.0)
-            for b in range(n):
-                d = _symbolic.derivative(field.gamma[a][mu], "f", b + 1)
-                acc = _symbolic.add(acc, _symbolic.mul(d, Var("f", n + b + 1)))
-            row.append(acc)
-        rows.append(tuple(row))
-    prolonged = ChristoffelField(prolonged_patch, tuple(rows))
+    variation = [Var("f", n + b + 1) for b in range(n)]
+    lifted = tuple(
+        tuple(
+            _symbolic.dot([_symbolic.derivative(e, "f", b + 1) for b in range(n)], variation)
+            for e in row
+        )
+        for row in field.gamma
+    )
+    prolonged = ChristoffelField(BundlePatch(m, 2 * n), tuple(field.gamma) + lifted)
     # frozen dataclass: written the way its own __post_init__ writes
     object.__setattr__(field, "_vertical_connection", prolonged)
     return prolonged

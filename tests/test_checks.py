@@ -138,6 +138,21 @@ def test_linearity_never_passes_a_non_finite_connection(tmp_path, expect):
     assert row.detail.startswith("non-finite residual")
 
 
+@pytest.mark.parametrize("expect", ["linear", "nonlinear"])
+def test_non_finite_linearity_row_names_its_violation(tmp_path, expect):
+    # the probe's violation has no sample index; the row once said only
+    # "non-finite residual nan" and dropped the text naming x, v and lambda
+    config = _single_check_config(
+        tmp_path, ["x1*1e300*1e300*f1", "0"], kind="linearity", expect=expect
+    )
+    (row,) = run_suite(config).checks
+    assert row.verdict == "fail"
+    assert row.max_residual is None
+    assert row.detail.startswith("non-finite residual nan: Gamma^1_1 at x=(")
+    assert ", v=(" in row.detail
+    assert ": scaling by " in row.detail
+
+
 def test_three_thousand_term_symbol_is_checked(tmp_path):
     # a left-deep sum far past the recursion limit once gave an error row
     terms = " + ".join(f"0.001*x1^{k % 3}*f1" for k in range(3000))

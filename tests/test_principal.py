@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from curvcheck.errors import IndexOutOfRange, NotVertical
-from curvcheck.lie import AlgebraElement, GroupElement, adjoint, builtin_algebra, exp
+from curvcheck.lie import (
+    AlgebraElement,
+    GroupElement,
+    adjoint,
+    bracket,
+    builtin_algebra,
+    exp,
+)
 from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.principal import (
     _CHART_SERIES,
@@ -238,6 +245,53 @@ def test_chart_connection_at_center_matches_conjugated_potential():
             expected = adjoint(center.inverse(), SO3_POTENTIAL.value(mu, x))
             got = [evaluate(field.gamma[a][mu - 1], origin) for a in range(3)]
             assert np.max(np.abs(np.array(got) - expected.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_chart_connection_off_center_matches_truncated_series(name, order):
+    # oracle: sum_j K_j (ad_C)^j Ad_{center^-1} A_mu(x), with ad_C taken
+    # as matrix commutators rather than from the structure constants
+    alg = builtin_algebra(name)
+    potential = GaugePotential.from_strings(
+        alg, [["x1", "x2*x1", "0.5"], ["x2^2", "-x1", "x1*x2 + 0.3"]], base_dim=2
+    )
+    rng = SplitMix64(113)
+    centers = [alg.identity_group()] + [
+        exp(sample_algebra_element(rng, alg)) for _ in range(2)
+    ]
+    for center in centers:
+        field = exponential_chart_connection(potential, center, order)
+        for _ in range(4):
+            x = tuple(rng.symmetric(1.0) for _ in range(2))
+            c = AlgebraElement(alg, [rng.symmetric(0.5) for _ in range(alg.k)])
+            point = EvalPoint(x, tuple(c.coeffs))
+            for mu in (1, 2):
+                term = adjoint(center.inverse(), potential.value(mu, x))
+                expected = _CHART_SERIES[0] * term.coeffs
+                for j in range(1, order + 1):
+                    term = bracket(c, term)
+                    expected = expected + _CHART_SERIES[j] * term.coeffs
+                got = [evaluate(field.gamma[a][mu - 1], point) for a in range(alg.k)]
+                assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
+
+
+def test_chart_connection_shares_its_series_terms():
+    # each term (ad_C)^j w is built once and shared by the terms after it;
+    # the bound is half of the 886 nodes of K(ad_C) expanded into monomials
+    field = exponential_chart_connection(SO3_POTENTIAL, SO3.identity_group(), 6)
+    seen = set()
+    stack = [e for row in field.gamma for e in row]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(
+                getattr(node, slot)
+                for slot in ("operand", "left", "right", "base")
+                if hasattr(node, slot)
+            )
+    assert len(seen) <= 440
 
 
 # --- the three-route curvature cross-check ----------------------------------
