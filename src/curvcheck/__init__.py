@@ -25,6 +25,7 @@ from .bundle import (
     is_parallel_morphism,
     lie_bracket,
     nijenhuis_curvature,
+    nijenhuis_tensor,
     project,
     pushforward,
 )
@@ -83,6 +84,7 @@ from .prolong import (
     VerticalPairBase,
     affine_diff,
     commutator_curvature,
+    commutator_tensor,
     pi,
     pushforward_second_jet,
     second_covariant,
@@ -118,6 +120,7 @@ __all__ = [
     "covariant_derivative",
     "lie_bracket",
     "nijenhuis_curvature",
+    "nijenhuis_tensor",
     "curvature_coefficients",
     "pushforward",
     "is_parallel_morphism",
@@ -131,6 +134,7 @@ __all__ = [
     "vertical_connection",
     "second_covariant",
     "commutator_curvature",
+    "commutator_tensor",
     # Lie machinery
     "MatrixLieAlgebra",
     "AlgebraElement",

@@ -50,6 +50,7 @@ __all__ = [
     "lie_bracket",
     "vertical_projection_field",
     "horizontal_part_field",
+    "nijenhuis_tensor",
     "nijenhuis_curvature",
     "curvature_coefficients",
     "pushforward",
@@ -320,21 +321,33 @@ def covariant_derivative(
     return VerticalVector(at, w)
 
 
-def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> TotalTangent:
-    """Lie bracket ``[V, W]`` at ``p``, over all m+n coordinates:
-    ``[V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j)``."""
-    if V.patch.dims != W.patch.dims:
-        raise ValueError("bracket operands must live on the same patch")
-    m = V.patch.base_dim
-    vals_V, grads_V = zip(*(gradient(c, p) for c in V.a + V.b))
-    vals_W, grads_W = zip(*(gradient(c, p) for c in W.a + W.b))
+def _jet(V: TotalVectorField, p: EvalPoint):
+    """Values and gradients of every component of ``V`` at ``p``, base
+    components before fiber ones: the first-order data of a bracket."""
+    return tuple(zip(*(gradient(c, p) for c in V.a + V.b)))
+
+
+def _bracket(jet_V, jet_W, p: EvalPoint) -> TotalTangent:
+    """Lie bracket at ``p`` of the fields whose :func:`_jet` are ``jet_V``
+    and ``jet_W``."""
+    vals_V, grads_V = jet_V
+    vals_W, grads_W = jet_W
     out = []
     for gV, gW in zip(grads_V, grads_W):
         acc = 0.0
         for j in range(len(vals_V)):
             acc += vals_V[j] * gW[j] - vals_W[j] * gV[j]
         out.append(acc)
+    m = len(p.x)
     return TotalTangent(p, tuple(out[:m]), tuple(out[m:]))
+
+
+def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> TotalTangent:
+    """Lie bracket ``[V, W]`` at ``p``, over all m+n coordinates:
+    ``[V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j)``."""
+    if V.patch.dims != W.patch.dims:
+        raise ValueError("bracket operands must live on the same patch")
+    return _bracket(_jet(V, p), _jet(W, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +376,50 @@ def horizontal_part_field(field: ChristoffelField, V: TotalVectorField) -> Total
     return TotalVectorField(V.patch, V.a, out)
 
 
+def nijenhuis_tensor(
+    field: ChristoffelField,
+    fields,
+    p: EvalPoint,
+    consistency_tol: float = 1e-9,
+) -> np.ndarray:
+    """Curvature ``R[a-1, i, j] = R(V_i, V_j)^a = -P[(id-P)V_i, (id-P)V_j]^a``
+    at ``p`` for every pair of ``fields``, shape (n, k, k) for k fields.
+
+    Each field's ``(id-P)`` and ``P`` parts are built, and every jet taken,
+    once.  For each pair ``i < j`` the equivalent four-term expansion
+    ``-P[V,W] + P[V,PW] + P[PV,W] - [PV,PW]`` is also evaluated, and
+    :class:`InternalDisagreement` is raised if the two differ by more than
+    ``consistency_tol`` in any component.  The two-term value is kept; the
+    lower triangle is its exact negation (bracket and projection are
+    sign-symmetric in IEEE arithmetic) and the diagonal is zero.
+    """
+    fields = tuple(fields)
+    if any(V.patch.dims != field.patch.dims for V in fields):
+        raise ValueError("bracket operands must live on the connection's patch")
+    horizontal = [_jet(horizontal_part_field(field, V), p) for V in fields]
+    plain = [_jet(V, p) for V in fields]
+    vertical = [_jet(vertical_projection_field(field, V), p) for V in fields]
+    R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)))
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            two = [-w for w in project(field, _bracket(horizontal[i], horizontal[j], p)).w]
+            t1 = project(field, _bracket(plain[i], plain[j], p)).w
+            t2 = project(field, _bracket(plain[i], vertical[j], p)).w
+            t3 = project(field, _bracket(vertical[i], plain[j], p)).w
+            t4 = _bracket(vertical[i], vertical[j], p).b
+            four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+            # np.max keeps a NaN, and a NaN never passes the comparison
+            worst = float(np.max(np.abs(np.subtract(two, four)), initial=0.0))
+            if not worst <= consistency_tol:
+                raise InternalDisagreement(
+                    f"two-term and four-term curvature differ by {worst:.3e} "
+                    f"(tolerance {consistency_tol:.1e}) at {p}"
+                )
+            R[:, i, j] = two
+            R[:, j, i] = -R[:, i, j]
+    return R
+
+
 def nijenhuis_curvature(
     field: ChristoffelField,
     V: TotalVectorField,
@@ -370,33 +427,9 @@ def nijenhuis_curvature(
     p: EvalPoint,
     consistency_tol: float = 1e-9,
 ) -> VerticalVector:
-    """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``.
-
-    Also evaluates the equivalent four-term expansion
-    ``-P[V,W] + P[V,PW] + P[PV,W] - [PV,PW]`` and raises
-    :class:`InternalDisagreement` if the two routes differ by more than
-    ``consistency_tol`` in any component.  The two-term value is returned.
-    """
-    hV = horizontal_part_field(field, V)
-    hW = horizontal_part_field(field, W)
-    two = [-w for w in project(field, lie_bracket(hV, hW, p)).w]
-
-    PV = vertical_projection_field(field, V)
-    PW = vertical_projection_field(field, W)
-    t1 = project(field, lie_bracket(V, W, p)).w
-    t2 = project(field, lie_bracket(V, PW, p)).w
-    t3 = project(field, lie_bracket(PV, W, p)).w
-    t4 = lie_bracket(PV, PW, p).b
-    four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
-
-    # np.max keeps a NaN, and a NaN never passes the comparison
-    worst = float(np.max(np.abs(np.subtract(two, four)), initial=0.0))
-    if not worst <= consistency_tol:
-        raise InternalDisagreement(
-            f"two-term and four-term curvature differ by {worst:.3e} "
-            f"(tolerance {consistency_tol:.1e}) at {p}"
-        )
-    return VerticalVector(p, tuple(two))
+    """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``: the ``(V, W)``
+    entry of :func:`nijenhuis_tensor`, with its two-term/four-term guard."""
+    return VerticalVector(p, nijenhuis_tensor(field, (V, W), p, consistency_tol)[:, 0, 1])
 
 
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:

@@ -31,17 +31,10 @@ from .exprdsl import Expression, Program, compile_expr
 __all__ = [
     "EvalPoint",
     "Coordinate",
-    "Jet2",
     "evaluate",
     "gradient",
     "partial",
     "mixed_second",
-    "jet_sin",
-    "jet_cos",
-    "jet_exp",
-    "jet_log",
-    "jet_sqrt",
-    "jet_pow",
 ]
 
 #: A coordinate direction, e.g. ``("x", 1)`` or ``("f", 2)``; indices 1-based.
@@ -270,77 +263,3 @@ def mixed_second(
         seeds.setdefault((kind, index - 1), [0.0, 0.0, 0.0])[slot] = 1.0
     _, t = _sweep(e, point, seeds, 3, jet=True)
     return 0.0 if t is None else t[2]
-
-
-# ---------------------------------------------------------------------------
-# second-order two-direction jets
-
-
-@dataclass(frozen=True, slots=True)
-class Jet2:
-    """Truncated second-order jet in two directions.
-
-    ``d1`` and ``d2`` are directional first derivatives, ``d12`` the mixed
-    second derivative.  The arithmetic applies the interpreter's rules to a
-    single jet; e.g. for a product, ``d12 = a.d12*b.value + (a.d1*b.d2 +
-    a.d2*b.d1) + a.value*b.d12``.
-    """
-
-    value: float
-    d1: float = 0.0
-    d2: float = 0.0
-    d12: float = 0.0
-
-    @classmethod
-    def constant(cls, value: float) -> "Jet2":
-        return cls(float(value), 0.0, 0.0, 0.0)
-
-    def __add__(self, other: "Jet2") -> "Jet2":
-        return _jet_binary("+", self, other, self.value + other.value)
-
-    def __sub__(self, other: "Jet2") -> "Jet2":
-        return _jet_binary("-", self, other, self.value - other.value)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.d1, -self.d2, -self.d12)
-
-    def __mul__(self, other: "Jet2") -> "Jet2":
-        return _jet_binary("*", self, other, self.value * other.value)
-
-    def __truediv__(self, other: "Jet2") -> "Jet2":
-        return _jet_binary("/", self, other, _apply("/", self.value, other.value, True))
-
-
-def _jet_binary(op: str, a: Jet2, b: Jet2, y: float) -> Jet2:
-    partials = _DERIVATIVES[op](a.value, b.value, y)
-    return Jet2(y, *_binary_tangent([a.d1, a.d2, a.d12], [b.d1, b.d2, b.d12], partials, True))
-
-
-def _jet_unary(op: str, a: Jet2, k: int = 0) -> Jet2:
-    y = _apply(op, a.value, k, True)
-    first, second = _DERIVATIVES[op](a.value, y, k)
-    return Jet2(y, *_unary_tangent([a.d1, a.d2, a.d12], first, second, True))
-
-
-def jet_sin(a: Jet2) -> Jet2:
-    return _jet_unary("sin", a)
-
-
-def jet_cos(a: Jet2) -> Jet2:
-    return _jet_unary("cos", a)
-
-
-def jet_exp(a: Jet2) -> Jet2:
-    return _jet_unary("exp", a)
-
-
-def jet_log(a: Jet2) -> Jet2:
-    return _jet_unary("log", a)
-
-
-def jet_sqrt(a: Jet2) -> Jet2:
-    return _jet_unary("sqrt", a)
-
-
-def jet_pow(a: Jet2, k: int) -> Jet2:
-    return _jet_unary("^", a, k)

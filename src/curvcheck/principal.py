@@ -62,7 +62,7 @@ from .lie import (
     expm,
 )
 from .numcore import EvalPoint, evaluate, partial
-from .prolong import commutator_curvature
+from .prolong import commutator_tensor
 from .rng import SplitMix64
 from .sampling import sample_algebra_element, sample_polynomial
 
@@ -395,6 +395,18 @@ def exponential_chart_connection(
     return ChristoffelField(BundlePatch(p.base_dim, alg.k), tuple(zip(*columns)))
 
 
+def _identity_chart(p: GaugePotential) -> ChristoffelField:
+    """The exponential-chart field centred at the identity, built once per
+    potential and kept on it, as the prolonged connection is kept on its
+    field."""
+    chart = p.__dict__.get("_identity_chart")
+    if chart is None:
+        chart = exponential_chart_connection(p, p.algebra.identity_group())
+        # frozen dataclass: written the way its own __post_init__ writes
+        object.__setattr__(p, "_identity_chart", chart)
+    return chart
+
+
 def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
     """Matrix of phi(ad_C) = (1 - e^{-ad_C})/ad_C on coordinates, the map
     taking chart velocities at C to left-logarithmic algebra values."""
@@ -448,15 +460,14 @@ def curvature_cross_check(
 
     # route two: Nijenhuis coefficients in exponential charts, conjugated
     # back to the reference frame
-    identity_field = None
+    identity_field = _identity_chart(p)
     chart_values = []  # restored F arrays, one per sampled center
     for i in range(group_samples):
-        center = alg.identity_group() if i == 0 else exp(
-            sample_algebra_element(generator, alg)
-        )
-        field = exponential_chart_connection(p, center)
         if i == 0:
-            identity_field = field
+            center, field = alg.identity_group(), identity_field
+        else:
+            center = exp(sample_algebra_element(generator, alg))
+            field = exponential_chart_connection(p, center)
         coeffs = curvature_coefficients(field, EvalPoint(base, (0.0,) * k))
         restored = np.zeros((m, m, k))
         for mu in range(m):
@@ -478,13 +489,11 @@ def curvature_cross_check(
         s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
         log_factor = _left_log_matrix(alg, s_at)
         group_at = exp(AlgebraElement(alg, s_at))
+        vertical = commutator_tensor(identity_field, section, base)
         restored = np.zeros((m, m, k))
         for mu in range(m):
             for nu in range(mu + 1, m):
-                vertical = commutator_curvature(
-                    identity_field, section, mu + 1, nu + 1, base
-                )
-                algebra_value = AlgebraElement(alg, log_factor @ np.array(vertical.w))
+                algebra_value = AlgebraElement(alg, log_factor @ vertical[:, mu, nu])
                 restored[mu, nu] = adjoint(group_at, algebra_value).coeffs
                 restored[nu, mu] = -restored[mu, nu]
         commutator_values.append(restored)

@@ -38,12 +38,9 @@ second jet whose mixed slot is
 and the theta-twisted affine difference of the two orders recovers the
 curvature coefficients: see :func:`commutator_curvature`.
 
-The symbolic constructions are built once and kept on the objects they
-belong to, so they live exactly as long as those objects: the prolonged
-connection on its field, and the velocity-paired sections of
-:func:`second_covariant` on their section (for the last field they were
-paired under).  Nothing is looked up by object identity or by hashing a
-tree.
+The prolonged connection is built once and kept on its field, so it lives
+exactly as long as the field.  Nothing is looked up by object identity or
+by hashing a tree.
 """
 
 from __future__ import annotations
@@ -74,6 +71,7 @@ __all__ = [
     "vertical_connection",
     "second_covariant",
     "commutator_curvature",
+    "commutator_tensor",
 ]
 
 
@@ -127,19 +125,20 @@ def affine_diff(j1: SecondJet, j2: SecondJet, fiber_tol: float = 1e-12) -> Verti
     same base point); the difference of the mixed slots is then a vertical
     vector at ``(x, f)``.  Raises :class:`FiberMismatch` otherwise.
     """
+    slots = ("x", "f", "fdot", "fcirc")
     deviations = []
-    for name in ("x", "f", "fdot", "fcirc"):
+    for name in slots:
         a = getattr(j1, name)
         b = getattr(j2, name)
         if len(a) != len(b):
             raise FiberMismatch(f"jets have different {name} lengths")
-        deviations.append(max((abs(p - q) for p, q in zip(a, b)), default=0.0))
-    worst = max(deviations)
-    if worst > fiber_tol:
-        slot = ("x", "f", "fdot", "fcirc")[deviations.index(worst)]
+        # np.max keeps a NaN, and a NaN never passes the comparison
+        deviations.append(float(np.max(np.abs(np.subtract(a, b)), initial=0.0)))
+    worst = int(np.argmax(deviations))  # the first NaN, if there is one
+    if not deviations[worst] <= fiber_tol:
         raise FiberMismatch(
-            f"jets sit over different fibers: slot {slot!r} differs by "
-            f"{worst:.3e} (tolerance {fiber_tol:.1e})"
+            f"jets sit over different fibers: slot {slots[worst]!r} differs by "
+            f"{deviations[worst]:.3e} (tolerance {fiber_tol:.1e})"
         )
     w = tuple(a - b for a, b in zip(j1.fcircdot, j2.fcircdot))
     return VerticalVector(EvalPoint(j1.x, j1.f), w)
@@ -230,23 +229,67 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
 
 def _section_with_velocity(field: ChristoffelField, s: Section, nu: int) -> Section:
     """Section of the vertical bundle pairing ``s`` with its covariant
-    derivative along ``d/dx^nu``, as expressions of x.  Kept on ``s`` for
-    the last field it was paired under."""
-    owner, by_direction = s.__dict__.get("_velocity_sections", (None, None))
-    if owner is not field:
-        by_direction = {}
-        object.__setattr__(s, "_velocity_sections", (field, by_direction))
-    if nu in by_direction:
-        return by_direction[nu]
+    derivative along ``d/dx^nu``, as expressions of x."""
+    velocity = tuple(
+        _symbolic.add(
+            _symbolic.derivative(c, "x", nu),
+            _symbolic.substitute_fiber(row[nu - 1], s.comps),
+        )
+        for c, row in zip(s.comps, field.gamma)
+    )
+    return Section(vertical_connection(field).patch, s.comps + velocity)
+
+
+def _second_covariants(
+    field: ChristoffelField, s: Section, pairs, x, consistency_tol: float = 1e-9
+) -> list[SecondJet]:
+    """The jets :func:`second_covariant` returns, one per ``(mu, nu)`` of
+    ``pairs``, from one evaluation of the gradients of ``s`` and of the
+    symbols at ``(x, s(x))``; each velocity-paired section is built once per
+    call.  Every jet keeps its own prolonged-connection guard."""
+    m, n = field.patch.dims
+    for mu, nu in pairs:
+        if not (1 <= mu <= m and 1 <= nu <= m):
+            raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
+    base_pt = EvalPoint.of(x)
+    svals, sgrads = zip(*(gradient(c, base_pt) for c in s.comps))
+    at = EvalPoint(base_pt.x, svals)
+    gamma = [[gradient(e, at) for e in row] for row in field.gamma]
+    gvals = [[value for value, _ in row] for row in gamma]
+    ggrad = [[grad for _, grad in row] for row in gamma]  # x partials, then f
     prolonged = vertical_connection(field)
-    velocity = []
-    for a in range(field.patch.fiber_dim):
-        ds = _symbolic.derivative(s.comps[a], "x", nu)
-        gamma_on_s = _symbolic.substitute_fiber(field.gamma[a][nu - 1], s.comps)
-        velocity.append(_symbolic.add(ds, gamma_on_s))
-    out = Section(prolonged.patch, s.comps + tuple(velocity))
-    by_direction[nu] = out
-    return out
+    paired = {}
+    jets = []
+    for mu, nu in pairs:
+        i_mu = mu - 1
+        i_nu = nu - 1
+        fdot = tuple(sgrads[a][i_nu] + gvals[a][i_nu] for a in range(n))
+        fcirc = tuple(sgrads[a][i_mu] + gvals[a][i_mu] for a in range(n))
+        mixed = []
+        for a in range(n):
+            acc = mixed_second(s.comps[a], base_pt, ("x", mu), ("x", nu))
+            acc += ggrad[a][i_nu][i_mu]
+            for b in range(n):
+                acc += ggrad[a][i_mu][m + b] * gvals[b][i_nu]
+                acc += ggrad[a][i_nu][m + b] * sgrads[b][i_mu]
+                acc += ggrad[a][i_mu][m + b] * sgrads[b][i_nu]
+            mixed.append(acc)
+        jets.append(SecondJet(base_pt.x, svals, fdot, fcirc, tuple(mixed)))
+
+        # redundant route: covariant derivative of the velocity-paired section
+        # under the prolonged connection
+        if nu not in paired:
+            paired[nu] = _section_with_velocity(field, s, nu)
+        check = covariant_derivative(prolonged, paired[nu], mu, base_pt.x)
+        # np.max keeps a NaN, and a NaN never passes the comparison
+        worst = float(np.max(np.abs(np.subtract(check.w, fcirc + tuple(mixed)))))
+        if not worst <= consistency_tol:
+            raise InternalDisagreement(
+                f"explicit and prolonged-connection routes for the second "
+                f"covariant derivative differ by {worst:.3e} "
+                f"(tolerance {consistency_tol:.1e})"
+            )
+    return jets
 
 
 def second_covariant(
@@ -267,44 +310,7 @@ def second_covariant(
     agree within ``consistency_tol`` or :class:`InternalDisagreement` is
     raised.
     """
-    m, n = field.patch.dims
-    if not (1 <= mu <= m and 1 <= nu <= m):
-        raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
-    base_pt = EvalPoint.of(x)
-    svals, sgrads = zip(*(gradient(c, base_pt) for c in s.comps))
-    at = EvalPoint(base_pt.x, svals)
-    gamma = [[gradient(e, at) for e in row] for row in field.gamma]
-    gvals = [[value for value, _ in row] for row in gamma]
-    ggrad = [[grad for _, grad in row] for row in gamma]  # x partials, then f
-    i_mu = mu - 1
-    i_nu = nu - 1
-    fdot = tuple(sgrads[a][i_nu] + gvals[a][i_nu] for a in range(n))
-    fcirc = tuple(sgrads[a][i_mu] + gvals[a][i_mu] for a in range(n))
-    mixed = []
-    for a in range(n):
-        acc = mixed_second(s.comps[a], base_pt, ("x", mu), ("x", nu))
-        acc += ggrad[a][i_nu][i_mu]
-        for b in range(n):
-            acc += ggrad[a][i_mu][m + b] * gvals[b][i_nu]
-            acc += ggrad[a][i_nu][m + b] * sgrads[b][i_mu]
-            acc += ggrad[a][i_mu][m + b] * sgrads[b][i_nu]
-        mixed.append(acc)
-    jet = SecondJet(base_pt.x, svals, fdot, fcirc, tuple(mixed))
-
-    # redundant route: covariant derivative of the velocity-paired section
-    # under the prolonged connection
-    prolonged = vertical_connection(field)
-    paired = _section_with_velocity(field, s, nu)
-    check = covariant_derivative(prolonged, paired, mu, base_pt.x)
-    # np.max keeps a NaN, and a NaN never passes the comparison
-    worst = float(np.max(np.abs(np.subtract(check.w, fcirc + tuple(mixed)))))
-    if not worst <= consistency_tol:
-        raise InternalDisagreement(
-            f"explicit and prolonged-connection routes for the second "
-            f"covariant derivative differ by {worst:.3e} "
-            f"(tolerance {consistency_tol:.1e})"
-        )
-    return jet
+    return _second_covariants(field, s, ((mu, nu),), x, consistency_tol)[0]
 
 
 def commutator_curvature(
@@ -317,6 +323,26 @@ def commutator_curvature(
     For coordinate directions this equals the curvature coefficients
     ``R^a_{mu nu}(x, s(x))``.
     """
-    j1 = second_covariant(field, s, mu, nu, x)
-    j2 = second_covariant(field, s, nu, mu, x)
+    j1, j2 = _second_covariants(field, s, ((mu, nu), (nu, mu)), x)
     return affine_diff(j1, theta(j2))
+
+
+def commutator_tensor(field: ChristoffelField, s: Section, x) -> np.ndarray:
+    """:func:`commutator_curvature` for every pair of coordinate directions,
+    as ``R[a-1, mu-1, nu-1]`` of shape (n, m, m) like
+    :func:`~curvcheck.bundle.curvature_coefficients`.
+
+    Each pair ``mu < nu`` is computed; the lower triangle is its exact
+    negation (``affine_diff`` of the swapped jets subtracts the same mixed
+    slots the other way round) and the diagonal is zero.
+    """
+    m, n = field.patch.dims
+    upper = [(mu, nu) for mu in range(1, m + 1) for nu in range(mu + 1, m + 1)]
+    jets = _second_covariants(
+        field, s, [pair for mu, nu in upper for pair in ((mu, nu), (nu, mu))], x
+    )
+    R = np.zeros((n, m, m))
+    for (mu, nu), j1, j2 in zip(upper, jets[::2], jets[1::2]):
+        R[:, mu - 1, nu - 1] = affine_diff(j1, theta(j2)).w
+        R[:, nu - 1, mu - 1] = -R[:, mu - 1, nu - 1]
+    return R

@@ -20,6 +20,7 @@ from curvcheck.bundle import (
     is_parallel_morphism,
     lie_bracket,
     nijenhuis_curvature,
+    nijenhuis_tensor,
     project,
 )
 from curvcheck.errors import IndexOutOfRange
@@ -334,6 +335,24 @@ def test_nijenhuis_matches_coefficients_on_random_fields():
                     out = nijenhuis_curvature(field, coords[mu], coords[nu], p)
                     for a in range(n):
                         assert abs(out.w[a] - R[a, mu, nu]) <= 1e-9
+
+
+def test_nijenhuis_tensor_slices_are_the_per_pair_values():
+    rng = SplitMix64(808)
+    for m, n in ((2, 2), (3, 3)):
+        patch = BundlePatch(m, n)
+        for _ in range(3):
+            field = sample_christoffel(rng, patch)
+            fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
+            fields.append(_random_field(rng, patch))
+            p = sample_point(rng, m, n)
+            R = nijenhuis_tensor(field, fields, p)
+            assert R.shape == (n, m + 1, m + 1)
+            assert np.array_equal(R, -R.transpose(0, 2, 1))
+            assert np.all(np.diagonal(R, axis1=1, axis2=2) == 0.0)
+            for i, V in enumerate(fields):
+                for j, W in enumerate(fields):
+                    assert nijenhuis_curvature(field, V, W, p).w == tuple(R[:, i, j])
 
 
 # --- parallel morphisms -----------------------------------------------------

@@ -7,11 +7,16 @@ from pathlib import Path
 
 import pytest
 
+from curvcheck import bundle
+from curvcheck.bundle import BundlePatch
 from curvcheck.cli import main
 from curvcheck.config import load_config
 from curvcheck.checks import run_check, run_suite
 from curvcheck.report import CheckResult, RunReport, emit, render_text, to_json_dict
 from curvcheck.errors import IoError
+from curvcheck.exprdsl import unparse
+from curvcheck.rng import SplitMix64
+from curvcheck.sampling import sample_christoffel
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -178,6 +183,36 @@ def test_three_thousand_term_symbol_is_differentiated_symbolically(tmp_path):
     report = run_suite(_config(tmp_path, doc))
     for row in report.checks:
         assert row.verdict == "pass", (row.name, row.detail)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3)])
+def test_nijenhuis_sample_takes_one_jet_per_field_part(tmp_path, monkeypatch, m, n):
+    # the plain, (id-P) and P parts of each coordinate field get one jet of
+    # m+n gradients each, the coefficients one gradient per symbol: 28 at
+    # m = n = 2, where one route call per ordered pair took 164
+    field = sample_christoffel(SplitMix64(m), BundlePatch(m, n))
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": m, "fiber_dim": n}},
+        "connections": {
+            "g": {"patch": "p", "gamma": [[unparse(e) for e in row] for row in field.gamma]}
+        },
+        "checks": [
+            {"name": "only", "kind": "nijenhuis-vs-coefficients", "connection": "g",
+             "samples": 1}
+        ],
+    }
+    config = _config(tmp_path, doc)
+    calls = []
+    original = bundle.gradient
+
+    def counting(e, p):
+        calls.append(e)
+        return original(e, p)
+
+    monkeypatch.setattr(bundle, "gradient", counting)
+    assert run_check(config.checks[0], config.seed).verdict == "pass"
+    assert len(calls) <= 3 * m * (m + n) + n * m
 
 
 def test_unreachable_tolerance_fails(tmp_path):

@@ -11,7 +11,9 @@ each other however the table is wrong.
 
 The second set replaces one function of a route, in every module that
 binds it, by a defective wrapper of the original, or one table of a route
-(the Pade coefficients of ``lie.expm``) by a defective copy.
+(the Pade coefficients of ``lie.expm``) by a defective copy.  Two of them
+sit inside the tensor routes: the bracket of two field jets in ``bundle``
+and the affine difference of two second jets in ``prolong``.
 """
 
 import json
@@ -172,6 +174,16 @@ def _classical_with_derivative_sign_flipped(original):
     return mutant
 
 
+def _bracket_with_operands_swapped(original):
+    # [W, V] instead of [V, W] for every bracket of two jets
+    return lambda jet_V, jet_W, p: original(jet_W, jet_V, p)
+
+
+def _affine_diff_reversed(original):
+    # j2 - j1 instead of j1 - j2
+    return lambda j1, j2, fiber_tol=1e-12: original(j2, j1, fiber_tol)
+
+
 def _pade_with_wrong_first_coefficient(original):
     # b_1 is b_0 / 2; scaled by 0.9, expm(A) is I + 0.9 A + O(A^2)
     return (original[0], 0.9 * original[1], *original[2:])
@@ -243,6 +255,20 @@ ROUTE_DEFECTS = [
         _coefficients_with_quadratic_sign_flipped,
         "nijenhuis-poly",
         id="coefficients-quadratic-sign",
+    ),
+    pytest.param(
+        bundle,
+        "_bracket",
+        _bracket_with_operands_swapped,
+        "nijenhuis-poly",
+        id="bracket-operands-swapped",
+    ),
+    pytest.param(
+        prolong,
+        "affine_diff",
+        _affine_diff_reversed,
+        "commutator-skew",
+        id="affine-diff-reversed",
     ),
 ]
 

@@ -1,20 +1,19 @@
 """Tests for evaluation and forward-mode differentiation."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvcheck import _symbolic
+from curvcheck import _symbolic, numcore
 from curvcheck.errors import DomainError
 from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
 from curvcheck.numcore import (
     EvalPoint,
-    Jet2,
     evaluate,
     gradient,
-    jet_sin,
     mixed_second,
     partial,
 )
@@ -292,17 +291,6 @@ def test_symbolic_trees_equal_the_recursive_reference():
             )
 
 
-def test_mixed_second_agrees_with_jet_arithmetic():
-    # The interpreter's second-order sweep and Jet2 apply the same rules.
-    x1 = Jet2(0.7, 1.0, 0.0, 0.0)
-    f2 = Jet2(-0.4, 0.0, 1.0, 0.0)
-    by_jets = jet_sin(x1 * f2) / (Jet2.constant(2.0) + x1 * x1) - f2 * f2
-    e = _e("sin(x1*f2)/(2 + x1*x1) - f2*f2")
-    point = EvalPoint((0.7, 0.0, 0.0), (0.0, -0.4, 0.0))
-    assert mixed_second(e, point, ("x", 1), ("f", 2)) == by_jets.d12
-    assert gradient(e, point)[1][0] == by_jets.d1
-
-
 # --- deep and long trees ----------------------------------------------------
 
 
@@ -346,46 +334,52 @@ def test_mixed_second_symmetric_bit_exact():
         assert mixed_second(e, point, a, b) == mixed_second(e, point, b, a)
 
 
-# --- algebraic identities on jets ------------------------------------------
+# --- the interpreter's chain rules on two-direction jets --------------------
+# A jet is ``(value, d1, d2, d12)``.  These run the tangent sweep's own rules,
+# ``_binary_tangent`` and ``_unary_tangent`` with the partials of
+# ``_DERIVATIVES``, on one jet per operand.
+
+_VALUES = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
+
+
+def _binary(op, a, b):
+    y = _VALUES[op](a[0], b[0])
+    partials = numcore._DERIVATIVES[op](a[0], b[0], y)
+    return (y, *numcore._binary_tangent(list(a[1:]), list(b[1:]), partials, True))
+
+
+def _unary(op, a):
+    y = numcore._apply(op, a[0], 0, True)
+    first, second = numcore._DERIVATIVES[op](a[0], y, 0)
+    return (y, *numcore._unary_tangent(list(a[1:]), first, second, True))
+
 
 _component = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-_jets = st.builds(Jet2, _component, _component, _component, _component)
-
-
-def test_constant_lift_has_zero_derivatives():
-    jet = Jet2.constant(4.25)
-    assert (jet.value, jet.d1, jet.d2, jet.d12) == (4.25, 0.0, 0.0, 0.0)
+_jets = st.tuples(_component, _component, _component, _component)
 
 
 @given(_jets, _jets)
 def test_sum_rule_exact(a, b):
-    total = a + b
-    assert total.value == a.value + b.value
-    assert total.d1 == a.d1 + b.d1
-    assert total.d2 == a.d2 + b.d2
-    assert total.d12 == a.d12 + b.d12
+    assert _binary("+", a, b) == tuple(u + v for u, v in zip(a, b))
 
 
 @given(_jets, _jets)
 def test_product_rule_exact(a, b):
-    prod = a * b
-    assert prod.value == a.value * b.value
-    assert prod.d1 == a.d1 * b.value + a.value * b.d1
-    assert prod.d2 == a.d2 * b.value + a.value * b.d2
-    expected_d12 = (
-        a.d12 * b.value + (a.d1 * b.d2 + a.d2 * b.d1) + a.value * b.d12
-    )
-    assert prod.d12 == expected_d12
+    value, d1, d2, d12 = _binary("*", a, b)
+    assert value == a[0] * b[0]
+    assert d1 == a[1] * b[0] + a[0] * b[1]
+    assert d2 == a[2] * b[0] + a[0] * b[2]
+    assert d12 == a[3] * b[0] + (a[1] * b[2] + a[2] * b[1]) + a[0] * b[3]
 
 
 @settings(max_examples=200)
 @given(_jets)
 def test_chain_rule_exact_for_sin(a):
-    out = jet_sin(a)
-    assert out.value == math.sin(a.value)
-    assert out.d1 == math.cos(a.value) * a.d1
-    assert out.d2 == math.cos(a.value) * a.d2
-    assert out.d12 == -math.sin(a.value) * (a.d1 * a.d2) + math.cos(a.value) * a.d12
+    value, d1, d2, d12 = _unary("sin", a)
+    assert value == math.sin(a[0])
+    assert d1 == math.cos(a[0]) * a[1]
+    assert d2 == math.cos(a[0]) * a[2]
+    assert d12 == -math.sin(a[0]) * (a[1] * a[2]) + math.cos(a[0]) * a[3]
 
 
 _modest = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -396,14 +390,12 @@ _divisor_value = st.one_of(
 
 
 @given(
-    st.builds(Jet2, _modest, _modest, _modest, _modest),
-    st.builds(Jet2, _divisor_value, _modest, _modest, _modest),
+    st.tuples(_modest, _modest, _modest, _modest),
+    st.tuples(_divisor_value, _modest, _modest, _modest),
 )
 def test_quotient_undoes_product(a, b):
     # (a*b)/b recovers a to roundoff when b is well conditioned.
-    back = (a * b) / b
-    scale = max(1.0, abs(a.value), abs(a.d1), abs(a.d2), abs(a.d12))
-    assert abs(back.value - a.value) <= 1e-8 * scale
-    assert abs(back.d1 - a.d1) <= 1e-8 * scale
-    assert abs(back.d2 - a.d2) <= 1e-8 * scale
-    assert abs(back.d12 - a.d12) <= 1e-8 * scale
+    back = _binary("/", _binary("*", a, b), b)
+    scale = max(1.0, *(abs(c) for c in a))
+    for got, want in zip(back, a):
+        assert abs(got - want) <= 1e-8 * scale

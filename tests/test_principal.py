@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from curvcheck import principal
 from curvcheck.errors import IndexOutOfRange, NotVertical
 from curvcheck.lie import (
     AlgebraElement,
@@ -318,6 +319,27 @@ def test_cross_check_so3():
         "structure-vs-commutator",
         "chart-vs-commutator",
     }
+
+
+def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
+    centers = []
+    original = principal.exponential_chart_connection
+
+    def counting(p, center, order=6):
+        centers.append(center)
+        return original(p, center, order)
+
+    monkeypatch.setattr(principal, "exponential_chart_connection", counting)
+    potential = GaugePotential.from_strings(
+        SO3, [["x1", "0", "0"], ["0", "x2", "0"]], base_dim=2
+    )
+    rng = SplitMix64(5)
+    first = curvature_cross_check(potential, (0.3, 0.6), group_samples=2, rng=rng)
+    second = curvature_cross_check(potential, (-0.1, 0.2), group_samples=2, rng=rng)
+    assert first.passed and second.passed
+    # the identity chart once, then one random center per call
+    identity = SO3.identity_group().g
+    assert [np.array_equal(c.g, identity) for c in centers] == [True, False, False]
 
 
 def test_cross_check_deterministic_given_seed():

@@ -1,6 +1,7 @@
 """Tests for second jets, the slot swap, the double projection, chart
 changes, the induced vertical connection, and the commutator identity."""
 
+import numpy as np
 import pytest
 
 from curvcheck import _symbolic
@@ -19,6 +20,7 @@ from curvcheck.prolong import (
     VerticalPairBase,
     affine_diff,
     commutator_curvature,
+    commutator_tensor,
     pi,
     pushforward_second_jet,
     second_covariant,
@@ -95,6 +97,16 @@ def test_affine_diff_subtracts_mixed_slots():
 def test_affine_diff_of_jet_with_itself_is_zero():
     j = _jet1(1, 2, 3, 4)
     assert affine_diff(j, j).w == (0.0,)
+
+
+def test_affine_diff_rejects_a_non_finite_deviation():
+    # Python's max drops a NaN that is not its first argument; the slot
+    # with the NaN must still be named
+    j1 = SecondJet((0,), (0,), (float("nan"),), (2,), (5,))
+    j2 = SecondJet((0,), (0,), (1,), (2,), (3,))
+    for a, b in ((j1, j2), (j2, j1)):
+        with pytest.raises(FiberMismatch, match="slot 'fdot' differs by nan"):
+            affine_diff(a, b)
 
 
 def test_affine_diff_rejects_different_fibers():
@@ -191,8 +203,8 @@ def test_vertical_connection_belongs_to_its_field():
 
 
 def test_velocity_sections_follow_the_field():
-    # A section paired under one field and then another must not reuse the
-    # first field's velocity sections: the in-route guard would refuse them.
+    # A section paired under one field and then another gives the jets of a
+    # fresh section: nothing paired under the first field is reused.
     s = Section.from_strings(P21, ["x1*x2 + 1"])
     skew = ChristoffelField.from_strings(P21, [["0", "x1"]])
     other = ChristoffelField.from_strings(P21, [["f1^2", "x2*f1"]])
@@ -306,3 +318,21 @@ def test_commutator_matches_curvature_coefficients():
                 out = commutator_curvature(field, s, mu, nu, x)
                 for a in range(n):
                     assert abs(out.w[a] - R[a, mu - 1, nu - 1]) <= 1e-9
+
+
+def test_commutator_tensor_slices_are_the_per_pair_values():
+    rng = SplitMix64(29)
+    for m, n in ((2, 2), (3, 3)):
+        patch = BundlePatch(m, n)
+        for _ in range(3):
+            field = sample_christoffel(rng, patch)
+            s = sample_section(rng, patch)
+            x = tuple(rng.symmetric(1.0) for _ in range(m))
+            R = commutator_tensor(field, s, x)
+            assert R.shape == (n, m, m)
+            assert np.array_equal(R, -R.transpose(0, 2, 1))
+            assert np.all(np.diagonal(R, axis1=1, axis2=2) == 0.0)
+            for mu in range(1, m + 1):
+                for nu in range(1, m + 1):
+                    out = commutator_curvature(field, s, mu, nu, x)
+                    assert out.w == tuple(R[:, mu - 1, nu - 1])
