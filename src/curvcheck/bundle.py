@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _symbolic
-from .errors import IndexOutOfRange, InternalDisagreement
-from .exprdsl import Expression, max_indices, parse
+from .errors import InternalDisagreement
+from .exprdsl import Expression, check_indices, parse
 from .numcore import EvalPoint, evaluate, gradient, partial
 
 __all__ = [
@@ -60,12 +60,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BundlePatch:
-    """A trivialized patch: base dimension, fiber dimension, optional
-    coordinate labels (purely cosmetic)."""
+    """A trivialized patch: base dimension and fiber dimension."""
 
     base_dim: int
     fiber_dim: int
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if self.base_dim < 1 or self.fiber_dim < 1:
@@ -77,24 +75,6 @@ class BundlePatch:
     @property
     def dims(self) -> tuple[int, int]:
         return (self.base_dim, self.fiber_dim)
-
-
-def _check_bound(e: Expression, patch: BundlePatch, where: str) -> None:
-    mx, mf = max_indices(e)
-    if mx > patch.base_dim:
-        raise IndexOutOfRange(
-            f"{where} references x{mx} but the patch base dimension is {patch.base_dim}"
-        )
-    if mf > patch.fiber_dim:
-        raise IndexOutOfRange(
-            f"{where} references f{mf} but the patch fiber dimension is {patch.fiber_dim}"
-        )
-
-
-def _check_base_only(e: Expression, where: str) -> None:
-    _, mf = max_indices(e)
-    if mf > 0:
-        raise ValueError(f"{where} must not reference fiber variables")
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,7 @@ class ChristoffelField:
             )
         for a, row in enumerate(rows, start=1):
             for mu, e in enumerate(row, start=1):
-                _check_bound(e, self.patch, f"Gamma^{a}_{mu}")
+                check_indices(e, m, n, f"Gamma^{a}_{mu}")
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, rows) -> "ChristoffelField":
@@ -166,8 +146,7 @@ class Section:
                 f"section needs {self.patch.fiber_dim} components, got {len(comps)}"
             )
         for i, e in enumerate(comps, start=1):
-            _check_bound(e, self.patch, f"section component {i}")
-            _check_base_only(e, f"section component {i}")
+            check_indices(e, self.patch.base_dim, 0, f"section component {i}")
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, sources) -> "Section":
@@ -199,9 +178,9 @@ class TotalVectorField:
                 f"({len(a)}, {len(b)})"
             )
         for i, e in enumerate(a, start=1):
-            _check_bound(e, self.patch, f"base component {i}")
+            check_indices(e, m, n, f"base component {i}")
         for i, e in enumerate(b, start=1):
-            _check_bound(e, self.patch, f"fiber component {i}")
+            check_indices(e, m, n, f"fiber component {i}")
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, a_sources, b_sources) -> "TotalVectorField":
@@ -245,7 +224,7 @@ class FiberBundleMorphism:
                 f"got {len(comps)}"
             )
         for i, e in enumerate(comps, start=1):
-            _check_bound(e, self.source, f"morphism component {i}")
+            check_indices(e, *self.source.dims, f"morphism component {i}")
 
     @classmethod
     def from_strings(cls, source: BundlePatch, target: BundlePatch, sources):
@@ -271,16 +250,25 @@ class ParallelMorphismReport:
 # pointwise operations
 
 
+def _symbol_values(field: ChristoffelField, p: EvalPoint) -> list[list[float]]:
+    """``Gamma^a_mu(p)`` for every symbol, rows by fiber index."""
+    return [[evaluate(e, p) for e in row] for row in field.gamma]
+
+
+def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
+    """``b^a + sum_mu Gamma^a_mu a^mu`` of ``t``, from the symbol values
+    ``gamma`` at its point."""
+    w = []
+    for row, acc in zip(gamma, t.b):
+        for g, comp in zip(row, t.a):
+            acc += g * comp
+        w.append(acc)
+    return tuple(w)
+
+
 def project(field: ChristoffelField, t: TotalTangent) -> VerticalVector:
     """Apply the projection field: ``w^a = b^a + sum_mu Gamma^a_mu * a^mu``."""
-    p = t.at
-    w = []
-    for row, b in zip(field.gamma, t.b):
-        acc = b
-        for e, a in zip(row, t.a):
-            acc += evaluate(e, p) * a
-        w.append(acc)
-    return VerticalVector(p, tuple(w))
+    return VerticalVector(t.at, _projected(_symbol_values(field, t.at), t))
 
 
 def embed(v: VerticalVector) -> TotalTangent:
@@ -376,22 +364,22 @@ def horizontal_part_field(field: ChristoffelField, V: TotalVectorField) -> Total
     return TotalVectorField(V.patch, V.a, out)
 
 
-def nijenhuis_tensor(
-    field: ChristoffelField,
-    fields,
-    p: EvalPoint,
-    consistency_tol: float = 1e-9,
-) -> np.ndarray:
+#: Largest disagreement of the two-term and four-term curvature.
+_CONSISTENCY_TOL = 1e-9
+
+
+def nijenhuis_tensor(field: ChristoffelField, fields, p: EvalPoint) -> np.ndarray:
     """Curvature ``R[a-1, i, j] = R(V_i, V_j)^a = -P[(id-P)V_i, (id-P)V_j]^a``
     at ``p`` for every pair of ``fields``, shape (n, k, k) for k fields.
 
-    Each field's ``(id-P)`` and ``P`` parts are built, and every jet taken,
-    once.  For each pair ``i < j`` the equivalent four-term expansion
-    ``-P[V,W] + P[V,PW] + P[PV,W] - [PV,PW]`` is also evaluated, and
-    :class:`InternalDisagreement` is raised if the two differ by more than
-    ``consistency_tol`` in any component.  The two-term value is kept; the
-    lower triangle is its exact negation (bracket and projection are
-    sign-symmetric in IEEE arithmetic) and the diagonal is zero.
+    Each field's ``(id-P)`` and ``P`` parts are built, every jet taken and
+    every symbol evaluated once.  For each pair ``i < j`` the equivalent
+    four-term expansion ``-P[V,W] + P[V,PW] + P[PV,W] - [PV,PW]`` is also
+    evaluated, and :class:`InternalDisagreement` is raised if the two differ
+    by more than :data:`_CONSISTENCY_TOL` in any component.  The two-term
+    value is kept; the lower triangle is its exact negation (bracket and
+    projection are sign-symmetric in IEEE arithmetic) and the diagonal is
+    zero.
     """
     fields = tuple(fields)
     if any(V.patch.dims != field.patch.dims for V in fields):
@@ -399,21 +387,22 @@ def nijenhuis_tensor(
     horizontal = [_jet(horizontal_part_field(field, V), p) for V in fields]
     plain = [_jet(V, p) for V in fields]
     vertical = [_jet(vertical_projection_field(field, V), p) for V in fields]
+    gamma = _symbol_values(field, p)
     R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)))
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            two = [-w for w in project(field, _bracket(horizontal[i], horizontal[j], p)).w]
-            t1 = project(field, _bracket(plain[i], plain[j], p)).w
-            t2 = project(field, _bracket(plain[i], vertical[j], p)).w
-            t3 = project(field, _bracket(vertical[i], plain[j], p)).w
+            two = [-w for w in _projected(gamma, _bracket(horizontal[i], horizontal[j], p))]
+            t1 = _projected(gamma, _bracket(plain[i], plain[j], p))
+            t2 = _projected(gamma, _bracket(plain[i], vertical[j], p))
+            t3 = _projected(gamma, _bracket(vertical[i], plain[j], p))
             t4 = _bracket(vertical[i], vertical[j], p).b
             four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
             # np.max keeps a NaN, and a NaN never passes the comparison
             worst = float(np.max(np.abs(np.subtract(two, four)), initial=0.0))
-            if not worst <= consistency_tol:
+            if not worst <= _CONSISTENCY_TOL:
                 raise InternalDisagreement(
                     f"two-term and four-term curvature differ by {worst:.3e} "
-                    f"(tolerance {consistency_tol:.1e}) at {p}"
+                    f"(tolerance {_CONSISTENCY_TOL:.1e}) at {p}"
                 )
             R[:, i, j] = two
             R[:, j, i] = -R[:, i, j]
@@ -425,11 +414,10 @@ def nijenhuis_curvature(
     V: TotalVectorField,
     W: TotalVectorField,
     p: EvalPoint,
-    consistency_tol: float = 1e-9,
 ) -> VerticalVector:
     """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``: the ``(V, W)``
     entry of :func:`nijenhuis_tensor`, with its two-term/four-term guard."""
-    return VerticalVector(p, nijenhuis_tensor(field, (V, W), p, consistency_tol)[:, 0, 1])
+    return VerticalVector(p, nijenhuis_tensor(field, (V, W), p)[:, 0, 1])
 
 
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:

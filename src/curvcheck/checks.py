@@ -46,8 +46,6 @@ from .sampling import (
 
 __all__ = ["CheckOutcome", "run_check", "run_suite"]
 
-_FD_STEP = 1e-3
-
 
 @dataclass(frozen=True)
 class CheckOutcome:
@@ -91,7 +89,11 @@ def _runner(kind: str):
     return register
 
 
-def _fd_partial(expr, p: EvalPoint, kind: str, index: int, step: float) -> float:
+#: Step of the finite differences of :func:`_fd_partial`.
+_FD_STEP = 1e-3
+
+
+def _fd_partial(expr, p: EvalPoint, kind: str, index: int) -> float:
     """Fourth-order central difference of ``expr`` along one coordinate."""
 
     def at(delta: float) -> float:
@@ -104,11 +106,11 @@ def _fd_partial(expr, p: EvalPoint, kind: str, index: int, step: float) -> float
         return evaluate(expr, EvalPoint(p.x, tuple(f)))
 
     return (
-        8.0 * (at(step) - at(-step)) - (at(2.0 * step) - at(-2.0 * step))
-    ) / (12.0 * step)
+        8.0 * (at(_FD_STEP) - at(-_FD_STEP)) - (at(2.0 * _FD_STEP) - at(-2.0 * _FD_STEP))
+    ) / (12.0 * _FD_STEP)
 
 
-def _fd_curvature(field: ChristoffelField, p: EvalPoint, step: float) -> np.ndarray:
+def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     """Curvature coefficients rebuilt from finite-difference partials only."""
     m, n = field.patch.dims
     vals = np.empty((n, m))
@@ -119,9 +121,9 @@ def _fd_curvature(field: ChristoffelField, p: EvalPoint, step: float) -> np.ndar
             expr = field.gamma[a][mu]
             vals[a, mu] = evaluate(expr, p)
             for nu in range(m):
-                gx[a, mu, nu] = _fd_partial(expr, p, "x", nu, step)
+                gx[a, mu, nu] = _fd_partial(expr, p, "x", nu)
             for b in range(n):
-                gf[a, mu, b] = _fd_partial(expr, p, "f", b, step)
+                gf[a, mu, b] = _fd_partial(expr, p, "f", b)
     R = np.zeros((n, m, m))
     for a in range(n):
         for mu in range(m):
@@ -147,7 +149,7 @@ def _run_curvature_coefficients(
     for sample in range(spec.samples):
         p = sample_point(rng, m, n)
         exact = curvature_coefficients(field, p)
-        approx = _fd_curvature(field, p, _FD_STEP)
+        approx = _fd_curvature(field, p)
         worst.add(float(np.abs(exact - approx).max()), sample)
     return worst.outcome(spec.samples, worst.value <= tol)
 
@@ -180,7 +182,7 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcom
     section is named in the config), then one base point.
     """
     field = spec.params["connection"]
-    named = spec.params.get("section")
+    named = spec.params["section"]
     m = field.patch.base_dim
     worst = _Worst()
     for sample in range(spec.samples):
@@ -201,8 +203,8 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     tolerance.  Draw order per sample: the transition's polynomial
     components, then one jet (x, f, fdot, fcirc, fcircdot).
     """
-    m = spec.params.get("base_dim", 2)
-    n = spec.params.get("fiber_dim", 2)
+    m = spec.params["base_dim"]
+    n = spec.params["fiber_dim"]
     worst = _Worst()
     for sample in range(spec.samples):
         h = sample_transition(rng, n)
@@ -233,7 +235,7 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     phi = spec.params["morphism"]
     field = spec.params["connection"]
     field_hat = spec.params["connection_hat"]
-    expect = spec.params.get("expect", "parallel")
+    expect = spec.params["expect"]
     m, n = field.patch.dims
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     report = is_parallel_morphism(phi, field, field_hat, points, tol)
@@ -276,8 +278,6 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     stream.
     """
     potential = spec.params["potential"]
-    group_samples = spec.params.get("group_samples", 3)
-    section_samples = spec.params.get("section_samples", 2)
     worst = _Worst()
     for sample in range(spec.samples):
         x = tuple(rng.symmetric(1.0) for _ in range(potential.base_dim))
@@ -285,8 +285,8 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
             potential,
             x,
             tol=tol,
-            group_samples=group_samples,
-            section_samples=section_samples,
+            group_samples=spec.params["group_samples"],
+            section_samples=spec.params["section_samples"],
             rng=rng,
         )
         worst.add(report.max_deviation, sample)
@@ -320,11 +320,10 @@ def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome
     Draw order is fixed by :func:`curvcheck.linear.linearity_detect`.
     """
     field = spec.params["connection"]
-    expect = spec.params.get("expect", "linear")
-    kwargs = {}
-    if "lambdas" in spec.params:
-        kwargs["lambdas"] = spec.params["lambdas"]
-    report = linearity_detect(field, samples=spec.samples, tol=tol, rng=rng, **kwargs)
+    expect = spec.params["expect"]
+    report = linearity_detect(
+        field, samples=spec.samples, tol=tol, rng=rng, lambdas=spec.params["lambdas"]
+    )
     violation = report.violation
     worst = _Worst()
     if violation is not None:

@@ -31,27 +31,31 @@ from .errors import (
 )
 from .exprdsl import parse
 from .lie import MatrixLieAlgebra, builtin_algebra
-from .linear import LinearChristoffel
+from .linear import DEFAULT_LAMBDAS, LinearChristoffel
 from .principal import GaugePotential
 
 __all__ = ["CheckSpec", "SuiteConfig", "load_config", "CHECK_KINDS"]
 
-# kind -> (default samples, default tolerance, required keys, optional keys)
+# kind -> (default samples, default tolerance, required keys,
+#          {optional key: its default})
 _KINDS = {
-    "curvature-coefficients": (10, 1e-9, ("connection",), ()),
-    "nijenhuis-vs-coefficients": (10, 1e-9, ("connection",), ()),
-    "commutator-identity": (10, 1e-9, ("connection",), ("section",)),
-    "theta-equivariance": (50, 1e-9, (), ("base_dim", "fiber_dim")),
+    "curvature-coefficients": (10, 1e-9, ("connection",), {}),
+    "nijenhuis-vs-coefficients": (10, 1e-9, ("connection",), {}),
+    # no section: a fresh section is sampled for every sample
+    "commutator-identity": (10, 1e-9, ("connection",), {"section": None}),
+    "theta-equivariance": (50, 1e-9, (), {"base_dim": 2, "fiber_dim": 2}),
     "parallel-morphism": (
-        10, 1e-9, ("morphism", "connection", "connection_hat"), ("expect",)
+        10, 1e-9, ("morphism", "connection", "connection_hat"), {"expect": "parallel"}
     ),
-    "connection-axiom": (100, 1e-8, ("potential",), ()),
+    "connection-axiom": (100, 1e-8, ("potential",), {}),
     "cartan-cross-check": (
-        3, 1e-6, ("potential",), ("group_samples", "section_samples")
+        3, 1e-6, ("potential",), {"group_samples": 3, "section_samples": 2}
     ),
-    "bch-theta": (5, 1e-4, ("algebra",), ()),
-    "linearity": (64, 1e-9, ("connection",), ("expect", "lambdas")),
-    "linear-consistency": (10, 1e-9, ("linear_connection",), ()),
+    "bch-theta": (5, 1e-4, ("algebra",), {}),
+    "linearity": (
+        64, 1e-9, ("connection",), {"expect": "linear", "lambdas": DEFAULT_LAMBDAS}
+    ),
+    "linear-consistency": (10, 1e-9, ("linear_connection",), {}),
 }
 
 CHECK_KINDS = tuple(_KINDS)
@@ -81,7 +85,8 @@ _EXPECT = {
 @dataclass(frozen=True)
 class CheckSpec:
     """One validated check: ``params`` holds the check's kind-specific keys,
-    with declaration names resolved to the declared objects."""
+    with declaration names resolved to the declared objects and every
+    optional key the config leaves out set to its default."""
 
     name: str
     kind: str
@@ -315,7 +320,7 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
         known = ", ".join(CHECK_KINDS)
         _fail(f"{here}.kind", f"unknown check kind {kind!r} (known: {known})")
     default_samples, default_tol, required, optional = _KINDS[kind]
-    _reject_unknown(body, _CHECK_COMMON_KEYS + required + optional, here)
+    _reject_unknown(body, _CHECK_COMMON_KEYS + required + tuple(optional), here)
     _require(body, required, here, f"kind {kind!r} needs")
     samples = _expect_int(body.get("samples", default_samples), f"{here}.samples", 1)
     tolerance = _expect_number(body.get("tolerance", default_tol), f"{here}.tolerance")
@@ -354,6 +359,8 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
     for key in _INT_PARAMS:
         if key in body:
             params[key] = _expect_int(body[key], f"{here}.{key}", 1)
+    for key, default in optional.items():
+        params.setdefault(key, default)
     return CheckSpec(name, kind, samples, tolerance, seed, params)
 
 

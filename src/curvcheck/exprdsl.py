@@ -50,6 +50,7 @@ __all__ = [
     "unparse",
     "compile_expr",
     "max_indices",
+    "check_indices",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -218,7 +219,10 @@ class _Parser:
     def _atom(self) -> Expression:
         kind, text, pos = self._advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ExprSyntaxError(f"number {text!r} overflows to infinity", pos)
+            return Const(value)
         if kind == "sym" and text == "(":
             return self._nested(pos, self._group)
         if kind == "name":
@@ -427,10 +431,27 @@ def compile_expr(e: Expression) -> Program:
 
 
 def max_indices(e: Expression) -> tuple[int, int]:
-    """Largest base and fiber variable indices referenced by ``e`` (0 if none).
-
-    Containers use this to validate expressions against their own dimensions
-    at bind time; it reads them from the program of ``e``.
-    """
+    """Largest base and fiber variable indices referenced by ``e`` (0 if none),
+    read from the program of ``e``."""
     program = compile_expr(e)
     return program.max_x, program.max_f
+
+
+def check_indices(e: Expression, m: int, n: int, where: str) -> None:
+    """The rule every container applies to its expressions at bind time:
+    ``e`` may reference ``x1..xm`` and ``f1..fn``, and a limit of 0 forbids
+    that kind of variable.
+
+    Raises :class:`ValueError` for a forbidden kind and
+    :class:`IndexOutOfRange` for an index above its limit; ``where`` names
+    the expression in the message.
+    """
+    mx, mf = max_indices(e)
+    if mf and not n:
+        raise ValueError(f"{where} must depend on base variables only, got f{mf}")
+    if mx and not m:
+        raise ValueError(f"{where} must depend on fiber variables only, got x{mx}")
+    if mx > m:
+        raise IndexOutOfRange(f"{where} references x{mx} but the base dimension is {m}")
+    if mf > n:
+        raise IndexOutOfRange(f"{where} references f{mf} but the fiber dimension is {n}")

@@ -37,12 +37,13 @@ from .bundle import (
     Section,
     curvature_coefficients,
 )
-from .exprdsl import Var, max_indices, parse
+from .exprdsl import Var, check_indices, parse
 from .numcore import EvalPoint, evaluate, gradient, partial
 from .rng import SplitMix64
 from .sampling import sample_point
 
 __all__ = [
+    "DEFAULT_LAMBDAS",
     "LinearChristoffel",
     "LinearityViolation",
     "LinearityReport",
@@ -55,9 +56,10 @@ __all__ = [
     "scaling_morphism",
 ]
 
-# Zero first so affine offsets are reported through the lambda = 0 probe;
-# the rest exercise genuine scaling (sign flips, shrinking, growth).
-_DEFAULT_LAMBDAS = (0.0, -2.0, -1.0, 0.5, 2.0, 7.0)
+#: Scale factors :func:`linearity_detect` probes by default.  Zero first so
+#: affine offsets are reported through the lambda = 0 probe; the rest
+#: exercise genuine scaling (sign flips, shrinking, growth).
+DEFAULT_LAMBDAS = (0.0, -2.0, -1.0, 0.5, 2.0, 7.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,17 +80,7 @@ class LinearChristoffel:
         for alpha, row in enumerate(rows, start=1):
             for mu, inner in enumerate(row, start=1):
                 for omega, comp in enumerate(inner, start=1):
-                    mx, mf = max_indices(comp)
-                    if mf > 0:
-                        raise ValueError(
-                            f"symbol ({alpha},{mu},{omega}) must depend on "
-                            f"base variables only"
-                        )
-                    if mx > m:
-                        raise ValueError(
-                            f"symbol ({alpha},{mu},{omega}) references x{mx} "
-                            f"but the base dimension is {m}"
-                        )
+                    check_indices(comp, m, 0, f"symbol ({alpha},{mu},{omega})")
         object.__setattr__(self, "gamma3", rows)
 
     @staticmethod
@@ -200,18 +192,18 @@ def linearity_detect(
     field: ChristoffelField,
     samples: int = 64,
     tol: float = 1e-9,
-    seed: int = 0,
     rng: SplitMix64 | None = None,
-    lambdas: tuple = _DEFAULT_LAMBDAS,
+    lambdas: tuple = DEFAULT_LAMBDAS,
 ) -> LinearityReport:
     """Probe fiber linearity of a connection at sampled points.
 
     This is a falsifier, not a proof: it certifies homogeneity only at the
     sampled points, then checks the extracted symbols reproduce the field
     at those same points.  A detected field is returned; any failure returns
-    the first violating sample instead.
+    the first violating sample instead.  Draws come from ``rng``
+    (``SplitMix64(0)`` when it is None).
     """
-    generator = rng if rng is not None else SplitMix64(seed)
+    generator = rng if rng is not None else SplitMix64(0)
     m, n = field.patch.dims
     points = [sample_point(generator, m, n) for _ in range(samples)]
     for pt in points:

@@ -51,7 +51,7 @@ import numpy as np
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, curvature_coefficients
 from .errors import ClosureViolation, NotVertical
-from .exprdsl import Var, max_indices, parse
+from .exprdsl import Var, check_indices, parse
 from .lie import (
     AlgebraElement,
     GroupElement,
@@ -107,17 +107,7 @@ class GaugePotential:
                     f"row {mu} needs {self.algebra.k} components, got {len(row)}"
                 )
             for e, comp in enumerate(row, start=1):
-                mx, mf = max_indices(comp)
-                if mf > 0:
-                    raise ValueError(
-                        f"potential component ({mu},{e}) must depend on base "
-                        f"variables only"
-                    )
-                if mx > self.base_dim:
-                    raise ValueError(
-                        f"potential component ({mu},{e}) references x{mx} but "
-                        f"the base dimension is {self.base_dim}"
-                    )
+                check_indices(comp, self.base_dim, 0, f"potential component ({mu},{e})")
         object.__setattr__(self, "a", rows)
 
     @staticmethod
@@ -213,26 +203,27 @@ class AxiomReport:
     residuals: tuple  # one per trial, in draw order
 
 
-#: Stencil of :func:`_richardson`, in multiples of the step, as a column
-#: that scales a stack of matrices.
+#: Stencil of :func:`_richardson`, in multiples of :data:`_AXIOM_STEP`, as
+#: a column that scales a stack of matrices.
 _STENCIL = np.array([1.0, -1.0, 2.0, -2.0])[:, None, None]
 
+#: Finite-difference step of the curve velocities in :func:`check_axiom`.
+_AXIOM_STEP = 1e-5
 
-def _richardson(points, step: float) -> np.ndarray:
+
+def _richardson(points) -> np.ndarray:
     """Fourth-order central difference at 0 of a matrix curve, given its
     values at the :data:`_STENCIL` points."""
     plus, minus, plus2, minus2 = points
-    return (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * step)
+    return (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * _AXIOM_STEP)
 
 
 def check_axiom(
     p: GaugePotential,
     trials: int = 100,
     tol: float = 1e-8,
-    seed: int = 0,
     rng: SplitMix64 | None = None,
     drop_adjoint: bool = False,
-    step: float = 1e-5,
 ) -> AxiomReport:
     """Validate the product-curve axiom of the connection form.
 
@@ -245,10 +236,11 @@ def check_axiom(
     All curve velocities come from Richardson-extrapolated central
     differences of the matrix curves, never from the synthesized exponents,
     so the check exercises the implementation rather than restating it.
+    Draws come from ``rng`` (``SplitMix64(0)`` when it is None).
     ``drop_adjoint`` corrupts the evaluator (negative control: the axiom
     must then fail for non-abelian algebras and nonzero potentials).
     """
-    generator = rng if rng is not None else SplitMix64(seed)
+    generator = rng if rng is not None else SplitMix64(0)
     alg = p.algebra
     m = p.base_dim
     residuals = []
@@ -261,18 +253,16 @@ def check_axiom(
         vel_gamma = sample_algebra_element(generator, alg).matrix
         # g_t and gamma_t at the stencil points; the product curve is their
         # pointwise product
-        curve_g = g0.g @ expm(_STENCIL * step * vel_g)
-        curve_gamma = gamma0.g @ expm(_STENCIL * step * vel_gamma)
+        curve_g = g0.g @ expm(_STENCIL * _AXIOM_STEP * vel_g)
+        curve_gamma = gamma0.g @ expm(_STENCIL * _AXIOM_STEP * vel_gamma)
         curve_product = curve_g @ curve_gamma
 
         product0 = GroupElement(g0.g @ gamma0.g)
         v_product = alg.expand(
-            np.linalg.solve(product0.g, _richardson(curve_product, step)), 1e-6
+            np.linalg.solve(product0.g, _richardson(curve_product)), 1e-6
         )
-        v_g = alg.expand(np.linalg.solve(g0.g, _richardson(curve_g, step)), 1e-6)
-        v_gamma = alg.expand(
-            np.linalg.solve(gamma0.g, _richardson(curve_gamma, step)), 1e-6
-        )
+        v_g = alg.expand(np.linalg.solve(g0.g, _richardson(curve_g)), 1e-6)
+        v_gamma = alg.expand(np.linalg.solve(gamma0.g, _richardson(curve_gamma)), 1e-6)
 
         lhs = _omega(
             p,
@@ -289,15 +279,18 @@ def check_axiom(
     return AxiomReport(trials, worst, tol, worst <= tol, tuple(residuals))
 
 
-def vtriv_principal(
-    algebra: MatrixLieAlgebra, g0: GroupElement, w, tol: float = 1e-8
-) -> AlgebraElement:
+#: Largest distance from the algebra span :func:`vtriv_principal` accepts.
+_VERTICAL_TOL = 1e-8
+
+
+def vtriv_principal(algebra: MatrixLieAlgebra, g0: GroupElement, w) -> AlgebraElement:
     """Vertical trivialization: algebra coefficients of ``g0^{-1} W`` for a
     fiber velocity ``W`` at ``g0``.  Raises :class:`NotVertical` when
-    ``g0^{-1} W`` does not lie in the algebra span within ``tol``."""
+    ``g0^{-1} W`` does not lie in the algebra span within
+    :data:`_VERTICAL_TOL`."""
     candidate = np.linalg.solve(g0.g, np.asarray(w, dtype=float))
     try:
-        coeffs = algebra.expand(candidate, tol)
+        coeffs = algebra.expand(candidate, _VERTICAL_TOL)
     except ClosureViolation as exc:
         raise NotVertical(f"velocity is not tangent to the fiber at g0: {exc}") from None
     return AlgebraElement(algebra, coeffs)
@@ -438,7 +431,6 @@ def curvature_cross_check(
     tol: float = 1e-6,
     group_samples: int = 3,
     section_samples: int = 2,
-    seed: int = 0,
     rng: SplitMix64 | None = None,
 ) -> CrossCheckReport:
     """Compare three curvature routes at base point ``x``.
@@ -449,9 +441,9 @@ def curvature_cross_check(
     pushes random small sections ``x -> exp(S(x))`` through the second-jet
     commutator and conjugates back, converting chart velocities with the
     left-logarithm factor.  Passes iff all pairwise deviations are within
-    ``tol``.
+    ``tol``.  Draws come from ``rng`` (``SplitMix64(0)`` when it is None).
     """
-    generator = rng if rng is not None else SplitMix64(seed)
+    generator = rng if rng is not None else SplitMix64(0)
     alg = p.algebra
     m = p.base_dim
     k = alg.k
@@ -540,7 +532,8 @@ class ThetaBchReport:
     passed: bool
 
 
-#: The (t, eps) points of :func:`_extract_jet`, in multiples of the step.
+#: The (t, eps) points of :func:`_extract_jet`, in multiples of
+#: :data:`_BCH_STEP`.
 _JET_STENCIL = np.array(
     [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)],
     dtype=float,
@@ -550,17 +543,21 @@ _JET_STENCIL = np.array(
 _JET_SWAP = [0, 3, 4, 1, 2, 5, 7, 6, 8]
 
 
+#: Finite-difference step of :func:`theta_bch_verify`'s surface jets.
+_BCH_STEP = 1e-4
+
+
 def _extract_jet(
-    alg: MatrixLieAlgebra, values: np.ndarray, step: float
+    alg: MatrixLieAlgebra, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Numerical jet slots (g, X, Y, Z) of a matrix surface sigma(t, eps)
     of the form g e^{tX} e^{eps(Y + tZ)} via central differences.
     ``values`` is the stack of its values at the :data:`_JET_STENCIL`
     points."""
     g, t_plus, t_minus, e_plus, e_minus, pp, pm, mp, mm = values
-    dt = (t_plus - t_minus) / (2.0 * step)
-    de = (e_plus - e_minus) / (2.0 * step)
-    mixed = (pp - pm - mp + mm) / (4.0 * step * step)
+    dt = (t_plus - t_minus) / (2.0 * _BCH_STEP)
+    de = (e_plus - e_minus) / (2.0 * _BCH_STEP)
+    mixed = (pp - pm - mp + mm) / (4.0 * _BCH_STEP * _BCH_STEP)
     x = alg.expand(np.linalg.solve(g, dt), 1e-3)
     y = alg.expand(np.linalg.solve(g, de), 1e-3)
     x_mat = AlgebraElement(alg, x).matrix
@@ -575,7 +572,6 @@ def theta_bch_verify(
     y: AlgebraElement,
     z: AlgebraElement,
     tol: float = 1e-4,
-    step: float = 1e-4,
 ) -> ThetaBchReport:
     """Check :func:`theta_bch` against finite differences.
 
@@ -586,7 +582,7 @@ def theta_bch_verify(
     stencil is symmetric under the swap, so both read one stack of values.
     """
     alg = x.algebra
-    t, eps = step * _JET_STENCIL.T[:, :, None, None]
+    t, eps = _BCH_STEP * _JET_STENCIL.T[:, :, None, None]
     surface = g.g @ expm(t * x.matrix) @ expm(eps * (y.matrix + t * z.matrix))
 
     def slot_deviation(extracted, expected) -> float:
@@ -595,10 +591,8 @@ def theta_bch_verify(
         # np.max keeps a NaN, which then never passes
         return float(np.max([np.abs(u - v).max() for u, v in zip(extracted, exact)]))
 
-    direct = slot_deviation(_extract_jet(alg, surface, step), (g, x, y, z))
-    swapped_dev = slot_deviation(
-        _extract_jet(alg, surface[_JET_SWAP], step), theta_bch(g, x, y, z)
-    )
+    direct = slot_deviation(_extract_jet(alg, surface), (g, x, y, z))
+    swapped_dev = slot_deviation(_extract_jet(alg, surface[_JET_SWAP]), theta_bch(g, x, y, z))
     worst = float(np.max([direct, swapped_dev]))
     return ThetaBchReport(
         direct_deviation=direct,

@@ -58,7 +58,7 @@ from .bundle import (
     covariant_derivative,
 )
 from .errors import FiberMismatch, InternalDisagreement
-from .exprdsl import Expression, Var, max_indices
+from .exprdsl import Expression, Var, check_indices
 from .numcore import EvalPoint, evaluate, gradient, mixed_second
 
 __all__ = [
@@ -118,12 +118,16 @@ def pi(j: SecondJet) -> VerticalPairBase:
     return VerticalPairBase(j.x, j.f, j.fcirc, j.fdot)
 
 
-def affine_diff(j1: SecondJet, j2: SecondJet, fiber_tol: float = 1e-12) -> VerticalVector:
+#: Largest slot deviation of two jets over the same fiber.
+_FIBER_TOL = 1e-12
+
+
+def affine_diff(j1: SecondJet, j2: SecondJet) -> VerticalVector:
     """Affine difference of two jets over the same double-projection fiber.
 
-    Requires ``pi(j1) == pi(j2)`` componentwise within ``fiber_tol`` (and the
-    same base point); the difference of the mixed slots is then a vertical
-    vector at ``(x, f)``.  Raises :class:`FiberMismatch` otherwise.
+    Requires ``pi(j1) == pi(j2)`` componentwise within :data:`_FIBER_TOL`
+    (and the same base point); the difference of the mixed slots is then a
+    vertical vector at ``(x, f)``.  Raises :class:`FiberMismatch` otherwise.
     """
     slots = ("x", "f", "fdot", "fcirc")
     deviations = []
@@ -135,10 +139,10 @@ def affine_diff(j1: SecondJet, j2: SecondJet, fiber_tol: float = 1e-12) -> Verti
         # np.max keeps a NaN, and a NaN never passes the comparison
         deviations.append(float(np.max(np.abs(np.subtract(a, b)), initial=0.0)))
     worst = int(np.argmax(deviations))  # the first NaN, if there is one
-    if not deviations[worst] <= fiber_tol:
+    if not deviations[worst] <= _FIBER_TOL:
         raise FiberMismatch(
             f"jets sit over different fibers: slot {slots[worst]!r} differs by "
-            f"{deviations[worst]:.3e} (tolerance {fiber_tol:.1e})"
+            f"{deviations[worst]:.3e} (tolerance {_FIBER_TOL:.1e})"
         )
     w = tuple(a - b for a, b in zip(j1.fcircdot, j2.fcircdot))
     return VerticalVector(EvalPoint(j1.x, j1.f), w)
@@ -159,13 +163,7 @@ def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet
     if len(h) != n:
         raise ValueError(f"transition needs {n} components, got {len(h)}")
     for i, e in enumerate(h, start=1):
-        mx, mf = max_indices(e)
-        if mx > 0:
-            raise ValueError(f"transition component {i} must not reference x variables")
-        if mf > n:
-            raise ValueError(
-                f"transition component {i} references f{mf} but the fiber dimension is {n}"
-            )
+        check_indices(e, 0, n, f"transition component {i}")
     p = EvalPoint(j.x, j.f)
     values = []
     jac = []
@@ -240,9 +238,11 @@ def _section_with_velocity(field: ChristoffelField, s: Section, nu: int) -> Sect
     return Section(vertical_connection(field).patch, s.comps + velocity)
 
 
-def _second_covariants(
-    field: ChristoffelField, s: Section, pairs, x, consistency_tol: float = 1e-9
-) -> list[SecondJet]:
+#: Largest disagreement of the explicit and prolonged-connection jets.
+_CONSISTENCY_TOL = 1e-9
+
+
+def _second_covariants(field: ChristoffelField, s: Section, pairs, x) -> list[SecondJet]:
     """The jets :func:`second_covariant` returns, one per ``(mu, nu)`` of
     ``pairs``, from one evaluation of the gradients of ``s`` and of the
     symbols at ``(x, s(x))``; each velocity-paired section is built once per
@@ -283,23 +283,16 @@ def _second_covariants(
         check = covariant_derivative(prolonged, paired[nu], mu, base_pt.x)
         # np.max keeps a NaN, and a NaN never passes the comparison
         worst = float(np.max(np.abs(np.subtract(check.w, fcirc + tuple(mixed)))))
-        if not worst <= consistency_tol:
+        if not worst <= _CONSISTENCY_TOL:
             raise InternalDisagreement(
                 f"explicit and prolonged-connection routes for the second "
                 f"covariant derivative differ by {worst:.3e} "
-                f"(tolerance {consistency_tol:.1e})"
+                f"(tolerance {_CONSISTENCY_TOL:.1e})"
             )
     return jets
 
 
-def second_covariant(
-    field: ChristoffelField,
-    s: Section,
-    mu: int,
-    nu: int,
-    x,
-    consistency_tol: float = 1e-9,
-) -> SecondJet:
+def second_covariant(field: ChristoffelField, s: Section, mu: int, nu: int, x) -> SecondJet:
     """Iterated covariant derivative of ``s``: vertically along ``d/dx^mu``
     after horizontally along ``d/dx^nu``, as a second jet at ``x``.
 
@@ -307,10 +300,10 @@ def second_covariant(
     ``fcirc`` the one along ``mu``, ``fcircdot`` the five-term mixed formula
     (module docstring).  The same jet is recomputed through the prolonged
     connection applied to the velocity-paired section; the two routes must
-    agree within ``consistency_tol`` or :class:`InternalDisagreement` is
+    agree within :data:`_CONSISTENCY_TOL` or :class:`InternalDisagreement` is
     raised.
     """
-    return _second_covariants(field, s, ((mu, nu),), x, consistency_tol)[0]
+    return _second_covariants(field, s, ((mu, nu),), x)[0]
 
 
 def commutator_curvature(

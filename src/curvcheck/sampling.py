@@ -28,10 +28,10 @@ __all__ = [
 ]
 
 
-def sample_point(rng: SplitMix64, m: int, n: int = 0, scale: float = 1.0) -> EvalPoint:
-    """Point with every coordinate uniform in [-scale, scale)."""
-    x = tuple(rng.symmetric(scale) for _ in range(m))
-    f = tuple(rng.symmetric(scale) for _ in range(n))
+def sample_point(rng: SplitMix64, m: int, n: int = 0) -> EvalPoint:
+    """Point with every coordinate uniform in [-1, 1)."""
+    x = tuple(rng.symmetric(1.0) for _ in range(m))
+    f = tuple(rng.symmetric(1.0) for _ in range(n))
     return EvalPoint(x, f)
 
 
@@ -78,39 +78,25 @@ def sample_christoffel(
     return ChristoffelField(patch, gamma)
 
 
-def sample_section(
-    rng: SplitMix64,
-    patch: BundlePatch,
-    max_terms: int = 5,
-    max_degree: int = 3,
-    scale: float = 1.0,
-) -> Section:
-    """Section with sparse base-only polynomial components."""
+def sample_section(rng: SplitMix64, patch: BundlePatch) -> Section:
+    """Section with sparse base-only polynomial components, drawn with the
+    :func:`sample_polynomial` defaults."""
     m, n = patch.dims
-    comps = tuple(
-        sample_polynomial(rng, m, 0, max_terms, max_degree, scale) for _ in range(n)
-    )
-    return Section(patch, comps)
+    return Section(patch, tuple(sample_polynomial(rng, m, 0) for _ in range(n)))
 
 
-def sample_transition(
-    rng: SplitMix64,
-    n: int,
-    max_terms: int = 3,
-    max_degree: int = 3,
-    scale: float = 1.0,
-) -> tuple[Expression, ...]:
-    """Fiber chart transition: n fiber-only polynomial components."""
-    return tuple(
-        sample_polynomial(rng, 0, n, max_terms, max_degree, scale) for _ in range(n)
-    )
+def sample_transition(rng: SplitMix64, n: int) -> tuple[Expression, ...]:
+    """Fiber chart transition: n fiber-only polynomial components of at most
+    3 terms each, otherwise drawn with the :func:`sample_polynomial`
+    defaults."""
+    return tuple(sample_polynomial(rng, 0, n, max_terms=3) for _ in range(n))
 
 
-def sample_second_jet(rng: SplitMix64, m: int, n: int, scale: float = 1.0) -> SecondJet:
-    """Jet with all slots uniform in [-scale, scale)."""
+def sample_second_jet(rng: SplitMix64, m: int, n: int) -> SecondJet:
+    """Jet with all slots uniform in [-1, 1)."""
 
     def draw(count: int) -> tuple[float, ...]:
-        return tuple(rng.symmetric(scale) for _ in range(count))
+        return tuple(rng.symmetric(1.0) for _ in range(count))
 
     return SecondJet(draw(m), draw(n), draw(n), draw(n), draw(n))
 

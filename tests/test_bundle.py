@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from curvcheck import bundle
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
@@ -24,7 +25,7 @@ from curvcheck.bundle import (
     project,
 )
 from curvcheck.errors import IndexOutOfRange
-from curvcheck.numcore import EvalPoint
+from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_christoffel, sample_point, sample_polynomial
 
@@ -353,6 +354,24 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             for i, V in enumerate(fields):
                 for j, W in enumerate(fields):
                     assert nijenhuis_curvature(field, V, W, p).w == tuple(R[:, i, j])
+
+
+def test_nijenhuis_tensor_evaluates_each_symbol_once(monkeypatch):
+    calls = []
+
+    def counted(e, p):
+        calls.append(e)
+        return evaluate(e, p)
+
+    monkeypatch.setattr(bundle, "evaluate", counted)
+    rng = SplitMix64(809)
+    for m, n in ((2, 2), (3, 3)):
+        patch = BundlePatch(m, n)
+        field = sample_christoffel(rng, patch)
+        coords = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
+        calls.clear()
+        nijenhuis_tensor(field, coords, sample_point(rng, m, n))
+        assert len(calls) <= n * m
 
 
 # --- parallel morphisms -----------------------------------------------------

@@ -84,6 +84,14 @@ def test_parse_expr_rejects_deep_nesting(capsys):
     assert err[-1].startswith("curvcheck: nesting deeper than")
 
 
+def test_parse_expr_rejects_a_literal_that_overflows(capsys):
+    for source, offset in (("1e999", 0), ("x1*1e400", 3)):
+        assert main(["parse-expr", source]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == " " * offset + "^"
+        assert "overflows to infinity" in err[2]
+
+
 def test_parse_expr_rejects_malformed_dims(capsys):
     for dims in ("2", "2,0", "0,2", "a,b", "1,2,3"):
         assert main(["parse-expr", "x1", "--dims", dims]) == 2
@@ -138,6 +146,19 @@ def test_check_exit_two_on_deeply_nested_expression(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("curvcheck: ")
     assert "nesting deeper than" in err
+
+
+def test_check_exit_two_on_a_literal_that_overflows(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"g": {"patch": "p", "gamma": [["0", "1e999*f1"]]}},
+        "checks": [{"name": "inf", "kind": "curvature-coefficients", "connection": "g"}],
+    }
+    assert main(["check", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvcheck: connections.g.gamma[0][1]: ")
+    assert "overflows to infinity" in err
 
 
 def test_check_exit_two_on_deeply_nested_json(tmp_path, capsys):

@@ -356,6 +356,17 @@ def _doc_names(cell: str) -> tuple:
     return tuple(re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell)))
 
 
+def _doc_defaults(cell: str) -> dict:
+    """Each key of a table cell with the JSON value of its ``(default
+    `...`)`` remark, arrays as tuples; a key without one maps to the string
+    "no default"."""
+    defaults = dict.fromkeys(_doc_names(cell), "no default")
+    for key, text in re.findall(r"`([^`]+)` \(default `([^`]+)`", cell):
+        value = json.loads(text)
+        defaults[key] = tuple(value) if isinstance(value, list) else value
+    return defaults
+
+
 def test_schema_doc_kind_table_matches_the_loader():
     table = {}
     for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
@@ -367,7 +378,7 @@ def test_schema_doc_kind_table_matches_the_loader():
             int(samples),
             float(tolerance),
             _doc_names(required),
-            _doc_names(optional),
+            _doc_defaults(optional),
         )
     assert list(table) == list(CHECK_KINDS)
     assert table == config_module._KINDS

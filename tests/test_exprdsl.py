@@ -6,6 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvcheck.bundle import (
+    BundlePatch,
+    ChristoffelField,
+    FiberBundleMorphism,
+    Section,
+    TotalVectorField,
+)
 from curvcheck.errors import DomainError, ExprSyntaxError, IndexOutOfRange, UnknownIdentifier
 from curvcheck.exprdsl import (
     MAX_NESTING,
@@ -19,7 +26,11 @@ from curvcheck.exprdsl import (
     parse,
     unparse,
 )
+from curvcheck.lie import builtin_algebra
+from curvcheck.linear import LinearChristoffel
 from curvcheck.numcore import EvalPoint, evaluate
+from curvcheck.principal import GaugePotential
+from curvcheck.prolong import SecondJet, pushforward_second_jet
 
 DIMS = (3, 3)
 
@@ -76,6 +87,14 @@ def test_parse_unclosed_parenthesis():
 def test_parse_rejects_fractional_exponent():
     with pytest.raises(ExprSyntaxError):
         parse("x1^2.5", DIMS)
+
+
+@pytest.mark.parametrize(("source", "offset"), [("1e999", 0), ("x1*1e400", 3)])
+def test_parse_rejects_literals_that_overflow(source, offset):
+    with pytest.raises(ExprSyntaxError, match="overflows to infinity") as excinfo:
+        parse(source, DIMS)
+    assert excinfo.value.offset == offset
+    assert parse("1e308", DIMS) == Const(1e308)
 
 
 def test_parse_rejects_nonpositive_dims():
@@ -143,6 +162,57 @@ def test_nodes_are_hashable_and_compare_structurally():
     assert len({Const(2.0), Const(2.0)}) == 1
     table = {parse("x1 + f1", (1, 1)): "sum"}
     assert table[Binary("+", Var("x", 1), Var("f", 1))] == "sum"
+
+
+_P11 = BundlePatch(1, 1)
+_JET = SecondJet((0.0,), (0.0,), (0.0,), (0.0,), (0.0,))
+
+# container -> (builder taking one expression, an index above the limit,
+# a forbidden variable kind or None); the builder puts the expression where
+# the container checks it
+INDEX_RULE = [
+    pytest.param(
+        lambda e: ChristoffelField(_P11, ((e,),)), Var("x", 2), None, id="christoffel"
+    ),
+    pytest.param(lambda e: Section(_P11, (e,)), Var("x", 2), Var("f", 1), id="section"),
+    pytest.param(
+        lambda e: TotalVectorField(_P11, (Const(1.0),), (e,)),
+        Var("f", 2),
+        None,
+        id="vector-field",
+    ),
+    pytest.param(
+        lambda e: FiberBundleMorphism(_P11, _P11, (e,)), Var("f", 2), None, id="morphism"
+    ),
+    pytest.param(
+        lambda e: GaugePotential(builtin_algebra("so2"), 1, ((e,),)),
+        Var("x", 2),
+        Var("f", 1),
+        id="potential",
+    ),
+    pytest.param(
+        lambda e: LinearChristoffel(_P11, (((e,),),)),
+        Var("x", 2),
+        Var("f", 1),
+        id="linear",
+    ),
+    pytest.param(
+        lambda e: pushforward_second_jet((e,), _JET), Var("f", 2), Var("x", 1), id="transition"
+    ),
+]
+
+
+@pytest.mark.parametrize(("build", "too_large", "forbidden"), INDEX_RULE)
+def test_every_container_applies_the_index_rule(build, too_large, forbidden):
+    def tree(v: Var):
+        return Binary("*", Const(2.0), Unary("sin", v))
+
+    with pytest.raises(IndexOutOfRange, match=f"{too_large.kind}{too_large.index}"):
+        build(tree(too_large))
+    if forbidden is not None:
+        allowed = "base" if forbidden.kind == "f" else "fiber"
+        with pytest.raises(ValueError, match=f"{allowed} variables only"):
+            build(tree(forbidden))
 
 
 def test_max_indices():

@@ -223,8 +223,8 @@ def test_detect_expansion_stage_catches_what_homogeneity_misses():
 
 def test_detect_deterministic_given_seed():
     field = ChristoffelField.from_strings(P22, [["x1*f2", "0"], ["sin(x1)*f1", "f2"]])
-    a = linearity_detect(field, seed=3)
-    b = linearity_detect(field, seed=3)
+    a = linearity_detect(field, rng=SplitMix64(3))
+    b = linearity_detect(field, rng=SplitMix64(3))
     assert a.linear and b.linear
     for alpha in range(2):
         for mu in range(2):

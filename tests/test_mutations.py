@@ -181,7 +181,7 @@ def _bracket_with_operands_swapped(original):
 
 def _affine_diff_reversed(original):
     # j2 - j1 instead of j1 - j2
-    return lambda j1, j2, fiber_tol=1e-12: original(j2, j1, fiber_tol)
+    return lambda j1, j2: original(j2, j1)
 
 
 def _pade_with_wrong_first_coefficient(original):

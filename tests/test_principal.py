@@ -343,8 +343,8 @@ def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
 
 
 def test_cross_check_deterministic_given_seed():
-    a = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6), seed=5)
-    b = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6), seed=5)
+    a = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6), rng=SplitMix64(5))
+    b = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6), rng=SplitMix64(5))
     assert a.max_deviation == b.max_deviation
     assert a.pairwise == b.pairwise
 
