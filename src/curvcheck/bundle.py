@@ -282,13 +282,19 @@ def horizontal_lift(field: ChristoffelField, p: EvalPoint, xi) -> TotalTangent:
     xi = tuple(float(v) for v in xi)
     if len(xi) != field.patch.base_dim:
         raise ValueError(f"xi must have length {field.patch.base_dim}")
+    return TotalTangent(p, xi, _lifted(_symbol_values(field, p), xi))
+
+
+def _lifted(gamma, xi) -> tuple[float, ...]:
+    """``-sum_mu Gamma^a_mu xi^mu`` for every ``a``, from the symbol values
+    ``gamma`` at the lift's point."""
     b = []
-    for row in field.gamma:
+    for row in gamma:
         acc = 0.0
-        for e, comp in zip(row, xi):
-            acc -= evaluate(e, p) * comp
+        for g, comp in zip(row, xi):
+            acc -= g * comp
         b.append(acc)
-    return TotalTangent(p, xi, tuple(b))
+    return tuple(b)
 
 
 def covariant_derivative(
@@ -450,15 +456,21 @@ def pushforward(phi: FiberBundleMorphism, t: TotalTangent) -> TotalTangent:
     """Differential of ``phi`` applied to ``t``; the result sits at
     ``(x, phi(x, f))`` on the target patch."""
     p = t.at
-    m = phi.source.base_dim
-    values = []
-    bhat = []
+    grads = [gradient(c, p) for c in phi.comps]
+    return TotalTangent(_pushed_point(phi, p, grads), t.a, _pushed(grads, t))
+
+
+def _pushed_point(phi: FiberBundleMorphism, p: EvalPoint, grads) -> EvalPoint:
+    """``(x, phi(x, f))`` from the values in ``grads``, the value-gradient
+    pairs of the components of ``phi`` at ``p``."""
+    return EvalPoint(p.x[: phi.source.base_dim], tuple(val for val, _ in grads))
+
+
+def _pushed(grads, t: TotalTangent) -> tuple[float, ...]:
+    """Fiber part of the pushforward of ``t``, from the value-gradient pairs
+    ``grads`` of the morphism's components at its point."""
     comps = t.a + t.b
-    for c in phi.comps:
-        val, grad = gradient(c, p)
-        values.append(val)
-        bhat.append(sum(g * v for g, v in zip(grad, comps)))
-    return TotalTangent(EvalPoint(p.x[:m], tuple(values)), t.a, tuple(bhat))
+    return tuple(sum(g * v for g, v in zip(grad, comps)) for _, grad in grads)
 
 
 def is_parallel_morphism(
@@ -473,18 +485,24 @@ def is_parallel_morphism(
     At each sample point the horizontal lifts of all coordinate directions are
     pushed forward and projected with ``field_hat``; the residual is the
     largest absolute fiber component.  ``samples`` is a sequence of
-    :class:`EvalPoint` on the source patch.
+    :class:`EvalPoint` on the source patch.  The symbols of both connections
+    and the gradients of ``phi`` are evaluated once per sample, as every
+    lift sits at the sample and every pushforward at its image.
     """
     samples = tuple(samples)
     m = field.patch.base_dim
     residuals = []
     for p in samples:
+        gamma = _symbol_values(field, p)
+        grads = [gradient(c, p) for c in phi.comps]
+        image = _pushed_point(phi, p, grads)
+        gamma_hat = _symbol_values(field_hat, image)
         fiber_parts = []
         for mu in range(1, m + 1):
             xi = tuple(1.0 if i == mu else 0.0 for i in range(1, m + 1))
-            lifted = horizontal_lift(field, p, xi)
-            pushed = pushforward(phi, lifted)
-            fiber_parts.extend(project(field_hat, pushed).w)
+            lifted = TotalTangent(p, xi, _lifted(gamma, xi))
+            pushed = TotalTangent(image, xi, _pushed(grads, lifted))
+            fiber_parts.extend(_projected(gamma_hat, pushed))
         # np.max keeps a NaN, which then never counts as parallel
         residuals.append(float(np.max(np.abs(fiber_parts))))
     max_res = float(np.max(residuals, initial=0.0))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,6 +352,19 @@ def _run_linear_consistency(
     return worst.outcome(spec.samples, worst.value <= tol)
 
 
+def _error_result(spec: CheckSpec, tol: float, exc: BaseException) -> CheckResult:
+    """The ``error`` row of a check that raised ``exc`` instead of finishing."""
+    return CheckResult(
+        name=spec.name,
+        kind=spec.kind,
+        samples=spec.samples,
+        max_residual=None,
+        tolerance=tol,
+        verdict="error",
+        detail=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> CheckResult:
     """Run one check on its own RNG stream; exceptions become error rows.
 
@@ -365,15 +377,7 @@ def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> Check
         with np.errstate(all="ignore"):
             outcome = _RUNNERS[spec.kind](spec, rng, tol)
     except Exception as exc:
-        return CheckResult(
-            name=spec.name,
-            kind=spec.kind,
-            samples=spec.samples,
-            max_residual=None,
-            tolerance=tol,
-            verdict="error",
-            detail=f"{type(exc).__name__}: {exc}",
-        )
+        return _error_result(spec, tol, exc)
     return CheckResult(
         name=spec.name,
         kind=spec.kind,
@@ -385,19 +389,79 @@ def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> Check
     )
 
 
+#: What a forked worker runs its checks with: the name-sorted specs, the
+#: suite seed and the tolerance scale.  Set by :func:`_init_worker` in the
+#: worker only; the calling process never changes it.
+_WORK = ((), 0, 1.0)
+
+
+def _init_worker(specs, suite_seed: int, tol_scale: float) -> None:
+    global _WORK
+    _WORK = (specs, suite_seed, tol_scale)
+
+
+def _run_indexed(index: int) -> CheckResult:
+    specs, suite_seed, tol_scale = _WORK
+    return run_check(specs[index], suite_seed, tol_scale)
+
+
+def _can_fork() -> bool:
+    # multiprocessing and concurrent.futures are imported here and in
+    # _run_forked only: they take tens of milliseconds to import, which
+    # --jobs 1 runs should not pay.
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _run_forked(specs, workers: int, suite_seed: int, tol_scale: float) -> list:
+    """Run ``specs`` on ``workers`` forked processes, results in spec order.
+
+    The workers inherit the specs through the fork (``initargs`` are not
+    pickled under the fork context); each task is the index of one spec, and
+    only :class:`CheckResult` rows travel back.  A worker that dies breaks the
+    pool: its check and every check whose row never came back become
+    ``error`` rows, and the rows that did come back keep their verdicts."""
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(specs, suite_seed, tol_scale),
+    ) as pool:
+
+        def submit(index: int) -> Future:
+            try:
+                return pool.submit(_run_indexed, index)
+            except BrokenProcessPool as exc:  # a worker died before this check went out
+                failed = Future()
+                failed.set_exception(exc)
+                return failed
+
+        futures = [submit(i) for i in range(len(specs))]
+        results = []
+        for spec, future in zip(specs, futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                results.append(_error_result(spec, spec.tolerance * tol_scale, exc))
+    return results
+
+
 def run_suite(config: SuiteConfig, jobs: int = 1, tol_scale: float = 1.0) -> RunReport:
     """Run every check in the config, sorted by name.
 
-    ``jobs > 1`` runs checks on a thread pool; results are identical either
-    way because every check draws from its own named stream.
+    ``jobs > 1`` runs the checks on ``min(jobs, checks)`` worker processes
+    forked from this one, or serially where fork is unavailable; results are
+    identical either way because every check draws from its own named stream.
     """
     start = time.perf_counter()
     specs = sorted(config.checks, key=lambda s: s.name)
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda s: run_check(s, config.seed, tol_scale), specs)
-            )
+    if jobs > 1 and len(specs) > 1 and _can_fork():
+        results = _run_forked(specs, min(jobs, len(specs)), config.seed, tol_scale)
     else:
         results = [run_check(s, config.seed, tol_scale) for s in specs]
     return RunReport(

@@ -54,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the config's suite seed"
     )
     check.add_argument(
-        "--jobs", type=int, default=1, help="run checks on this many threads"
+        "--jobs",
+        type=int,
+        default=1,
+        help="run checks on this many worker processes (default: 1, in this process)",
     )
 
     expr = sub.add_parser(

@@ -206,14 +206,24 @@ def linearity_detect(
     generator = rng if rng is not None else SplitMix64(0)
     m, n = field.patch.dims
     points = [sample_point(generator, m, n) for _ in range(samples)]
-    for pt in points:
+    references = {}
+
+    def reference(i: int, alpha: int, mu: int) -> float:
+        """``Gamma^alpha_mu`` at sample ``i``.  Evaluated on first use, so
+        the evaluations, and any domain error, come in the order they
+        would without the reuse."""
+        key = (i, alpha, mu)
+        if key not in references:
+            references[key] = evaluate(field.gamma[alpha][mu], points[i])
+        return references[key]
+
+    for i, pt in enumerate(points):
         for lam in lambdas:
             scaled = EvalPoint(pt.x, tuple(lam * c for c in pt.f))
             for alpha in range(n):
                 for mu in range(m):
-                    reference = evaluate(field.gamma[alpha][mu], pt)
+                    expected = lam * reference(i, alpha, mu)
                     actual = evaluate(field.gamma[alpha][mu], scaled)
-                    expected = lam * reference
                     if not abs(actual - expected) <= tol * max(1.0, abs(expected)):
                         return LinearityReport(
                             None,
@@ -242,10 +252,10 @@ def linearity_detect(
     )
     candidate = LinearChristoffel(field.patch, extracted)
     expansion = expand_linear(candidate)
-    for pt in points:
+    for i, pt in enumerate(points):
         for alpha in range(n):
             for mu in range(m):
-                original = evaluate(field.gamma[alpha][mu], pt)
+                original = reference(i, alpha, mu)
                 rebuilt = evaluate(expansion.gamma[alpha][mu], pt)
                 if not abs(rebuilt - original) <= tol * max(1.0, abs(original)):
                     return LinearityReport(

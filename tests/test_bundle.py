@@ -25,7 +25,7 @@ from curvcheck.bundle import (
     project,
 )
 from curvcheck.errors import IndexOutOfRange
-from curvcheck.numcore import EvalPoint, evaluate
+from curvcheck.numcore import EvalPoint, evaluate, gradient
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_christoffel, sample_point, sample_polynomial
 
@@ -402,6 +402,72 @@ def test_fiber_doubling_not_parallel_for_quadratic_connection():
     assert not report.parallel
     # Residual |2 f^2 - (2f)^2| = 2 f^2, exactly 2 at f = 1.
     assert report.max_residual == 2.0
+
+
+def _sampled_morphism(rng, patch):
+    m, n = patch.dims
+    return FiberBundleMorphism(patch, patch, tuple(sample_polynomial(rng, m, n) for _ in range(n)))
+
+
+def test_parallel_morphism_residuals_equal_the_composed_public_routes():
+    # The residuals are those of lifting, pushing and projecting one
+    # coordinate direction at a time, bit for bit, a NaN included: the
+    # symbol 1e300*f1^3 overflows at f1 = 1e3, and inf times a zero
+    # component of xi is NaN.
+    rng = SplitMix64(4711)
+    patch = BundlePatch(3, 2)
+    cases = []
+    for _ in range(3):
+        field = sample_christoffel(rng, patch)
+        cases.append(
+            (
+                _sampled_morphism(rng, patch),
+                field,
+                sample_christoffel(rng, patch),
+                [sample_point(rng, 3, 2) for _ in range(4)],
+            )
+        )
+    overflow = ChristoffelField.from_strings(P21, [["1e300*f1^3", "x1"]])
+    phi = FiberBundleMorphism.from_strings(P21, P21, ["2*f1"])
+    cases.append((phi, overflow, FLAT21, [EvalPoint((0.5, 0.2), (1e3,))]))
+    for phi, field, field_hat, points in cases:
+        m = field.patch.base_dim
+        expected = []
+        for p in points:
+            parts = []
+            for mu in range(1, m + 1):
+                xi = tuple(1.0 if i == mu else 0.0 for i in range(1, m + 1))
+                pushed = bundle.pushforward(phi, horizontal_lift(field, p, xi))
+                parts.extend(project(field_hat, pushed).w)
+            expected.append(float(np.max(np.abs(parts))))
+        report = is_parallel_morphism(phi, field, field_hat, points)
+        assert [repr(r) for r in report.residuals] == [repr(r) for r in expected]
+    assert math.isnan(report.residuals[0])
+
+
+def test_parallel_morphism_evaluates_each_value_once_per_sample(monkeypatch):
+    evaluations = []
+    gradients = []
+
+    def counted_evaluate(e, p):
+        evaluations.append(e)
+        return evaluate(e, p)
+
+    def counted_gradient(e, p):
+        gradients.append(e)
+        return gradient(e, p)
+
+    monkeypatch.setattr(bundle, "evaluate", counted_evaluate)
+    monkeypatch.setattr(bundle, "gradient", counted_gradient)
+    rng = SplitMix64(919)
+    m, n = 3, 2
+    patch = BundlePatch(m, n)
+    phi = _sampled_morphism(rng, patch)
+    field = sample_christoffel(rng, patch)
+    field_hat = sample_christoffel(rng, patch)
+    is_parallel_morphism(phi, field, field_hat, [sample_point(rng, m, n)])
+    assert len(evaluations) <= 2 * m * n
+    assert len(gradients) <= n
 
 
 def test_morphism_requires_matching_base():

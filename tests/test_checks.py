@@ -2,16 +2,21 @@
 error capture, tolerance scaling, per-check streams, and rendering."""
 
 import json
+import multiprocessing
+import os
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
-from curvcheck import bundle
+from curvcheck import bundle, checks
 from curvcheck.bundle import BundlePatch
 from curvcheck.cli import main
 from curvcheck.config import load_config
-from curvcheck.checks import run_check, run_suite
+from curvcheck.checks import CheckOutcome, run_check, run_suite
 from curvcheck.report import CheckResult, RunReport, emit, render_text, to_json_dict
 from curvcheck.errors import IoError
 from curvcheck.exprdsl import unparse
@@ -301,6 +306,110 @@ def test_empty_suite_is_a_vacuous_pass(tmp_path):
     report = run_suite(_config(tmp_path, doc))
     assert report.verdict == "pass"
     assert report.checks == ()
+
+
+# --- the worker pool of run_suite --------------------------------------------
+
+
+def _three_checks(tmp_path):
+    """Checks a, b and c on a flat connection, for runners patched per name."""
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"flat": {"patch": "p", "gamma": [["0", "0"]]}},
+        "checks": [
+            {"name": name, "kind": "curvature-coefficients", "connection": "flat"}
+            for name in ("c", "a", "b")
+        ],
+    }
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _report_pid(spec, rng, tol):
+    return CheckOutcome(0.0, spec.samples, True, str(os.getpid()))
+
+
+def test_jobs_run_checks_in_forked_workers(tmp_path, monkeypatch):
+    monkeypatch.setitem(checks._RUNNERS, "curvature-coefficients", _report_pid)
+    config = load_config(_three_checks(tmp_path))
+    caller = str(os.getpid())
+    serial = run_suite(config, jobs=1)
+    assert [c.detail for c in serial.checks] == [caller] * 3
+    for jobs in (2, 8):
+        forked = run_suite(config, jobs=jobs)
+        assert [c.name for c in forked.checks] == ["a", "b", "c"]
+        workers = {c.detail for c in forked.checks}
+        assert caller not in workers
+        # min(jobs, checks) workers, so never more processes than checks
+        assert 1 <= len(workers) <= min(jobs, 3)
+
+
+def test_jobs_run_serially_where_fork_is_unavailable(tmp_path, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    config = load_config(str(FIXTURES / "verify.json"))
+    serial = to_json_dict(run_suite(config, jobs=1))
+    parallel = to_json_dict(run_suite(config, jobs=2))
+    serial.pop("duration_seconds")
+    parallel.pop("duration_seconds")
+    assert serial == parallel
+    monkeypatch.setitem(checks._RUNNERS, "curvature-coefficients", _report_pid)
+    rows = run_suite(load_config(_three_checks(tmp_path)), jobs=2).checks
+    assert [c.detail for c in rows] == [str(os.getpid())] * 3
+
+
+def test_a_worker_that_dies_becomes_error_rows(tmp_path, monkeypatch, capfd):
+    # a finishes; b's worker dies once a's row has had time to come back;
+    # c is running or still queued then, so its row never comes back.
+    done = tmp_path / "a-done"
+
+    def runner(spec, rng, tol):
+        if spec.name == "a":
+            done.write_text("", encoding="utf-8")
+        elif spec.name == "b":
+            while not done.exists():
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(3)
+        else:
+            time.sleep(60)
+        return CheckOutcome(0.0, spec.samples, True)
+
+    monkeypatch.setitem(checks._RUNNERS, "curvature-coefficients", runner)
+    assert main(["check", _three_checks(tmp_path), "--format", "json", "--jobs", "2"]) == 1
+    out, err = capfd.readouterr()
+    assert err == ""
+    rows = json.loads(out)["checks"]
+    assert [(r["name"], r["verdict"]) for r in rows] == [
+        ("a", "pass"),
+        ("b", "error"),
+        ("c", "error"),
+    ]
+    for row in rows[1:]:
+        assert row["detail"].startswith("BrokenProcessPool: ")
+        assert row["max_residual"] is None
+        assert row["tolerance"] == rows[0]["tolerance"]
+
+
+def test_checks_not_handed_to_a_broken_pool_become_error_rows(tmp_path, monkeypatch):
+    # The pool breaks while the checks are handed out: a worker died before
+    # the third submit.
+    submit = ProcessPoolExecutor.submit
+
+    def breaks_at_the_third(pool, fn, index):
+        if index == 2:
+            raise BrokenProcessPool("a worker died")
+        return submit(pool, fn, index)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", breaks_at_the_third)
+    rows = run_suite(load_config(_three_checks(tmp_path)), jobs=2).checks
+    assert [(c.name, c.verdict) for c in rows] == [
+        ("a", "pass"),
+        ("b", "pass"),
+        ("c", "error"),
+    ]
+    assert rows[2].detail == "BrokenProcessPool: a worker died"
 
 
 # --- report rendering -------------------------------------------------------

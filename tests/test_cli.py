@@ -3,6 +3,9 @@ determinism, the golden report fixture, and the tolerance-scale override."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from curvcheck import __version__
 from curvcheck.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 VERIFY = str(FIXTURES / "verify.json")
 MINIMAL = str(FIXTURES / "minimal.json")
 
@@ -202,6 +206,29 @@ def test_jobs_flag_does_not_change_output(capsys):
     assert main(["check", VERIFY, "--format", "json", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert _strip_duration(parallel) == _strip_duration(serial)
+
+
+def test_jobs_two_in_a_fresh_process_matches_jobs_one():
+    # OPENBLAS_NUM_THREADS is dropped so that numpy may start BLAS threads
+    # before the fork: on Python >= 3.12, os.fork then raises a
+    # DeprecationWarning inside multiprocessing, which must not reach stderr.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    outputs = []
+    for jobs in ("2", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvcheck", "check", "fixtures/verify.json",
+             "--format", "json", "--jobs", jobs],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        outputs.append(_strip_duration(proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 def test_seed_override_changes_sampled_residuals(tmp_path, capsys):

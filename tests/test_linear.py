@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from curvcheck import linear
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
@@ -229,6 +230,23 @@ def test_detect_deterministic_given_seed():
     for alpha in range(2):
         for mu in range(2):
             assert a.field.gamma3[alpha][mu] == b.field.gamma3[alpha][mu]
+
+
+def test_detect_evaluates_each_reference_value_once(monkeypatch):
+    # 4 samples of 4 symbols: 16 reference values, 6 * 16 scaled ones and
+    # 16 rebuilt ones.  Evaluating the reference again for every lambda and
+    # in the expansion stage would make 224 calls.
+    calls = []
+
+    def counted(e, p):
+        calls.append(e)
+        return evaluate(e, p)
+
+    monkeypatch.setattr(linear, "evaluate", counted)
+    field = ChristoffelField.from_strings(P22, [["x1*f2", "0"], ["sin(x1)*f1", "f2"]])
+    report = linearity_detect(field, samples=4, rng=SplitMix64(3))
+    assert report.linear
+    assert len(calls) <= 128
 
 
 # --- curvature consistency --------------------------------------------------

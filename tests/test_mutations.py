@@ -13,7 +13,10 @@ The second set replaces one function of a route, in every module that
 binds it, by a defective wrapper of the original, or one table of a route
 (the Pade coefficients of ``lie.expm``) by a defective copy.  Two of them
 sit inside the tensor routes: the bracket of two field jets in ``bundle``
-and the affine difference of two second jets in ``prolong``.
+and the affine difference of two second jets in ``prolong``.  The lift's
+fiber part is planted in ``bundle._lifted``, which computes it for
+``horizontal_lift`` and for the per-sample lifts of
+``is_parallel_morphism``.
 """
 
 import json
@@ -137,11 +140,7 @@ def _omega_without_conjugation(original):
 
 def _lift_with_fiber_sign_flipped(original):
     # fiber part +Gamma xi instead of -Gamma xi
-    def mutant(field, p, xi):
-        lifted = original(field, p, xi)
-        return replace(lifted, b=tuple(-v for v in lifted.b))
-
-    return mutant
+    return lambda gamma, xi: tuple(-v for v in original(gamma, xi))
 
 
 def _expansion_without_a_term(original):
@@ -199,7 +198,7 @@ ROUTE_DEFECTS = [
     ),
     pytest.param(
         bundle,
-        "horizontal_lift",
+        "_lifted",
         _lift_with_fiber_sign_flipped,
         "parallel-linleg",
         id="lift-sign",
