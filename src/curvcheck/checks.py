@@ -1,9 +1,11 @@
 """Check runners: one function per config check kind.
 
 Every runner receives a validated :class:`~curvcheck.config.CheckSpec`, a
-dedicated RNG stream, and an effective tolerance, and returns a
-:class:`CheckOutcome`.  Exceptions raised inside a runner never abort the
-suite; :func:`run_check` converts them into an ``error`` verdict row.
+dedicated RNG stream, the effective tolerance and the row's :class:`_Row`,
+draws its samples, calls its routes and adds one residual per sample to the
+row.  :func:`run_check` alone turns the row into a verdict, by the rule
+stated there.  Exceptions raised inside a runner never abort the suite;
+:func:`run_check` converts them into an ``error`` verdict row.
 
 Reproducibility contract: each runner documents its draw order, and its
 stream is derived from ``(seed, check name)`` alone, so check results do
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .bundle import (
 from .config import CheckSpec, SuiteConfig
 from .lie import exp
 from .linear import linear_curvature_consistency, linearity_detect
-from .numcore import EvalPoint, evaluate
+from .numcore import EvalPoint, central_difference, evaluate
 from .principal import check_axiom, curvature_cross_check, theta_bch_verify
 from .prolong import commutator_tensor, pi, pushforward_second_jet, theta
 from .report import CheckResult, RunReport
@@ -43,38 +44,33 @@ from .sampling import (
     sample_transition,
 )
 
-__all__ = ["CheckOutcome", "run_check", "run_suite"]
+__all__ = ["run_check", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    max_residual: float | None
-    samples: int
-    passed: bool
-    detail: str = ""
+class _Row:
+    """The residuals of one check row, folded as a runner adds them.
 
-
-class _Worst:
-    """Running maximum of a check's residuals.  ``max(0.0, nan)`` is
-    ``0.0``, so a plain fold lets a NaN pass; here the first non-finite
-    residual is kept, and it fails the row with its sample in the detail:
-    the sample's index, or ``where`` for a sample that has none."""
+    ``value`` is the largest finite residual and ``index`` the first sample
+    that reached it.  ``max(0.0, nan)`` is ``0.0``, so a plain fold lets a
+    NaN pass; here the first non-finite residual becomes the row's
+    ``failure``, with its sample: the sample's index, or ``where`` for a
+    residual that has none (the linearity violation, a row's only residual).
+    A runner also sets ``failure`` when an exact law breaks, and ``note``,
+    the detail of a row above tolerance."""
 
     value = 0.0
-    nonfinite = ""
+    index: int | None = None
+    failure = ""
+    note = ""
 
     def add(self, residual: float, sample: int | None = None, where: str = "") -> None:
-        if math.isfinite(residual):
-            self.value = max(self.value, residual)
-        elif not self.nonfinite:
-            if sample is not None:
-                where = f" at sample {sample}"
-            self.nonfinite = f"non-finite residual {residual}{where}"
-
-    def outcome(self, samples: int, passed: bool, detail: str = "") -> CheckOutcome:
-        if self.nonfinite:
-            return CheckOutcome(None, samples, False, self.nonfinite)
-        return CheckOutcome(self.value, samples, passed, detail)
+        if not math.isfinite(residual):
+            if not self.failure:
+                if sample is not None:
+                    where = f" at sample {sample}"
+                self.failure = f"non-finite residual {residual}{where}"
+        elif self.index is None or residual > self.value:
+            self.value, self.index = residual, sample
 
 
 _RUNNERS = {}
@@ -104,9 +100,9 @@ def _fd_partial(expr, p: EvalPoint, kind: str, index: int) -> float:
         f[index] += delta
         return evaluate(expr, EvalPoint(p.x, tuple(f)))
 
-    return (
-        8.0 * (at(_FD_STEP) - at(-_FD_STEP)) - (at(2.0 * _FD_STEP) - at(-2.0 * _FD_STEP))
-    ) / (12.0 * _FD_STEP)
+    return central_difference(
+        at(_FD_STEP), at(-_FD_STEP), at(2.0 * _FD_STEP), at(-2.0 * _FD_STEP), _FD_STEP
+    )
 
 
 def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
@@ -136,25 +132,23 @@ def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
 
 @_runner("curvature-coefficients")
 def _run_curvature_coefficients(
-    spec: CheckSpec, rng: SplitMix64, tol: float
-) -> CheckOutcome:
+    spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row
+) -> None:
     """Structural-derivative coefficients against a finite-difference rebuild.
 
     Draw order per sample: one point (x coordinates, then f coordinates).
     """
     field = spec.params["connection"]
     m, n = field.patch.dims
-    worst = _Worst()
     for sample in range(spec.samples):
         p = sample_point(rng, m, n)
         exact = curvature_coefficients(field, p)
         approx = _fd_curvature(field, p)
-        worst.add(float(np.abs(exact - approx).max()), sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        row.add(float(np.abs(exact - approx).max()), sample)
 
 
 @_runner("nijenhuis-vs-coefficients")
-def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Projector-bracket curvature on coordinate fields against the
     coordinate coefficients, all ordered index pairs.
 
@@ -163,17 +157,15 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome
     field = spec.params["connection"]
     m, n = field.patch.dims
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
-    worst = _Worst()
     for sample in range(spec.samples):
         p = sample_point(rng, m, n)
         coeffs = curvature_coefficients(field, p)
         tensor = nijenhuis_tensor(field, coords, p)
-        worst.add(float(np.abs(tensor - coeffs).max()), sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        row.add(float(np.abs(tensor - coeffs).max()), sample)
 
 
 @_runner("commutator-identity")
-def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Twisted second-derivative differences against the coordinate
     curvature at the section image, all ordered index pairs.
 
@@ -183,18 +175,16 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcom
     field = spec.params["connection"]
     named = spec.params["section"]
     m = field.patch.base_dim
-    worst = _Worst()
     for sample in range(spec.samples):
         s = named if named is not None else sample_section(rng, field.patch)
-        x = tuple(rng.symmetric(1.0) for _ in range(m))
+        x = sample_point(rng, m).x
         coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
         tensor = commutator_tensor(field, s, x)
-        worst.add(float(np.abs(tensor - coeffs).max()), sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        row.add(float(np.abs(tensor - coeffs).max()), sample)
 
 
 @_runner("theta-equivariance")
-def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Order-swap involution laws and chart-change equivariance.
 
     Involutivity and projection-swap must hold exactly; pushing a jet
@@ -204,72 +194,61 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     """
     m = spec.params["base_dim"]
     n = spec.params["fiber_dim"]
-    worst = _Worst()
     for sample in range(spec.samples):
         h = sample_transition(rng, n)
         j = sample_second_jet(rng, m, n)
         if theta(theta(j)) != j:
-            return CheckOutcome(None, spec.samples, False, "involution broken")
+            row.failure = "involution broken"
+            return
         left = pi(theta(j))
         right = pi(j)
         if (left.first, left.second) != (right.second, right.first):
-            return CheckOutcome(
-                None, spec.samples, False, "projection does not swap the legs"
-            )
+            row.failure = "projection does not swap the legs"
+            return
         a = pushforward_second_jet(h, theta(j))
         b = theta(pushforward_second_jet(h, j))
-        for slot in ("x", "f", "fdot", "fcirc", "fcircdot"):
-            for u, v in zip(getattr(a, slot), getattr(b, slot)):
-                worst.add(abs(u - v), sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        gaps = [
+            abs(u - v)
+            for slot in ("x", "f", "fdot", "fcirc", "fcircdot")
+            for u, v in zip(getattr(a, slot), getattr(b, slot))
+        ]
+        # np.max keeps a NaN, which then fails the row
+        row.add(float(np.max(gaps)), sample)
 
 
 @_runner("parallel-morphism")
-def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Horizontal-to-horizontal pushforward residuals, with an expectation.
 
     Draw order per sample: one source point (x coordinates, then f
     coordinates).
     """
-    phi = spec.params["morphism"]
     field = spec.params["connection"]
-    field_hat = spec.params["connection_hat"]
-    expect = spec.params["expect"]
     m, n = field.patch.dims
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
-    report = is_parallel_morphism(phi, field, field_hat, points, tol)
-    worst = _Worst()
+    report = is_parallel_morphism(
+        spec.params["morphism"], field, spec.params["connection_hat"], points
+    )
     for sample, residual in enumerate(report.residuals):
-        worst.add(residual, sample)
-    detail = ""
-    if not report.parallel:
-        index = max(range(len(report.residuals)), key=report.residuals.__getitem__)
-        bad = report.samples[index]
-        detail = (
-            f"largest residual {report.max_residual:.3e} at "
-            f"x={bad.x}, f={bad.f}"
-        )
-    passed = report.parallel == (expect == "parallel")
-    if not passed and report.parallel:
-        detail = f"expected a violation but all {spec.samples} samples are parallel"
-    return worst.outcome(spec.samples, passed, detail)
+        row.add(residual, sample)
+    if row.index is not None:
+        bad = points[row.index]
+        row.note = f"largest residual {row.value:.3e} at x={bad.x}, f={bad.f}"
 
 
 @_runner("connection-axiom")
-def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Product-curve velocity law for the connection form (trials = samples).
 
     Draw order is fixed by :func:`curvcheck.principal.check_axiom`.
     """
-    report = check_axiom(spec.params["potential"], trials=spec.samples, tol=tol, rng=rng)
-    worst = _Worst()
+    report = check_axiom(spec.params["potential"], trials=spec.samples, rng=rng)
     for sample, residual in enumerate(report.residuals):
-        worst.add(residual, sample)
-    return worst.outcome(report.trials, worst.value <= tol)
+        row.add(residual, sample)
 
 
 @_runner("cartan-cross-check")
-def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Three-route curvature agreement at sampled base points.
 
     Draw order per sample: one base point (x coordinates), then whatever
@@ -277,23 +256,19 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     stream.
     """
     potential = spec.params["potential"]
-    worst = _Worst()
     for sample in range(spec.samples):
-        x = tuple(rng.symmetric(1.0) for _ in range(potential.base_dim))
         report = curvature_cross_check(
             potential,
-            x,
-            tol=tol,
+            sample_point(rng, potential.base_dim).x,
             group_samples=spec.params["group_samples"],
             section_samples=spec.params["section_samples"],
             rng=rng,
         )
-        worst.add(report.max_deviation, sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        row.add(report.max_deviation, sample)
 
 
 @_runner("bch-theta")
-def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Finite-difference surface jets against the algebraic order swap.
 
     Draw order per sample: group-log coefficients (k draws at scale 1/2),
@@ -301,92 +276,87 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
     """
     algebra = spec.params["algebra"]
     slot_scale = 0.5 / algebra.k
-    worst = _Worst()
     for sample in range(spec.samples):
         g = exp(sample_algebra_element(rng, algebra, 0.5))
         x = sample_algebra_element(rng, algebra, slot_scale)
         y = sample_algebra_element(rng, algebra, slot_scale)
         z = sample_algebra_element(rng, algebra, slot_scale)
-        report = theta_bch_verify(g, x, y, z, tol=tol)
-        worst.add(report.max_deviation, sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        row.add(theta_bch_verify(g, x, y, z).max_deviation, sample)
 
 
 @_runner("linearity")
-def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float) -> CheckOutcome:
+def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Fiber-linearity probe with an expectation (linear or nonlinear).
 
-    Draw order is fixed by :func:`curvcheck.linear.linearity_detect`.
+    The probe's violation, if any, is the row's one residual, and it lies
+    above ``tol``.  Draw order is fixed by
+    :func:`curvcheck.linear.linearity_detect`.
     """
     field = spec.params["connection"]
-    expect = spec.params["expect"]
     report = linearity_detect(
         field, samples=spec.samples, tol=tol, rng=rng, lambdas=spec.params["lambdas"]
     )
     violation = report.violation
-    worst = _Worst()
     if violation is not None:
-        worst.add(abs(violation.actual - violation.expected), where=f": {violation}")
-    passed = report.linear == (expect == "linear")
-    detail = "" if violation is None else str(violation)
-    if not passed and violation is None:
-        detail = f"no violation found in {spec.samples} samples"
-    return worst.outcome(spec.samples, passed, detail)
+        row.add(abs(violation.actual - violation.expected), where=f": {violation}")
+        row.note = str(violation)
 
 
 @_runner("linear-consistency")
 def _run_linear_consistency(
-    spec: CheckSpec, rng: SplitMix64, tol: float
-) -> CheckOutcome:
+    spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row
+) -> None:
     """Classical-formula contraction against the general coefficients.
 
     Draw order per sample: one point (x coordinates, then v coordinates).
     """
     linear = spec.params["linear_connection"]
     m, n = linear.patch.dims
-    worst = _Worst()
     for sample in range(spec.samples):
         p = sample_point(rng, m, n)
-        report = linear_curvature_consistency(linear, p.x, p.f, tol)
-        worst.add(report.max_deviation, sample)
-    return worst.outcome(spec.samples, worst.value <= tol)
+        row.add(linear_curvature_consistency(linear, p.x, p.f).max_deviation, sample)
+
+
+def _result(
+    spec: CheckSpec, tol: float, verdict: str, detail: str, residual: float | None = None
+) -> CheckResult:
+    return CheckResult(spec.name, spec.kind, spec.samples, residual, tol, verdict, detail)
 
 
 def _error_result(spec: CheckSpec, tol: float, exc: BaseException) -> CheckResult:
     """The ``error`` row of a check that raised ``exc`` instead of finishing."""
-    return CheckResult(
-        name=spec.name,
-        kind=spec.kind,
-        samples=spec.samples,
-        max_residual=None,
-        tolerance=tol,
-        verdict="error",
-        detail=f"{type(exc).__name__}: {exc}",
-    )
+    return _result(spec, tol, "error", f"{type(exc).__name__}: {exc}")
 
 
 def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> CheckResult:
-    """Run one check on its own RNG stream; exceptions become error rows.
+    """Run one check on its own RNG stream and judge its row; exceptions
+    become error rows.
+
+    The row rule: a row with a ``failure`` (a non-finite residual or a broken
+    exact law) fails with no residual.  Otherwise the largest finite residual
+    passes at or below the tolerance, and an ``expect`` of a violation flips
+    that verdict.  A row above tolerance carries its runner's note as detail.
 
     numpy's floating-point warnings are silenced: a non-finite value shows in
-    the row instead, as :class:`_Worst` fails any non-finite residual."""
+    the row instead, as :class:`_Row` fails any non-finite residual."""
     tol = spec.tolerance * tol_scale
     seed = spec.seed if spec.seed is not None else suite_seed
     rng = stream(seed, spec.name)
+    row = _Row()
     try:
         with np.errstate(all="ignore"):
-            outcome = _RUNNERS[spec.kind](spec, rng, tol)
+            _RUNNERS[spec.kind](spec, rng, tol, row)
     except Exception as exc:
         return _error_result(spec, tol, exc)
-    return CheckResult(
-        name=spec.name,
-        kind=spec.kind,
-        samples=outcome.samples,
-        max_residual=outcome.max_residual,
-        tolerance=tol,
-        verdict="pass" if outcome.passed else "fail",
-        detail=outcome.detail,
-    )
+    if row.failure:
+        return _result(spec, tol, "fail", row.failure)
+    above = row.value > tol
+    expects_violation = spec.params.get("expect") in ("not-parallel", "nonlinear")
+    detail = row.note if above else ""
+    if expects_violation and not above:
+        detail = f"no violation found in {spec.samples} samples"
+    verdict = "pass" if above == expects_violation else "fail"
+    return _result(spec, tol, verdict, detail, row.value)
 
 
 #: What a forked worker runs its checks with: the name-sorted specs, the

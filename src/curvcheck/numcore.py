@@ -1,14 +1,17 @@
 """Evaluation and forward-mode differentiation of expressions.
 
-Every function here runs the :class:`~curvcheck.exprdsl.Program` of its
-expression (see :func:`~curvcheck.exprdsl.compile_expr`) through one
-interpreter of two sweeps over the tape:
+Every function here but :func:`central_difference` (the stencil of the
+routes that check this interpreter against values alone) runs the
+:class:`~curvcheck.exprdsl.Program` of its expression (see
+:func:`~curvcheck.exprdsl.compile_expr`) through one interpreter of two
+sweeps over the tape:
 
 * the **primal sweep** computes every register in IEEE double precision and
-  holds all the domain checks: ``log`` of a non-positive value, ``sqrt`` of
-  a negative value, division by zero, ``0`` to a negative power and ``exp``
-  overflow raise :class:`~curvcheck.errors.DomainError`; so does ``sqrt`` at
-  exactly zero when derivatives are wanted, as it has no finite one there;
+  holds the domain checks: ``log`` of a non-positive value, ``sqrt`` of a
+  negative value, division by zero, ``0`` to a negative power, ``sin`` and
+  ``cos`` of an infinite value, and ``exp`` and ``^`` overflow raise
+  :class:`~curvcheck.errors.DomainError`; so does ``sqrt`` at exactly zero
+  when derivatives are wanted, as it has no finite one there;
 * the **tangent sweep** pushes derivatives forward along seeded coordinate
   directions (tape-based forward mode: Griewank & Walther, *Evaluating
   Derivatives*, 2nd ed., SIAM 2008).  A tangent has one slot per direction
@@ -16,7 +19,10 @@ interpreter of two sweeps over the tape:
   a two-direction jet for :func:`mixed_second`.  Every primitive takes its
   first and second derivatives from one table, ``_DERIVATIVES``.  A register
   that depends on no seeded direction carries no tangent, so constant
-  subexpressions cost nothing here.  No general Hessians are kept.
+  subexpressions cost nothing here.  No general Hessians are kept.  A
+  table entry of ``log``, ``sqrt`` or ``/`` that overflows is ``inf``, as
+  float division rounds; one of ``^`` raises ``DomainError``, as its value
+  does.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "gradient",
     "partial",
     "mixed_second",
+    "central_difference",
 ]
 
 #: A coordinate direction, e.g. ``("x", 1)`` or ``("f", 2)``; indices 1-based.
@@ -70,11 +77,11 @@ def _apply(op: str, u: float, v, smooth: bool) -> float:
     if op == "^":
         if v < 0 and u == 0.0:
             raise DomainError("zero raised to a negative power")
-        return u**v
-    if op == "sin":
-        return math.sin(u)
-    if op == "cos":
-        return math.cos(u)
+        return _power(u, v)
+    if op == "sin" or op == "cos":
+        if math.isinf(u):
+            raise DomainError(f"{op} of infinite value {u}")
+        return math.sin(u) if op == "sin" else math.cos(u)
     if op == "exp":
         try:
             return math.exp(u)
@@ -93,9 +100,16 @@ def _apply(op: str, u: float, v, smooth: bool) -> float:
     raise ValueError(f"unknown operator {op!r}")
 
 
+def _power(u: float, k: int) -> float:
+    try:
+        return u**k
+    except OverflowError as exc:
+        raise DomainError(f"^ overflow at {u} to the power {k}") from exc
+
+
 def _power_derivatives(u: float, y: float, k: int) -> tuple[float, float]:
-    first = 0.0 if k == 0 else k * u ** (k - 1)
-    second = 0.0 if k in (0, 1) else k * (k - 1) * u ** (k - 2)
+    first = 0.0 if k == 0 else k * _power(u, k - 1)
+    second = 0.0 if k in (0, 1) else k * (k - 1) * _power(u, k - 2)
     return first, second
 
 
@@ -103,18 +117,20 @@ def _power_derivatives(u: float, y: float, k: int) -> tuple[float, float]:
 #: ``(u, y, k)`` -- operand, value, exponent of ``^`` -- to ``(dy/du,
 #: d2y/du2)``.  A binary entry maps ``(u, v, y)`` to ``(dy/du, dy/dv,
 #: d2y/du dv, d2y/dv2)``; ``d2y/du2`` vanishes for every binary primitive.
+#: Denominators are divided out one factor at a time, as their product
+#: could underflow to 0.
 _DERIVATIVES = {
     "neg": lambda u, y, k: (-1.0, 0.0),
     "sin": lambda u, y, k: (math.cos(u), -y),
     "cos": lambda u, y, k: (-math.sin(u), -y),
     "exp": lambda u, y, k: (y, y),
-    "log": lambda u, y, k: (1.0 / u, -1.0 / (u * u)),
-    "sqrt": lambda u, y, k: (0.5 / y, -0.25 / (u * y)),
+    "log": lambda u, y, k: (1.0 / u, -1.0 / u / u),
+    "sqrt": lambda u, y, k: (0.5 / y, -0.25 / u / y),
     "^": _power_derivatives,
     "+": lambda u, v, y: (1.0, 1.0, 0.0, 0.0),
     "-": lambda u, v, y: (1.0, -1.0, 0.0, 0.0),
     "*": lambda u, v, y: (v, u, 1.0, 0.0),
-    "/": lambda u, v, y: (1.0 / v, -y / v, -1.0 / (v * v), 2.0 * y / (v * v)),
+    "/": lambda u, v, y: (1.0 / v, -y / v, -1.0 / v / v, 2.0 * y / v / v),
 }
 
 _BINARY = frozenset("+-*/")
@@ -263,3 +279,10 @@ def mixed_second(
         seeds.setdefault((kind, index - 1), [0.0, 0.0, 0.0])[slot] = 1.0
     _, t = _sweep(e, point, seeds, 3, jet=True)
     return 0.0 if t is None else t[2]
+
+
+def central_difference(plus, minus, plus2, minus2, step: float):
+    """Fourth-order central difference at 0 of a function of one variable,
+    from its values (floats or arrays) at ``step``, ``-step``, ``2 step`` and
+    ``-2 step``."""
+    return (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * step)

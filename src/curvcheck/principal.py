@@ -61,7 +61,7 @@ from .lie import (
     exp,
     expm,
 )
-from .numcore import EvalPoint, evaluate, partial
+from .numcore import EvalPoint, central_difference, evaluate, partial
 from .prolong import commutator_tensor
 from .rng import SplitMix64
 from .sampling import sample_algebra_element, sample_polynomial
@@ -203,19 +203,13 @@ class AxiomReport:
     residuals: tuple  # one per trial, in draw order
 
 
-#: Stencil of :func:`_richardson`, in multiples of :data:`_AXIOM_STEP`, as
-#: a column that scales a stack of matrices.
+#: The points of :func:`~curvcheck.numcore.central_difference`, in
+#: multiples of :data:`_AXIOM_STEP`, as a column that scales a stack of
+#: matrices.
 _STENCIL = np.array([1.0, -1.0, 2.0, -2.0])[:, None, None]
 
 #: Finite-difference step of the curve velocities in :func:`check_axiom`.
 _AXIOM_STEP = 1e-5
-
-
-def _richardson(points) -> np.ndarray:
-    """Fourth-order central difference at 0 of a matrix curve, given its
-    values at the :data:`_STENCIL` points."""
-    plus, minus, plus2, minus2 = points
-    return (8.0 * (plus - minus) - (plus2 - minus2)) / (12.0 * _AXIOM_STEP)
 
 
 def check_axiom(
@@ -258,11 +252,11 @@ def check_axiom(
         curve_product = curve_g @ curve_gamma
 
         product0 = GroupElement(g0.g @ gamma0.g)
-        v_product = alg.expand(
-            np.linalg.solve(product0.g, _richardson(curve_product)), 1e-6
+        # left-logarithmic velocities at t = 0, as algebra coefficients
+        v_product, v_g, v_gamma = (
+            alg.expand(np.linalg.solve(g.g, central_difference(*curve, _AXIOM_STEP)), 1e-6)
+            for g, curve in ((product0, curve_product), (g0, curve_g), (gamma0, curve_gamma))
         )
-        v_g = alg.expand(np.linalg.solve(g0.g, _richardson(curve_g)), 1e-6)
-        v_gamma = alg.expand(np.linalg.solve(gamma0.g, _richardson(curve_gamma)), 1e-6)
 
         lhs = _omega(
             p,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import IoError
 
@@ -23,11 +23,11 @@ class CheckResult:
 
     ``verdict`` is ``"pass"``, ``"fail"``, or ``"error"`` (the check raised
     instead of finishing; counts as a failure).  ``max_residual`` is None
-    for error rows.  For most kinds the verdict is ``max_residual <=
-    tolerance``; expectation-style checks (linearity, parallel-morphism)
-    document their own rule in the schema notes.
+    for error rows and for rows failed by a non-finite residual or a broken
+    exact law.  :func:`curvcheck.checks.run_check` states the verdict rule.
     """
 
+    # the fields in the key order of a report row, which to_json_dict keeps
     name: str
     kind: str
     samples: int
@@ -58,18 +58,7 @@ def to_json_dict(report: RunReport) -> dict:
         "config_digest": report.config_digest,
         "seed": report.seed,
         "duration_seconds": report.duration_seconds,
-        "checks": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "samples": c.samples,
-                "max_residual": c.max_residual,
-                "tolerance": c.tolerance,
-                "verdict": c.verdict,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
 
 

@@ -15,13 +15,13 @@ import pytest
 from curvcheck import bundle, checks
 from curvcheck.bundle import BundlePatch
 from curvcheck.cli import main
-from curvcheck.config import load_config
-from curvcheck.checks import CheckOutcome, run_check, run_suite
+from curvcheck.config import CHECK_KINDS, load_config
+from curvcheck.checks import run_check, run_suite
 from curvcheck.report import CheckResult, RunReport, emit, render_text, to_json_dict
 from curvcheck.errors import IoError
 from curvcheck.exprdsl import unparse
-from curvcheck.rng import SplitMix64
-from curvcheck.sampling import sample_christoffel
+from curvcheck.rng import SplitMix64, stream
+from curvcheck.sampling import sample_christoffel, sample_point
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -161,6 +161,75 @@ def test_non_finite_linearity_row_names_its_violation(tmp_path, expect):
     assert row.detail.startswith("non-finite residual nan: Gamma^1_1 at x=(")
     assert ", v=(" in row.detail
     assert ": scaling by " in row.detail
+
+
+@pytest.mark.parametrize(
+    "kind", ["curvature-coefficients", "nijenhuis-vs-coefficients", "commutator-identity"]
+)
+def test_a_symbol_whose_second_derivative_underflows_is_checked(tmp_path, kind):
+    # the second derivative of log once divided by u*u, which underflows to
+    # 0 here, and raised ZeroDivisionError even in first-order sweeps
+    config = _single_check_config(tmp_path, ["log((x1 + 2)*1e-200)*f1", "x1"], kind=kind)
+    result = run_check(config.checks[0], config.seed)
+    assert result.verdict == "pass", result.detail
+
+
+def _verify_declarations(tmp_path, check):
+    """The declarations of ``fixtures/verify.json`` with ``check`` as the
+    only check, named ``only``."""
+    doc = json.loads((FIXTURES / "verify.json").read_text(encoding="utf-8"))
+    doc["checks"] = [dict(check, name="only")]
+    return _config(tmp_path, doc)
+
+
+def _parallel_check(connection, expect):
+    return {
+        "kind": "parallel-morphism",
+        "morphism": "double",
+        "connection": connection,
+        "connection_hat": connection,
+        "expect": expect,
+    }
+
+
+@pytest.mark.parametrize(
+    "check, samples",
+    [
+        (_parallel_check("linleg", "not-parallel"), 10),
+        ({"kind": "linearity", "connection": "linleg", "expect": "nonlinear"}, 64),
+    ],
+    ids=["not-parallel", "nonlinear"],
+)
+def test_a_row_that_expects_a_violation_fails_without_one(tmp_path, check, samples):
+    (row,) = run_suite(_verify_declarations(tmp_path, check)).checks
+    assert row.verdict == "fail"
+    assert row.max_residual <= row.tolerance
+    assert row.detail == f"no violation found in {samples} samples"
+
+
+def test_a_parallel_row_above_tolerance_names_its_worst_sample(tmp_path):
+    config = _verify_declarations(tmp_path, _parallel_check("quadratic", "parallel"))
+    (row,) = run_suite(config).checks
+    assert row.verdict == "fail"
+    assert row.max_residual > row.tolerance
+    # replay the row's draws: the detail names the first sample of the
+    # largest residual
+    spec = config.checks[0]
+    rng = stream(config.seed, spec.name)
+    points = [sample_point(rng, 2, 1) for _ in range(spec.samples)]
+    field = spec.params["connection"]
+    residuals = bundle.is_parallel_morphism(
+        spec.params["morphism"], field, field, points
+    ).residuals
+    worst = points[residuals.index(row.max_residual)]
+    assert row.detail == (
+        f"largest residual {row.max_residual:.3e} at x={worst.x}, f={worst.f}"
+    )
+
+
+def test_every_check_kind_has_a_runner():
+    # a kind without a runner would only show as a KeyError row at run time
+    assert sorted(checks._RUNNERS) == sorted(CHECK_KINDS)
 
 
 def test_three_thousand_term_symbol_is_checked(tmp_path):
@@ -327,8 +396,10 @@ def _three_checks(tmp_path):
     return str(path)
 
 
-def _report_pid(spec, rng, tol):
-    return CheckOutcome(0.0, spec.samples, True, str(os.getpid()))
+def _report_pid(spec, rng, tol, row):
+    # the note is the detail of a row above tolerance
+    row.add(1.0, 0)
+    row.note = str(os.getpid())
 
 
 def test_jobs_run_checks_in_forked_workers(tmp_path, monkeypatch):
@@ -364,7 +435,7 @@ def test_a_worker_that_dies_becomes_error_rows(tmp_path, monkeypatch, capfd):
     # c is running or still queued then, so its row never comes back.
     done = tmp_path / "a-done"
 
-    def runner(spec, rng, tol):
+    def runner(spec, rng, tol, row):
         if spec.name == "a":
             done.write_text("", encoding="utf-8")
         elif spec.name == "b":
@@ -374,7 +445,6 @@ def test_a_worker_that_dies_becomes_error_rows(tmp_path, monkeypatch, capfd):
             os._exit(3)
         else:
             time.sleep(60)
-        return CheckOutcome(0.0, spec.samples, True)
 
     monkeypatch.setitem(checks._RUNNERS, "curvature-coefficients", runner)
     assert main(["check", _three_checks(tmp_path), "--format", "json", "--jobs", "2"]) == 1

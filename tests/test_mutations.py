@@ -16,7 +16,9 @@ sit inside the tensor routes: the bracket of two field jets in ``bundle``
 and the affine difference of two second jets in ``prolong``.  The lift's
 fiber part is planted in ``bundle._lifted``, which computes it for
 ``horizontal_lift`` and for the per-sample lifts of
-``is_parallel_morphism``.
+``is_parallel_morphism``.  Two replace the order swap ``prolong.theta``,
+which breaks the exact laws of ``theta-equivariance``: such a row fails with
+no residual and names the broken law.
 """
 
 import json
@@ -66,7 +68,7 @@ DEFECTS = [
 ]
 
 
-def _verdicts(tmp_path, skew_gamma, rows) -> dict[str, str]:
+def _rows(tmp_path, skew_gamma, rows) -> dict:
     """Run the named rows of the fixture, with the ``skew`` connection's
     symbols replaced when ``skew_gamma`` is given."""
     doc = json.loads(VERIFY.read_text(encoding="utf-8"))
@@ -76,7 +78,11 @@ def _verdicts(tmp_path, skew_gamma, rows) -> dict[str, str]:
     path = tmp_path / "verify-variant.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     report = run_suite(load_config(str(path)))
-    return {c.name: c.verdict for c in report.checks}
+    return {c.name: c for c in report.checks}
+
+
+def _verdicts(tmp_path, skew_gamma, rows) -> dict[str, str]:
+    return {name: c.verdict for name, c in _rows(tmp_path, skew_gamma, rows).items()}
 
 
 @pytest.mark.parametrize("op, rule, skew_gamma, rows", DEFECTS)
@@ -183,6 +189,14 @@ def _affine_diff_reversed(original):
     return lambda j1, j2: original(j2, j1)
 
 
+def _theta_as_identity(original):
+    return lambda j: j
+
+
+def _theta_doubling_the_mixed_slot(original):
+    return lambda j: replace(original(j), fcircdot=tuple(2.0 * v for v in j.fcircdot))
+
+
 def _pade_with_wrong_first_coefficient(original):
     # b_1 is b_0 / 2; scaled by 0.9, expm(A) is I + 0.9 A + O(A^2)
     return (original[0], 0.9 * original[1], *original[2:])
@@ -248,6 +262,14 @@ ROUTE_DEFECTS = [
             "in the two legs, so the swap law cannot see it",
         ),
     ),
+    pytest.param(prolong, "theta", _theta_as_identity, "theta-swap", id="theta-identity"),
+    pytest.param(
+        prolong,
+        "theta",
+        _theta_doubling_the_mixed_slot,
+        "theta-swap",
+        id="theta-mixed-slot-doubled",
+    ),
     pytest.param(
         bundle,
         "curvature_coefficients",
@@ -272,14 +294,33 @@ ROUTE_DEFECTS = [
 ]
 
 
-@pytest.mark.parametrize("module, name, mutate, row", ROUTE_DEFECTS)
-def test_planted_route_defect_fails_its_row(
-    monkeypatch, tmp_path, module, name, mutate, row
-):
-    assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
+def _plant(monkeypatch, module, name, mutate) -> None:
+    """Replace ``module.name`` by its mutant in every module that binds it."""
     original = getattr(module, name)
     mutant = mutate(original)
     for binder in (curvcheck, bundle, checks, lie, linear, principal, prolong):
         if getattr(binder, name, None) is original:
             monkeypatch.setattr(binder, name, mutant)
+
+
+@pytest.mark.parametrize("module, name, mutate, row", ROUTE_DEFECTS)
+def test_planted_route_defect_fails_its_row(
+    monkeypatch, tmp_path, module, name, mutate, row
+):
+    assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
+    _plant(monkeypatch, module, name, mutate)
     assert _verdicts(tmp_path, None, [row])[row] in ("fail", "error")
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (_theta_as_identity, "projection does not swap the legs"),
+        (_theta_doubling_the_mixed_slot, "involution broken"),
+    ],
+    ids=["theta-identity", "theta-mixed-slot-doubled"],
+)
+def test_a_broken_theta_law_fails_with_no_residual(monkeypatch, tmp_path, mutate, detail):
+    _plant(monkeypatch, prolong, "theta", mutate)
+    row = _rows(tmp_path, None, ["theta-swap"])["theta-swap"]
+    assert (row.verdict, row.max_residual, row.detail) == ("fail", None, detail)

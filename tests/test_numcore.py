@@ -85,6 +85,43 @@ def test_sqrt_evaluates_at_zero_but_has_no_derivative_there():
         mixed_second(_e("sqrt(x1)"), EvalPoint((0.0,)), ("x", 1), ("x", 1))
 
 
+def test_a_second_derivative_that_underflows_spares_first_order_sweeps():
+    # the second derivatives of log and sqrt divide by u*u and u*y, which
+    # underflow to 0 here; the value and the first derivative are finite
+    x = 0.3
+    point = EvalPoint((x,))
+    value, (slope,) = gradient(_e("log((x1 + 2)*1e-200)"), point)
+    assert math.isfinite(value)
+    assert math.isclose(slope, 1.0 / (x + 2.0), rel_tol=1e-12)
+    value, (slope,) = gradient(_e("sqrt((x1 + 2)*1e-300)*1e150"), point)
+    assert math.isfinite(value)
+    assert math.isclose(slope, 0.5 / math.sqrt(x + 2.0), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("(x1 + 3)^1000", r"\^ overflow at 3.5 to the power 1000"),
+        ("sin(x1*1e300*1e300)", "sin of infinite value inf"),
+        ("cos(x1*1e300*1e300)", "cos of infinite value inf"),
+    ],
+    ids=["power", "sin", "cos"],
+)
+def test_overflowing_powers_and_sines_of_infinity_are_domain_errors(source, message):
+    point = EvalPoint((0.5,))
+    with pytest.raises(DomainError, match=message):
+        evaluate(_e(source), point)
+    with pytest.raises(DomainError, match=message):
+        gradient(_e(source), point)
+
+
+def test_a_power_whose_derivative_overflows_is_a_domain_error():
+    point = EvalPoint((0.5,))
+    assert evaluate(_e("(x1*1e-200)^-1"), point) == pytest.approx(2e200)
+    with pytest.raises(DomainError, match=r"\^ overflow at 5e-201 to the power -2"):
+        gradient(_e("(x1*1e-200)^-1"), point)
+
+
 def test_shared_subtrees_evaluate_once_and_correctly():
     shared = Binary("*", Var("x", 1), Var("x", 1))
     tree = Binary("+", shared, shared)
