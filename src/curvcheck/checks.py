@@ -314,7 +314,7 @@ def _run_linear_consistency(
     m, n = linear.patch.dims
     for sample in range(spec.samples):
         p = sample_point(rng, m, n)
-        row.add(linear_curvature_consistency(linear, p.x, p.f).max_deviation, sample)
+        row.add(linear_curvature_consistency(linear, p.x, p.f), sample)
 
 
 def _result(

@@ -214,7 +214,11 @@ class _Parser:
         kind, text, pos = self._advance()
         if kind != "num" or not text.isdigit():
             raise ExprSyntaxError("expected a literal integer exponent", pos)
-        return sign * int(text)
+        try:
+            return sign * int(text)
+        except ValueError:  # past the interpreter's int-string digit limit
+            message = f"exponent of {len(text)} digits is too long"
+            raise ExprSyntaxError(message, pos) from None
 
     def _atom(self) -> Expression:
         kind, text, pos = self._advance()

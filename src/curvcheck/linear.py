@@ -11,7 +11,7 @@ classical curvature formula
                                          - Gamma^alpha_{nu beta} Gamma^beta_{mu omega})
 
 contracts against the fiber point to reproduce the general curvature
-coefficients, and :func:`linear_curvature_consistency` checks exactly that.
+coefficients, and :func:`linear_curvature_consistency` measures exactly that.
 
 :func:`linearity_detect` goes the other way: given an arbitrary connection,
 it probes fiber homogeneity ``Gamma(x, lambda v) = lambda Gamma(x, v)`` at
@@ -47,7 +47,6 @@ __all__ = [
     "LinearChristoffel",
     "LinearityViolation",
     "LinearityReport",
-    "ConsistencyReport",
     "expand_linear",
     "classical_curvature",
     "reduced_covariant",
@@ -274,18 +273,10 @@ def linearity_detect(
     return LinearityReport(candidate, None)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    max_deviation: float
-    tolerance: float
-    passed: bool
-
-
-def linear_curvature_consistency(
-    linear: LinearChristoffel, x, v, tol: float = 1e-9
-) -> ConsistencyReport:
-    """Compare the general curvature coefficients of the expanded field at
-    ``(x, v)`` with the ``v``-contraction of the classical formula."""
+def linear_curvature_consistency(linear: LinearChristoffel, x, v) -> float:
+    """Largest deviation of the general curvature coefficients of the
+    expanded field at ``(x, v)`` from the ``v``-contraction of the classical
+    formula."""
     m, n = linear.patch.dims
     vvec = np.array([float(c) for c in v])
     if vvec.shape != (n,):
@@ -293,8 +284,7 @@ def linear_curvature_consistency(
     general = curvature_coefficients(expand_linear(linear), EvalPoint.of(x, vvec))
     classical = classical_curvature(linear, x)
     contracted = np.einsum("amnw,w->amn", classical, vvec)
-    deviation = float(np.abs(general - contracted).max())
-    return ConsistencyReport(deviation, tol, deviation <= tol)
+    return float(np.abs(general - contracted).max())
 
 
 def scaling_morphism(patch: BundlePatch, factor: float) -> FiberBundleMorphism:

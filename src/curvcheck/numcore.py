@@ -21,8 +21,9 @@ sweeps over the tape:
   that depends on no seeded direction carries no tangent, so constant
   subexpressions cost nothing here.  No general Hessians are kept.  A
   table entry of ``log``, ``sqrt`` or ``/`` that overflows is ``inf``, as
-  float division rounds; one of ``^`` raises ``DomainError``, as its value
-  does.
+  float division rounds, and so is the second derivative of ``^`` (with
+  its sign), which first-order sweeps never use; the first derivative of
+  ``^`` raises ``DomainError`` when it overflows, as its value does.
 """
 
 from __future__ import annotations
@@ -109,8 +110,14 @@ def _power(u: float, k: int) -> float:
 
 def _power_derivatives(u: float, y: float, k: int) -> tuple[float, float]:
     first = 0.0 if k == 0 else k * _power(u, k - 1)
-    second = 0.0 if k in (0, 1) else k * (k - 1) * _power(u, k - 2)
-    return first, second
+    if k in (0, 1):
+        return first, 0.0
+    try:
+        second = u ** (k - 2)
+    except OverflowError:
+        # k (k - 1) > 0, so the entry has the sign of u^(k-2)
+        second = math.copysign(math.inf, u if k % 2 else 1.0)
+    return first, k * (k - 1) * second
 
 
 #: First and second derivatives of every primitive.  A unary entry maps

@@ -20,8 +20,11 @@ from curvcheck.checks import run_check, run_suite
 from curvcheck.report import CheckResult, RunReport, emit, render_text, to_json_dict
 from curvcheck.errors import IoError
 from curvcheck.exprdsl import unparse
+from curvcheck.lie import exp
+from curvcheck.linear import linear_curvature_consistency
+from curvcheck.principal import check_axiom, curvature_cross_check, theta_bch_verify
 from curvcheck.rng import SplitMix64, stream
-from curvcheck.sampling import sample_christoffel, sample_point
+from curvcheck.sampling import sample_algebra_element, sample_christoffel, sample_point
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -174,6 +177,17 @@ def test_a_symbol_whose_second_derivative_underflows_is_checked(tmp_path, kind):
     assert result.verdict == "pass", result.detail
 
 
+@pytest.mark.parametrize(
+    "kind", ["curvature-coefficients", "nijenhuis-vs-coefficients", "commutator-identity"]
+)
+def test_a_power_whose_second_derivative_overflows_is_checked(tmp_path, kind):
+    # the second derivative 2 u^-3 of u^-1 once raised DomainError on
+    # overflow even in first-order sweeps, and made these error rows
+    config = _single_check_config(tmp_path, ["(x1*1e-150)^-1*f1", "0"], kind=kind)
+    result = run_check(config.checks[0], config.seed)
+    assert result.verdict == "pass", result.detail
+
+
 def _verify_declarations(tmp_path, check):
     """The declarations of ``fixtures/verify.json`` with ``check`` as the
     only check, named ``only``."""
@@ -225,6 +239,78 @@ def test_a_parallel_row_above_tolerance_names_its_worst_sample(tmp_path):
     assert row.detail == (
         f"largest residual {row.max_residual:.3e} at x={worst.x}, f={worst.f}"
     )
+
+
+def _replay_axiom(spec, rng):
+    return check_axiom(spec.params["potential"], trials=spec.samples, rng=rng).residuals
+
+
+def _replay_cartan(spec, rng):
+    potential = spec.params["potential"]
+    return [
+        curvature_cross_check(
+            potential,
+            sample_point(rng, potential.base_dim).x,
+            group_samples=spec.params["group_samples"],
+            section_samples=spec.params["section_samples"],
+            rng=rng,
+        ).max_deviation
+        for _ in range(spec.samples)
+    ]
+
+
+def _replay_bch(spec, rng):
+    algebra = spec.params["algebra"]
+    deviations = []
+    for _ in range(spec.samples):
+        g = exp(sample_algebra_element(rng, algebra, 0.5))
+        x, y, z = (sample_algebra_element(rng, algebra, 0.5 / algebra.k) for _ in range(3))
+        deviations.append(theta_bch_verify(g, x, y, z).max_deviation)
+    return deviations
+
+
+def _replay_consistency(spec, rng):
+    linear = spec.params["linear_connection"]
+    m, n = linear.patch.dims
+    points = [sample_point(rng, m, n) for _ in range(spec.samples)]
+    return [linear_curvature_consistency(linear, p.x, p.f) for p in points]
+
+
+#: A linear connection whose two curvature routes differ by rounding; those
+#: of the fixture's ``lin1`` agree exactly, so a scaled deviation would not
+#: show there.
+_LIN2 = {
+    "patch": "p22",
+    "gamma3": [
+        [["x1*x2", "x2 - 1"], ["x1^2", "0.5"]],
+        [["sin(x2)", "x1"], ["0", "x1*x2^2"]],
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "check, replay",
+    [
+        ({"kind": "connection-axiom", "potential": "rot3const"}, _replay_axiom),
+        ({"kind": "cartan-cross-check", "potential": "abelian2"}, _replay_cartan),
+        ({"kind": "cartan-cross-check", "potential": "rot3const"}, _replay_cartan),
+        ({"kind": "bch-theta", "algebra": "rot3"}, _replay_bch),
+        ({"kind": "linear-consistency", "linear_connection": "lin2"}, _replay_consistency),
+    ],
+    ids=["axiom", "cartan-abelian", "cartan-so3", "bch", "consistency"],
+)
+def test_a_row_reports_the_largest_number_of_its_route(tmp_path, check, replay):
+    # the routes return numbers only; the row passes the largest through
+    # unchanged, and run_check alone compares it with the tolerance
+    doc = json.loads((FIXTURES / "verify.json").read_text(encoding="utf-8"))
+    doc["linear_connections"]["lin2"] = _LIN2
+    doc["checks"] = [dict(check, name="only")]
+    config = _config(tmp_path, doc)
+    (spec,) = config.checks
+    numbers = replay(spec, stream(config.seed, spec.name))
+    assert len(numbers) == spec.samples
+    assert 0.0 < max(numbers) <= spec.tolerance
+    assert run_check(spec, config.seed).max_residual == max(numbers)
 
 
 def test_every_check_kind_has_a_runner():

@@ -165,6 +165,32 @@ def test_check_exit_two_on_a_literal_that_overflows(tmp_path, capsys):
     assert "overflows to infinity" in err
 
 
+def _long_exponent() -> str:
+    # one digit past what int() reads from a string
+    return "9" * (sys.get_int_max_str_digits() + 1)
+
+
+def test_parse_expr_rejects_an_exponent_too_long_to_read(capsys):
+    for source, offset in ((f"x1^{_long_exponent()}", 3), (f"x1^-{_long_exponent()}", 4)):
+        assert main(["parse-expr", source]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == " " * offset + "^"
+        assert err[2].startswith("curvcheck: exponent of ")
+        assert err[2].endswith(f"digits is too long (at offset {offset})")
+
+
+def test_check_exit_two_on_an_exponent_too_long_to_read(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"g": {"patch": "p", "gamma": [[f"x1^{_long_exponent()}", "0"]]}},
+        "checks": [{"name": "long", "kind": "curvature-coefficients", "connection": "g"}],
+    }
+    assert main(["check", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvcheck: connections.g.gamma[0][0]: exponent of ")
+
+
 def test_check_exit_two_on_deeply_nested_json(tmp_path, capsys):
     # json.loads raises RecursionError on nesting this deep
     path = tmp_path / "deep.json"

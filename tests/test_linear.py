@@ -253,15 +253,12 @@ def test_detect_evaluates_each_reference_value_once(monkeypatch):
 
 
 def test_consistency_flat():
-    report = linear_curvature_consistency(FLAT22, (0.1, 0.2), (3.0, -4.0))
-    assert report.passed
-    assert report.max_deviation == 0.0
+    assert linear_curvature_consistency(FLAT22, (0.1, 0.2), (3.0, -4.0)) == 0.0
 
 
 def test_consistency_hand_example_both_routes_give_minus_three():
     x, v = (0.3, 1.7), (3.0,)
-    report = linear_curvature_consistency(XCOEFF, x, v)
-    assert report.passed
+    assert linear_curvature_consistency(XCOEFF, x, v) <= 1e-9
     general = curvature_coefficients(expand_linear(XCOEFF), EvalPoint.of(x, v))
     contracted = np.einsum("amnw,w->amn", classical_curvature(XCOEFF, x), v)
     assert abs(general[0, 0, 1] - (-3.0)) <= 1e-12
@@ -274,8 +271,8 @@ def test_consistency_random_fields():
         lin = _random_linear(rng, P22)
         x = (rng.symmetric(1.0), rng.symmetric(1.0))
         v = (rng.symmetric(2.0), rng.symmetric(2.0))
-        report = linear_curvature_consistency(lin, x, v)
-        assert report.passed, report.max_deviation
+        deviation = linear_curvature_consistency(lin, x, v)
+        assert deviation <= 1e-9, deviation
 
 
 def test_consistency_rejects_wrong_fiber_length():
@@ -300,7 +297,6 @@ def test_scaling_is_parallel_for_linear_connections():
         for lam in (-1.0, 0.5, 2.0):
             phi = scaling_morphism(P22, lam)
             report = is_parallel_morphism(phi, field, field, pts)
-            assert report.parallel
             assert report.max_residual <= 1e-9
 
 
@@ -308,8 +304,7 @@ def test_scaling_not_parallel_for_quadratic_field():
     field = ChristoffelField.from_strings(P11, [["f1^2"]])
     phi = scaling_morphism(P11, 2.0)
     report = is_parallel_morphism(phi, field, field, _sample_points(43, 1, 1, 8))
-    assert not report.parallel
-    assert report.max_residual > report.tolerance
+    assert report.max_residual > 1e-9
 
 
 def test_scaling_morphism_components():

@@ -141,7 +141,7 @@ def _coefficients_with_quadratic_sign_flipped(original):
 
 def _omega_without_conjugation(original):
     # A_x(xi) + v instead of Ad_{g^{-1}} A_x(xi) + v
-    return lambda p, t, drop_adjoint: original(p, t, True)
+    return lambda p, t: original(p, replace(t, g=p.algebra.identity_group()))
 
 
 def _lift_with_fiber_sign_flipped(original):
@@ -205,7 +205,7 @@ def _pade_with_wrong_first_coefficient(original):
 ROUTE_DEFECTS = [
     pytest.param(
         principal,
-        "_omega",
+        "omega_eval",
         _omega_without_conjugation,
         "axiom-rot3",
         id="omega-conjugation",

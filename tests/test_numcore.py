@@ -122,6 +122,23 @@ def test_a_power_whose_derivative_overflows_is_a_domain_error():
         gradient(_e("(x1*1e-200)^-1"), point)
 
 
+def test_a_power_whose_second_derivative_overflows_spares_first_order_sweeps():
+    # 2 u^-3 overflows here, although u^-1 and -u^-2 are finite
+    x = 0.77
+    point = EvalPoint((x,), (0.1,))
+    value, (slope, fiber_slope) = gradient(_e("(x1*1e-150)^-1"), point)
+    assert value == pytest.approx(1.0 / (x * 1e-150))
+    assert slope == pytest.approx(-1.0 / (x * x * 1e-150))
+    assert fiber_slope == 0.0
+    assert partial(_e("(x1*1e-150)^-1"), point, ("x", 1)) == slope
+    # a second-order sweep sees the overflow as inf with the sign of
+    # k (k - 1) u^(k-2): that of u for odd k, positive for even k
+    negative = EvalPoint((-x,), (0.1,))
+    assert mixed_second(_e("(x1*1e-150)^-1"), point, ("x", 1), ("x", 1)) == math.inf
+    assert mixed_second(_e("(x1*1e-150)^-1"), negative, ("x", 1), ("x", 1)) == -math.inf
+    assert mixed_second(_e("(x1*1e-90)^-2"), negative, ("x", 1), ("x", 1)) == math.inf
+
+
 def test_shared_subtrees_evaluate_once_and_correctly():
     shared = Binary("*", Var("x", 1), Var("x", 1))
     tree = Binary("+", shared, shared)
