@@ -13,7 +13,6 @@ from .bundle import (
     BundlePatch,
     ChristoffelField,
     FiberBundleMorphism,
-    ParallelMorphismReport,
     Section,
     TotalTangent,
     TotalVectorField,
@@ -113,7 +112,6 @@ __all__ = [
     "TotalVectorField",
     "VerticalVector",
     "FiberBundleMorphism",
-    "ParallelMorphismReport",
     "project",
     "embed",
     "horizontal_lift",

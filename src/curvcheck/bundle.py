@@ -42,7 +42,6 @@ __all__ = [
     "Section",
     "TotalVectorField",
     "FiberBundleMorphism",
-    "ParallelMorphismReport",
     "project",
     "embed",
     "horizontal_lift",
@@ -232,15 +231,6 @@ class FiberBundleMorphism:
 
     def value(self, p: EvalPoint) -> tuple[float, ...]:
         return tuple(evaluate(c, p) for c in self.comps)
-
-
-@dataclass(frozen=True)
-class ParallelMorphismReport:
-    """Outcome of :func:`is_parallel_morphism`: per-sample residuals of the
-    projected pushforwards of horizontal lifts."""
-
-    residuals: tuple[float, ...]
-    max_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +465,9 @@ def is_parallel_morphism(
     field: ChristoffelField,
     field_hat: ChristoffelField,
     samples,
-) -> ParallelMorphismReport:
+) -> tuple[float, ...]:
     """How far ``phi`` is from mapping ``field``-horizontal to
-    ``field_hat``-horizontal.
+    ``field_hat``-horizontal, one residual per sample.
 
     At each sample point the horizontal lifts of all coordinate directions are
     pushed forward and projected with ``field_hat``; the residual is the
@@ -501,4 +491,4 @@ def is_parallel_morphism(
             fiber_parts.extend(_projected(gamma_hat, pushed))
         # np.max keeps a NaN, which the row of the check then fails
         residuals.append(float(np.max(np.abs(fiber_parts))))
-    return ParallelMorphismReport(tuple(residuals), float(np.max(residuals, initial=0.0)))
+    return tuple(residuals)

@@ -1,15 +1,17 @@
 """Check runners: one function per config check kind.
 
 Every runner receives a validated :class:`~curvcheck.config.CheckSpec`, a
-dedicated RNG stream, the effective tolerance and the row's :class:`_Row`,
-draws its samples, calls its routes and adds one residual per sample to the
-row.  :func:`run_check` alone turns the row into a verdict, by the rule
+dedicated RNG stream, the effective tolerance and the row's :class:`_Row`.
+It draws all its samples through :mod:`curvcheck.sampling` first, then
+calls its routes, which draw nothing, and adds one residual per sample to
+the row.  :func:`run_check` alone turns the row into a verdict, by the rule
 stated there.  Exceptions raised inside a runner never abort the suite;
 :func:`run_check` converts them into an ``error`` verdict row.
 
-Reproducibility contract: each runner documents its draw order, and its
-stream is derived from ``(seed, check name)`` alone, so check results do
-not depend on execution order or on the ``--jobs`` setting.  The effective
+Reproducibility contract: each runner documents the draw order of one
+sample, and its stream is derived from ``(seed, check name)`` alone, so
+check results do not depend on execution order or on the ``--jobs``
+setting.  The effective
 seed is the check's own ``seed`` field when present, else the suite seed.
 """
 
@@ -38,6 +40,8 @@ from .report import CheckResult, RunReport
 from .rng import SplitMix64, stream
 from .sampling import (
     sample_algebra_element,
+    sample_axiom_trial,
+    sample_cross_check,
     sample_point,
     sample_second_jet,
     sample_section,
@@ -139,9 +143,8 @@ def _run_curvature_coefficients(
     Draw order per sample: one point (x coordinates, then f coordinates).
     """
     field = spec.params["connection"]
-    m, n = field.patch.dims
-    for sample in range(spec.samples):
-        p = sample_point(rng, m, n)
+    points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
+    for sample, p in enumerate(points):
         exact = curvature_coefficients(field, p)
         approx = _fd_curvature(field, p)
         row.add(float(np.abs(exact - approx).max()), sample)
@@ -156,9 +159,9 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> N
     """
     field = spec.params["connection"]
     m, n = field.patch.dims
+    points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
-    for sample in range(spec.samples):
-        p = sample_point(rng, m, n)
+    for sample, p in enumerate(points):
         coeffs = curvature_coefficients(field, p)
         tensor = nijenhuis_tensor(field, coords, p)
         row.add(float(np.abs(tensor - coeffs).max()), sample)
@@ -175,9 +178,11 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> 
     field = spec.params["connection"]
     named = spec.params["section"]
     m = field.patch.base_dim
-    for sample in range(spec.samples):
+    samples = []
+    for _ in range(spec.samples):
         s = named if named is not None else sample_section(rng, field.patch)
-        x = sample_point(rng, m).x
+        samples.append((s, sample_point(rng, m).x))
+    for sample, (s, x) in enumerate(samples):
         coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
         tensor = commutator_tensor(field, s, x)
         row.add(float(np.abs(tensor - coeffs).max()), sample)
@@ -194,9 +199,10 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """
     m = spec.params["base_dim"]
     n = spec.params["fiber_dim"]
-    for sample in range(spec.samples):
-        h = sample_transition(rng, n)
-        j = sample_second_jet(rng, m, n)
+    samples = [
+        (sample_transition(rng, n), sample_second_jet(rng, m, n)) for _ in range(spec.samples)
+    ]
+    for sample, (h, j) in enumerate(samples):
         if theta(theta(j)) != j:
             row.failure = "involution broken"
             return
@@ -224,12 +230,11 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> No
     coordinates).
     """
     field = spec.params["connection"]
-    m, n = field.patch.dims
-    points = [sample_point(rng, m, n) for _ in range(spec.samples)]
-    report = is_parallel_morphism(
+    points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
+    residuals = is_parallel_morphism(
         spec.params["morphism"], field, spec.params["connection_hat"], points
     )
-    for sample, residual in enumerate(report.residuals):
+    for sample, residual in enumerate(residuals):
         row.add(residual, sample)
     if row.index is not None:
         bad = points[row.index]
@@ -238,12 +243,19 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> No
 
 @_runner("connection-axiom")
 def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
-    """Product-curve velocity law for the connection form (trials = samples).
+    """Product-curve velocity law for the connection form, one trial per
+    sample.
 
-    Draw order is fixed by :func:`curvcheck.principal.check_axiom`.
+    Draw order per sample: base point and base velocity (m draws each), the
+    logs of the curves' starting points ``g0`` and ``gamma0``, then their
+    generators ``X`` and ``Y`` (k draws each), all at scale 1.
     """
-    report = check_axiom(spec.params["potential"], trials=spec.samples, rng=rng)
-    for sample, residual in enumerate(report.residuals):
+    potential = spec.params["potential"]
+    trials = [
+        sample_axiom_trial(rng, potential.algebra, potential.base_dim)
+        for _ in range(spec.samples)
+    ]
+    for sample, residual in enumerate(check_axiom(potential, trials)):
         row.add(residual, sample)
 
 
@@ -251,20 +263,19 @@ def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
 def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Three-route curvature agreement at sampled base points.
 
-    Draw order per sample: one base point (x coordinates), then whatever
-    :func:`curvcheck.principal.curvature_cross_check` draws from the same
-    stream.
+    Draw order per sample: one base point (x coordinates), the logs of
+    ``group_samples - 1`` chart centers (k draws each), then
+    ``section_samples`` sections of k base-only polynomials each.
     """
     potential = spec.params["potential"]
-    for sample in range(spec.samples):
-        report = curvature_cross_check(
-            potential,
-            sample_point(rng, potential.base_dim).x,
-            group_samples=spec.params["group_samples"],
-            section_samples=spec.params["section_samples"],
-            rng=rng,
-        )
-        row.add(report.max_deviation, sample)
+    m = potential.base_dim
+    counts = (spec.params["group_samples"] - 1, spec.params["section_samples"])
+    samples = [
+        (sample_point(rng, m).x, *sample_cross_check(rng, potential.algebra, m, *counts))
+        for _ in range(spec.samples)
+    ]
+    for sample, drawn in enumerate(samples):
+        row.add(curvature_cross_check(potential, *drawn).max_deviation, sample)
 
 
 @_runner("bch-theta")
@@ -275,13 +286,13 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     then the three slot elements (k draws each at scale 1/(2k)).
     """
     algebra = spec.params["algebra"]
-    slot_scale = 0.5 / algebra.k
-    for sample in range(spec.samples):
+    scale = 0.5 / algebra.k
+    jets = []
+    for _ in range(spec.samples):
         g = exp(sample_algebra_element(rng, algebra, 0.5))
-        x = sample_algebra_element(rng, algebra, slot_scale)
-        y = sample_algebra_element(rng, algebra, slot_scale)
-        z = sample_algebra_element(rng, algebra, slot_scale)
-        row.add(theta_bch_verify(g, x, y, z).max_deviation, sample)
+        jets.append((g, *(sample_algebra_element(rng, algebra, scale) for _ in range(3))))
+    for sample, jet in enumerate(jets):
+        row.add(theta_bch_verify(*jet).max_deviation, sample)
 
 
 @_runner("linearity")
@@ -289,14 +300,12 @@ def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> N
     """Fiber-linearity probe with an expectation (linear or nonlinear).
 
     The probe's violation, if any, is the row's one residual, and it lies
-    above ``tol``.  Draw order is fixed by
-    :func:`curvcheck.linear.linearity_detect`.
+    above ``tol``.  Draw order per sample: one point (x coordinates, then f
+    coordinates).
     """
     field = spec.params["connection"]
-    report = linearity_detect(
-        field, samples=spec.samples, tol=tol, rng=rng, lambdas=spec.params["lambdas"]
-    )
-    violation = report.violation
+    points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
+    violation = linearity_detect(field, points, tol, spec.params["lambdas"]).violation
     if violation is not None:
         row.add(abs(violation.actual - violation.expected), where=f": {violation}")
         row.note = str(violation)
@@ -311,9 +320,8 @@ def _run_linear_consistency(
     Draw order per sample: one point (x coordinates, then v coordinates).
     """
     linear = spec.params["linear_connection"]
-    m, n = linear.patch.dims
-    for sample in range(spec.samples):
-        p = sample_point(rng, m, n)
+    points = [sample_point(rng, *linear.patch.dims) for _ in range(spec.samples)]
+    for sample, p in enumerate(points):
         row.add(linear_curvature_consistency(linear, p.x, p.f), sample)
 
 

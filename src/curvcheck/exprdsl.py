@@ -14,7 +14,8 @@ Grammar (EBNF)::
 accepted alias for ``f<i>`` (handy when the fiber is a vector space).  ``^``
 binds tighter than unary minus, which binds tighter than ``*`` and ``/``,
 which bind tighter than ``+`` and ``-``.  Binary operators of equal precedence
-associate to the left.  Exponents are literal integers (negative allowed).
+associate to the left.  Exponents are literal integers (negative allowed) of
+at most :data:`MAX_EXPONENT_DIGITS` digits.
 There is no implicit multiplication: ``2x1`` is a syntax error.  Parentheses,
 function calls and unary minus nest at most :data:`MAX_NESTING` deep.
 
@@ -45,6 +46,7 @@ __all__ = [
     "Power",
     "FUNCTIONS",
     "MAX_NESTING",
+    "MAX_EXPONENT_DIGITS",
     "Program",
     "parse",
     "unparse",
@@ -58,6 +60,11 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 #: Deepest nesting of parentheses, function calls and unary minus the parser
 #: accepts; each level costs a few frames of the default recursion limit.
 MAX_NESTING = 100
+
+#: Most digits of an exponent the parser accepts.  Below 2^53, so ``k`` and
+#: ``k (k - 1)`` convert to finite floats and ``u^k`` underflows or
+#: overflows as a float would.
+MAX_EXPONENT_DIGITS = 15
 
 
 class Expression:
@@ -214,11 +221,9 @@ class _Parser:
         kind, text, pos = self._advance()
         if kind != "num" or not text.isdigit():
             raise ExprSyntaxError("expected a literal integer exponent", pos)
-        try:
-            return sign * int(text)
-        except ValueError:  # past the interpreter's int-string digit limit
-            message = f"exponent of {len(text)} digits is too long"
-            raise ExprSyntaxError(message, pos) from None
+        if len(text) > MAX_EXPONENT_DIGITS:
+            raise ExprSyntaxError(f"exponent of {len(text)} digits is too long", pos)
+        return sign * int(text)
 
     def _atom(self) -> Expression:
         kind, text, pos = self._advance()

@@ -67,18 +67,21 @@ class MatrixLieAlgebra:
         pinv = np.linalg.pinv(stack)
         scale = max(1.0, max(float(np.abs(b).max()) for b in mats))
         structure = np.zeros((k, k, k))
-        for a in range(k):
-            for b in range(a + 1, k):
-                comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-                coeffs, residual = _fit(pinv, stack, comm)
-                if residual > _CLOSURE_TOL * scale * scale:
-                    raise ClosureViolation(
-                        f"[E{a + 1}, E{b + 1}] leaves the span of the basis "
-                        f"(residual {residual:.3e})"
-                    )
-                structure[a, b] = coeffs
-                structure[b, a] = -coeffs
-        _check_jacobi(structure)
+        # a commutator that overflows gives a NaN residual: the "not <="
+        # tests below fail it, and numpy's warnings about it are silenced
+        with np.errstate(all="ignore"):
+            for a in range(k):
+                for b in range(a + 1, k):
+                    comm = mats[a] @ mats[b] - mats[b] @ mats[a]
+                    coeffs, residual = _fit(pinv, stack, comm)
+                    if not residual <= _CLOSURE_TOL * scale * scale:
+                        raise ClosureViolation(
+                            f"[E{a + 1}, E{b + 1}] leaves the span of the basis "
+                            f"(residual {residual:.3e})"
+                        )
+                    structure[a, b] = coeffs
+                    structure[b, a] = -coeffs
+            _check_jacobi(structure)
         structure.setflags(write=False)
         return MatrixLieAlgebra(d, k, mats, structure, name, stack, pinv)
 
@@ -122,7 +125,7 @@ def _check_jacobi(c: np.ndarray) -> None:
         + np.einsum("gae,ebh->abgh", c, c)
     )
     worst = float(np.abs(cyc).max())
-    if worst > _JACOBI_TOL:
+    if not worst <= _JACOBI_TOL:
         raise ClosureViolation(
             f"structure constants violate the Jacobi identity "
             f"(residual {worst:.3e})"

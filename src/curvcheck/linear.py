@@ -39,8 +39,6 @@ from .bundle import (
 )
 from .exprdsl import Var, check_indices, parse
 from .numcore import EvalPoint, evaluate, gradient, partial
-from .rng import SplitMix64
-from .sampling import sample_point
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -188,23 +186,17 @@ class LinearityReport:
 
 
 def linearity_detect(
-    field: ChristoffelField,
-    samples: int = 64,
-    tol: float = 1e-9,
-    rng: SplitMix64 | None = None,
-    lambdas: tuple = DEFAULT_LAMBDAS,
+    field: ChristoffelField, points, tol: float, lambdas: tuple = DEFAULT_LAMBDAS
 ) -> LinearityReport:
-    """Probe fiber linearity of a connection at sampled points.
+    """Probe fiber linearity of a connection at the sample points
+    ``points``, with relative tolerance ``tol``.
 
     This is a falsifier, not a proof: it certifies homogeneity only at the
-    sampled points, then checks the extracted symbols reproduce the field
-    at those same points.  A detected field is returned; any failure returns
-    the first violating sample instead.  Draws come from ``rng``
-    (``SplitMix64(0)`` when it is None).
+    given points, then checks the extracted symbols reproduce the field at
+    those same points.  A detected field is returned; any failure returns
+    the first violating point instead.
     """
-    generator = rng if rng is not None else SplitMix64(0)
     m, n = field.patch.dims
-    points = [sample_point(generator, m, n) for _ in range(samples)]
     references = {}
 
     def reference(i: int, alpha: int, mu: int) -> float:

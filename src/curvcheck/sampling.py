@@ -1,10 +1,13 @@
 """Deterministic random fixtures for checks and tests.
 
-Everything here draws from a :class:`~curvcheck.rng.SplitMix64` stream in a
-fixed order, so a seed pins the whole fixture family bit-for-bit.  The draw
-order is part of the reproducibility contract: change it and golden reports
-shift.  Polynomials are kept sparse (few monomials, low degree) so curvature
-checks stay fast while still exercising nonlinear fiber dependence.
+This is the only module that draws: the check runners draw their samples
+here before they call a route, and the routes compute from the samples
+they are given.  Everything draws from a :class:`~curvcheck.rng.SplitMix64`
+stream in a fixed order, so a seed pins the whole fixture family
+bit-for-bit.  The draw order is part of the reproducibility contract:
+change it and golden reports shift.  Polynomials are kept sparse (few
+monomials, low degree) so curvature checks stay fast while still
+exercising nonlinear fiber dependence.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section
 from .exprdsl import Expression, Var
-from .lie import AlgebraElement, MatrixLieAlgebra
+from .lie import AlgebraElement, GroupElement, MatrixLieAlgebra, exp
 from .numcore import EvalPoint
 from .prolong import SecondJet
 from .rng import SplitMix64
@@ -25,6 +28,8 @@ __all__ = [
     "sample_transition",
     "sample_second_jet",
     "sample_algebra_element",
+    "sample_axiom_trial",
+    "sample_cross_check",
 ]
 
 
@@ -108,3 +113,31 @@ def sample_algebra_element(
     return AlgebraElement(
         algebra, [rng.symmetric(scale) for _ in range(algebra.k)]
     )
+
+
+def sample_axiom_trial(
+    rng: SplitMix64, algebra: MatrixLieAlgebra, m: int
+) -> tuple[tuple, tuple, GroupElement, GroupElement, AlgebraElement, AlgebraElement]:
+    """One trial of :func:`~curvcheck.principal.check_axiom`: base point
+    ``x0`` and base velocity ``xi`` (m draws each), ``g0`` and ``gamma0``
+    (``exp`` of an element each), then the curve generators ``X`` and
+    ``Y``, every draw at scale 1."""
+    x0, xi = (sample_point(rng, m).x for _ in range(2))
+    g0, gamma0 = (exp(sample_algebra_element(rng, algebra)) for _ in range(2))
+    return (x0, xi, g0, gamma0, *(sample_algebra_element(rng, algebra) for _ in range(2)))
+
+
+def sample_cross_check(
+    rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, centers: int, sections: int
+) -> tuple[list[GroupElement], list[tuple[Expression, ...]]]:
+    """The chart centers and sections of
+    :func:`~curvcheck.principal.curvature_cross_check` at one base point:
+    ``centers`` group elements (``exp`` of an element each), then
+    ``sections`` tuples of ``algebra.k`` base-only polynomials in ``m``
+    variables (``max_terms = 3``, ``max_degree = 2``, ``scale = 0.05``)."""
+    chart_centers = [exp(sample_algebra_element(rng, algebra)) for _ in range(centers)]
+    comps = [
+        tuple(sample_polynomial(rng, m, 0, 3, 2, 0.05) for _ in range(algebra.k))
+        for _ in range(sections)
+    ]
+    return chart_centers, comps

@@ -57,7 +57,9 @@ from curvcheck.prolong import (
 )
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import (
+    sample_axiom_trial,
     sample_christoffel,
+    sample_cross_check,
     sample_point,
     sample_polynomial,
     sample_second_jet,
@@ -205,7 +207,8 @@ def test_criterion_05_cartan_cross_check():
         start = time.perf_counter()
         for potential in (ABELIAN_POTENTIAL, SO3_POTENTIAL):
             for x in ((0.3, -0.6), (0.0, 0.5)):
-                report = curvature_cross_check(potential, x)
+                drawn = sample_cross_check(SplitMix64(0), potential.algebra, 2, 2, 2)
+                report = curvature_cross_check(potential, x, *drawn)
                 assert report.max_deviation <= 1e-6
                 assert set(report.pairwise) == {
                     "structure-vs-chart",
@@ -247,9 +250,12 @@ def test_criterion_06_bch_twist():
 
 def test_criterion_07_connection_axiom(monkeypatch):
     def body():
+        def trials(potential, count):
+            rng = SplitMix64(0)
+            return [sample_axiom_trial(rng, potential.algebra, 2) for _ in range(count)]
+
         for potential in (ABELIAN_POTENTIAL, SO3_POTENTIAL):
-            report = check_axiom(potential, trials=100)
-            assert report.max_residual <= 1e-8
+            assert max(check_axiom(potential, trials(potential, 100))) <= 1e-8
         # negative control: the form without its conjugation, A_x(xi) + v
         original = principal.omega_eval
         monkeypatch.setattr(
@@ -257,8 +263,7 @@ def test_criterion_07_connection_axiom(monkeypatch):
             "omega_eval",
             lambda p, t: original(p, replace(t, g=p.algebra.identity_group())),
         )
-        control = check_axiom(SO3_POTENTIAL, trials=50)
-        assert control.max_residual > 1e-8
+        assert max(check_axiom(SO3_POTENTIAL, trials(SO3_POTENTIAL, 50))) > 1e-8
 
     _run(7, "product-curve axiom holds; dropping the conjugation fails", body)
 
@@ -290,24 +295,26 @@ def test_criterion_08_linear_layer():
             assert deviation <= 1e-9, deviation
             field = expand_linear(lin)
             for lam in (-1.0, 0.5, 2.0):
-                morphism_report = is_parallel_morphism(
+                residuals = is_parallel_morphism(
                     scaling_morphism(lin.patch, lam), field, field, pts
                 )
-                assert morphism_report.max_residual <= 1e-9
+                assert max(residuals) <= 1e-9
         quadratic = ChristoffelField.from_strings(BundlePatch(1, 1), [["f1^2"]])
-        detection = linearity_detect(quadratic)
+        rng = SplitMix64(0)
+        points = [sample_point(rng, 1, 1) for _ in range(64)]
+        detection = linearity_detect(quadratic, points, 1e-9)
         assert not detection.linear
         violation = detection.violation
         assert violation is not None
         assert violation.stage == "homogeneity"
         assert len(violation.x) == 1 and len(violation.v) == 1
-        scaling_report = is_parallel_morphism(
+        residuals = is_parallel_morphism(
             scaling_morphism(quadratic.patch, 2.0),
             quadratic,
             quadratic,
             [sample_point(SplitMix64(811), 1, 1) for _ in range(6)],
         )
-        assert scaling_report.max_residual > 1e-9
+        assert max(residuals) > 1e-9
 
     _run(8, "classical curvature contraction and both linearity directions", body)
 

@@ -1,6 +1,7 @@
 """Tests for the check runners and report assembly: verdict mapping,
 error capture, tolerance scaling, per-check streams, and rendering."""
 
+import inspect
 import json
 import multiprocessing
 import os
@@ -10,10 +11,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvcheck import bundle, checks
-from curvcheck.bundle import BundlePatch
+from curvcheck.bundle import BundlePatch, TotalVectorField, curvature_coefficients
 from curvcheck.cli import main
 from curvcheck.config import CHECK_KINDS, load_config
 from curvcheck.checks import run_check, run_suite
@@ -21,10 +23,21 @@ from curvcheck.report import CheckResult, RunReport, emit, render_text, to_json_
 from curvcheck.errors import IoError
 from curvcheck.exprdsl import unparse
 from curvcheck.lie import exp
-from curvcheck.linear import linear_curvature_consistency
+from curvcheck.linear import linear_curvature_consistency, linearity_detect
+from curvcheck.numcore import EvalPoint
 from curvcheck.principal import check_axiom, curvature_cross_check, theta_bch_verify
+from curvcheck.prolong import commutator_tensor, pushforward_second_jet, theta
 from curvcheck.rng import SplitMix64, stream
-from curvcheck.sampling import sample_algebra_element, sample_christoffel, sample_point
+from curvcheck.sampling import (
+    sample_algebra_element,
+    sample_axiom_trial,
+    sample_christoffel,
+    sample_cross_check,
+    sample_point,
+    sample_second_jet,
+    sample_section,
+    sample_transition,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -232,31 +245,91 @@ def test_a_parallel_row_above_tolerance_names_its_worst_sample(tmp_path):
     rng = stream(config.seed, spec.name)
     points = [sample_point(rng, 2, 1) for _ in range(spec.samples)]
     field = spec.params["connection"]
-    residuals = bundle.is_parallel_morphism(
-        spec.params["morphism"], field, field, points
-    ).residuals
+    residuals = bundle.is_parallel_morphism(spec.params["morphism"], field, field, points)
     worst = points[residuals.index(row.max_residual)]
     assert row.detail == (
         f"largest residual {row.max_residual:.3e} at x={worst.x}, f={worst.f}"
     )
 
 
+# Replays of each kind's documented draw order: the samples are drawn from
+# the check's stream through public sampling functions, in the order
+# docs/config-schema.md gives, and the route's numbers recomputed from them.
+
+
+def _replay_coefficients(spec, rng):
+    field = spec.params["connection"]
+    points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
+    exact = [curvature_coefficients(field, p) for p in points]
+    approx = [checks._fd_curvature(field, p) for p in points]
+    return [float(np.abs(e - a).max()) for e, a in zip(exact, approx)]
+
+
+def _replay_nijenhuis(spec, rng):
+    field = spec.params["connection"]
+    m, n = field.patch.dims
+    points = [sample_point(rng, m, n) for _ in range(spec.samples)]
+    coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
+    return [
+        float(
+            np.abs(
+                checks.nijenhuis_tensor(field, coords, p) - curvature_coefficients(field, p)
+            ).max()
+        )
+        for p in points
+    ]
+
+
+def _replay_commutator(spec, rng):
+    field = spec.params["connection"]
+    named = spec.params["section"]
+    deviations = []
+    for _ in range(spec.samples):
+        s = named if named is not None else sample_section(rng, field.patch)
+        x = sample_point(rng, field.patch.base_dim).x
+        coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
+        deviations.append(float(np.abs(commutator_tensor(field, s, x) - coeffs).max()))
+    return deviations
+
+
+def _replay_theta(spec, rng):
+    m, n = spec.params["base_dim"], spec.params["fiber_dim"]
+    gaps = []
+    for _ in range(spec.samples):
+        h = sample_transition(rng, n)
+        j = sample_second_jet(rng, m, n)
+        a = pushforward_second_jet(h, theta(j))
+        b = theta(pushforward_second_jet(h, j))
+        gaps.append(
+            max(
+                abs(u - v)
+                for slot in ("x", "f", "fdot", "fcirc", "fcircdot")
+                for u, v in zip(getattr(a, slot), getattr(b, slot))
+            )
+        )
+    return gaps
+
+
 def _replay_axiom(spec, rng):
-    return check_axiom(spec.params["potential"], trials=spec.samples, rng=rng).residuals
+    potential = spec.params["potential"]
+    trials = [
+        sample_axiom_trial(rng, potential.algebra, potential.base_dim)
+        for _ in range(spec.samples)
+    ]
+    return check_axiom(potential, trials)
 
 
 def _replay_cartan(spec, rng):
     potential = spec.params["potential"]
-    return [
-        curvature_cross_check(
-            potential,
-            sample_point(rng, potential.base_dim).x,
-            group_samples=spec.params["group_samples"],
-            section_samples=spec.params["section_samples"],
-            rng=rng,
-        ).max_deviation
-        for _ in range(spec.samples)
-    ]
+    m = potential.base_dim
+    counts = (spec.params["group_samples"] - 1, spec.params["section_samples"])
+    deviations = []
+    for _ in range(spec.samples):
+        x = sample_point(rng, m).x
+        centers, sections = sample_cross_check(rng, potential.algebra, m, *counts)
+        report = curvature_cross_check(potential, x, centers, sections)
+        deviations.append(report.max_deviation)
+    return deviations
 
 
 def _replay_bch(spec, rng):
@@ -267,6 +340,16 @@ def _replay_bch(spec, rng):
         x, y, z = (sample_algebra_element(rng, algebra, 0.5 / algebra.k) for _ in range(3))
         deviations.append(theta_bch_verify(g, x, y, z).max_deviation)
     return deviations
+
+
+def _replay_linearity(spec, rng):
+    # the probe's first violation is the row's one number
+    field = spec.params["connection"]
+    points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
+    violation = linearity_detect(
+        field, points, spec.tolerance, spec.params["lambdas"]
+    ).violation
+    return [abs(violation.actual - violation.expected)]
 
 
 def _replay_consistency(spec, rng):
@@ -288,29 +371,143 @@ _LIN2 = {
 }
 
 
-@pytest.mark.parametrize(
-    "check, replay",
-    [
-        ({"kind": "connection-axiom", "potential": "rot3const"}, _replay_axiom),
-        ({"kind": "cartan-cross-check", "potential": "abelian2"}, _replay_cartan),
-        ({"kind": "cartan-cross-check", "potential": "rot3const"}, _replay_cartan),
-        ({"kind": "bch-theta", "algebra": "rot3"}, _replay_bch),
-        ({"kind": "linear-consistency", "linear_connection": "lin2"}, _replay_consistency),
-    ],
-    ids=["axiom", "cartan-abelian", "cartan-so3", "bch", "consistency"],
-)
-def test_a_row_reports_the_largest_number_of_its_route(tmp_path, check, replay):
-    # the routes return numbers only; the row passes the largest through
-    # unchanged, and run_check alone compares it with the tolerance
+#: A section of the fixture's two-fiber patch, for a commutator row that
+#: draws no section.
+_S2 = {"patch": "p22", "comps": ["x1*x2 - 0.5", "x2^2 + 0.25*x1"]}
+
+
+def _replay_row(tmp_path, check, replay):
+    """Run ``check`` on the declarations of ``fixtures/verify.json``, and
+    assert its row passes with the largest number ``replay`` recomputes
+    from the check's stream."""
     doc = json.loads((FIXTURES / "verify.json").read_text(encoding="utf-8"))
     doc["linear_connections"]["lin2"] = _LIN2
+    doc["sections"] = {"s2": _S2}
     doc["checks"] = [dict(check, name="only")]
     config = _config(tmp_path, doc)
     (spec,) = config.checks
     numbers = replay(spec, stream(config.seed, spec.name))
-    assert len(numbers) == spec.samples
-    assert 0.0 < max(numbers) <= spec.tolerance
-    assert run_check(spec, config.seed).max_residual == max(numbers)
+    assert len(numbers) == (1 if spec.kind == "linearity" else spec.samples)
+    assert max(numbers) > 0.0
+    result = run_check(spec, config.seed)
+    assert result.verdict == "pass", result.detail
+    assert result.max_residual == max(numbers)
+
+
+@pytest.mark.parametrize(
+    "check, replay",
+    [
+        ({"kind": "curvature-coefficients", "connection": "poly"}, _replay_coefficients),
+        (
+            {"kind": "commutator-identity", "connection": "poly", "section": "s2"},
+            _replay_commutator,
+        ),
+        ({"kind": "commutator-identity", "connection": "poly"}, _replay_commutator),
+        ({"kind": "theta-equivariance"}, _replay_theta),
+        ({"kind": "connection-axiom", "potential": "rot3const"}, _replay_axiom),
+        ({"kind": "cartan-cross-check", "potential": "abelian2"}, _replay_cartan),
+        ({"kind": "cartan-cross-check", "potential": "rot3const"}, _replay_cartan),
+        ({"kind": "bch-theta", "algebra": "rot3"}, _replay_bch),
+        (
+            {"kind": "linearity", "connection": "quadratic", "expect": "nonlinear"},
+            _replay_linearity,
+        ),
+        ({"kind": "linear-consistency", "linear_connection": "lin2"}, _replay_consistency),
+    ],
+    ids=[
+        "coefficients",
+        "commutator-named",
+        "commutator-sampled",
+        "theta",
+        "axiom",
+        "cartan-abelian",
+        "cartan-so3",
+        "bch",
+        "nonlinear",
+        "consistency",
+    ],
+)
+def test_a_row_reports_the_largest_number_of_its_route(tmp_path, check, replay):
+    # the routes return numbers only; the row passes the largest through
+    # unchanged, and run_check alone compares it with the tolerance
+    _replay_row(tmp_path, check, replay)
+
+
+def test_a_nijenhuis_row_reports_the_largest_number_of_its_route(tmp_path, monkeypatch):
+    # the two routes of this kind agree exactly, so a planted relative
+    # defect of 1e-12 * x1 makes the row's number depend on its samples
+    original = checks.nijenhuis_tensor
+    monkeypatch.setattr(
+        checks,
+        "nijenhuis_tensor",
+        lambda field, coords, p: (1.0 + 1e-12 * p.x[0]) * original(field, coords, p),
+    )
+    check = {"kind": "nijenhuis-vs-coefficients", "connection": "poly"}
+    _replay_row(tmp_path, check, _replay_nijenhuis)
+
+
+class _LockingStream(SplitMix64):
+    """A check's stream that refuses to draw once the check has entered a
+    route."""
+
+    def __init__(self, inner: SplitMix64):
+        super().__init__(0)
+        self.inner = inner
+        self.draws = 0
+        self.locked = False
+
+    def next_raw(self) -> int:
+        if self.locked:
+            raise AssertionError(f"draw {self.draws + 1} came after a route call")
+        self.draws += 1
+        return self.inner.next_raw()
+
+
+#: The modules whose functions the runners call as routes.
+_ROUTE_MODULES = {
+    f"curvcheck.{m}" for m in ("bundle", "prolong", "principal", "linear", "numcore")
+}
+
+
+def test_every_runner_draws_all_its_samples_before_its_first_route_call(
+    tmp_path, monkeypatch
+):
+    streams = []
+
+    def locking_stream(seed, name):
+        streams.append(_LockingStream(stream(seed, name)))
+        return streams[-1]
+
+    def locking(route):
+        def entered(*args, **kwargs):
+            streams[-1].locked = True
+            return route(*args, **kwargs)
+
+        return entered
+
+    monkeypatch.setattr(checks, "stream", locking_stream)
+    for name, value in list(vars(checks).items()):
+        if inspect.isfunction(value) and value.__module__ in _ROUTE_MODULES:
+            monkeypatch.setattr(checks, name, locking(value))
+    doc = json.loads((FIXTURES / "verify.json").read_text(encoding="utf-8"))
+    doc["sections"] = {"s2": _S2}
+    doc["checks"].append(
+        {
+            "name": "commutator-named",
+            "kind": "commutator-identity",
+            "connection": "poly",
+            "section": "s2",
+        }
+    )
+    config = _config(tmp_path, doc)
+    assert {spec.kind for spec in config.checks} == set(CHECK_KINDS)
+    report = run_suite(config)
+    for row, rng in zip(report.checks, streams):
+        assert row.verdict != "error", (row.name, row.detail)
+        assert rng.locked, row.name
+    assert len(streams) == len(report.checks)
+    # every row draws, the named-section commutator row its base points only
+    assert all(rng.draws > 0 for rng in streams)
 
 
 def test_every_check_kind_has_a_runner():

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,45 @@ def test_check_exit_two_on_an_exponent_too_long_to_read(tmp_path, capsys):
     assert main(["check", _write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("curvcheck: connections.g.gamma[0][0]: exponent of ")
+
+
+def test_check_exit_two_on_a_four_hundred_digit_exponent(tmp_path, capsys):
+    # int() reads it, but as a float it once overflowed in ^ and made every
+    # row an error whose detail carried all 400 digits
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"g": {"patch": "p", "gamma": [[f"x1^{'9' * 400}*f1", "0"]]}},
+        "checks": [{"name": "long", "kind": "curvature-coefficients", "connection": "g"}],
+    }
+    assert main(["check", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "curvcheck: connections.g.gamma[0][0]: exponent of 400 digits is too long"
+    )
+
+
+def test_check_exit_two_on_a_basis_whose_brackets_overflow(tmp_path, capsys):
+    # the commutators of entries of 1e200 overflow, and the NaN closure
+    # residual once passed "residual > tol": the algebra loaded, numpy
+    # warned, and every row of the check was a SingularMatrix error
+    big = [
+        [[0, 0, 0], [0, 0, -1e200], [0, 1e200, 0]],
+        [[0, 0, 1e200], [0, 0, 0], [-1e200, 0, 0]],
+        [[0, -1e200, 0], [1e200, 0, 0], [0, 0, 0]],
+    ]
+    doc = {
+        "version": 1,
+        "algebras": {"big": {"basis": big}},
+        "checks": [{"name": "bch", "kind": "bch-theta", "algebra": "big"}],
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", _write_config(tmp_path, doc)]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.startswith("curvcheck: algebras.big.basis: ")
+    assert "RuntimeWarning" not in err
 
 
 def test_check_exit_two_on_deeply_nested_json(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from curvcheck import _symbolic, numcore
 from curvcheck.errors import DomainError
-from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
+from curvcheck.exprdsl import MAX_EXPONENT_DIGITS, Binary, Const, Power, Unary, Var, parse
 from curvcheck.numcore import (
     EvalPoint,
     evaluate,
@@ -120,6 +120,19 @@ def test_a_power_whose_derivative_overflows_is_a_domain_error():
     assert evaluate(_e("(x1*1e-200)^-1"), point) == pytest.approx(2e200)
     with pytest.raises(DomainError, match=r"\^ overflow at 5e-201 to the power -2"):
         gradient(_e("(x1*1e-200)^-1"), point)
+
+
+def test_the_longest_exponent_underflows_to_zero_or_overflows_cleanly():
+    # 15 digits, the most the parser reads: k and k (k - 1) stay finite
+    # floats, so |u| < 1 gives zeros, not an overflow of converting k
+    e = _e(f"x1^{'9' * MAX_EXPONENT_DIGITS}")
+    for x in (0.9, -0.9):
+        point = EvalPoint((x,))
+        assert evaluate(e, point) == 0.0
+        assert gradient(e, point) == (0.0, (0.0,))
+        assert mixed_second(e, point, ("x", 1), ("x", 1)) == 0.0
+    with pytest.raises(DomainError, match=r"^\^ overflow at 1.5 to the power 9{15}$"):
+        evaluate(e, EvalPoint((1.5,)))
 
 
 def test_a_power_whose_second_derivative_overflows_spares_first_order_sweeps():

@@ -34,7 +34,11 @@ from curvcheck.principal import (
     vtriv_principal,
 )
 from curvcheck.rng import SplitMix64
-from curvcheck.sampling import sample_algebra_element
+from curvcheck.sampling import (
+    sample_algebra_element,
+    sample_axiom_trial,
+    sample_cross_check,
+)
 
 SO2 = builtin_algebra("so2")
 SO3 = builtin_algebra("so3")
@@ -129,20 +133,26 @@ def test_omega_right_translation_equivariance():
 # --- the product-curve axiom ------------------------------------------------
 
 
+def _axiom(p: GaugePotential, trials: int) -> tuple[float, ...]:
+    """The axiom's residuals on ``trials`` trials drawn from ``SplitMix64(0)``."""
+    rng = SplitMix64(0)
+    return check_axiom(
+        p, [sample_axiom_trial(rng, p.algebra, p.base_dim) for _ in range(trials)]
+    )
+
+
 def test_axiom_holds_for_zero_potential():
-    report = check_axiom(FLAT_SO3, trials=50)
-    assert report.max_residual <= 1e-8
-    assert len(report.residuals) == 50
+    residuals = _axiom(FLAT_SO3, 50)
+    assert max(residuals) <= 1e-8
+    assert len(residuals) == 50
 
 
 def test_axiom_holds_for_nonabelian_potential():
-    report = check_axiom(SO3_POTENTIAL, trials=100)
-    assert report.max_residual <= 1e-8
+    assert max(_axiom(SO3_POTENTIAL, 100)) <= 1e-8
 
 
 def test_axiom_holds_for_abelian_potential():
-    report = check_axiom(ABELIAN_POTENTIAL, trials=50)
-    assert report.max_residual <= 1e-8
+    assert max(_axiom(ABELIAN_POTENTIAL, 50)) <= 1e-8
 
 
 def _drop_adjoint(monkeypatch):
@@ -160,14 +170,12 @@ def test_axiom_detects_dropped_adjoint_factor(monkeypatch):
     # Without the adjoint twist the form fails the axiom whenever the
     # fiber is non-abelian and the potential is nonzero.
     _drop_adjoint(monkeypatch)
-    report = check_axiom(SO3_POTENTIAL, trials=50)
-    assert report.max_residual > 1e-8
+    assert max(_axiom(SO3_POTENTIAL, 50)) > 1e-8
 
 
 def test_axiom_drop_adjoint_harmless_on_abelian(monkeypatch):
     _drop_adjoint(monkeypatch)
-    report = check_axiom(ABELIAN_POTENTIAL, trials=50)
-    assert report.max_residual <= 1e-8
+    assert max(_axiom(ABELIAN_POTENTIAL, 50)) <= 1e-8
 
 
 # --- vertical trivialization ------------------------------------------------
@@ -309,18 +317,26 @@ def test_chart_connection_shares_its_series_terms():
 # --- the three-route curvature cross-check ----------------------------------
 
 
+def _cross_check(p: GaugePotential, x, rng: SplitMix64, centers: int = 2):
+    """The cross-check at ``x`` with ``centers`` chart centers and two
+    sections drawn from ``rng``."""
+    return curvature_cross_check(
+        p, x, *sample_cross_check(rng, p.algebra, p.base_dim, centers, 2)
+    )
+
+
 def test_cross_check_zero_potential():
-    report = curvature_cross_check(FLAT_SO3, (0.2, 0.8))
+    report = _cross_check(FLAT_SO3, (0.2, 0.8), SplitMix64(0))
     assert report.max_deviation <= 1e-10
 
 
 def test_cross_check_abelian():
-    report = curvature_cross_check(ABELIAN_POTENTIAL, (0.5, -0.25))
+    report = _cross_check(ABELIAN_POTENTIAL, (0.5, -0.25), SplitMix64(0))
     assert report.max_deviation <= 1e-8
 
 
 def test_cross_check_so3():
-    report = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6))
+    report = _cross_check(SO3_POTENTIAL, (0.3, 0.6), SplitMix64(0))
     assert report.max_deviation <= 1e-6
     assert set(report.pairwise) == {
         "structure-vs-chart",
@@ -342,8 +358,8 @@ def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
         SO3, [["x1", "0", "0"], ["0", "x2", "0"]], base_dim=2
     )
     rng = SplitMix64(5)
-    first = curvature_cross_check(potential, (0.3, 0.6), group_samples=2, rng=rng)
-    second = curvature_cross_check(potential, (-0.1, 0.2), group_samples=2, rng=rng)
+    first = _cross_check(potential, (0.3, 0.6), rng, centers=1)
+    second = _cross_check(potential, (-0.1, 0.2), rng, centers=1)
     assert first.max_deviation <= 1e-6 and second.max_deviation <= 1e-6
     # the identity chart once, then one random center per call
     identity = SO3.identity_group().g
@@ -351,8 +367,8 @@ def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
 
 
 def test_cross_check_deterministic_given_seed():
-    a = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6), rng=SplitMix64(5))
-    b = curvature_cross_check(SO3_POTENTIAL, (0.3, 0.6), rng=SplitMix64(5))
+    a = _cross_check(SO3_POTENTIAL, (0.3, 0.6), SplitMix64(5))
+    b = _cross_check(SO3_POTENTIAL, (0.3, 0.6), SplitMix64(5))
     assert a.max_deviation == b.max_deviation
     assert a.pairwise == b.pairwise
 
