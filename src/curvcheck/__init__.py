@@ -37,7 +37,6 @@ from .errors import (
     ExprSyntaxError,
     FiberMismatch,
     IndexOutOfRange,
-    InternalDisagreement,
     IoError,
     NotVertical,
     SingularMatrix,
@@ -169,7 +168,6 @@ __all__ = [
     "UnknownIdentifier",
     "IndexOutOfRange",
     "DomainError",
-    "InternalDisagreement",
     "FiberMismatch",
     "ClosureViolation",
     "SingularMatrix",

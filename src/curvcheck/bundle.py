@@ -14,7 +14,9 @@ bracket:
 
     R(X, Y) = -P[(id - P)X, (id - P)Y],
 
-a vertical vector, with coordinate coefficients
+a vertical vector (:func:`nijenhuis_tensor` also returns its gap from the
+four-term expansion ``-P[X,Y] + P[X,PY] + P[PX,Y] - [PX,PY]``), with
+coordinate coefficients
 
     R^a_{mu nu} = dGamma^a_nu/dx^mu - dGamma^a_mu/dx^nu
                   + sum_b (Gamma^b_nu dGamma^a_mu/df^b
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _symbolic
-from .errors import InternalDisagreement
 from .exprdsl import Expression, check_indices, parse
 from .numcore import EvalPoint, evaluate, gradient, partial
 
@@ -229,9 +230,6 @@ class FiberBundleMorphism:
     def from_strings(cls, source: BundlePatch, target: BundlePatch, sources):
         return cls(source, target, tuple(parse(s, source.dims) for s in sources))
 
-    def value(self, p: EvalPoint) -> tuple[float, ...]:
-        return tuple(evaluate(c, p) for c in self.comps)
-
 
 # ---------------------------------------------------------------------------
 # pointwise operations
@@ -357,22 +355,18 @@ def horizontal_part_field(field: ChristoffelField, V: TotalVectorField) -> Total
     return TotalVectorField(V.patch, V.a, out)
 
 
-#: Largest disagreement of the two-term and four-term curvature.
-_CONSISTENCY_TOL = 1e-9
-
-
-def nijenhuis_tensor(field: ChristoffelField, fields, p: EvalPoint) -> np.ndarray:
+def nijenhuis_tensor(field: ChristoffelField, fields, p: EvalPoint) -> tuple[np.ndarray, float]:
     """Curvature ``R[a-1, i, j] = R(V_i, V_j)^a = -P[(id-P)V_i, (id-P)V_j]^a``
-    at ``p`` for every pair of ``fields``, shape (n, k, k) for k fields.
+    at ``p`` for every pair of ``fields``, shape (n, k, k) for k fields, and
+    the gap of its second route.
 
     Each field's ``(id-P)`` and ``P`` parts are built, every jet taken and
     every symbol evaluated once.  For each pair ``i < j`` the equivalent
     four-term expansion ``-P[V,W] + P[V,PW] + P[PV,W] - [PV,PW]`` is also
-    evaluated, and :class:`InternalDisagreement` is raised if the two differ
-    by more than :data:`_CONSISTENCY_TOL` in any component.  The two-term
-    value is kept; the lower triangle is its exact negation (bracket and
-    projection are sign-symmetric in IEEE arithmetic) and the diagonal is
-    zero.
+    evaluated; the gap is the largest ``|two-term - four-term|`` over all
+    pairs, a NaN kept.  The two-term value is the tensor; the lower triangle
+    is its exact negation (bracket and projection are sign-symmetric in IEEE
+    arithmetic) and the diagonal is zero.
     """
     fields = tuple(fields)
     if any(V.patch.dims != field.patch.dims for V in fields):
@@ -382,6 +376,7 @@ def nijenhuis_tensor(field: ChristoffelField, fields, p: EvalPoint) -> np.ndarra
     vertical = [_jet(vertical_projection_field(field, V), p) for V in fields]
     gamma = _symbol_values(field, p)
     R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)))
+    gaps = []
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
             two = [-w for w in _projected(gamma, _bracket(horizontal[i], horizontal[j], p))]
@@ -390,16 +385,11 @@ def nijenhuis_tensor(field: ChristoffelField, fields, p: EvalPoint) -> np.ndarra
             t3 = _projected(gamma, _bracket(vertical[i], plain[j], p))
             t4 = _bracket(vertical[i], vertical[j], p).b
             four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
-            # np.max keeps a NaN, and a NaN never passes the comparison
-            worst = float(np.max(np.abs(np.subtract(two, four)), initial=0.0))
-            if not worst <= _CONSISTENCY_TOL:
-                raise InternalDisagreement(
-                    f"two-term and four-term curvature differ by {worst:.3e} "
-                    f"(tolerance {_CONSISTENCY_TOL:.1e}) at {p}"
-                )
+            gaps.extend(np.abs(np.subtract(two, four)))
             R[:, i, j] = two
             R[:, j, i] = -R[:, i, j]
-    return R
+    # np.max keeps a NaN, which the row of the check then fails
+    return R, float(np.max(gaps, initial=0.0))
 
 
 def nijenhuis_curvature(
@@ -409,8 +399,8 @@ def nijenhuis_curvature(
     p: EvalPoint,
 ) -> VerticalVector:
     """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``: the ``(V, W)``
-    entry of :func:`nijenhuis_tensor`, with its two-term/four-term guard."""
-    return VerticalVector(p, nijenhuis_tensor(field, (V, W), p)[:, 0, 1])
+    entry of :func:`nijenhuis_tensor`."""
+    return VerticalVector(p, nijenhuis_tensor(field, (V, W), p)[0][:, 0, 1])
 
 
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:

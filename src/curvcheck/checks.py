@@ -54,27 +54,25 @@ __all__ = ["run_check", "run_suite"]
 class _Row:
     """The residuals of one check row, folded as a runner adds them.
 
-    ``value`` is the largest finite residual and ``index`` the first sample
-    that reached it.  ``max(0.0, nan)`` is ``0.0``, so a plain fold lets a
-    NaN pass; here the first non-finite residual becomes the row's
-    ``failure``, with its sample: the sample's index, or ``where`` for a
-    residual that has none (the linearity violation, a row's only residual).
-    A runner also sets ``failure`` when an exact law breaks, and ``note``,
-    the detail of a row above tolerance."""
+    ``value`` is the largest finite residual and ``note``, the detail of a
+    row above tolerance, the note of the first sample that reached it.
+    ``max(0.0, nan)`` is ``0.0``, so a plain fold lets a NaN pass; here the
+    first non-finite residual becomes the row's ``failure``, with its
+    sample's index, or its note for a residual that has none (the linearity
+    violation, a row's only residual).  A runner also sets ``failure`` when
+    an exact law breaks."""
 
     value = 0.0
-    index: int | None = None
     failure = ""
     note = ""
 
-    def add(self, residual: float, sample: int | None = None, where: str = "") -> None:
+    def add(self, residual: float, sample: int | None = None, note: str = "") -> None:
         if not math.isfinite(residual):
             if not self.failure:
-                if sample is not None:
-                    where = f" at sample {sample}"
+                where = f" at sample {sample}" if sample is not None else f": {note}"
                 self.failure = f"non-finite residual {residual}{where}"
-        elif self.index is None or residual > self.value:
-            self.value, self.index = residual, sample
+        elif residual > self.value:
+            self.value, self.note = residual, note
 
 
 _RUNNERS = {}
@@ -92,17 +90,15 @@ def _runner(kind: str):
 _FD_STEP = 1e-3
 
 
-def _fd_partial(expr, p: EvalPoint, kind: str, index: int) -> float:
-    """Fourth-order central difference of ``expr`` along one coordinate."""
+def _fd_partial(expr, p: EvalPoint, index: int) -> float:
+    """Fourth-order central difference of ``expr`` along coordinate
+    ``index``, x coordinates before f coordinates."""
+    m = len(p.x)
 
     def at(delta: float) -> float:
-        if kind == "x":
-            x = list(p.x)
-            x[index] += delta
-            return evaluate(expr, EvalPoint(tuple(x), p.f))
-        f = list(p.f)
-        f[index] += delta
-        return evaluate(expr, EvalPoint(p.x, tuple(f)))
+        z = list(p.x + p.f)
+        z[index] += delta
+        return evaluate(expr, EvalPoint(tuple(z[:m]), tuple(z[m:])))
 
     return central_difference(
         at(_FD_STEP), at(-_FD_STEP), at(2.0 * _FD_STEP), at(-2.0 * _FD_STEP), _FD_STEP
@@ -119,10 +115,8 @@ def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
         for mu in range(m):
             expr = field.gamma[a][mu]
             vals[a, mu] = evaluate(expr, p)
-            for nu in range(m):
-                gx[a, mu, nu] = _fd_partial(expr, p, "x", nu)
-            for b in range(n):
-                gf[a, mu, b] = _fd_partial(expr, p, "f", b)
+            grad = [_fd_partial(expr, p, i) for i in range(m + n)]
+            gx[a, mu], gf[a, mu] = grad[:m], grad[m:]
     R = np.zeros((n, m, m))
     for a in range(n):
         for mu in range(m):
@@ -153,7 +147,8 @@ def _run_curvature_coefficients(
 @_runner("nijenhuis-vs-coefficients")
 def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Projector-bracket curvature on coordinate fields against the
-    coordinate coefficients, all ordered index pairs.
+    coordinate coefficients, all ordered index pairs, and its two-term
+    against its four-term expansion.
 
     Draw order per sample: one point (x coordinates, then f coordinates).
     """
@@ -163,14 +158,19 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> N
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
     for sample, p in enumerate(points):
         coeffs = curvature_coefficients(field, p)
-        tensor = nijenhuis_tensor(field, coords, p)
-        row.add(float(np.abs(tensor - coeffs).max()), sample)
+        tensor, gap = nijenhuis_tensor(field, coords, p)
+        deviation = float(np.abs(tensor - coeffs).max())
+        note = f"at sample {sample}: bracket against coefficients {deviation:.3e}, "
+        note += f"two-term against four-term {gap:.3e}"
+        # np.max keeps a NaN, which then fails the row
+        row.add(float(np.max((deviation, gap))), sample, note)
 
 
 @_runner("commutator-identity")
 def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     """Twisted second-derivative differences against the coordinate
-    curvature at the section image, all ordered index pairs.
+    curvature at the section image, all ordered index pairs, and the
+    explicit second jets against the prolonged connection.
 
     Draw order per sample: the section's polynomial components (only when no
     section is named in the config), then one base point.
@@ -184,8 +184,12 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> 
         samples.append((s, sample_point(rng, m).x))
     for sample, (s, x) in enumerate(samples):
         coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
-        tensor = commutator_tensor(field, s, x)
-        row.add(float(np.abs(tensor - coeffs).max()), sample)
+        tensor, gap = commutator_tensor(field, s, x)
+        deviation = float(np.abs(tensor - coeffs).max())
+        note = f"at sample {sample}: twisted jets against coefficients {deviation:.3e}, "
+        note += f"explicit against prolonged-connection jets {gap:.3e}"
+        # np.max keeps a NaN, which then fails the row
+        row.add(float(np.max((deviation, gap))), sample, note)
 
 
 @_runner("theta-equivariance")
@@ -234,11 +238,8 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> No
     residuals = is_parallel_morphism(
         spec.params["morphism"], field, spec.params["connection_hat"], points
     )
-    for sample, residual in enumerate(residuals):
-        row.add(residual, sample)
-    if row.index is not None:
-        bad = points[row.index]
-        row.note = f"largest residual {row.value:.3e} at x={bad.x}, f={bad.f}"
+    for sample, (residual, p) in enumerate(zip(residuals, points)):
+        row.add(residual, sample, f"largest residual {residual:.3e} at x={p.x}, f={p.f}")
 
 
 @_runner("connection-axiom")
@@ -307,8 +308,7 @@ def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> N
     points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
     violation = linearity_detect(field, points, tol, spec.params["lambdas"]).violation
     if violation is not None:
-        row.add(abs(violation.actual - violation.expected), where=f": {violation}")
-        row.note = str(violation)
+        row.add(abs(violation.actual - violation.expected), note=str(violation))
 
 
 @_runner("linear-consistency")

@@ -13,7 +13,6 @@ __all__ = [
     "UnknownIdentifier",
     "IndexOutOfRange",
     "DomainError",
-    "InternalDisagreement",
     "FiberMismatch",
     "ClosureViolation",
     "SingularMatrix",
@@ -51,13 +50,6 @@ class IndexOutOfRange(CurvcheckError):
 class DomainError(CurvcheckError):
     """Evaluation left the domain of a primitive (log of a non-positive
     number, square root of a negative number, division by zero, ...)."""
-
-
-class InternalDisagreement(CurvcheckError):
-    """Two redundant internal computation routes disagreed beyond tolerance.
-
-    This is a tripwire for implementation bugs, not a user error.
-    """
 
 
 class FiberMismatch(CurvcheckError):

@@ -372,6 +372,7 @@ def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
 class CrossCheckReport:
     max_deviation: float
     pairwise: dict
+    prolonged_deviation: float
 
 
 def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheckReport:
@@ -384,7 +385,9 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
     per tuple of ``k`` base-only expressions ``S`` in ``sections``, through
     the second-jet commutator and conjugates back, converting chart
     velocities with the left-logarithm factor.  Reports the largest
-    deviation of each pair of routes.
+    deviation of each pair of routes, and the largest gap of route three's
+    prolonged-connection jets, which alone sees a defect in the mixed second
+    derivative of a section: that term cancels in the twisted difference.
     """
     alg = p.algebra
     m = p.base_dim
@@ -414,12 +417,14 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
     # route three: second-jet commutator of exp-sections in the identity
     # chart, converted from chart velocities to algebra values
     commutator_values = []
+    prolonged_gaps = []
     for comps in sections:
         section = Section(identity_field.patch, comps)
         s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
         log_factor = _left_log_matrix(alg, s_at)
         group_at = exp(AlgebraElement(alg, s_at))
-        vertical = commutator_tensor(identity_field, section, base)
+        vertical, gap = commutator_tensor(identity_field, section, base)
+        prolonged_gaps.append(gap)
         commutator_values.append(
             conjugated(group_at, lambda mu, nu: log_factor @ vertical[:, mu, nu])
         )
@@ -433,7 +438,8 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
         "structure-vs-commutator": worst_against(commutator_values, reference.coeffs),
         "chart-vs-commutator": worst_against(commutator_values, chart_values[0]),
     }
-    return CrossCheckReport(float(np.max(list(pairwise.values()))), pairwise)
+    prolonged = float(np.max(prolonged_gaps, initial=0.0))
+    return CrossCheckReport(float(np.max([*pairwise.values(), prolonged])), pairwise, prolonged)
 
 
 # ---------------------------------------------------------------------------

@@ -286,7 +286,8 @@ def _random_linear(rng: SplitMix64, patch: BundlePatch) -> LinearChristoffel:
 def test_criterion_08_linear_layer():
     def body():
         rng = SplitMix64(808)
-        pts = [sample_point(SplitMix64(809), 2, 2) for _ in range(6)]
+        point_rng = SplitMix64(809)
+        pts = [sample_point(point_rng, 2, 2) for _ in range(6)]
         for _ in range(10):
             lin = _random_linear(rng, BundlePatch(2, 2))
             x = (rng.symmetric(1.0), rng.symmetric(1.0))
@@ -308,11 +309,12 @@ def test_criterion_08_linear_layer():
         assert violation is not None
         assert violation.stage == "homogeneity"
         assert len(violation.x) == 1 and len(violation.v) == 1
+        point_rng = SplitMix64(811)
         residuals = is_parallel_morphism(
             scaling_morphism(quadratic.patch, 2.0),
             quadratic,
             quadratic,
-            [sample_point(SplitMix64(811), 1, 1) for _ in range(6)],
+            [sample_point(point_rng, 1, 1) for _ in range(6)],
         )
         assert max(residuals) > 1e-9
 

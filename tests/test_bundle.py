@@ -347,7 +347,8 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
             fields.append(_random_field(rng, patch))
             p = sample_point(rng, m, n)
-            R = nijenhuis_tensor(field, fields, p)
+            R, gap = nijenhuis_tensor(field, fields, p)
+            assert 0.0 <= gap <= 1e-12
             assert R.shape == (n, m + 1, m + 1)
             assert np.array_equal(R, -R.transpose(0, 2, 1))
             assert np.all(np.diagonal(R, axis1=1, axis2=2) == 0.0)

@@ -15,7 +15,12 @@ import numpy as np
 import pytest
 
 from curvcheck import bundle, checks
-from curvcheck.bundle import BundlePatch, TotalVectorField, curvature_coefficients
+from curvcheck.bundle import (
+    BundlePatch,
+    TotalVectorField,
+    curvature_coefficients,
+    nijenhuis_tensor,
+)
 from curvcheck.cli import main
 from curvcheck.config import CHECK_KINDS, load_config
 from curvcheck.checks import run_check, run_suite
@@ -107,11 +112,16 @@ def test_non_finite_residuals_never_pass(tmp_path):
     assert coefficients.verdict == "fail"
     assert coefficients.max_residual is None
     assert coefficients.detail == "non-finite residual nan at sample 0"
-    # the in-route guards refuse a NaN deviation
-    for name in ("nijenhuis-vs-coefficients", "commutator-identity"):
-        assert rows[name].verdict == "error"
-        assert rows[name].detail.startswith("InternalDisagreement:")
-        assert "differ by nan" in rows[name].detail
+    # the two-term/four-term gap is a residual of the row like any other
+    nijenhuis = rows["nijenhuis-vs-coefficients"]
+    assert nijenhuis.verdict == "fail"
+    assert nijenhuis.max_residual is None
+    assert nijenhuis.detail == "non-finite residual nan at sample 0"
+    # affine_diff refuses jets whose slots are NaN before any gap is judged
+    commutator = rows["commutator-identity"]
+    assert commutator.verdict == "error"
+    assert commutator.detail.startswith("FiberMismatch:")
+    assert "differs by nan" in commutator.detail
 
 
 def test_connection_axiom_never_passes_a_non_finite_potential(tmp_path, capsys):
@@ -270,14 +280,11 @@ def _replay_nijenhuis(spec, rng):
     m, n = field.patch.dims
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
-    return [
-        float(
-            np.abs(
-                checks.nijenhuis_tensor(field, coords, p) - curvature_coefficients(field, p)
-            ).max()
-        )
-        for p in points
-    ]
+    deviations = []
+    for p in points:
+        tensor, gap = nijenhuis_tensor(field, coords, p)
+        deviations.append(max(float(np.abs(tensor - curvature_coefficients(field, p)).max()), gap))
+    return deviations
 
 
 def _replay_commutator(spec, rng):
@@ -288,7 +295,8 @@ def _replay_commutator(spec, rng):
         s = named if named is not None else sample_section(rng, field.patch)
         x = sample_point(rng, field.patch.base_dim).x
         coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
-        deviations.append(float(np.abs(commutator_tensor(field, s, x) - coeffs).max()))
+        tensor, gap = commutator_tensor(field, s, x)
+        deviations.append(max(float(np.abs(tensor - coeffs).max()), gap))
     return deviations
 
 
@@ -398,6 +406,7 @@ def _replay_row(tmp_path, check, replay):
     "check, replay",
     [
         ({"kind": "curvature-coefficients", "connection": "poly"}, _replay_coefficients),
+        ({"kind": "nijenhuis-vs-coefficients", "connection": "poly"}, _replay_nijenhuis),
         (
             {"kind": "commutator-identity", "connection": "poly", "section": "s2"},
             _replay_commutator,
@@ -416,6 +425,7 @@ def _replay_row(tmp_path, check, replay):
     ],
     ids=[
         "coefficients",
+        "nijenhuis",
         "commutator-named",
         "commutator-sampled",
         "theta",
@@ -431,19 +441,6 @@ def test_a_row_reports_the_largest_number_of_its_route(tmp_path, check, replay):
     # the routes return numbers only; the row passes the largest through
     # unchanged, and run_check alone compares it with the tolerance
     _replay_row(tmp_path, check, replay)
-
-
-def test_a_nijenhuis_row_reports_the_largest_number_of_its_route(tmp_path, monkeypatch):
-    # the two routes of this kind agree exactly, so a planted relative
-    # defect of 1e-12 * x1 makes the row's number depend on its samples
-    original = checks.nijenhuis_tensor
-    monkeypatch.setattr(
-        checks,
-        "nijenhuis_tensor",
-        lambda field, coords, p: (1.0 + 1e-12 * p.x[0]) * original(field, coords, p),
-    )
-    check = {"kind": "nijenhuis-vs-coefficients", "connection": "poly"}
-    _replay_row(tmp_path, check, _replay_nijenhuis)
 
 
 class _LockingStream(SplitMix64):

@@ -41,6 +41,29 @@ def _sine_config(tmp_path, **check_extra):
     return _write_config(tmp_path, doc)
 
 
+def _large_coefficient_config(tmp_path, **check_extra):
+    """A correct connection whose symbols have coefficients near 1e4: its
+    Nijenhuis and commutator rows read rounding of about 1e-8, most of it
+    in the gaps of their second routes."""
+    gamma = [
+        ["1e4*x1*f1*f2 + 3e3*x2*f2", "2e4*f1*f1*x2 - 1e3*x1"],
+        ["5e3*x2*f1 + 7e3*f2*f2", "1e4*x1*x2*f1"],
+    ]
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 2}},
+        "connections": {"big": {"patch": "p", "gamma": gamma}},
+        "checks": [
+            dict({"name": name, "kind": kind, "connection": "big"}, **check_extra)
+            for name, kind in (
+                ("nijenhuis", "nijenhuis-vs-coefficients"),
+                ("commutator", "commutator-identity"),
+            )
+        ],
+    }
+    return _write_config(tmp_path, doc)
+
+
 def _strip_duration(text: str) -> str:
     return "\n".join(
         line for line in text.splitlines() if '"duration_seconds"' not in line
@@ -354,6 +377,28 @@ def test_tol_scale_env_rescues_tight_tolerance(tmp_path, capsys, monkeypatch):
     assert main(["check", config, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["checks"][0]["tolerance"] == pytest.approx(1e-5)
+
+    # the gaps of the Nijenhuis and prolonged-connection routes are scaled
+    # like every residual: above the default 1e-9 they fail, not error
+    config = _large_coefficient_config(tmp_path)
+    monkeypatch.delenv("CURVCHECK_TOL_SCALE")
+    assert main(["check", config, "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert [row["verdict"] for row in rows] == ["fail", "fail"]
+    assert all(row["max_residual"] > 1e-9 for row in rows)
+    monkeypatch.setenv("CURVCHECK_TOL_SCALE", "100")
+    assert main(["check", config, "--format", "json"]) == 0
+    capsys.readouterr()
+
+
+def test_route_gaps_are_judged_by_the_row_tolerance(tmp_path, capsys):
+    # the two-term/four-term and prolonged-connection gaps once raised
+    # against their own 1e-9, whatever the row's tolerance
+    config = _large_coefficient_config(tmp_path, tolerance=1e-3)
+    assert main(["check", config, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["checks"]
+    assert [row["verdict"] for row in rows] == ["pass", "pass"]
+    assert all(1e-9 < row["max_residual"] <= 1e-3 for row in rows)
 
 
 def test_tol_scale_env_must_be_a_positive_number(capsys, monkeypatch):

@@ -19,6 +19,9 @@ fiber part is planted in ``bundle._lifted``, which computes it for
 ``is_parallel_morphism``.  Two replace the order swap ``prolong.theta``,
 which breaks the exact laws of ``theta-equivariance``: such a row fails with
 no residual and names the broken law.
+
+The third set plants a defect in the second route of a comparison that a
+tensor route makes inside itself, whose gap is part of the row's residual.
 """
 
 import json
@@ -30,7 +33,7 @@ import numpy as np
 import pytest
 
 import curvcheck
-from curvcheck import bundle, checks, lie, linear, numcore, principal, prolong
+from curvcheck import _symbolic, bundle, checks, lie, linear, numcore, principal, prolong
 from curvcheck.checks import run_suite
 from curvcheck.config import load_config
 from curvcheck.exprdsl import Const
@@ -202,6 +205,27 @@ def _pade_with_wrong_first_coefficient(original):
     return (original[0], 0.9 * original[1], *original[2:])
 
 
+def _vertical_projection_without_last_fiber_component(original):
+    # P(V) with its last fiber component zeroed
+    def mutant(field, V):
+        projected = original(field, V)
+        return replace(projected, b=(*projected.b[:-1], Const(0.0)))
+
+    return mutant
+
+
+def _prolonged_with_first_variation_row_doubled(original):
+    # Gamma'^(n+1)_mu = 2 sum_b dGamma^1_mu/df^b u^b instead of once
+    def mutant(field):
+        prolonged = original(field)
+        n = field.patch.fiber_dim
+        rows = list(prolonged.gamma)
+        rows[n] = tuple(_symbolic.mul(Const(2.0), e) for e in rows[n])
+        return replace(prolonged, gamma=tuple(rows))
+
+    return mutant
+
+
 ROUTE_DEFECTS = [
     pytest.param(
         principal,
@@ -310,6 +334,43 @@ def test_planted_route_defect_fails_its_row(
     assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
     _plant(monkeypatch, module, name, mutate)
     assert _verdicts(tmp_path, None, [row])[row] in ("fail", "error")
+
+
+# Defects in the second route of a comparison that a tensor route makes
+# inside itself: P(V) enters only the four-term expansion of
+# bundle.nijenhuis_tensor, and the prolonged connection only the second
+# route to the jets of prolong.commutator_tensor.  The row's residual holds
+# that comparison's gap, so such a row fails above its tolerance.  The
+# doubled variation row is not seen by commutator-skew: the skew connection
+# does not depend on f, so its variation rows are zero however they are
+# scaled; cartan-rot3 reaches the prolonged connection of its chart field.
+SECOND_ROUTE_DEFECTS = [
+    pytest.param(
+        bundle,
+        "vertical_projection_field",
+        _vertical_projection_without_last_fiber_component,
+        "nijenhuis-poly",
+        id="projection-last-fiber-component",
+    ),
+    pytest.param(
+        prolong,
+        "vertical_connection",
+        _prolonged_with_first_variation_row_doubled,
+        "cartan-rot3",
+        id="prolonged-variation-row-doubled",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, mutate, row", SECOND_ROUTE_DEFECTS)
+def test_planted_second_route_defect_fails_its_row_above_tolerance(
+    monkeypatch, tmp_path, module, name, mutate, row
+):
+    assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
+    _plant(monkeypatch, module, name, mutate)
+    result = _rows(tmp_path, None, [row])[row]
+    assert result.verdict == "fail", result.detail
+    assert result.max_residual > result.tolerance
 
 
 @pytest.mark.parametrize(

@@ -328,7 +328,8 @@ def test_commutator_tensor_slices_are_the_per_pair_values():
             field = sample_christoffel(rng, patch)
             s = sample_section(rng, patch)
             x = tuple(rng.symmetric(1.0) for _ in range(m))
-            R = commutator_tensor(field, s, x)
+            R, gap = commutator_tensor(field, s, x)
+            assert 0.0 <= gap <= 1e-12
             assert R.shape == (n, m, m)
             assert np.array_equal(R, -R.transpose(0, 2, 1))
             assert np.all(np.diagonal(R, axis1=1, axis2=2) == 0.0)
