@@ -63,7 +63,7 @@ from .linear import (
     reduced_covariant,
     scaling_morphism,
 )
-from .numcore import EvalPoint, evaluate, gradient, mixed_second, partial
+from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, partial
 from .principal import (
     CurvatureField,
     GaugePotential,
@@ -100,6 +100,7 @@ __all__ = [
     "unparse",
     "EvalPoint",
     "evaluate",
+    "directional",
     "gradient",
     "partial",
     "mixed_second",

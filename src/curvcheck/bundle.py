@@ -355,41 +355,49 @@ def horizontal_part_field(field: ChristoffelField, V: TotalVectorField) -> Total
     return TotalVectorField(V.patch, V.a, out)
 
 
-def nijenhuis_tensor(field: ChristoffelField, fields, p: EvalPoint) -> tuple[np.ndarray, float]:
+def nijenhuis_tensor(
+    field: ChristoffelField, fields, points
+) -> list[tuple[np.ndarray, float]]:
     """Curvature ``R[a-1, i, j] = R(V_i, V_j)^a = -P[(id-P)V_i, (id-P)V_j]^a``
-    at ``p`` for every pair of ``fields``, shape (n, k, k) for k fields, and
-    the gap of its second route.
+    for every pair of ``fields``, shape (n, k, k) for k fields, and the gap
+    of its second route, one ``(tensor, gap)`` per point of ``points``.
 
-    Each field's ``(id-P)`` and ``P`` parts are built, every jet taken and
-    every symbol evaluated once.  For each pair ``i < j`` the equivalent
-    four-term expansion ``-P[V,W] + P[V,PW] + P[PV,W] - [PV,PW]`` is also
-    evaluated; the gap is the largest ``|two-term - four-term|`` over all
-    pairs, a NaN kept.  The two-term value is the tensor; the lower triangle
-    is its exact negation (bracket and projection are sign-symmetric in IEEE
-    arithmetic) and the diagonal is zero.
+    Each field's ``(id-P)`` and ``P`` parts are built once per call; at each
+    point every jet is taken and every symbol evaluated once.  For each pair
+    ``i < j`` the equivalent four-term expansion ``-P[V,W] + P[V,PW] +
+    P[PV,W] - [PV,PW]`` is also evaluated; the gap is the largest
+    ``|two-term - four-term|`` over all pairs, a NaN kept.  The two-term
+    value is the tensor; the lower triangle is its exact negation (bracket
+    and projection are sign-symmetric in IEEE arithmetic) and the diagonal
+    is zero.
     """
     fields = tuple(fields)
     if any(V.patch.dims != field.patch.dims for V in fields):
         raise ValueError("bracket operands must live on the connection's patch")
-    horizontal = [_jet(horizontal_part_field(field, V), p) for V in fields]
-    plain = [_jet(V, p) for V in fields]
-    vertical = [_jet(vertical_projection_field(field, V), p) for V in fields]
-    gamma = _symbol_values(field, p)
-    R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)))
-    gaps = []
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            two = [-w for w in _projected(gamma, _bracket(horizontal[i], horizontal[j], p))]
-            t1 = _projected(gamma, _bracket(plain[i], plain[j], p))
-            t2 = _projected(gamma, _bracket(plain[i], vertical[j], p))
-            t3 = _projected(gamma, _bracket(vertical[i], plain[j], p))
-            t4 = _bracket(vertical[i], vertical[j], p).b
-            four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
-            gaps.extend(np.abs(np.subtract(two, four)))
-            R[:, i, j] = two
-            R[:, j, i] = -R[:, i, j]
-    # np.max keeps a NaN, which the row of the check then fails
-    return R, float(np.max(gaps, initial=0.0))
+    horizontal_fields = [horizontal_part_field(field, V) for V in fields]
+    vertical_fields = [vertical_projection_field(field, V) for V in fields]
+    out = []
+    for p in points:
+        horizontal = [_jet(V, p) for V in horizontal_fields]
+        plain = [_jet(V, p) for V in fields]
+        vertical = [_jet(V, p) for V in vertical_fields]
+        gamma = _symbol_values(field, p)
+        R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)))
+        gaps = []
+        for i in range(len(fields)):
+            for j in range(i + 1, len(fields)):
+                two = [-w for w in _projected(gamma, _bracket(horizontal[i], horizontal[j], p))]
+                t1 = _projected(gamma, _bracket(plain[i], plain[j], p))
+                t2 = _projected(gamma, _bracket(plain[i], vertical[j], p))
+                t3 = _projected(gamma, _bracket(vertical[i], plain[j], p))
+                t4 = _bracket(vertical[i], vertical[j], p).b
+                four = [-a + b + c - d for a, b, c, d in zip(t1, t2, t3, t4)]
+                gaps.extend(np.abs(np.subtract(two, four)))
+                R[:, i, j] = two
+                R[:, j, i] = -R[:, i, j]
+        # np.max keeps a NaN, which the row of the check then fails
+        out.append((R, float(np.max(gaps, initial=0.0))))
+    return out
 
 
 def nijenhuis_curvature(
@@ -400,7 +408,7 @@ def nijenhuis_curvature(
 ) -> VerticalVector:
     """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``: the ``(V, W)``
     entry of :func:`nijenhuis_tensor`."""
-    return VerticalVector(p, nijenhuis_tensor(field, (V, W), p)[0][:, 0, 1])
+    return VerticalVector(p, nijenhuis_tensor(field, (V, W), (p,))[0][0][:, 0, 1])
 
 
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:

@@ -40,7 +40,7 @@ from .report import CheckResult, RunReport
 from .rng import SplitMix64, stream
 from .sampling import (
     sample_algebra_element,
-    sample_axiom_trial,
+    sample_axiom_trials,
     sample_cross_check,
     sample_point,
     sample_second_jet,
@@ -141,7 +141,10 @@ def _run_curvature_coefficients(
     for sample, p in enumerate(points):
         exact = curvature_coefficients(field, p)
         approx = _fd_curvature(field, p)
-        row.add(float(np.abs(exact - approx).max()), sample)
+        deviation = float(np.abs(exact - approx).max())
+        note = f"at sample {sample}: structural against finite-difference coefficients "
+        note += f"{deviation:.3e}"
+        row.add(deviation, sample, note)
 
 
 @_runner("nijenhuis-vs-coefficients")
@@ -156,9 +159,9 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> N
     m, n = field.patch.dims
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
-    for sample, p in enumerate(points):
-        coeffs = curvature_coefficients(field, p)
-        tensor, gap = nijenhuis_tensor(field, coords, p)
+    coefficients = [curvature_coefficients(field, p) for p in points]
+    tensors = nijenhuis_tensor(field, coords, points)
+    for sample, (coeffs, (tensor, gap)) in enumerate(zip(coefficients, tensors)):
         deviation = float(np.abs(tensor - coeffs).max())
         note = f"at sample {sample}: bracket against coefficients {deviation:.3e}, "
         note += f"two-term against four-term {gap:.3e}"
@@ -252,12 +255,9 @@ def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
     generators ``X`` and ``Y`` (k draws each), all at scale 1.
     """
     potential = spec.params["potential"]
-    trials = [
-        sample_axiom_trial(rng, potential.algebra, potential.base_dim)
-        for _ in range(spec.samples)
-    ]
+    trials = sample_axiom_trials(rng, potential.algebra, potential.base_dim, spec.samples)
     for sample, residual in enumerate(check_axiom(potential, trials)):
-        row.add(residual, sample)
+        row.add(residual, sample, f"at sample {sample}: axiom residual {residual:.3e}")
 
 
 @_runner("cartan-cross-check")
@@ -276,7 +276,11 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None
         for _ in range(spec.samples)
     ]
     for sample, drawn in enumerate(samples):
-        row.add(curvature_cross_check(potential, *drawn).max_deviation, sample)
+        report = curvature_cross_check(potential, *drawn)
+        routes = ", ".join(f"{name} {value:.3e}" for name, value in report.pairwise.items())
+        note = f"at sample {sample}: {routes}, "
+        note += f"explicit against prolonged-connection jets {report.prolonged_deviation:.3e}"
+        row.add(report.max_deviation, sample, note)
 
 
 @_runner("bch-theta")
@@ -293,7 +297,10 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
         g = exp(sample_algebra_element(rng, algebra, 0.5))
         jets.append((g, *(sample_algebra_element(rng, algebra, scale) for _ in range(3))))
     for sample, jet in enumerate(jets):
-        row.add(theta_bch_verify(*jet).max_deviation, sample)
+        report = theta_bch_verify(*jet)
+        note = f"at sample {sample}: direct jet {report.direct_deviation:.3e}, "
+        note += f"swapped jet {report.swapped_deviation:.3e}"
+        row.add(report.max_deviation, sample, note)
 
 
 @_runner("linearity")
@@ -322,7 +329,9 @@ def _run_linear_consistency(
     linear = spec.params["linear_connection"]
     points = [sample_point(rng, *linear.patch.dims) for _ in range(spec.samples)]
     for sample, p in enumerate(points):
-        row.add(linear_curvature_consistency(linear, p.x, p.f), sample)
+        residual = linear_curvature_consistency(linear, p.x, p.f)
+        note = f"at sample {sample}: classical against general coefficients {residual:.3e}"
+        row.add(residual, sample, note)
 
 
 def _result(

@@ -24,6 +24,8 @@ __all__ = [
     "bracket",
     "exp",
     "expm",
+    "group_stack",
+    "conjugate",
     "adjoint",
     "fiber_quotient",
     "builtin_algebra",
@@ -73,7 +75,7 @@ class MatrixLieAlgebra:
             for a in range(k):
                 for b in range(a + 1, k):
                     comm = mats[a] @ mats[b] - mats[b] @ mats[a]
-                    coeffs, residual = _fit(pinv, stack, comm)
+                    coeffs, residual = _fit(pinv, stack, comm.reshape(-1))
                     if not residual <= _CLOSURE_TOL * scale * scale:
                         raise ClosureViolation(
                             f"[E{a + 1}, E{b + 1}] leaves the span of the basis "
@@ -94,26 +96,43 @@ class MatrixLieAlgebra:
     def identity_group(self) -> "GroupElement":
         return GroupElement(np.eye(self.d))
 
+    def matrix(self, coeffs) -> np.ndarray:
+        """The matrix ``sum_a c_a E_a`` of coefficients ``c``, or of each row
+        of a stack of coefficients ``(..., k)``, as ``(..., d, d)``."""
+        c = np.asarray(coeffs, dtype=float)
+        out = np.zeros(c.shape[:-1] + (self.d, self.d))
+        for a, e in enumerate(self.basis):
+            out += c[..., a, None, None] * e
+        return out
+
     def expand(self, matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-        """Coefficients of ``matrix`` in the basis, raising
-        :class:`ClosureViolation` when the least-squares residual exceeds
-        ``tol`` scaled by the matrix magnitude."""
-        coeffs, residual = _fit(
-            self._basis_pinv, self._basis_stack, np.asarray(matrix, dtype=float)
-        )
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if residual > tol * scale:
+        """Coefficients of ``matrix`` in the basis, or of each matrix of a
+        stack ``(..., d, d)`` as ``(..., k)``, raising
+        :class:`ClosureViolation` when a least-squares residual exceeds
+        ``tol`` scaled by its matrix's magnitude (the first such matrix of a
+        stack is named)."""
+        flat = np.asarray(matrix, dtype=float)
+        flat = flat.reshape(flat.shape[:-2] + (-1,))
+        coeffs, residual = _fit(self._basis_pinv, self._basis_stack, flat)
+        # fmax gives 1.0 for a matrix with a NaN, as max(1.0, nan) does
+        bound = tol * np.fmax(1.0, np.abs(flat).max(axis=-1))
+        over = residual > bound
+        if over.any():
+            first = np.flatnonzero(over)[0]
             raise ClosureViolation(
                 f"matrix leaves the span of the algebra basis "
-                f"(residual {residual:.3e}, tolerance {tol * scale:.1e})"
+                f"(residual {residual.flat[first]:.3e}, tolerance {bound.flat[first]:.1e})"
             )
         return coeffs
 
 
-def _fit(pinv, stack, matrix):
-    target = matrix.reshape(-1)
-    coeffs = pinv @ target
-    residual = float(np.abs(stack @ coeffs - target).max())
+def _fit(pinv, stack, flat):
+    """Least-squares coefficients of each flattened matrix of ``flat``
+    ``(..., d*d)`` and the largest entry of its residual.  Both products
+    are matrix-vector products, one matrix at a time, so a matrix of a stack
+    is fitted bit for bit as it is alone (a matrix-matrix product is not)."""
+    coeffs = (pinv @ flat[..., None])[..., 0]
+    residual = np.abs((stack @ coeffs[..., None])[..., 0] - flat).max(axis=-1)
     return coeffs, residual
 
 
@@ -150,11 +169,7 @@ class AlgebraElement:
 
     @property
     def matrix(self) -> np.ndarray:
-        out = np.zeros((self.algebra.d, self.algebra.d))
-        for c, e in zip(self.coeffs, self.algebra.basis):
-            if c != 0.0:
-                out += c * e
-        return out
+        return self.algebra.matrix(self.coeffs)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -184,11 +199,7 @@ class GroupElement:
         mat = np.array(self.g, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("group element must be a square matrix")
-        det = float(np.linalg.det(mat))
-        if abs(det) < _DET_FLOOR:
-            raise SingularMatrix(
-                f"matrix is numerically singular (|det| = {abs(det):.3e})"
-            )
+        group_stack(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "g", mat)
 
@@ -197,6 +208,20 @@ class GroupElement:
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.g @ other.g)
+
+
+def group_stack(mats) -> np.ndarray:
+    """``mats``, a square matrix or a stack ``(..., d, d)`` of them, once each
+    has passed the determinant floor of :class:`GroupElement`; raises
+    :class:`SingularMatrix` with the determinant of the first that has not."""
+    mats = np.asarray(mats, dtype=float)
+    det = np.abs(np.linalg.det(mats))
+    small = det < _DET_FLOOR
+    if small.any():
+        raise SingularMatrix(
+            f"matrix is numerically singular (|det| = {det[small].flat[0]:.3e})"
+        )
+    return mats
 
 
 def _same_algebra(x: AlgebraElement, y: AlgebraElement) -> None:
@@ -282,10 +307,18 @@ def expm(matrix) -> np.ndarray:
     return r.reshape(shape)
 
 
+def conjugate(algebra: MatrixLieAlgebra, g, coeffs) -> np.ndarray:
+    """Coefficients of ``g X g^{-1}`` for the stack of matrices ``g``
+    ``(..., d, d)`` and of coefficients ``X`` ``(..., k)``, re-expanded in
+    the basis."""
+    g = np.asarray(g, dtype=float)
+    return algebra.expand(g @ algebra.matrix(coeffs) @ np.linalg.inv(g))
+
+
 def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    """Conjugation ``g X g^{-1}`` re-expanded in the basis."""
-    ginv = np.linalg.inv(g.g)
-    return AlgebraElement(x.algebra, x.algebra.expand(g.g @ x.matrix @ ginv))
+    """Conjugation ``g X g^{-1}`` re-expanded in the basis: one matrix of
+    :func:`conjugate`."""
+    return AlgebraElement(x.algebra, conjugate(x.algebra, g.g, x.coeffs))
 
 
 def fiber_quotient(g: GroupElement, h: GroupElement) -> GroupElement:

@@ -14,9 +14,10 @@ sweeps over the tape:
   when derivatives are wanted, as it has no finite one there;
 * the **tangent sweep** pushes derivatives forward along seeded coordinate
   directions (tape-based forward mode: Griewank & Walther, *Evaluating
-  Derivatives*, 2nd ed., SIAM 2008).  A tangent has one slot per direction
-  for :func:`gradient` and :func:`partial`, and the slots ``d1, d2, d12`` of
-  a two-direction jet for :func:`mixed_second`.  Every primitive takes its
+  Derivatives*, 2nd ed., SIAM 2008).  A tangent has one slot per seeded
+  direction for :func:`directional` (whose unit seeds give
+  :func:`gradient`) and :func:`partial`, and the slots ``d1, d2, d12`` of a
+  two-direction jet for :func:`mixed_second`.  Every primitive takes its
   first and second derivatives from one table, ``_DERIVATIVES``.  A register
   that depends on no seeded direction carries no tangent, so constant
   subexpressions cost nothing here.  No general Hessians are kept.  A
@@ -39,6 +40,7 @@ __all__ = [
     "EvalPoint",
     "Coordinate",
     "evaluate",
+    "directional",
     "gradient",
     "partial",
     "mixed_second",
@@ -246,23 +248,47 @@ def evaluate(e: Expression, point: EvalPoint) -> float:
     return _primal(compile_expr(e), point)[-1]
 
 
+def directional(e: Expression, point: EvalPoint, tangents) -> tuple[float, tuple[float, ...]]:
+    """Value of ``e`` at ``point`` and its derivatives along seeded tangents,
+    in one first-order sweep.
+
+    ``tangents[i]`` is the tangent of coordinate ``i`` of the point, base
+    before fiber, and all have one width ``w``.  Slot ``j`` of the result is
+    ``sum_i de/dz_i * tangents[i][j]``: the derivative of ``e`` along the
+    curve whose coordinates move with slot ``j`` of the seeds, which composes
+    the tape of ``e`` with whatever the seeds were computed from (the chain
+    rule through a tape).
+    """
+    coords = _coordinates(len(point.x), len(point.f))
+    if len(tangents) != len(coords):
+        raise ValueError(f"{len(tangents)} tangents for a point with {len(coords)} coordinates")
+    width = len(tangents[0]) if tangents else 0
+    value, t = _sweep(e, point, dict(zip(coords, tangents)), width, jet=False)
+    return value, (0.0,) * width if t is None else tuple(t)
+
+
 def gradient(e: Expression, point: EvalPoint) -> tuple[float, tuple[float, ...]]:
-    """Value and first partials of ``e`` at ``point``.
+    """Value and first partials of ``e`` at ``point``: :func:`directional`
+    along the unit tangents.
 
     The gradient covers every coordinate of the point, base before fiber:
     index ``i`` is the partial with respect to ``x{i+1}`` for ``i < m`` and
     with respect to ``f{i-m+1}`` otherwise.
     """
-    width = len(point.x) + len(point.f)
-    value, t = _sweep(e, point, _unit_seeds(len(point.x), len(point.f)), width, jet=False)
-    return value, (0.0,) * width if t is None else tuple(t)
+    return directional(e, point, _unit_tangents(len(point.x) + len(point.f)))
 
 
 @functools.lru_cache(maxsize=16)
-def _unit_seeds(m: int, n: int) -> dict:
-    """Unit tangents of all coordinates of an ``(m, n)`` point (read only)."""
-    coords = [("x", i) for i in range(m)] + [("f", i) for i in range(n)]
-    return {c: tuple(float(i == j) for j in range(m + n)) for i, c in enumerate(coords)}
+def _coordinates(m: int, n: int) -> tuple:
+    """The coordinate instructions of an ``(m, n)`` point, base before
+    fiber, as :func:`_sweep` keys its seeds."""
+    return tuple(("x", i) for i in range(m)) + tuple(("f", i) for i in range(n))
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_tangents(size: int) -> tuple:
+    """The unit tangents of ``size`` coordinates (read only)."""
+    return tuple(tuple(float(i == j) for j in range(size)) for i in range(size))
 
 
 def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:

@@ -58,8 +58,10 @@ from .lie import (
     MatrixLieAlgebra,
     adjoint,
     bracket,
+    conjugate,
     exp,
     expm,
+    group_stack,
 )
 from .numcore import EvalPoint, central_difference, evaluate, partial
 from .prolong import commutator_tensor
@@ -165,7 +167,7 @@ class CurvatureField:
 
 def omega_eval(p: GaugePotential, t: PrincipalTangent) -> AlgebraElement:
     """Connection form on the tangent ``(xi, g v)`` at ``(x, g)``:
-    ``Ad_{g^{-1}} A_x(xi) + v``."""
+    ``Ad_{g^{-1}} A_x(xi) + v``, one row of :func:`_form`."""
     if t.v.algebra.k != p.algebra.k or t.v.algebra.d != p.algebra.d:
         raise ValueError("tangent and potential use different algebras")
     if len(t.x) != p.base_dim:
@@ -173,15 +175,30 @@ def omega_eval(p: GaugePotential, t: PrincipalTangent) -> AlgebraElement:
             f"tangent base point has {len(t.x)} coordinates, potential "
             f"expects {p.base_dim}"
         )
-    pt = EvalPoint(t.x)
+    along = _potential_along(p, t.x, t.xi)
+    return AlgebraElement(p.algebra, _form(p.algebra, t.g.g[None], along[None], t.v.coeffs[None])[0])
+
+
+def _potential_along(p: GaugePotential, x, xi) -> np.ndarray:
+    """Coefficients of ``A_x(xi) = sum_mu xi^mu A_mu(x)``; a row whose
+    ``xi^mu`` is zero is not evaluated."""
+    pt = EvalPoint(tuple(x))
     coeffs = np.zeros(p.algebra.k)
-    for mu in range(p.base_dim):
-        scale = t.xi[mu]
+    for row, scale in zip(p.a, xi):
         if scale == 0.0:
             continue
-        for e in range(p.algebra.k):
-            coeffs[e] += scale * evaluate(p.a[mu][e], pt)
-    return adjoint(t.g.inverse(), AlgebraElement(p.algebra, coeffs)) + t.v
+        for e, comp in enumerate(row):
+            coeffs[e] += scale * evaluate(comp, pt)
+    return coeffs
+
+
+def _form(alg: MatrixLieAlgebra, g: np.ndarray, along: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The connection form on a stack of tangents, as coefficients
+    ``(S, k)``: ``Ad_{g^{-1}} A_x(xi) + v`` at group elements ``g``
+    ``(S, d, d)``, from the potential values ``A_x(xi)`` and left-logarithmic
+    fiber components ``v``, both ``(S, k)``.  The inverses pass the
+    determinant floor, as ``GroupElement.inverse`` does."""
+    return conjugate(alg, group_stack(np.linalg.inv(g)), along) + v
 
 
 #: The points of :func:`~curvcheck.numcore.central_difference`, in
@@ -206,30 +223,44 @@ def check_axiom(p: GaugePotential, trials) -> tuple[float, ...]:
     All curve velocities come from Richardson-extrapolated central
     differences of the matrix curves, never from the synthesized exponents,
     so the check exercises the implementation rather than restating it.
+
+    All trials are computed at once, on stacks of matrices: one ``expm`` of
+    every curve's stencil points, and one stacked solve, expansion and
+    conjugation per step, each bit-identical to its matrices one at a time.
+    An error is that of the first trial that fails the first step any trial
+    fails.
     """
+    if not trials:
+        return ()
     alg = p.algebra
-    residuals = []
-    for x0, xi, g0, gamma0, vel_g, vel_gamma in trials:
-        # g_t and gamma_t at the stencil points; the product curve is their
-        # pointwise product
-        curve_g = g0.g @ expm(_STENCIL * _AXIOM_STEP * vel_g.matrix)
-        curve_gamma = gamma0.g @ expm(_STENCIL * _AXIOM_STEP * vel_gamma.matrix)
-        curve_product = curve_g @ curve_gamma
+    x0, xi, g0, gamma0, vel_g, vel_gamma = zip(*trials)
+    g0 = np.array([g.g for g in g0])
+    gamma0 = np.array([g.g for g in gamma0])
+    generators = alg.matrix(np.array([v.coeffs for v in vel_g + vel_gamma]))
+    # g_t and gamma_t at the stencil points, (trial, point, d, d) each; the
+    # product curve is their pointwise product
+    steps = expm(_STENCIL * _AXIOM_STEP * generators[:, None])
+    curve_g = g0[:, None] @ steps[: len(g0)]
+    curve_gamma = gamma0[:, None] @ steps[len(g0) :]
+    curves = np.stack((curve_g @ curve_gamma, curve_g, curve_gamma), axis=1)
+    starts = np.stack((group_stack(g0 @ gamma0), g0, gamma0), axis=1)
 
-        product0 = GroupElement(g0.g @ gamma0.g)
-        # left-logarithmic velocities at t = 0, as algebra coefficients
-        v_product, v_g, v_gamma = (
-            alg.expand(np.linalg.solve(g.g, central_difference(*curve, _AXIOM_STEP)), 1e-6)
-            for g, curve in ((product0, curve_product), (g0, curve_g), (gamma0, curve_gamma))
-        )
+    # left-logarithmic velocities at t = 0 of the product, g and gamma
+    # curves, as algebra coefficients (trial, curve, k)
+    derivative = central_difference(*np.moveaxis(curves, 2, 0), _AXIOM_STEP)
+    velocities = alg.expand(np.linalg.solve(starts, derivative), 1e-6)
 
-        lhs = omega_eval(
-            p, PrincipalTangent(x0, product0, xi, AlgebraElement(alg, v_product))
-        )
-        inner = omega_eval(p, PrincipalTangent(x0, g0, xi, AlgebraElement(alg, v_g)))
-        rhs = adjoint(gamma0.inverse(), inner) + AlgebraElement(alg, v_gamma)
-        residuals.append(float(np.abs(lhs.coeffs - rhs.coeffs).max()))
-    return tuple(residuals)
+    along = np.array([_potential_along(p, x, dx) for x, dx in zip(x0, xi)])
+    # omega at the product's start and at g0, in one stack
+    omega = _form(
+        alg,
+        np.concatenate((starts[:, 0], g0)),
+        np.concatenate((along, along)),
+        np.concatenate((velocities[:, 0], velocities[:, 1])),
+    )
+    lhs, inner = np.split(omega, 2)
+    rhs = conjugate(alg, group_stack(np.linalg.inv(gamma0)), inner) + velocities[:, 2]
+    return tuple(float(r) for r in np.abs(lhs - rhs).max(axis=1))
 
 
 #: Largest distance from the algebra span :func:`vtriv_principal` accepts.
@@ -292,13 +323,6 @@ _CHART_SERIES = (
 )
 
 
-def _adjoint_coordinate_matrix(alg: MatrixLieAlgebra, g: GroupElement) -> np.ndarray:
-    """Matrix of Ad_g on basis coordinates: column e holds the coefficients
-    of g E_{e+1} g^{-1}."""
-    cols = [adjoint(g, AlgebraElement(alg, col)).coeffs for col in np.eye(alg.k)]
-    return np.column_stack(cols)
-
-
 def _ad_generator_matrices(alg: MatrixLieAlgebra) -> list[np.ndarray]:
     """Coordinate matrices of ad_{E_b}: entry [e, a] = c[b, a, e]."""
     return [alg.structure[b].T.copy() for b in range(alg.k)]
@@ -319,7 +343,9 @@ def exponential_chart_connection(
             f"chart order must be between 0 and {len(_CHART_SERIES) - 1}"
         )
     alg = p.algebra
-    ad_center = _adjoint_coordinate_matrix(alg, center.inverse())
+    # Ad_{center^-1} on basis coordinates: column e holds the coefficients
+    # of the conjugated E_{e+1}
+    ad_center = conjugate(alg, center.inverse().g, np.eye(alg.k)).T
     ad_mats = _ad_generator_matrices(alg)
     chart = [Var("f", b + 1) for b in range(alg.k)]
 

@@ -37,8 +37,17 @@ second jet whose mixed slot is
 
 and the theta-twisted affine difference of the two orders recovers the
 curvature coefficients: see :func:`commutator_curvature`.
-:func:`commutator_tensor` also returns the gap of these jets from the
-covariant derivative of ``(s, fdot)`` under the prolonged connection.
+:func:`commutator_tensor` also returns the gap of these jets from a second
+route: the covariant derivative, under the prolonged connection, of the
+section ``(s, fdot)`` of the vertical bundle.  That route works from
+numbers at ``x``.  Its velocity slot ``d fdot^a/dx^mu`` is a first-order
+partial of a symbolic first derivative of ``s^a`` (along the smaller of
+``mu`` and ``nu``, then the larger) plus the tangent of
+``Gamma^a_nu(x, s(x))`` along ``x``, one forward sweep per symbol seeded
+with ``x^i -> e_i`` and ``f^b -> ds^b/dx`` (the chain rule through a tape),
+and the prolonged symbols are evaluated at ``(x, s(x), fdot)``.  It uses
+no mixed second derivative and no value of the five-term formula, so a
+defect in either shows as a gap.
 
 The prolonged connection is built once and kept on its field, so it lives
 exactly as long as the field.  Nothing is looked up by object identity or
@@ -52,16 +61,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _symbolic
-from .bundle import (
-    BundlePatch,
-    ChristoffelField,
-    Section,
-    VerticalVector,
-    covariant_derivative,
-)
+from .bundle import BundlePatch, ChristoffelField, Section, VerticalVector
 from .errors import FiberMismatch
 from .exprdsl import Expression, Var, check_indices
-from .numcore import EvalPoint, evaluate, gradient, mixed_second
+from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, partial
 
 __all__ = [
     "SecondJet",
@@ -227,17 +230,44 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
     return prolonged
 
 
-def _section_with_velocity(field: ChristoffelField, s: Section, nu: int) -> Section:
-    """Section of the vertical bundle pairing ``s`` with its covariant
-    derivative along ``d/dx^nu``, as expressions of x."""
-    velocity = tuple(
-        _symbolic.add(
-            _symbolic.derivative(c, "x", nu),
-            _symbolic.substitute_fiber(row[nu - 1], s.comps),
-        )
-        for c, row in zip(s.comps, field.gamma)
-    )
-    return Section(vertical_connection(field).patch, s.comps + velocity)
+def _prolonged_covariants(field: ChristoffelField, s: Section, pairs, x) -> list[list[float]]:
+    """The second route to the jets of :func:`_second_covariants`: for each
+    ``(mu, nu)`` of ``pairs``, the covariant derivative along ``d/dx^mu``,
+    under :func:`vertical_connection`, of the section ``sigma = (s, v)`` of
+    the vertical bundle with ``v^a = ds^a/dx^nu + Gamma^a_nu(x, s(x))``, as
+    its ``2n`` components at ``x``.
+
+    It is computed from numbers, with no symbolic section: ``d v^a/dx^mu``
+    is the first-order partial of the symbolic ``ds^a/dx^i`` along ``x^j``,
+    ``(i, j)`` the smaller and the larger of ``mu`` and ``nu``, plus the
+    tangent of ``Gamma^a_nu`` at ``(x, s(x))`` along ``(e_mu, ds/dx^mu)``,
+    one :func:`~curvcheck.numcore.directional` sweep per symbol for every
+    ``mu``.  It evaluates ``s`` itself and calls no ``mixed_second``.
+    """
+    m, n = field.patch.dims
+    prolonged = vertical_connection(field)
+    base_pt = EvalPoint.of(x)
+    values, grads = zip(*(gradient(c, base_pt) for c in s.comps))
+    # x^i moves along e_i and f^b along the gradient of s^b
+    seeds = [tuple(float(i == j) for j in range(m)) for i in range(m)] + list(grads)
+    at = EvalPoint(base_pt.x, values)
+    symbols = [[directional(e, at, seeds) for e in row] for row in field.gamma]
+    first = {}  # i -> the symbolic ds^a/dx^i
+    covariants = []
+    for mu, nu in pairs:
+        # d2 s/dx^mu dx^nu, as the partial along the larger index of the
+        # symbolic derivative along the smaller, so both orders share a tree
+        low, high = sorted((mu, nu))
+        if low not in first:
+            first[low] = [_symbolic.derivative(c, "x", low) for c in s.comps]
+        velocity = tuple(grads[a][nu - 1] + symbols[a][nu - 1][0] for a in range(n))
+        sigma = EvalPoint(base_pt.x, values + velocity)
+        w = [grads[a][mu - 1] + evaluate(prolonged.gamma[a][mu - 1], sigma) for a in range(n)]
+        for a in range(n):
+            dv = partial(first[low][a], base_pt, ("x", high)) + symbols[a][nu - 1][1][mu - 1]
+            w.append(dv + evaluate(prolonged.gamma[n + a][mu - 1], sigma))
+        covariants.append(w)
+    return covariants
 
 
 def _second_covariants(
@@ -245,9 +275,8 @@ def _second_covariants(
 ) -> tuple[list[SecondJet], float]:
     """The jets :func:`second_covariant` returns, one per ``(mu, nu)`` of
     ``pairs``, from one evaluation of the gradients of ``s`` and of the
-    symbols at ``(x, s(x))``, and their largest gap, a NaN kept, from the
-    prolonged-connection route; each velocity-paired section is built once
-    per call."""
+    symbols at ``(x, s(x))``, and their largest gap, a NaN kept, from
+    :func:`_prolonged_covariants`, which shares no value with them."""
     m, n = field.patch.dims
     for mu, nu in pairs:
         if not (1 <= mu <= m and 1 <= nu <= m):
@@ -258,10 +287,7 @@ def _second_covariants(
     gamma = [[gradient(e, at) for e in row] for row in field.gamma]
     gvals = [[value for value, _ in row] for row in gamma]
     ggrad = [[grad for _, grad in row] for row in gamma]  # x partials, then f
-    prolonged = vertical_connection(field)
-    paired = {}
     jets = []
-    gaps = []
     for mu, nu in pairs:
         i_mu = mu - 1
         i_nu = nu - 1
@@ -277,13 +303,10 @@ def _second_covariants(
                 acc += ggrad[a][i_mu][m + b] * sgrads[b][i_nu]
             mixed.append(acc)
         jets.append(SecondJet(base_pt.x, svals, fdot, fcirc, tuple(mixed)))
-
-        # second route: covariant derivative of the velocity-paired section
-        # under the prolonged connection
-        if nu not in paired:
-            paired[nu] = _section_with_velocity(field, s, nu)
-        check = covariant_derivative(prolonged, paired[nu], mu, base_pt.x)
-        gaps.extend(np.abs(np.subtract(check.w, fcirc + tuple(mixed))))
+    checks = _prolonged_covariants(field, s, pairs, x)
+    gaps = [
+        np.abs(np.subtract(check, j.fcirc + j.fcircdot)) for check, j in zip(checks, jets)
+    ]
     # np.max keeps a NaN, which the row of the check then fails
     return jets, float(np.max(gaps, initial=0.0))
 

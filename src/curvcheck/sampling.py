@@ -12,10 +12,12 @@ exercising nonlinear fiber dependence.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section
 from .exprdsl import Expression, Var
-from .lie import AlgebraElement, GroupElement, MatrixLieAlgebra, exp
+from .lie import AlgebraElement, GroupElement, MatrixLieAlgebra, exp, expm
 from .numcore import EvalPoint
 from .prolong import SecondJet
 from .rng import SplitMix64
@@ -29,6 +31,7 @@ __all__ = [
     "sample_second_jet",
     "sample_algebra_element",
     "sample_axiom_trial",
+    "sample_axiom_trials",
     "sample_cross_check",
 ]
 
@@ -118,13 +121,27 @@ def sample_algebra_element(
 def sample_axiom_trial(
     rng: SplitMix64, algebra: MatrixLieAlgebra, m: int
 ) -> tuple[tuple, tuple, GroupElement, GroupElement, AlgebraElement, AlgebraElement]:
-    """One trial of :func:`~curvcheck.principal.check_axiom`: base point
-    ``x0`` and base velocity ``xi`` (m draws each), ``g0`` and ``gamma0``
-    (``exp`` of an element each), then the curve generators ``X`` and
-    ``Y``, every draw at scale 1."""
-    x0, xi = (sample_point(rng, m).x for _ in range(2))
-    g0, gamma0 = (exp(sample_algebra_element(rng, algebra)) for _ in range(2))
-    return (x0, xi, g0, gamma0, *(sample_algebra_element(rng, algebra) for _ in range(2)))
+    """One trial of :func:`~curvcheck.principal.check_axiom`: the first of
+    :func:`sample_axiom_trials` with ``count = 1``."""
+    return sample_axiom_trials(rng, algebra, m, 1)[0]
+
+
+def sample_axiom_trials(rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, count: int) -> list:
+    """``count`` trials of :func:`~curvcheck.principal.check_axiom`, each
+    drawn as base point ``x0`` and base velocity ``xi`` (m draws each), the
+    logs of ``g0`` and ``gamma0``, then the curve generators ``X`` and ``Y``,
+    every draw at scale 1.  The ``exp`` of all ``2 count`` logs is one
+    stacked :func:`~curvcheck.lie.expm`, bit-identical to one ``exp`` each."""
+    drawn = []
+    for _ in range(count):
+        x0, xi = (sample_point(rng, m).x for _ in range(2))
+        drawn.append((x0, xi, *(sample_algebra_element(rng, algebra) for _ in range(4))))
+    logs = np.array([log.coeffs for trial in drawn for log in trial[2:4]])
+    groups = expm(algebra.matrix(logs.reshape(-1, algebra.k)))
+    return [
+        (x0, xi, GroupElement(groups[2 * i]), GroupElement(groups[2 * i + 1]), x, y)
+        for i, (x0, xi, _, _, x, y) in enumerate(drawn)
+    ]
 
 
 def sample_cross_check(

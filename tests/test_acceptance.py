@@ -7,9 +7,9 @@ Tolerances, sample counts, and time budgets are pinned in the bodies.
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvcheck import principal
@@ -256,12 +256,13 @@ def test_criterion_07_connection_axiom(monkeypatch):
 
         for potential in (ABELIAN_POTENTIAL, SO3_POTENTIAL):
             assert max(check_axiom(potential, trials(potential, 100))) <= 1e-8
-        # negative control: the form without its conjugation, A_x(xi) + v
-        original = principal.omega_eval
+        # negative control: the form without its conjugation, A_x(xi) + v,
+        # planted in the stacked form that check_axiom reads
+        original = principal._form
         monkeypatch.setattr(
             principal,
-            "omega_eval",
-            lambda p, t: original(p, replace(t, g=p.algebra.identity_group())),
+            "_form",
+            lambda alg, g, along, v: original(alg, np.broadcast_to(np.eye(alg.d), g.shape), along, v),
         )
         assert max(check_axiom(SO3_POTENTIAL, trials(SO3_POTENTIAL, 50))) > 1e-8
 

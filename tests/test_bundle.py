@@ -347,7 +347,7 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
             fields.append(_random_field(rng, patch))
             p = sample_point(rng, m, n)
-            R, gap = nijenhuis_tensor(field, fields, p)
+            [(R, gap)] = nijenhuis_tensor(field, fields, [p])
             assert 0.0 <= gap <= 1e-12
             assert R.shape == (n, m + 1, m + 1)
             assert np.array_equal(R, -R.transpose(0, 2, 1))
@@ -370,9 +370,10 @@ def test_nijenhuis_tensor_evaluates_each_symbol_once(monkeypatch):
         patch = BundlePatch(m, n)
         field = sample_christoffel(rng, patch)
         coords = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
+        points = [sample_point(rng, m, n) for _ in range(3)]
         calls.clear()
-        nijenhuis_tensor(field, coords, sample_point(rng, m, n))
-        assert len(calls) <= n * m
+        nijenhuis_tensor(field, coords, points)
+        assert len(calls) <= len(points) * n * m
 
 
 # --- parallel morphisms -----------------------------------------------------

@@ -281,8 +281,7 @@ def _replay_nijenhuis(spec, rng):
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
     deviations = []
-    for p in points:
-        tensor, gap = nijenhuis_tensor(field, coords, p)
+    for p, (tensor, gap) in zip(points, nijenhuis_tensor(field, coords, points)):
         deviations.append(max(float(np.abs(tensor - curvature_coefficients(field, p)).max()), gap))
     return deviations
 

@@ -14,9 +14,11 @@ from curvcheck.lie import (
     adjoint,
     bracket,
     builtin_algebra,
+    conjugate,
     exp,
     expm,
     fiber_quotient,
+    group_stack,
 )
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_algebra_element
@@ -311,6 +313,28 @@ def test_adjoint_is_a_bracket_homomorphism():
             left = adjoint(g, bracket(x, y))
             right = bracket(adjoint(g, x), adjoint(g, y))
             assert np.max(np.abs(left.coeffs - right.coeffs)) <= 1e-9
+
+
+def test_stacked_expand_and_conjugate_are_per_matrix_bit_for_bit():
+    rng = SplitMix64(53)
+    for alg in ALL:
+        coeffs = np.array([sample_algebra_element(rng, alg, 3.0).coeffs for _ in range(50)])
+        groups = [exp(sample_algebra_element(rng, alg)) for _ in range(50)]
+        mats = alg.matrix(coeffs)
+        assert np.array_equal(mats, [alg.element(c).matrix for c in coeffs])
+        assert np.array_equal(alg.expand(mats), [alg.expand(m) for m in mats])
+        stacked = conjugate(alg, np.array([g.g for g in groups]), coeffs)
+        assert np.array_equal(stacked, [adjoint(g, alg.element(c)).coeffs for g, c in zip(groups, coeffs)])
+
+
+def test_a_stack_names_its_first_failing_matrix():
+    inside = SO3.element((0.5, -1.25, 2.0)).matrix
+    with pytest.raises(ClosureViolation, match="residual 2.000e"):
+        SO3.expand(np.array([inside, 2.0 * np.eye(3), 3.0 * np.eye(3)]))
+    singular = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]], 1e-6 * np.eye(2)])
+    with pytest.raises(SingularMatrix, match=r"\|det\| = 0.000e\+00"):
+        group_stack(singular)
+    assert group_stack(singular[:1]) is not None
 
 
 # --- group elements and quotients -------------------------------------------

@@ -22,6 +22,8 @@ no residual and names the broken law.
 
 The third set plants a defect in the second route of a comparison that a
 tensor route makes inside itself, whose gap is part of the row's residual.
+The last test plants a defect in the first route of one such comparison that
+the second route must not share.
 """
 
 import json
@@ -143,8 +145,8 @@ def _coefficients_with_quadratic_sign_flipped(original):
 
 
 def _omega_without_conjugation(original):
-    # A_x(xi) + v instead of Ad_{g^{-1}} A_x(xi) + v
-    return lambda p, t: original(p, replace(t, g=p.algebra.identity_group()))
+    # A_x(xi) + v instead of Ad_{g^{-1}} A_x(xi) + v, in the stacked form
+    return lambda alg, g, along, v: original(alg, np.broadcast_to(np.eye(alg.d), g.shape), along, v)
 
 
 def _lift_with_fiber_sign_flipped(original):
@@ -229,7 +231,7 @@ def _prolonged_with_first_variation_row_doubled(original):
 ROUTE_DEFECTS = [
     pytest.param(
         principal,
-        "omega_eval",
+        "_form",
         _omega_without_conjugation,
         "axiom-rot3",
         id="omega-conjugation",
@@ -385,3 +387,32 @@ def test_a_broken_theta_law_fails_with_no_residual(monkeypatch, tmp_path, mutate
     _plant(monkeypatch, prolong, "theta", mutate)
     row = _rows(tmp_path, None, ["theta-swap"])["theta-swap"]
     assert (row.verdict, row.max_residual, row.detail) == ("fail", None, detail)
+
+
+def test_a_second_route_defect_names_its_sample_and_comparison(monkeypatch, tmp_path):
+    _plant(monkeypatch, prolong, "vertical_connection", _prolonged_with_first_variation_row_doubled)
+    row = _rows(tmp_path, None, ["cartan-rot3"])["cartan-rot3"]
+    assert row.verdict == "fail"
+    assert row.detail.startswith("at sample ")
+    prolonged = row.detail.split("explicit against prolonged-connection jets ")[1]
+    assert prolonged == f"{row.max_residual:.3e}"
+
+
+def _mixed_second_doubled(original):
+    # twice the mixed second derivative: symmetric in the two directions, so
+    # it cancels in the twisted difference of the jets
+    return lambda e, p, first, second: 2.0 * original(e, p, first, second)
+
+
+def test_the_prolonged_route_takes_no_mixed_second_derivative(monkeypatch, tmp_path):
+    # Only the five-term formula route of the second jets reads
+    # prolong.mixed_second.  The rows fail on the gap between the two
+    # routes, which a prolonged-connection route that read it too would
+    # not see.
+    rows = ["cartan-rot3", "commutator-skew"]
+    assert _verdicts(tmp_path, None, rows) == dict.fromkeys(rows, "pass")
+    _plant(monkeypatch, prolong, "mixed_second", _mixed_second_doubled)
+    results = _rows(tmp_path, None, rows)
+    for name in rows:
+        assert results[name].verdict == "fail", results[name].detail
+        assert "explicit against prolonged-connection jets" in results[name].detail

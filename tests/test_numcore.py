@@ -12,6 +12,7 @@ from curvcheck.errors import DomainError
 from curvcheck.exprdsl import MAX_EXPONENT_DIGITS, Binary, Const, Power, Unary, Var, parse
 from curvcheck.numcore import (
     EvalPoint,
+    directional,
     evaluate,
     gradient,
     mixed_second,
@@ -267,6 +268,33 @@ def test_partial_matches_symbolic_derivative_on_random_expressions():
             reference = evaluate(_symbolic.derivative(e, *direction), point)
             assert abs(grad[i] - reference) <= 1e-9 * max(1.0, abs(reference))
             assert partial(e, point, direction) == grad[i]
+
+
+def test_directional_is_the_chain_rule_through_the_tape():
+    # seeding f_b with the gradient of s^b(x) gives the gradient of the
+    # composite e(x, s(x)), here against its symbolic substitution
+    rng = SplitMix64(4051)
+    for _ in range(100):
+        e = _random_smooth_expr(rng, 4)
+        s = [_symbolic.fiber_to_zero(_random_smooth_expr(rng, 2), 3) for _ in range(3)]
+        x = _random_point(rng).x
+        values, grads = zip(*(gradient(c, EvalPoint(x)) for c in s))
+        units = [tuple(float(i == j) for j in range(3)) for i in range(3)]
+        value, tangent = directional(e, EvalPoint(x, values), units + list(grads))
+        composite = _symbolic.substitute_fiber(e, tuple(s))
+        expected_value, expected = gradient(composite, EvalPoint(x))
+        assert value == pytest.approx(expected_value, rel=1e-12, abs=1e-12)
+        assert tangent == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+def test_gradient_is_directional_along_the_unit_tangents():
+    e = _e("x1*f2 + sin(x2)*f1")
+    point = EvalPoint((0.3, -1.1), (0.7, 2.0))
+    units = [tuple(float(i == j) for j in range(4)) for i in range(4)]
+    assert gradient(e, point) == directional(e, point, units)
+    assert directional(e, point, [(2.0,), (0.0,), (0.0,), (0.0,)])[1] == (2.0 * point.f[1],)
+    with pytest.raises(ValueError):
+        directional(e, point, units[:3])
 
 
 def test_mixed_second_matches_symbolic_second_derivative():

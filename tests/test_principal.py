@@ -3,7 +3,6 @@ connection form, the product-curve axiom, vertical trivialization, the
 structure-equation curvature, the three-route cross-check, and the
 bracket-twisted parameter swap."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +36,7 @@ from curvcheck.rng import SplitMix64
 from curvcheck.sampling import (
     sample_algebra_element,
     sample_axiom_trial,
+    sample_axiom_trials,
     sample_cross_check,
 )
 
@@ -155,14 +155,53 @@ def test_axiom_holds_for_abelian_potential():
     assert max(_axiom(ABELIAN_POTENTIAL, 50)) <= 1e-8
 
 
+SL2 = builtin_algebra("sl2")
+SL2_POTENTIAL = GaugePotential.from_strings(
+    SL2, [["x1*x2", "1 - x2", "0.5"], ["x2^2", "0", "x1"]], base_dim=2
+)
+
+
+@pytest.mark.parametrize("p", [SO3_POTENTIAL, SL2_POTENTIAL, ABELIAN_POTENTIAL], ids=["so3", "sl2", "so2"])
+def test_stacked_axiom_equals_one_trial_at_a_time(p):
+    rng = SplitMix64(83)
+    trials = [sample_axiom_trial(rng, p.algebra, p.base_dim) for _ in range(40)]
+    assert check_axiom(p, trials) == tuple(check_axiom(p, [t])[0] for t in trials)
+    assert check_axiom(p, []) == ()
+
+
+def test_stacked_axiom_trials_are_the_one_trial_draws():
+    for algebra in (SO3, SL2, SO2):
+        stacked = sample_axiom_trials(SplitMix64(89), algebra, 3, 25)
+        rng = SplitMix64(89)
+        for trial, single in zip(stacked, [sample_axiom_trial(rng, algebra, 3) for _ in range(25)]):
+            x0, xi, g0, gamma0, x, y = trial
+            assert (x0, xi) == single[:2]
+            assert np.array_equal(g0.g, single[2].g) and np.array_equal(gamma0.g, single[3].g)
+            assert np.array_equal(x.coeffs, single[4].coeffs)
+            assert np.array_equal(y.coeffs, single[5].coeffs)
+        assert len(stacked) == 25
+
+
+def test_omega_eval_is_one_row_of_the_stacked_axiom_form():
+    rng = SplitMix64(97)
+    for x0, xi, g0, _, x, _ in sample_axiom_trials(rng, SO3, 2, 10):
+        t = PrincipalTangent(x0, g0, xi, x)
+        along = SO3.zero()
+        for mu, scale in enumerate(xi, start=1):
+            along = along + SO3_POTENTIAL.value(mu, x0).scaled(scale)
+        plain = adjoint(g0.inverse(), along)
+        assert np.array_equal(omega_eval(SO3_POTENTIAL, t).coeffs, (plain + x).coeffs)
+
+
 def _drop_adjoint(monkeypatch):
-    """Plant the defect A_x(xi) + v for Ad_{g^{-1}} A_x(xi) + v: the form
-    is evaluated as if every tangent sat at the identity."""
-    original = principal.omega_eval
+    """Plant the defect A_x(xi) + v for Ad_{g^{-1}} A_x(xi) + v in the
+    stacked form that ``omega_eval`` and ``check_axiom`` read: it is
+    evaluated as if every tangent sat at the identity."""
+    original = principal._form
     monkeypatch.setattr(
         principal,
-        "omega_eval",
-        lambda p, t: original(p, dataclasses.replace(t, g=p.algebra.identity_group())),
+        "_form",
+        lambda alg, g, along, v: original(alg, np.broadcast_to(np.eye(alg.d), g.shape), along, v),
     )
 
 

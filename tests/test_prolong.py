@@ -4,7 +4,7 @@ changes, the induced vertical connection, and the commutator identity."""
 import numpy as np
 import pytest
 
-from curvcheck import _symbolic
+from curvcheck import _symbolic, prolong
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
@@ -203,8 +203,8 @@ def test_vertical_connection_belongs_to_its_field():
 
 
 def test_velocity_sections_follow_the_field():
-    # A section paired under one field and then another gives the jets of a
-    # fresh section: nothing paired under the first field is reused.
+    # A section's jets under one field and then another are those of a fresh
+    # section: nothing computed under the first field is reused.
     s = Section.from_strings(P21, ["x1*x2 + 1"])
     skew = ChristoffelField.from_strings(P21, [["0", "x1"]])
     other = ChristoffelField.from_strings(P21, [["f1^2", "x2*f1"]])
@@ -277,6 +277,31 @@ def test_second_covariant_matches_section_family_variation():
         for a in range(n):
             fd = (plus[a] - minus[a]) / (2.0 * eps)
             assert abs(direct[n + a] - fd) <= 1e-5
+
+
+def test_prolonged_route_is_the_covariant_derivative_of_the_velocity_section():
+    # Reference: the section (s, ds/dx^nu + Gamma_nu(x, s)) of the vertical
+    # bundle built as expressions, through bundle.covariant_derivative.
+    rng = SplitMix64(31)
+    for m, n in ((1, 1), (2, 2), (3, 2)):
+        patch = BundlePatch(m, n)
+        for _ in range(3):
+            field = sample_christoffel(rng, patch)
+            s = sample_section(rng, patch)
+            x = tuple(rng.symmetric(1.0) for _ in range(m))
+            pairs = [(mu, nu) for mu in range(1, m + 1) for nu in range(1, m + 1)]
+            routes = prolong._prolonged_covariants(field, s, pairs, x)
+            for (mu, nu), route in zip(pairs, routes):
+                velocity = tuple(
+                    _symbolic.add(
+                        _symbolic.derivative(c, "x", nu),
+                        _symbolic.substitute_fiber(row[nu - 1], s.comps),
+                    )
+                    for c, row in zip(s.comps, field.gamma)
+                )
+                paired = Section(vertical_connection(field).patch, s.comps + velocity)
+                reference = covariant_derivative(vertical_connection(field), paired, mu, x).w
+                assert route == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
 # --- commutator curvature ---------------------------------------------------
