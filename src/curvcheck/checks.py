@@ -220,13 +220,16 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
             return
         a = pushforward_second_jet(h, theta(j))
         b = theta(pushforward_second_jet(h, j))
-        gaps = [
-            abs(u - v)
+        slots, gaps = zip(*(
+            (slot, abs(u - v))
             for slot in ("x", "f", "fdot", "fcirc", "fcircdot")
             for u, v in zip(getattr(a, slot), getattr(b, slot))
-        ]
-        # np.max keeps a NaN, which then fails the row
-        row.add(float(np.max(gaps)), sample)
+        ))
+        # the largest gap, or the first NaN, which then fails the row
+        worst = int(np.argmax(gaps))
+        note = f"at sample {sample}: pushforward of the swapped jet against swap of "
+        note += f"the pushforward {gaps[worst]:.3e} in slot {slots[worst]}"
+        row.add(gaps[worst], sample, note)
 
 
 @_runner("parallel-morphism")

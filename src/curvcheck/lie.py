@@ -112,7 +112,7 @@ class MatrixLieAlgebra:
         ``tol`` scaled by its matrix's magnitude (the first such matrix of a
         stack is named)."""
         flat = np.asarray(matrix, dtype=float)
-        flat = flat.reshape(flat.shape[:-2] + (-1,))
+        flat = flat.reshape(flat.shape[:-2] + (self.d * self.d,))
         coeffs, residual = _fit(self._basis_pinv, self._basis_stack, flat)
         # fmax gives 1.0 for a matrix with a NaN, as max(1.0, nan) does
         bound = tol * np.fmax(1.0, np.abs(flat).max(axis=-1))

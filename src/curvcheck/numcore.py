@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import DomainError
 from .exprdsl import Expression, Program, compile_expr
@@ -210,8 +211,8 @@ def _primal(program: Program, point: EvalPoint, smooth: bool = False) -> list:
 
 
 def _sweep(e: Expression, point: EvalPoint, seeds: dict, width: int, jet: bool):
-    """Value of ``e`` at ``point`` and its tangent, None where it depends on
-    no seeded direction.
+    """Value of ``e`` at ``point`` and its tangent, zeros where it depends
+    on no seeded direction.
 
     ``seeds`` maps a coordinate instruction ``(kind, index)`` to its tangent;
     no tangent is modified once made.  All tangents have ``width`` slots;
@@ -240,7 +241,7 @@ def _sweep(e: Expression, point: EvalPoint, seeds: dict, width: int, jet: bool):
         else:
             first, second = _DERIVATIVES[op](vals[a], y, b)
             push(_unary_tangent(tangents[a], first, second, jet))
-    return vals[-1], tangents[-1]
+    return vals[-1], zero if tangents[-1] is None else tangents[-1]
 
 
 def evaluate(e: Expression, point: EvalPoint) -> float:
@@ -264,7 +265,7 @@ def directional(e: Expression, point: EvalPoint, tangents) -> tuple[float, tuple
         raise ValueError(f"{len(tangents)} tangents for a point with {len(coords)} coordinates")
     width = len(tangents[0]) if tangents else 0
     value, t = _sweep(e, point, dict(zip(coords, tangents)), width, jet=False)
-    return value, (0.0,) * width if t is None else tuple(t)
+    return value, tuple(t)
 
 
 def gradient(e: Expression, point: EvalPoint) -> tuple[float, tuple[float, ...]]:
@@ -275,7 +276,9 @@ def gradient(e: Expression, point: EvalPoint) -> tuple[float, tuple[float, ...]]
     index ``i`` is the partial with respect to ``x{i+1}`` for ``i < m`` and
     with respect to ``f{i-m+1}`` otherwise.
     """
-    return directional(e, point, _unit_tangents(len(point.x) + len(point.f)))
+    m, n = len(point.x), len(point.f)
+    value, t = _sweep(e, point, _unit_seeds(m, n), m + n, jet=False)
+    return value, tuple(t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -286,16 +289,18 @@ def _coordinates(m: int, n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _unit_tangents(size: int) -> tuple:
-    """The unit tangents of ``size`` coordinates (read only)."""
-    return tuple(tuple(float(i == j) for j in range(size)) for i in range(size))
+def _unit_seeds(m: int, n: int) -> MappingProxyType:
+    """The seeds of :func:`gradient` at an ``(m, n)`` point: each coordinate
+    mapped to its unit tangent.  Shared by every call, so read only."""
+    size = m + n
+    units = (tuple(float(i == j) for j in range(size)) for i in range(size))
+    return MappingProxyType(dict(zip(_coordinates(m, n), units)))
 
 
 def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:
     """First partial derivative of ``e`` at ``point`` along ``direction``."""
     kind, index = direction
-    _, t = _sweep(e, point, {(kind, index - 1): [1.0]}, 1, jet=False)
-    return 0.0 if t is None else t[0]
+    return _sweep(e, point, {(kind, index - 1): [1.0]}, 1, jet=False)[1][0]
 
 
 def mixed_second(
@@ -310,8 +315,7 @@ def mixed_second(
     seeds = {}
     for slot, (kind, index) in enumerate((first, second)):
         seeds.setdefault((kind, index - 1), [0.0, 0.0, 0.0])[slot] = 1.0
-    _, t = _sweep(e, point, seeds, 3, jet=True)
-    return 0.0 if t is None else t[2]
+    return _sweep(e, point, seeds, 3, jet=True)[1][2]
 
 
 def central_difference(plus, minus, plus2, minus2, step: float):

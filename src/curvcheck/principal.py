@@ -40,6 +40,15 @@ expressions ``w = Ad_{g0^{-1}} A_mu(x)``, each term ``(ad_C)^j w`` is built
 once from the one before by ``(ad_C v)^e = sum_b c_b sum_a c[b, a, e] v_a``
 and shared by every later term, so the symbols form one DAG whose size
 grows linearly in the order.
+
+At the chart center ``c = 0`` the truncation is exact from order 1 on:
+every term ``(ad_C)^j w`` with ``j >= 2`` is a sum of products of at least
+two chart coordinates, so its value and its first partials vanish there,
+and adding them changes no bit of a value or first partial (at most the
+sign of a zero).  The chart route of :func:`curvature_cross_check` reads
+each chart only at its center, through the symbols and their first
+partials, so it builds its charts at order 1; the commutator route reads
+the identity chart along sections away from its center and keeps order 6.
 """
 
 from __future__ import annotations
@@ -56,7 +65,6 @@ from .lie import (
     AlgebraElement,
     GroupElement,
     MatrixLieAlgebra,
-    adjoint,
     bracket,
     conjugate,
     exp,
@@ -405,13 +413,17 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
     """Compare three curvature routes at base point ``x``.
 
     Route one is :func:`cartan_curvature`.  Route two evaluates the bundle
-    module's curvature coefficients for the exponential-chart symbols at
-    the identity and at each group element of ``centers``, and conjugates
-    back.  Route three pushes the small sections ``x -> exp(S(x))``, one
-    per tuple of ``k`` base-only expressions ``S`` in ``sections``, through
-    the second-jet commutator and conjugates back, converting chart
-    velocities with the left-logarithm factor.  Reports the largest
-    deviation of each pair of routes, and the largest gap of route three's
+    module's curvature coefficients for the exponential-chart symbols
+    centered at the identity and at each group element of ``centers``, and
+    conjugates back.  It reads each chart at its center ``c = 0`` only, so
+    it builds every chart at series order 1, which is exact there (module
+    docstring).  Route three pushes the small sections ``x -> exp(S(x))``,
+    one per tuple of ``k`` base-only expressions ``S`` in ``sections``,
+    through the second-jet commutator in the order-6 identity chart,
+    converts chart velocities with the left-logarithm factor, and
+    conjugates back.  Each route reaches the reference frame through one
+    stacked :func:`~curvcheck.lie.conjugate`.  Reports the largest deviation
+    of each pair of routes, and the largest gap of route three's
     prolonged-connection jets, which alone sees a defect in the mixed second
     derivative of a section: that term cancels in the twisted difference.
     """
@@ -420,40 +432,45 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
     k = alg.k
     base = tuple(float(c) for c in x)
     reference = cartan_curvature(p, base)
+    upper = np.triu_indices(m, 1)
 
-    def conjugated(g: GroupElement, value) -> np.ndarray:
-        """A route's F array in the reference frame: ``Ad_g value(mu, nu)``
-        at ``mu < nu``, and antisymmetric."""
-        restored = np.zeros((m, m, k))
-        for mu in range(m):
-            for nu in range(mu + 1, m):
-                restored[mu, nu] = adjoint(g, AlgebraElement(alg, value(mu, nu))).coeffs
-                restored[nu, mu] = -restored[mu, nu]
-        return restored
+    def in_reference_frame(groups, values) -> np.ndarray:
+        """The F arrays ``(len(values), m, m, k)`` in the reference frame of
+        route values given at the pairs ``mu < nu`` ``(len(values), pairs,
+        k)``: ``Ad_g`` of each entry, with ``g`` the value's ``(d, d)``
+        matrix in ``groups``, and antisymmetric."""
+        restored = np.zeros((len(values), m, m, k))
+        restored[:, upper[0], upper[1]] = conjugate(
+            alg, np.reshape(groups, (-1, 1, alg.d, alg.d)), values
+        )
+        return restored - restored.transpose(0, 2, 1, 3)
 
-    # route two: Nijenhuis coefficients in exponential charts, conjugated
-    # back to the reference frame
-    identity_field = _identity_chart(p)
-    chart_values = []  # one per center
-    for i, center in enumerate((alg.identity_group(), *centers)):
-        field = exponential_chart_connection(p, center) if i else identity_field
-        coeffs = curvature_coefficients(field, EvalPoint(base, (0.0,) * k))
-        chart_values.append(conjugated(center, lambda mu, nu: coeffs[:, mu, nu]))
+    # route two: Nijenhuis coefficients in exponential charts, read at their
+    # centers and conjugated back to the reference frame
+    frames = (alg.identity_group(), *centers)
+    origin = EvalPoint(base, (0.0,) * k)
+    chart = np.array(
+        [curvature_coefficients(exponential_chart_connection(p, g, 1), origin) for g in frames]
+    )
+    chart_values = in_reference_frame(
+        [g.g for g in frames], np.moveaxis(chart[:, :, upper[0], upper[1]], 1, 2)
+    )
 
     # route three: second-jet commutator of exp-sections in the identity
     # chart, converted from chart velocities to algebra values
-    commutator_values = []
-    prolonged_gaps = []
+    identity_field = _identity_chart(p)
+    groups, values, prolonged_gaps = [], [], []
     for comps in sections:
         section = Section(identity_field.patch, comps)
         s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
         log_factor = _left_log_matrix(alg, s_at)
-        group_at = exp(AlgebraElement(alg, s_at))
+        groups.append(exp(AlgebraElement(alg, s_at)).g)
         vertical, gap = commutator_tensor(identity_field, section, base)
         prolonged_gaps.append(gap)
-        commutator_values.append(
-            conjugated(group_at, lambda mu, nu: log_factor @ vertical[:, mu, nu])
-        )
+        values.append([log_factor @ vertical[:, mu, nu] for mu, nu in zip(*upper)])
+    commutator_values = in_reference_frame(
+        groups, np.reshape(values, (len(values), len(upper[0]), k))
+    )
 
     def worst_against(values, target) -> float:
         # np.max keeps a NaN, which the row of the check then fails

@@ -325,6 +325,10 @@ def test_stacked_expand_and_conjugate_are_per_matrix_bit_for_bit():
         assert np.array_equal(alg.expand(mats), [alg.expand(m) for m in mats])
         stacked = conjugate(alg, np.array([g.g for g in groups]), coeffs)
         assert np.array_equal(stacked, [adjoint(g, alg.element(c)).coeffs for g, c in zip(groups, coeffs)])
+        # one group element against a stack of coefficients, and empty stacks
+        shared = conjugate(alg, groups[0].g[None], coeffs)
+        assert np.array_equal(shared, [adjoint(groups[0], alg.element(c)).coeffs for c in coeffs])
+        assert conjugate(alg, groups[0].g[None, None], np.empty((2, 0, alg.k))).shape == (2, 0, alg.k)
 
 
 def test_a_stack_names_its_first_failing_matrix():

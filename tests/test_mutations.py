@@ -11,7 +11,8 @@ each other however the table is wrong.
 
 The second set replaces one function of a route, in every module that
 binds it, by a defective wrapper of the original, or one table of a route
-(the Pade coefficients of ``lie.expm``) by a defective copy.  Two of them
+(the Pade coefficients of ``lie.expm``, the series coefficients of the
+exponential charts) by a defective copy.  Two of them
 sit inside the tensor routes: the bracket of two field jets in ``bundle``
 and the affine difference of two second jets in ``prolong``.  The lift's
 fiber part is planted in ``bundle._lifted``, which computes it for
@@ -114,6 +115,12 @@ def _theta_bch_without_bracket(original):
 
 def _chart_series_of_order_zero(original):
     return lambda p, center, order=6: original(p, center, 0)
+
+
+def _chart_series_with_first_coefficient_flipped(original):
+    # K(z) = 1 + z/2 + ... instead of 1 - z/2 + ...: the one coefficient past
+    # the first that route two's order-1 charts read at their centers
+    return (original[0], -original[1], *original[2:])
 
 
 def _pushforward_without_fcirc_jacobian(original):
@@ -269,6 +276,13 @@ ROUTE_DEFECTS = [
         id="chart-order-0",
     ),
     pytest.param(
+        principal,
+        "_CHART_SERIES",
+        _chart_series_with_first_coefficient_flipped,
+        "cartan-rot3",
+        id="chart-first-coefficient",
+    ),
+    pytest.param(
         prolong,
         "pushforward_second_jet",
         _pushforward_without_fcirc_jacobian,
@@ -387,6 +401,15 @@ def test_a_broken_theta_law_fails_with_no_residual(monkeypatch, tmp_path, mutate
     _plant(monkeypatch, prolong, "theta", mutate)
     row = _rows(tmp_path, None, ["theta-swap"])["theta-swap"]
     assert (row.verdict, row.max_residual, row.detail) == ("fail", None, detail)
+
+
+def test_a_theta_equivariance_defect_names_its_sample_and_slot(monkeypatch, tmp_path):
+    _plant(monkeypatch, prolong, "pushforward_second_jet", _pushforward_without_fcirc_jacobian)
+    row = _rows(tmp_path, None, ["theta-swap"])["theta-swap"]
+    assert row.verdict == "fail"
+    assert row.detail.startswith("at sample ")
+    # the swap moves the fcirc leg of the pushed jet into its fdot slot
+    assert row.detail.endswith(f"{row.max_residual:.3e} in slot fdot")
 
 
 def test_a_second_route_defect_names_its_sample_and_comparison(monkeypatch, tmp_path):

@@ -297,6 +297,19 @@ def test_gradient_is_directional_along_the_unit_tangents():
         directional(e, point, units[:3])
 
 
+def test_gradient_leaves_its_cached_seeds_unchanged():
+    # every gradient call at an (m, n) point shares one seed table
+    e = _e("x1*f2 + sin(x2)*f1*f1 - x2/f2")
+    point = EvalPoint((0.3, -1.1), (0.7, 2.0))
+    seeds = numcore._unit_seeds(2, 2)
+    before = dict(seeds)
+    first = gradient(e, point)
+    assert gradient(e, point) == first
+    assert numcore._unit_seeds(2, 2) is seeds and dict(seeds) == before
+    with pytest.raises(TypeError):
+        seeds[("x", 0)] = (2.0, 0.0, 0.0, 0.0)
+
+
 def test_mixed_second_matches_symbolic_second_derivative():
     rng = SplitMix64(811)
     directions = [("x", 1), ("x", 2), ("f", 1), ("f", 3)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from curvcheck import principal
+from curvcheck.bundle import Section, curvature_coefficients
 from curvcheck.errors import IndexOutOfRange, NotVertical
 from curvcheck.lie import (
     AlgebraElement,
@@ -32,6 +33,7 @@ from curvcheck.principal import (
     theta_bch_verify,
     vtriv_principal,
 )
+from curvcheck.prolong import commutator_tensor
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import (
     sample_algebra_element,
@@ -385,11 +387,11 @@ def test_cross_check_so3():
 
 
 def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
-    centers = []
+    built = []
     original = principal.exponential_chart_connection
 
     def counting(p, center, order=6):
-        centers.append(center)
+        built.append((np.array_equal(center.g, p.algebra.identity_group().g), order))
         return original(p, center, order)
 
     monkeypatch.setattr(principal, "exponential_chart_connection", counting)
@@ -400,9 +402,103 @@ def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
     first = _cross_check(potential, (0.3, 0.6), rng, centers=1)
     second = _cross_check(potential, (-0.1, 0.2), rng, centers=1)
     assert first.max_deviation <= 1e-6 and second.max_deviation <= 1e-6
-    # the identity chart once, then one random center per call
-    identity = SO3.identity_group().g
-    assert [np.array_equal(c.g, identity) for c in centers] == [True, False, False]
+    # route two: an order-1 chart at the identity and at the one random
+    # center, in every call; route three: the order-6 identity chart, once
+    # per potential
+    per_call = [(True, 1), (False, 1)]
+    assert built == per_call + [(True, 6)] + per_call
+
+
+def test_cross_check_on_a_one_dimensional_base():
+    # no pair mu < nu: every route's curvature is the empty antisymmetric array
+    potential = GaugePotential.from_strings(SO3, [["x1", "x1*x1", "0.5"]], base_dim=1)
+    report = _cross_check(potential, (0.3,), SplitMix64(3))
+    assert report.max_deviation == 0.0
+
+
+NONPOLYNOMIAL_ROWS = [["exp(x1)", "sin(x2)*x1", "x1/(x2 + 2)"], ["cos(x1)/(1 + x2^2)", "exp(-x2)", "0.3"]]
+POLYNOMIAL_ROWS = [["x1", "x2*x1", "0.5"], ["x2^2", "-x1", "x1*x2 + 0.3"]]
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+@pytest.mark.parametrize("rows", [POLYNOMIAL_ROWS, NONPOLYNOMIAL_ROWS], ids=["poly", "exp-sin-div"])
+def test_chart_coefficients_at_the_center_do_not_depend_on_the_order(name, rows):
+    # at c = 0 every series term (ad_C)^j w with j >= 2 has value and first
+    # partials zero, so the first partials read there are those of order 1
+    alg = builtin_algebra(name)
+    potential = GaugePotential.from_strings(alg, rows, base_dim=2)
+    rng = SplitMix64(29)
+    centers = [alg.identity_group()] + [exp(sample_algebra_element(rng, alg)) for _ in range(2)]
+    for center in centers:
+        low = exponential_chart_connection(potential, center, 1)
+        high = exponential_chart_connection(potential, center, 6)
+        for _ in range(3):
+            origin = EvalPoint(tuple(rng.symmetric(1.0) for _ in range(2)), (0.0,) * alg.k)
+            assert np.array_equal(
+                curvature_coefficients(low, origin), curvature_coefficients(high, origin)
+            )
+
+
+def _order_six_cross_check(p: GaugePotential, x, centers, sections):
+    """:func:`curvature_cross_check` as it was formulated with order-6
+    charts at every center and one ``adjoint`` per pair ``mu < nu``."""
+    alg = p.algebra
+    m = p.base_dim
+    base = tuple(float(c) for c in x)
+    reference = cartan_curvature(p, base)
+    identity_field = exponential_chart_connection(p, alg.identity_group())
+
+    def conjugated(g, value):
+        restored = np.zeros((m, m, alg.k))
+        for mu in range(m):
+            for nu in range(mu + 1, m):
+                restored[mu, nu] = adjoint(g, AlgebraElement(alg, value(mu, nu))).coeffs
+                restored[nu, mu] = -restored[mu, nu]
+        return restored
+
+    chart_values = []
+    for center in (alg.identity_group(), *centers):
+        field = exponential_chart_connection(p, center)
+        coeffs = curvature_coefficients(field, EvalPoint(base, (0.0,) * alg.k))
+        chart_values.append(conjugated(center, lambda mu, nu: coeffs[:, mu, nu]))
+    commutator_values = []
+    gaps = []
+    for comps in sections:
+        section = Section(identity_field.patch, comps)
+        s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
+        log_factor = principal._left_log_matrix(alg, s_at)
+        vertical, gap = commutator_tensor(identity_field, section, base)
+        gaps.append(gap)
+        commutator_values.append(
+            conjugated(
+                exp(AlgebraElement(alg, s_at)), lambda mu, nu: log_factor @ vertical[:, mu, nu]
+            )
+        )
+
+    def worst_against(values, target):
+        return float(np.max([np.abs(v - target).max() for v in values], initial=0.0))
+
+    pairwise = {
+        "structure-vs-chart": worst_against(chart_values, reference.coeffs),
+        "structure-vs-commutator": worst_against(commutator_values, reference.coeffs),
+        "chart-vs-commutator": worst_against(commutator_values, chart_values[0]),
+    }
+    prolonged = float(np.max(gaps, initial=0.0))
+    return pairwise, prolonged, float(np.max([*pairwise.values(), prolonged]))
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+@pytest.mark.parametrize("rows", [POLYNOMIAL_ROWS, NONPOLYNOMIAL_ROWS], ids=["poly", "exp-sin-div"])
+def test_cross_check_equals_the_order_six_pairwise_formulation(name, rows):
+    alg = builtin_algebra(name)
+    potential = GaugePotential.from_strings(alg, rows, base_dim=2)
+    for seed in range(4):
+        rng = SplitMix64(seed)
+        x = tuple(rng.symmetric(1.0) for _ in range(2))
+        drawn = sample_cross_check(rng, alg, 2, 2, 2)
+        report = curvature_cross_check(potential, x, *drawn)
+        expected = _order_six_cross_check(potential, x, *drawn)
+        assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
 
 
 def test_cross_check_deterministic_given_seed():
