@@ -292,9 +292,8 @@ def _coordinates(m: int, n: int) -> tuple:
 def _unit_seeds(m: int, n: int) -> MappingProxyType:
     """The seeds of :func:`gradient` at an ``(m, n)`` point: each coordinate
     mapped to its unit tangent.  Shared by every call, so read only."""
-    size = m + n
-    units = (tuple(float(i == j) for j in range(size)) for i in range(size))
-    return MappingProxyType(dict(zip(_coordinates(m, n), units)))
+    coords = _coordinates(m, n)
+    return MappingProxyType({c: tuple(float(c == d) for d in coords) for c in coords})
 
 
 def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:

@@ -43,12 +43,11 @@ grows linearly in the order.
 
 At the chart center ``c = 0`` the truncation is exact from order 1 on:
 every term ``(ad_C)^j w`` with ``j >= 2`` is a sum of products of at least
-two chart coordinates, so its value and its first partials vanish there,
-and adding them changes no bit of a value or first partial (at most the
-sign of a zero).  The chart route of :func:`curvature_cross_check` reads
-each chart only at its center, through the symbols and their first
-partials, so it builds its charts at order 1; the commutator route reads
-the identity chart along sections away from its center and keeps order 6.
+two chart coordinates, so its value and first partials vanish there and
+change no bit of either (at most the sign of a zero).  The chart route of
+:func:`curvature_cross_check` reads its charts only there, so it builds
+them at order 1; the commutator route reads the identity chart away from
+its center and keeps order 6.
 """
 
 from __future__ import annotations
@@ -414,16 +413,15 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
 
     Route one is :func:`cartan_curvature`.  Route two evaluates the bundle
     module's curvature coefficients for the exponential-chart symbols
-    centered at the identity and at each group element of ``centers``, and
-    conjugates back.  It reads each chart at its center ``c = 0`` only, so
-    it builds every chart at series order 1, which is exact there (module
-    docstring).  Route three pushes the small sections ``x -> exp(S(x))``,
-    one per tuple of ``k`` base-only expressions ``S`` in ``sections``,
-    through the second-jet commutator in the order-6 identity chart,
-    converts chart velocities with the left-logarithm factor, and
-    conjugates back.  Each route reaches the reference frame through one
-    stacked :func:`~curvcheck.lie.conjugate`.  Reports the largest deviation
-    of each pair of routes, and the largest gap of route three's
+    centered at the identity and at each group element of ``centers``, read
+    at the chart center only and so built at series order 1, which is exact
+    there (module docstring).  Route three pushes the small sections
+    ``x -> exp(S(x))``, one per tuple of ``k`` base-only expressions ``S``
+    in ``sections``, through the second-jet commutator in the order-6
+    identity chart, converting chart velocities with the left-logarithm
+    factor.  Each route returns to the reference frame in one stacked
+    :func:`~curvcheck.lie.conjugate`.  Reports the largest deviation of
+    each pair of routes, and the largest gap of route three's
     prolonged-connection jets, which alone sees a defect in the mixed second
     derivative of a section: that term cancels in the twisted difference.
     """
@@ -435,26 +433,21 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
     upper = np.triu_indices(m, 1)
 
     def in_reference_frame(groups, values) -> np.ndarray:
-        """The F arrays ``(len(values), m, m, k)`` in the reference frame of
-        route values given at the pairs ``mu < nu`` ``(len(values), pairs,
-        k)``: ``Ad_g`` of each entry, with ``g`` the value's ``(d, d)``
-        matrix in ``groups``, and antisymmetric."""
+        # antisymmetric F arrays (S, m, m, k) of values (S, pairs mu < nu,
+        # k), each pair's value conjugated by its sample's group element
+        matrices = np.reshape([g.g for g in groups], (len(values), 1, alg.d, alg.d))
         restored = np.zeros((len(values), m, m, k))
-        restored[:, upper[0], upper[1]] = conjugate(
-            alg, np.reshape(groups, (-1, 1, alg.d, alg.d)), values
-        )
+        restored[:, upper[0], upper[1]] = conjugate(alg, matrices, values)
         return restored - restored.transpose(0, 2, 1, 3)
 
     # route two: Nijenhuis coefficients in exponential charts, read at their
     # centers and conjugated back to the reference frame
     frames = (alg.identity_group(), *centers)
     origin = EvalPoint(base, (0.0,) * k)
-    chart = np.array(
-        [curvature_coefficients(exponential_chart_connection(p, g, 1), origin) for g in frames]
-    )
-    chart_values = in_reference_frame(
-        [g.g for g in frames], np.moveaxis(chart[:, :, upper[0], upper[1]], 1, 2)
-    )
+    chart = [
+        curvature_coefficients(exponential_chart_connection(p, g, 1), origin) for g in frames
+    ]
+    chart_values = in_reference_frame(frames, np.moveaxis(chart, 1, -1)[:, upper[0], upper[1]])
 
     # route three: second-jet commutator of exp-sections in the identity
     # chart, converted from chart velocities to algebra values
@@ -464,7 +457,7 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
         section = Section(identity_field.patch, comps)
         s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
         log_factor = _left_log_matrix(alg, s_at)
-        groups.append(exp(AlgebraElement(alg, s_at)).g)
+        groups.append(exp(AlgebraElement(alg, s_at)))
         vertical, gap = commutator_tensor(identity_field, section, base)
         prolonged_gaps.append(gap)
         values.append([log_factor @ vertical[:, mu, nu] for mu, nu in zip(*upper)])
@@ -474,7 +467,7 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
 
     def worst_against(values, target) -> float:
         # np.max keeps a NaN, which the row of the check then fails
-        return float(np.max([np.abs(v - target).max() for v in values], initial=0.0))
+        return float(np.max(np.abs(values - target), initial=0.0))
 
     pairwise = {
         "structure-vs-chart": worst_against(chart_values, reference.coeffs),

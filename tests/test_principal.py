@@ -52,6 +52,12 @@ SO3_POTENTIAL = GaugePotential.from_strings(
 # A_1 = 0, A_2 = x1*E: constant curvature F_12 = E.
 ABELIAN_POTENTIAL = GaugePotential.from_strings(SO2, [["0"], ["x1"]], base_dim=2)
 FLAT_SO3 = GaugePotential.from_strings(SO3, [["0", "0", "0"], ["0", "0", "0"]], base_dim=2)
+# Rows of a two-dimensional potential in a three-dimensional algebra.
+POLYNOMIAL_ROWS = [["x1", "x2*x1", "0.5"], ["x2^2", "-x1", "x1*x2 + 0.3"]]
+NONPOLYNOMIAL_ROWS = [
+    ["exp(x1)", "sin(x2)*x1", "x1/(x2 + 2)"],
+    ["cos(x1)/(1 + x2^2)", "exp(-x2)", "0.3"],
+]
 
 
 def _rotation(angle: float) -> GroupElement:
@@ -314,9 +320,7 @@ def test_chart_connection_off_center_matches_truncated_series(name, order):
     # oracle: sum_j K_j (ad_C)^j Ad_{center^-1} A_mu(x), with ad_C taken
     # as matrix commutators rather than from the structure constants
     alg = builtin_algebra(name)
-    potential = GaugePotential.from_strings(
-        alg, [["x1", "x2*x1", "0.5"], ["x2^2", "-x1", "x1*x2 + 0.3"]], base_dim=2
-    )
+    potential = GaugePotential.from_strings(alg, POLYNOMIAL_ROWS, base_dim=2)
     rng = SplitMix64(113)
     centers = [alg.identity_group()] + [
         exp(sample_algebra_element(rng, alg)) for _ in range(2)
@@ -414,10 +418,6 @@ def test_cross_check_on_a_one_dimensional_base():
     potential = GaugePotential.from_strings(SO3, [["x1", "x1*x1", "0.5"]], base_dim=1)
     report = _cross_check(potential, (0.3,), SplitMix64(3))
     assert report.max_deviation == 0.0
-
-
-NONPOLYNOMIAL_ROWS = [["exp(x1)", "sin(x2)*x1", "x1/(x2 + 2)"], ["cos(x1)/(1 + x2^2)", "exp(-x2)", "0.3"]]
-POLYNOMIAL_ROWS = [["x1", "x2*x1", "0.5"], ["x2^2", "-x1", "x1*x2 + 0.3"]]
 
 
 @pytest.mark.parametrize("name", ["so3", "sl2"])
