@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _symbolic
 from .exprdsl import Expression, check_indices, parse
-from .numcore import EvalPoint, evaluate, gradient, partial
+from .numcore import EvalPoint, directional, evaluate, gradient, partial
 
 __all__ = [
     "BundlePatch",
@@ -413,7 +413,8 @@ def nijenhuis_curvature(
 
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     """Coordinate curvature tensor ``R[a-1, mu-1, nu-1] = R^a_{mu nu}(p)``,
-    shape (n, m, m), antisymmetric in the last two slots."""
+    shape (n, m, m), antisymmetric in the last two slots: the module's
+    coordinate formula fed the symbols' structural partials."""
     m, n = field.patch.dims
     vals = np.empty((n, m))
     gx = np.empty((n, m, m))
@@ -422,6 +423,14 @@ def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
         for mu in range(m):
             vals[a, mu], grad = gradient(field.gamma[a][mu], p)
             gx[a, mu], gf[a, mu] = grad[:m], grad[m:]
+    return _coordinate_curvature(vals, gx, gf)
+
+
+def _coordinate_curvature(vals: np.ndarray, gx: np.ndarray, gf: np.ndarray) -> np.ndarray:
+    """The coordinate formula of the module docstring, from symbol values
+    ``vals[a, mu]`` and partials ``gx[a, mu, nu] = dGamma^a_mu/dx^nu``,
+    ``gf[a, mu, b] = dGamma^a_mu/df^b``, however they were computed."""
+    n, m = vals.shape
     R = np.zeros((n, m, m))
     for a in range(n):
         for mu in range(m):
@@ -439,23 +448,11 @@ def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
 
 def pushforward(phi: FiberBundleMorphism, t: TotalTangent) -> TotalTangent:
     """Differential of ``phi`` applied to ``t``; the result sits at
-    ``(x, phi(x, f))`` on the target patch."""
+    ``(x, phi(x, f))`` on the target patch.  Each component of ``phi`` is
+    swept once along ``t`` (:func:`~curvcheck.numcore.directional`)."""
     p = t.at
-    grads = [gradient(c, p) for c in phi.comps]
-    return TotalTangent(_pushed_point(phi, p, grads), t.a, _pushed(grads, t))
-
-
-def _pushed_point(phi: FiberBundleMorphism, p: EvalPoint, grads) -> EvalPoint:
-    """``(x, phi(x, f))`` from the values in ``grads``, the value-gradient
-    pairs of the components of ``phi`` at ``p``."""
-    return EvalPoint(p.x[: phi.source.base_dim], tuple(val for val, _ in grads))
-
-
-def _pushed(grads, t: TotalTangent) -> tuple[float, ...]:
-    """Fiber part of the pushforward of ``t``, from the value-gradient pairs
-    ``grads`` of the morphism's components at its point."""
-    comps = t.a + t.b
-    return tuple(sum(g * v for g, v in zip(grad, comps)) for _, grad in grads)
+    values, pushed = zip(*(directional(c, p, [(v,) for v in t.a + t.b]) for c in phi.comps))
+    return TotalTangent(EvalPoint(p.x, values), t.a, [v for v, in pushed])
 
 
 def is_parallel_morphism(
@@ -471,22 +468,26 @@ def is_parallel_morphism(
     pushed forward and projected with ``field_hat``; the residual is the
     largest absolute fiber component.  ``samples`` is a sequence of
     :class:`EvalPoint` on the source patch.  The symbols of both connections
-    and the gradients of ``phi`` are evaluated once per sample, as every
-    lift sits at the sample and every pushforward at its image.
+    are evaluated once per sample, as every lift sits at the sample and every
+    pushforward at its image, and each component of ``phi`` is swept once,
+    seeded with all ``m`` lifts (slot ``mu`` of coordinate ``i`` is
+    component ``i`` of the lift of ``d/dx^mu``).
     """
     m = field.patch.base_dim
+    directions = [tuple(float(i == mu) for i in range(m)) for mu in range(m)]
     residuals = []
     for p in samples:
         gamma = _symbol_values(field, p)
-        grads = [gradient(c, p) for c in phi.comps]
-        image = _pushed_point(phi, p, grads)
+        lifts = [_lifted(gamma, xi) for xi in directions]
+        # the base coordinates move as the directions, the fiber ones as the lifts
+        seeds = directions + list(zip(*lifts))
+        values, pushed = zip(*(directional(c, p, seeds) for c in phi.comps))
+        image = EvalPoint(p.x, values)
         gamma_hat = _symbol_values(field_hat, image)
         fiber_parts = []
-        for mu in range(1, m + 1):
-            xi = tuple(1.0 if i == mu else 0.0 for i in range(1, m + 1))
-            lifted = TotalTangent(p, xi, _lifted(gamma, xi))
-            pushed = TotalTangent(image, xi, _pushed(grads, lifted))
-            fiber_parts.extend(_projected(gamma_hat, pushed))
+        for mu, xi in enumerate(directions):
+            pushed_lift = TotalTangent(image, xi, [slots[mu] for slots in pushed])
+            fiber_parts.extend(_projected(gamma_hat, pushed_lift))
         # np.max keeps a NaN, which the row of the check then fails
         residuals.append(float(np.max(np.abs(fiber_parts))))
     return tuple(residuals)

@@ -26,6 +26,7 @@ from . import __version__
 from .bundle import (
     ChristoffelField,
     TotalVectorField,
+    _coordinate_curvature,
     curvature_coefficients,
     is_parallel_morphism,
     nijenhuis_tensor,
@@ -106,7 +107,9 @@ def _fd_partial(expr, p: EvalPoint, index: int) -> float:
 
 
 def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
-    """Curvature coefficients rebuilt from finite-difference partials only."""
+    """Curvature coefficients rebuilt from finite-difference partials only,
+    by the coordinate formula that :func:`curvature_coefficients` feeds
+    structural partials."""
     m, n = field.patch.dims
     vals = np.empty((n, m))
     gx = np.empty((n, m, m))
@@ -117,15 +120,7 @@ def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
             vals[a, mu] = evaluate(expr, p)
             grad = [_fd_partial(expr, p, i) for i in range(m + n)]
             gx[a, mu], gf[a, mu] = grad[:m], grad[m:]
-    R = np.zeros((n, m, m))
-    for a in range(n):
-        for mu in range(m):
-            for nu in range(m):
-                acc = gx[a, nu, mu] - gx[a, mu, nu]
-                for b in range(n):
-                    acc += vals[b, nu] * gf[a, mu, b] - vals[b, mu] * gf[a, nu, b]
-                R[a, mu, nu] = acc
-    return R
+    return _coordinate_curvature(vals, gx, gf)
 
 
 @_runner("curvature-coefficients")

@@ -25,6 +25,10 @@ sweeps over the tape:
   float division rounds, and so is the second derivative of ``^`` (with
   its sign), which first-order sweeps never use; the first derivative of
   ``^`` raises ``DomainError`` when it overflows, as its value does.
+
+:func:`directional` is the chain rule through a map: the pushforwards of
+tangents and second jets in ``bundle`` and ``prolong`` seed each coordinate
+with its velocity, so no route sums a Jacobian by hand.
 """
 
 from __future__ import annotations

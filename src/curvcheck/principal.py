@@ -70,7 +70,7 @@ from .lie import (
     expm,
     group_stack,
 )
-from .numcore import EvalPoint, central_difference, evaluate, partial
+from .numcore import EvalPoint, central_difference, evaluate, gradient
 from .prolong import commutator_tensor
 
 __all__ = [
@@ -125,6 +125,8 @@ class GaugePotential:
 
     def value(self, mu: int, x) -> AlgebraElement:
         """A_mu(x) as an algebra element (mu is 1-based)."""
+        if not 1 <= mu <= self.base_dim:
+            raise ValueError(f"mu must be in 1..{self.base_dim}, got {mu}")
         pt = EvalPoint.of(x)
         coeffs = [evaluate(c, pt) for c in self.a[mu - 1]]
         return AlgebraElement(self.algebra, coeffs)
@@ -169,6 +171,9 @@ class CurvatureField:
 
     def element(self, mu: int, nu: int) -> AlgebraElement:
         """F_{mu nu} as an algebra element (1-based indices)."""
+        m = self.coeffs.shape[0]
+        if not (1 <= mu <= m and 1 <= nu <= m):
+            raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
         return AlgebraElement(self.algebra, self.coeffs[mu - 1, nu - 1])
 
 
@@ -289,24 +294,20 @@ def vtriv_principal(algebra: MatrixLieAlgebra, g0: GroupElement, w) -> AlgebraEl
 
 def cartan_curvature(p: GaugePotential, x) -> CurvatureField:
     """Structure-equation curvature
-    ``F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]`` at ``x``."""
+    ``F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]`` at ``x``, from one
+    gradient of each potential component."""
     m = p.base_dim
     k = p.algebra.k
     pt = EvalPoint.of(x)
-    values = [
-        AlgebraElement(p.algebra, [evaluate(c, pt) for c in row]) for row in p.a
-    ]
+    values, grads = zip(*(gradient(c, pt) for row in p.a for c in row))
+    values = [AlgebraElement(p.algebra, row) for row in np.reshape(values, (m, k))]
+    # grads[nu, e, mu] = d_mu of the E_{e+1} coefficient of A_nu
+    grads = np.reshape(grads, (m, k, m))
     coeffs = np.zeros((m, m, k))
     for mu in range(m):
         for nu in range(mu + 1, m):
-            grad_mu_nu = np.array(
-                [partial(c, pt, ("x", mu + 1)) for c in p.a[nu]]
-            )
-            grad_nu_mu = np.array(
-                [partial(c, pt, ("x", nu + 1)) for c in p.a[mu]]
-            )
             comm = bracket(values[mu], values[nu]).coeffs
-            entry = grad_mu_nu - grad_nu_mu + comm
+            entry = grads[nu, :, mu] - grads[mu, :, nu] + comm
             coeffs[mu, nu] = entry
             coeffs[nu, mu] = -entry
     return CurvatureField(p.algebra, coeffs)
@@ -388,17 +389,17 @@ def _identity_chart(p: GaugePotential) -> ChristoffelField:
 
 def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
     """Matrix of phi(ad_C) = (1 - e^{-ad_C})/ad_C on coordinates, the map
-    taking chart velocities at C to left-logarithmic algebra values."""
-    ad_mats = _ad_generator_matrices(alg)
-    ad_c = sum(c * mat for c, mat in zip(coords, ad_mats))
-    term = np.eye(alg.k)
-    total = np.eye(alg.k)
-    for j in range(1, 60):
-        term = -(ad_c @ term) / (j + 1.0)
-        total = total + term
-        if float(np.abs(term).max()) < 1e-18:
-            break
-    return total
+    taking chart velocities at C to left-logarithmic algebra values.
+
+    It is the integral of ``e^{-s ad_C}`` over ``s`` in ``[0, 1]``: the
+    upper-right block of ``expm([[-ad_C, I], [0, 0]])`` (Van Loan, IEEE
+    Trans. Automat. Control 23(3), 1978), accurate at every ``|C|``.
+    """
+    k = alg.k
+    block = np.zeros((2 * k, 2 * k))
+    block[:k, :k] = -sum(c * mat for c, mat in zip(coords, _ad_generator_matrices(alg)))
+    block[:k, k:] = np.eye(k)
+    return expm(block)[:k, k:]
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,13 @@ def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet
 
         fcircdot'^w = sum_{a,b} d2 h^w/df^a df^b * fcirc^a * fdot^b
                       + sum_a dh^w/df^a * fcircdot^a.
+
+    ``h^w``, both first-order slots and the Jacobian term come from one
+    width-3 :func:`~curvcheck.numcore.directional` sweep of ``h^w`` seeded
+    ``f^a -> (fdot^a, fcirc^a, fcircdot^a)``.  The Hessian term stays one
+    ``mixed_second`` per pair of nonzero legs: a jet sweep seeded with both
+    legs is symmetric in them bit for bit, as every second-order rule is, so
+    ``theta-equivariance`` would read 0 on every input.
     """
     n = len(j.f)
     h = tuple(h)
@@ -170,34 +177,22 @@ def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet
     for i, e in enumerate(h, start=1):
         check_indices(e, 0, n, f"transition component {i}")
     p = EvalPoint(j.x, j.f)
-    values = []
-    jac = []
-    for e in h:
-        val, grad = gradient(e, p)
-        values.append(val)
-        jac.append(grad[len(j.x):])
-    new_fdot = tuple(
-        sum(jac[w][a] * j.fdot[a] for a in range(n)) for w in range(n)
-    )
-    new_fcirc = tuple(
-        sum(jac[w][a] * j.fcirc[a] for a in range(n)) for w in range(n)
-    )
-    new_mixed = []
+    seeds = [(0.0, 0.0, 0.0)] * len(j.x) + list(zip(j.fdot, j.fcirc, j.fcircdot))
+    values, legs = zip(*(directional(e, p, seeds) for e in h))
+    new_fdot, new_fcirc, new_mixed = (list(slot) for slot in zip(*legs))
     for w in range(n):
-        acc = sum(jac[w][a] * j.fcircdot[a] for a in range(n))
         for a in range(n):
             if j.fcirc[a] == 0.0:
                 continue
             for b in range(n):
                 if j.fdot[b] == 0.0:
                     continue
-                acc += (
+                new_mixed[w] += (
                     mixed_second(h[w], p, ("f", a + 1), ("f", b + 1))
                     * j.fcirc[a]
                     * j.fdot[b]
                 )
-        new_mixed.append(acc)
-    return SecondJet(j.x, tuple(values), new_fdot, new_fcirc, tuple(new_mixed))
+    return SecondJet(j.x, values, new_fdot, new_fcirc, new_mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from curvcheck.bundle import (
     project,
 )
 from curvcheck.errors import IndexOutOfRange
-from curvcheck.numcore import EvalPoint, evaluate, gradient
+from curvcheck.numcore import EvalPoint, directional, evaluate, gradient
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_christoffel, sample_point, sample_polynomial
 
@@ -445,6 +445,7 @@ def test_parallel_morphism_residuals_equal_the_composed_public_routes():
 def test_parallel_morphism_evaluates_each_value_once_per_sample(monkeypatch):
     evaluations = []
     gradients = []
+    sweeps = []
 
     def counted_evaluate(e, p):
         evaluations.append(e)
@@ -454,8 +455,13 @@ def test_parallel_morphism_evaluates_each_value_once_per_sample(monkeypatch):
         gradients.append(e)
         return gradient(e, p)
 
+    def counted_directional(e, p, tangents):
+        sweeps.append(e)
+        return directional(e, p, tangents)
+
     monkeypatch.setattr(bundle, "evaluate", counted_evaluate)
     monkeypatch.setattr(bundle, "gradient", counted_gradient)
+    monkeypatch.setattr(bundle, "directional", counted_directional)
     rng = SplitMix64(919)
     m, n = 3, 2
     patch = BundlePatch(m, n)
@@ -464,7 +470,8 @@ def test_parallel_morphism_evaluates_each_value_once_per_sample(monkeypatch):
     field_hat = sample_christoffel(rng, patch)
     is_parallel_morphism(phi, field, field_hat, [sample_point(rng, m, n)])
     assert len(evaluations) <= 2 * m * n
-    assert len(gradients) <= n
+    # one sweep of each component of phi, seeded with all m lifts
+    assert len(gradients) + len(sweeps) <= n
 
 
 def test_morphism_requires_matching_base():

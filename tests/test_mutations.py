@@ -17,9 +17,13 @@ sit inside the tensor routes: the bracket of two field jets in ``bundle``
 and the affine difference of two second jets in ``prolong``.  The lift's
 fiber part is planted in ``bundle._lifted``, which computes it for
 ``horizontal_lift`` and for the per-sample lifts of
-``is_parallel_morphism``.  Two replace the order swap ``prolong.theta``,
-which breaks the exact laws of ``theta-equivariance``: such a row fails with
-no residual and names the broken law.
+``is_parallel_morphism``.  One flips the quadratic term inside
+``bundle._coordinate_curvature``, the coordinate formula that both routes
+of ``curvature-coefficients`` feed their partials to, so only a row whose
+other route does not use it, ``nijenhuis-poly``, can see it.  Two replace
+the order swap ``prolong.theta``, which breaks the exact laws of
+``theta-equivariance``: such a row fails with no residual and names the
+broken law.
 
 The third set plants a defect in the second route of a comparison that a
 tensor route makes inside itself, whose gap is part of the row's residual.
@@ -149,6 +153,12 @@ def _coefficients_with_quadratic_sign_flipped(original):
         return original(field, p) - 2.0 * quadratic
 
     return mutant
+
+
+def _coordinate_formula_with_quadratic_sign_flipped(original):
+    # the quadratic term of the shared coordinate formula is linear in the
+    # symbol values and the derivative term does not read them
+    return lambda vals, gx, gf: original(-vals, gx, gf)
 
 
 def _omega_without_conjugation(original):
@@ -316,6 +326,13 @@ ROUTE_DEFECTS = [
         _coefficients_with_quadratic_sign_flipped,
         "nijenhuis-poly",
         id="coefficients-quadratic-sign",
+    ),
+    pytest.param(
+        bundle,
+        "_coordinate_curvature",
+        _coordinate_formula_with_quadratic_sign_flipped,
+        "nijenhuis-poly",
+        id="coordinate-formula-quadratic-sign",
     ),
     pytest.param(
         bundle,

@@ -79,6 +79,13 @@ def test_potential_value():
     assert np.allclose(out.coeffs, (0.0, -1.0, 0.0))
 
 
+@pytest.mark.parametrize("mu", [0, -1, 3])
+def test_potential_value_rejects_an_index_outside_the_base(mu):
+    # index 0 would otherwise read row m, as Python indexes from the end
+    with pytest.raises(ValueError, match=r"1\.\.2"):
+        SO3_POTENTIAL.value(mu, (0.5, -1.0))
+
+
 # --- the connection form ----------------------------------------------------
 
 
@@ -286,12 +293,31 @@ def test_cartan_curvature_constant_so3_example():
     assert np.allclose(out.element(1, 2).coeffs, (0.0, 0.0, 1.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("mu, nu", [(0, 1), (1, 0), (3, 1), (2, -1)])
+def test_curvature_element_rejects_an_index_outside_the_base(mu, nu):
+    out = cartan_curvature(SO3_POTENTIAL, (0.6, 0.2))
+    with pytest.raises(ValueError, match=r"1\.\.2"):
+        out.element(mu, nu)
+
+
 def test_cartan_curvature_antisymmetric_by_construction():
     out = cartan_curvature(SO3_POTENTIAL, (0.6, 0.2))
     assert np.array_equal(out.coeffs, -out.coeffs.transpose(1, 0, 2))
 
 
 # --- exponential charts -----------------------------------------------------
+
+
+@pytest.mark.parametrize("angle", [0.5, 5.0, 20.0, 30.0, 100.0])
+def test_left_log_matrix_matches_the_so3_closed_form(angle):
+    # on so3, ad_C has eigenvalues 0 and +-i angle, so phi(ad_C) =
+    # I - (1 - cos t)/t^2 ad_C + (t - sin t)/t^3 ad_C^2 with t = |C|; a
+    # truncated power series of phi is off by 1.6e-6 at 20 and 5.2e4 at 30
+    coords = angle * np.array([0.6, -0.48, 0.64])
+    ad = sum(c * mat for c, mat in zip(coords, principal._ad_generator_matrices(SO3)))
+    t = float(np.linalg.norm(coords))
+    closed = np.eye(3) - (1.0 - math.cos(t)) / t**2 * ad + (t - math.sin(t)) / t**3 * (ad @ ad)
+    assert np.abs(principal._left_log_matrix(SO3, coords) - closed).max() <= 2e-15
 
 
 def test_chart_series_matches_generating_function():
