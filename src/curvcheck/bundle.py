@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _symbolic
-from .exprdsl import Expression, check_indices, parse
+from .exprdsl import Expression, check_grid, parse_grid
 from .numcore import EvalPoint, directional, evaluate, gradient, partial
 
 __all__ = [
@@ -86,23 +86,12 @@ class ChristoffelField:
     gamma: tuple[tuple[Expression, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.gamma)
-        object.__setattr__(self, "gamma", rows)
         m, n = self.patch.dims
-        if len(rows) != n or any(len(row) != m for row in rows):
-            raise ValueError(
-                f"gamma must be {n} rows of {m} expressions for patch dims {self.patch.dims}"
-            )
-        for a, row in enumerate(rows, start=1):
-            for mu, e in enumerate(row, start=1):
-                check_indices(e, m, n, f"Gamma^{a}_{mu}")
+        object.__setattr__(self, "gamma", check_grid(self.gamma, (n, m), m, n, "gamma"))
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, rows) -> "ChristoffelField":
-        parsed = tuple(
-            tuple(parse(src, patch.dims) for src in row) for row in rows
-        )
-        return cls(patch, parsed)
+        return cls(patch, parse_grid(rows, patch.dims))
 
 
 @dataclass(frozen=True)
@@ -139,18 +128,12 @@ class Section:
     comps: tuple[Expression, ...]
 
     def __post_init__(self):
-        comps = tuple(self.comps)
-        object.__setattr__(self, "comps", comps)
-        if len(comps) != self.patch.fiber_dim:
-            raise ValueError(
-                f"section needs {self.patch.fiber_dim} components, got {len(comps)}"
-            )
-        for i, e in enumerate(comps, start=1):
-            check_indices(e, self.patch.base_dim, 0, f"section component {i}")
+        m, n = self.patch.dims
+        object.__setattr__(self, "comps", check_grid(self.comps, (n,), m, 0, "comps"))
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, sources) -> "Section":
-        return cls(patch, tuple(parse(s, patch.dims) for s in sources))
+        return cls(patch, parse_grid(sources, patch.dims))
 
     def value(self, x) -> tuple[float, ...]:
         p = EvalPoint.of(x)
@@ -167,34 +150,20 @@ class TotalVectorField:
     b: tuple[Expression, ...]
 
     def __post_init__(self):
-        a = tuple(self.a)
-        b = tuple(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
         m, n = self.patch.dims
-        if len(a) != m or len(b) != n:
-            raise ValueError(
-                f"field needs {m} base and {n} fiber components, got "
-                f"({len(a)}, {len(b)})"
-            )
-        for i, e in enumerate(a, start=1):
-            check_indices(e, m, n, f"base component {i}")
-        for i, e in enumerate(b, start=1):
-            check_indices(e, m, n, f"fiber component {i}")
+        object.__setattr__(self, "a", check_grid(self.a, (m,), m, n, "a"))
+        object.__setattr__(self, "b", check_grid(self.b, (n,), m, n, "b"))
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, a_sources, b_sources) -> "TotalVectorField":
-        dims = patch.dims
-        return cls(
-            patch,
-            tuple(parse(s, dims) for s in a_sources),
-            tuple(parse(s, dims) for s in b_sources),
-        )
+        return cls(patch, parse_grid(a_sources, patch.dims), parse_grid(b_sources, patch.dims))
 
     @classmethod
     def coordinate(cls, patch: BundlePatch, mu: int) -> "TotalVectorField":
         """The coordinate base field d/dx^mu."""
         m, n = patch.dims
+        if not 1 <= mu <= m:
+            raise ValueError(f"mu must be in 1..{m}, got {mu}")
         one = _symbolic.const(1.0)
         zero = _symbolic.const(0.0)
         return cls(
@@ -214,21 +183,14 @@ class FiberBundleMorphism:
     comps: tuple[Expression, ...]
 
     def __post_init__(self):
-        comps = tuple(self.comps)
-        object.__setattr__(self, "comps", comps)
         if self.source.base_dim != self.target.base_dim:
             raise ValueError("morphism must preserve the base dimension")
-        if len(comps) != self.target.fiber_dim:
-            raise ValueError(
-                f"morphism needs {self.target.fiber_dim} fiber components, "
-                f"got {len(comps)}"
-            )
-        for i, e in enumerate(comps, start=1):
-            check_indices(e, *self.source.dims, f"morphism component {i}")
+        shape = (self.target.fiber_dim,)
+        object.__setattr__(self, "comps", check_grid(self.comps, shape, *self.source.dims, "comps"))
 
     @classmethod
     def from_strings(cls, source: BundlePatch, target: BundlePatch, sources):
-        return cls(source, target, tuple(parse(s, source.dims) for s in sources))
+        return cls(source, target, parse_grid(sources, source.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +215,11 @@ def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
 
 def project(field: ChristoffelField, t: TotalTangent) -> VerticalVector:
     """Apply the projection field: ``w^a = b^a + sum_mu Gamma^a_mu * a^mu``."""
+    m, n = field.patch.dims
+    if len(t.a) != m or len(t.b) != n:
+        raise ValueError(
+            f"tangent parts must have lengths {m} and {n}, got {len(t.a)} and {len(t.b)}"
+        )
     return VerticalVector(t.at, _projected(_symbol_values(field, t.at), t))
 
 
@@ -287,6 +254,8 @@ def covariant_derivative(
 ) -> VerticalVector:
     """Covariant derivative of ``section`` along ``d/dx^mu`` at base point
     ``x``: components ``ds^a/dx^mu + Gamma^a_mu(x, s(x))``."""
+    if section.patch != field.patch:
+        raise ValueError("section and connection patches differ")
     m = field.patch.base_dim
     if not 1 <= mu <= m:
         raise ValueError(f"mu must be in 1..{m}, got {mu}")

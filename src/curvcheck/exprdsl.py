@@ -52,7 +52,8 @@ __all__ = [
     "unparse",
     "compile_expr",
     "max_indices",
-    "check_indices",
+    "check_grid",
+    "parse_grid",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -446,21 +447,39 @@ def max_indices(e: Expression) -> tuple[int, int]:
     return program.max_x, program.max_f
 
 
-def check_indices(e: Expression, m: int, n: int, where: str) -> None:
+def check_grid(grid, shape: tuple[int, ...], m: int, n: int, where: str) -> tuple:
     """The rule every container applies to its expressions at bind time:
-    ``e`` may reference ``x1..xm`` and ``f1..fn``, and a limit of 0 forbids
-    that kind of variable.
+    ``grid`` nests ``shape[0]`` entries of ``shape[1]`` entries ... of
+    expressions (one expression if ``shape`` is empty), each referencing
+    only ``x1..xm`` and ``f1..fn``, where a limit of 0 forbids that kind of
+    variable.  Returns the grid as nested tuples.
 
-    Raises :class:`ValueError` for a forbidden kind and
-    :class:`IndexOutOfRange` for an index above its limit; ``where`` names
-    the expression in the message.
+    Raises :class:`ValueError` for a wrong length or a forbidden kind and
+    :class:`IndexOutOfRange` for an index above its limit, naming the entry
+    by its 0-based path below ``where``, as in ``gamma[0][1]``.
     """
-    mx, mf = max_indices(e)
-    if mf and not n:
-        raise ValueError(f"{where} must depend on base variables only, got f{mf}")
-    if mx and not m:
-        raise ValueError(f"{where} must depend on fiber variables only, got x{mx}")
-    if mx > m:
-        raise IndexOutOfRange(f"{where} references x{mx} but the base dimension is {m}")
-    if mf > n:
-        raise IndexOutOfRange(f"{where} references f{mf} but the fiber dimension is {n}")
+    if not shape:
+        mx, mf = max_indices(grid)
+        if mf and not n:
+            raise ValueError(f"{where} must depend on base variables only, got f{mf}")
+        if mx and not m:
+            raise ValueError(f"{where} must depend on fiber variables only, got x{mx}")
+        if mx > m:
+            raise IndexOutOfRange(f"{where} references x{mx} but the base dimension is {m}")
+        if mf > n:
+            raise IndexOutOfRange(f"{where} references f{mf} but the fiber dimension is {n}")
+        return grid
+    if isinstance(grid, Expression):
+        raise ValueError(f"{where} needs {shape[0]} entries, got an expression")
+    items = tuple(grid)
+    if len(items) != shape[0]:
+        raise ValueError(f"{where} needs {shape[0]} entries, got {len(items)}")
+    return tuple(check_grid(e, shape[1:], m, n, f"{where}[{i}]") for i, e in enumerate(items))
+
+
+def parse_grid(sources, dims: tuple[int, int]):
+    """:func:`parse` of every string in the nested sequences ``sources``,
+    as nested tuples of the same shape."""
+    if isinstance(sources, str):
+        return parse(sources, dims)
+    return tuple(parse_grid(item, dims) for item in sources)

@@ -37,7 +37,7 @@ from .bundle import (
     Section,
     curvature_coefficients,
 )
-from .exprdsl import Var, check_indices, parse
+from .exprdsl import Var, check_grid, parse_grid
 from .numcore import EvalPoint, evaluate, gradient, partial
 
 __all__ = [
@@ -69,24 +69,11 @@ class LinearChristoffel:
 
     def __post_init__(self):
         m, n = self.patch.dims
-        rows = tuple(tuple(tuple(inner) for inner in row) for row in self.gamma3)
-        if len(rows) != n or any(
-            len(row) != m or any(len(inner) != n for inner in row) for row in rows
-        ):
-            raise ValueError(f"symbols must form an {n}x{m}x{n} array")
-        for alpha, row in enumerate(rows, start=1):
-            for mu, inner in enumerate(row, start=1):
-                for omega, comp in enumerate(inner, start=1):
-                    check_indices(comp, m, 0, f"symbol ({alpha},{mu},{omega})")
-        object.__setattr__(self, "gamma3", rows)
+        object.__setattr__(self, "gamma3", check_grid(self.gamma3, (n, m, n), m, 0, "gamma3"))
 
     @staticmethod
     def from_strings(patch: BundlePatch, rows) -> "LinearChristoffel":
-        parsed = tuple(
-            tuple(tuple(parse(src, patch.dims) for src in inner) for inner in row)
-            for row in rows
-        )
-        return LinearChristoffel(patch, parsed)
+        return LinearChristoffel(patch, parse_grid(rows, patch.dims))
 
 
 def expand_linear(linear: LinearChristoffel) -> ChristoffelField:

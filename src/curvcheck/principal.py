@@ -59,7 +59,7 @@ import numpy as np
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, curvature_coefficients
 from .errors import ClosureViolation, NotVertical
-from .exprdsl import Var, check_indices, parse
+from .exprdsl import Var, check_grid, parse_grid
 from .lie import (
     AlgebraElement,
     GroupElement,
@@ -102,26 +102,12 @@ class GaugePotential:
     def __post_init__(self):
         if self.base_dim < 1:
             raise ValueError("base dimension must be at least 1")
-        rows = tuple(tuple(row) for row in self.a)
-        if len(rows) != self.base_dim:
-            raise ValueError(
-                f"potential needs {self.base_dim} rows, got {len(rows)}"
-            )
-        for mu, row in enumerate(rows, start=1):
-            if len(row) != self.algebra.k:
-                raise ValueError(
-                    f"row {mu} needs {self.algebra.k} components, got {len(row)}"
-                )
-            for e, comp in enumerate(row, start=1):
-                check_indices(comp, self.base_dim, 0, f"potential component ({mu},{e})")
-        object.__setattr__(self, "a", rows)
+        shape = (self.base_dim, self.algebra.k)
+        object.__setattr__(self, "a", check_grid(self.a, shape, self.base_dim, 0, "a"))
 
     @staticmethod
     def from_strings(algebra: MatrixLieAlgebra, rows, base_dim: int) -> "GaugePotential":
-        parsed = tuple(
-            tuple(parse(src, (base_dim, 1)) for src in row) for row in rows
-        )
-        return GaugePotential(algebra, base_dim, parsed)
+        return GaugePotential(algebra, base_dim, parse_grid(rows, (base_dim, 1)))
 
     def value(self, mu: int, x) -> AlgebraElement:
         """A_mu(x) as an algebra element (mu is 1-based)."""

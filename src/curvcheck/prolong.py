@@ -63,7 +63,7 @@ import numpy as np
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, VerticalVector
 from .errors import FiberMismatch
-from .exprdsl import Expression, Var, check_indices
+from .exprdsl import Expression, Var, check_grid
 from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, partial
 
 __all__ = [
@@ -171,11 +171,7 @@ def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet
     ``theta-equivariance`` would read 0 on every input.
     """
     n = len(j.f)
-    h = tuple(h)
-    if len(h) != n:
-        raise ValueError(f"transition needs {n} components, got {len(h)}")
-    for i, e in enumerate(h, start=1):
-        check_indices(e, 0, n, f"transition component {i}")
+    h = check_grid(h, (n,), 0, n, "h")
     p = EvalPoint(j.x, j.f)
     seeds = [(0.0, 0.0, 0.0)] * len(j.x) + list(zip(j.fdot, j.fcirc, j.fcircdot))
     values, legs = zip(*(directional(e, p, seeds) for e in h))
@@ -272,6 +268,8 @@ def _second_covariants(
     ``pairs``, from one evaluation of the gradients of ``s`` and of the
     symbols at ``(x, s(x))``, and their largest gap, a NaN kept, from
     :func:`_prolonged_covariants`, which shares no value with them."""
+    if s.patch != field.patch:
+        raise ValueError("section and connection patches differ")
     m, n = field.patch.dims
     for mu, nu in pairs:
         if not (1 <= mu <= m and 1 <= nu <= m):

@@ -78,6 +78,14 @@ def test_project_substitutes_coefficients():
     assert project(field, t).w == (2.0,)
 
 
+@pytest.mark.parametrize(("a", "b"), [((1.0,), (0.0,)), ((1.0, 0.0), (0.0, 0.0))])
+def test_project_rejects_a_tangent_of_another_patch(a, b):
+    # a short base part would drop the Gamma^1_2 term of SKEW unseen
+    t = TotalTangent(EvalPoint((1.0, 0.0), (0.0,)), a, b)
+    with pytest.raises(ValueError, match="tangent parts must have lengths 2 and 1"):
+        project(SKEW, t)
+
+
 def test_project_idempotent_on_random_inputs():
     rng = SplitMix64(101)
     for _ in range(20):
@@ -161,6 +169,12 @@ def test_covariant_derivative_validates_mu():
     s = Section.from_strings(P11, ["x1"])
     with pytest.raises(ValueError):
         covariant_derivative(FLAT11, s, 2, (0.0,))
+
+
+def test_covariant_derivative_rejects_a_section_of_another_patch():
+    s = Section.from_strings(BundlePatch(2, 2), ["x1", "x2"])
+    with pytest.raises(ValueError, match="patches differ"):
+        covariant_derivative(SKEW, s, 1, (0.5, 0.25))
 
 
 # --- Lie brackets -----------------------------------------------------------
@@ -281,6 +295,12 @@ def test_nijenhuis_skew_coordinate_fields():
     p = EvalPoint((0.3, -0.8), (0.5,))
     out = nijenhuis_curvature(SKEW, V, W, p)
     assert abs(out.w[0] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("mu", [0, 3, 5])
+def test_coordinate_field_validates_mu(mu):
+    with pytest.raises(ValueError, match=f"mu must be in 1..2, got {mu}"):
+        TotalVectorField.coordinate(P21, mu)
 
 
 def test_curvature_coefficients_flat():

@@ -1,6 +1,7 @@
 """Tests for the expression language: parsing, printing, round-trips."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,6 +214,158 @@ def test_every_container_applies_the_index_rule(build, too_large, forbidden):
         allowed = "base" if forbidden.kind == "f" else "fiber"
         with pytest.raises(ValueError, match=f"{allowed} variables only"):
             build(tree(forbidden))
+
+
+_P22 = BundlePatch(2, 2)
+_JET2 = SecondJet((0.0,), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+
+# container -> (builder taking one grid, the grid's name in errors, its
+# shape, and its base and fiber index limits, 0 forbidding that kind)
+GRIDS = {
+    "christoffel": (lambda g: ChristoffelField(_P22, g), "gamma", (2, 2), (2, 2)),
+    "section": (lambda g: Section(_P22, g), "comps", (2,), (2, 0)),
+    "vector-field-a": (lambda g: TotalVectorField(_P22, g, (Const(0.0),) * 2), "a", (2,), (2, 2)),
+    "vector-field-b": (lambda g: TotalVectorField(_P22, (Const(0.0),) * 2, g), "b", (2,), (2, 2)),
+    "morphism": (
+        lambda g: FiberBundleMorphism(_P22, BundlePatch(2, 3), g),
+        "comps",
+        (3,),
+        (2, 2),
+    ),
+    "potential": (lambda g: GaugePotential(builtin_algebra("so3"), 2, g), "a", (2, 3), (2, 0)),
+    "linear": (lambda g: LinearChristoffel(_P22, g), "gamma3", (2, 2, 2), (2, 0)),
+    "transition": (lambda g: pushforward_second_jet(g, _JET2), "h", (2,), (0, 2)),
+}
+
+
+def _nested(shape, leaf) -> list:
+    return [_nested(shape[1:], leaf) if len(shape) > 1 else leaf for _ in range(shape[0])]
+
+
+def _grid_defect(case, name, shape, limits):
+    """A defective grid of ``shape`` (all ``1`` elsewhere), and the error
+    type and message that ``case`` should raise; None where the grid has
+    no such defect (no inner level, or no forbidden kind)."""
+    grid = _nested(shape, Const(1.0))
+    path = "".join(f"[{k - 1}]" for k in shape)  # of the last entry
+    last = grid
+    while isinstance(last[-1], list):
+        last = last[-1]
+    m, n = limits
+    if case == "outer-length":
+        grid.pop()
+        return grid, ValueError, f"{name} needs {shape[0]} entries, got {shape[0] - 1}"
+    if case == "expression-for-entries":
+        if len(shape) == 1:
+            return Const(1.0), ValueError, f"{name} needs {shape[0]} entries, got an expression"
+        grid[0] = Const(1.0)
+        return grid, ValueError, f"{name}[0] needs {shape[1]} entries, got an expression"
+    if case == "inner-length":
+        if len(shape) == 1:
+            return None
+        grid[0].pop()
+        return grid, ValueError, f"{name}[0] needs {shape[1]} entries, got {shape[1] - 1}"
+    if case == "forbidden-kind":
+        if m and n:
+            return None
+        kind, allowed = ("f", "base") if m else ("x", "fiber")
+        last[-1] = Var(kind, 1)
+        message = f"{name}{path} must depend on {allowed} variables only, got {kind}1"
+        return grid, ValueError, message
+    kind, limit, side = ("x", m, "base") if m else ("f", n, "fiber")
+    last[-1] = Binary("*", Const(2.0), Var(kind, limit + 1))
+    message = f"{name}{path} references {kind}{limit + 1} but the {side} dimension is {limit}"
+    return grid, IndexOutOfRange, message
+
+
+GRID_DEFECTS = [
+    pytest.param(build, defect, id=f"{container}-{case}")
+    for container, (build, name, shape, limits) in GRIDS.items()
+    for case in (
+        "outer-length",
+        "inner-length",
+        "expression-for-entries",
+        "forbidden-kind",
+        "over-limit",
+    )
+    if (defect := _grid_defect(case, name, shape, limits)) is not None
+]
+
+
+@pytest.mark.parametrize(("build", "defect"), GRID_DEFECTS)
+def test_every_grid_names_its_failing_entry(build, defect):
+    grid, error, message = defect
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(grid)
+
+
+@pytest.mark.parametrize("container", GRIDS)
+def test_every_intact_grid_binds(container):
+    # so each defect above is the only fault of its grid
+    build, _, shape, _ = GRIDS[container]
+    build(_nested(shape, Const(1.0)))
+
+
+def _parsed(sources, dims):
+    if isinstance(sources, str):
+        return parse(sources, dims)
+    return [_parsed(s, dims) for s in sources]
+
+
+# container -> (from_strings of the sources, constructor fed trees, the
+# sources, the dims they parse against, the grids to compare)
+FROM_STRINGS = {
+    "christoffel": (
+        lambda s: ChristoffelField.from_strings(_P22, s),
+        lambda t: ChristoffelField(_P22, t),
+        [["x1*f2", "0"], ["sin(x2)", "v1^2"]],
+        (2, 2),
+        lambda c: (c.gamma,),
+    ),
+    "section": (
+        lambda s: Section.from_strings(_P22, s),
+        lambda t: Section(_P22, t),
+        ["x1", "cos(x2) - 1"],
+        (2, 2),
+        lambda c: (c.comps,),
+    ),
+    "vector-field": (
+        lambda s: TotalVectorField.from_strings(_P22, *s),
+        lambda t: TotalVectorField(_P22, *t),
+        [["1", "f1"], ["x2*f2", "0"]],
+        (2, 2),
+        lambda c: (c.a, c.b),
+    ),
+    "morphism": (
+        lambda s: FiberBundleMorphism.from_strings(_P22, BundlePatch(2, 1), s),
+        lambda t: FiberBundleMorphism(_P22, BundlePatch(2, 1), t),
+        ["f1 + x1*f2"],
+        (2, 2),
+        lambda c: (c.comps,),
+    ),
+    "potential": (
+        lambda s: GaugePotential.from_strings(builtin_algebra("so2"), s, 2),
+        lambda t: GaugePotential(builtin_algebra("so2"), 2, t),
+        [["x2"], ["-x1"]],
+        (2, 1),
+        lambda c: (c.a,),
+    ),
+    "linear": (
+        lambda s: LinearChristoffel.from_strings(_P22, s),
+        lambda t: LinearChristoffel(_P22, t),
+        [[["x1", "0"], ["1", "x2"]], [["0", "x1*x2"], ["2", "0"]]],
+        (2, 2),
+        lambda c: (c.gamma3,),
+    ),
+}
+
+
+@pytest.mark.parametrize("container", FROM_STRINGS)
+def test_from_strings_equals_the_constructor_fed_parsed_trees(container):
+    from_strings, construct, sources, dims, grids = FROM_STRINGS[container]
+    expected = grids(construct(_parsed(sources, dims)))
+    assert grids(from_strings(sources)) == expected
+    assert all(isinstance(grid, tuple) for grid in expected)
 
 
 def test_max_indices():

@@ -345,6 +345,21 @@ def test_commutator_matches_curvature_coefficients():
                     assert abs(out.w[a] - R[a, mu - 1, nu - 1]) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda field, s, x: commutator_tensor(field, s, x),
+        lambda field, s, x: second_covariant(field, s, 1, 2, x),
+        lambda field, s, x: commutator_curvature(field, s, 1, 2, x),
+    ],
+    ids=["commutator-tensor", "second-covariant", "commutator-curvature"],
+)
+def test_second_covariants_reject_a_section_of_another_patch(route):
+    s = Section.from_strings(BundlePatch(2, 2), ["x1", "x2"])
+    with pytest.raises(ValueError, match="section and connection patches differ"):
+        route(SKEW, s, (0.5, 0.25))
+
+
 def test_commutator_tensor_slices_are_the_per_pair_values():
     rng = SplitMix64(29)
     for m, n in ((2, 2), (3, 3)):
