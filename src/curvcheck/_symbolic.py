@@ -4,7 +4,7 @@ Not part of the public API.  The only symbolic differentiation in the package
 lives here: the prolongation of a connection to the vertical bundle needs the
 fiber partials of Christoffel expressions as expressions, and the linearity
 detector needs coefficient expressions.  Everything else differentiates
-numerically via forward-mode jets.
+numerically, through the adjoint and tangent sweeps of ``numcore``.
 
 The smart constructors fold trivial algebra (zeros, ones, constant
 arithmetic) so that derivative trees stay small.  Folding changes only tree

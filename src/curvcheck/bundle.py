@@ -76,6 +76,14 @@ class BundlePatch:
     def dims(self) -> tuple[int, int]:
         return (self.base_dim, self.fiber_dim)
 
+    def check_point(self, p: EvalPoint, base: bool = False) -> None:
+        """Raise ``ValueError`` unless ``p`` is a point of the patch, or of
+        its base when ``base`` is set."""
+        dims = (self.base_dim, 0) if base else self.dims
+        if (len(p.x), len(p.f)) != dims:
+            what = "base point" if base else "point"
+            raise ValueError(f"{what} has dims ({len(p.x)}, {len(p.f)}), expected {dims}")
+
 
 @dataclass(frozen=True)
 class ChristoffelField:
@@ -216,6 +224,7 @@ def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
 def project(field: ChristoffelField, t: TotalTangent) -> VerticalVector:
     """Apply the projection field: ``w^a = b^a + sum_mu Gamma^a_mu * a^mu``."""
     m, n = field.patch.dims
+    field.patch.check_point(t.at)
     if len(t.a) != m or len(t.b) != n:
         raise ValueError(
             f"tangent parts must have lengths {m} and {n}, got {len(t.a)} and {len(t.b)}"
@@ -234,6 +243,7 @@ def horizontal_lift(field: ChristoffelField, p: EvalPoint, xi) -> TotalTangent:
     xi = tuple(float(v) for v in xi)
     if len(xi) != field.patch.base_dim:
         raise ValueError(f"xi must have length {field.patch.base_dim}")
+    field.patch.check_point(p)
     return TotalTangent(p, xi, _lifted(_symbol_values(field, p), xi))
 
 
@@ -260,6 +270,7 @@ def covariant_derivative(
     if not 1 <= mu <= m:
         raise ValueError(f"mu must be in 1..{m}, got {mu}")
     base_pt = EvalPoint.of(x)
+    field.patch.check_point(base_pt, base=True)
     svals = tuple(evaluate(c, base_pt) for c in section.comps)
     at = EvalPoint(base_pt.x, svals)
     w = tuple(
@@ -295,6 +306,7 @@ def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> Total
     ``[V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j)``."""
     if V.patch.dims != W.patch.dims:
         raise ValueError("bracket operands must live on the same patch")
+    V.patch.check_point(p)
     return _bracket(_jet(V, p), _jet(W, p), p)
 
 
@@ -347,6 +359,7 @@ def nijenhuis_tensor(
     vertical_fields = [vertical_projection_field(field, V) for V in fields]
     out = []
     for p in points:
+        field.patch.check_point(p)
         horizontal = [_jet(V, p) for V in horizontal_fields]
         plain = [_jet(V, p) for V in fields]
         vertical = [_jet(V, p) for V in vertical_fields]
@@ -385,6 +398,7 @@ def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     shape (n, m, m), antisymmetric in the last two slots: the module's
     coordinate formula fed the symbols' structural partials."""
     m, n = field.patch.dims
+    field.patch.check_point(p)
     vals = np.empty((n, m))
     gx = np.empty((n, m, m))
     gf = np.empty((n, m, n))
@@ -420,6 +434,7 @@ def pushforward(phi: FiberBundleMorphism, t: TotalTangent) -> TotalTangent:
     ``(x, phi(x, f))`` on the target patch.  Each component of ``phi`` is
     swept once along ``t`` (:func:`~curvcheck.numcore.directional`)."""
     p = t.at
+    phi.source.check_point(p)
     values, pushed = zip(*(directional(c, p, [(v,) for v in t.a + t.b]) for c in phi.comps))
     return TotalTangent(EvalPoint(p.x, values), t.a, [v for v, in pushed])
 
@@ -446,6 +461,7 @@ def is_parallel_morphism(
     directions = [tuple(float(i == mu) for i in range(m)) for mu in range(m)]
     residuals = []
     for p in samples:
+        field.patch.check_point(p)
         gamma = _symbol_values(field, p)
         lifts = [_lifted(gamma, xi) for xi in directions]
         # the base coordinates move as the directions, the fiber ones as the lifts

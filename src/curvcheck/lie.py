@@ -10,7 +10,6 @@ group are synthesized from the exponential, never from a logarithm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -1,10 +1,11 @@
-"""Evaluation and forward-mode differentiation of expressions.
+"""Evaluation and differentiation of expressions: an adjoint sweep for
+first partials, tangent sweeps for directional and mixed second derivatives.
 
 Every function here but :func:`central_difference` (the stencil of the
 routes that check this interpreter against values alone) runs the
 :class:`~curvcheck.exprdsl.Program` of its expression (see
-:func:`~curvcheck.exprdsl.compile_expr`) through one interpreter of two
-sweeps over the tape:
+:func:`~curvcheck.exprdsl.compile_expr`) through one interpreter over the
+tape:
 
 * the **primal sweep** computes every register in IEEE double precision and
   holds the domain checks: ``log`` of a non-positive value, ``sqrt`` of a
@@ -12,19 +13,24 @@ sweeps over the tape:
   ``cos`` of an infinite value, and ``exp`` and ``^`` overflow raise
   :class:`~curvcheck.errors.DomainError`; so does ``sqrt`` at exactly zero
   when derivatives are wanted, as it has no finite one there;
-* the **tangent sweep** pushes derivatives forward along seeded coordinate
-  directions (tape-based forward mode: Griewank & Walther, *Evaluating
-  Derivatives*, 2nd ed., SIAM 2008).  A tangent has one slot per seeded
-  direction for :func:`directional` (whose unit seeds give
-  :func:`gradient`) and :func:`partial`, and the slots ``d1, d2, d12`` of a
-  two-direction jet for :func:`mixed_second`.  Every primitive takes its
-  first and second derivatives from one table, ``_DERIVATIVES``.  A register
-  that depends on no seeded direction carries no tangent, so constant
-  subexpressions cost nothing here.  No general Hessians are kept.  A
-  table entry of ``log``, ``sqrt`` or ``/`` that overflows is ``inf``, as
-  float division rounds, and so is the second derivative of ``^`` (with
-  its sign), which first-order sweeps never use; the first derivative of
-  ``^`` raises ``DomainError`` when it overflows, as its value does.
+* the **adjoint sweep** of :func:`gradient` and :func:`partial` runs the tape
+  backwards once and gives every first partial at a bounded multiple of the
+  cost of one evaluation, whatever the number of coordinates (reverse mode:
+  Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3-4);
+* the **tangent sweep** of :func:`directional` and :func:`mixed_second`
+  pushes derivatives forward along seeded coordinate directions (forward
+  mode, ibid.).  A tangent has one slot per seeded direction for
+  :func:`directional`, and the slots ``d1, d2, d12`` of a two-direction jet
+  for :func:`mixed_second`.  No general Hessians are kept.
+
+Both derivative sweeps take every primitive's derivatives from one table,
+``_DERIVATIVES``, and read it only at registers that depend on a seeded
+coordinate, so constant subexpressions cost nothing there and the two
+sweeps raise at the same points.  A table entry of ``log``, ``sqrt`` or
+``/`` that overflows is ``inf``, as float division rounds, and so is the
+second derivative of ``^`` (with its sign), which first-order sweeps never
+use; the first derivative of ``^`` raises ``DomainError`` when it
+overflows, as its value does.
 
 :func:`directional` is the chain rule through a map: the pushforwards of
 tangents and second jets in ``bundle`` and ``prolong`` seed each coordinate
@@ -36,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import DomainError
 from .exprdsl import Expression, Program, compile_expr
@@ -253,6 +258,54 @@ def evaluate(e: Expression, point: EvalPoint) -> float:
     return _primal(compile_expr(e), point)[-1]
 
 
+def _adjoint(e: Expression, point: EvalPoint, seeded) -> tuple[float, dict]:
+    """Value of ``e`` at ``point`` and its first partials along the
+    coordinate instructions in ``seeded`` that it references, by one
+    reverse sweep over the tape.
+
+    Only a register that depends on a seeded coordinate has an adjoint
+    (``None`` marks the others) and reads its table entry, so the domain
+    errors of the derivatives are raised where :func:`_sweep` seeded with
+    the same coordinates raises them.
+    Each adjoint sums its users' contributions in reverse tape order, and
+    every user of a register depends on what it depends on, so the partial
+    of one coordinate does not depend on which others are seeded.
+    """
+    program = compile_expr(e)
+    vals = _primal(program, point, smooth=True)
+    code = program.code
+    adj = []
+    push = adj.append
+    for op, a, b in code:
+        if op in _BINARY:
+            push(None if adj[a] is None and adj[b] is None else 0.0)
+        elif op == "c":
+            push(None)
+        elif op == "x" or op == "f":
+            push(0.0 if (op, a) in seeded else None)
+        else:
+            push(adj[a])
+    partials = {}
+    if adj[-1] is not None:
+        adj[-1] = 1.0
+    for i in range(len(code) - 1, -1, -1):
+        g = adj[i]
+        if g is None:
+            continue
+        op, a, b = code[i]
+        if op in _BINARY:
+            du, dv, _, _ = _DERIVATIVES[op](vals[a], vals[b], vals[i])
+            if adj[a] is not None:
+                adj[a] += g * du
+            if adj[b] is not None:
+                adj[b] += g * dv
+        elif op == "x" or op == "f":
+            partials[op, a] = g
+        else:
+            adj[a] += g * _DERIVATIVES[op](vals[a], vals[i], b)[0]
+    return vals[-1], partials
+
+
 def directional(e: Expression, point: EvalPoint, tangents) -> tuple[float, tuple[float, ...]]:
     """Value of ``e`` at ``point`` and its derivatives along seeded tangents,
     in one first-order sweep.
@@ -273,37 +326,30 @@ def directional(e: Expression, point: EvalPoint, tangents) -> tuple[float, tuple
 
 
 def gradient(e: Expression, point: EvalPoint) -> tuple[float, tuple[float, ...]]:
-    """Value and first partials of ``e`` at ``point``: :func:`directional`
-    along the unit tangents.
+    """Value and first partials of ``e`` at ``point``, in one adjoint sweep.
 
     The gradient covers every coordinate of the point, base before fiber:
     index ``i`` is the partial with respect to ``x{i+1}`` for ``i < m`` and
     with respect to ``f{i-m+1}`` otherwise.
     """
-    m, n = len(point.x), len(point.f)
-    value, t = _sweep(e, point, _unit_seeds(m, n), m + n, jet=False)
-    return value, tuple(t)
+    coords = _coordinates(len(point.x), len(point.f))
+    value, partials = _adjoint(e, point, coords)
+    return value, tuple(partials.get(c, 0.0) for c in coords)
 
 
 @functools.lru_cache(maxsize=16)
 def _coordinates(m: int, n: int) -> tuple:
     """The coordinate instructions of an ``(m, n)`` point, base before
-    fiber, as :func:`_sweep` keys its seeds."""
+    fiber, as the sweeps key their seeds."""
     return tuple(("x", i) for i in range(m)) + tuple(("f", i) for i in range(n))
 
 
-@functools.lru_cache(maxsize=16)
-def _unit_seeds(m: int, n: int) -> MappingProxyType:
-    """The seeds of :func:`gradient` at an ``(m, n)`` point: each coordinate
-    mapped to its unit tangent.  Shared by every call, so read only."""
-    coords = _coordinates(m, n)
-    return MappingProxyType({c: tuple(float(c == d) for d in coords) for c in coords})
-
-
 def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:
-    """First partial derivative of ``e`` at ``point`` along ``direction``."""
+    """First partial derivative of ``e`` at ``point`` along ``direction``:
+    bit for bit the entry of :func:`gradient` for that coordinate."""
     kind, index = direction
-    return _sweep(e, point, {(kind, index - 1): [1.0]}, 1, jet=False)[1][0]
+    coord = (kind, index - 1)
+    return _adjoint(e, point, (coord,))[1].get(coord, 0.0)
 
 
 def mixed_second(

@@ -47,7 +47,9 @@ partial of a symbolic first derivative of ``s^a`` (along the smaller of
 with ``x^i -> e_i`` and ``f^b -> ds^b/dx`` (the chain rule through a tape),
 and the prolonged symbols are evaluated at ``(x, s(x), fdot)``.  It uses
 no mixed second derivative and no value of the five-term formula, so a
-defect in either shows as a gap.
+defect in either shows as a gap.  The five-term formula takes the symbols'
+partials from the adjoint sweep of ``numcore.gradient`` and this route from
+tangent sweeps, so the gap also compares the two sweeps.
 
 The prolonged connection is built once and kept on its field, so it lives
 exactly as long as the field.  Nothing is looked up by object identity or
@@ -275,6 +277,7 @@ def _second_covariants(
         if not (1 <= mu <= m and 1 <= nu <= m):
             raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
     base_pt = EvalPoint.of(x)
+    field.patch.check_point(base_pt, base=True)
     svals, sgrads = zip(*(gradient(c, base_pt) for c in s.comps))
     at = EvalPoint(base_pt.x, svals)
     gamma = [[gradient(e, at) for e in row] for row in field.gamma]

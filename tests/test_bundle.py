@@ -23,6 +23,7 @@ from curvcheck.bundle import (
     nijenhuis_curvature,
     nijenhuis_tensor,
     project,
+    pushforward,
 )
 from curvcheck.errors import IndexOutOfRange
 from curvcheck.numcore import EvalPoint, directional, evaluate, gradient
@@ -175,6 +176,41 @@ def test_covariant_derivative_rejects_a_section_of_another_patch():
     s = Section.from_strings(BundlePatch(2, 2), ["x1", "x2"])
     with pytest.raises(ValueError, match="patches differ"):
         covariant_derivative(SKEW, s, 1, (0.5, 0.25))
+
+
+@pytest.mark.parametrize("x", [(1.0, 0.0, 7.0), (1.0,)], ids=["extra", "missing"])
+def test_covariant_derivative_rejects_a_base_point_of_another_dimension(x):
+    s = Section.from_strings(P21, ["0"])
+    expected = rf"base point has dims \({len(x)}, 0\), expected \(2, 0\)"
+    with pytest.raises(ValueError, match=expected):
+        covariant_derivative(SKEW, s, 2, x)
+
+
+_WRONG_POINTS = [
+    pytest.param(EvalPoint((1.0, 0.0, 7.0), (0.5,)), id="extra-base"),
+    pytest.param(EvalPoint((1.0, 0.0), (0.5, 7.0)), id="extra-fiber"),
+    pytest.param(EvalPoint((1.0,), (0.5,)), id="missing-base"),
+]
+
+
+@pytest.mark.parametrize("p", _WRONG_POINTS)
+def test_pointwise_routes_reject_a_point_of_another_patch(p):
+    expected = rf"point has dims \({len(p.x)}, {len(p.f)}\), expected \(2, 1\)"
+    V = TotalVectorField.coordinate(P21, 1)
+    W = TotalVectorField.coordinate(P21, 2)
+    identity = FiberBundleMorphism.from_strings(P21, P21, ["f1"])
+    routes = [
+        lambda: horizontal_lift(SKEW, p, (1.0, 0.0)),
+        lambda: project(SKEW, TotalTangent(p, (1.0, 0.0), (0.0,))),
+        lambda: lie_bracket(V, W, p),
+        lambda: nijenhuis_tensor(SKEW, (V, W), (p,)),
+        lambda: curvature_coefficients(SKEW, p),
+        lambda: pushforward(identity, TotalTangent(p, (1.0, 0.0), (0.0,))),
+        lambda: is_parallel_morphism(identity, SKEW, SKEW, (p,)),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match=expected):
+            route()
 
 
 # --- Lie brackets -----------------------------------------------------------

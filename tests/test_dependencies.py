@@ -1,7 +1,9 @@
 """Tests that curvcheck runs on numpy alone: the package declares no other
 runtime dependency, and a full check run imports no scipy module.  A
-``--jobs 1`` run does not import the modules of the worker pool either."""
+``--jobs 1`` run does not import the modules of the worker pool either.  No
+file of the package or its tests imports a name it never reads."""
 
+import ast
 import os
 import re
 import subprocess
@@ -52,3 +54,29 @@ def test_check_run_imports_no_scipy(tmp_path):
 
 def test_serial_check_run_imports_no_worker_pool_modules(tmp_path):
     _assert_check_run_imports_none_of(tmp_path, ["multiprocessing", "concurrent"])
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports but never reads; a name listed in its
+    ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(imported - read)
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    unread = {str(p.relative_to(ROOT)): _unread_imports(p) for p in files}
+    assert {path: names for path, names in unread.items() if names} == {}

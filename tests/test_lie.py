@@ -8,7 +8,6 @@ import pytest
 
 from curvcheck.errors import ClosureViolation, DomainError, SingularMatrix
 from curvcheck.lie import (
-    AlgebraElement,
     GroupElement,
     MatrixLieAlgebra,
     adjoint,

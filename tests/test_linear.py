@@ -24,7 +24,7 @@ from curvcheck.linear import (
     reduced_covariant,
     scaling_morphism,
 )
-from curvcheck.numcore import EvalPoint, evaluate, partial
+from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_point
 

@@ -27,10 +27,14 @@ broken law.
 
 The third set plants a defect in the second route of a comparison that a
 tensor route makes inside itself, whose gap is part of the row's residual.
-The last test plants a defect in the first route of one such comparison that
-the second route must not share.
+The last two tests plant a defect in the first route of one such comparison
+that the second route must not share: the five-term jets' mixed second
+derivatives, and the adjoint sweep behind ``numcore.gradient`` and
+``numcore.partial``, which the tangent sweeps of the prolonged route do not
+run.
 """
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -456,3 +460,34 @@ def test_the_prolonged_route_takes_no_mixed_second_derivative(monkeypatch, tmp_p
     for name in rows:
         assert results[name].verdict == "fail", results[name].detail
         assert "explicit against prolonged-connection jets" in results[name].detail
+
+
+def _adjoint_with_second_operand_taking_du(original):
+    # the second operand of a binary primitive takes the first operand's
+    # partial: a defect in the sweep, which reads the right table entry
+    source = inspect.getsource(original)
+    mutated = source.replace("adj[b] += g * dv", "adj[b] += g * du")
+    assert mutated != source
+    namespace = dict(vars(numcore))
+    exec(compile(mutated, inspect.getsourcefile(original), "exec"), namespace)
+    return namespace[original.__name__]
+
+
+def test_a_defect_in_the_adjoint_sweep_fails_the_rows_that_do_not_run_it(
+    monkeypatch, tmp_path
+):
+    # The finite-difference side of coeffs-fd reads no derivative rule, and
+    # the prolonged-connection jets of commutator-skew come from tangent
+    # sweeps.  The quotient's second operand has a partial unlike its first.
+    skew_gamma = [["f1/(2 + x2)", "x1"]]
+    rows = ["coeffs-fd-skew", "commutator-skew"]
+    assert _verdicts(tmp_path, skew_gamma, rows) == dict.fromkeys(rows, "pass")
+    monkeypatch.setattr(
+        numcore, "_adjoint", _adjoint_with_second_operand_taking_du(numcore._adjoint)
+    )
+    results = _rows(tmp_path, skew_gamma, rows)
+    for name in rows:
+        assert results[name].verdict == "fail", results[name].detail
+    assert "structural against finite-difference coefficients" in results["coeffs-fd-skew"].detail
+    gap = results["commutator-skew"].detail.split("explicit against prolonged-connection jets ")[1]
+    assert float(gap) > results["commutator-skew"].tolerance

@@ -1,4 +1,4 @@
-"""Tests for evaluation and forward-mode differentiation."""
+"""Tests for evaluation and the adjoint and tangent sweeps of differentiation."""
 
 import math
 import operator
@@ -287,27 +287,70 @@ def test_directional_is_the_chain_rule_through_the_tape():
         assert tangent == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+_UNITS = [tuple(float(i == j) for j in range(6)) for i in range(6)]
+
+
+def _agree(reverse, forward) -> bool:
+    return all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(reverse, forward))
+
+
 def test_gradient_is_directional_along_the_unit_tangents():
+    # gradient runs the adjoint sweep and directional the tangent sweep
     e = _e("x1*f2 + sin(x2)*f1")
     point = EvalPoint((0.3, -1.1), (0.7, 2.0))
     units = [tuple(float(i == j) for j in range(4)) for i in range(4)]
-    assert gradient(e, point) == directional(e, point, units)
+    value, grad = gradient(e, point)
+    forward_value, forward = directional(e, point, units)
+    assert value == forward_value and _agree(grad, forward)
     assert directional(e, point, [(2.0,), (0.0,), (0.0,), (0.0,)])[1] == (2.0 * point.f[1],)
     with pytest.raises(ValueError):
         directional(e, point, units[:3])
 
 
-def test_gradient_leaves_its_cached_seeds_unchanged():
-    # every gradient call at an (m, n) point shares one seed table
-    e = _e("x1*f2 + sin(x2)*f1*f1 - x2/f2")
-    point = EvalPoint((0.3, -1.1), (0.7, 2.0))
-    seeds = numcore._unit_seeds(2, 2)
-    before = dict(seeds)
-    first = gradient(e, point)
-    assert gradient(e, point) == first
-    assert numcore._unit_seeds(2, 2) is seeds and dict(seeds) == before
-    with pytest.raises(TypeError):
-        seeds[("x", 0)] = (2.0, 0.0, 0.0, 0.0)
+def test_the_adjoint_and_tangent_sweeps_agree_on_random_expressions():
+    # that partial is the gradient entry bit for bit is asserted by
+    # test_partial_matches_symbolic_derivative_on_random_expressions
+    rng = SplitMix64(4057)
+    for _ in range(300):
+        e = _random_smooth_expr(rng, 4)
+        point = _random_point(rng)
+        value, grad = gradient(e, point)
+        forward_value, forward = directional(e, point, _UNITS)
+        assert value == forward_value
+        assert _agree(grad, forward), (e, point)
+
+
+@pytest.mark.parametrize(
+    "source, x",
+    [
+        ("(x1*1e-200)^-1 + f1", 0.5),  # the first derivative of ^ overflows
+        ("sqrt(x1) + f1", 0.0),  # no finite derivative at 0
+        ("(x1 + 3)^1000*f1", 0.5),  # the value of ^ overflows
+        ("f1*(x1*1e-200)^-1", 0.5),
+        ("exp(800*x1)*f1", 1.0),  # exp overflows
+    ],
+)
+def test_the_adjoint_and_tangent_sweeps_fail_on_the_same_inputs(source, x):
+    e = _e(source)
+    point = EvalPoint((x, 0.0, 0.0), (1.5, 0.0, 0.0))
+    with pytest.raises(DomainError):
+        gradient(e, point)
+    with pytest.raises(DomainError):
+        directional(e, point, _UNITS)
+    with pytest.raises(DomainError):
+        partial(e, point, ("x", 1))
+
+
+def test_the_adjoint_sweep_reads_no_rule_of_an_unseeded_register():
+    # (1e-300)^-1 is finite but its derivative is not: a constant register
+    # has no adjoint, and a partial seeds only its own coordinate
+    point = EvalPoint((0.5,), (2.0,))
+    value, grad = gradient(_e("(1e-300)^-1 * x1"), point)
+    assert value == pytest.approx(0.5e300) and grad == (pytest.approx(1e300), 0.0)
+    e = _e("(x1*1e-200)^-1 + 3*f1")
+    assert partial(e, point, ("f", 1)) == 3.0
+    with pytest.raises(DomainError):
+        partial(e, point, ("x", 1))
 
 
 def test_mixed_second_matches_symbolic_second_derivative():
@@ -416,6 +459,8 @@ def test_three_thousand_term_sum_at_the_default_recursion_limit():
     got_value, grad = gradient(e, point)
     assert got_value == pytest.approx(value, rel=1e-12)
     assert grad == pytest.approx((d_x1, -1500.0, d_f1), rel=1e-12)
+    assert grad == tuple(partial(e, point, d) for d in (("x", 1), ("x", 2), ("f", 1)))
+    assert _agree(grad, directional(e, point, [u[:3] for u in _UNITS[:3]])[1])
     assert mixed_second(e, point, ("x", 1), ("f", 1)) == pytest.approx(d_x1_f1, rel=1e-12)
 
 
@@ -428,7 +473,10 @@ def test_deep_nesting_of_built_trees():
     for _ in range(5000):
         expected = math.sin(expected)
     assert evaluate(e, point) == expected
-    assert 0.0 < partial(e, point, ("x", 1)) < 1.0
+    slope = partial(e, point, ("x", 1))
+    assert 0.0 < slope < 1.0
+    assert gradient(e, point) == (expected, (slope,))
+    assert _agree((slope,), directional(e, point, [(1.0,)])[1])
 
 
 def test_mixed_second_symmetric_bit_exact():

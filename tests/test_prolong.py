@@ -345,7 +345,7 @@ def test_commutator_matches_curvature_coefficients():
                     assert abs(out.w[a] - R[a, mu - 1, nu - 1]) <= 1e-9
 
 
-@pytest.mark.parametrize(
+_SECOND_COVARIANT_ROUTES = pytest.mark.parametrize(
     "route",
     [
         lambda field, s, x: commutator_tensor(field, s, x),
@@ -354,10 +354,22 @@ def test_commutator_matches_curvature_coefficients():
     ],
     ids=["commutator-tensor", "second-covariant", "commutator-curvature"],
 )
+
+
+@_SECOND_COVARIANT_ROUTES
 def test_second_covariants_reject_a_section_of_another_patch(route):
     s = Section.from_strings(BundlePatch(2, 2), ["x1", "x2"])
     with pytest.raises(ValueError, match="section and connection patches differ"):
         route(SKEW, s, (0.5, 0.25))
+
+
+@_SECOND_COVARIANT_ROUTES
+@pytest.mark.parametrize("x", [(0.5, 0.25, 7.0), (0.5,)], ids=["extra", "missing"])
+def test_second_covariants_reject_a_base_point_of_another_dimension(route, x):
+    s = Section.from_strings(P21, ["x1*x2"])
+    expected = rf"base point has dims \({len(x)}, 0\), expected \(2, 0\)"
+    with pytest.raises(ValueError, match=expected):
+        route(SKEW, s, x)
 
 
 def test_commutator_tensor_slices_are_the_per_pair_values():
