@@ -84,6 +84,16 @@ class BundlePatch:
             what = "base point" if base else "point"
             raise ValueError(f"{what} has dims ({len(p.x)}, {len(p.f)}), expected {dims}")
 
+    def check_tangent(self, t: TotalTangent) -> None:
+        """Raise ``ValueError`` unless ``t`` sits at a point of the patch and
+        its base and fiber parts have the patch's dimensions."""
+        self.check_point(t.at)
+        m, n = self.dims
+        if len(t.a) != m or len(t.b) != n:
+            raise ValueError(
+                f"tangent parts must have lengths {m} and {n}, got {len(t.a)} and {len(t.b)}"
+            )
+
 
 @dataclass(frozen=True)
 class ChristoffelField:
@@ -223,12 +233,7 @@ def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
 
 def project(field: ChristoffelField, t: TotalTangent) -> VerticalVector:
     """Apply the projection field: ``w^a = b^a + sum_mu Gamma^a_mu * a^mu``."""
-    m, n = field.patch.dims
-    field.patch.check_point(t.at)
-    if len(t.a) != m or len(t.b) != n:
-        raise ValueError(
-            f"tangent parts must have lengths {m} and {n}, got {len(t.a)} and {len(t.b)}"
-        )
+    field.patch.check_tangent(t)
     return VerticalVector(t.at, _projected(_symbol_values(field, t.at), t))
 
 
@@ -434,7 +439,7 @@ def pushforward(phi: FiberBundleMorphism, t: TotalTangent) -> TotalTangent:
     ``(x, phi(x, f))`` on the target patch.  Each component of ``phi`` is
     swept once along ``t`` (:func:`~curvcheck.numcore.directional`)."""
     p = t.at
-    phi.source.check_point(p)
+    phi.source.check_tangent(t)
     values, pushed = zip(*(directional(c, p, [(v,) for v in t.a + t.b]) for c in phi.comps))
     return TotalTangent(EvalPoint(p.x, values), t.a, [v for v, in pushed])
 

@@ -1,7 +1,7 @@
 """Check runners: one function per config check kind.
 
 Every runner receives a validated :class:`~curvcheck.config.CheckSpec`, a
-dedicated RNG stream, the effective tolerance and the row's :class:`_Row`.
+dedicated RNG stream and the row's :class:`_Row`.
 It draws all its samples through :mod:`curvcheck.sampling` first, then
 calls its routes, which draw nothing, and adds one residual per sample to
 the row.  :func:`run_check` alone turns the row into a verdict, by the rule
@@ -124,9 +124,7 @@ def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
 
 
 @_runner("curvature-coefficients")
-def _run_curvature_coefficients(
-    spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row
-) -> None:
+def _run_curvature_coefficients(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Structural-derivative coefficients against a finite-difference rebuild.
 
     Draw order per sample: one point (x coordinates, then f coordinates).
@@ -143,7 +141,7 @@ def _run_curvature_coefficients(
 
 
 @_runner("nijenhuis-vs-coefficients")
-def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Projector-bracket curvature on coordinate fields against the
     coordinate coefficients, all ordered index pairs, and its two-term
     against its four-term expansion.
@@ -165,7 +163,7 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> N
 
 
 @_runner("commutator-identity")
-def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Twisted second-derivative differences against the coordinate
     curvature at the section image, all ordered index pairs, and the
     explicit second jets against the prolonged connection.
@@ -191,7 +189,7 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> 
 
 
 @_runner("theta-equivariance")
-def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_theta(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Order-swap involution laws and chart-change equivariance.
 
     Involutivity and projection-swap must hold exactly; pushing a jet
@@ -228,7 +226,7 @@ def _run_theta(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
 
 
 @_runner("parallel-morphism")
-def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_parallel(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Horizontal-to-horizontal pushforward residuals, with an expectation.
 
     Draw order per sample: one source point (x coordinates, then f
@@ -244,7 +242,7 @@ def _run_parallel(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> No
 
 
 @_runner("connection-axiom")
-def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_axiom(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Product-curve velocity law for the connection form, one trial per
     sample.
 
@@ -259,7 +257,7 @@ def _run_axiom(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
 
 
 @_runner("cartan-cross-check")
-def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_cartan(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Three-route curvature agreement at sampled base points.
 
     Draw order per sample: one base point (x coordinates), the logs of
@@ -282,7 +280,7 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None
 
 
 @_runner("bch-theta")
-def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_bch(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Finite-difference surface jets against the algebraic order swap.
 
     Draw order per sample: group-log coefficients (k draws at scale 1/2),
@@ -302,24 +300,22 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
 
 
 @_runner("linearity")
-def _run_linearity(spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row) -> None:
+def _run_linearity(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Fiber-linearity probe with an expectation (linear or nonlinear).
 
     The probe's violation, if any, is the row's one residual, and it lies
-    above ``tol``.  Draw order per sample: one point (x coordinates, then f
-    coordinates).
+    above the check's tolerance.  Draw order per sample: one point (x
+    coordinates, then f coordinates).
     """
     field = spec.params["connection"]
     points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
-    violation = linearity_detect(field, points, tol, spec.params["lambdas"]).violation
+    violation = linearity_detect(field, points, spec.tolerance, spec.params["lambdas"]).violation
     if violation is not None:
         row.add(abs(violation.actual - violation.expected), note=str(violation))
 
 
 @_runner("linear-consistency")
-def _run_linear_consistency(
-    spec: CheckSpec, rng: SplitMix64, tol: float, row: _Row
-) -> None:
+def _run_linear_consistency(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Classical-formula contraction against the general coefficients.
 
     Draw order per sample: one point (x coordinates, then v coordinates).
@@ -333,17 +329,19 @@ def _run_linear_consistency(
 
 
 def _result(
-    spec: CheckSpec, tol: float, verdict: str, detail: str, residual: float | None = None
+    spec: CheckSpec, verdict: str, detail: str, residual: float | None = None
 ) -> CheckResult:
-    return CheckResult(spec.name, spec.kind, spec.samples, residual, tol, verdict, detail)
+    return CheckResult(
+        spec.name, spec.kind, spec.samples, residual, spec.tolerance, verdict, detail
+    )
 
 
-def _error_result(spec: CheckSpec, tol: float, exc: BaseException) -> CheckResult:
+def _error_result(spec: CheckSpec, exc: BaseException) -> CheckResult:
     """The ``error`` row of a check that raised ``exc`` instead of finishing."""
-    return _result(spec, tol, "error", f"{type(exc).__name__}: {exc}")
+    return _result(spec, "error", f"{type(exc).__name__}: {exc}")
 
 
-def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> CheckResult:
+def run_check(spec: CheckSpec, suite_seed: int) -> CheckResult:
     """Run one check on its own RNG stream and judge its row; exceptions
     become error rows.
 
@@ -354,40 +352,39 @@ def run_check(spec: CheckSpec, suite_seed: int, tol_scale: float = 1.0) -> Check
 
     numpy's floating-point warnings are silenced: a non-finite value shows in
     the row instead, as :class:`_Row` fails any non-finite residual."""
-    tol = spec.tolerance * tol_scale
     seed = spec.seed if spec.seed is not None else suite_seed
     rng = stream(seed, spec.name)
     row = _Row()
     try:
         with np.errstate(all="ignore"):
-            _RUNNERS[spec.kind](spec, rng, tol, row)
+            _RUNNERS[spec.kind](spec, rng, row)
     except Exception as exc:
-        return _error_result(spec, tol, exc)
+        return _error_result(spec, exc)
     if row.failure:
-        return _result(spec, tol, "fail", row.failure)
-    above = row.value > tol
+        return _result(spec, "fail", row.failure)
+    above = row.value > spec.tolerance
     expects_violation = spec.params.get("expect") in ("not-parallel", "nonlinear")
     detail = row.note if above else ""
     if expects_violation and not above:
         detail = f"no violation found in {spec.samples} samples"
     verdict = "pass" if above == expects_violation else "fail"
-    return _result(spec, tol, verdict, detail, row.value)
+    return _result(spec, verdict, detail, row.value)
 
 
-#: What a forked worker runs its checks with: the name-sorted specs, the
-#: suite seed and the tolerance scale.  Set by :func:`_init_worker` in the
-#: worker only; the calling process never changes it.
-_WORK = ((), 0, 1.0)
+#: What a forked worker runs its checks with: the name-sorted specs and the
+#: suite seed.  Set by :func:`_init_worker` in the worker only; the calling
+#: process never changes it.
+_WORK = ((), 0)
 
 
-def _init_worker(specs, suite_seed: int, tol_scale: float) -> None:
+def _init_worker(specs, suite_seed: int) -> None:
     global _WORK
-    _WORK = (specs, suite_seed, tol_scale)
+    _WORK = (specs, suite_seed)
 
 
 def _run_indexed(index: int) -> CheckResult:
-    specs, suite_seed, tol_scale = _WORK
-    return run_check(specs[index], suite_seed, tol_scale)
+    specs, suite_seed = _WORK
+    return run_check(specs[index], suite_seed)
 
 
 def _can_fork() -> bool:
@@ -399,7 +396,7 @@ def _can_fork() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _run_forked(specs, workers: int, suite_seed: int, tol_scale: float) -> list:
+def _run_forked(specs, workers: int, suite_seed: int) -> list:
     """Run ``specs`` on ``workers`` forked processes, results in spec order.
 
     The workers inherit the specs through the fork (``initargs`` are not
@@ -415,7 +412,7 @@ def _run_forked(specs, workers: int, suite_seed: int, tol_scale: float) -> list:
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(specs, suite_seed, tol_scale),
+        initargs=(specs, suite_seed),
     ) as pool:
 
         def submit(index: int) -> Future:
@@ -432,11 +429,11 @@ def _run_forked(specs, workers: int, suite_seed: int, tol_scale: float) -> list:
             try:
                 results.append(future.result())
             except BrokenProcessPool as exc:
-                results.append(_error_result(spec, spec.tolerance * tol_scale, exc))
+                results.append(_error_result(spec, exc))
     return results
 
 
-def run_suite(config: SuiteConfig, jobs: int = 1, tol_scale: float = 1.0) -> RunReport:
+def run_suite(config: SuiteConfig, jobs: int = 1) -> RunReport:
     """Run every check in the config, sorted by name.
 
     ``jobs > 1`` runs the checks on ``min(jobs, checks)`` worker processes
@@ -446,9 +443,9 @@ def run_suite(config: SuiteConfig, jobs: int = 1, tol_scale: float = 1.0) -> Run
     start = time.perf_counter()
     specs = sorted(config.checks, key=lambda s: s.name)
     if jobs > 1 and len(specs) > 1 and _can_fork():
-        results = _run_forked(specs, min(jobs, len(specs)), config.seed, tol_scale)
+        results = _run_forked(specs, min(jobs, len(specs)), config.seed)
     else:
-        results = [run_check(s, config.seed, tol_scale) for s in specs]
+        results = [run_check(s, config.seed) for s in specs]
     return RunReport(
         tool_version=__version__,
         config_digest=config.digest,

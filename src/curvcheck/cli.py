@@ -5,22 +5,15 @@ Three subcommands:
 * ``check <config.json>`` loads a suite config, runs every check, and emits
   the report (text table by default, ``--format json`` for the machine
   format).  Exit code 0 when all checks pass, 1 when any check fails or
-  errors, 2 on config or environment problems.
+  errors, 2 on config, command-line or output problems.
 * ``parse-expr "<expr>" --dims m,n`` parses one expression and prints its
   canonical form; syntax errors produce a caret diagnostic on stderr.
 * ``version`` prints the tool name and version.
-
-The environment variable ``CURVCHECK_TOL_SCALE`` (a positive float)
-multiplies every check tolerance, for CI hosts whose floating point
-behavior differs slightly from the development machine.  The report
-records the effective tolerances.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 from dataclasses import replace
 
@@ -92,24 +85,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return m, n
 
 
-def _tolerance_scale() -> float:
-    text = os.environ.get("CURVCHECK_TOL_SCALE")
-    if text is None:
-        return 1.0
-    try:
-        scale = float(text)
-    except ValueError:
-        raise ValueError(f"CURVCHECK_TOL_SCALE must be a number, got {text!r}") from None
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(f"CURVCHECK_TOL_SCALE must be positive, got {text!r}")
-    return scale
-
-
 def _run_check_command(args: argparse.Namespace) -> int:
-    try:
-        tol_scale = _tolerance_scale()
-    except ValueError as exc:
-        return _fail(str(exc))
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
     if args.seed is not None and args.seed < 0:
@@ -120,7 +96,7 @@ def _run_check_command(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report = run_suite(config, jobs=args.jobs, tol_scale=tol_scale)
+    report = run_suite(config, jobs=args.jobs)
     try:
         emit(report, args.format, args.out)
     except IoError as exc:

@@ -321,6 +321,11 @@ def directional(e: Expression, point: EvalPoint, tangents) -> tuple[float, tuple
     if len(tangents) != len(coords):
         raise ValueError(f"{len(tangents)} tangents for a point with {len(coords)} coordinates")
     width = len(tangents[0]) if tangents else 0
+    if any(len(t) != width for t in tangents):
+        raise ValueError(
+            f"tangents have widths {[len(t) for t in tangents]} at a point with dims "
+            f"({len(point.x)}, {len(point.f)}); they need one width"
+        )
     value, t = _sweep(e, point, dict(zip(coords, tangents)), width, jet=False)
     return value, tuple(t)
 
@@ -344,11 +349,23 @@ def _coordinates(m: int, n: int) -> tuple:
     return tuple(("x", i) for i in range(m)) + tuple(("f", i) for i in range(n))
 
 
+def _coordinate(point: EvalPoint, direction: Coordinate, name: str) -> tuple[str, int]:
+    """The coordinate instruction of ``direction``, or a ``ValueError`` that
+    names the argument ``name`` when the point has no such coordinate."""
+    kind, index = direction
+    dim = len(point.x) if kind == "x" else len(point.f) if kind == "f" else 0
+    if not 1 <= index <= dim:
+        raise ValueError(
+            f"{name} {direction!r} is not a coordinate of a point with dims "
+            f"({len(point.x)}, {len(point.f)})"
+        )
+    return kind, index - 1
+
+
 def partial(e: Expression, point: EvalPoint, direction: Coordinate) -> float:
     """First partial derivative of ``e`` at ``point`` along ``direction``:
     bit for bit the entry of :func:`gradient` for that coordinate."""
-    kind, index = direction
-    coord = (kind, index - 1)
+    coord = _coordinate(point, direction, "direction")
     return _adjoint(e, point, (coord,))[1].get(coord, 0.0)
 
 
@@ -362,8 +379,8 @@ def mixed_second(
     directions: every second-order rule is symmetric under swapping them.
     """
     seeds = {}
-    for slot, (kind, index) in enumerate((first, second)):
-        seeds.setdefault((kind, index - 1), [0.0, 0.0, 0.0])[slot] = 1.0
+    for slot, (name, direction) in enumerate((("first", first), ("second", second))):
+        seeds.setdefault(_coordinate(point, direction, name), [0.0, 0.0, 0.0])[slot] = 1.0
     return _sweep(e, point, seeds, 3, jet=True)[1][2]
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "sample_transition",
     "sample_second_jet",
     "sample_algebra_element",
-    "sample_axiom_trial",
     "sample_axiom_trials",
     "sample_cross_check",
 ]
@@ -116,14 +115,6 @@ def sample_algebra_element(
     return AlgebraElement(
         algebra, [rng.symmetric(scale) for _ in range(algebra.k)]
     )
-
-
-def sample_axiom_trial(
-    rng: SplitMix64, algebra: MatrixLieAlgebra, m: int
-) -> tuple[tuple, tuple, GroupElement, GroupElement, AlgebraElement, AlgebraElement]:
-    """One trial of :func:`~curvcheck.principal.check_axiom`: the first of
-    :func:`sample_axiom_trials` with ``count = 1``."""
-    return sample_axiom_trials(rng, algebra, m, 1)[0]
 
 
 def sample_axiom_trials(rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, count: int) -> list:

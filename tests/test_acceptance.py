@@ -57,7 +57,7 @@ from curvcheck.prolong import (
 )
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import (
-    sample_axiom_trial,
+    sample_axiom_trials,
     sample_christoffel,
     sample_cross_check,
     sample_point,
@@ -252,7 +252,9 @@ def test_criterion_07_connection_axiom(monkeypatch):
     def body():
         def trials(potential, count):
             rng = SplitMix64(0)
-            return [sample_axiom_trial(rng, potential.algebra, 2) for _ in range(count)]
+            return [
+                sample_axiom_trials(rng, potential.algebra, 2, 1)[0] for _ in range(count)
+            ]
 
         for potential in (ABELIAN_POTENTIAL, SO3_POTENTIAL):
             assert max(check_axiom(potential, trials(potential, 100))) <= 1e-8

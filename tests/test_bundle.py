@@ -87,6 +87,15 @@ def test_project_rejects_a_tangent_of_another_patch(a, b):
         project(SKEW, t)
 
 
+@pytest.mark.parametrize(("a", "b"), [((0.0,), (1.0, 0.0)), ((0.0, 1.0), ())])
+def test_pushforward_rejects_a_tangent_of_another_patch(a, b):
+    # a short base part would push the fiber velocity as the x2 velocity unseen
+    phi = FiberBundleMorphism.from_strings(P21, P21, ["x2*f1"])
+    t = TotalTangent(EvalPoint((1.0, 3.0), (2.0,)), a, b)
+    with pytest.raises(ValueError, match="tangent parts must have lengths 2 and 1"):
+        pushforward(phi, t)
+
+
 def test_project_idempotent_on_random_inputs():
     rng = SplitMix64(101)
     for _ in range(20):

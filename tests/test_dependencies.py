@@ -1,7 +1,8 @@
 """Tests that curvcheck runs on numpy alone: the package declares no other
 runtime dependency, and a full check run imports no scipy module.  A
 ``--jobs 1`` run does not import the modules of the worker pool either.  No
-file of the package or its tests imports a name it never reads."""
+file of the package or its tests imports a name it never reads, and no
+module of the package reads the process environment."""
 
 import ast
 import os
@@ -80,3 +81,27 @@ def test_no_file_imports_a_name_it_never_reads():
     files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     unread = {str(p.relative_to(ROOT)): _unread_imports(p) for p in files}
     assert {path: names for path, names in unread.items() if names} == {}
+
+
+#: What reads the process environment: ``os.environ`` and ``os.getenv``.
+_ENVIRONMENT = {"environ", "getenv"}
+
+
+def _environment_reads(path: Path) -> list[int]:
+    """Lines of ``path`` that name ``os.environ`` or ``os.getenv``, as an
+    attribute or as a name imported from ``os``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in _ENVIRONMENT for a in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_module_reads_the_process_environment():
+    # a verdict follows from the config alone, which the report's digest pins
+    files = sorted((ROOT / "src").rglob("*.py"))
+    reads = {str(p.relative_to(ROOT)): _environment_reads(p) for p in files}
+    assert {path: lines for path, lines in reads.items() if lines} == {}

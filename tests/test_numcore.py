@@ -49,6 +49,26 @@ def test_evaluate_rejects_out_of_range_variable():
         evaluate(Var("x", 2), EvalPoint((1.0,)))
 
 
+def test_entry_points_reject_arguments_that_do_not_fit_the_point():
+    # a missing direction would read as a zero partial, and a short tangent
+    # would narrow the result to its width, both unseen
+    e, p = _e("x1*x1", (1, 1)), EvalPoint((2.0,))
+    dims = r"a point with dims \(1, 0\)"
+    for d in [("x", 5), ("z", 1), ("x", 0)]:
+        shown = rf"\('{d[0]}', {d[1]}\) is not a coordinate of {dims}"
+        with pytest.raises(ValueError, match="direction " + shown):
+            partial(e, p, d)
+        with pytest.raises(ValueError, match="first " + shown):
+            mixed_second(e, p, d, ("x", 1))
+        with pytest.raises(ValueError, match="second " + shown):
+            mixed_second(e, p, ("x", 1), d)
+    assert (partial(e, p, ("x", 1)), mixed_second(e, p, ("x", 1), ("x", 1))) == (4.0, 2.0)
+    e, p = _e("x1*x2", (2, 1)), EvalPoint((2.0, 3.0), (1.0,))
+    with pytest.raises(ValueError, match=r"widths \[2, 1, 2\] at a point with dims \(2, 1\)"):
+        directional(e, p, [(1.0, 0.0), (1.0,), (0.0, 0.0)])
+    assert directional(e, p, [(1.0, 0.0), (1.0, 1.0), (0.0, 0.0)]) == (6.0, (5.0, 2.0))
+
+
 def test_partial_examples():
     assert partial(_e("x1^2"), EvalPoint((3.0,)), ("x", 1)) == 6.0
     assert partial(_e("f1*x1"), EvalPoint((2.0,), (5.0,)), ("f", 1)) == 2.0

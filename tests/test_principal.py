@@ -37,7 +37,6 @@ from curvcheck.prolong import commutator_tensor
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import (
     sample_algebra_element,
-    sample_axiom_trial,
     sample_axiom_trials,
     sample_cross_check,
 )
@@ -152,7 +151,7 @@ def _axiom(p: GaugePotential, trials: int) -> tuple[float, ...]:
     """The axiom's residuals on ``trials`` trials drawn from ``SplitMix64(0)``."""
     rng = SplitMix64(0)
     return check_axiom(
-        p, [sample_axiom_trial(rng, p.algebra, p.base_dim) for _ in range(trials)]
+        p, [sample_axiom_trials(rng, p.algebra, p.base_dim, 1)[0] for _ in range(trials)]
     )
 
 
@@ -179,7 +178,7 @@ SL2_POTENTIAL = GaugePotential.from_strings(
 @pytest.mark.parametrize("p", [SO3_POTENTIAL, SL2_POTENTIAL, ABELIAN_POTENTIAL], ids=["so3", "sl2", "so2"])
 def test_stacked_axiom_equals_one_trial_at_a_time(p):
     rng = SplitMix64(83)
-    trials = [sample_axiom_trial(rng, p.algebra, p.base_dim) for _ in range(40)]
+    trials = [sample_axiom_trials(rng, p.algebra, p.base_dim, 1)[0] for _ in range(40)]
     assert check_axiom(p, trials) == tuple(check_axiom(p, [t])[0] for t in trials)
     assert check_axiom(p, []) == ()
 
@@ -188,7 +187,8 @@ def test_stacked_axiom_trials_are_the_one_trial_draws():
     for algebra in (SO3, SL2, SO2):
         stacked = sample_axiom_trials(SplitMix64(89), algebra, 3, 25)
         rng = SplitMix64(89)
-        for trial, single in zip(stacked, [sample_axiom_trial(rng, algebra, 3) for _ in range(25)]):
+        singles = [sample_axiom_trials(rng, algebra, 3, 1)[0] for _ in range(25)]
+        for trial, single in zip(stacked, singles):
             x0, xi, g0, gamma0, x, y = trial
             assert (x0, xi) == single[:2]
             assert np.array_equal(g0.g, single[2].g) and np.array_equal(gamma0.g, single[3].g)
