@@ -28,12 +28,13 @@ All value types are immutable; base indices ``mu`` are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _symbolic
 from .exprdsl import Expression, check_grid, parse_grid
-from .numcore import EvalPoint, directional, evaluate, gradient, partial
+from .numcore import EvalPoint, StackedPoint, directional, evaluate, gradient, partial
 
 __all__ = [
     "BundlePatch",
@@ -213,6 +214,15 @@ class FiberBundleMorphism:
 
 # ---------------------------------------------------------------------------
 # pointwise operations
+#
+# The private helpers below also run at a StackedPoint: every number they
+# return is then an array with one entry per point, computed by the same
+# float operations in the same order as at each point alone.
+
+
+def _sample_shape(p) -> tuple:
+    """The trailing axes of a result at ``p``: one per stack of points."""
+    return (p.size,) if isinstance(p, StackedPoint) else ()
 
 
 def _symbol_values(field: ChristoffelField, p: EvalPoint) -> list[list[float]]:
@@ -221,12 +231,13 @@ def _symbol_values(field: ChristoffelField, p: EvalPoint) -> list[list[float]]:
 
 
 def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
-    """``b^a + sum_mu Gamma^a_mu a^mu`` of ``t``, from the symbol values
-    ``gamma`` at its point."""
+    """``b^a + sum_mu Gamma^a_mu a^mu`` of ``t`` (anything with base and
+    fiber parts ``a`` and ``b``), from the symbol values ``gamma`` at its
+    point."""
     w = []
     for row, acc in zip(gamma, t.b):
         for g, comp in zip(row, t.a):
-            acc += g * comp
+            acc = acc + g * comp
         w.append(acc)
     return tuple(w)
 
@@ -286,24 +297,32 @@ def covariant_derivative(
 
 
 def _jet(V: TotalVectorField, p: EvalPoint):
-    """Values and gradients of every component of ``V`` at ``p``, base
-    components before fiber ones: the first-order data of a bracket."""
-    return tuple(zip(*(gradient(c, p) for c in V.a + V.b)))
+    """Values ``vals[i]`` and gradients ``grads[i, j]`` of every component
+    of ``V`` at ``p``, base components before fiber ones, as arrays: the
+    first-order data of a bracket."""
+    vals, grads = zip(*(gradient(c, p) for c in V.a + V.b))
+    return np.array(vals), np.array(grads)
 
 
-def _bracket(jet_V, jet_W, p: EvalPoint) -> TotalTangent:
+class _Parts(NamedTuple):
+    """The base part ``a`` and fiber part ``b`` of a tangent at a point."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _bracket(jet_V, jet_W, p: EvalPoint) -> _Parts:
     """Lie bracket at ``p`` of the fields whose :func:`_jet` are ``jet_V``
     and ``jet_W``."""
     vals_V, grads_V = jet_V
     vals_W, grads_W = jet_W
-    out = []
-    for gV, gW in zip(grads_V, grads_W):
-        acc = 0.0
-        for j in range(len(vals_V)):
-            acc += vals_V[j] * gW[j] - vals_W[j] * gV[j]
-        out.append(acc)
+    # [V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j), summed over j in
+    # order, for every i at once
+    out = 0.0
+    for j in range(len(vals_V)):
+        out = out + (vals_V[j] * grads_W[:, j] - vals_W[j] * grads_V[:, j])
     m = len(p.x)
-    return TotalTangent(p, tuple(out[:m]), tuple(out[m:]))
+    return _Parts(out[:m], out[m:])
 
 
 def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> TotalTangent:
@@ -312,7 +331,7 @@ def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> Total
     if V.patch.dims != W.patch.dims:
         raise ValueError("bracket operands must live on the same patch")
     V.patch.check_point(p)
-    return _bracket(_jet(V, p), _jet(W, p), p)
+    return TotalTangent(p, *_bracket(_jet(V, p), _jet(W, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -355,22 +374,31 @@ def nijenhuis_tensor(
     ``|two-term - four-term|`` over all pairs, a NaN kept.  The two-term
     value is the tensor; the lower triangle is its exact negation (bracket
     and projection are sign-symmetric in IEEE arithmetic) and the diagonal
-    is zero.
+    is zero.  At a :class:`~curvcheck.numcore.StackedPoint` the tensor and
+    the gap have a trailing axis of one entry per point.
     """
+    tensor_at = _nijenhuis_route(field, fields)
+    return [tensor_at(p) for p in points]
+
+
+def _nijenhuis_route(field: ChristoffelField, fields):
+    """The function ``p -> (tensor, gap)`` of :func:`nijenhuis_tensor`, with
+    the projected fields built."""
     fields = tuple(fields)
     if any(V.patch.dims != field.patch.dims for V in fields):
         raise ValueError("bracket operands must live on the connection's patch")
     horizontal_fields = [horizontal_part_field(field, V) for V in fields]
     vertical_fields = [vertical_projection_field(field, V) for V in fields]
-    out = []
-    for p in points:
+
+    def tensor_at(p):
         field.patch.check_point(p)
+        samples = _sample_shape(p)
         horizontal = [_jet(V, p) for V in horizontal_fields]
         plain = [_jet(V, p) for V in fields]
         vertical = [_jet(V, p) for V in vertical_fields]
         gamma = _symbol_values(field, p)
-        R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)))
-        gaps = []
+        R = np.zeros((field.patch.fiber_dim, len(fields), len(fields)) + samples)
+        gaps = [np.zeros(samples)]
         for i in range(len(fields)):
             for j in range(i + 1, len(fields)):
                 two = [-w for w in _projected(gamma, _bracket(horizontal[i], horizontal[j], p))]
@@ -383,8 +411,10 @@ def nijenhuis_tensor(
                 R[:, i, j] = two
                 R[:, j, i] = -R[:, i, j]
         # np.max keeps a NaN, which the row of the check then fails
-        out.append((R, float(np.max(gaps, initial=0.0))))
-    return out
+        gap = np.max(gaps, axis=0)
+        return R, gap if samples else float(gap)
+
+    return tensor_at
 
 
 def nijenhuis_curvature(
@@ -401,12 +431,15 @@ def nijenhuis_curvature(
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     """Coordinate curvature tensor ``R[a-1, mu-1, nu-1] = R^a_{mu nu}(p)``,
     shape (n, m, m), antisymmetric in the last two slots: the module's
-    coordinate formula fed the symbols' structural partials."""
+    coordinate formula fed the symbols' structural partials.  At a
+    :class:`~curvcheck.numcore.StackedPoint` it has a trailing axis of one
+    entry per point."""
     m, n = field.patch.dims
     field.patch.check_point(p)
-    vals = np.empty((n, m))
-    gx = np.empty((n, m, m))
-    gf = np.empty((n, m, n))
+    samples = _sample_shape(p)
+    vals = np.empty((n, m) + samples)
+    gx = np.empty((n, m, m) + samples)
+    gf = np.empty((n, m, n) + samples)
     for a in range(n):
         for mu in range(m):
             vals[a, mu], grad = gradient(field.gamma[a][mu], p)
@@ -417,16 +450,13 @@ def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
 def _coordinate_curvature(vals: np.ndarray, gx: np.ndarray, gf: np.ndarray) -> np.ndarray:
     """The coordinate formula of the module docstring, from symbol values
     ``vals[a, mu]`` and partials ``gx[a, mu, nu] = dGamma^a_mu/dx^nu``,
-    ``gf[a, mu, b] = dGamma^a_mu/df^b``, however they were computed."""
-    n, m = vals.shape
-    R = np.zeros((n, m, m))
-    for a in range(n):
-        for mu in range(m):
-            for nu in range(m):
-                acc = gx[a, nu, mu] - gx[a, mu, nu]
-                for b in range(n):
-                    acc += vals[b, nu] * gf[a, mu, b] - vals[b, mu] * gf[a, nu, b]
-                R[a, mu, nu] = acc
+    ``gf[a, mu, b] = dGamma^a_mu/df^b``, however they were computed, and any
+    trailing sample axes they share.  The sum over ``b`` runs in order, one
+    term per step, for every entry at once."""
+    n, m = vals.shape[:2]
+    R = gx.swapaxes(1, 2) - gx
+    for b in range(n):
+        R += vals[b][None, None, :] * gf[:, :, None, b] - vals[b][None, :, None] * gf[:, None, :, b]
     return R
 
 

@@ -27,14 +27,14 @@ from .bundle import (
     ChristoffelField,
     TotalVectorField,
     _coordinate_curvature,
+    _nijenhuis_route,
     curvature_coefficients,
     is_parallel_morphism,
-    nijenhuis_tensor,
 )
 from .config import CheckSpec, SuiteConfig
 from .lie import exp
 from .linear import linear_curvature_consistency, linearity_detect
-from .numcore import EvalPoint, central_difference, evaluate
+from .numcore import EvalPoint, StackedPoint, central_difference, evaluate, over_samples
 from .principal import check_axiom, curvature_cross_check, theta_bch_verify
 from .prolong import commutator_tensor, pi, pushforward_second_jet, theta
 from .report import CheckResult, RunReport
@@ -87,40 +87,45 @@ def _runner(kind: str):
     return register
 
 
-#: Step of the finite differences of :func:`_fd_partial`.
+#: Step of the finite differences of :func:`_fd_curvature`.
 _FD_STEP = 1e-3
 
-
-def _fd_partial(expr, p: EvalPoint, index: int) -> float:
-    """Fourth-order central difference of ``expr`` along coordinate
-    ``index``, x coordinates before f coordinates."""
-    m = len(p.x)
-
-    def at(delta: float) -> float:
-        z = list(p.x + p.f)
-        z[index] += delta
-        return evaluate(expr, EvalPoint(tuple(z[:m]), tuple(z[m:])))
-
-    return central_difference(
-        at(_FD_STEP), at(-_FD_STEP), at(2.0 * _FD_STEP), at(-2.0 * _FD_STEP), _FD_STEP
-    )
+#: The shifts of one coordinate in a stencil, in the argument order of
+#: :func:`~curvcheck.numcore.central_difference`.
+_FD_SHIFTS = (_FD_STEP, -_FD_STEP, 2.0 * _FD_STEP, -2.0 * _FD_STEP)
 
 
-def _fd_curvature(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
+def _fd_curvature(field: ChristoffelField, p) -> np.ndarray:
     """Curvature coefficients rebuilt from finite-difference partials only,
     by the coordinate formula that :func:`curvature_coefficients` feeds
-    structural partials."""
+    structural partials.
+
+    Every partial is a fourth-order central difference along one
+    coordinate.  The stencil of all ``S`` points of ``p`` (one point, or a
+    :class:`~curvcheck.numcore.StackedPoint` of ``S``, whose result then has
+    a trailing sample axis) is one stack of ``S (1 + 4 (m + n))`` points:
+    the points themselves, then each coordinate shifted by each of
+    ``_FD_SHIFTS`` in turn.  Each symbol is evaluated once on it.
+    """
     m, n = field.patch.dims
-    vals = np.empty((n, m))
-    gx = np.empty((n, m, m))
-    gf = np.empty((n, m, n))
-    for a in range(n):
-        for mu in range(m):
-            expr = field.gamma[a][mu]
-            vals[a, mu] = evaluate(expr, p)
-            grad = [_fd_partial(expr, p, i) for i in range(m + n)]
-            gx[a, mu], gf[a, mu] = grad[:m], grad[m:]
-    return _coordinate_curvature(vals, gx, gf)
+    stacked = p if isinstance(p, StackedPoint) else StackedPoint.of((p,))
+    size = stacked.size
+    columns = [
+        np.concatenate([z] + [z + delta if i == k else z
+                              for i in range(m + n) for delta in _FD_SHIFTS])
+        for k, z in enumerate(stacked.x + stacked.f)
+    ]
+    stencil = StackedPoint(tuple(columns[:m]), tuple(columns[m:]))
+    vals = np.empty((n, m, size))
+    grads = np.empty((n, m, m + n, size))
+    for a, symbols in enumerate(field.gamma):
+        for mu, e in enumerate(symbols):
+            values = over_samples(lambda q: evaluate(e, q), stencil).reshape(-1, size)
+            vals[a, mu] = values[0]
+            for i in range(m + n):
+                grads[a, mu, i] = central_difference(*values[1 + 4 * i:5 + 4 * i], _FD_STEP)
+    R = _coordinate_curvature(vals, grads[:, :, :m], grads[:, :, m:])
+    return R if stacked is p else R[..., 0]
 
 
 @_runner("curvature-coefficients")
@@ -130,11 +135,13 @@ def _run_curvature_coefficients(spec: CheckSpec, rng: SplitMix64, row: _Row) -> 
     Draw order per sample: one point (x coordinates, then f coordinates).
     """
     field = spec.params["connection"]
-    points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
-    for sample, p in enumerate(points):
-        exact = curvature_coefficients(field, p)
-        approx = _fd_curvature(field, p)
-        deviation = float(np.abs(exact - approx).max())
+    points = StackedPoint.of(
+        [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
+    )
+    exact = over_samples(lambda p: curvature_coefficients(field, p), points)
+    approx = _fd_curvature(field, points)
+    deviations = np.abs(exact - approx).max(axis=(0, 1, 2))
+    for sample, deviation in enumerate(deviations.tolist()):
         note = f"at sample {sample}: structural against finite-difference coefficients "
         note += f"{deviation:.3e}"
         row.add(deviation, sample, note)
@@ -150,12 +157,12 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """
     field = spec.params["connection"]
     m, n = field.patch.dims
-    points = [sample_point(rng, m, n) for _ in range(spec.samples)]
+    points = StackedPoint.of([sample_point(rng, m, n) for _ in range(spec.samples)])
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
-    coefficients = [curvature_coefficients(field, p) for p in points]
-    tensors = nijenhuis_tensor(field, coords, points)
-    for sample, (coeffs, (tensor, gap)) in enumerate(zip(coefficients, tensors)):
-        deviation = float(np.abs(tensor - coeffs).max())
+    coefficients = over_samples(lambda p: curvature_coefficients(field, p), points)
+    tensors, gaps = over_samples(_nijenhuis_route(field, coords), points)
+    deviations = np.abs(tensors - coefficients).max(axis=(0, 1, 2))
+    for sample, (deviation, gap) in enumerate(zip(deviations.tolist(), gaps.tolist())):
         note = f"at sample {sample}: bracket against coefficients {deviation:.3e}, "
         note += f"two-term against four-term {gap:.3e}"
         # np.max keeps a NaN, which then fails the row
@@ -178,10 +185,11 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     for _ in range(spec.samples):
         s = named if named is not None else sample_section(rng, field.patch)
         samples.append((s, sample_point(rng, m).x))
+    images = StackedPoint.of([EvalPoint(x, s.value(x)) for s, x in samples])
+    coefficients = over_samples(lambda p: curvature_coefficients(field, p), images)
     for sample, (s, x) in enumerate(samples):
-        coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
         tensor, gap = commutator_tensor(field, s, x)
-        deviation = float(np.abs(tensor - coeffs).max())
+        deviation = float(np.abs(tensor - coefficients[..., sample]).max())
         note = f"at sample {sample}: twisted jets against coefficients {deviation:.3e}, "
         note += f"explicit against prolonged-connection jets {gap:.3e}"
         # np.max keeps a NaN, which then fails the row

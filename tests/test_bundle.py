@@ -26,7 +26,7 @@ from curvcheck.bundle import (
     pushforward,
 )
 from curvcheck.errors import IndexOutOfRange
-from curvcheck.numcore import EvalPoint, directional, evaluate, gradient
+from curvcheck.numcore import EvalPoint, StackedPoint, directional, evaluate, gradient
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_christoffel, sample_point, sample_polynomial
 
@@ -420,6 +420,27 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             for i, V in enumerate(fields):
                 for j, W in enumerate(fields):
                     assert nijenhuis_curvature(field, V, W, p).w == tuple(R[:, i, j])
+
+
+def test_tensors_at_a_stacked_point_are_each_points_own_bit_for_bit():
+    # the trailing axis of a stacked point holds what each point gives alone
+    rng = SplitMix64(810)
+    for m, n in ((1, 1), (2, 2), (3, 2)):
+        patch = BundlePatch(m, n)
+        field = sample_christoffel(rng, patch)
+        fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
+        fields.append(_random_field(rng, patch))
+        points = [sample_point(rng, m, n) for _ in range(5)]
+        stack = StackedPoint.of(points)
+        R = curvature_coefficients(field, stack)
+        assert R.shape == (n, m, m, 5)
+        [(T, gap)] = nijenhuis_tensor(field, fields, [stack])
+        assert (T.shape, gap.shape) == ((n, m + 1, m + 1, 5), (5,))
+        for sample, p in enumerate(points):
+            assert R[..., sample].tobytes() == curvature_coefficients(field, p).tobytes()
+            [(T_p, gap_p)] = nijenhuis_tensor(field, fields, [p])
+            assert T[..., sample].tobytes() == T_p.tobytes()
+            assert gap[sample] == gap_p
 
 
 def test_nijenhuis_tensor_evaluates_each_symbol_once(monkeypatch):

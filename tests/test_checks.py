@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvcheck import bundle, checks
+from curvcheck import bundle, checks, numcore, prolong
 from curvcheck.bundle import (
     BundlePatch,
     TotalVectorField,
@@ -29,7 +29,7 @@ from curvcheck.errors import IoError
 from curvcheck.exprdsl import unparse
 from curvcheck.lie import exp
 from curvcheck.linear import linear_curvature_consistency, linearity_detect
-from curvcheck.numcore import EvalPoint
+from curvcheck.numcore import EvalPoint, StackedPoint, central_difference, evaluate
 from curvcheck.principal import check_axiom, curvature_cross_check, theta_bch_verify
 from curvcheck.prolong import commutator_tensor, pushforward_second_jet, theta
 from curvcheck.rng import SplitMix64, stream
@@ -81,12 +81,15 @@ def test_flat_connection_passes_with_zero_residual(tmp_path):
 
 def test_domain_error_becomes_error_row(tmp_path):
     # Sampled base points stay within |x| <= 1, so x1 - 2 is always
-    # negative and the logarithm faults deterministically.
-    config = _single_check_config(tmp_path, ["log(x1 - 2)", "0"])
-    result = run_check(config.checks[0], config.seed)
-    assert result.verdict == "error"
-    assert result.max_residual is None
-    assert result.detail.startswith("DomainError:")
+    # negative and the logarithm faults deterministically; the row names
+    # the first sample whether its points are swept stacked or one by one
+    for samples in (1, 10):
+        config = _single_check_config(tmp_path, ["log(x1 - 2)", "0"], samples=samples)
+        result = run_check(config.checks[0], config.seed)
+        assert result.verdict == "error"
+        assert result.max_residual is None
+        assert result.detail.startswith("DomainError: log of non-positive value -")
+        assert result.detail.endswith(" at sample 0")
 
 
 def test_non_finite_residuals_never_pass(tmp_path):
@@ -566,6 +569,123 @@ def test_nijenhuis_sample_takes_one_jet_per_field_part(tmp_path, monkeypatch, m,
     monkeypatch.setattr(bundle, "gradient", counting)
     assert run_check(config.checks[0], config.seed).verdict == "pass"
     assert len(calls) <= 3 * m * (m + n) + n * m
+
+
+_STACKED_KINDS = ["curvature-coefficients", "nijenhuis-vs-coefficients", "commutator-identity"]
+
+
+def _connection_check(tmp_path, kind, samples):
+    """A ``kind`` row of ``samples`` samples on a sampled connection of a
+    (2, 2) patch, and the connection's symbols."""
+    field = sample_christoffel(SplitMix64(5), BundlePatch(2, 2))
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 2}},
+        "connections": {
+            "g": {"patch": "p", "gamma": [[unparse(e) for e in row] for row in field.gamma]}
+        },
+        "checks": [{"name": "only", "kind": kind, "connection": "g", "samples": samples}],
+    }
+    config = _config(tmp_path, doc)
+    (spec,) = config.checks
+    symbols = [e for row in spec.params["connection"].gamma for e in row]
+    return spec, config.seed, symbols
+
+
+def _numcore_calls(monkeypatch) -> list:
+    """Record ``(module, expression, point)`` for every call of a numcore
+    entry point that a route module makes."""
+    calls = []
+    for module in (bundle, checks, prolong):
+        for name in ("evaluate", "gradient", "partial", "directional", "mixed_second"):
+            original = getattr(module, name, None)
+            if original is None or original is not getattr(numcore, name):
+                continue
+
+            def spy(e, p, *args, _module=module.__name__, _original=original):
+                calls.append((_module, e, p))
+                return _original(e, p, *args)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _fd_curvature_point_by_point(field, p):
+    """The finite-difference coefficients at ``p`` from one evaluation per
+    stencil point."""
+    m, n = field.patch.dims
+
+    def at(e, i, delta):
+        z = list(p.x + p.f)
+        z[i] += delta
+        return evaluate(e, EvalPoint(tuple(z[:m]), tuple(z[m:])))
+
+    vals = np.array([[evaluate(e, p) for e in row] for row in field.gamma])
+    grads = np.array([
+        [
+            [central_difference(*(at(e, i, d) for d in checks._FD_SHIFTS), checks._FD_STEP)
+             for i in range(m + n)]
+            for e in row
+        ]
+        for row in field.gamma
+    ])
+    return bundle._coordinate_curvature(vals, grads[:, :, :m], grads[:, :, m:])
+
+
+def test_the_stacked_stencil_gives_each_point_its_own_coefficients():
+    field = sample_christoffel(SplitMix64(6), BundlePatch(2, 3))
+    points = [sample_point(SplitMix64(7 + k), 2, 3) for k in range(3)]
+    R = checks._fd_curvature(field, StackedPoint.of(points))
+    assert R.shape == (3, 2, 2, 3)
+    for sample, p in enumerate(points):
+        expected = _fd_curvature_point_by_point(field, p).tobytes()
+        assert R[..., sample].tobytes() == checks._fd_curvature(field, p).tobytes() == expected
+
+
+@pytest.mark.parametrize("kind", _STACKED_KINDS)
+def test_a_check_of_few_samples_sweeps_its_points_on_floats(tmp_path, monkeypatch, kind):
+    # one-point checks ran slower on stacks; only the finite-difference
+    # stencil, of at least 1 + 4 (m + n) points, is stacked at any count
+    samples = numcore._STACK_MIN - 1
+    spec, seed, _ = _connection_check(tmp_path, kind, samples)
+    calls = _numcore_calls(monkeypatch)
+    assert run_check(spec, seed).verdict == "pass"
+    stacked = [(module, p) for module, _, p in calls if not isinstance(p, EvalPoint)]
+    if kind == "curvature-coefficients":
+        assert stacked == [("curvcheck.checks", stacked[0][1])] * 4
+        assert stacked[0][1].size == samples * (1 + 4 * 4)
+    else:
+        assert stacked == []
+    assert any(isinstance(p, EvalPoint) for _, _, p in calls)
+
+
+@pytest.mark.parametrize("kind", _STACKED_KINDS)
+def test_a_check_of_many_samples_sweeps_each_symbol_once_per_route(
+    tmp_path, monkeypatch, kind
+):
+    sweeps = []
+    for samples in (numcore._STACK_MIN, 2 * numcore._STACK_MIN):
+        spec, seed, symbols = _connection_check(tmp_path, kind, samples)
+        calls = _numcore_calls(monkeypatch)
+        assert run_check(spec, seed).verdict == "pass"
+        stacked = [(module, e, p) for module, e, p in calls if isinstance(p, StackedPoint)]
+        if kind == "commutator-identity":
+            # the coefficients at the section images; the commutator route
+            # and the section values stay one sample at a time
+            assert [(module, e, p.size) for module, e, p in stacked] == [
+                ("curvcheck.bundle", e, samples) for e in symbols
+            ]
+        else:
+            assert len(stacked) == len(calls)
+        if kind == "curvature-coefficients":
+            # the structural side, then one stencil of 1 + 4 (m + n) points
+            # per sample
+            assert [(module, e, p.size) for module, e, p in stacked] == [
+                ("curvcheck.bundle", e, samples) for e in symbols
+            ] + [("curvcheck.checks", e, samples * 17) for e in symbols]
+        sweeps.append(len(stacked))
+        monkeypatch.undo()
+    assert sweeps[0] == sweeps[1]
 
 
 def test_unreachable_tolerance_fails(tmp_path):

@@ -110,7 +110,7 @@ def test_planted_defect_fails_the_named_rows(monkeypatch, tmp_path, op, rule, sk
     verdicts = _verdicts(tmp_path, skew_gamma, rows)
     assert sorted(verdicts) == sorted(rows)
     for row in rows:
-        assert verdicts[row] in ("fail", "error"), row
+        assert verdicts[row] == "fail", row
 
 
 # --- defects planted in the routes of four more check kinds -----------------
@@ -143,17 +143,16 @@ def _pushforward_without_mixed_jacobian(original):
 
 
 def _coefficients_with_quadratic_sign_flipped(original):
+    # at one point or at a stack of points, whose results have a trailing
+    # sample axis
     def mutant(field, p):
-        m, n = field.patch.dims
-        vals = np.empty((n, m))
-        gf = np.empty((n, m, n))
-        for a in range(n):
-            for mu in range(m):
-                vals[a, mu], grad = numcore.gradient(field.gamma[a][mu], p)
-                gf[a, mu] = grad[m:]
+        m = field.patch.base_dim
+        jets = [[numcore.gradient(e, p) for e in row] for row in field.gamma]
+        vals = np.array([[value for value, _ in row] for row in jets])
+        gf = np.array([[grad[m:] for _, grad in row] for row in jets])
         # sum_b Gamma^b_nu dGamma^a_mu/df^b - Gamma^b_mu dGamma^a_nu/df^b
-        quadratic = np.einsum("bn,amb->amn", vals, gf)
-        quadratic -= np.einsum("bm,anb->amn", vals, gf)
+        quadratic = np.einsum("bn...,amb...->amn...", vals, gf)
+        quadratic -= np.einsum("bm...,anb...->amn...", vals, gf)
         return original(field, p) - 2.0 * quadratic
 
     return mutant
@@ -370,7 +369,7 @@ def test_planted_route_defect_fails_its_row(
 ):
     assert _verdicts(tmp_path, None, [row]) == {row: "pass"}
     _plant(monkeypatch, module, name, mutate)
-    assert _verdicts(tmp_path, None, [row])[row] in ("fail", "error")
+    assert _verdicts(tmp_path, None, [row])[row] == "fail"
 
 
 # Defects in the second route of a comparison that a tensor route makes

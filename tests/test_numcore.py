@@ -2,9 +2,11 @@
 
 import math
 import operator
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvcheck import _symbolic, numcore
@@ -12,6 +14,7 @@ from curvcheck.errors import DomainError
 from curvcheck.exprdsl import MAX_EXPONENT_DIGITS, Binary, Const, Power, Unary, Var, parse
 from curvcheck.numcore import (
     EvalPoint,
+    StackedPoint,
     directional,
     evaluate,
     gradient,
@@ -371,6 +374,109 @@ def test_the_adjoint_sweep_reads_no_rule_of_an_unseeded_register():
     assert partial(e, point, ("f", 1)) == 3.0
     with pytest.raises(DomainError):
         partial(e, point, ("x", 1))
+
+
+# --- stacked points ------------------------------------------------------------
+
+
+def _every_primitive(rng: SplitMix64, depth: int):
+    """A random smooth expression plus a negative power of a positive base,
+    so that every primitive can occur."""
+    power = Power(_positive(rng, depth - 1), -1 - rng.int_below(3))
+    return Binary("+", _random_smooth_expr(rng, depth), power)
+
+
+_DIRECTIONS = [("x", 1), ("x", 2), ("x", 3), ("f", 1), ("f", 2), ("f", 3)]
+_coordinate = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+_stacks = st.lists(st.tuples(*[_coordinate] * 6), min_size=1, max_size=12)
+
+
+def _bits(values):
+    """The IEEE bits of each number, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), _stacks, st.sampled_from(_DIRECTIONS),
+       st.sampled_from(_DIRECTIONS))
+@example(0, [(0.1, -0.2, 0.3, 0.4, -0.5, 0.6)] * 3, ("x", 1), ("f", 2))
+def test_a_stacked_point_gives_every_point_its_own_numbers(seed, coordinates, first, second):
+    # + - * neg run as array arithmetic, every other primitive through the
+    # float code one sample at a time: bit for bit the numbers of each point
+    rng = SplitMix64(seed)
+    e = _every_primitive(rng, 4)
+    if seed == 0:
+        e = _e("x1/(2 + f1) + (1.5 + sin(x2)^2)^-2 + sin(x1)*cos(f2) + exp(sin(x3))"
+               " + log(2 + x1^2) + sqrt(1 + f1^2) - x2^3*f3")
+    points = [EvalPoint(c[:3], c[3:]) for c in coordinates]
+    stack = StackedPoint.of(points)
+    tangents = [tuple(rng.symmetric(1.0) for _ in range(2)) for _ in range(6)]
+    stacked = {
+        "evaluate": evaluate(e, stack),
+        "gradient": gradient(e, stack),
+        "partial": partial(e, stack, first),
+        "directional": directional(e, stack, tangents),
+        "mixed_second": mixed_second(e, stack, first, second),
+    }
+    single = {
+        "evaluate": [evaluate(e, p) for p in points],
+        "gradient": [gradient(e, p) for p in points],
+        "partial": [partial(e, p, first) for p in points],
+        "directional": [directional(e, p, tangents) for p in points],
+        "mixed_second": [mixed_second(e, p, first, second) for p in points],
+    }
+    for name in ("evaluate", "partial", "mixed_second"):
+        assert _bits(stacked[name]) == _bits(single[name]), name
+    for name in ("gradient", "directional"):
+        value, slots = stacked[name]
+        assert _bits(value) == _bits([v for v, _ in single[name]]), name
+        assert _bits(np.array(slots).T) == _bits([t for _, t in single[name]]), name
+
+
+def test_a_stacked_domain_error_names_its_sample():
+    stack = StackedPoint.of([EvalPoint((x,)) for x in (3.0, 2.5, 1.0, 0.0)])
+    e = _e("log(x1 - 2)", (1, 1))
+    for entry in (evaluate, gradient):
+        with pytest.raises(DomainError, match="log of non-positive value -1.0 at sample 2"):
+            entry(e, stack)
+
+
+def test_a_stacked_sweep_lets_no_numpy_warning_escape():
+    # float arithmetic overflows to inf and makes NaN silently, and so must
+    # the arrays of a stack
+    stack = StackedPoint.of([EvalPoint((x,), (1.0,)) for x in (0.5, -2.0, 0.0)])
+    e = _e("x1*1e300*1e300 - x1*1e300*1e300 + f1*x1*1e300*1e300", (1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = gradient(e, stack)
+        second = mixed_second(e, stack, ("x", 1), ("f", 1))
+    points = [EvalPoint((x,), (1.0,)) for x in (0.5, -2.0, 0.0)]
+    assert _bits(value) == _bits([evaluate(e, p) for p in points])
+    assert _bits(np.array(grad).T) == _bits([gradient(e, p)[1] for p in points])
+    assert _bits(second) == _bits([mixed_second(e, p, ("x", 1), ("f", 1)) for p in points])
+    # x1/v with v = inf: every table entry of / is 0 and the jet's cross
+    # terms are inf, so a term with a zero coefficient must be left out, at
+    # each sample as at one point, or 0 * inf makes a NaN
+    e = _e("x1/(f1*1e300*1e300)", (1, 1))
+    second = mixed_second(e, stack, ("f", 1), ("f", 1))
+    assert _bits(second) == _bits([mixed_second(e, p, ("f", 1), ("f", 1)) for p in points])
+    assert not np.isnan(second).any()
+
+
+def test_stacked_points_hash_by_identity_and_reject_ragged_stacks():
+    # the bench's tracer keys every numcore call on its point argument
+    p = StackedPoint((np.array([1.0, 2.0]),), (np.array([3.0, 4.0]),))
+    q = StackedPoint((np.array([1.0, 2.0]),), (np.array([3.0, 4.0]),))
+    assert p != q and {p: 1, q: 2}[p] == 1
+    assert (p.size, p.at(1)) == (2, EvalPoint((2.0,), (4.0,)))
+    with pytest.raises(ValueError):
+        p.x[0][0] = 5.0
+    with pytest.raises(ValueError, match="one length"):
+        StackedPoint((np.array([1.0, 2.0]),), (np.array([3.0]),))
+    with pytest.raises(ValueError, match=r"dims \[\(1, 0\), \(1, 1\)\]"):
+        StackedPoint.of([EvalPoint((1.0,)), EvalPoint((2.0,), (3.0,))])
+    with pytest.raises(ValueError, match=r"dims \[\]"):
+        StackedPoint.of([])
 
 
 def test_mixed_second_matches_symbolic_second_derivative():
