@@ -34,9 +34,16 @@ from .bundle import (
 from .config import CheckSpec, SuiteConfig
 from .lie import exp
 from .linear import linear_curvature_consistency, linearity_detect
-from .numcore import EvalPoint, StackedPoint, central_difference, evaluate, over_samples
-from .principal import check_axiom, curvature_cross_check, theta_bch_verify
-from .prolong import commutator_tensor, pi, pushforward_second_jet, theta
+from .numcore import (
+    EvalPoint,
+    StackedPoint,
+    central_difference,
+    each_sample,
+    evaluate,
+    over_samples,
+)
+from .principal import _cross_checks, _theta_bch_checks, check_axiom
+from .prolong import _commutator_tensors, pi, pushforward_second_jet, theta
 from .report import CheckResult, RunReport
 from .rng import SplitMix64, stream
 from .sampling import (
@@ -169,6 +176,11 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
         row.add(float(np.max((deviation, gap))), sample, note)
 
 
+def _image(s, x) -> EvalPoint:
+    """The point ``(x, s(x))`` of the section ``s`` over ``x``."""
+    return EvalPoint(x, s.value(x))
+
+
 @_runner("commutator-identity")
 def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Twisted second-derivative differences against the coordinate
@@ -185,11 +197,11 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     for _ in range(spec.samples):
         s = named if named is not None else sample_section(rng, field.patch)
         samples.append((s, sample_point(rng, m).x))
-    images = StackedPoint.of([EvalPoint(x, s.value(x)) for s, x in samples])
+    images = StackedPoint.of(each_sample(lambda drawn: _image(*drawn), samples))
     coefficients = over_samples(lambda p: curvature_coefficients(field, p), images)
-    for sample, (s, x) in enumerate(samples):
-        tensor, gap = commutator_tensor(field, s, x)
-        deviation = float(np.abs(tensor - coefficients[..., sample]).max())
+    tensors, gaps = _commutator_tensors(field, samples)
+    deviations = np.abs(tensors - coefficients).max(axis=(0, 1, 2))
+    for sample, (deviation, gap) in enumerate(zip(deviations.tolist(), gaps.tolist())):
         note = f"at sample {sample}: twisted jets against coefficients {deviation:.3e}, "
         note += f"explicit against prolonged-connection jets {gap:.3e}"
         # np.max keeps a NaN, which then fails the row
@@ -279,8 +291,7 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
         (sample_point(rng, m).x, *sample_cross_check(rng, potential.algebra, m, *counts))
         for _ in range(spec.samples)
     ]
-    for sample, drawn in enumerate(samples):
-        report = curvature_cross_check(potential, *drawn)
+    for sample, report in enumerate(_cross_checks(potential, samples)):
         routes = ", ".join(f"{name} {value:.3e}" for name, value in report.pairwise.items())
         note = f"at sample {sample}: {routes}, "
         note += f"explicit against prolonged-connection jets {report.prolonged_deviation:.3e}"
@@ -300,8 +311,7 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     for _ in range(spec.samples):
         g = exp(sample_algebra_element(rng, algebra, 0.5))
         jets.append((g, *(sample_algebra_element(rng, algebra, scale) for _ in range(3))))
-    for sample, jet in enumerate(jets):
-        report = theta_bch_verify(*jet)
+    for sample, report in enumerate(_theta_bch_checks(jets)):
         note = f"at sample {sample}: direct jet {report.direct_deviation:.3e}, "
         note += f"swapped jet {report.swapped_deviation:.3e}"
         row.add(report.max_deviation, sample, note)

@@ -70,6 +70,7 @@ __all__ = [
     "EvalPoint",
     "StackedPoint",
     "over_samples",
+    "each_sample",
     "Coordinate",
     "evaluate",
     "directional",
@@ -141,30 +142,49 @@ class StackedPoint:
 #: The fewest points that :func:`over_samples` sweeps as one stack; fewer
 #: are swept one at a time on floats.  Stacking broke even between 2 and 4
 #: points for the structural and Nijenhuis routes on short symbols, and
-#: between 4 and 6 on symbols of a few hundred terms.
-_STACK_MIN = 8
+#: between 4 and 6 for the commutator route (whose sections are swept one
+#: point at a time either way), on symbols of a few hundred terms and on the
+#: exponential-chart fields of ``cartan-cross-check``.  At 6 points, the
+#: default of that check's commutator route, every route measured took at
+#: most 0.91 of its time on floats.
+_STACK_MIN = 6
 
 
-def over_samples(route, points: StackedPoint):
+def over_samples(route, points: StackedPoint, *columns):
     """``route`` at every point of ``points``, each number of its result with
     a trailing sample axis.
 
     With at least ``_STACK_MIN`` points ``route`` gets the stack itself;
-    with fewer, each point on floats, and the results are stacked.
-    ``route`` returns an array, a number or a tuple of them.  A domain
-    error names its sample either way.
+    with fewer, each point on floats, and the results are stacked.  Each of
+    ``columns``, an array whose last axis runs over the points (the seeds
+    of a :func:`directional` sweep, say), follows the point as the next
+    argument of ``route``: whole with the stack, and with one point as that
+    point's entries, in nested lists of floats.  ``route`` returns an
+    array, a number or a tuple of them.  A domain error names its sample
+    either way.
     """
     if points.size >= _STACK_MIN:
-        return route(points)
-    results = []
-    for sample in range(points.size):
-        try:
-            results.append(route(points.at(sample)))
-        except DomainError as exc:
-            raise DomainError(f"{exc} at sample {sample}") from exc
+        return route(points, *columns)
+    results = each_sample(
+        lambda sample: route(points.at(sample), *(c[..., sample].tolist() for c in columns)),
+        range(points.size),
+    )
     if isinstance(results[0], tuple):
         return tuple(np.stack(parts, axis=-1) for parts in zip(*results))
     return np.stack(results, axis=-1)
+
+
+def each_sample(route, items) -> list:
+    """``route`` at each of ``items`` in turn, as a list; a
+    :class:`~curvcheck.errors.DomainError` names the position of its item
+    as its sample (``at sample 2``)."""
+    results = []
+    for sample, item in enumerate(items):
+        try:
+            results.append(route(item))
+        except DomainError as exc:
+            raise DomainError(f"{exc} at sample {sample}") from exc
+    return results
 
 
 # ---------------------------------------------------------------------------

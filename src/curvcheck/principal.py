@@ -71,7 +71,7 @@ from .lie import (
     group_stack,
 )
 from .numcore import EvalPoint, central_difference, evaluate, gradient
-from .prolong import commutator_tensor
+from .prolong import _commutator_tensors
 
 __all__ = [
     "GaugePotential",
@@ -411,12 +411,20 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
     each pair of routes, and the largest gap of route three's
     prolonged-connection jets, which alone sees a defect in the mixed second
     derivative of a section: that term cancels in the twisted difference.
+    One sample of :func:`_cross_checks`.
     """
+    return _cross_checks(p, [(x, centers, sections)])[0]
+
+
+def _cross_checks(p: GaugePotential, samples) -> list[CrossCheckReport]:
+    """:func:`curvature_cross_check` at every ``(x, centers, sections)`` of
+    ``samples``, each report bit for bit that of its sample alone.  Routes
+    one and two run one sample at a time; route three runs the sections of
+    all samples through one commutator route, as they all use one
+    identity-chart field, after routes one and two of every sample."""
     alg = p.algebra
     m = p.base_dim
     k = alg.k
-    base = tuple(float(c) for c in x)
-    reference = cartan_curvature(p, base)
     upper = np.triu_indices(m, 1)
 
     def in_reference_frame(groups, values) -> np.ndarray:
@@ -427,42 +435,62 @@ def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheck
         restored[:, upper[0], upper[1]] = conjugate(alg, matrices, values)
         return restored - restored.transpose(0, 2, 1, 3)
 
-    # route two: Nijenhuis coefficients in exponential charts, read at their
-    # centers and conjugated back to the reference frame
-    frames = (alg.identity_group(), *centers)
-    origin = EvalPoint(base, (0.0,) * k)
-    chart = [
-        curvature_coefficients(exponential_chart_connection(p, g, 1), origin) for g in frames
-    ]
-    chart_values = in_reference_frame(frames, np.moveaxis(chart, 1, -1)[:, upper[0], upper[1]])
+    def routes_one_and_two(sample):
+        base, centers, _ = sample
+        reference = cartan_curvature(p, base)
+        # route two: Nijenhuis coefficients in exponential charts, read at
+        # their centers and conjugated back to the reference frame
+        frames = (alg.identity_group(), *centers)
+        origin = EvalPoint(base, (0.0,) * k)
+        chart = [
+            curvature_coefficients(exponential_chart_connection(p, g, 1), origin) for g in frames
+        ]
+        values = np.moveaxis(chart, 1, -1)[:, upper[0], upper[1]]
+        return reference, in_reference_frame(frames, values)
+
+    samples = [(tuple(float(c) for c in x), centers, sections) for x, centers, sections in samples]
+    first_two = [routes_one_and_two(sample) for sample in samples]
 
     # route three: second-jet commutator of exp-sections in the identity
     # chart, converted from chart velocities to algebra values
     identity_field = _identity_chart(p)
-    groups, values, prolonged_gaps = [], [], []
-    for comps in sections:
-        section = Section(identity_field.patch, comps)
-        s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
-        log_factor = _left_log_matrix(alg, s_at)
-        groups.append(exp(AlgebraElement(alg, s_at)))
-        vertical, gap = commutator_tensor(identity_field, section, base)
-        prolonged_gaps.append(gap)
-        values.append([log_factor @ vertical[:, mu, nu] for mu, nu in zip(*upper)])
-    commutator_values = in_reference_frame(
-        groups, np.reshape(values, (len(values), len(upper[0]), k))
+    verticals, gaps = _commutator_tensors(
+        identity_field,
+        [(Section(identity_field.patch, comps), base) for base, _, sections in samples
+         for comps in sections],
     )
 
     def worst_against(values, target) -> float:
         # np.max keeps a NaN, which the row of the check then fails
         return float(np.max(np.abs(values - target), initial=0.0))
 
-    pairwise = {
-        "structure-vs-chart": worst_against(chart_values, reference.coeffs),
-        "structure-vs-commutator": worst_against(commutator_values, reference.coeffs),
-        "chart-vs-commutator": worst_against(commutator_values, chart_values[0]),
-    }
-    prolonged = float(np.max(prolonged_gaps, initial=0.0))
-    return CrossCheckReport(float(np.max([*pairwise.values(), prolonged])), pairwise, prolonged)
+    # each sample's tensors and gaps
+    ends = np.cumsum([len(sections) for _, _, sections in samples])[:-1]
+    per_sample = zip(np.split(verticals, ends, axis=-1), np.split(gaps, ends))
+    reports = []
+    for (base, _, sections), (reference, chart_values), (tensors, prolonged_gaps) in zip(
+        samples, first_two, per_sample
+    ):
+        groups, values = [], []
+        for j, comps in enumerate(sections):
+            s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
+            log_factor = _left_log_matrix(alg, s_at)
+            groups.append(exp(AlgebraElement(alg, s_at)))
+            vertical = tensors[..., j].copy()  # laid out as one sample's tensor
+            values.append([log_factor @ vertical[:, mu, nu] for mu, nu in zip(*upper)])
+        commutator_values = in_reference_frame(
+            groups, np.reshape(values, (len(values), len(upper[0]), k))
+        )
+        pairwise = {
+            "structure-vs-chart": worst_against(chart_values, reference.coeffs),
+            "structure-vs-commutator": worst_against(commutator_values, reference.coeffs),
+            "chart-vs-commutator": worst_against(commutator_values, chart_values[0]),
+        }
+        prolonged = float(np.max(prolonged_gaps, initial=0.0))
+        reports.append(
+            CrossCheckReport(float(np.max([*pairwise.values(), prolonged])), pairwise, prolonged)
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +534,15 @@ def _extract_jet(
     """Numerical jet slots (g, X, Y, Z) of a matrix surface sigma(t, eps)
     of the form g e^{tX} e^{eps(Y + tZ)} via central differences.
     ``values`` is the stack of its values at the :data:`_JET_STENCIL`
-    points."""
+    points, each a matrix or a stack of them, whose slots then come as
+    stacks too."""
     g, t_plus, t_minus, e_plus, e_minus, pp, pm, mp, mm = values
     dt = (t_plus - t_minus) / (2.0 * _BCH_STEP)
     de = (e_plus - e_minus) / (2.0 * _BCH_STEP)
     mixed = (pp - pm - mp + mm) / (4.0 * _BCH_STEP * _BCH_STEP)
     x = alg.expand(np.linalg.solve(g, dt), 1e-3)
     y = alg.expand(np.linalg.solve(g, de), 1e-3)
-    x_mat = AlgebraElement(alg, x).matrix
-    y_mat = AlgebraElement(alg, y).matrix
-    z = alg.expand(np.linalg.solve(g, mixed) - x_mat @ y_mat, 1e-3)
+    z = alg.expand(np.linalg.solve(g, mixed) - alg.matrix(x) @ alg.matrix(y), 1e-3)
     return g, x, y, z
 
 
@@ -532,17 +559,39 @@ def theta_bch_verify(
     from the swapped surface ``sigma(eps, t)`` must reproduce the algebraic
     output, including the bracket correction in the mixed slot.  The
     stencil is symmetric under the swap, so both read one stack of values.
+    One sample of :func:`_theta_bch_checks`.
     """
-    alg = x.algebra
-    t, eps = _BCH_STEP * _JET_STENCIL.T[:, :, None, None]
-    surface = g.g @ expm(t * x.matrix) @ expm(eps * (y.matrix + t * z.matrix))
+    return _theta_bch_checks([(g, x, y, z)])[0]
 
-    def slot_deviation(extracted, expected) -> float:
-        g_exp, *elements = expected
-        exact = (g_exp.g, *(e.coeffs for e in elements))
-        # np.max keeps a NaN, which the row of the check then fails
-        return float(np.max([np.abs(u - v).max() for u, v in zip(extracted, exact)]))
 
-    direct = slot_deviation(_extract_jet(alg, surface), (g, x, y, z))
-    swapped_dev = slot_deviation(_extract_jet(alg, surface[_JET_SWAP]), theta_bch(g, x, y, z))
-    return ThetaBchReport(direct, swapped_dev, float(np.max([direct, swapped_dev])))
+def _theta_bch_checks(jets) -> list[ThetaBchReport]:
+    """:func:`theta_bch_verify` at every ``(g, X, Y, Z)`` of ``jets``, all
+    of one algebra: the surfaces of all jets from one stacked ``expm`` pair,
+    and each slot from one stacked solve and expansion, every number bit
+    for bit that of its jet alone."""
+    g, *elements = zip(*jets)
+    alg = elements[0][0].algebra
+    g = np.array([h.g for h in g])
+    x, y, z = (alg.matrix([e.coeffs for e in slot]) for slot in elements)
+    # surface values (stencil point, jet, d, d)
+    t, eps = _BCH_STEP * _JET_STENCIL.T[:, :, None, None, None]
+    surface = g @ expm(t * x) @ expm(eps * (y + t * z))
+
+    def slot_deviations(extracted, expected) -> np.ndarray:
+        # each jet's largest deviation; np.max keeps a NaN, which the row of
+        # the check then fails
+        g_exp, *slots = zip(*expected)
+        exact = (np.array([h.g for h in g_exp]), *(np.array([e.coeffs for e in s]) for s in slots))
+        return np.max(
+            [np.abs(u - v).reshape(len(jets), -1).max(axis=1) for u, v in zip(extracted, exact)],
+            axis=0,
+        )
+
+    direct = slot_deviations(_extract_jet(alg, surface), jets)
+    swapped = slot_deviations(
+        _extract_jet(alg, surface[_JET_SWAP]), [theta_bch(*jet) for jet in jets]
+    )
+    return [
+        ThetaBchReport(d, s, float(np.max([d, s])))
+        for d, s in zip(direct.tolist(), swapped.tolist())
+    ]

@@ -51,6 +51,19 @@ defect in either shows as a gap.  The five-term formula takes the symbols'
 partials from the adjoint sweep of ``numcore.gradient`` and this route from
 tangent sweeps, so the gap also compares the two sweeps.
 
+Both routes run for all samples of a check at once
+(:func:`_commutator_tensors`).  The section side of each route -- the
+values and gradients of ``s``, its mixed second derivatives (both orders
+of each pair) or the partials of its symbolic first derivatives -- is
+computed one sample at a time on floats, as every sample may draw its own
+section.  Each connection-side sweep (the symbols' gradients, their
+tangent sweeps, the prolonged symbols at ``(x, s(x), fdot)``) is one sweep
+over the points of all samples through
+:func:`~curvcheck.numcore.over_samples`, and the jets' arithmetic runs on
+the sample axis, so every sample's numbers are bit for bit those of that
+sample alone.  The jets are then twisted and differenced one sample at a
+time.  The one-sample functions are slices of the same code.
+
 The prolonged connection is built once and kept on its field, so it lives
 exactly as long as the field.  Nothing is looked up by object identity or
 by hashing a tree.
@@ -66,7 +79,17 @@ from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, VerticalVector
 from .errors import FiberMismatch
 from .exprdsl import Expression, Var, check_grid
-from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, partial
+from .numcore import (
+    EvalPoint,
+    StackedPoint,
+    directional,
+    each_sample,
+    evaluate,
+    gradient,
+    mixed_second,
+    over_samples,
+    partial,
+)
 
 __all__ = [
     "SecondJet",
@@ -223,88 +246,155 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
     return prolonged
 
 
-def _prolonged_covariants(field: ChristoffelField, s: Section, pairs, x) -> list[list[float]]:
+def _over_symbols(field: ChristoffelField, sweep):
+    """The values ``(n, m)`` and derivatives ``(n, m, w)`` of ``sweep(e)``, a
+    ``gradient`` or ``directional`` sweep, for every symbol ``e`` of
+    ``field``, each with a trailing sample axis at a stacked point."""
+    sweeps = [[sweep(e) for e in row] for row in field.gamma]
+    return (
+        np.array([[value for value, _ in row] for row in sweeps]),
+        np.array([[derivatives for _, derivatives in row] for row in sweeps]),
+    )
+
+
+def _stacked(parts) -> tuple[np.ndarray, ...]:
+    """The per-sample results ``parts``, each a tuple of nested sequences of
+    floats, as arrays with a trailing sample axis."""
+    return tuple(np.stack(part, axis=-1) for part in zip(*parts))
+
+
+def _prolonged_covariants(field: ChristoffelField, samples, pairs) -> np.ndarray:
     """The second route to the jets of :func:`_second_covariants`: for each
     ``(mu, nu)`` of ``pairs``, the covariant derivative along ``d/dx^mu``,
     under :func:`vertical_connection`, of the section ``sigma = (s, v)`` of
     the vertical bundle with ``v^a = ds^a/dx^nu + Gamma^a_nu(x, s(x))``, as
-    its ``2n`` components at ``x``.
+    ``[component, pair, sample]`` of shape ``(2n, pairs, S)`` over the
+    ``(s, x)`` of ``samples`` (validated base points).
 
     It is computed from numbers, with no symbolic section: ``d v^a/dx^mu``
     is the first-order partial of the symbolic ``ds^a/dx^i`` along ``x^j``,
-    ``(i, j)`` the smaller and the larger of ``mu`` and ``nu``, plus the
-    tangent of ``Gamma^a_nu`` at ``(x, s(x))`` along ``(e_mu, ds/dx^mu)``,
-    one :func:`~curvcheck.numcore.directional` sweep per symbol for every
-    ``mu``.  It evaluates ``s`` itself and calls no ``mixed_second``.
+    ``(i, j)`` the smaller and the larger of ``mu`` and ``nu``, taken once
+    for both orders, plus the tangent of ``Gamma^a_nu`` at ``(x, s(x))``
+    along ``(e_mu, ds/dx^mu)``, one :func:`~curvcheck.numcore.directional`
+    sweep per symbol for every ``mu``.  It evaluates ``s`` itself, one
+    sample at a time, and calls no ``mixed_second``; the symbols are swept
+    over all samples at once.
     """
     m, n = field.patch.dims
     prolonged = vertical_connection(field)
-    base_pt = EvalPoint.of(x)
-    values, grads = zip(*(gradient(c, base_pt) for c in s.comps))
+
+    def section_side(sample):
+        s, x = sample
+        values, grads = zip(*(gradient(c, x) for c in s.comps))
+        first = {}  # i -> the symbolic ds^a/dx^i
+        seconds = {}  # (i, j) -> the partials of first[i] along x^j
+        for mu, nu in pairs:
+            # d2 s/dx^mu dx^nu, as the partial along the larger index of the
+            # symbolic derivative along the smaller, so both orders share it
+            low, high = sorted((mu, nu))
+            if (low, high) not in seconds:
+                if low not in first:
+                    first[low] = [_symbolic.derivative(c, "x", low) for c in s.comps]
+                seconds[low, high] = [partial(d, x, ("x", high)) for d in first[low]]
+        by_pair = [seconds[tuple(sorted(pair))] for pair in pairs]
+        return values, grads, [[dv[a] for dv in by_pair] for a in range(n)]
+
+    values, grads, seconds = _stacked(each_sample(section_side, samples))
+    base = StackedPoint.of([x for _, x in samples])
     # x^i moves along e_i and f^b along the gradient of s^b
-    seeds = [tuple(float(i == j) for j in range(m)) for i in range(m)] + list(grads)
-    at = EvalPoint(base_pt.x, values)
-    symbols = [[directional(e, at, seeds) for e in row] for row in field.gamma]
-    first = {}  # i -> the symbolic ds^a/dx^i
-    covariants = []
-    for mu, nu in pairs:
-        # d2 s/dx^mu dx^nu, as the partial along the larger index of the
-        # symbolic derivative along the smaller, so both orders share a tree
-        low, high = sorted((mu, nu))
-        if low not in first:
-            first[low] = [_symbolic.derivative(c, "x", low) for c in s.comps]
-        velocity = tuple(grads[a][nu - 1] + symbols[a][nu - 1][0] for a in range(n))
-        sigma = EvalPoint(base_pt.x, values + velocity)
-        w = [grads[a][mu - 1] + evaluate(prolonged.gamma[a][mu - 1], sigma) for a in range(n)]
-        for a in range(n):
-            dv = partial(first[low][a], base_pt, ("x", high)) + symbols[a][nu - 1][1][mu - 1]
-            w.append(dv + evaluate(prolonged.gamma[n + a][mu - 1], sigma))
-        covariants.append(w)
-    return covariants
+    unit = [tuple(float(i == j) for j in range(m)) for i in range(m)]
+    symbols, tangents = over_samples(
+        lambda p, g: _over_symbols(field, lambda e: directional(e, p, unit + list(g))),
+        StackedPoint(base.x, tuple(values)),
+        grads,
+    )
+    # the prolonged symbols of column mu at sigma, which depends on nu only
+    at_sigma = np.empty((2 * n, len(pairs), len(samples)))
+    for nu in sorted({nu for _, nu in pairs}):
+        velocity = grads[:, nu - 1] + symbols[:, nu - 1]
+        sigma = StackedPoint(base.x, tuple(values) + tuple(velocity))
+        columns = [(k, mu) for k, (mu, other) in enumerate(pairs) if other == nu]
+        at_sigma[:, [k for k, _ in columns]] = over_samples(
+            lambda p: np.array([[evaluate(row[mu - 1], p) for _, mu in columns]
+                                for row in prolonged.gamma]),
+            sigma,
+        )
+    mu, nu = _pair_indices(pairs)
+    position = grads[:, mu] + at_sigma[:n]
+    variation = seconds + tangents[:, nu, mu] + at_sigma[n:]
+    return np.concatenate((position, variation))
+
+
+def _pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The 0-based ``mu`` and ``nu`` of ``pairs``, as two index arrays."""
+    return tuple(np.array([pair[i] - 1 for pair in pairs], dtype=int) for i in (0, 1))
 
 
 def _second_covariants(
-    field: ChristoffelField, s: Section, pairs, x
-) -> tuple[list[SecondJet], float]:
-    """The jets :func:`second_covariant` returns, one per ``(mu, nu)`` of
-    ``pairs``, from one evaluation of the gradients of ``s`` and of the
-    symbols at ``(x, s(x))``, and their largest gap, a NaN kept, from
-    :func:`_prolonged_covariants`, which shares no value with them."""
-    if s.patch != field.patch:
+    field: ChristoffelField, samples, pairs
+) -> tuple[list[list[SecondJet]], np.ndarray]:
+    """The jets :func:`second_covariant` returns, one list per ``(s, x)`` of
+    ``samples`` with one jet per ``(mu, nu)`` of ``pairs``, and the largest
+    gap of each sample's jets, a NaN kept, from
+    :func:`_prolonged_covariants`, which shares no value with them.
+
+    The section side (values and gradients of ``s``, and its mixed second
+    derivatives, both orders of each pair) is computed one sample at a time
+    on floats, as every sample may have its own section; the symbols'
+    gradients at ``(x, s(x))`` are swept over all samples at once
+    (:func:`~curvcheck.numcore.over_samples`), and the jets' arithmetic runs
+    on the sample axis in the order of one sample alone.  A domain error
+    names its sample.
+    """
+    if not samples:
+        return [], np.zeros(0)
+    if any(s.patch != field.patch for s, _ in samples):
         raise ValueError("section and connection patches differ")
     m, n = field.patch.dims
     for mu, nu in pairs:
         if not (1 <= mu <= m and 1 <= nu <= m):
             raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
-    base_pt = EvalPoint.of(x)
-    field.patch.check_point(base_pt, base=True)
-    svals, sgrads = zip(*(gradient(c, base_pt) for c in s.comps))
-    at = EvalPoint(base_pt.x, svals)
-    gamma = [[gradient(e, at) for e in row] for row in field.gamma]
-    gvals = [[value for value, _ in row] for row in gamma]
-    ggrad = [[grad for _, grad in row] for row in gamma]  # x partials, then f
-    jets = []
-    for mu, nu in pairs:
-        i_mu = mu - 1
-        i_nu = nu - 1
-        fdot = tuple(sgrads[a][i_nu] + gvals[a][i_nu] for a in range(n))
-        fcirc = tuple(sgrads[a][i_mu] + gvals[a][i_mu] for a in range(n))
-        mixed = []
-        for a in range(n):
-            acc = mixed_second(s.comps[a], base_pt, ("x", mu), ("x", nu))
-            acc += ggrad[a][i_nu][i_mu]
-            for b in range(n):
-                acc += ggrad[a][i_mu][m + b] * gvals[b][i_nu]
-                acc += ggrad[a][i_nu][m + b] * sgrads[b][i_mu]
-                acc += ggrad[a][i_mu][m + b] * sgrads[b][i_nu]
-            mixed.append(acc)
-        jets.append(SecondJet(base_pt.x, svals, fdot, fcirc, tuple(mixed)))
-    checks = _prolonged_covariants(field, s, pairs, x)
-    gaps = [
-        np.abs(np.subtract(check, j.fcirc + j.fcircdot)) for check, j in zip(checks, jets)
-    ]
+    points = [EvalPoint.of(x) for _, x in samples]
+    for x in points:
+        field.patch.check_point(x, base=True)
+    samples = [(s, x) for (s, _), x in zip(samples, points)]
+
+    def section_side(sample):
+        s, x = sample
+        svals, sgrads = zip(*(gradient(c, x) for c in s.comps))
+        mixed = [[mixed_second(c, x, ("x", mu), ("x", nu)) for mu, nu in pairs] for c in s.comps]
+        return svals, sgrads, mixed
+
+    svals, sgrads, mixed = _stacked(each_sample(section_side, samples))
+    base = StackedPoint.of(points)
+    # the symbols' values and gradients, x partials before f partials
+    gvals, ggrad = over_samples(
+        lambda p: _over_symbols(field, lambda e: gradient(e, p)),
+        StackedPoint(base.x, tuple(svals)),
+    )
+    # the jets' slots as [a, pair, sample], each pair in the order of one
+    # pair alone
+    mu, nu = _pair_indices(pairs)
+    s_mu, s_nu, g_nu = sgrads[:, mu], sgrads[:, nu], gvals[:, nu]
+    fdot = s_nu + g_nu
+    fcirc = s_mu + gvals[:, mu]
+    # the partials along f of Gamma_mu and Gamma_nu
+    df_mu, df_nu = ggrad[:, mu, m:], ggrad[:, nu, m:]
+    acc = mixed + ggrad[:, nu, mu]
+    for b in range(n):
+        acc += df_mu[:, :, b] * g_nu[b]
+        acc += df_nu[:, :, b] * s_mu[b]
+        acc += df_mu[:, :, b] * s_nu[b]
+    checks = _prolonged_covariants(field, samples, pairs)
     # np.max keeps a NaN, which the row of the check then fails
-    return jets, float(np.max(gaps, initial=0.0))
+    gaps = np.max(np.abs(checks - np.concatenate((fcirc, acc))), axis=(0, 1), initial=0.0)
+    f = svals.T.tolist()
+    slots = (slot.transpose(2, 1, 0).tolist() for slot in (fdot, fcirc, acc))
+    jets = [
+        [SecondJet(x.x, f[sample], *jet) for jet in zip(*by_sample)]
+        for sample, (x, *by_sample) in enumerate(zip(points, *slots))
+    ]
+    return jets, gaps
 
 
 def second_covariant(field: ChristoffelField, s: Section, mu: int, nu: int, x) -> SecondJet:
@@ -315,7 +405,7 @@ def second_covariant(field: ChristoffelField, s: Section, mu: int, nu: int, x) -
     ``fcirc`` the one along ``mu``, ``fcircdot`` the five-term mixed formula
     (module docstring).
     """
-    return _second_covariants(field, s, ((mu, nu),), x)[0][0]
+    return _second_covariants(field, [(s, x)], ((mu, nu),))[0][0][0]
 
 
 def commutator_curvature(
@@ -328,7 +418,7 @@ def commutator_curvature(
     For coordinate directions this equals the curvature coefficients
     ``R^a_{mu nu}(x, s(x))``.
     """
-    (j1, j2), _ = _second_covariants(field, s, ((mu, nu), (nu, mu)), x)
+    ((j1, j2),), _ = _second_covariants(field, [(s, x)], ((mu, nu), (nu, mu)))
     return affine_diff(j1, theta(j2))
 
 
@@ -336,7 +426,16 @@ def commutator_tensor(field: ChristoffelField, s: Section, x) -> tuple[np.ndarra
     """:func:`commutator_curvature` for every pair of coordinate directions,
     as ``R[a-1, mu-1, nu-1]`` of shape (n, m, m) like
     :func:`~curvcheck.bundle.curvature_coefficients`, and the largest gap of
-    the prolonged-connection route over all its jets.
+    the prolonged-connection route over all its jets: one sample of
+    :func:`_commutator_tensors`."""
+    R, gaps = _commutator_tensors(field, [(s, x)])
+    return np.ascontiguousarray(R[..., 0]), float(gaps[0])
+
+
+def _commutator_tensors(field: ChristoffelField, samples) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`commutator_tensor` at every ``(s, x)`` of ``samples``: the
+    tensors ``(n, m, m, S)`` and the gaps ``(S,)``, each sample's numbers
+    bit for bit those of that sample alone.
 
     Each pair ``mu < nu`` is computed; the lower triangle is its exact
     negation (``affine_diff`` of the swapped jets subtracts the same mixed
@@ -344,11 +443,12 @@ def commutator_tensor(field: ChristoffelField, s: Section, x) -> tuple[np.ndarra
     """
     m, n = field.patch.dims
     upper = [(mu, nu) for mu in range(1, m + 1) for nu in range(mu + 1, m + 1)]
-    jets, gap = _second_covariants(
-        field, s, [pair for mu, nu in upper for pair in ((mu, nu), (nu, mu))], x
+    jets, gaps = _second_covariants(
+        field, samples, [pair for mu, nu in upper for pair in ((mu, nu), (nu, mu))]
     )
-    R = np.zeros((n, m, m))
-    for (mu, nu), j1, j2 in zip(upper, jets[::2], jets[1::2]):
-        R[:, mu - 1, nu - 1] = affine_diff(j1, theta(j2)).w
-        R[:, nu - 1, mu - 1] = -R[:, mu - 1, nu - 1]
-    return R, gap
+    R = np.zeros((n, m, m, len(samples)))
+    for sample, row in enumerate(jets):
+        for (mu, nu), j1, j2 in zip(upper, row[::2], row[1::2]):
+            R[:, mu - 1, nu - 1, sample] = affine_diff(j1, theta(j2)).w
+            R[:, nu - 1, mu - 1, sample] = -R[:, mu - 1, nu - 1, sample]
+    return R, gaps

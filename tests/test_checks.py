@@ -1,5 +1,6 @@
 """Tests for the check runners and report assembly: verdict mapping,
-error capture, tolerance scaling, per-check streams, and rendering."""
+error capture, per-check streams, sweeps over stacked samples, and
+rendering."""
 
 import inspect
 import json
@@ -90,6 +91,34 @@ def test_domain_error_becomes_error_row(tmp_path):
         assert result.max_residual is None
         assert result.detail.startswith("DomainError: log of non-positive value -")
         assert result.detail.endswith(" at sample 0")
+
+
+def test_a_commutator_domain_error_names_its_sample(tmp_path):
+    # log(x1) of a named section faults at the first sample whose base point
+    # has x1 <= 0, which the check's stream puts at sample 4 under seed 2;
+    # the row names that sample whether its points are swept on floats or
+    # stacked
+    for samples in (numcore._STACK_MIN - 1, 2 * numcore._STACK_MIN):
+        doc = {
+            "version": 1,
+            "seed": 2,
+            "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+            "connections": {"g": {"patch": "p", "gamma": [["x2*f1", "x1"]]}},
+            "sections": {"s": {"patch": "p", "comps": ["log(x1)"]}},
+            "checks": [{"name": "only", "kind": "commutator-identity", "connection": "g",
+                        "section": "s", "samples": samples}],
+        }
+        config = _config(tmp_path, doc)
+        (spec,) = config.checks
+        rng = stream(config.seed, spec.name)
+        # a named section draws nothing: each sample draws its base point
+        points = [sample_point(rng, 2).x for _ in range(spec.samples)]
+        first = next(k for k, x in enumerate(points) if x[0] <= 0.0)
+        assert first == 4
+        result = run_check(spec, config.seed)
+        assert result.verdict == "error"
+        value = points[first][0]
+        assert result.detail == f"DomainError: log of non-positive value {value} at sample {first}"
 
 
 def test_non_finite_residuals_never_pass(tmp_path):
@@ -670,11 +699,19 @@ def test_a_check_of_many_samples_sweeps_each_symbol_once_per_route(
         assert run_check(spec, seed).verdict == "pass"
         stacked = [(module, e, p) for module, e, p in calls if isinstance(p, StackedPoint)]
         if kind == "commutator-identity":
-            # the coefficients at the section images; the commutator route
-            # and the section values stay one sample at a time
+            # the coefficients at the section images, then the commutator
+            # route's connection side: the symbols' gradients for the
+            # five-term jets, their tangent sweeps for the prolonged route,
+            # and the prolonged symbols at sigma, for each nu column mu of
+            # every pair (mu, nu); the sections' own sweeps stay one sample
+            # at a time
+            m = spec.params["connection"].patch.base_dim
+            prolonged = prolong.vertical_connection(spec.params["connection"]).gamma
+            at_sigma = [row[mu - 1] for nu in range(1, m + 1) for row in prolonged
+                        for mu in range(1, m + 1) if mu != nu]
             assert [(module, e, p.size) for module, e, p in stacked] == [
                 ("curvcheck.bundle", e, samples) for e in symbols
-            ]
+            ] + [("curvcheck.prolong", e, samples) for e in symbols + symbols + at_sigma]
         else:
             assert len(stacked) == len(calls)
         if kind == "curvature-coefficients":

@@ -27,11 +27,12 @@ broken law.
 
 The third set plants a defect in the second route of a comparison that a
 tensor route makes inside itself, whose gap is part of the row's residual.
-The last two tests plant a defect in the first route of one such comparison
+The last tests plant a defect in the first route of one such comparison
 that the second route must not share: the five-term jets' mixed second
 derivatives, and the adjoint sweep behind ``numcore.gradient`` and
 ``numcore.partial``, which the tangent sweeps of the prolonged route do not
-run.
+run.  A mixed second derivative wrong in one order of its two directions
+only must show in the twisted difference itself, which takes both orders.
 """
 
 import inspect
@@ -459,6 +460,45 @@ def test_the_prolonged_route_takes_no_mixed_second_derivative(monkeypatch, tmp_p
     for name in rows:
         assert results[name].verdict == "fail", results[name].detail
         assert "explicit against prolonged-connection jets" in results[name].detail
+
+
+def _mixed_second_shifted_in_one_order(shifted):
+    # 1e-3 added to the mixed second derivative of one order of each pair of
+    # directions only: the twisted difference of the two orders sees it
+    def mutate(original):
+        def mutant(e, p, first, second):
+            return original(e, p, first, second) + (1e-3 if shifted(first, second) else 0.0)
+
+        return mutant
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "shifted",
+    [lambda first, second: first < second, lambda first, second: first > second],
+    ids=["first-below-second", "first-above-second"],
+)
+def test_the_commutator_route_takes_both_orders_of_each_mixed_second_derivative(
+    monkeypatch, tmp_path, shifted
+):
+    # A route that took each pair's mixed second derivative once, for both
+    # orders, would cancel the defect in the twisted difference (and, in one
+    # of the two cases, never read the shifted order at all).
+    rows = ["commutator-skew", "cartan-rot3"]
+    assert _verdicts(tmp_path, None, rows) == dict.fromkeys(rows, "pass")
+    _plant(monkeypatch, prolong, "mixed_second", _mixed_second_shifted_in_one_order(shifted))
+    results = _rows(tmp_path, None, rows)
+    for name, twisted_label in (
+        ("commutator-skew", "twisted jets against coefficients "),
+        ("cartan-rot3", "structure-vs-commutator "),
+    ):
+        result = results[name]
+        assert result.verdict == "fail", result.detail
+        twisted = float(result.detail.split(twisted_label)[1].split(",")[0])
+        prolonged = float(result.detail.split("explicit against prolonged-connection jets ")[1])
+        assert twisted > result.tolerance
+        assert twisted >= prolonged
 
 
 def _adjoint_with_second_operand_taking_du(original):

@@ -18,6 +18,7 @@ from curvcheck.lie import (
     bracket,
     builtin_algebra,
     exp,
+    expm,
 )
 from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.principal import (
@@ -527,6 +528,22 @@ def test_cross_check_equals_the_order_six_pairwise_formulation(name, rows):
         assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
 
 
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+@pytest.mark.parametrize("rows", [POLYNOMIAL_ROWS, NONPOLYNOMIAL_ROWS], ids=["poly", "exp-sin-div"])
+def test_cross_checks_of_many_samples_are_each_samples_own(name, rows):
+    # route three of four samples of two sections is one stack of 8 points
+    alg = builtin_algebra(name)
+    potential = GaugePotential.from_strings(alg, rows, base_dim=2)
+    rng = SplitMix64(len(name))
+    samples = [
+        (tuple(rng.symmetric(1.0) for _ in range(2)), *sample_cross_check(rng, alg, 2, 2, 2))
+        for _ in range(4)
+    ]
+    for report, drawn in zip(principal._cross_checks(potential, samples), samples):
+        expected = _order_six_cross_check(potential, *drawn)
+        assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
+
+
 def test_cross_check_deterministic_given_seed():
     a = _cross_check(SO3_POTENTIAL, (0.3, 0.6), SplitMix64(5))
     b = _cross_check(SO3_POTENTIAL, (0.3, 0.6), SplitMix64(5))
@@ -588,6 +605,42 @@ def test_theta_bch_verify_so3_recovers_bracket():
         SO3.zero(),
     )
     assert report.max_deviation <= 1e-4
+
+
+def _theta_bch_verify_alone(g, x, y, z):
+    """:func:`theta_bch_verify` as it was formulated for one jet at a time:
+    one surface of nine matrices, its slots one matrix at a time."""
+    alg = x.algebra
+    t, eps = principal._BCH_STEP * principal._JET_STENCIL.T[:, :, None, None]
+    surface = g.g @ expm(t * x.matrix) @ expm(eps * (y.matrix + t * z.matrix))
+
+    def slot_deviation(extracted, expected):
+        g_exp, *elements = expected
+        exact = (g_exp.g, *(e.coeffs for e in elements))
+        return float(np.max([np.abs(u - v).max() for u, v in zip(extracted, exact)]))
+
+    direct = slot_deviation(principal._extract_jet(alg, surface), (g, x, y, z))
+    swapped = slot_deviation(
+        principal._extract_jet(alg, surface[principal._JET_SWAP]), theta_bch(g, x, y, z)
+    )
+    return direct, swapped, float(np.max([direct, swapped]))
+
+
+@pytest.mark.parametrize("name", ["so2", "so3", "sl2"])
+def test_theta_bch_checks_of_many_jets_are_each_jets_own(name):
+    alg = builtin_algebra(name)
+    rng = SplitMix64(len(name) + 40)
+    jets = [
+        (exp(sample_algebra_element(rng, alg, 0.5)),
+         *(sample_algebra_element(rng, alg, 0.5 / alg.k) for _ in range(3)))
+        for _ in range(9)
+    ]
+    reports = principal._theta_bch_checks(jets)
+    assert len(reports) == len(jets)
+    for report, jet in zip(reports, jets):
+        expected = _theta_bch_verify_alone(*jet)
+        assert (report.direct_deviation, report.swapped_deviation, report.max_deviation) == expected
+        assert report == theta_bch_verify(*jet)
 
 
 def test_theta_bch_verify_zero_slots_exact():

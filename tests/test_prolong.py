@@ -290,8 +290,8 @@ def test_prolonged_route_is_the_covariant_derivative_of_the_velocity_section():
             s = sample_section(rng, patch)
             x = tuple(rng.symmetric(1.0) for _ in range(m))
             pairs = [(mu, nu) for mu in range(1, m + 1) for nu in range(1, m + 1)]
-            routes = prolong._prolonged_covariants(field, s, pairs, x)
-            for (mu, nu), route in zip(pairs, routes):
+            routes = prolong._prolonged_covariants(field, [(s, EvalPoint.of(x))], pairs)
+            for (mu, nu), route in zip(pairs, routes[:, :, 0].T.tolist()):
                 velocity = tuple(
                     _symbolic.add(
                         _symbolic.derivative(c, "x", nu),
@@ -370,6 +370,29 @@ def test_second_covariants_reject_a_base_point_of_another_dimension(route, x):
     expected = rf"base point has dims \({len(x)}, 0\), expected \(2, 0\)"
     with pytest.raises(ValueError, match=expected):
         route(SKEW, s, x)
+
+
+@pytest.mark.parametrize("size", [3, 11])
+def test_the_commutator_route_of_many_samples_gives_each_its_own_numbers(size):
+    # 3 samples are swept on floats and 11 as one stack; either way every
+    # sample's tensor and gap are bit for bit those of that sample alone,
+    # here with sections that divide, take logarithms and sines
+    rng = SplitMix64(size)
+    for m, n in ((2, 2), (3, 2)):
+        patch = BundlePatch(m, n)
+        field = sample_christoffel(rng, patch)
+        samples = [(sample_section(rng, patch), tuple(rng.symmetric(1.0) for _ in range(m)))
+                   for _ in range(size)]
+        samples[1] = (
+            Section.from_strings(patch, ["sin(x1)/(2 + x2)"] + ["log(3 + x1*x2)"] * (n - 1)),
+            samples[1][1],
+        )
+        R, gaps = prolong._commutator_tensors(field, samples)
+        assert R.shape == (n, m, m, size) and gaps.shape == (size,)
+        for sample, (s, x) in enumerate(samples):
+            tensor, gap = commutator_tensor(field, s, x)
+            assert R[..., sample].tobytes() == tensor.tobytes()
+            assert gaps[sample] == gap
 
 
 def test_commutator_tensor_slices_are_the_per_pair_values():
