@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _symbolic
 from .exprdsl import Expression, check_grid, parse_grid
-from .numcore import EvalPoint, StackedPoint, directional, evaluate, gradient, partial
+from .numcore import EvalPoint, StackedPoint, directional, evaluate, gradient, over_samples, partial
 
 __all__ = [
     "BundlePatch",
@@ -361,29 +361,23 @@ def horizontal_part_field(field: ChristoffelField, V: TotalVectorField) -> Total
 
 
 def nijenhuis_tensor(
-    field: ChristoffelField, fields, points
-) -> list[tuple[np.ndarray, float]]:
+    field: ChristoffelField, fields, points: StackedPoint
+) -> tuple[np.ndarray, np.ndarray]:
     """Curvature ``R[a-1, i, j] = R(V_i, V_j)^a = -P[(id-P)V_i, (id-P)V_j]^a``
-    for every pair of ``fields``, shape (n, k, k) for k fields, and the gap
-    of its second route, one ``(tensor, gap)`` per point of ``points``.
+    for every pair of ``fields`` at every point of ``points``, shape
+    (n, k, k, S) for k fields and S points, and the gap of its second route,
+    shape (S,).
 
-    Each field's ``(id-P)`` and ``P`` parts are built once per call; at each
-    point every jet is taken and every symbol evaluated once.  For each pair
+    Each field's ``(id-P)`` and ``P`` parts are built once; at each point
+    every jet is taken and every symbol evaluated once, all points swept
+    through :func:`~curvcheck.numcore.over_samples`.  For each pair
     ``i < j`` the equivalent four-term expansion ``-P[V,W] + P[V,PW] +
     P[PV,W] - [PV,PW]`` is also evaluated; the gap is the largest
     ``|two-term - four-term|`` over all pairs, a NaN kept.  The two-term
     value is the tensor; the lower triangle is its exact negation (bracket
     and projection are sign-symmetric in IEEE arithmetic) and the diagonal
-    is zero.  At a :class:`~curvcheck.numcore.StackedPoint` the tensor and
-    the gap have a trailing axis of one entry per point.
+    is zero.
     """
-    tensor_at = _nijenhuis_route(field, fields)
-    return [tensor_at(p) for p in points]
-
-
-def _nijenhuis_route(field: ChristoffelField, fields):
-    """The function ``p -> (tensor, gap)`` of :func:`nijenhuis_tensor`, with
-    the projected fields built."""
     fields = tuple(fields)
     if any(V.patch.dims != field.patch.dims for V in fields):
         raise ValueError("bracket operands must live on the connection's patch")
@@ -411,10 +405,9 @@ def _nijenhuis_route(field: ChristoffelField, fields):
                 R[:, i, j] = two
                 R[:, j, i] = -R[:, i, j]
         # np.max keeps a NaN, which the row of the check then fails
-        gap = np.max(gaps, axis=0)
-        return R, gap if samples else float(gap)
+        return R, np.max(gaps, axis=0)
 
-    return tensor_at
+    return over_samples(tensor_at, points)
 
 
 def nijenhuis_curvature(
@@ -425,7 +418,7 @@ def nijenhuis_curvature(
 ) -> VerticalVector:
     """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``: the ``(V, W)``
     entry of :func:`nijenhuis_tensor`."""
-    return VerticalVector(p, nijenhuis_tensor(field, (V, W), (p,))[0][0][:, 0, 1])
+    return VerticalVector(p, nijenhuis_tensor(field, (V, W), StackedPoint.of((p,)))[0][:, 0, 1, 0])
 
 
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:

@@ -27,9 +27,9 @@ from .bundle import (
     ChristoffelField,
     TotalVectorField,
     _coordinate_curvature,
-    _nijenhuis_route,
     curvature_coefficients,
     is_parallel_morphism,
+    nijenhuis_tensor,
 )
 from .config import CheckSpec, SuiteConfig
 from .lie import exp
@@ -42,8 +42,8 @@ from .numcore import (
     evaluate,
     over_samples,
 )
-from .principal import _cross_checks, _theta_bch_checks, check_axiom
-from .prolong import _commutator_tensors, pi, pushforward_second_jet, theta
+from .principal import check_axiom, curvature_cross_check, theta_bch_verify
+from .prolong import commutator_tensor, pi, pushforward_second_jet, theta
 from .report import CheckResult, RunReport
 from .rng import SplitMix64, stream
 from .sampling import (
@@ -102,37 +102,35 @@ _FD_STEP = 1e-3
 _FD_SHIFTS = (_FD_STEP, -_FD_STEP, 2.0 * _FD_STEP, -2.0 * _FD_STEP)
 
 
-def _fd_curvature(field: ChristoffelField, p) -> np.ndarray:
+def _fd_curvature(field: ChristoffelField, points: StackedPoint) -> np.ndarray:
     """Curvature coefficients rebuilt from finite-difference partials only,
     by the coordinate formula that :func:`curvature_coefficients` feeds
-    structural partials.
+    structural partials, with a trailing axis of one entry per point of
+    ``points``.
 
     Every partial is a fourth-order central difference along one
-    coordinate.  The stencil of all ``S`` points of ``p`` (one point, or a
-    :class:`~curvcheck.numcore.StackedPoint` of ``S``, whose result then has
-    a trailing sample axis) is one stack of ``S (1 + 4 (m + n))`` points:
-    the points themselves, then each coordinate shifted by each of
-    ``_FD_SHIFTS`` in turn.  Each symbol is evaluated once on it.
+    coordinate.  The stencil of all ``S`` points is one stack of
+    ``S (1 + 4 (m + n))`` points, at least 9, so it is swept as a stack
+    at any ``S``: the points themselves, then each coordinate shifted by
+    each of ``_FD_SHIFTS`` in turn.  Each symbol is evaluated once on it.
     """
     m, n = field.patch.dims
-    stacked = p if isinstance(p, StackedPoint) else StackedPoint.of((p,))
-    size = stacked.size
+    size = points.size
     columns = [
         np.concatenate([z] + [z + delta if i == k else z
                               for i in range(m + n) for delta in _FD_SHIFTS])
-        for k, z in enumerate(stacked.x + stacked.f)
+        for k, z in enumerate(points.x + points.f)
     ]
     stencil = StackedPoint(tuple(columns[:m]), tuple(columns[m:]))
     vals = np.empty((n, m, size))
     grads = np.empty((n, m, m + n, size))
     for a, symbols in enumerate(field.gamma):
         for mu, e in enumerate(symbols):
-            values = over_samples(lambda q: evaluate(e, q), stencil).reshape(-1, size)
+            values = evaluate(e, stencil).reshape(-1, size)
             vals[a, mu] = values[0]
             for i in range(m + n):
                 grads[a, mu, i] = central_difference(*values[1 + 4 * i:5 + 4 * i], _FD_STEP)
-    R = _coordinate_curvature(vals, grads[:, :, :m], grads[:, :, m:])
-    return R if stacked is p else R[..., 0]
+    return _coordinate_curvature(vals, grads[:, :, :m], grads[:, :, m:])
 
 
 @_runner("curvature-coefficients")
@@ -167,7 +165,7 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     points = StackedPoint.of([sample_point(rng, m, n) for _ in range(spec.samples)])
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
     coefficients = over_samples(lambda p: curvature_coefficients(field, p), points)
-    tensors, gaps = over_samples(_nijenhuis_route(field, coords), points)
+    tensors, gaps = nijenhuis_tensor(field, coords, points)
     deviations = np.abs(tensors - coefficients).max(axis=(0, 1, 2))
     for sample, (deviation, gap) in enumerate(zip(deviations.tolist(), gaps.tolist())):
         note = f"at sample {sample}: bracket against coefficients {deviation:.3e}, "
@@ -199,7 +197,7 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
         samples.append((s, sample_point(rng, m).x))
     images = StackedPoint.of(each_sample(lambda drawn: _image(*drawn), samples))
     coefficients = over_samples(lambda p: curvature_coefficients(field, p), images)
-    tensors, gaps = _commutator_tensors(field, samples)
+    tensors, gaps = commutator_tensor(field, samples)
     deviations = np.abs(tensors - coefficients).max(axis=(0, 1, 2))
     for sample, (deviation, gap) in enumerate(zip(deviations.tolist(), gaps.tolist())):
         note = f"at sample {sample}: twisted jets against coefficients {deviation:.3e}, "
@@ -291,7 +289,7 @@ def _run_cartan(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
         (sample_point(rng, m).x, *sample_cross_check(rng, potential.algebra, m, *counts))
         for _ in range(spec.samples)
     ]
-    for sample, report in enumerate(_cross_checks(potential, samples)):
+    for sample, report in enumerate(curvature_cross_check(potential, samples)):
         routes = ", ".join(f"{name} {value:.3e}" for name, value in report.pairwise.items())
         note = f"at sample {sample}: {routes}, "
         note += f"explicit against prolonged-connection jets {report.prolonged_deviation:.3e}"
@@ -311,7 +309,7 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     for _ in range(spec.samples):
         g = exp(sample_algebra_element(rng, algebra, 0.5))
         jets.append((g, *(sample_algebra_element(rng, algebra, scale) for _ in range(3))))
-    for sample, report in enumerate(_theta_bch_checks(jets)):
+    for sample, report in enumerate(theta_bch_verify(jets)):
         note = f"at sample {sample}: direct jet {report.direct_deviation:.3e}, "
         note += f"swapped jet {report.swapped_deviation:.3e}"
         row.add(report.max_deviation, sample, note)

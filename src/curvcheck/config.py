@@ -76,6 +76,17 @@ _REFERENCES = {
 # check keys holding a positive integer
 _INT_PARAMS = ("fiber_dim", "base_dim", "group_samples", "section_samples")
 
+# kinds that compare curvature over pairs mu < nu of base directions -> the
+# check key whose declaration gives the base dimension; at base_dim 1 there
+# is no pair, and every residual would be 0 whatever the routes compute
+_PAIRWISE = {
+    "curvature-coefficients": "connection",
+    "nijenhuis-vs-coefficients": "connection",
+    "commutator-identity": "connection",
+    "cartan-cross-check": "potential",
+    "linear-consistency": "linear_connection",
+}
+
 # allowed values of ``expect`` per kind
 _EXPECT = {
     "parallel-morphism": ("parallel", "not-parallel"),
@@ -334,6 +345,12 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
     for key, (table, label) in _REFERENCES.items():
         if key in body:
             params[key] = _resolve(tables[table], body[key], label, f"{here}.{key}")
+    if kind in _PAIRWISE:
+        key = _PAIRWISE[kind]
+        base_dim = params[key].base_dim if key == "potential" else params[key].patch.base_dim
+        if base_dim < 2:
+            pairs = f"kind {kind!r} compares curvature over pairs of base directions"
+            _fail(f"{here}.{key}", f"{pairs} and needs base_dim >= 2, got {base_dim}")
     if "section" in params and params["section"].patch != params["connection"].patch:
         _fail(f"{here}.section", "section and connection patches differ")
     if kind == "parallel-morphism":

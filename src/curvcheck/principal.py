@@ -22,7 +22,8 @@ Curvature comes out three independent ways:
 * sections ``x -> exp(S(x))`` run through the second-jet commutator of the
   prolong module.
 
-:func:`curvature_cross_check` reports their pairwise deviations.
+:func:`curvature_cross_check` reports their pairwise deviations at every
+sample of a check.
 
 The chart symbols use the left-trivialization identity: writing
 ``g = g0 exp(C)`` with ``C = sum_a c_a E_a``, horizontality of a curve
@@ -71,7 +72,7 @@ from .lie import (
     group_stack,
 )
 from .numcore import EvalPoint, central_difference, evaluate, gradient
-from .prolong import _commutator_tensors
+from .prolong import commutator_tensor
 
 __all__ = [
     "GaugePotential",
@@ -395,33 +396,31 @@ class CrossCheckReport:
     prolonged_deviation: float
 
 
-def curvature_cross_check(p: GaugePotential, x, centers, sections) -> CrossCheckReport:
-    """Compare three curvature routes at base point ``x``.
+def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
+    """Compare three curvature routes at each ``(x, centers, sections)`` of
+    ``samples``, one report per sample, each bit for bit that of its sample
+    alone.
 
-    Route one is :func:`cartan_curvature`.  Route two evaluates the bundle
-    module's curvature coefficients for the exponential-chart symbols
-    centered at the identity and at each group element of ``centers``, read
-    at the chart center only and so built at series order 1, which is exact
-    there (module docstring).  Route three pushes the small sections
-    ``x -> exp(S(x))``, one per tuple of ``k`` base-only expressions ``S``
-    in ``sections``, through the second-jet commutator in the order-6
-    identity chart, converting chart velocities with the left-logarithm
-    factor.  Each route returns to the reference frame in one stacked
-    :func:`~curvcheck.lie.conjugate`.  Reports the largest deviation of
-    each pair of routes, and the largest gap of route three's
-    prolonged-connection jets, which alone sees a defect in the mixed second
-    derivative of a section: that term cancels in the twisted difference.
-    One sample of :func:`_cross_checks`.
+    Route one is :func:`cartan_curvature` at the base point ``x``.  Route
+    two evaluates the bundle module's curvature coefficients for the
+    exponential-chart symbols centered at the identity and at each group
+    element of ``centers``, read at the chart center only and so built at
+    series order 1, which is exact there (module docstring).  Route three
+    pushes the small sections ``x -> exp(S(x))``, one per tuple of ``k``
+    base-only expressions ``S`` in ``sections``, through the second-jet
+    commutator in the order-6 identity chart, converting chart velocities
+    with the left-logarithm factor.  Each route returns to the reference
+    frame in one stacked :func:`~curvcheck.lie.conjugate`.  A report holds
+    the largest deviation of each pair of routes, and the largest gap of
+    route three's prolonged-connection jets, which alone sees a defect in
+    the mixed second derivative of a section: that term cancels in the
+    twisted difference.
+
+    Routes one and two run one sample at a time; route three runs the
+    sections of all samples through one
+    :func:`~curvcheck.prolong.commutator_tensor`, as they all use one
+    identity-chart field, after routes one and two of every sample.
     """
-    return _cross_checks(p, [(x, centers, sections)])[0]
-
-
-def _cross_checks(p: GaugePotential, samples) -> list[CrossCheckReport]:
-    """:func:`curvature_cross_check` at every ``(x, centers, sections)`` of
-    ``samples``, each report bit for bit that of its sample alone.  Routes
-    one and two run one sample at a time; route three runs the sections of
-    all samples through one commutator route, as they all use one
-    identity-chart field, after routes one and two of every sample."""
     alg = p.algebra
     m = p.base_dim
     k = alg.k
@@ -454,7 +453,7 @@ def _cross_checks(p: GaugePotential, samples) -> list[CrossCheckReport]:
     # route three: second-jet commutator of exp-sections in the identity
     # chart, converted from chart velocities to algebra values
     identity_field = _identity_chart(p)
-    verticals, gaps = _commutator_tensors(
+    verticals, gaps = commutator_tensor(
         identity_field,
         [(Section(identity_field.patch, comps), base) for base, _, sections in samples
          for comps in sections],
@@ -546,29 +545,21 @@ def _extract_jet(
     return g, x, y, z
 
 
-def theta_bch_verify(
-    g: GroupElement,
-    x: AlgebraElement,
-    y: AlgebraElement,
-    z: AlgebraElement,
-) -> ThetaBchReport:
-    """Deviations of :func:`theta_bch` from finite differences.
+def theta_bch_verify(jets) -> list[ThetaBchReport]:
+    """Deviations of :func:`theta_bch` from finite differences, one report
+    per ``(g, X, Y, Z)`` of ``jets``, all of one algebra.
 
     Jet slots extracted from the surface ``sigma(t, eps) =
     g exp(tX) exp(eps(Y + tZ))`` must reproduce the inputs; slots extracted
     from the swapped surface ``sigma(eps, t)`` must reproduce the algebraic
     output, including the bracket correction in the mixed slot.  The
     stencil is symmetric under the swap, so both read one stack of values.
-    One sample of :func:`_theta_bch_checks`.
+    The surfaces of all jets come from one stacked ``expm`` pair, and each
+    slot from one stacked solve and expansion, every number bit for bit
+    that of its jet alone.
     """
-    return _theta_bch_checks([(g, x, y, z)])[0]
-
-
-def _theta_bch_checks(jets) -> list[ThetaBchReport]:
-    """:func:`theta_bch_verify` at every ``(g, X, Y, Z)`` of ``jets``, all
-    of one algebra: the surfaces of all jets from one stacked ``expm`` pair,
-    and each slot from one stacked solve and expansion, every number bit
-    for bit that of its jet alone."""
+    if not jets:
+        return []
     g, *elements = zip(*jets)
     alg = elements[0][0].algebra
     g = np.array([h.g for h in g])

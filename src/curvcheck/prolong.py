@@ -52,7 +52,7 @@ partials from the adjoint sweep of ``numcore.gradient`` and this route from
 tangent sweeps, so the gap also compares the two sweeps.
 
 Both routes run for all samples of a check at once
-(:func:`_commutator_tensors`).  The section side of each route -- the
+(:func:`commutator_tensor`).  The section side of each route -- the
 values and gradients of ``s``, its mixed second derivatives (both orders
 of each pair) or the partials of its symbolic first derivatives -- is
 computed one sample at a time on floats, as every sample may draw its own
@@ -62,7 +62,8 @@ over the points of all samples through
 :func:`~curvcheck.numcore.over_samples`, and the jets' arithmetic runs on
 the sample axis, so every sample's numbers are bit for bit those of that
 sample alone.  The jets are then twisted and differenced one sample at a
-time.  The one-sample functions are slices of the same code.
+time.  :func:`second_covariant` and :func:`commutator_curvature`, the
+per-pair forms at one point, run the same code on one sample.
 
 The prolonged connection is built once and kept on its field, so it lives
 exactly as long as the field.  Nothing is looked up by object identity or
@@ -422,20 +423,14 @@ def commutator_curvature(
     return affine_diff(j1, theta(j2))
 
 
-def commutator_tensor(field: ChristoffelField, s: Section, x) -> tuple[np.ndarray, float]:
-    """:func:`commutator_curvature` for every pair of coordinate directions,
-    as ``R[a-1, mu-1, nu-1]`` of shape (n, m, m) like
-    :func:`~curvcheck.bundle.curvature_coefficients`, and the largest gap of
-    the prolonged-connection route over all its jets: one sample of
-    :func:`_commutator_tensors`."""
-    R, gaps = _commutator_tensors(field, [(s, x)])
-    return np.ascontiguousarray(R[..., 0]), float(gaps[0])
-
-
-def _commutator_tensors(field: ChristoffelField, samples) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`commutator_tensor` at every ``(s, x)`` of ``samples``: the
-    tensors ``(n, m, m, S)`` and the gaps ``(S,)``, each sample's numbers
-    bit for bit those of that sample alone.
+def commutator_tensor(field: ChristoffelField, samples) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`commutator_curvature` for every pair of coordinate directions
+    at every ``(s, x)`` of ``samples``: the tensors ``R[a-1, mu-1, nu-1]``
+    with a trailing sample axis, shape (n, m, m, S) like
+    :func:`~curvcheck.bundle.curvature_coefficients` at a stacked point, and
+    the largest gap of each sample's prolonged-connection route over all its
+    jets, shape (S,), each sample's numbers bit for bit those of that sample
+    alone.
 
     Each pair ``mu < nu`` is computed; the lower triangle is its exact
     negation (``affine_diff`` of the swapped jets subtracts the same mixed

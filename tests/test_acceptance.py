@@ -208,7 +208,7 @@ def test_criterion_05_cartan_cross_check():
         for potential in (ABELIAN_POTENTIAL, SO3_POTENTIAL):
             for x in ((0.3, -0.6), (0.0, 0.5)):
                 drawn = sample_cross_check(SplitMix64(0), potential.algebra, 2, 2, 2)
-                report = curvature_cross_check(potential, x, *drawn)
+                [report] = curvature_cross_check(potential, [(x, *drawn)])
                 assert report.max_deviation <= 1e-6
                 assert set(report.pairwise) == {
                     "structure-vs-chart",
@@ -239,7 +239,7 @@ def test_criterion_06_bch_twist():
         swapped = theta_bch(SO3.identity_group(), e1, e2, SO3.zero())
         assert tuple(swapped[3].coeffs) == (0.0, 0.0, 1.0)
         for g in (SO3.identity_group(), exp(SO3.element((0.0, 0.0, 0.3)))):
-            report = theta_bch_verify(g, e1, e2, SO3.zero())
+            [report] = theta_bch_verify([(g, e1, e2, SO3.zero())])
             assert report.max_deviation <= 1e-4
 
     _run(6, "surface jets recover the bracket-corrected swap", body)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from curvcheck import bundle
+from curvcheck import bundle, numcore
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
@@ -212,7 +212,7 @@ def test_pointwise_routes_reject_a_point_of_another_patch(p):
         lambda: horizontal_lift(SKEW, p, (1.0, 0.0)),
         lambda: project(SKEW, TotalTangent(p, (1.0, 0.0), (0.0,))),
         lambda: lie_bracket(V, W, p),
-        lambda: nijenhuis_tensor(SKEW, (V, W), (p,)),
+        lambda: nijenhuis_tensor(SKEW, (V, W), StackedPoint.of((p,))),
         lambda: curvature_coefficients(SKEW, p),
         lambda: pushforward(identity, TotalTangent(p, (1.0, 0.0), (0.0,))),
         lambda: is_parallel_morphism(identity, SKEW, SKEW, (p,)),
@@ -412,7 +412,8 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
             fields.append(_random_field(rng, patch))
             p = sample_point(rng, m, n)
-            [(R, gap)] = nijenhuis_tensor(field, fields, [p])
+            R, gap = nijenhuis_tensor(field, fields, StackedPoint.of((p,)))
+            R, gap = R[..., 0], gap[0]
             assert 0.0 <= gap <= 1e-12
             assert R.shape == (n, m + 1, m + 1)
             assert np.array_equal(R, -R.transpose(0, 2, 1))
@@ -423,24 +424,26 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
 
 
 def test_tensors_at_a_stacked_point_are_each_points_own_bit_for_bit():
-    # the trailing axis of a stacked point holds what each point gives alone
+    # the trailing axis of a stacked point holds what each point gives alone;
+    # below _STACK_MIN points the Nijenhuis route sweeps them on floats
     rng = SplitMix64(810)
-    for m, n in ((1, 1), (2, 2), (3, 2)):
-        patch = BundlePatch(m, n)
-        field = sample_christoffel(rng, patch)
-        fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
-        fields.append(_random_field(rng, patch))
-        points = [sample_point(rng, m, n) for _ in range(5)]
-        stack = StackedPoint.of(points)
-        R = curvature_coefficients(field, stack)
-        assert R.shape == (n, m, m, 5)
-        [(T, gap)] = nijenhuis_tensor(field, fields, [stack])
-        assert (T.shape, gap.shape) == ((n, m + 1, m + 1, 5), (5,))
-        for sample, p in enumerate(points):
-            assert R[..., sample].tobytes() == curvature_coefficients(field, p).tobytes()
-            [(T_p, gap_p)] = nijenhuis_tensor(field, fields, [p])
-            assert T[..., sample].tobytes() == T_p.tobytes()
-            assert gap[sample] == gap_p
+    for size in (numcore._STACK_MIN - 1, numcore._STACK_MIN):
+        for m, n in ((1, 1), (2, 2), (3, 2)):
+            patch = BundlePatch(m, n)
+            field = sample_christoffel(rng, patch)
+            fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
+            fields.append(_random_field(rng, patch))
+            points = [sample_point(rng, m, n) for _ in range(size)]
+            stack = StackedPoint.of(points)
+            R = curvature_coefficients(field, stack)
+            assert R.shape == (n, m, m, size)
+            T, gap = nijenhuis_tensor(field, fields, stack)
+            assert (T.shape, gap.shape) == ((n, m + 1, m + 1, size), (size,))
+            for sample, p in enumerate(points):
+                assert R[..., sample].tobytes() == curvature_coefficients(field, p).tobytes()
+                T_p, gap_p = nijenhuis_tensor(field, fields, StackedPoint.of((p,)))
+                assert T[..., sample].tobytes() == T_p[..., 0].tobytes()
+                assert gap[sample] == gap_p[0]
 
 
 def test_nijenhuis_tensor_evaluates_each_symbol_once(monkeypatch):
@@ -458,7 +461,7 @@ def test_nijenhuis_tensor_evaluates_each_symbol_once(monkeypatch):
         coords = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
         points = [sample_point(rng, m, n) for _ in range(3)]
         calls.clear()
-        nijenhuis_tensor(field, coords, points)
+        nijenhuis_tensor(field, coords, StackedPoint.of(points))
         assert len(calls) <= len(points) * n * m
 
 

@@ -303,7 +303,7 @@ def _replay_coefficients(spec, rng):
     field = spec.params["connection"]
     points = [sample_point(rng, *field.patch.dims) for _ in range(spec.samples)]
     exact = [curvature_coefficients(field, p) for p in points]
-    approx = [checks._fd_curvature(field, p) for p in points]
+    approx = [checks._fd_curvature(field, StackedPoint.of((p,)))[..., 0] for p in points]
     return [float(np.abs(e - a).max()) for e, a in zip(exact, approx)]
 
 
@@ -313,8 +313,10 @@ def _replay_nijenhuis(spec, rng):
     points = [sample_point(rng, m, n) for _ in range(spec.samples)]
     coords = [TotalVectorField.coordinate(field.patch, mu) for mu in range(1, m + 1)]
     deviations = []
-    for p, (tensor, gap) in zip(points, nijenhuis_tensor(field, coords, points)):
-        deviations.append(max(float(np.abs(tensor - curvature_coefficients(field, p)).max()), gap))
+    for p in points:
+        tensor, gap = nijenhuis_tensor(field, coords, StackedPoint.of((p,)))
+        coeffs = curvature_coefficients(field, p)
+        deviations.append(max(float(np.abs(tensor[..., 0] - coeffs).max()), gap[0]))
     return deviations
 
 
@@ -326,8 +328,8 @@ def _replay_commutator(spec, rng):
         s = named if named is not None else sample_section(rng, field.patch)
         x = sample_point(rng, field.patch.base_dim).x
         coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
-        tensor, gap = commutator_tensor(field, s, x)
-        deviations.append(max(float(np.abs(tensor - coeffs).max()), gap))
+        tensor, gap = commutator_tensor(field, [(s, x)])
+        deviations.append(max(float(np.abs(tensor[..., 0] - coeffs).max()), gap[0]))
     return deviations
 
 
@@ -366,7 +368,7 @@ def _replay_cartan(spec, rng):
     for _ in range(spec.samples):
         x = sample_point(rng, m).x
         centers, sections = sample_cross_check(rng, potential.algebra, m, *counts)
-        report = curvature_cross_check(potential, x, centers, sections)
+        [report] = curvature_cross_check(potential, [(x, centers, sections)])
         deviations.append(report.max_deviation)
     return deviations
 
@@ -377,7 +379,8 @@ def _replay_bch(spec, rng):
     for _ in range(spec.samples):
         g = exp(sample_algebra_element(rng, algebra, 0.5))
         x, y, z = (sample_algebra_element(rng, algebra, 0.5 / algebra.k) for _ in range(3))
-        deviations.append(theta_bch_verify(g, x, y, z).max_deviation)
+        [report] = theta_bch_verify([(g, x, y, z)])
+        deviations.append(report.max_deviation)
     return deviations
 
 
@@ -668,7 +671,8 @@ def test_the_stacked_stencil_gives_each_point_its_own_coefficients():
     assert R.shape == (3, 2, 2, 3)
     for sample, p in enumerate(points):
         expected = _fd_curvature_point_by_point(field, p).tobytes()
-        assert R[..., sample].tobytes() == checks._fd_curvature(field, p).tobytes() == expected
+        alone = checks._fd_curvature(field, StackedPoint.of((p,)))[..., 0]
+        assert R[..., sample].tobytes() == alone.tobytes() == expected
 
 
 @pytest.mark.parametrize("kind", _STACKED_KINDS)

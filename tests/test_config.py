@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from curvcheck import config as config_module
+from curvcheck.cli import main
 from curvcheck.config import CHECK_KINDS, load_config
 from curvcheck.errors import ConfigSchemaError, IoError
 
@@ -265,6 +266,44 @@ def test_expect_enum_per_kind(tmp_path):
     }
     with pytest.raises(ConfigSchemaError, match="expect"):
         load_config(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "kind, key, name",
+    [
+        ("curvature-coefficients", "connection", "g"),
+        ("nijenhuis-vs-coefficients", "connection", "g"),
+        ("commutator-identity", "connection", "g"),
+        ("cartan-cross-check", "potential", "p"),
+        ("linear-consistency", "linear_connection", "lin"),
+    ],
+)
+def test_pairwise_kinds_need_two_base_directions(tmp_path, capsys, kind, key, name):
+    # at base_dim 1 there is no pair mu < nu, so every residual of such a
+    # row would be exactly 0 whatever its routes compute
+    doc = {
+        "version": 1,
+        "patches": {"line": {"base_dim": 1, "fiber_dim": 2}},
+        "connections": {"g": {"patch": "line", "gamma": [["x1*f2"], ["f1^2"]]}},
+        "linear_connections": {
+            "lin": {"patch": "line", "gamma3": [[["x1", "0"]], [["0", "1"]]]}
+        },
+        "algebras": {"rot3": {"builtin": "so3"}},
+        "potentials": {"p": {"algebra": "rot3", "base_dim": 1, "a": [["x1", "0", "0"]]}},
+        "checks": [
+            {"name": "probe", "kind": "linearity", "connection": "g"},
+            {"name": "pairs", "kind": kind, key: name},
+        ],
+    }
+    path = _write(tmp_path, doc)
+    message = (
+        f"checks[1].{key}: kind {kind!r} compares curvature over pairs of base "
+        "directions and needs base_dim >= 2, got 1"
+    )
+    with pytest.raises(ConfigSchemaError, match=re.escape(message)):
+        load_config(path)
+    assert main(["check", path]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_section_patch_must_match_connection(tmp_path):

@@ -393,8 +393,8 @@ def _cross_check(p: GaugePotential, x, rng: SplitMix64, centers: int = 2):
     """The cross-check at ``x`` with ``centers`` chart centers and two
     sections drawn from ``rng``."""
     return curvature_cross_check(
-        p, x, *sample_cross_check(rng, p.algebra, p.base_dim, centers, 2)
-    )
+        p, [(x, *sample_cross_check(rng, p.algebra, p.base_dim, centers, 2))]
+    )[0]
 
 
 def test_cross_check_zero_potential():
@@ -494,8 +494,9 @@ def _order_six_cross_check(p: GaugePotential, x, centers, sections):
         section = Section(identity_field.patch, comps)
         s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
         log_factor = principal._left_log_matrix(alg, s_at)
-        vertical, gap = commutator_tensor(identity_field, section, base)
-        gaps.append(gap)
+        R, gap = commutator_tensor(identity_field, [(section, base)])
+        vertical = R[..., 0].copy()  # laid out as one sample's tensor
+        gaps.append(gap[0])
         commutator_values.append(
             conjugated(
                 exp(AlgebraElement(alg, s_at)), lambda mu, nu: log_factor @ vertical[:, mu, nu]
@@ -523,7 +524,7 @@ def test_cross_check_equals_the_order_six_pairwise_formulation(name, rows):
         rng = SplitMix64(seed)
         x = tuple(rng.symmetric(1.0) for _ in range(2))
         drawn = sample_cross_check(rng, alg, 2, 2, 2)
-        report = curvature_cross_check(potential, x, *drawn)
+        [report] = curvature_cross_check(potential, [(x, *drawn)])
         expected = _order_six_cross_check(potential, x, *drawn)
         assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
 
@@ -539,9 +540,18 @@ def test_cross_checks_of_many_samples_are_each_samples_own(name, rows):
         (tuple(rng.symmetric(1.0) for _ in range(2)), *sample_cross_check(rng, alg, 2, 2, 2))
         for _ in range(4)
     ]
-    for report, drawn in zip(principal._cross_checks(potential, samples), samples):
+    for report, drawn in zip(curvature_cross_check(potential, samples), samples):
         expected = _order_six_cross_check(potential, *drawn)
         assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
+
+
+def test_the_batched_routes_take_an_empty_sample_list():
+    identity_field = exponential_chart_connection(SO3_POTENTIAL, SO3.identity_group())
+    R, gaps = commutator_tensor(identity_field, [])
+    assert (R.shape, gaps.shape) == ((3, 2, 2, 0), (0,))
+    assert curvature_cross_check(SO3_POTENTIAL, []) == []
+    assert theta_bch_verify([]) == []
+    assert check_axiom(SO3_POTENTIAL, []) == ()
 
 
 def test_cross_check_deterministic_given_seed():
@@ -588,21 +598,16 @@ def test_theta_bch_so3_bracket_correction():
 
 
 def test_theta_bch_verify_abelian():
-    report = theta_bch_verify(
-        _rotation(0.4),
-        SO2.element((0.3,)),
-        SO2.element((-0.2,)),
-        SO2.element((0.1,)),
+    [report] = theta_bch_verify(
+        [(_rotation(0.4), SO2.element((0.3,)), SO2.element((-0.2,)), SO2.element((0.1,)))]
     )
     assert report.max_deviation <= 1e-6
 
 
 def test_theta_bch_verify_so3_recovers_bracket():
-    report = theta_bch_verify(
-        SO3.identity_group(),
-        SO3.element((1.0, 0.0, 0.0)),
-        SO3.element((0.0, 1.0, 0.0)),
-        SO3.zero(),
+    [report] = theta_bch_verify(
+        [(SO3.identity_group(), SO3.element((1.0, 0.0, 0.0)), SO3.element((0.0, 1.0, 0.0)),
+          SO3.zero())]
     )
     assert report.max_deviation <= 1e-4
 
@@ -635,16 +640,16 @@ def test_theta_bch_checks_of_many_jets_are_each_jets_own(name):
          *(sample_algebra_element(rng, alg, 0.5 / alg.k) for _ in range(3)))
         for _ in range(9)
     ]
-    reports = principal._theta_bch_checks(jets)
+    reports = theta_bch_verify(jets)
     assert len(reports) == len(jets)
     for report, jet in zip(reports, jets):
         expected = _theta_bch_verify_alone(*jet)
         assert (report.direct_deviation, report.swapped_deviation, report.max_deviation) == expected
-        assert report == theta_bch_verify(*jet)
+        assert [report] == theta_bch_verify([jet])
 
 
 def test_theta_bch_verify_zero_slots_exact():
-    report = theta_bch_verify(
-        SO3.identity_group(), SO3.zero(), SO3.zero(), SO3.zero()
+    [report] = theta_bch_verify(
+        [(SO3.identity_group(), SO3.zero(), SO3.zero(), SO3.zero())]
     )
     assert report.max_deviation == 0.0

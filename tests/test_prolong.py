@@ -348,7 +348,7 @@ def test_commutator_matches_curvature_coefficients():
 _SECOND_COVARIANT_ROUTES = pytest.mark.parametrize(
     "route",
     [
-        lambda field, s, x: commutator_tensor(field, s, x),
+        lambda field, s, x: commutator_tensor(field, [(s, x)]),
         lambda field, s, x: second_covariant(field, s, 1, 2, x),
         lambda field, s, x: commutator_curvature(field, s, 1, 2, x),
     ],
@@ -387,12 +387,12 @@ def test_the_commutator_route_of_many_samples_gives_each_its_own_numbers(size):
             Section.from_strings(patch, ["sin(x1)/(2 + x2)"] + ["log(3 + x1*x2)"] * (n - 1)),
             samples[1][1],
         )
-        R, gaps = prolong._commutator_tensors(field, samples)
+        R, gaps = commutator_tensor(field, samples)
         assert R.shape == (n, m, m, size) and gaps.shape == (size,)
         for sample, (s, x) in enumerate(samples):
-            tensor, gap = commutator_tensor(field, s, x)
-            assert R[..., sample].tobytes() == tensor.tobytes()
-            assert gaps[sample] == gap
+            tensor, gap = commutator_tensor(field, [(s, x)])
+            assert R[..., sample].tobytes() == tensor[..., 0].tobytes()
+            assert gaps[sample] == gap[0]
 
 
 def test_commutator_tensor_slices_are_the_per_pair_values():
@@ -403,7 +403,8 @@ def test_commutator_tensor_slices_are_the_per_pair_values():
             field = sample_christoffel(rng, patch)
             s = sample_section(rng, patch)
             x = tuple(rng.symmetric(1.0) for _ in range(m))
-            R, gap = commutator_tensor(field, s, x)
+            R, gap = commutator_tensor(field, [(s, x)])
+            R, gap = R[..., 0], gap[0]
             assert 0.0 <= gap <= 1e-12
             assert R.shape == (n, m, m)
             assert np.array_equal(R, -R.transpose(0, 2, 1))
