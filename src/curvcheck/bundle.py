@@ -34,7 +34,16 @@ import numpy as np
 
 from . import _symbolic
 from .exprdsl import Expression, check_grid, parse_grid
-from .numcore import EvalPoint, StackedPoint, directional, evaluate, gradient, over_samples, partial
+from .numcore import (
+    EvalPoint,
+    StackedPoint,
+    directional,
+    evaluate,
+    gradient,
+    over_samples,
+    partial,
+    sweep_grid,
+)
 
 __all__ = [
     "BundlePatch",
@@ -300,8 +309,7 @@ def _jet(V: TotalVectorField, p: EvalPoint):
     """Values ``vals[i]`` and gradients ``grads[i, j]`` of every component
     of ``V`` at ``p``, base components before fiber ones, as arrays: the
     first-order data of a bracket."""
-    vals, grads = zip(*(gradient(c, p) for c in V.a + V.b))
-    return np.array(vals), np.array(grads)
+    return sweep_grid(V.a + V.b, lambda c: gradient(c, p))
 
 
 class _Parts(NamedTuple):
@@ -427,17 +435,10 @@ def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     coordinate formula fed the symbols' structural partials.  At a
     :class:`~curvcheck.numcore.StackedPoint` it has a trailing axis of one
     entry per point."""
-    m, n = field.patch.dims
+    m = field.patch.base_dim
     field.patch.check_point(p)
-    samples = _sample_shape(p)
-    vals = np.empty((n, m) + samples)
-    gx = np.empty((n, m, m) + samples)
-    gf = np.empty((n, m, n) + samples)
-    for a in range(n):
-        for mu in range(m):
-            vals[a, mu], grad = gradient(field.gamma[a][mu], p)
-            gx[a, mu], gf[a, mu] = grad[:m], grad[m:]
-    return _coordinate_curvature(vals, gx, gf)
+    vals, grads = sweep_grid(field.gamma, lambda e: gradient(e, p))
+    return _coordinate_curvature(vals, grads[:, :, :m], grads[:, :, m:])
 
 
 def _coordinate_curvature(vals: np.ndarray, gx: np.ndarray, gf: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from .numcore import (
     each_sample,
     evaluate,
     over_samples,
+    sweep_grid,
 )
 from .principal import check_axiom, curvature_cross_check, theta_bch_verify
 from .prolong import commutator_tensor, pi, pushforward_second_jet, theta
@@ -115,22 +116,16 @@ def _fd_curvature(field: ChristoffelField, points: StackedPoint) -> np.ndarray:
     each of ``_FD_SHIFTS`` in turn.  Each symbol is evaluated once on it.
     """
     m, n = field.patch.dims
-    size = points.size
     columns = [
         np.concatenate([z] + [z + delta if i == k else z
                               for i in range(m + n) for delta in _FD_SHIFTS])
         for k, z in enumerate(points.x + points.f)
     ]
     stencil = StackedPoint(tuple(columns[:m]), tuple(columns[m:]))
-    vals = np.empty((n, m, size))
-    grads = np.empty((n, m, m + n, size))
-    for a, symbols in enumerate(field.gamma):
-        for mu, e in enumerate(symbols):
-            values = evaluate(e, stencil).reshape(-1, size)
-            vals[a, mu] = values[0]
-            for i in range(m + n):
-                grads[a, mu, i] = central_difference(*values[1 + 4 * i:5 + 4 * i], _FD_STEP)
-    return _coordinate_curvature(vals, grads[:, :, :m], grads[:, :, m:])
+    # [a, mu, block, point]; block 1 + 4 i + j shifts coordinate i by _FD_SHIFTS[j]
+    values = sweep_grid(field.gamma, lambda e: evaluate(e, stencil)).reshape(n, m, -1, points.size)
+    grads = central_difference(*(values[:, :, 1 + j::4] for j in range(4)), _FD_STEP)
+    return _coordinate_curvature(values[:, :, 0], grads[:, :, :m], grads[:, :, m:])
 
 
 @_runner("curvature-coefficients")

@@ -23,6 +23,7 @@ from .config import load_config
 from .errors import ConfigSchemaError, CurvcheckError, ExprSyntaxError, IoError
 from .exprdsl import parse, unparse
 from .report import emit
+from .rng import SEED_LIMIT
 
 __all__ = ["main"]
 
@@ -88,8 +89,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
 def _run_check_command(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
-    if args.seed is not None and args.seed < 0:
-        return _fail(f"--seed must be non-negative, got {args.seed}")
+    if args.seed is not None and not 0 <= args.seed < SEED_LIMIT:
+        return _fail(f"--seed must be non-negative and below 2^64, got {args.seed}")
     try:
         config = load_config(args.config)
     except (IoError, ConfigSchemaError) as exc:

@@ -33,6 +33,7 @@ from .exprdsl import parse
 from .lie import MatrixLieAlgebra, builtin_algebra
 from .linear import DEFAULT_LAMBDAS, LinearChristoffel
 from .principal import GaugePotential
+from .rng import SEED_LIMIT
 
 __all__ = ["CheckSpec", "SuiteConfig", "load_config", "CHECK_KINDS"]
 
@@ -149,6 +150,13 @@ def _expect_int(value, path: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         _fail(path, f"must be at least {minimum}, got {value}")
     return value
+
+
+def _expect_seed(value, path: str) -> int:
+    seed = _expect_int(value, path, 0)
+    if seed >= SEED_LIMIT:
+        _fail(path, f"must be below 2^64, got {seed}")
+    return seed
 
 
 def _expect_number(value, path: str) -> float:
@@ -339,7 +347,7 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
         _fail(f"{here}.tolerance", f"must be positive, got {tolerance}")
     seed = None
     if "seed" in body:
-        seed = _expect_int(body["seed"], f"{here}.seed", 0)
+        seed = _expect_seed(body["seed"], f"{here}.seed")
 
     params: dict = {}
     for key, (table, label) in _REFERENCES.items():
@@ -405,7 +413,7 @@ def load_config(path: str) -> SuiteConfig:
     version = _expect_int(document["version"], "version")
     if version != 1:
         _fail("version", f"unsupported schema version {version} (supported: 1)")
-    seed = _expect_int(document.get("seed", 0), "seed", 0)
+    seed = _expect_seed(document.get("seed", 0), "seed")
     tables = {}
     for block, (required, optional, load) in _DECLARATIONS.items():
         entries = _entries(document.get(block, {}), block, required, optional)

@@ -38,7 +38,7 @@ from .bundle import (
     curvature_coefficients,
 )
 from .exprdsl import Var, check_grid, parse_grid
-from .numcore import EvalPoint, evaluate, gradient, partial
+from .numcore import EvalPoint, evaluate, gradient, partial, sweep_grid
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -87,30 +87,17 @@ def expand_linear(linear: LinearChristoffel) -> ChristoffelField:
 
 def classical_curvature(linear: LinearChristoffel, x) -> np.ndarray:
     """Curvature ``R[alpha, mu, nu, omega]`` of the classical formula at
-    ``x``; antisymmetric in (mu, nu)."""
-    m, n = linear.patch.dims
+    ``x``; antisymmetric in (mu, nu).  The sum over ``beta`` runs in order,
+    one term per step, for every entry at once."""
     pt = EvalPoint.of(x)
-    values = np.zeros((n, m, n))
-    grads = np.zeros((n, m, n, m))
-    for alpha in range(n):
-        for mu in range(m):
-            for omega in range(n):
-                value, grad = gradient(linear.gamma3[alpha][mu][omega], pt)
-                values[alpha, mu, omega] = value
-                grads[alpha, mu, omega] = grad[:m]
-    out = np.zeros((n, m, m, n))
-    for mu in range(m):
-        for nu in range(mu + 1, m):
-            for alpha in range(n):
-                for omega in range(n):
-                    entry = grads[alpha, nu, omega, mu] - grads[alpha, mu, omega, nu]
-                    for beta in range(n):
-                        entry += (
-                            values[alpha, mu, beta] * values[beta, nu, omega]
-                            - values[alpha, nu, beta] * values[beta, mu, omega]
-                        )
-                    out[alpha, mu, nu, omega] = entry
-                    out[alpha, nu, mu, omega] = -entry
+    values, grads = sweep_grid(linear.gamma3, lambda e: gradient(e, pt))
+    # d[alpha, mu, nu, omega] = d_nu Gamma^alpha_{mu omega}
+    d = grads.swapaxes(2, 3)
+    out = d.swapaxes(1, 2) - d
+    for beta in range(linear.patch.fiber_dim):
+        # term[alpha, mu, nu, omega] = Gamma^alpha_{mu beta} Gamma^beta_{nu omega}
+        term = values[:, :, None, beta, None] * values[beta][None, None]
+        out += term - term.swapaxes(1, 2)
     return out
 
 
@@ -195,6 +182,15 @@ def linearity_detect(
             references[key] = evaluate(field.gamma[alpha][mu], points[i])
         return references[key]
 
+    def violation(alpha, mu, pt, lam, expected, actual, stage) -> LinearityReport | None:
+        """The report of a violation unless ``actual`` is within ``tol`` of
+        ``expected``, relative to ``max(1, |expected|)``; a NaN on either
+        side is a violation."""
+        if abs(actual - expected) <= tol * max(1.0, abs(expected)):
+            return None
+        found = LinearityViolation(alpha + 1, mu + 1, pt.x, pt.f, lam, expected, actual, stage)
+        return LinearityReport(None, found)
+
     for i, pt in enumerate(points):
         for lam in lambdas:
             scaled = EvalPoint(pt.x, tuple(lam * c for c in pt.f))
@@ -202,20 +198,9 @@ def linearity_detect(
                 for mu in range(m):
                     expected = lam * reference(i, alpha, mu)
                     actual = evaluate(field.gamma[alpha][mu], scaled)
-                    if not abs(actual - expected) <= tol * max(1.0, abs(expected)):
-                        return LinearityReport(
-                            None,
-                            LinearityViolation(
-                                alpha + 1,
-                                mu + 1,
-                                pt.x,
-                                pt.f,
-                                lam,
-                                expected,
-                                actual,
-                                "homogeneity",
-                            ),
-                        )
+                    report = violation(alpha, mu, pt, lam, expected, actual, "homogeneity")
+                    if report is not None:
+                        return report
     extracted = tuple(
         tuple(
             tuple(
@@ -235,20 +220,9 @@ def linearity_detect(
             for mu in range(m):
                 original = reference(i, alpha, mu)
                 rebuilt = evaluate(expansion.gamma[alpha][mu], pt)
-                if not abs(rebuilt - original) <= tol * max(1.0, abs(original)):
-                    return LinearityReport(
-                        None,
-                        LinearityViolation(
-                            alpha + 1,
-                            mu + 1,
-                            pt.x,
-                            pt.f,
-                            None,
-                            original,
-                            rebuilt,
-                            "expansion",
-                        ),
-                    )
+                report = violation(alpha, mu, pt, None, original, rebuilt, "expansion")
+                if report is not None:
+                    return report
     return LinearityReport(candidate, None)
 
 

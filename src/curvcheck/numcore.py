@@ -71,6 +71,7 @@ __all__ = [
     "StackedPoint",
     "over_samples",
     "each_sample",
+    "sweep_grid",
     "Coordinate",
     "evaluate",
     "directional",
@@ -185,6 +186,19 @@ def each_sample(route, items) -> list:
         except DomainError as exc:
             raise DomainError(f"{exc} at sample {sample}") from exc
     return results
+
+
+def sweep_grid(grid, sweep):
+    """``sweep(e)`` once for each expression ``e`` of ``grid``, a non-empty
+    rectangular nest of tuples or lists, in row-major order, as an array of
+    the grid's shape followed by each number's own axes, or a tuple of such
+    arrays when ``sweep`` returns a tuple.  Each route passes its own
+    ``sweep``."""
+    grid = np.array(grid, dtype=object)
+    results = [sweep(e) for e in grid.flat]
+    if isinstance(results[0], tuple):
+        return tuple(np.reshape(part, grid.shape + np.shape(part[0])) for part in zip(*results))
+    return np.reshape(results, grid.shape + np.shape(results[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ from .lie import (
     expm,
     group_stack,
 )
-from .numcore import EvalPoint, central_difference, evaluate, gradient
+from .numcore import EvalPoint, central_difference, evaluate, gradient, sweep_grid
 from .prolong import commutator_tensor
 
 __all__ = [
@@ -284,13 +284,11 @@ def cartan_curvature(p: GaugePotential, x) -> CurvatureField:
     ``F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]`` at ``x``, from one
     gradient of each potential component."""
     m = p.base_dim
-    k = p.algebra.k
     pt = EvalPoint.of(x)
-    values, grads = zip(*(gradient(c, pt) for row in p.a for c in row))
-    values = [AlgebraElement(p.algebra, row) for row in np.reshape(values, (m, k))]
     # grads[nu, e, mu] = d_mu of the E_{e+1} coefficient of A_nu
-    grads = np.reshape(grads, (m, k, m))
-    coeffs = np.zeros((m, m, k))
+    values, grads = sweep_grid(p.a, lambda c: gradient(c, pt))
+    values = [AlgebraElement(p.algebra, row) for row in values]
+    coeffs = np.zeros((m, m, p.algebra.k))
     for mu in range(m):
         for nu in range(mu + 1, m):
             comm = bracket(values[mu], values[nu]).coeffs

@@ -90,6 +90,7 @@ from .numcore import (
     mixed_second,
     over_samples,
     partial,
+    sweep_grid,
 )
 
 __all__ = [
@@ -247,17 +248,6 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
     return prolonged
 
 
-def _over_symbols(field: ChristoffelField, sweep):
-    """The values ``(n, m)`` and derivatives ``(n, m, w)`` of ``sweep(e)``, a
-    ``gradient`` or ``directional`` sweep, for every symbol ``e`` of
-    ``field``, each with a trailing sample axis at a stacked point."""
-    sweeps = [[sweep(e) for e in row] for row in field.gamma]
-    return (
-        np.array([[value for value, _ in row] for row in sweeps]),
-        np.array([[derivatives for _, derivatives in row] for row in sweeps]),
-    )
-
-
 def _stacked(parts) -> tuple[np.ndarray, ...]:
     """The per-sample results ``parts``, each a tuple of nested sequences of
     floats, as arrays with a trailing sample axis."""
@@ -305,7 +295,7 @@ def _prolonged_covariants(field: ChristoffelField, samples, pairs) -> np.ndarray
     # x^i moves along e_i and f^b along the gradient of s^b
     unit = [tuple(float(i == j) for j in range(m)) for i in range(m)]
     symbols, tangents = over_samples(
-        lambda p, g: _over_symbols(field, lambda e: directional(e, p, unit + list(g))),
+        lambda p, g: sweep_grid(field.gamma, lambda e: directional(e, p, unit + list(g))),
         StackedPoint(base.x, tuple(values)),
         grads,
     )
@@ -316,8 +306,8 @@ def _prolonged_covariants(field: ChristoffelField, samples, pairs) -> np.ndarray
         sigma = StackedPoint(base.x, tuple(values) + tuple(velocity))
         columns = [(k, mu) for k, (mu, other) in enumerate(pairs) if other == nu]
         at_sigma[:, [k for k, _ in columns]] = over_samples(
-            lambda p: np.array([[evaluate(row[mu - 1], p) for _, mu in columns]
-                                for row in prolonged.gamma]),
+            lambda p: sweep_grid([[row[mu - 1] for _, mu in columns] for row in prolonged.gamma],
+                                 lambda e: evaluate(e, p)),
             sigma,
         )
     mu, nu = _pair_indices(pairs)
@@ -370,7 +360,7 @@ def _second_covariants(
     base = StackedPoint.of(points)
     # the symbols' values and gradients, x partials before f partials
     gvals, ggrad = over_samples(
-        lambda p: _over_symbols(field, lambda e: gradient(e, p)),
+        lambda p: sweep_grid(field.gamma, lambda e: gradient(e, p)),
         StackedPoint(base.x, tuple(svals)),
     )
     # the jets' slots as [a, pair, sample], each pair in the order of one

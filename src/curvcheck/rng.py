@@ -20,9 +20,13 @@ languages reproduce the byte-identical sequence from this file alone:
 
 from __future__ import annotations
 
-__all__ = ["SplitMix64", "fnv1a64", "stream"]
+__all__ = ["SEED_LIMIT", "SplitMix64", "fnv1a64", "stream"]
 
-_MASK = (1 << 64) - 1
+#: Every seed is a 64-bit word, below this limit; a config or ``--seed``
+#: at or above it is rejected, as the generator would read it modulo 2^64.
+SEED_LIMIT = 1 << 64
+
+_MASK = SEED_LIMIT - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB

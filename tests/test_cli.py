@@ -1,5 +1,5 @@
 """Tests for the command line front end: exit codes, report emission,
-determinism, the golden report fixture, and the tolerance-scale override."""
+determinism, the golden report fixture, and the seed override."""
 
 import json
 import math
@@ -269,11 +269,17 @@ def test_parse_expr_prints_a_three_thousand_term_sum(capsys):
     assert capsys.readouterr().out == source + "\n"
 
 
-def test_check_rejects_bad_flags(capsys):
+def test_check_rejects_bad_flags(tmp_path, capsys):
     assert main(["check", MINIMAL, "--jobs", "0"]) == 2
     capsys.readouterr()
     assert main(["check", MINIMAL, "--seed", "-1"]) == 2
     capsys.readouterr()
+    # 2^64 would run the draws of seed 0 under a report naming 2^64
+    out = str(tmp_path / "report.json")
+    assert main(["check", MINIMAL, "--seed", str(2**64), "--out", out]) == 2
+    assert "--seed must be non-negative and below 2^64" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert main(["check", MINIMAL, "--seed", str(2**64 - 1), "--out", out]) == 0
 
 
 # --- check: determinism -----------------------------------------------------

@@ -224,6 +224,16 @@ def test_samples_and_seed_bounds(tmp_path):
     doc["checks"][0]["seed"] = -1
     with pytest.raises(ConfigSchemaError, match="at least 0"):
         load_config(_write(tmp_path, doc))
+    # the generator reads a seed modulo 2^64, so 2^64 would repeat seed 0
+    for where in ("seed", "checks[0].seed"):
+        for seed in (2**64 - 1, 2**64, 2**70 + 3):
+            doc = _base()
+            (doc if where == "seed" else doc["checks"][0])["seed"] = seed
+            if seed < 2**64:
+                load_config(_write(tmp_path, doc))
+                continue
+            with pytest.raises(ConfigSchemaError, match=re.escape(f"{where}: must be below 2^64")):
+                load_config(_write(tmp_path, doc))
 
 
 def test_gamma_shape_validation(tmp_path):

@@ -24,7 +24,7 @@ from curvcheck.linear import (
     reduced_covariant,
     scaling_morphism,
 )
-from curvcheck.numcore import EvalPoint, evaluate
+from curvcheck.numcore import EvalPoint, evaluate, gradient
 from curvcheck.rng import SplitMix64
 from curvcheck.sampling import sample_point
 
@@ -115,6 +115,50 @@ def test_classical_curvature_antisymmetric():
         x = (rng.symmetric(1.0), rng.symmetric(1.0))
         out = classical_curvature(lin, x)
         assert np.max(np.abs(out + out.transpose(0, 2, 1, 3))) <= 1e-12
+
+
+def _classical_curvature_by_entries(lin: LinearChristoffel, x) -> np.ndarray:
+    """The classical formula one entry at a time, each upper-triangle entry
+    summed over ``beta`` in order and negated into the lower triangle: the
+    reference for the array arithmetic of :func:`classical_curvature`."""
+    m, n = lin.patch.dims
+    pt = EvalPoint.of(x)
+    values = np.zeros((n, m, n))
+    grads = np.zeros((n, m, n, m))
+    for alpha in range(n):
+        for mu in range(m):
+            for omega in range(n):
+                value, grad = gradient(lin.gamma3[alpha][mu][omega], pt)
+                values[alpha, mu, omega] = value
+                grads[alpha, mu, omega] = grad[:m]
+    out = np.zeros((n, m, m, n))
+    for mu in range(m):
+        for nu in range(mu + 1, m):
+            for alpha in range(n):
+                for omega in range(n):
+                    entry = grads[alpha, nu, omega, mu] - grads[alpha, mu, omega, nu]
+                    for beta in range(n):
+                        entry += (
+                            values[alpha, mu, beta] * values[beta, nu, omega]
+                            - values[alpha, nu, beta] * values[beta, mu, omega]
+                        )
+                    out[alpha, mu, nu, omega] = entry
+                    out[alpha, nu, mu, omega] = -entry
+    return out
+
+
+@pytest.mark.parametrize("patch", [P21, P22, BundlePatch(3, 2), BundlePatch(2, 3)])
+def test_classical_curvature_equals_the_formula_entry_by_entry(patch):
+    # IEEE negation and rounding are symmetric, so the computed lower
+    # triangle equals the negated upper one; only the sign of a zero may
+    # differ, which == does not see
+    rng = SplitMix64(17 + patch.base_dim * 10 + patch.fiber_dim)
+    for _ in range(25):
+        lin = _random_linear(rng, patch)
+        x = tuple(rng.symmetric(1.0) for _ in range(patch.base_dim))
+        out = classical_curvature(lin, x)
+        assert out.shape == (patch.fiber_dim,) + (patch.base_dim,) * 2 + (patch.fiber_dim,)
+        assert np.array_equal(out, _classical_curvature_by_entries(lin, x))
 
 
 # --- the reduced covariant derivative ---------------------------------------

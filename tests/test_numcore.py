@@ -20,6 +20,7 @@ from curvcheck.numcore import (
     gradient,
     mixed_second,
     partial,
+    sweep_grid,
 )
 from curvcheck.rng import SplitMix64
 
@@ -477,6 +478,62 @@ def test_stacked_points_hash_by_identity_and_reject_ragged_stacks():
         StackedPoint.of([EvalPoint((1.0,)), EvalPoint((2.0,), (3.0,))])
     with pytest.raises(ValueError, match=r"dims \[\]"):
         StackedPoint.of([])
+
+
+def _random_grid(rng: SplitMix64, shape: tuple):
+    if not shape:
+        return _random_expr(rng, 3)
+    return tuple(_random_grid(rng, shape[1:]) for _ in range(shape[0]))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 3, 2)])
+@pytest.mark.parametrize("stacked", [False, True], ids=["float", "stacked"])
+def test_sweep_grid_gives_every_entry_its_own_sweep_in_row_major_order(shape, stacked):
+    rng = SplitMix64(len(shape) + 10 * stacked)
+    grid = _random_grid(rng, shape)
+    points = [_random_point(rng) for _ in range(7)]
+    point = StackedPoint.of(points) if stacked else points[0]
+    samples = (len(points),) if stacked else ()
+    tangents = [tuple(rng.symmetric(1.0) for _ in range(2)) for _ in range(6)]
+    indices = list(np.ndindex(shape))
+
+    def entry(index):
+        e = grid
+        for i in index:
+            e = e[i]
+        return e
+
+    calls = []
+    values = sweep_grid(grid, lambda e: calls.append(e) or evaluate(e, point))
+    assert calls == [entry(index) for index in indices]
+    assert values.shape == shape + samples
+    for index in indices:
+        assert _bits(values[index]) == _bits(evaluate(entry(index), point))
+    sweeps = {
+        "gradient": (lambda e: gradient(e, point), 6),
+        "directional": (lambda e: directional(e, point, tangents), 2),
+    }
+    for name, (sweep, width) in sweeps.items():
+        vals, slots = sweep_grid(grid, sweep)
+        assert (vals.shape, slots.shape) == (shape + samples, shape + (width,) + samples), name
+        for index in indices:
+            value, derivatives = sweep(entry(index))
+            assert _bits(vals[index]) == _bits(value), name
+            assert _bits(slots[index]) == _bits(np.array(derivatives)), name
+    # nested lists are grids too
+    listed = [list(row) for row in grid] if len(shape) == 2 else list(grid)
+    assert _bits(sweep_grid(listed, lambda e: evaluate(e, point))) == _bits(values)
+
+
+def test_a_domain_error_of_sweep_grid_names_the_sample_of_the_first_failing_entry():
+    # row-major: [0][1] fails at sample 2 before [1][0], which would fail at
+    # sample 3, is swept
+    stack = StackedPoint.of([EvalPoint((x,)) for x in (3.0, 2.5, 1.0, 0.0)])
+    grid = ((_e("x1", (1, 1)), _e("log(x1 - 2)", (1, 1))),
+            (_e("log(x1 - 0.5)", (1, 1)), _e("x1", (1, 1))))
+    for entry in (evaluate, gradient):
+        with pytest.raises(DomainError, match="log of non-positive value -1.0 at sample 2"):
+            sweep_grid(grid, lambda e: entry(e, stack))
 
 
 def test_mixed_second_matches_symbolic_second_derivative():
