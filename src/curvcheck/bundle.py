@@ -38,6 +38,7 @@ from .numcore import (
     EvalPoint,
     StackedPoint,
     directional,
+    each_sample,
     evaluate,
     gradient,
     over_samples,
@@ -229,11 +230,6 @@ class FiberBundleMorphism:
 # float operations in the same order as at each point alone.
 
 
-def _sample_shape(p) -> tuple:
-    """The trailing axes of a result at ``p``: one per stack of points."""
-    return (p.size,) if isinstance(p, StackedPoint) else ()
-
-
 def _symbol_values(field: ChristoffelField, p: EvalPoint) -> list[list[float]]:
     """``Gamma^a_mu(p)`` for every symbol, rows by fiber index."""
     return [[evaluate(e, p) for e in row] for row in field.gamma]
@@ -394,7 +390,7 @@ def nijenhuis_tensor(
 
     def tensor_at(p):
         field.patch.check_point(p)
-        samples = _sample_shape(p)
+        samples = np.shape(p.x[0])  # (S,) at a stack of S points
         horizontal = [_jet(V, p) for V in horizontal_fields]
         plain = [_jet(V, p) for V in fields]
         vertical = [_jet(V, p) for V in vertical_fields]
@@ -484,12 +480,13 @@ def is_parallel_morphism(
     are evaluated once per sample, as every lift sits at the sample and every
     pushforward at its image, and each component of ``phi`` is swept once,
     seeded with all ``m`` lifts (slot ``mu`` of coordinate ``i`` is
-    component ``i`` of the lift of ``d/dx^mu``).
+    component ``i`` of the lift of ``d/dx^mu``).  A domain error names its
+    sample.
     """
     m = field.patch.base_dim
     directions = [tuple(float(i == mu) for i in range(m)) for mu in range(m)]
-    residuals = []
-    for p in samples:
+
+    def residual_at(p) -> float:
         field.patch.check_point(p)
         gamma = _symbol_values(field, p)
         lifts = [_lifted(gamma, xi) for xi in directions]
@@ -503,5 +500,6 @@ def is_parallel_morphism(
             pushed_lift = TotalTangent(image, xi, [slots[mu] for slots in pushed])
             fiber_parts.extend(_projected(gamma_hat, pushed_lift))
         # np.max keeps a NaN, which the row of the check then fails
-        residuals.append(float(np.max(np.abs(fiber_parts))))
-    return tuple(residuals)
+        return float(np.max(np.abs(fiber_parts)))
+
+    return tuple(each_sample(residual_at, samples))

@@ -169,11 +169,6 @@ def _run_nijenhuis(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
         row.add(float(np.max((deviation, gap))), sample, note)
 
 
-def _image(s, x) -> EvalPoint:
-    """The point ``(x, s(x))`` of the section ``s`` over ``x``."""
-    return EvalPoint(x, s.value(x))
-
-
 @_runner("commutator-identity")
 def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     """Twisted second-derivative differences against the coordinate
@@ -190,7 +185,8 @@ def _run_commutator(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     for _ in range(spec.samples):
         s = named if named is not None else sample_section(rng, field.patch)
         samples.append((s, sample_point(rng, m).x))
-    images = StackedPoint.of(each_sample(lambda drawn: _image(*drawn), samples))
+    # the section images (x, s(x))
+    images = StackedPoint.of(each_sample(lambda sx: EvalPoint(sx[1], sx[0].value(sx[1])), samples))
     coefficients = over_samples(lambda p: curvature_coefficients(field, p), images)
     tensors, gaps = commutator_tensor(field, samples)
     deviations = np.abs(tensors - coefficients).max(axis=(0, 1, 2))
@@ -333,8 +329,8 @@ def _run_linear_consistency(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None
     """
     linear = spec.params["linear_connection"]
     points = [sample_point(rng, *linear.patch.dims) for _ in range(spec.samples)]
-    for sample, p in enumerate(points):
-        residual = linear_curvature_consistency(linear, p.x, p.f)
+    residuals = each_sample(lambda p: linear_curvature_consistency(linear, p.x, p.f), points)
+    for sample, residual in enumerate(residuals):
         note = f"at sample {sample}: classical against general coefficients {residual:.3e}"
         row.add(residual, sample, note)
 

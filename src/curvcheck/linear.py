@@ -38,7 +38,7 @@ from .bundle import (
     curvature_coefficients,
 )
 from .exprdsl import Var, check_grid, parse_grid
-from .numcore import EvalPoint, evaluate, gradient, partial, sweep_grid
+from .numcore import EvalPoint, each_sample, evaluate, gradient, partial, sweep_grid
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -191,7 +191,8 @@ def linearity_detect(
         found = LinearityViolation(alpha + 1, mu + 1, pt.x, pt.f, lam, expected, actual, stage)
         return LinearityReport(None, found)
 
-    for i, pt in enumerate(points):
+    def homogeneity(i: int) -> LinearityReport | None:
+        pt = points[i]
         for lam in lambdas:
             scaled = EvalPoint(pt.x, tuple(lam * c for c in pt.f))
             for alpha in range(n):
@@ -201,6 +202,11 @@ def linearity_detect(
                     report = violation(alpha, mu, pt, lam, expected, actual, "homogeneity")
                     if report is not None:
                         return report
+
+    # each_sample yields lazily: no sample after the first violation is probed
+    found = next(filter(None, each_sample(homogeneity, range(len(points)))), None)
+    if found is not None:
+        return found
     extracted = tuple(
         tuple(
             tuple(
@@ -215,15 +221,18 @@ def linearity_detect(
     )
     candidate = LinearChristoffel(field.patch, extracted)
     expansion = expand_linear(candidate)
-    for i, pt in enumerate(points):
+
+    def rebuilt(i: int) -> LinearityReport | None:
         for alpha in range(n):
             for mu in range(m):
                 original = reference(i, alpha, mu)
-                rebuilt = evaluate(expansion.gamma[alpha][mu], pt)
-                report = violation(alpha, mu, pt, None, original, rebuilt, "expansion")
+                value = evaluate(expansion.gamma[alpha][mu], points[i])
+                report = violation(alpha, mu, points[i], None, original, value, "expansion")
                 if report is not None:
                     return report
-    return LinearityReport(candidate, None)
+
+    fits = LinearityReport(candidate, None)
+    return next(filter(None, each_sample(rebuilt, range(len(points)))), fits)
 
 
 def linear_curvature_consistency(linear: LinearChristoffel, x, v) -> float:

@@ -51,7 +51,10 @@ silently, on floats too.
 
 Array arithmetic costs a fixed overhead per instruction, so a stack pays
 only from a few points on: :func:`over_samples`, the one place that reads
-``_STACK_MIN``, sweeps fewer points one at a time on floats.
+``_STACK_MIN``, sweeps fewer points one at a time on floats.  Every loop
+over samples, here and in the routes, is :func:`each_sample`, the one place
+that adds ``at sample i`` to a domain error, and :func:`stack_samples`
+stacks the per-sample results.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ __all__ = [
     "StackedPoint",
     "over_samples",
     "each_sample",
+    "stack_samples",
     "sweep_grid",
     "Coordinate",
     "evaluate",
@@ -166,26 +170,29 @@ def over_samples(route, points: StackedPoint, *columns):
     """
     if points.size >= _STACK_MIN:
         return route(points, *columns)
-    results = each_sample(
-        lambda sample: route(points.at(sample), *(c[..., sample].tolist() for c in columns)),
-        range(points.size),
-    )
+    per_point = ((points.at(i), *(c[..., i].tolist() for c in columns)) for i in range(points.size))
+    return stack_samples(each_sample(lambda args: route(*args), per_point))
+
+
+def each_sample(route, items):
+    """``route`` at each of ``items`` in turn, yielded lazily (a caller that
+    stops early runs no later item); a domain error names the position of
+    its item as its sample (``at sample 2``)."""
+    for sample, item in enumerate(items):
+        try:
+            yield route(item)
+        except DomainError as exc:
+            raise DomainError(f"{exc} at sample {sample}") from exc
+
+
+def stack_samples(results):
+    """The per-sample ``results`` as one array with a trailing sample axis,
+    or a tuple of such arrays for tuple results; entries keep their dtype
+    (``Fraction``s stay exact in an object array)."""
+    results = list(results)
     if isinstance(results[0], tuple):
         return tuple(np.stack(parts, axis=-1) for parts in zip(*results))
     return np.stack(results, axis=-1)
-
-
-def each_sample(route, items) -> list:
-    """``route`` at each of ``items`` in turn, as a list; a
-    :class:`~curvcheck.errors.DomainError` names the position of its item
-    as its sample (``at sample 2``)."""
-    results = []
-    for sample, item in enumerate(items):
-        try:
-            results.append(route(item))
-        except DomainError as exc:
-            raise DomainError(f"{exc} at sample {sample}") from exc
-    return results
 
 
 def sweep_grid(grid, sweep):
@@ -322,27 +329,12 @@ _ARRAY_PRIMITIVES = frozenset(("+", "-", "*", "neg"))
 
 def _per_sample(rule, *args):
     """``rule`` at every sample of its array arguments, on Python floats (an
-    argument that is no array is the same at every sample), as an array, or
-    a tuple of arrays for a tuple-valued rule.  A ``DomainError`` names its
-    sample."""
-    size = next((len(a) for a in args if isinstance(a, np.ndarray)), None)
-    if size is None:
+    argument that is no array is the same at every sample), stacked by
+    :func:`stack_samples`."""
+    if not any(isinstance(a, np.ndarray) for a in args):
         return rule(*args)
-    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a, size)
-               for a in args]
-    results = []
-    for sample, row in enumerate(zip(*columns)):
-        try:
-            results.append(rule(*row))
-        except DomainError as exc:
-            raise DomainError(f"{exc} at sample {sample}") from exc
-    if isinstance(results[0], tuple):
-        return tuple(np.array(column) for column in zip(*results))
-    return np.array(results)
-
-
-def _apply_per_sample(op: str, u, v, smooth: bool):
-    return _per_sample(_apply, op, u, v, smooth)
+    columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
+    return stack_samples(each_sample(lambda row: rule(*row), zip(*columns)))
 
 
 class _PerSampleRules(dict):
@@ -375,7 +367,7 @@ def _primal(program: Program, point: EvalPoint, smooth: bool = False) -> list:
             f"expression references x{program.max_x} and f{program.max_f} but "
             f"the point has dims ({len(x)}, {len(f)})"
         )
-    apply = _apply_per_sample if isinstance(point, StackedPoint) else _apply
+    apply = functools.partial(_per_sample, _apply) if isinstance(point, StackedPoint) else _apply
     vals = []
     push = vals.append
     for op, a, b in program.code:

@@ -71,7 +71,7 @@ from .lie import (
     expm,
     group_stack,
 )
-from .numcore import EvalPoint, central_difference, evaluate, gradient, sweep_grid
+from .numcore import EvalPoint, central_difference, each_sample, evaluate, gradient, sweep_grid
 from .prolong import commutator_tensor
 
 __all__ = [
@@ -227,12 +227,12 @@ def check_axiom(p: GaugePotential, trials) -> tuple[float, ...]:
     every curve's stencil points, and one stacked solve, expansion and
     conjugation per step, each bit-identical to its matrices one at a time.
     An error is that of the first trial that fails the first step any trial
-    fails.
+    fails; a domain error of the potential names its trial as its sample.
     """
     if not trials:
         return ()
     alg = p.algebra
-    x0, xi, g0, gamma0, vel_g, vel_gamma = zip(*trials)
+    _, _, g0, gamma0, vel_g, vel_gamma = zip(*trials)
     g0 = np.array([g.g for g in g0])
     gamma0 = np.array([g.g for g in gamma0])
     generators = alg.matrix(np.array([v.coeffs for v in vel_g + vel_gamma]))
@@ -249,7 +249,7 @@ def check_axiom(p: GaugePotential, trials) -> tuple[float, ...]:
     derivative = central_difference(*np.moveaxis(curves, 2, 0), _AXIOM_STEP)
     velocities = alg.expand(np.linalg.solve(starts, derivative), 1e-6)
 
-    along = np.array([_potential_along(p, x, dx) for x, dx in zip(x0, xi)])
+    along = np.array(list(each_sample(lambda trial: _potential_along(p, *trial[:2]), trials)))
     # omega at the product's start and at g0, in one stack
     omega = _form(
         alg,
@@ -409,7 +409,8 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
     commutator in the order-6 identity chart, converting chart velocities
     with the left-logarithm factor.  Each route returns to the reference
     frame in one stacked :func:`~curvcheck.lie.conjugate`.  A report holds
-    the largest deviation of each pair of routes, and the largest gap of
+    the largest deviation of each pair of routes over the pairs ``mu < nu``
+    (each lower triangle is the exact negation), and the largest gap of
     route three's prolonged-connection jets, which alone sees a defect in
     the mixed second derivative of a section: that term cancels in the
     twisted difference.
@@ -417,7 +418,8 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
     Routes one and two run one sample at a time; route three runs the
     sections of all samples through one
     :func:`~curvcheck.prolong.commutator_tensor`, as they all use one
-    identity-chart field, after routes one and two of every sample.
+    identity-chart field, after routes one and two of every sample, so a
+    domain error of the potential names its sample.
     """
     alg = p.algebra
     m = p.base_dim
@@ -425,16 +427,14 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
     upper = np.triu_indices(m, 1)
 
     def in_reference_frame(groups, values) -> np.ndarray:
-        # antisymmetric F arrays (S, m, m, k) of values (S, pairs mu < nu,
-        # k), each pair's value conjugated by its sample's group element
+        # values (S, pairs mu < nu, k), each pair's value conjugated by its
+        # sample's group element
         matrices = np.reshape([g.g for g in groups], (len(values), 1, alg.d, alg.d))
-        restored = np.zeros((len(values), m, m, k))
-        restored[:, upper[0], upper[1]] = conjugate(alg, matrices, values)
-        return restored - restored.transpose(0, 2, 1, 3)
+        return conjugate(alg, matrices, values)
 
     def routes_one_and_two(sample):
         base, centers, _ = sample
-        reference = cartan_curvature(p, base)
+        reference = cartan_curvature(p, base).coeffs[upper]
         # route two: Nijenhuis coefficients in exponential charts, read at
         # their centers and conjugated back to the reference frame
         frames = (alg.identity_group(), *centers)
@@ -446,7 +446,7 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
         return reference, in_reference_frame(frames, values)
 
     samples = [(tuple(float(c) for c in x), centers, sections) for x, centers, sections in samples]
-    first_two = [routes_one_and_two(sample) for sample in samples]
+    first_two = list(each_sample(routes_one_and_two, samples))
 
     # route three: second-jet commutator of exp-sections in the identity
     # chart, converted from chart velocities to algebra values
@@ -461,13 +461,8 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
         # np.max keeps a NaN, which the row of the check then fails
         return float(np.max(np.abs(values - target), initial=0.0))
 
-    # each sample's tensors and gaps
-    ends = np.cumsum([len(sections) for _, _, sections in samples])[:-1]
-    per_sample = zip(np.split(verticals, ends, axis=-1), np.split(gaps, ends))
-    reports = []
-    for (base, _, sections), (reference, chart_values), (tensors, prolonged_gaps) in zip(
-        samples, first_two, per_sample
-    ):
+    def report(sample) -> CrossCheckReport:
+        (base, _, sections), (reference, chart_values), (tensors, prolonged_gaps) = sample
         groups, values = [], []
         for j, comps in enumerate(sections):
             s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
@@ -479,15 +474,17 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
             groups, np.reshape(values, (len(values), len(upper[0]), k))
         )
         pairwise = {
-            "structure-vs-chart": worst_against(chart_values, reference.coeffs),
-            "structure-vs-commutator": worst_against(commutator_values, reference.coeffs),
+            "structure-vs-chart": worst_against(chart_values, reference),
+            "structure-vs-commutator": worst_against(commutator_values, reference),
             "chart-vs-commutator": worst_against(commutator_values, chart_values[0]),
         }
         prolonged = float(np.max(prolonged_gaps, initial=0.0))
-        reports.append(
-            CrossCheckReport(float(np.max([*pairwise.values(), prolonged])), pairwise, prolonged)
-        )
-    return reports
+        return CrossCheckReport(float(np.max([*pairwise.values(), prolonged])), pairwise, prolonged)
+
+    # each sample's tensors and gaps
+    ends = np.cumsum([len(sections) for _, _, sections in samples])[:-1]
+    per_sample = zip(np.split(verticals, ends, axis=-1), np.split(gaps, ends))
+    return list(each_sample(report, zip(samples, first_two, per_sample)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,7 @@ from .numcore import (
     mixed_second,
     over_samples,
     partial,
+    stack_samples,
     sweep_grid,
 )
 
@@ -248,12 +249,6 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
     return prolonged
 
 
-def _stacked(parts) -> tuple[np.ndarray, ...]:
-    """The per-sample results ``parts``, each a tuple of nested sequences of
-    floats, as arrays with a trailing sample axis."""
-    return tuple(np.stack(part, axis=-1) for part in zip(*parts))
-
-
 def _prolonged_covariants(field: ChristoffelField, samples, pairs) -> np.ndarray:
     """The second route to the jets of :func:`_second_covariants`: for each
     ``(mu, nu)`` of ``pairs``, the covariant derivative along ``d/dx^mu``,
@@ -290,7 +285,7 @@ def _prolonged_covariants(field: ChristoffelField, samples, pairs) -> np.ndarray
         by_pair = [seconds[tuple(sorted(pair))] for pair in pairs]
         return values, grads, [[dv[a] for dv in by_pair] for a in range(n)]
 
-    values, grads, seconds = _stacked(each_sample(section_side, samples))
+    values, grads, seconds = stack_samples(each_sample(section_side, samples))
     base = StackedPoint.of([x for _, x in samples])
     # x^i moves along e_i and f^b along the gradient of s^b
     unit = [tuple(float(i == j) for j in range(m)) for i in range(m)]
@@ -356,7 +351,7 @@ def _second_covariants(
         mixed = [[mixed_second(c, x, ("x", mu), ("x", nu)) for mu, nu in pairs] for c in s.comps]
         return svals, sgrads, mixed
 
-    svals, sgrads, mixed = _stacked(each_sample(section_side, samples))
+    svals, sgrads, mixed = stack_samples(each_sample(section_side, samples))
     base = StackedPoint.of(points)
     # the symbols' values and gradients, x partials before f partials
     gvals, ggrad = over_samples(

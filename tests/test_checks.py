@@ -121,6 +121,81 @@ def test_a_commutator_domain_error_names_its_sample(tmp_path):
         assert result.detail == f"DomainError: log of non-positive value {value} at sample {first}"
 
 
+def _first_coordinates(rng, spec, fiber_dim=1):
+    """The ``x1`` of every sample of a check that draws one point per
+    sample."""
+    return [sample_point(rng, 2, fiber_dim).x[0] for _ in range(spec.samples)]
+
+
+def _cross_check_first_coordinates(rng, spec):
+    """The ``x1`` of every sample of a cross-check, which draws its base
+    point, then its chart centers and its sections."""
+    coordinates = []
+    for _ in range(spec.samples):
+        coordinates.append(sample_point(rng, 2).x[0])
+        sample_cross_check(rng, spec.params["potential"].algebra, 2, 2, 2)
+    return coordinates
+
+
+#: Every kind that evaluates config expressions, with its check's own keys
+#: and the ``x1`` of each sample, replayed from its stream in the kind's
+#: draw order.  Each check meets log(x1) at every sample.
+_FIRST_COORDINATES = {
+    "curvature-coefficients": ({"connection": "g"}, _first_coordinates),
+    "nijenhuis-vs-coefficients": ({"connection": "g"}, _first_coordinates),
+    # a named section draws nothing: each sample draws its base point
+    "commutator-identity": (
+        {"connection": "g", "section": "s"},
+        lambda rng, spec: _first_coordinates(rng, spec, 0),
+    ),
+    "parallel-morphism": (
+        {"morphism": "double", "connection": "g", "connection_hat": "g"},
+        _first_coordinates,
+    ),
+    "connection-axiom": (
+        {"potential": "a"},
+        lambda rng, spec: [
+            trial[0][0]
+            for trial in sample_axiom_trials(rng, spec.params["potential"].algebra, 2,
+                                             spec.samples)
+        ],
+    ),
+    "cartan-cross-check": ({"potential": "a"}, _cross_check_first_coordinates),
+    "linearity": ({"connection": "g"}, _first_coordinates),
+    "linear-consistency": ({"linear_connection": "lin"}, _first_coordinates),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FIRST_COORDINATES))
+def test_every_kind_names_the_sample_of_a_domain_error(tmp_path, kind):
+    # log(x1) faults at the first sample whose base point has x1 <= 0; under
+    # seed 70 that is a later sample than the first for every kind, and the
+    # row names it exactly once
+    keys, first_coordinates = _FIRST_COORDINATES[kind]
+    doc = {
+        "version": 1,
+        "seed": 70,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"g": {"patch": "p", "gamma": [["log(x1)*f1", "x1*f1"]]}},
+        "linear_connections": {"lin": {"patch": "p", "gamma3": [[["log(x1)"], ["x1"]]]}},
+        "sections": {"s": {"patch": "p", "comps": ["x2"]}},
+        "morphisms": {"double": {"source": "p", "target": "p", "comps": ["2*f1"]}},
+        "algebras": {"rot2": {"builtin": "so2"}},
+        "potentials": {"a": {"algebra": "rot2", "base_dim": 2, "a": [["log(x1)"], ["x1"]]}},
+        "checks": [{"name": kind, "kind": kind, "samples": 8, **keys}],
+    }
+    config = _config(tmp_path, doc)
+    (spec,) = config.checks
+    coordinates = first_coordinates(stream(config.seed, spec.name), spec)
+    first = next(k for k, x1 in enumerate(coordinates) if x1 <= 0.0)
+    assert first > 0
+    result = run_check(spec, config.seed)
+    assert result.verdict == "error"
+    value = coordinates[first]
+    assert result.detail == f"DomainError: log of non-positive value {value} at sample {first}"
+    assert result.detail.count("at sample") == 1
+
+
 def test_non_finite_residuals_never_pass(tmp_path):
     # x1*1e300*1e300 overflows to +-inf, and inf - inf or inf*0 is NaN;
     # max(0.0, nan) is 0.0, which once let these rows pass with residual 0.

@@ -15,6 +15,7 @@ from curvcheck.bundle import (
     curvature_coefficients,
     is_parallel_morphism,
 )
+from curvcheck.errors import DomainError
 from curvcheck.linear import (
     LinearChristoffel,
     classical_curvature,
@@ -269,6 +270,20 @@ def test_detect_expansion_stage_catches_what_homogeneity_misses():
     assert not report.linear
     assert report.violation.stage == "expansion"
     assert report.violation.lam is None
+
+
+def test_detect_probes_no_sample_after_the_first_violation():
+    # f1^2*log(x1) is not linear at sample 0, and log(x1) leaves its domain
+    # at sample 1: the violation ends the probe before sample 1 is
+    # evaluated, and under a tolerance that forgives it the domain error
+    # names sample 1
+    field = ChristoffelField.from_strings(P11, [["f1^2*log(x1)"]])
+    points = [EvalPoint((0.5,), (0.7,)), EvalPoint((-0.5,), (0.7,))]
+    report = linearity_detect(field, points, 1e-9)
+    assert report.violation.stage == "homogeneity"
+    assert report.violation.x == (0.5,)
+    with pytest.raises(DomainError, match=r"^log of non-positive value -0\.5 at sample 1$"):
+        linearity_detect(field, points, 1e9)
 
 
 def test_detect_deterministic_given_seed():

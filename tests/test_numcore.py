@@ -3,6 +3,7 @@
 import math
 import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from curvcheck.numcore import (
     EvalPoint,
     StackedPoint,
     directional,
+    each_sample,
     evaluate,
     gradient,
     mixed_second,
     partial,
+    stack_samples,
     sweep_grid,
 )
 from curvcheck.rng import SplitMix64
@@ -534,6 +537,40 @@ def test_a_domain_error_of_sweep_grid_names_the_sample_of_the_first_failing_entr
     for entry in (evaluate, gradient):
         with pytest.raises(DomainError, match="log of non-positive value -1.0 at sample 2"):
             sweep_grid(grid, lambda e: entry(e, stack))
+
+
+def test_stack_samples_gives_every_number_a_trailing_sample_axis():
+    arrays = [np.arange(6.0).reshape(2, 3) + 10 * s for s in range(4)]
+    stacked = stack_samples(iter(arrays))
+    assert stacked.shape == (2, 3, 4)
+    for s, array in enumerate(arrays):
+        assert np.array_equal(stacked[..., s], array)
+    scalars = stack_samples([0.5, -1.0, 2.0])
+    assert scalars.dtype == float and scalars.tolist() == [0.5, -1.0, 2.0]
+    # a tuple result is a tuple of stacks, each part with its own shape
+    values, slots = stack_samples([(1.0, (2.0, 3.0)), (4.0, (5.0, 6.0))])
+    assert values.tolist() == [1.0, 4.0]
+    assert slots.tolist() == [[2.0, 5.0], [3.0, 6.0]]
+    # exact entries stay exact, in an object array
+    exact = stack_samples([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 7), Fraction(0)]])
+    assert exact.dtype == object
+    assert exact.tolist() == [[Fraction(1, 3), Fraction(1, 7)], [Fraction(2, 3), Fraction(0)]]
+
+
+def test_each_sample_yields_lazily_and_names_the_sample_of_a_domain_error():
+    calls = []
+
+    def route(x):
+        calls.append(x)
+        return evaluate(_e("log(x1)", (1, 1)), EvalPoint((x,)))
+
+    results = each_sample(route, [1.0, 2.0, -3.0, 4.0])
+    assert calls == []
+    assert next(results) == 0.0
+    assert calls == [1.0]
+    with pytest.raises(DomainError, match=r"^log of non-positive value -3\.0 at sample 2$"):
+        list(results)
+    assert calls == [1.0, 2.0, -3.0]
 
 
 def test_mixed_second_matches_symbolic_second_derivative():
