@@ -24,8 +24,10 @@ share across threads.  ``unparse`` produces source that reparses to a
 structurally identical tree; the parser never produces negative ``Const``
 nodes (a leading minus becomes a ``neg`` node), and programmatic trees should
 follow the same normal form if they need the round-trip property.
-:func:`compile_expr` turns a tree, once, into the post-order tape that
-:mod:`curvcheck.numcore` runs (:class:`Program`).
+:func:`parse` builds the post-order tape that :mod:`curvcheck.numcore` runs
+(:class:`Program`) as it builds the tree, so equal subexpressions of one
+source share one node; :func:`compile_expr` makes the tape of any other tree,
+once, splicing in the tapes its subtrees already hold.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ExprSyntaxError, IndexOutOfRange, UnknownIdentifier
+from .errors import CurvcheckError, ExprSyntaxError, IndexOutOfRange, UnknownIdentifier
 
 __all__ = [
     "Expression",
@@ -70,8 +72,9 @@ MAX_EXPONENT_DIGITS = 15
 
 class Expression:
     """Base class for expression tree nodes.  ``_program`` holds the
-    :class:`Program` once :func:`compile_expr` ran on the node; not being a
-    dataclass field, it takes no part in equality, hashing or pickling."""
+    :class:`Program` of a parsed tree, or of a node :func:`compile_expr` ran
+    on; not being a dataclass field, it takes no part in equality, hashing
+    or pickling."""
 
     __slots__ = ("_program",)
 
@@ -120,163 +123,193 @@ class Power(Expression):
     exponent: int
 
 
-_TOKEN = re.compile(
-    r"(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>[A-Za-z]+[0-9]*)"
-    r"|(?P<sym>[-+*/^()])"
-)
-
-_IDENT = re.compile(r"([xfv])([0-9]+)\Z")
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    length = len(source)
-    while pos < length:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(source, pos)
-        if match is None:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", pos)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(("end", "", length))
-    return tokens
+#: One token: a number, a name, or any other non-space character (an
+#: operator, a parenthesis, or a character outside the grammar).
+_TOKEN = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z]+[0-9]*|\S")
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_STARTS = _DIGITS | _LETTERS | frozenset("+-*/^()")  # first characters of tokens
+_BINARY = frozenset("+-*/")
 
 
-class _Parser:
-    """Recursive-descent parser over the token stream."""
+def _node(instr: tuple, nodes: list) -> Expression:
+    """The tree of ``instr``, its operands taken from ``nodes``."""
+    op, a, b = instr
+    if op == "c":
+        return Const(a)
+    if op == "x" or op == "f":
+        return Var(op, a + 1)
+    if op == "^":
+        return Power(nodes[a], b)
+    return Binary(op, nodes[a], nodes[b]) if op in _BINARY else Unary(op, nodes[a])
 
-    def __init__(self, tokens: list[tuple[str, str, int]], base_dim: int, fiber_dim: int):
-        self._tokens = tokens
-        self._i = 0
-        self._m = base_dim
-        self._n = fiber_dim
-        self._depth = 0
 
-    def _peek(self) -> tuple[str, str, int]:
-        return self._tokens[self._i]
+class _Tape:
+    """A program under construction, by :func:`parse` or :func:`compile_expr`.
+    ``registers`` maps each instruction to its register, so an instruction
+    equal in operator and operand registers to an earlier one is not emitted
+    again and repeated subexpressions share a register.  No node is hashed."""
 
-    def _advance(self) -> tuple[str, str, int]:
-        token = self._tokens[self._i]
-        self._i += 1
-        return token
+    __slots__ = ("code", "nodes", "registers")
 
-    def _nested(self, pos: int, parse) -> Expression:
-        """``parse()`` one nesting level deeper; ``pos`` is where it opens."""
-        self._depth += 1
-        if self._depth > MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
-        node = parse()
-        self._depth -= 1
-        return node
+    def __init__(self):
+        self.code, self.nodes, self.registers = [], [], {}
 
-    def _match_sym(self, *symbols: str) -> str | None:
-        kind, text, _ = self._peek()
-        if kind == "sym" and text in symbols:
-            self._i += 1
-            return text
-        return None
+    def emit(self, instr: tuple, node: Expression | None = None) -> int:
+        """The register of ``instr``, appended if new, with ``node`` (by
+        default built from the operands' nodes) as its first subtree."""
+        register = self.registers.get(instr)
+        if register is None:
+            register = self.registers[instr] = len(self.code)
+            self.code.append(instr)
+            self.nodes.append(_node(instr, self.nodes) if node is None else node)
+        return register
+
+    def splice(self, program: Program, root: Expression) -> int:
+        """:meth:`emit` each instruction of ``program``, the program of
+        ``root``, in order; the register of ``root``."""
+        if not self.code:  # every instruction is new, in the same register
+            self.code.extend(program.code)
+            self.nodes.extend(program.nodes + (root,))
+            self.registers.update(zip(program.code, range(len(program.code))))
+            return len(self.code) - 1
+        registers = []
+        for (op, a, b), node in zip(program.code, program.nodes + (root,)):
+            if op in _BINARY:
+                instr = (op, registers[a], registers[b])
+            else:
+                instr = (op, a, b) if op in ("c", "x", "f") else (op, registers[a], b)
+            registers.append(self.emit(instr, node))
+        return registers[-1]
+
+    def program(self) -> Program:
+        code = tuple(self.code)
+        max_x, max_f = (max((a + 1 for op, a, _ in code if op == k), default=0) for k in "xf")
+        return Program(code, max_x, max_f, tuple(self.nodes[:-1]))
+
+
+class _Reader:
+    """Recursive descent over the tokens of one source.  Each rule emits the
+    node it builds and returns its register, so the tape grows in post-order
+    with the tree.  Character offsets are counted only for an error."""
+
+    __slots__ = ("source", "tokens", "i", "depth", "dims", "tape")
+
+    def __init__(self, source: str, dims: tuple[int, int]):
+        self.source, self.dims, self.tape = source, dims, _Tape()
+        self.tokens = _TOKEN.findall(source) + [""]  # "" is the end
+        self.i = self.depth = 0
+
+    def offset(self, i: int) -> int:
+        """The character offset of token ``i``, or of the end past the last."""
+        starts = [match.start() for match in _TOKEN.finditer(self.source)]
+        return starts[i] if i < len(starts) else len(self.source)
+
+    def nested(self, i: int, rule) -> int:
+        """``rule()`` one nesting level deeper; token ``i`` opens the level."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.offset(i))
+        register = rule()
+        self.depth -= 1
+        return register
 
     def parse(self) -> Expression:
-        node = self._expr()
-        kind, text, pos = self._peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {text!r} after a complete expression", pos)
-        return node
+        try:
+            self.expr()
+            if token := self.tokens[self.i]:
+                message = f"unexpected {token!r} after a complete expression"
+                raise ExprSyntaxError(message, self.offset(self.i))
+        except CurvcheckError:
+            # a character outside the grammar is named first, wherever it is
+            for i, token in enumerate(self.tokens[:-1]):
+                if token[0] not in _STARTS:
+                    message = f"unexpected character {token!r}"
+                    raise ExprSyntaxError(message, self.offset(i)) from None
+            raise
+        root = self.tape.nodes[-1]
+        object.__setattr__(root, "_program", self.tape.program())
+        return root
 
-    def _expr(self) -> Expression:
-        node = self._term()
-        while True:
-            op = self._match_sym("+", "-")
-            if op is None:
-                return node
-            node = Binary(op, node, self._term())
+    def expr(self) -> int:
+        register = self.term()
+        while (op := self.tokens[self.i]) == "+" or op == "-":
+            self.i += 1
+            register = self.tape.emit((op, register, self.term()))
+        return register
 
-    def _term(self) -> Expression:
-        node = self._factor()
-        while True:
-            op = self._match_sym("*", "/")
-            if op is None:
-                return node
-            node = Binary(op, node, self._factor())
+    def term(self) -> int:
+        register = self.factor()
+        while (op := self.tokens[self.i]) == "*" or op == "/":
+            self.i += 1
+            register = self.tape.emit((op, register, self.factor()))
+        return register
 
-    def _factor(self) -> Expression:
-        _, _, pos = self._peek()
-        if self._match_sym("-"):
-            return Unary("neg", self._nested(pos, self._factor))
-        return self._power()
-
-    def _power(self) -> Expression:
-        base = self._atom()
-        if self._match_sym("^"):
-            return Power(base, self._exponent())
-        return base
-
-    def _exponent(self) -> int:
-        sign = -1 if self._match_sym("-") else 1
-        kind, text, pos = self._advance()
-        if kind != "num" or not text.isdigit():
-            raise ExprSyntaxError("expected a literal integer exponent", pos)
+    def factor(self) -> int:
+        i = self.i
+        if self.tokens[i] == "-":
+            self.i += 1
+            return self.tape.emit(("neg", self.nested(i, self.factor), 0))
+        register = self.atom()
+        if self.tokens[self.i] != "^":
+            return register
+        sign = -1 if self.tokens[self.i + 1] == "-" else 1
+        i = self.i + (2 if sign < 0 else 1)  # past the "^" and the sign
+        text = self.tokens[i]
+        self.i = i + 1
+        if text[:1] not in _DIGITS or not text.isdigit():
+            raise ExprSyntaxError("expected a literal integer exponent", self.offset(i))
         if len(text) > MAX_EXPONENT_DIGITS:
-            raise ExprSyntaxError(f"exponent of {len(text)} digits is too long", pos)
-        return sign * int(text)
+            message = f"exponent of {len(text)} digits is too long"
+            raise ExprSyntaxError(message, self.offset(i))
+        return self.tape.emit(("^", register, sign * int(text)))
 
-    def _atom(self) -> Expression:
-        kind, text, pos = self._advance()
-        if kind == "num":
+    def atom(self) -> int:
+        i, text = self.i, self.tokens[self.i]
+        self.i += 1
+        if text[:1] in _DIGITS:
             value = float(text)
             if math.isinf(value):
-                raise ExprSyntaxError(f"number {text!r} overflows to infinity", pos)
-            return Const(value)
-        if kind == "sym" and text == "(":
-            return self._nested(pos, self._group)
-        if kind == "name":
-            return self._name(text, pos)
-        raise ExprSyntaxError("expected a number, identifier, or '('", pos)
-
-    def _group(self) -> Expression:
-        """An expression closed by ``)``."""
-        node = self._expr()
-        if not self._match_sym(")"):
-            _, _, closepos = self._peek()
-            raise ExprSyntaxError("expected ')'", closepos)
-        return node
-
-    def _name(self, text: str, pos: int) -> Expression:
+                message = f"number {text!r} overflows to infinity"
+                raise ExprSyntaxError(message, self.offset(i))
+            return self.tape.emit(("c", value, 1.0))
+        if text == "(":
+            return self.nested(i, self.group)
+        if text[:1] not in _LETTERS:
+            raise ExprSyntaxError("expected a number, identifier, or '('", self.offset(i))
+        if text[1:].isdigit() and text[0] in "xfv":
+            index = int(text[1:])
+            if index == 0:
+                message = f"variable indices are 1-based: {text!r} at offset {self.offset(i)}"
+                raise UnknownIdentifier(message)
+            kind = "x" if text[0] == "x" else "f"
+            side, limit = ("base", self.dims[0]) if kind == "x" else ("fiber", self.dims[1])
+            if index > limit:
+                message = f"{side} index {index} exceeds {side} dimension {limit}: {text!r}"
+                raise IndexOutOfRange(message)
+            return self.tape.emit((kind, index - 1, 0))
         if text == "pi":
-            return Const(math.pi)
-        if text in FUNCTIONS:
-            if not self._match_sym("("):
-                _, _, argpos = self._peek()
-                raise ExprSyntaxError(f"expected '(' after function {text!r}", argpos)
-            return Unary(text, self._nested(pos, self._group))
-        ident = _IDENT.match(text)
-        if ident is None:
-            raise UnknownIdentifier(f"unknown identifier {text!r} at offset {pos}")
-        letter, digits = ident.groups()
-        index = int(digits)
-        if index == 0:
-            raise UnknownIdentifier(f"variable indices are 1-based: {text!r} at offset {pos}")
-        if letter == "x":
-            if index > self._m:
-                raise IndexOutOfRange(
-                    f"base index {index} exceeds base dimension {self._m}: {text!r}"
-                )
-            return Var("x", index)
-        if index > self._n:
-            raise IndexOutOfRange(
-                f"fiber index {index} exceeds fiber dimension {self._n}: {text!r}"
-            )
-        return Var("f", index)
+            return self.tape.emit(("c", math.pi, 1.0))
+        if text not in FUNCTIONS:
+            raise UnknownIdentifier(f"unknown identifier {text!r} at offset {self.offset(i)}")
+        if self.tokens[self.i] != "(":
+            message = f"expected '(' after function {text!r}"
+            raise ExprSyntaxError(message, self.offset(self.i))
+        self.i += 1
+        return self.tape.emit((text, self.nested(i, self.group), 0))
+
+    def group(self) -> int:
+        """An expression closed by ``)``."""
+        register = self.expr()
+        if self.tokens[self.i] != ")":
+            raise ExprSyntaxError("expected ')'", self.offset(self.i))
+        self.i += 1
+        return register
 
 
 def parse(source: str, dims: tuple[int, int]) -> Expression:
-    """Parse ``source`` into an expression tree.
+    """Parse ``source`` into an expression tree that already holds its
+    :class:`Program`; equal subexpressions of ``source`` are one node.
 
     ``dims = (m, n)`` declares the base and fiber dimensions; variable indices
     are validated against them (raising :class:`IndexOutOfRange`).  Raises
@@ -287,7 +320,7 @@ def parse(source: str, dims: tuple[int, int]) -> Expression:
     m, n = dims
     if m < 1 or n < 1:
         raise ValueError(f"dims must be positive, got {dims}")
-    return _Parser(_tokenize(source), m, n).parse()
+    return _Reader(source, (m, n)).parse()
 
 
 # Printing precedence levels; higher binds tighter.
@@ -319,7 +352,8 @@ def _wrap(e: Expression, minimum: int) -> str:
 
 
 def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    # the bound first, so an infinity or a NaN (folded constants) prints by repr
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 
@@ -356,7 +390,9 @@ def unparse(e: Expression) -> str:
 
 
 class Program(NamedTuple):
-    """Post-order tape of one expression, built by :func:`compile_expr`.
+    """Post-order tape of one expression, built by :func:`parse` or
+    :func:`compile_expr`, which splices in the tape of a subtree whole and in
+    order: a tree's program is the same whichever subtrees hold one.
 
     ``code[i] = (op, a, b)`` computes register ``i`` from earlier registers:
 
@@ -382,21 +418,22 @@ class Program(NamedTuple):
 
 def compile_expr(e: Expression) -> Program:
     """The :class:`Program` of ``e``, compiled on first use and kept on
-    ``e``, so it lives exactly as long as the tree.
+    ``e``, so it lives exactly as long as the tree.  A parsed tree holds
+    its program from the start.
 
     The walk is iterative, so depth is not bounded by the recursion limit.
-    Subtrees shared by reference are visited once, and an instruction equal
-    in operator and operand registers to an earlier one is not emitted again,
-    so repeated subexpressions share a register.  No node is hashed.
+    Subtrees shared by reference are visited once, and a subtree that
+    already holds a program is not walked at all: its instructions are
+    spliced onto the tape in their order, which gives the same program.
+    An instruction equal in operator and operand registers to an earlier
+    one is not emitted again, so repeated subexpressions share a register.
     """
     try:
         return e._program
     except AttributeError:
         if not isinstance(e, Expression):
             raise TypeError(f"not an expression node: {e!r}") from None
-    code = []
-    nodes = []  # the first node of each register
-    registers = {}  # instruction -> its register
+    tape = _Tape()
     done = {}  # id(node) -> its register, for nodes of this tree
     stack = [e]
     while stack:
@@ -415,6 +452,9 @@ def compile_expr(e: Expression) -> Program:
             instr = ("c", node.value, math.copysign(1.0, node.value))
         elif isinstance(node, Var):
             instr = ("x" if node.kind == "x" else "f", node.index - 1, 0)
+        elif (program := getattr(node, "_program", None)) is not None:
+            done[id(node)] = tape.splice(program, node)
+            continue
         else:
             stack.append(node)
             stack.append(None)
@@ -428,14 +468,8 @@ def compile_expr(e: Expression) -> Program:
             else:
                 raise TypeError(f"not an expression node: {node!r}")
             continue
-        register = registers.get(instr)
-        if register is None:
-            register = registers[instr] = len(code)
-            code.append(instr)
-            nodes.append(node)
-        done[id(node)] = register
-    max_x, max_f = (max((a + 1 for op, a, _ in code if op == kind), default=0) for kind in "xf")
-    program = Program(tuple(code), max_x, max_f, tuple(nodes[:-1]))
+        done[id(node)] = tape.emit(instr, node)
+    program = tape.program()
     object.__setattr__(e, "_program", program)
     return program
 

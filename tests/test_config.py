@@ -1,6 +1,7 @@
 """Tests for suite-config loading: schema validation, name resolution,
 expression binding, per-kind defaults, and error reporting with JSON paths."""
 
+import gc
 import hashlib
 import json
 import re
@@ -522,3 +523,23 @@ def test_every_fixture_mutation_loads_or_names_its_json_path(tmp_path):
             where, sep, _ = str(exc).partition(": ")
             assert sep and _resolves(mutated, where), (label, str(exc))
     assert count > 1000
+
+
+def test_load_config_leaves_no_cyclic_garbage(tmp_path):
+    # the command line freezes the loaded config before the checks, and
+    # frozen garbage is never freed, so loading must not make any
+    long = " + ".join(f"{k % 7 + 1}*x{k % 2 + 1}*f{k % 3 % 2 + 1}^{k % 4}" for k in range(400))
+    doc = _base(
+        patches={"p22": {"base_dim": 2, "fiber_dim": 2}},
+        connections={"wide": {"patch": "p22", "gamma": [[long, "x1"], ["f2", long]]}},
+        checks=[{"name": "c", "kind": "curvature-coefficients", "connection": "wide"}],
+    )
+    wide = _write(tmp_path, doc)
+    gc.collect()
+    gc.disable()
+    try:
+        load_config(str(FIXTURES / "verify.json"))
+        load_config(wide)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

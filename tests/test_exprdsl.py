@@ -1,5 +1,6 @@
 """Tests for the expression language: parsing, printing, round-trips."""
 
+import copy
 import math
 import re
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curvcheck import _symbolic
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
@@ -138,10 +140,69 @@ def test_parse_determinism():
         assert parse(source, DIMS) == parse(source, DIMS)
 
 
+_DEEP = MAX_NESTING + 1
+
+# source, dims, error, message, offset (None where the error has none):
+# every raise site of the parser
+PARSE_ERRORS = [
+    ("x1 + #", DIMS, ExprSyntaxError, "unexpected character '#' (at offset 5)", 5),
+    # a character outside the grammar is named before any other fault
+    ("y1 + x1 ~", DIMS, ExprSyntaxError, "unexpected character '~' (at offset 8)", 8),
+    ("x1 + * \u00e9", DIMS, ExprSyntaxError, "unexpected character '\u00e9' (at offset 7)", 7),
+    ("x1 x2", DIMS, ExprSyntaxError, "unexpected 'x2' after a complete expression (at offset 3)", 3),
+    ("(x1) 2", DIMS, ExprSyntaxError, "unexpected '2' after a complete expression (at offset 5)", 5),
+    ("x1 + 2*", (1, 1), ExprSyntaxError, "expected a number, identifier, or '(' (at offset 7)", 7),
+    ("x1 + )", DIMS, ExprSyntaxError, "expected a number, identifier, or '(' (at offset 5)", 5),
+    ("x1 +  ", DIMS, ExprSyntaxError, "expected a number, identifier, or '(' (at offset 6)", 6),
+    ("(x1 + f1", DIMS, ExprSyntaxError, "expected ')' (at offset 8)", 8),
+    ("sin(x1  ", DIMS, ExprSyntaxError, "expected ')' (at offset 8)", 8),
+    ("sin x1", DIMS, ExprSyntaxError, "expected '(' after function 'sin' (at offset 4)", 4),
+    ("exp", DIMS, ExprSyntaxError, "expected '(' after function 'exp' (at offset 3)", 3),
+    ("x1^2.5", DIMS, ExprSyntaxError, "expected a literal integer exponent (at offset 3)", 3),
+    ("x1^y", DIMS, ExprSyntaxError, "expected a literal integer exponent (at offset 3)", 3),
+    ("x1^-", DIMS, ExprSyntaxError, "expected a literal integer exponent (at offset 4)", 4),
+    ("x1^" + "1" * 16, DIMS, ExprSyntaxError, "exponent of 16 digits is too long (at offset 3)", 3),
+    ("x1^-" + "2" * 16, DIMS, ExprSyntaxError, "exponent of 16 digits is too long (at offset 4)", 4),
+    (
+        "(" * _DEEP + "x1" + ")" * _DEEP,
+        DIMS,
+        ExprSyntaxError,
+        f"nesting deeper than {MAX_NESTING} levels (at offset {MAX_NESTING})",
+        MAX_NESTING,
+    ),
+    (
+        "x1 + " + "sin(" * _DEEP + "x1" + ")" * _DEEP,
+        DIMS,
+        ExprSyntaxError,
+        f"nesting deeper than {MAX_NESTING} levels (at offset {5 + 4 * MAX_NESTING})",
+        5 + 4 * MAX_NESTING,
+    ),
+    ("x1*1e400", DIMS, ExprSyntaxError, "number '1e400' overflows to infinity (at offset 3)", 3),
+    ("x1 + banana", DIMS, UnknownIdentifier, "unknown identifier 'banana' at offset 5", None),
+    ("x", DIMS, UnknownIdentifier, "unknown identifier 'x' at offset 0", None),
+    ("2*x0", DIMS, UnknownIdentifier, "variable indices are 1-based: 'x0' at offset 2", None),
+    ("x1 + x3", (2, 2), IndexOutOfRange, "base index 3 exceeds base dimension 2: 'x3'", None),
+    ("v3", (2, 2), IndexOutOfRange, "fiber index 3 exceeds fiber dimension 2: 'v3'", None),
+]
+
+
+@pytest.mark.parametrize(("source", "dims", "error", "message", "offset"), PARSE_ERRORS)
+def test_every_parse_error_keeps_its_message_and_offset(source, dims, error, message, offset):
+    with pytest.raises(error) as excinfo:
+        parse(source, dims)
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+    assert getattr(excinfo.value, "offset", None) == offset
+
+
 def test_unparse_examples():
     assert unparse(Const(2.0)) == "2"
     assert unparse(Binary("+", Var("x", 1), Var("f", 1))) == "x1 + f1"
     assert unparse(Power(Var("f", 1), 2)) == "f1^2"
+    # folding can overflow or cancel infinities; such constants print by repr
+    assert str(_symbolic.mul(Const(1e200), Const(1e200))) == "inf"
+    assert unparse(Binary("*", Var("x", 1), Const(-math.inf))) == "x1*-inf"
+    assert str(_symbolic.sub(Const(math.inf), Const(math.inf))) == "nan"
 
 
 def test_unparse_parenthesizes_only_when_needed():
@@ -433,6 +494,15 @@ def test_repeated_subexpressions_share_a_register():
     assert left == right
 
 
+def test_parse_shares_equal_subexpressions_and_holds_the_program():
+    tree = parse("sin(x1*x2) + sin(x1*x2)", DIMS)
+    assert tree.left is tree.right
+    assert tree == Binary("+", *[Unary("sin", Binary("*", Var("x", 1), Var("x", 2)))] * 2)
+    program = tree._program  # set by the parser, before any compile_expr
+    assert compile_expr(tree) is program
+    assert program == compile_expr(Binary("+", tree.left, copy.deepcopy(tree.right)))
+
+
 def test_program_keeps_the_subtree_of_each_register_but_the_root():
     tree = parse("sin(x1*x2) + sin(x1*x2)", DIMS)
     program = compile_expr(tree)
@@ -492,7 +562,37 @@ _trees = st.recursive(
 @settings(max_examples=200)
 @given(_trees)
 def test_roundtrip_parse_unparse(tree):
-    assert parse(unparse(tree), DIMS) == tree
+    parsed = parse(unparse(tree), DIMS)
+    assert parsed == tree
+    # the parser's tape is the program compile_expr makes of the unshared tree
+    program, compiled = parsed._program, compile_expr(tree)
+    assert (program.code, program.max_x, program.max_f) == (
+        compiled.code,
+        compiled.max_x,
+        compiled.max_f,
+    )
+    assert [unparse(node) for node in program.nodes] == [unparse(n) for n in compiled.nodes]
+
+
+@settings(max_examples=200)
+@given(_trees, _trees)
+def test_compiled_subtrees_splice_into_the_same_program(a, b):
+    # a and b hold programs, so compiling the composite splices them
+    fresh_a, fresh_b = copy.deepcopy(a), copy.deepcopy(b)
+    compile_expr(a)
+    compile_expr(b)
+    composites = (
+        lambda a, b: Binary("+", a, Unary("neg", b)),
+        lambda a, b: Power(Binary("*", b, a), 2),
+    )
+    for build in composites:
+        spliced, walked = compile_expr(build(a, b)), compile_expr(build(fresh_a, fresh_b))
+        assert (spliced.code, spliced.max_x, spliced.max_f) == (
+            walked.code,
+            walked.max_x,
+            walked.max_f,
+        )
+        assert [unparse(n) for n in spliced.nodes] == [unparse(n) for n in walked.nodes]
 
 
 _INF_MINUS_INF = Binary(
