@@ -10,20 +10,22 @@ where the fiber velocity of a tangent is written left-logarithmically as
 measures it against finite-difference velocities of random product curves
 ``t -> (x + t xi, g_t gamma_t)``.
 
-Curvature comes out three independent ways:
+Curvature comes out three independent ways, one private route function
+each, which :func:`curvature_cross_check` runs in this order over every
+sample of a check and compares pairwise:
 
-* :func:`cartan_curvature` evaluates the structure-equation pullback
-  ``F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]`` directly (the bracket
-  convention is fixed so that the quadratic term is exactly the commutator
-  of the potential values, with no factor of 1/2);
-* :func:`exponential_chart_connection` expresses ker omega as generalized
-  Christoffel symbols in an exponential fiber chart, where the bundle
-  module's Nijenhuis machinery applies verbatim;
-* sections ``x -> exp(S(x))`` run through the second-jet commutator of the
-  prolong module.
-
-:func:`curvature_cross_check` reports their pairwise deviations at every
-sample of a check.
+1. :func:`cartan_curvature` evaluates the structure-equation pullback
+   ``F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]`` directly (the bracket
+   convention is fixed so that the quadratic term is exactly the commutator
+   of the potential values, with no factor of 1/2);
+2. :func:`exponential_chart_connection` expresses ker omega as generalized
+   Christoffel symbols in an exponential fiber chart, where the bundle
+   module's Nijenhuis machinery applies verbatim; the identity's chart is
+   built once per call and each drawn center's once per sample;
+3. sections ``x -> exp(S(x))`` of all samples run through one second-jet
+   commutator of the prolong module, and their chart velocities become
+   algebra values in one stack: one Van Loan block, one ``expm``, one
+   matrix-vector product per pair and one conjugation.
 
 The chart symbols use the left-trivialization identity: writing
 ``g = g0 exp(C)`` with ``C = sum_a c_a E_a``, horizontality of a curve
@@ -67,7 +69,6 @@ from .lie import (
     MatrixLieAlgebra,
     bracket,
     conjugate,
-    exp,
     expm,
     group_stack,
 )
@@ -151,7 +152,7 @@ class CurvatureField:
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != self.algebra.k:
             raise ValueError("curvature coefficients must have shape (m, m, k)")
-        if not np.array_equal(arr, -arr.transpose(1, 0, 2)):
+        if not np.array_equal(arr, -arr.transpose(1, 0, 2), equal_nan=True):
             raise ValueError("curvature coefficients must be antisymmetric in (mu, nu)")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -374,17 +375,20 @@ def _identity_chart(p: GaugePotential) -> ChristoffelField:
 
 def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
     """Matrix of phi(ad_C) = (1 - e^{-ad_C})/ad_C on coordinates, the map
-    taking chart velocities at C to left-logarithmic algebra values.
+    taking chart velocities at C to left-logarithmic algebra values, for
+    coordinates ``(k,)`` or each row of a stack ``(..., k)``, as
+    ``(..., k, k)``, each row's bit for bit its own.
 
     It is the integral of ``e^{-s ad_C}`` over ``s`` in ``[0, 1]``: the
     upper-right block of ``expm([[-ad_C, I], [0, 0]])`` (Van Loan, IEEE
     Trans. Automat. Control 23(3), 1978), accurate at every ``|C|``.
     """
     k = alg.k
-    block = np.zeros((2 * k, 2 * k))
-    block[:k, :k] = -sum(c * mat for c, mat in zip(coords, _ad_generator_matrices(alg)))
-    block[:k, k:] = np.eye(k)
-    return expm(block)[:k, k:]
+    block = np.zeros(coords.shape[:-1] + (2 * k, 2 * k))
+    ad = zip(np.moveaxis(coords, -1, 0), _ad_generator_matrices(alg))
+    block[..., :k, :k] = -sum(c[..., None, None] * mat for c, mat in ad)
+    block[..., :k, k:] = np.eye(k)
+    return expm(block)[..., :k, k:]
 
 
 @dataclass(frozen=True)
@@ -394,97 +398,87 @@ class CrossCheckReport:
     prolonged_deviation: float
 
 
+def _structure_route(p: GaugePotential, samples) -> list[np.ndarray]:
+    """Route one: :func:`cartan_curvature` at each sample's base point, as
+    ``(pairs mu < nu, k)``."""
+    upper = np.triu_indices(p.base_dim, 1)
+    return list(each_sample(lambda sample: cartan_curvature(p, sample[0]).coeffs[upper], samples))
+
+
+def _chart_route(p: GaugePotential, samples) -> list[np.ndarray]:
+    """Route two: the curvature coefficients of the order-1 exponential
+    charts centered at the identity, built once per call, and at each of a
+    sample's ``centers``, read at the chart center and conjugated back to
+    the reference frame, as ``(1 + centers, pairs, k)`` per sample."""
+    alg = p.algebra
+    upper = np.triu_indices(p.base_dim, 1)
+    identity = (alg.identity_group(), exponential_chart_connection(p, alg.identity_group(), 1))
+
+    def at(sample) -> np.ndarray:
+        base, centers, _ = sample
+        frames = [identity] + [(g, exponential_chart_connection(p, g, 1)) for g in centers]
+        origin = EvalPoint(base, (0.0,) * alg.k)
+        coeffs = [curvature_coefficients(chart, origin) for _, chart in frames]
+        groups = np.reshape([g.g for g, _ in frames], (len(frames), 1, alg.d, alg.d))
+        return conjugate(alg, groups, np.moveaxis(coeffs, 1, -1)[:, upper[0], upper[1]])
+
+    return list(each_sample(at, samples))
+
+
+def _commutator_route(p: GaugePotential, samples) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Route three: the second-jet commutator of every section
+    ``x -> exp(S(x))`` in the order-6 identity chart, where its chart
+    coordinates are ``S(x)``, as left-logarithmic values in the reference
+    frame ``(sections, pairs, k)`` and prolonged-connection gaps per sample.
+    The sections of all samples go through one
+    :func:`~curvcheck.prolong.commutator_tensor` and one stacked conversion,
+    each section's numbers bit for bit its own."""
+    alg = p.algebra
+    upper = np.triu_indices(p.base_dim, 1)
+    field = _identity_chart(p)
+    points = [(Section(field.patch, s), x) for x, _, sections in samples for s in sections]
+    tensors, gaps = commutator_tensor(field, points)
+    s_at = np.reshape([evaluate(c, EvalPoint(x)) for s, x in points for c in s.comps], (-1, alg.k))
+    # each pair's velocity as a column (section, pair, k, 1): one
+    # matrix-vector product each, as lie._fit forms them
+    velocities = tensors[:, upper[0], upper[1]].T[..., None]
+    values = (_left_log_matrix(alg, s_at)[:, None] @ velocities)[..., 0]
+    values = conjugate(alg, group_stack(expm(alg.matrix(s_at)))[:, None], values)
+    ends = np.cumsum([len(sections) for _, _, sections in samples])[:-1]
+    return list(zip(np.split(values, ends), np.split(gaps, ends)))
+
+
+def _worst(values: np.ndarray, target: np.ndarray) -> float:
+    # np.max keeps a NaN, which the row of the check then fails
+    return float(np.max(np.abs(values - target), initial=0.0))
+
+
 def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
-    """Compare three curvature routes at each ``(x, centers, sections)`` of
-    ``samples``, one report per sample, each bit for bit that of its sample
-    alone.
+    """Compare the three curvature routes at each ``(x, centers, sections)``
+    of ``samples`` (module docstring), one report per sample, each bit for
+    bit that of its sample alone: the largest deviation of each pair of
+    routes over the pairs ``mu < nu`` (each lower triangle is the exact
+    negation), and the largest gap of route three's prolonged-connection
+    jets, which alone sees a defect in the mixed second derivative of a
+    section: that term cancels in the twisted difference.
 
-    Route one is :func:`cartan_curvature` at the base point ``x``.  Route
-    two evaluates the bundle module's curvature coefficients for the
-    exponential-chart symbols centered at the identity and at each group
-    element of ``centers``, read at the chart center only and so built at
-    series order 1, which is exact there (module docstring).  Route three
-    pushes the small sections ``x -> exp(S(x))``, one per tuple of ``k``
-    base-only expressions ``S`` in ``sections``, through the second-jet
-    commutator in the order-6 identity chart, converting chart velocities
-    with the left-logarithm factor.  Each route returns to the reference
-    frame in one stacked :func:`~curvcheck.lie.conjugate`.  A report holds
-    the largest deviation of each pair of routes over the pairs ``mu < nu``
-    (each lower triangle is the exact negation), and the largest gap of
-    route three's prolonged-connection jets, which alone sees a defect in
-    the mixed second derivative of a section: that term cancels in the
-    twisted difference.
-
-    Routes one and two run one sample at a time; route three runs the
-    sections of all samples through one
-    :func:`~curvcheck.prolong.commutator_tensor`, as they all use one
-    identity-chart field, after routes one and two of every sample, so a
+    The routes run in order, routes one and two one sample at a time, so a
     domain error of the potential names its sample.
     """
-    alg = p.algebra
-    m = p.base_dim
-    k = alg.k
-    upper = np.triu_indices(m, 1)
-
-    def in_reference_frame(groups, values) -> np.ndarray:
-        # values (S, pairs mu < nu, k), each pair's value conjugated by its
-        # sample's group element
-        matrices = np.reshape([g.g for g in groups], (len(values), 1, alg.d, alg.d))
-        return conjugate(alg, matrices, values)
-
-    def routes_one_and_two(sample):
-        base, centers, _ = sample
-        reference = cartan_curvature(p, base).coeffs[upper]
-        # route two: Nijenhuis coefficients in exponential charts, read at
-        # their centers and conjugated back to the reference frame
-        frames = (alg.identity_group(), *centers)
-        origin = EvalPoint(base, (0.0,) * k)
-        chart = [
-            curvature_coefficients(exponential_chart_connection(p, g, 1), origin) for g in frames
-        ]
-        values = np.moveaxis(chart, 1, -1)[:, upper[0], upper[1]]
-        return reference, in_reference_frame(frames, values)
-
     samples = [(tuple(float(c) for c in x), centers, sections) for x, centers, sections in samples]
-    first_two = list(each_sample(routes_one_and_two, samples))
-
-    # route three: second-jet commutator of exp-sections in the identity
-    # chart, converted from chart velocities to algebra values
-    identity_field = _identity_chart(p)
-    verticals, gaps = commutator_tensor(
-        identity_field,
-        [(Section(identity_field.patch, comps), base) for base, _, sections in samples
-         for comps in sections],
-    )
-
-    def worst_against(values, target) -> float:
-        # np.max keeps a NaN, which the row of the check then fails
-        return float(np.max(np.abs(values - target), initial=0.0))
-
-    def report(sample) -> CrossCheckReport:
-        (base, _, sections), (reference, chart_values), (tensors, prolonged_gaps) = sample
-        groups, values = [], []
-        for j, comps in enumerate(sections):
-            s_at = np.array([evaluate(c, EvalPoint(base)) for c in comps])
-            log_factor = _left_log_matrix(alg, s_at)
-            groups.append(exp(AlgebraElement(alg, s_at)))
-            vertical = tensors[..., j].copy()  # laid out as one sample's tensor
-            values.append([log_factor @ vertical[:, mu, nu] for mu, nu in zip(*upper)])
-        commutator_values = in_reference_frame(
-            groups, np.reshape(values, (len(values), len(upper[0]), k))
-        )
+    reports = []
+    for reference, frames, (sections, gaps) in zip(
+        _structure_route(p, samples), _chart_route(p, samples), _commutator_route(p, samples)
+    ):
         pairwise = {
-            "structure-vs-chart": worst_against(chart_values, reference),
-            "structure-vs-commutator": worst_against(commutator_values, reference),
-            "chart-vs-commutator": worst_against(commutator_values, chart_values[0]),
+            "structure-vs-chart": _worst(frames, reference),
+            "structure-vs-commutator": _worst(sections, reference),
+            "chart-vs-commutator": _worst(sections, frames[0]),
         }
-        prolonged = float(np.max(prolonged_gaps, initial=0.0))
-        return CrossCheckReport(float(np.max([*pairwise.values(), prolonged])), pairwise, prolonged)
-
-    # each sample's tensors and gaps
-    ends = np.cumsum([len(sections) for _, _, sections in samples])[:-1]
-    per_sample = zip(np.split(verticals, ends, axis=-1), np.split(gaps, ends))
-    return list(each_sample(report, zip(samples, first_two, per_sample)))
+        prolonged = float(np.max(gaps, initial=0.0))
+        worst = float(np.max([*pairwise.values(), prolonged]))
+        reports.append(CrossCheckReport(worst, pairwise, prolonged))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,38 @@ def test_connection_axiom_never_passes_a_non_finite_potential(tmp_path, capsys):
     assert " at sample " in row["detail"]
 
 
+def _cartan_row(tmp_path, rows):
+    doc = {
+        "version": 1,
+        "algebras": {"so3": {"builtin": "so3"}},
+        "potentials": {"a": {"algebra": "so3", "base_dim": 2, "a": rows}},
+        "checks": [{"name": "cartan", "kind": "cartan-cross-check", "potential": "a"}],
+    }
+    (row,) = run_suite(_config(tmp_path, doc)).checks
+    return row
+
+
+def test_cartan_cross_check_of_a_non_finite_potential_is_refused_by_its_jets(tmp_path):
+    # route one's curvature holds NaNs; its antisymmetry test once counted
+    # two matching NaNs as unequal and raised "curvature coefficients must be
+    # antisymmetric", a fault of no route.  Now route three's jets refuse
+    # the NaN, as those of commutator-identity do
+    row = _cartan_row(tmp_path, [["x1*1e300*1e300", "0", "0"], ["0", "0", "0"]])
+    assert (row.verdict, row.max_residual) == ("error", None)
+    assert row.detail.startswith("FiberMismatch:")
+    assert "differs by nan" in row.detail
+
+
+def test_cartan_cross_check_keeps_the_fail_row_of_an_overflowing_potential(tmp_path):
+    # exp(700*x1) is finite, and so is every deviation, however large; a
+    # stacked form of cartan_curvature's pair loop would form d - d on the
+    # diagonal, NaN where a partial overflowed, and error the row
+    row = _cartan_row(tmp_path, [["exp(700*x1)", "0", "0"], ["0", "x2", "0"]])
+    assert row.verdict == "fail"
+    assert np.isfinite(row.max_residual) and row.max_residual > row.tolerance
+    assert row.detail.startswith("at sample 0:")
+
+
 @pytest.mark.parametrize("expect", ["linear", "nonlinear"])
 def test_linearity_never_passes_a_non_finite_connection(tmp_path, expect):
     # linearity_detect once compared with >, which is False for a NaN, so

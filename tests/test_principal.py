@@ -306,6 +306,19 @@ def test_cartan_curvature_antisymmetric_by_construction():
     assert np.array_equal(out.coeffs, -out.coeffs.transpose(1, 0, 2))
 
 
+def test_cartan_curvature_of_a_non_finite_potential_keeps_its_nans():
+    # x1*1e300*1e300 is inf, and inf * 0 in the bracket is NaN on both sides
+    # of the diagonal; the antisymmetry test once counted two NaNs as unequal
+    # and raised "curvature coefficients must be antisymmetric"
+    potential = GaugePotential.from_strings(
+        SO3, [["x1*1e300*1e300", "0", "0"], ["0", "0", "0"]], base_dim=2
+    )
+    with np.errstate(all="ignore"):
+        out = cartan_curvature(potential, (0.3, 0.6))
+    assert np.isnan(out.coeffs).any()
+    assert np.array_equal(out.coeffs, -out.coeffs.transpose(1, 0, 2), equal_nan=True)
+
+
 # --- exponential charts -----------------------------------------------------
 
 
@@ -319,6 +332,22 @@ def test_left_log_matrix_matches_the_so3_closed_form(angle):
     t = float(np.linalg.norm(coords))
     closed = np.eye(3) - (1.0 - math.cos(t)) / t**2 * ad + (t - math.sin(t)) / t**3 * (ad @ ad)
     assert np.abs(principal._left_log_matrix(SO3, coords) - closed).max() <= 2e-15
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2"])
+@pytest.mark.parametrize("count", [0, 1, 9])
+def test_left_log_matrix_of_a_stack_is_each_rows_own(name, count):
+    # one Van Loan block per row, |C| from 0 to about 20, each scaled and
+    # squared by expm on its own
+    alg = builtin_algebra(name)
+    rng = SplitMix64(count)
+    coords = np.array(
+        [[scale * rng.symmetric(1.0) for _ in range(alg.k)] for scale in np.linspace(0, 20, count)]
+    ).reshape(count, alg.k)
+    stacked = principal._left_log_matrix(alg, coords)
+    assert stacked.shape == (count, alg.k, alg.k)
+    for row, factor in zip(coords, stacked):
+        assert (factor == principal._left_log_matrix(alg, row)).all()
 
 
 def test_chart_series_matches_generating_function():
@@ -440,6 +469,42 @@ def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
     assert built == per_call + [(True, 6)] + per_call
 
 
+class _RouteThreeChart(Exception):
+    pass
+
+
+def test_each_cross_check_route_builds_its_own_charts(monkeypatch):
+    built = []
+    original = principal.exponential_chart_connection
+
+    def counting(p, center, order=6):
+        built.append((np.array_equal(center.g, p.algebra.identity_group().g), order))
+        return original(p, center, order)
+
+    monkeypatch.setattr(principal, "exponential_chart_connection", counting)
+    potential = GaugePotential.from_strings(SO3, POLYNOMIAL_ROWS, base_dim=2)
+    rng = SplitMix64(13)
+    samples = [
+        (tuple(rng.symmetric(1.0) for _ in range(2)), *sample_cross_check(rng, SO3, 2, 2, 2))
+        for _ in range(3)
+    ]
+    curvature_cross_check(potential, samples)
+    # route two: one order-1 chart at the identity per call and one at each
+    # center of each sample; route three: the order-6 identity chart
+    assert built == [(True, 1)] + [(False, 1)] * 6 + [(True, 6)]
+
+    def refused(p):
+        raise _RouteThreeChart
+
+    # routes one and two never read route three's identity chart
+    monkeypatch.setattr(principal, "_identity_chart", refused)
+    fresh = GaugePotential.from_strings(SO3, POLYNOMIAL_ROWS, base_dim=2)
+    assert len(principal._structure_route(fresh, samples)) == 3
+    assert len(principal._chart_route(fresh, samples)) == 3
+    with pytest.raises(_RouteThreeChart):
+        principal._commutator_route(fresh, samples)
+
+
 def test_cross_check_on_a_one_dimensional_base():
     # no pair mu < nu: every route's curvature is the empty antisymmetric array
     potential = GaugePotential.from_strings(SO3, [["x1", "x1*x1", "0.5"]], base_dim=1)
@@ -532,17 +597,19 @@ def test_cross_check_equals_the_order_six_pairwise_formulation(name, rows):
 @pytest.mark.parametrize("name", ["so3", "sl2"])
 @pytest.mark.parametrize("rows", [POLYNOMIAL_ROWS, NONPOLYNOMIAL_ROWS], ids=["poly", "exp-sin-div"])
 def test_cross_checks_of_many_samples_are_each_samples_own(name, rows):
-    # route three of four samples of two sections is one stack of 8 points
+    # route three of all samples' sections is one stack, split back at each
+    # sample's section count, equal or not, none included
     alg = builtin_algebra(name)
     potential = GaugePotential.from_strings(alg, rows, base_dim=2)
     rng = SplitMix64(len(name))
-    samples = [
-        (tuple(rng.symmetric(1.0) for _ in range(2)), *sample_cross_check(rng, alg, 2, 2, 2))
-        for _ in range(4)
-    ]
-    for report, drawn in zip(curvature_cross_check(potential, samples), samples):
-        expected = _order_six_cross_check(potential, *drawn)
-        assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
+    for counts in [(2, 2, 2, 2), (1, 3, 1, 3), (3, 0, 1, 2)]:
+        samples = [
+            (tuple(rng.symmetric(1.0) for _ in range(2)), *sample_cross_check(rng, alg, 2, 2, n))
+            for n in counts
+        ]
+        for report, drawn in zip(curvature_cross_check(potential, samples), samples):
+            expected = _order_six_cross_check(potential, *drawn)
+            assert (report.pairwise, report.prolonged_deviation, report.max_deviation) == expected
 
 
 def test_the_batched_routes_take_an_empty_sample_list():
