@@ -18,6 +18,8 @@ seed is the check's own ``seed`` field when present, else the suite seed.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time
 
 import numpy as np
@@ -378,78 +380,106 @@ def run_check(spec: CheckSpec, suite_seed: int) -> CheckResult:
     return _result(spec, verdict, detail, row.value)
 
 
-#: What a forked worker runs its checks with: the name-sorted specs and the
-#: suite seed.  Set by :func:`_init_worker` in the worker only; the calling
-#: process never changes it.
-_WORK = ((), 0)
-
-
-def _init_worker(specs, suite_seed: int) -> None:
-    global _WORK
-    _WORK = (specs, suite_seed)
-
-
-def _run_indexed(index: int) -> CheckResult:
-    specs, suite_seed = _WORK
-    return run_check(specs[index], suite_seed)
-
-
-def _can_fork() -> bool:
-    # multiprocessing and concurrent.futures are imported here and in
-    # _run_forked only: they take tens of milliseconds to import, which
-    # --jobs 1 runs should not pay.
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
+def _serve(specs, suite_seed: int, tasks: int, rows: int) -> None:
+    """A forked worker's loop: for each spec index read from the pipe
+    ``tasks``, one a line, run the check and write the index and its row,
+    pickled, to the pipe ``rows``."""
+    with open(tasks, "rb") as inbox, open(rows, "wb") as outbox:
+        for line in inbox:
+            pickle.dump((int(line), run_check(specs[int(line)], suite_seed)), outbox)
+            outbox.flush()
 
 
 def _run_forked(specs, workers: int, suite_seed: int) -> list:
-    """Run ``specs`` on ``workers`` forked processes, results in spec order.
+    """Run ``specs`` on ``workers`` processes forked from this one, results
+    in spec order, every worker reaped before this returns or raises.
 
-    The workers inherit the specs through the fork (``initargs`` are not
-    pickled under the fork context); each task is the index of one spec, and
-    only :class:`CheckResult` rows travel back.  A worker that dies breaks the
-    pool: its check and every check whose row never came back become
-    ``error`` rows, and the rows that did come back keep their verdicts."""
-    import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
+    The caller runs no check.  It writes a worker its next spec index when
+    the last row has come back, so no pipe holds two messages, and the
+    caller reads every row a worker writes: a full pipe cannot deadlock
+    them.  A worker that dies breaks the run: the others are killed, and
+    each check whose row never came back becomes an ``error`` row."""
+    import select  # here, not at the top: serial runs need neither
+    import signal
+
+    results = [None] * len(specs)
+    pending = iter(range(len(specs)))
+    # by the fd of a worker's result pipe: its pid, its task pipe until
+    # closed, and its result pipe as a file until the worker ends
+    pids, tasks, rows = {}, {}, {}
+    dead = None
+
+    def hand_out(fd: int) -> None:
+        # the worker's next index, or the end of its work when none is left
+        index = next(pending, None)
+        if index is None:
+            os.close(tasks.pop(fd))
+            return
+        try:
+            os.write(tasks[fd], b"%d\n" % index)
+        except BrokenPipeError:  # the worker died; its result pipe shows that
+            pass
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            row_r, row_w = os.pipe()
+            tasks[row_r], rows[row_r] = task_w, open(row_r, "rb")
+            try:
+                pids[row_r] = os.fork()
+                if pids[row_r] == 0:
+                    try:
+                        for fd in (*tasks, *tasks.values()):
+                            os.close(fd)
+                        _serve(specs, suite_seed, task_r, row_w)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            finally:
+                os.close(task_r)
+                os.close(row_w)
+            hand_out(row_r)
+        while rows and dead is None:
+            for fd in select.select(list(rows), [], [])[0]:
+                try:
+                    index, row = pickle.load(rows[fd])
+                except (EOFError, pickle.UnpicklingError):  # the worker ended
+                    rows.pop(fd).close()
+                    if fd in tasks:
+                        dead = pids[fd]
+                        break
+                else:
+                    results[index] = row
+                    hand_out(fd)
+    finally:
+        for fd, file in rows.items():
+            file.close()
+            if fd in pids:
+                os.kill(pids[fd], signal.SIGKILL)
+        for fd in tasks.values():
+            os.close(fd)
+        status = {pid: os.waitpid(pid, 0)[1] for pid in pids.values()}
+    if dead is None:
+        return results
     from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(specs, suite_seed),
-    ) as pool:
-
-        def submit(index: int) -> Future:
-            try:
-                return pool.submit(_run_indexed, index)
-            except BrokenProcessPool as exc:  # a worker died before this check went out
-                failed = Future()
-                failed.set_exception(exc)
-                return failed
-
-        futures = [submit(i) for i in range(len(specs))]
-        results = []
-        for spec, future in zip(specs, futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                results.append(_error_result(spec, exc))
-    return results
+    code = os.waitstatus_to_exitcode(status[dead])
+    how = f"exited with code {code}" if code >= 0 else f"was killed by {signal.Signals(-code).name}"
+    broken = BrokenProcessPool(f"a worker process {how} before its row came back")
+    return [_error_result(s, broken) if r is None else r for s, r in zip(specs, results)]
 
 
 def run_suite(config: SuiteConfig, jobs: int = 1) -> RunReport:
     """Run every check in the config, sorted by name.
 
     ``jobs > 1`` runs the checks on ``min(jobs, checks)`` worker processes
-    forked from this one, or serially where fork is unavailable; results are
-    identical either way because every check draws from its own named stream.
+    forked from this one, or serially where ``os.fork`` is unavailable;
+    results are identical either way because every check draws from its own
+    named stream.
     """
     start = time.perf_counter()
     specs = sorted(config.checks, key=lambda s: s.name)
-    if jobs > 1 and len(specs) > 1 and _can_fork():
+    if jobs > 1 and len(specs) > 1 and hasattr(os, "fork"):
         results = _run_forked(specs, min(jobs, len(specs)), config.seed)
     else:
         results = [run_check(s, config.seed) for s in specs]

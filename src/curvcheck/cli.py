@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="run checks on this many worker processes (default: 1, in this process)",
+        help="run checks on this many processes forked after the config loads "
+        "(default: 1, in this process)",
     )
 
     expr = sub.add_parser(

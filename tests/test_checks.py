@@ -2,14 +2,13 @@
 error capture, per-check streams, sweeps over stacked samples, and
 rendering."""
 
+import contextlib
 import inspect
 import json
-import multiprocessing
 import os
+import signal
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -913,7 +912,7 @@ def test_empty_suite_is_a_vacuous_pass(tmp_path):
     assert report.checks == ()
 
 
-# --- the worker pool of run_suite --------------------------------------------
+# --- the forked workers of run_suite -----------------------------------------
 
 
 def _three_checks(tmp_path):
@@ -954,7 +953,7 @@ def test_jobs_run_checks_in_forked_workers(tmp_path, monkeypatch):
 
 
 def test_jobs_run_serially_where_fork_is_unavailable(tmp_path, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     config = load_config(str(FIXTURES / "verify.json"))
     serial = to_json_dict(run_suite(config, jobs=1))
     parallel = to_json_dict(run_suite(config, jobs=2))
@@ -993,29 +992,100 @@ def test_a_worker_that_dies_becomes_error_rows(tmp_path, monkeypatch, capfd):
         ("c", "error"),
     ]
     for row in rows[1:]:
-        assert row["detail"].startswith("BrokenProcessPool: ")
+        assert row["detail"] == (
+            "BrokenProcessPool: a worker process exited with code 3 before its row came back"
+        )
         assert row["max_residual"] is None
         assert row["tolerance"] == rows[0]["tolerance"]
+    _assert_no_child_left()
 
 
-def test_checks_not_handed_to_a_broken_pool_become_error_rows(tmp_path, monkeypatch):
-    # The pool breaks while the checks are handed out: a worker died before
-    # the third submit.
-    submit = ProcessPoolExecutor.submit
+def test_rows_that_came_back_keep_their_verdicts_when_a_worker_dies(tmp_path, monkeypatch):
+    # a's row comes back first, so c, the last check, goes to a's worker,
+    # which is killed once b's row has had time to come back.
+    b_done = tmp_path / "b-done"
 
-    def breaks_at_the_third(pool, fn, index):
-        if index == 2:
-            raise BrokenProcessPool("a worker died")
-        return submit(pool, fn, index)
+    def runner(spec, rng, row):
+        if spec.name == "b":
+            time.sleep(0.2)
+            b_done.write_text("", encoding="utf-8")
+        elif spec.name == "c":
+            while not b_done.exists():
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(ProcessPoolExecutor, "submit", breaks_at_the_third)
+    monkeypatch.setitem(checks._RUNNERS, "curvature-coefficients", runner)
     rows = run_suite(load_config(_three_checks(tmp_path)), jobs=2).checks
     assert [(c.name, c.verdict) for c in rows] == [
         ("a", "pass"),
         ("b", "pass"),
         ("c", "error"),
     ]
-    assert rows[2].detail == "BrokenProcessPool: a worker died"
+    assert rows[2].detail == (
+        "BrokenProcessPool: a worker process was killed by SIGKILL before its row came back"
+    )
+
+
+@contextlib.contextmanager
+def _alarm(seconds, handler):
+    """Call ``handler`` on SIGALRM, ``seconds`` from now, within the block."""
+    previous = signal.signal(signal.SIGALRM, handler)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_run_suite(tmp_path, monkeypatch):
+    config = load_config(_three_checks(tmp_path))
+    run_suite(config, jobs=2)
+    _assert_no_child_left()
+    # the caller is interrupted while it waits on workers that never finish
+    monkeypatch.setitem(
+        checks._RUNNERS, "curvature-coefficients", lambda spec, rng, row: time.sleep(60)
+    )
+    with _alarm(0.5, signal.default_int_handler), pytest.raises(KeyboardInterrupt):
+        run_suite(config, jobs=2)
+    _assert_no_child_left()
+
+
+def test_rows_larger_than_a_pipe_buffer_in_total_come_back(tmp_path, monkeypatch):
+    # 3000 rows of 200-byte details, far more than a pipe buffer holds
+    def long_detail(spec, rng, row):
+        row.add(1.0, 0)
+        row.note = spec.name.ljust(200, ".")
+
+    doc = {
+        "version": 1,
+        "patches": {"p": {"base_dim": 2, "fiber_dim": 1}},
+        "connections": {"flat": {"patch": "p", "gamma": [["0", "0"]]}},
+        "checks": [
+            {"name": f"check-{i:04d}", "kind": "curvature-coefficients", "connection": "flat"}
+            for i in range(3000)
+        ],
+    }
+    config = _config(tmp_path, doc)
+    monkeypatch.setitem(checks._RUNNERS, "curvature-coefficients", long_detail)
+
+    def deadlocked(signum, frame):
+        raise TimeoutError("the forked run did not finish in 60 s")
+
+    with _alarm(60, deadlocked):
+        forked = to_json_dict(run_suite(config, jobs=2))
+    serial = to_json_dict(run_suite(config, jobs=1))
+    forked.pop("duration_seconds")
+    serial.pop("duration_seconds")
+    assert forked == serial
+    assert len(serial["checks"]) == 3000
+    assert len(serial["checks"][0]["detail"]) == 200
 
 
 # --- report rendering -------------------------------------------------------

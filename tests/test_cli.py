@@ -303,8 +303,8 @@ def test_jobs_flag_does_not_change_output(capsys):
 
 def test_jobs_two_in_a_fresh_process_matches_jobs_one():
     # OPENBLAS_NUM_THREADS is dropped so that numpy may start BLAS threads
-    # before the fork: on Python >= 3.12, os.fork then raises a
-    # DeprecationWarning inside multiprocessing, which must not reach stderr.
+    # before the fork: on Python >= 3.12, os.fork in curvcheck.checks then
+    # raises a DeprecationWarning, which must not reach stderr.
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     outputs = []

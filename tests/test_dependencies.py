@@ -1,6 +1,7 @@
 """Tests that curvcheck runs on numpy alone: the package declares no other
-runtime dependency, and a full check run imports no scipy module.  A
-``--jobs 1`` run does not import the modules of the worker pool either.  No
+runtime dependency, and a full check run imports no scipy module.  A check
+run imports neither ``multiprocessing`` nor ``concurrent`` either, at
+``--jobs 1`` or with forked workers.  No
 file of the package or its tests imports a name it never reads, no module
 of the package imports a private name of another, and no module of the
 package reads the process environment."""
@@ -24,14 +25,15 @@ def test_numpy_is_the_only_runtime_dependency():
     assert names == ["numpy"]
 
 
-def _assert_check_run_imports_none_of(tmp_path, roots):
-    """Run ``check fixtures/verify.json --jobs 1`` in a fresh interpreter and
-    assert that it imported no module under the top-level names ``roots``."""
+def _assert_check_run_imports_none_of(tmp_path, roots, jobs=1):
+    """Run ``check fixtures/verify.json --jobs JOBS`` in a fresh interpreter
+    and assert that it imported no module under the top-level names
+    ``roots``."""
     code = "\n".join(
         [
             "import sys",
             "from curvcheck.cli import main",
-            f"code = main(['check', 'fixtures/verify.json', '--jobs', '1', '--out', {str(tmp_path / 'report.txt')!r}])",
+            f"code = main(['check', 'fixtures/verify.json', '--jobs', '{jobs}', '--out', {str(tmp_path / 'report.txt')!r}])",
             f"found = sorted(m for m in sys.modules if m.split('.')[0] in {tuple(roots)!r})",
             "assert not found, found",
             "sys.exit(code)",
@@ -56,6 +58,11 @@ def test_check_run_imports_no_scipy(tmp_path):
 
 def test_serial_check_run_imports_no_worker_pool_modules(tmp_path):
     _assert_check_run_imports_none_of(tmp_path, ["multiprocessing", "concurrent"])
+
+
+def test_forked_check_run_imports_no_worker_pool_modules(tmp_path):
+    # the workers are forked with os.fork and fed through os.pipe
+    _assert_check_run_imports_none_of(tmp_path, ["multiprocessing", "concurrent"], jobs=2)
 
 
 def _unread_imports(path: Path) -> list[str]:
