@@ -20,13 +20,8 @@ from .bundle import (
     covariant_derivative,
     curvature_coefficients,
     embed,
-    horizontal_lift,
     is_parallel_morphism,
-    lie_bracket,
-    nijenhuis_curvature,
     nijenhuis_tensor,
-    project,
-    pushforward,
 )
 from .errors import (
     ClosureViolation,
@@ -47,7 +42,6 @@ from .lie import (
     AlgebraElement,
     GroupElement,
     MatrixLieAlgebra,
-    adjoint,
     bracket,
     builtin_algebra,
     exp,
@@ -67,12 +61,10 @@ from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, p
 from .principal import (
     CurvatureField,
     GaugePotential,
-    PrincipalTangent,
     cartan_curvature,
     check_axiom,
     curvature_cross_check,
     exponential_chart_connection,
-    omega_eval,
     theta_bch,
     theta_bch_verify,
     vtriv_principal,
@@ -81,11 +73,9 @@ from .prolong import (
     SecondJet,
     VerticalPairBase,
     affine_diff,
-    commutator_curvature,
     commutator_tensor,
     pi,
     pushforward_second_jet,
-    second_covariant,
     theta,
     vertical_connection,
 )
@@ -112,15 +102,10 @@ __all__ = [
     "TotalVectorField",
     "VerticalVector",
     "FiberBundleMorphism",
-    "project",
     "embed",
-    "horizontal_lift",
     "covariant_derivative",
-    "lie_bracket",
-    "nijenhuis_curvature",
     "nijenhuis_tensor",
     "curvature_coefficients",
-    "pushforward",
     "is_parallel_morphism",
     # second jets
     "SecondJet",
@@ -130,8 +115,6 @@ __all__ = [
     "affine_diff",
     "pushforward_second_jet",
     "vertical_connection",
-    "second_covariant",
-    "commutator_curvature",
     "commutator_tensor",
     # Lie machinery
     "MatrixLieAlgebra",
@@ -139,14 +122,11 @@ __all__ = [
     "GroupElement",
     "bracket",
     "exp",
-    "adjoint",
     "fiber_quotient",
     "builtin_algebra",
     # principal connections
     "GaugePotential",
-    "PrincipalTangent",
     "CurvatureField",
-    "omega_eval",
     "check_axiom",
     "vtriv_principal",
     "cartan_curvature",

@@ -54,17 +54,12 @@ __all__ = [
     "Section",
     "TotalVectorField",
     "FiberBundleMorphism",
-    "project",
     "embed",
-    "horizontal_lift",
     "covariant_derivative",
-    "lie_bracket",
     "vertical_projection_field",
     "horizontal_part_field",
     "nijenhuis_tensor",
-    "nijenhuis_curvature",
     "curvature_coefficients",
-    "pushforward",
     "is_parallel_morphism",
 ]
 
@@ -94,16 +89,6 @@ class BundlePatch:
         if (len(p.x), len(p.f)) != dims:
             what = "base point" if base else "point"
             raise ValueError(f"{what} has dims ({len(p.x)}, {len(p.f)}), expected {dims}")
-
-    def check_tangent(self, t: TotalTangent) -> None:
-        """Raise ``ValueError`` unless ``t`` sits at a point of the patch and
-        its base and fiber parts have the patch's dimensions."""
-        self.check_point(t.at)
-        m, n = self.dims
-        if len(t.a) != m or len(t.b) != n:
-            raise ValueError(
-                f"tangent parts must have lengths {m} and {n}, got {len(t.a)} and {len(t.b)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -236,9 +221,9 @@ def _symbol_values(field: ChristoffelField, p: EvalPoint) -> list[list[float]]:
 
 
 def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
-    """``b^a + sum_mu Gamma^a_mu a^mu`` of ``t`` (anything with base and
-    fiber parts ``a`` and ``b``), from the symbol values ``gamma`` at its
-    point."""
+    """The projection field applied to ``t`` (anything with base and fiber
+    parts ``a`` and ``b``): ``b^a + sum_mu Gamma^a_mu a^mu``, from the
+    symbol values ``gamma`` at its point."""
     w = []
     for row, acc in zip(gamma, t.b):
         for g, comp in zip(row, t.a):
@@ -247,29 +232,14 @@ def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
     return tuple(w)
 
 
-def project(field: ChristoffelField, t: TotalTangent) -> VerticalVector:
-    """Apply the projection field: ``w^a = b^a + sum_mu Gamma^a_mu * a^mu``."""
-    field.patch.check_tangent(t)
-    return VerticalVector(t.at, _projected(_symbol_values(field, t.at), t))
-
-
 def embed(v: VerticalVector) -> TotalTangent:
     """A vertical vector regarded as a total-space tangent (zero base part)."""
     return TotalTangent(v.at, (0.0,) * len(v.at.x), v.w)
 
 
-def horizontal_lift(field: ChristoffelField, p: EvalPoint, xi) -> TotalTangent:
-    """Horizontal lift of the base vector ``xi`` to ``p``:
-    base part ``xi``, fiber part ``-sum_mu Gamma^a_mu(p) xi^mu``."""
-    xi = tuple(float(v) for v in xi)
-    if len(xi) != field.patch.base_dim:
-        raise ValueError(f"xi must have length {field.patch.base_dim}")
-    field.patch.check_point(p)
-    return TotalTangent(p, xi, _lifted(_symbol_values(field, p), xi))
-
-
 def _lifted(gamma, xi) -> tuple[float, ...]:
-    """``-sum_mu Gamma^a_mu xi^mu`` for every ``a``, from the symbol values
+    """Fiber part of the horizontal lift of the base vector ``xi``:
+    ``-sum_mu Gamma^a_mu xi^mu`` for every ``a``, from the symbol values
     ``gamma`` at the lift's point."""
     b = []
     for row in gamma:
@@ -316,8 +286,8 @@ class _Parts(NamedTuple):
 
 
 def _bracket(jet_V, jet_W, p: EvalPoint) -> _Parts:
-    """Lie bracket at ``p`` of the fields whose :func:`_jet` are ``jet_V``
-    and ``jet_W``."""
+    """Lie bracket ``[V, W]`` at ``p``, over all m+n coordinates, of the
+    fields whose :func:`_jet` are ``jet_V`` and ``jet_W``."""
     vals_V, grads_V = jet_V
     vals_W, grads_W = jet_W
     # [V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j), summed over j in
@@ -327,15 +297,6 @@ def _bracket(jet_V, jet_W, p: EvalPoint) -> _Parts:
         out = out + (vals_V[j] * grads_W[:, j] - vals_W[j] * grads_V[:, j])
     m = len(p.x)
     return _Parts(out[:m], out[m:])
-
-
-def lie_bracket(V: TotalVectorField, W: TotalVectorField, p: EvalPoint) -> TotalTangent:
-    """Lie bracket ``[V, W]`` at ``p``, over all m+n coordinates:
-    ``[V,W]^i = sum_j (V^j dW^i/dz^j - W^j dV^i/dz^j)``."""
-    if V.patch.dims != W.patch.dims:
-        raise ValueError("bracket operands must live on the same patch")
-    V.patch.check_point(p)
-    return TotalTangent(p, *_bracket(_jet(V, p), _jet(W, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +375,6 @@ def nijenhuis_tensor(
     return over_samples(tensor_at, points)
 
 
-def nijenhuis_curvature(
-    field: ChristoffelField,
-    V: TotalVectorField,
-    W: TotalVectorField,
-    p: EvalPoint,
-) -> VerticalVector:
-    """Curvature ``R(V, W) = -P[(id-P)V, (id-P)W]`` at ``p``: the ``(V, W)``
-    entry of :func:`nijenhuis_tensor`."""
-    return VerticalVector(p, nijenhuis_tensor(field, (V, W), StackedPoint.of((p,)))[0][:, 0, 1, 0])
-
-
 def curvature_coefficients(field: ChristoffelField, p: EvalPoint) -> np.ndarray:
     """Coordinate curvature tensor ``R[a-1, mu-1, nu-1] = R^a_{mu nu}(p)``,
     shape (n, m, m), antisymmetric in the last two slots: the module's
@@ -452,16 +402,6 @@ def _coordinate_curvature(vals: np.ndarray, gx: np.ndarray, gf: np.ndarray) -> n
 
 # ---------------------------------------------------------------------------
 # morphisms
-
-
-def pushforward(phi: FiberBundleMorphism, t: TotalTangent) -> TotalTangent:
-    """Differential of ``phi`` applied to ``t``; the result sits at
-    ``(x, phi(x, f))`` on the target patch.  Each component of ``phi`` is
-    swept once along ``t`` (:func:`~curvcheck.numcore.directional`)."""
-    p = t.at
-    phi.source.check_tangent(t)
-    values, pushed = zip(*(directional(c, p, [(v,) for v in t.a + t.b]) for c in phi.comps))
-    return TotalTangent(EvalPoint(p.x, values), t.a, [v for v, in pushed])
 
 
 def is_parallel_morphism(

@@ -398,9 +398,17 @@ def _run_forked(specs, workers: int, suite_seed: int) -> list:
     the last row has come back, so no pipe holds two messages, and the
     caller reads every row a worker writes: a full pipe cannot deadlock
     them.  A worker that dies breaks the run: the others are killed, and
-    each check whose row never came back becomes an ``error`` row."""
+    each check whose row never came back becomes an ``error`` row.
+
+    An interrupt that arrives while the workers are killed and reaped is
+    held until the last is reaped, then raised again.  The SIGINT handler
+    is swapped for that, not the signal masked: a signal sent to the
+    process reaches any thread that does not mask it, a BLAS thread say.
+    A run outside the main thread is never interrupted, as handlers run in
+    the main thread."""
     import select  # here, not at the top: serial runs need neither
     import signal
+    import threading
 
     results = [None] * len(specs)
     pending = iter(range(len(specs)))
@@ -452,13 +460,23 @@ def _run_forked(specs, workers: int, suite_seed: int) -> list:
                     results[index] = row
                     hand_out(fd)
     finally:
-        for fd, file in rows.items():
-            file.close()
-            if fd in pids:
-                os.kill(pids[fd], signal.SIGKILL)
-        for fd in tasks.values():
-            os.close(fd)
-        status = {pid: os.waitpid(pid, 0)[1] for pid in pids.values()}
+        held = []
+        main = threading.current_thread() is threading.main_thread()
+        if main:
+            previous = signal.signal(signal.SIGINT, lambda signum, frame: held.append(signum))
+        try:
+            for fd, file in rows.items():
+                file.close()
+                if fd in pids:
+                    os.kill(pids[fd], signal.SIGKILL)
+            for fd in tasks.values():
+                os.close(fd)
+            status = {pid: os.waitpid(pid, 0)[1] for pid in pids.values()}
+        finally:
+            if main:
+                signal.signal(signal.SIGINT, previous)
+        if held:
+            signal.raise_signal(signal.SIGINT)
     if dead is None:
         return results
     from concurrent.futures.process import BrokenProcessPool

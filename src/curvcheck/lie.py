@@ -25,7 +25,6 @@ __all__ = [
     "expm",
     "group_stack",
     "conjugate",
-    "adjoint",
     "fiber_quotient",
     "builtin_algebra",
     "BUILTIN_ALGEBRAS",
@@ -312,12 +311,6 @@ def conjugate(algebra: MatrixLieAlgebra, g, coeffs) -> np.ndarray:
     the basis."""
     g = np.asarray(g, dtype=float)
     return algebra.expand(g @ algebra.matrix(coeffs) @ np.linalg.inv(g))
-
-
-def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    """Conjugation ``g X g^{-1}`` re-expanded in the basis: one matrix of
-    :func:`conjugate`."""
-    return AlgebraElement(x.algebra, conjugate(x.algebra, g.g, x.coeffs))
 
 
 def fiber_quotient(g: GroupElement, h: GroupElement) -> GroupElement:

@@ -77,11 +77,9 @@ from .prolong import commutator_tensor
 
 __all__ = [
     "GaugePotential",
-    "PrincipalTangent",
     "CurvatureField",
     "CrossCheckReport",
     "ThetaBchReport",
-    "omega_eval",
     "check_axiom",
     "vtriv_principal",
     "cartan_curvature",
@@ -121,25 +119,6 @@ class GaugePotential:
 
 
 @dataclass(frozen=True, eq=False)
-class PrincipalTangent:
-    """Tangent vector at ``(x, g)``: base component ``xi`` and
-    left-logarithmic fiber component ``v`` (the fiber velocity is ``g v``)."""
-
-    x: tuple[float, ...]
-    g: GroupElement
-    xi: tuple[float, ...]
-    v: AlgebraElement
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(c) for c in self.x))
-        object.__setattr__(self, "xi", tuple(float(c) for c in self.xi))
-        if len(self.x) != len(self.xi):
-            raise ValueError("base point and base velocity dimensions differ")
-        if self.g.g.shape[0] != self.v.algebra.d:
-            raise ValueError("group element size does not match the algebra")
-
-
-@dataclass(frozen=True, eq=False)
 class CurvatureField:
     """Curvature coefficients at a point: ``coeffs[mu, nu, e]`` is the
     ``E_{e+1}`` coefficient of ``F_{mu+1, nu+1}``; antisymmetric in the
@@ -163,20 +142,6 @@ class CurvatureField:
         if not (1 <= mu <= m and 1 <= nu <= m):
             raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
         return AlgebraElement(self.algebra, self.coeffs[mu - 1, nu - 1])
-
-
-def omega_eval(p: GaugePotential, t: PrincipalTangent) -> AlgebraElement:
-    """Connection form on the tangent ``(xi, g v)`` at ``(x, g)``:
-    ``Ad_{g^{-1}} A_x(xi) + v``, one row of :func:`_form`."""
-    if t.v.algebra.k != p.algebra.k or t.v.algebra.d != p.algebra.d:
-        raise ValueError("tangent and potential use different algebras")
-    if len(t.x) != p.base_dim:
-        raise ValueError(
-            f"tangent base point has {len(t.x)} coordinates, potential "
-            f"expects {p.base_dim}"
-        )
-    along = _potential_along(p, t.x, t.xi)
-    return AlgebraElement(p.algebra, _form(p.algebra, t.g.g[None], along[None], t.v.coeffs[None])[0])
 
 
 def _potential_along(p: GaugePotential, x, xi) -> np.ndarray:

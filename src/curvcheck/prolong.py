@@ -27,22 +27,25 @@ induced Christoffel symbols are
 
 which is the one place this package differentiates expressions structurally.
 
-Differentiating a section twice, vertically after horizontally, produces a
-second jet whose mixed slot is
+Differentiating a section twice, vertically along ``d/dx^mu`` after
+horizontally along ``d/dx^nu``, produces a second jet ``D_mu D_nu s`` at
+``x``: ``f = s(x)``, ``fdot`` the covariant derivative along ``nu``,
+``fcirc`` the one along ``mu``, and the mixed slot
 
     d2 s^a/dx^mu dx^nu + dGamma^a_nu/dx^mu
     + sum_b dGamma^a_mu/df^b Gamma^b_nu
     + sum_b dGamma^a_nu/df^b ds^b/dx^mu
-    + sum_b dGamma^a_mu/df^b ds^b/dx^nu      (all at (x, s(x))),
+    + sum_b dGamma^a_mu/df^b ds^b/dx^nu      (all at (x, s(x))).
 
-and the theta-twisted affine difference of the two orders recovers the
-curvature coefficients: see :func:`commutator_curvature`.
-:func:`commutator_tensor` also returns the gap of these jets from a second
-route: the covariant derivative, under the prolonged connection, of the
-section ``(s, fdot)`` of the vertical bundle.  That route works from
-numbers at ``x``.  Its velocity slot ``d fdot^a/dx^mu`` is a first-order
-partial of a symbolic first derivative of ``s^a`` (along the smaller of
-``mu`` and ``nu``, then the larger) plus the tangent of
+The theta-twisted affine difference of the two orders,
+``affine_diff(D_mu D_nu s, theta(D_nu D_mu s))``, recovers the curvature
+coefficients ``R^a_{mu nu}(x, s(x))`` (:func:`commutator_tensor`), which
+also returns the gap of these jets from a second route: the covariant
+derivative, under the prolonged connection, of the section ``(s, fdot)``
+of the vertical bundle.  That route works from numbers at ``x``.  Its
+velocity slot ``d fdot^a/dx^mu`` is a first-order partial of a symbolic
+first derivative of ``s^a`` (along the smaller of ``mu`` and ``nu``, then
+the larger) plus the tangent of
 ``Gamma^a_nu(x, s(x))`` along ``x``, one forward sweep per symbol seeded
 with ``x^i -> e_i`` and ``f^b -> ds^b/dx`` (the chain rule through a tape),
 and the prolonged symbols are evaluated at ``(x, s(x), fdot)``.  It uses
@@ -62,8 +65,7 @@ over the points of all samples through
 :func:`~curvcheck.numcore.over_samples`, and the jets' arithmetic runs on
 the sample axis, so every sample's numbers are bit for bit those of that
 sample alone.  The jets are then twisted and differenced one sample at a
-time.  :func:`second_covariant` and :func:`commutator_curvature`, the
-per-pair forms at one point, run the same code on one sample.
+time.
 
 The prolonged connection is built once and kept on its field, so it lives
 exactly as long as the field.  Nothing is looked up by object identity or
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _symbolic
-from .bundle import BundlePatch, ChristoffelField, Section, VerticalVector
+from .bundle import BundlePatch, ChristoffelField, VerticalVector
 from .errors import FiberMismatch
 from .exprdsl import Expression, Var, check_grid
 from .numcore import (
@@ -102,8 +104,6 @@ __all__ = [
     "affine_diff",
     "pushforward_second_jet",
     "vertical_connection",
-    "second_covariant",
-    "commutator_curvature",
     "commutator_tensor",
 ]
 
@@ -319,9 +319,9 @@ def _pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
 def _second_covariants(
     field: ChristoffelField, samples, pairs
 ) -> tuple[list[list[SecondJet]], np.ndarray]:
-    """The jets :func:`second_covariant` returns, one list per ``(s, x)`` of
-    ``samples`` with one jet per ``(mu, nu)`` of ``pairs``, and the largest
-    gap of each sample's jets, a NaN kept, from
+    """The jets ``D_mu D_nu s`` of the module docstring, one list per
+    ``(s, x)`` of ``samples`` with one jet per ``(mu, nu)`` of ``pairs``,
+    and the largest gap of each sample's jets, a NaN kept, from
     :func:`_prolonged_covariants`, which shares no value with them.
 
     The section side (values and gradients of ``s``, and its mixed second
@@ -383,35 +383,11 @@ def _second_covariants(
     return jets, gaps
 
 
-def second_covariant(field: ChristoffelField, s: Section, mu: int, nu: int, x) -> SecondJet:
-    """Iterated covariant derivative of ``s``: vertically along ``d/dx^mu``
-    after horizontally along ``d/dx^nu``, as a second jet at ``x``.
-
-    Slots: ``f = s(x)``, ``fdot`` the covariant derivative along ``nu``,
-    ``fcirc`` the one along ``mu``, ``fcircdot`` the five-term mixed formula
-    (module docstring).
-    """
-    return _second_covariants(field, [(s, x)], ((mu, nu),))[0][0][0]
-
-
-def commutator_curvature(
-    field: ChristoffelField, s: Section, mu: int, nu: int, x
-) -> VerticalVector:
-    """Theta-twisted affine difference of the two iterated derivatives:
-
-        affine_diff(D_mu D_nu s, theta(D_nu D_mu s))
-
-    For coordinate directions this equals the curvature coefficients
-    ``R^a_{mu nu}(x, s(x))``.
-    """
-    ((j1, j2),), _ = _second_covariants(field, [(s, x)], ((mu, nu), (nu, mu)))
-    return affine_diff(j1, theta(j2))
-
-
 def commutator_tensor(field: ChristoffelField, samples) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`commutator_curvature` for every pair of coordinate directions
-    at every ``(s, x)`` of ``samples``: the tensors ``R[a-1, mu-1, nu-1]``
-    with a trailing sample axis, shape (n, m, m, S) like
+    """The twisted difference ``affine_diff(D_mu D_nu s, theta(D_nu D_mu s))``
+    for every pair of coordinate directions at every ``(s, x)`` of
+    ``samples``: the tensors ``R[a-1, mu-1, nu-1]`` with a trailing sample
+    axis, shape (n, m, m, S) like
     :func:`~curvcheck.bundle.curvature_coefficients` at a stacked point, and
     the largest gap of each sample's prolonged-connection route over all its
     jets, shape (S,), each sample's numbers bit for bit those of that sample

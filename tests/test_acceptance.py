@@ -20,7 +20,7 @@ from curvcheck.bundle import (
     TotalVectorField,
     curvature_coefficients,
     is_parallel_morphism,
-    nijenhuis_curvature,
+    nijenhuis_tensor,
 )
 from curvcheck.cli import main
 from curvcheck.errors import (
@@ -38,7 +38,7 @@ from curvcheck.linear import (
     linearity_detect,
     scaling_morphism,
 )
-from curvcheck.numcore import EvalPoint
+from curvcheck.numcore import EvalPoint, StackedPoint
 from curvcheck.principal import (
     GaugePotential,
     cartan_curvature,
@@ -48,11 +48,11 @@ from curvcheck.principal import (
     theta_bch_verify,
 )
 from curvcheck.prolong import (
+    _second_covariants,
     affine_diff,
-    commutator_curvature,
+    commutator_tensor,
     pi,
     pushforward_second_jet,
-    second_covariant,
     theta,
 )
 from curvcheck.rng import SplitMix64
@@ -106,12 +106,16 @@ def test_criterion_01_bracket_curvature_matches_coefficients():
             ]
             for _ in range(10):
                 p = sample_point(rng, m, n)
+                at = StackedPoint.of((p,))
                 coeffs = curvature_coefficients(field, p)
                 for mu in range(m):
                     for nu in range(m):
-                        value = nijenhuis_curvature(field, coords[mu], coords[nu], p)
+                        # the two-field family of each pair: no entry is
+                        # set by construction
+                        pair = (coords[mu], coords[nu])
+                        value = nijenhuis_tensor(field, pair, at)[0][:, 0, 1, 0]
                         for a in range(n):
-                            assert abs(value.w[a] - coeffs[a, mu, nu]) <= 1e-9
+                            assert abs(value[a] - coeffs[a, mu, nu]) <= 1e-9
         assert time.perf_counter() - start <= 5.0
 
     _run(1, "projector-bracket curvature equals coordinate coefficients", body)
@@ -132,15 +136,26 @@ def test_criterion_02_commutator_identity_on_sections():
             for _ in range(10):
                 x = tuple(rng.symmetric(1.0) for _ in range(m))
                 coeffs = curvature_coefficients(field, EvalPoint(x, s.value(x)))
+                try:
+                    tensor = commutator_tensor(field, [(s, x)])[0][..., 0]
+                except FiberMismatch as exc:
+                    pytest.fail(f"double-projection fibers diverged: {exc}")
                 for mu in range(1, m + 1):
                     for nu in range(1, m + 1):
-                        try:
-                            value = commutator_curvature(field, s, mu, nu, x)
-                        except FiberMismatch as exc:
-                            pytest.fail(f"double-projection fibers diverged: {exc}")
+                        if mu < nu:
+                            value = tensor[:, mu - 1, nu - 1]
+                        else:
+                            # set by construction in the tensor: twist the
+                            # jets of the pair instead
+                            pairs = ((mu, nu), (nu, mu))
+                            ((j1, j2),), _ = _second_covariants(field, [(s, x)], pairs)
+                            try:
+                                value = affine_diff(j1, theta(j2)).w
+                            except FiberMismatch as exc:
+                                pytest.fail(f"double-projection fibers diverged: {exc}")
                         for a in range(n):
                             assert (
-                                abs(value.w[a] - coeffs[a, mu - 1, nu - 1]) <= 1e-9
+                                abs(value[a] - coeffs[a, mu - 1, nu - 1]) <= 1e-9
                             )
         assert time.perf_counter() - start <= 10.0
 
@@ -156,20 +171,19 @@ def test_criterion_03_worked_fixture_jets():
         skew = ChristoffelField.from_strings(patch, [["0", "x1"]])
         zero = Section.from_strings(patch, ["0"])
         for x in ((0.7, -0.3), (1.3, 0.25)):
-            j12 = second_covariant(skew, zero, 1, 2, x)
+            ((j12, j21),), _ = _second_covariants(skew, [(zero, x)], ((1, 2), (2, 1)))
             assert j12.f == (0.0,)
             assert j12.fdot == (x[0],)
             assert j12.fcirc == (0.0,)
             assert j12.fcircdot == (1.0,)
-            j21 = second_covariant(skew, zero, 2, 1, x)
             assert j21.f == (0.0,)
             assert j21.fdot == (0.0,)
             assert j21.fcirc == (x[0],)
             assert j21.fcircdot == (0.0,)
             twisted = affine_diff(j12, theta(j21))
             assert abs(twisted.w[0] - 1.0) <= 1e-12
-            value = commutator_curvature(skew, zero, 1, 2, x)
-            assert abs(value.w[0] - 1.0) <= 1e-12
+            value = commutator_tensor(skew, [(zero, x)])[0][:, 0, 1, 0]
+            assert abs(value[0] - 1.0) <= 1e-12
 
     _run(3, "worked fixture reproduces jets and unit twisted difference", body)
 

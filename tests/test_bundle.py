@@ -14,16 +14,17 @@ from curvcheck.bundle import (
     Section,
     TotalTangent,
     TotalVectorField,
+    VerticalVector,
+    _bracket,
+    _jet,
+    _lifted,
+    _projected,
+    _symbol_values,
     covariant_derivative,
     curvature_coefficients,
     embed,
-    horizontal_lift,
     is_parallel_morphism,
-    lie_bracket,
-    nijenhuis_curvature,
     nijenhuis_tensor,
-    project,
-    pushforward,
 )
 from curvcheck.errors import IndexOutOfRange
 from curvcheck.numcore import EvalPoint, StackedPoint, directional, evaluate, gradient
@@ -63,37 +64,20 @@ def test_section_rejects_fiber_variables():
 
 def test_project_flat_kills_horizontal():
     t = TotalTangent(EvalPoint((0.5,), (0.25,)), (1.0,), (0.0,))
-    assert project(FLAT11, t).w == (0.0,)
+    assert _projected(_symbol_values(FLAT11, t.at), t) == (0.0,)
 
 
 def test_project_is_identity_on_vertical():
     field = ChristoffelField.from_strings(P11, [["sin(x1)*f1"]])
     t = TotalTangent(EvalPoint((0.3,), (0.8,)), (0.0,), (3.0,))
-    assert project(field, t).w == (3.0,)
+    assert _projected(_symbol_values(field, t.at), t) == (3.0,)
 
 
 def test_project_substitutes_coefficients():
     # Gamma^1_1 = f1 at (x=1, f=2) on (a=1, b=0): w = 0 + f1*1 = 2.
     field = ChristoffelField.from_strings(P11, [["f1"]])
     t = TotalTangent(EvalPoint((1.0,), (2.0,)), (1.0,), (0.0,))
-    assert project(field, t).w == (2.0,)
-
-
-@pytest.mark.parametrize(("a", "b"), [((1.0,), (0.0,)), ((1.0, 0.0), (0.0, 0.0))])
-def test_project_rejects_a_tangent_of_another_patch(a, b):
-    # a short base part would drop the Gamma^1_2 term of SKEW unseen
-    t = TotalTangent(EvalPoint((1.0, 0.0), (0.0,)), a, b)
-    with pytest.raises(ValueError, match="tangent parts must have lengths 2 and 1"):
-        project(SKEW, t)
-
-
-@pytest.mark.parametrize(("a", "b"), [((0.0,), (1.0, 0.0)), ((0.0, 1.0), ())])
-def test_pushforward_rejects_a_tangent_of_another_patch(a, b):
-    # a short base part would push the fiber velocity as the x2 velocity unseen
-    phi = FiberBundleMorphism.from_strings(P21, P21, ["x2*f1"])
-    t = TotalTangent(EvalPoint((1.0, 3.0), (2.0,)), a, b)
-    with pytest.raises(ValueError, match="tangent parts must have lengths 2 and 1"):
-        pushforward(phi, t)
+    assert _projected(_symbol_values(field, t.at), t) == (2.0,)
 
 
 def test_project_idempotent_on_random_inputs():
@@ -108,32 +92,33 @@ def test_project_idempotent_on_random_inputs():
             tuple(rng.symmetric(1.0) for _ in range(m)),
             tuple(rng.symmetric(1.0) for _ in range(n)),
         )
-        once = project(field, t)
-        twice = project(field, embed(once))
+        gamma = _symbol_values(field, p)
+        once = VerticalVector(p, _projected(gamma, t))
+        twice = VerticalVector(p, _projected(gamma, embed(once)))
         assert max(abs(a - b) for a, b in zip(once.w, twice.w)) <= 1e-12
 
 
 # --- horizontal lift --------------------------------------------------------
 
 
+# The lift of xi has base part xi; _lifted computes its fiber part.
+
+
 def test_horizontal_lift_flat():
-    t = horizontal_lift(FLAT21, EvalPoint((0.0, 0.0), (0.0,)), (1.0, 0.0))
-    assert t.a == (1.0, 0.0)
-    assert t.b == (0.0,)
+    b = _lifted(_symbol_values(FLAT21, EvalPoint((0.0, 0.0), (0.0,))), (1.0, 0.0))
+    assert b == (0.0,)
 
 
 def test_horizontal_lift_substitutes_coefficients():
     # Gamma^1_2 = x1 at x = (2, 0): lift of e_2 has fiber part -x1 = -2.
-    t = horizontal_lift(SKEW, EvalPoint((2.0, 0.0), (0.0,)), (0.0, 1.0))
-    assert t.a == (0.0, 1.0)
-    assert t.b == (-2.0,)
+    b = _lifted(_symbol_values(SKEW, EvalPoint((2.0, 0.0), (0.0,))), (0.0, 1.0))
+    assert b == (-2.0,)
 
 
 def test_horizontal_lift_of_zero_is_zero():
     field = ChristoffelField.from_strings(P21, [["f1^2", "x1*f1"]])
-    t = horizontal_lift(field, EvalPoint((1.0, 2.0), (3.0,)), (0.0, 0.0))
-    assert t.a == (0.0, 0.0)
-    assert t.b == (0.0,)
+    b = _lifted(_symbol_values(field, EvalPoint((1.0, 2.0), (3.0,))), (0.0, 0.0))
+    assert b == (0.0,)
 
 
 def test_lift_then_project_vanishes():
@@ -144,8 +129,9 @@ def test_lift_then_project_vanishes():
         field = sample_christoffel(rng, patch)
         p = sample_point(rng, m, n)
         xi = tuple(rng.symmetric(1.0) for _ in range(m))
-        res = project(field, horizontal_lift(field, p, xi))
-        assert max(abs(v) for v in res.w) <= 1e-12
+        gamma = _symbol_values(field, p)
+        res = _projected(gamma, TotalTangent(p, xi, _lifted(gamma, xi)))
+        assert max(abs(v) for v in res) <= 1e-12
 
 
 # --- covariant derivative ---------------------------------------------------
@@ -209,12 +195,8 @@ def test_pointwise_routes_reject_a_point_of_another_patch(p):
     W = TotalVectorField.coordinate(P21, 2)
     identity = FiberBundleMorphism.from_strings(P21, P21, ["f1"])
     routes = [
-        lambda: horizontal_lift(SKEW, p, (1.0, 0.0)),
-        lambda: project(SKEW, TotalTangent(p, (1.0, 0.0), (0.0,))),
-        lambda: lie_bracket(V, W, p),
         lambda: nijenhuis_tensor(SKEW, (V, W), StackedPoint.of((p,))),
         lambda: curvature_coefficients(SKEW, p),
-        lambda: pushforward(identity, TotalTangent(p, (1.0, 0.0), (0.0,))),
         lambda: is_parallel_morphism(identity, SKEW, SKEW, (p,)),
     ]
     for route in routes:
@@ -228,23 +210,26 @@ def test_pointwise_routes_reject_a_point_of_another_patch(p):
 def test_bracket_coordinate_fields():
     V = TotalVectorField.from_strings(P11, ["1"], ["0"])
     W = TotalVectorField.from_strings(P11, ["0"], ["x1"])
-    out = lie_bracket(V, W, EvalPoint((0.4,), (0.9,)))
-    assert out.a == (0.0,)
-    assert out.b == (1.0,)
+    p = EvalPoint((0.4,), (0.9,))
+    out = _bracket(_jet(V, p), _jet(W, p), p)
+    assert tuple(out.a) == (0.0,)
+    assert tuple(out.b) == (1.0,)
 
 
 def test_bracket_with_itself_vanishes():
     V = TotalVectorField.from_strings(P11, ["x1*f1"], ["sin(x1)"])
-    out = lie_bracket(V, V, EvalPoint((0.2,), (0.6,)))
-    assert out.a == (0.0,)
-    assert out.b == (0.0,)
+    p = EvalPoint((0.2,), (0.6,))
+    out = _bracket(_jet(V, p), _jet(V, p), p)
+    assert tuple(out.a) == (0.0,)
+    assert tuple(out.b) == (0.0,)
 
 
 def test_bracket_euler_field():
     V = TotalVectorField.from_strings(P11, ["0"], ["f1"])
     W = TotalVectorField.from_strings(P11, ["0"], ["1"])
-    out = lie_bracket(V, W, EvalPoint((0.0,), (5.0,)))
-    assert out.b == (-1.0,)
+    p = EvalPoint((0.0,), (5.0,))
+    out = _bracket(_jet(V, p), _jet(W, p), p)
+    assert tuple(out.b) == (-1.0,)
 
 
 def _random_field(rng, patch):
@@ -263,11 +248,9 @@ def test_bracket_antisymmetry():
         patch = BundlePatch(m, n)
         U, V = (_random_field(rng, patch) for _ in range(2))
         p = sample_point(rng, m, n)
-        ab = lie_bracket(U, V, p)
-        ba = lie_bracket(V, U, p)
-        assert max(
-            abs(x + y) for x, y in zip(ab.a + ab.b, ba.a + ba.b)
-        ) <= 1e-9
+        ab = np.concatenate(_bracket(_jet(U, p), _jet(V, p), p))
+        ba = np.concatenate(_bracket(_jet(V, p), _jet(U, p), p))
+        assert max(abs(x + y) for x, y in zip(ab, ba)) <= 1e-9
 
 
 def test_jacobi_identity_pointwise():
@@ -304,13 +287,10 @@ def test_jacobi_identity_pointwise():
             for _ in range(3)
         )
         p = sample_point(rng, m, n)
-        t1 = lie_bracket(U, bracket_field(V, W), p)
-        t2 = lie_bracket(V, bracket_field(W, U), p)
-        t3 = lie_bracket(W, bracket_field(U, V), p)
-        total = [
-            x + y + z
-            for x, y, z in zip(t1.a + t1.b, t2.a + t2.b, t3.a + t3.b)
-        ]
+        t1 = np.concatenate(_bracket(_jet(U, p), _jet(bracket_field(V, W), p), p))
+        t2 = np.concatenate(_bracket(_jet(V, p), _jet(bracket_field(W, U), p), p))
+        t3 = np.concatenate(_bracket(_jet(W, p), _jet(bracket_field(U, V), p), p))
+        total = [x + y + z for x, y, z in zip(t1, t2, t3)]
         assert max(abs(v) for v in total) <= 1e-9
 
 
@@ -322,8 +302,9 @@ def test_nijenhuis_vanishes_on_vertical_argument():
     vertical = TotalVectorField.from_strings(P11, ["0"], ["f1"])
     other = TotalVectorField.from_strings(P11, ["x1"], ["f1^2"])
     p = EvalPoint((0.7,), (0.4,))
-    assert max(abs(v) for v in nijenhuis_curvature(field, vertical, other, p).w) <= 1e-12
-    assert max(abs(v) for v in nijenhuis_curvature(field, other, vertical, p).w) <= 1e-12
+    at = StackedPoint.of((p,))
+    for pair in ((vertical, other), (other, vertical)):
+        assert max(abs(v) for v in nijenhuis_tensor(field, pair, at)[0][:, 0, 1, 0]) <= 1e-12
 
 
 def test_nijenhuis_flat_vanishes():
@@ -331,15 +312,16 @@ def test_nijenhuis_flat_vanishes():
     V = _random_field(rng, P21)
     W = _random_field(rng, P21)
     p = sample_point(rng, 2, 1)
-    assert max(abs(v) for v in nijenhuis_curvature(FLAT21, V, W, p).w) <= 1e-12
+    out = nijenhuis_tensor(FLAT21, (V, W), StackedPoint.of((p,)))[0][:, 0, 1, 0]
+    assert max(abs(v) for v in out) <= 1e-12
 
 
 def test_nijenhuis_skew_coordinate_fields():
     V = TotalVectorField.coordinate(P21, 1)
     W = TotalVectorField.coordinate(P21, 2)
     p = EvalPoint((0.3, -0.8), (0.5,))
-    out = nijenhuis_curvature(SKEW, V, W, p)
-    assert abs(out.w[0] - 1.0) <= 1e-12
+    out = nijenhuis_tensor(SKEW, (V, W), StackedPoint.of((p,)))[0][:, 0, 1, 0]
+    assert abs(out[0] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("mu", [0, 3, 5])
@@ -398,9 +380,10 @@ def test_nijenhuis_matches_coefficients_on_random_fields():
             R = curvature_coefficients(field, p)
             for mu in range(m):
                 for nu in range(m):
-                    out = nijenhuis_curvature(field, coords[mu], coords[nu], p)
+                    pair = (coords[mu], coords[nu])
+                    out = nijenhuis_tensor(field, pair, StackedPoint.of((p,)))[0][:, 0, 1, 0]
                     for a in range(n):
-                        assert abs(out.w[a] - R[a, mu, nu]) <= 1e-9
+                        assert abs(out[a] - R[a, mu, nu]) <= 1e-9
 
 
 def test_nijenhuis_tensor_slices_are_the_per_pair_values():
@@ -412,7 +395,8 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             fields = [TotalVectorField.coordinate(patch, mu) for mu in range(1, m + 1)]
             fields.append(_random_field(rng, patch))
             p = sample_point(rng, m, n)
-            R, gap = nijenhuis_tensor(field, fields, StackedPoint.of((p,)))
+            at = StackedPoint.of((p,))
+            R, gap = nijenhuis_tensor(field, fields, at)
             R, gap = R[..., 0], gap[0]
             assert 0.0 <= gap <= 1e-12
             assert R.shape == (n, m + 1, m + 1)
@@ -420,7 +404,8 @@ def test_nijenhuis_tensor_slices_are_the_per_pair_values():
             assert np.all(np.diagonal(R, axis1=1, axis2=2) == 0.0)
             for i, V in enumerate(fields):
                 for j, W in enumerate(fields):
-                    assert nijenhuis_curvature(field, V, W, p).w == tuple(R[:, i, j])
+                    pair = nijenhuis_tensor(field, (V, W), at)[0][:, 0, 1, 0]
+                    assert tuple(pair) == tuple(R[:, i, j])
 
 
 def test_tensors_at_a_stacked_point_are_each_points_own_bit_for_bit():
@@ -496,8 +481,9 @@ def _sampled_morphism(rng, patch):
 
 
 def test_parallel_morphism_residuals_equal_the_composed_public_routes():
-    # The residuals are those of lifting, pushing and projecting one
-    # coordinate direction at a time, bit for bit, a NaN included: the
+    # The residuals are those of lifting, pushing (one directional sweep
+    # per component of phi) and projecting one coordinate direction at a
+    # time, bit for bit, a NaN included: the
     # symbol 1e300*f1^3 overflows at f1 = 1e3, and inf times a zero
     # component of xi is NaN.
     rng = SplitMix64(4711)
@@ -523,8 +509,13 @@ def test_parallel_morphism_residuals_equal_the_composed_public_routes():
             parts = []
             for mu in range(1, m + 1):
                 xi = tuple(1.0 if i == mu else 0.0 for i in range(1, m + 1))
-                pushed = bundle.pushforward(phi, horizontal_lift(field, p, xi))
-                parts.extend(project(field_hat, pushed).w)
+                lift = _lifted(_symbol_values(field, p), xi)
+                values, pushed = zip(
+                    *(directional(c, p, [(v,) for v in xi + lift]) for c in phi.comps)
+                )
+                image = EvalPoint(p.x, values)
+                pushed_lift = TotalTangent(image, xi, [v for v, in pushed])
+                parts.extend(_projected(_symbol_values(field_hat, image), pushed_lift))
             expected.append(float(np.max(np.abs(parts))))
         residuals = is_parallel_morphism(phi, field, field_hat, points)
         assert [repr(r) for r in residuals] == [repr(r) for r in expected]

@@ -1057,6 +1057,30 @@ def test_no_worker_outlives_run_suite(tmp_path, monkeypatch):
     _assert_no_child_left()
 
 
+def test_an_interrupt_during_cleanup_still_reaps_every_worker(tmp_path, monkeypatch):
+    # the first wait for a worker sends SIGINT to this process, as a ^C in
+    # the terminal would, and then waits
+    config = load_config(_three_checks(tmp_path))
+    real_waitpid = os.waitpid
+    sent = []
+
+    def interrupting_waitpid(pid, options):
+        if not sent:
+            sent.append(pid)
+            os.kill(os.getpid(), signal.SIGINT)
+        return real_waitpid(pid, options)
+
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with monkeypatch.context() as patch, pytest.raises(KeyboardInterrupt):
+            patch.setattr(os, "waitpid", interrupting_waitpid)
+            run_suite(config, jobs=2)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert sent
+    _assert_no_child_left()
+
+
 def test_rows_larger_than_a_pipe_buffer_in_total_come_back(tmp_path, monkeypatch):
     # 3000 rows of 200-byte details, far more than a pipe buffer holds
     def long_detail(spec, rng, row):

@@ -15,9 +15,8 @@ binds it, by a defective wrapper of the original, or one table of a route
 exponential charts) by a defective copy.  Two of them
 sit inside the tensor routes: the bracket of two field jets in ``bundle``
 and the affine difference of two second jets in ``prolong``.  The lift's
-fiber part is planted in ``bundle._lifted``, which computes it for
-``horizontal_lift`` and for the per-sample lifts of
-``is_parallel_morphism``.  One flips the quadratic term inside
+fiber part is planted in ``bundle._lifted``, which computes it for the
+per-sample lifts of ``is_parallel_morphism``.  One flips the quadratic term inside
 ``bundle._coordinate_curvature``, the coordinate formula that both routes
 of ``curvature-coefficients`` feed their partials to, so only a row whose
 other route does not use it, ``nijenhuis-poly``, can see it.  Two replace

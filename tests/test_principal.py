@@ -14,9 +14,9 @@ from curvcheck.errors import IndexOutOfRange, NotVertical
 from curvcheck.lie import (
     AlgebraElement,
     GroupElement,
-    adjoint,
     bracket,
     builtin_algebra,
+    conjugate,
     exp,
     expm,
 )
@@ -24,12 +24,12 @@ from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.principal import (
     _CHART_SERIES,
     GaugePotential,
-    PrincipalTangent,
+    _form,
+    _potential_along,
     cartan_curvature,
     check_axiom,
     curvature_cross_check,
     exponential_chart_connection,
-    omega_eval,
     theta_bch,
     theta_bch_verify,
     vtriv_principal,
@@ -87,16 +87,17 @@ def test_potential_value_rejects_an_index_outside_the_base(mu):
 
 
 # --- the connection form ----------------------------------------------------
+#
+# The form on the tangent (xi, g v) at (x, g) is one row of _form, the stack
+# that check_axiom evaluates, at g, A_x(xi) and v.
 
 
 def test_omega_at_identity_is_potential_plus_fiber():
-    x = (0.5, -1.0)
-    t = PrincipalTangent(
-        x, SO3.identity_group(), (2.0, 3.0), SO3.element((0.1, 0.2, 0.3))
-    )
     # A_x(xi) = 2*(0.5 E1) + 3*(-1.0 E2) = (1, -3, 0).
-    out = omega_eval(SO3_POTENTIAL, t)
-    assert np.allclose(out.coeffs, (1.1, -2.8, 0.3), atol=1e-12)
+    along = _potential_along(SO3_POTENTIAL, (0.5, -1.0), (2.0, 3.0))
+    g, v = SO3.identity_group(), SO3.element((0.1, 0.2, 0.3))
+    out = _form(SO3, g.g[None], along[None], v.coeffs[None])[0]
+    assert np.allclose(out, (1.1, -2.8, 0.3), atol=1e-12)
 
 
 def test_omega_on_vertical_tangents_returns_fiber_component():
@@ -104,9 +105,9 @@ def test_omega_on_vertical_tangents_returns_fiber_component():
     for _ in range(5):
         g = exp(sample_algebra_element(rng, SO3))
         v = sample_algebra_element(rng, SO3)
-        t = PrincipalTangent((0.3, 0.4), g, (0.0, 0.0), v)
-        out = omega_eval(SO3_POTENTIAL, t)
-        assert np.array_equal(out.coeffs, v.coeffs)
+        along = _potential_along(SO3_POTENTIAL, (0.3, 0.4), (0.0, 0.0))
+        out = _form(SO3, g.g[None], along[None], v.coeffs[None])[0]
+        assert np.array_equal(out, v.coeffs)
 
 
 def test_omega_vertical_matches_vertical_trivialization():
@@ -114,18 +115,18 @@ def test_omega_vertical_matches_vertical_trivialization():
     for _ in range(5):
         g = exp(sample_algebra_element(rng, SO3))
         v = sample_algebra_element(rng, SO3)
-        t = PrincipalTangent((0.1, 0.2), g, (0.0, 0.0), v)
-        via_omega = omega_eval(SO3_POTENTIAL, t)
+        along = _potential_along(SO3_POTENTIAL, (0.1, 0.2), (0.0, 0.0))
+        via_omega = _form(SO3, g.g[None], along[None], v.coeffs[None])[0]
         via_vtriv = vtriv_principal(SO3, g, g.g @ v.matrix)
-        assert np.max(np.abs(via_omega.coeffs - via_vtriv.coeffs)) <= 1e-10
+        assert np.max(np.abs(via_omega - via_vtriv.coeffs)) <= 1e-10
 
 
 def test_omega_ignores_adjoint_on_abelian_fibers():
     g = _rotation(1.2)
-    t = PrincipalTangent((0.5, 0.0), g, (0.0, 1.0), SO2.element((0.25,)))
+    along = _potential_along(ABELIAN_POTENTIAL, (0.5, 0.0), (0.0, 1.0))
     # A_x(xi) = x1*E = 0.5 E, plus V = 0.25 E.
-    out = omega_eval(ABELIAN_POTENTIAL, t)
-    assert np.allclose(out.coeffs, (0.75,), atol=1e-12)
+    out = _form(SO2, g.g[None], along[None], SO2.element((0.25,)).coeffs[None])[0]
+    assert np.allclose(out, (0.75,), atol=1e-12)
 
 
 def test_omega_right_translation_equivariance():
@@ -136,13 +137,12 @@ def test_omega_right_translation_equivariance():
         xi = (rng.symmetric(1.0), rng.symmetric(1.0))
         v = sample_algebra_element(rng, SO3)
         x = (rng.symmetric(1.0), rng.symmetric(1.0))
-        base = omega_eval(SO3_POTENTIAL, PrincipalTangent(x, g, xi, v))
-        translated = omega_eval(
-            SO3_POTENTIAL,
-            PrincipalTangent(x, g @ gamma, xi, adjoint(gamma.inverse(), v)),
-        )
-        expected = adjoint(gamma.inverse(), base)
-        assert np.max(np.abs(translated.coeffs - expected.coeffs)) <= 1e-9
+        along = _potential_along(SO3_POTENTIAL, x, xi)[None]
+        base = _form(SO3, g.g[None], along, v.coeffs[None])[0]
+        moved = conjugate(SO3, gamma.inverse().g, v.coeffs)
+        translated = _form(SO3, (g @ gamma).g[None], along, moved[None])[0]
+        expected = conjugate(SO3, gamma.inverse().g, base)
+        assert np.max(np.abs(translated - expected)) <= 1e-9
 
 
 # --- the product-curve axiom ------------------------------------------------
@@ -201,17 +201,18 @@ def test_stacked_axiom_trials_are_the_one_trial_draws():
 def test_omega_eval_is_one_row_of_the_stacked_axiom_form():
     rng = SplitMix64(97)
     for x0, xi, g0, _, x, _ in sample_axiom_trials(rng, SO3, 2, 10):
-        t = PrincipalTangent(x0, g0, xi, x)
         along = SO3.zero()
         for mu, scale in enumerate(xi, start=1):
             along = along + SO3_POTENTIAL.value(mu, x0).scaled(scale)
-        plain = adjoint(g0.inverse(), along)
-        assert np.array_equal(omega_eval(SO3_POTENTIAL, t).coeffs, (plain + x).coeffs)
+        plain = AlgebraElement(SO3, conjugate(SO3, g0.inverse().g, along.coeffs))
+        row = _potential_along(SO3_POTENTIAL, x0, xi)
+        form = _form(SO3, g0.g[None], row[None], x.coeffs[None])[0]
+        assert np.array_equal(form, (plain + x).coeffs)
 
 
 def _drop_adjoint(monkeypatch):
     """Plant the defect A_x(xi) + v for Ad_{g^{-1}} A_x(xi) + v in the
-    stacked form that ``omega_eval`` and ``check_axiom`` read: it is
+    stacked form that ``check_axiom`` reads: it is
     evaluated as if every tangent sat at the identity."""
     original = principal._form
     monkeypatch.setattr(
@@ -365,9 +366,9 @@ def test_chart_connection_at_center_matches_conjugated_potential():
         field = exponential_chart_connection(SO3_POTENTIAL, center)
         origin = EvalPoint(x, (0.0, 0.0, 0.0))
         for mu in (1, 2):
-            expected = adjoint(center.inverse(), SO3_POTENTIAL.value(mu, x))
+            expected = conjugate(SO3, center.inverse().g, SO3_POTENTIAL.value(mu, x).coeffs)
             got = [evaluate(field.gamma[a][mu - 1], origin) for a in range(3)]
-            assert np.max(np.abs(np.array(got) - expected.coeffs)) <= 1e-12
+            assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["so3", "sl2"])
@@ -388,7 +389,9 @@ def test_chart_connection_off_center_matches_truncated_series(name, order):
             c = AlgebraElement(alg, [rng.symmetric(0.5) for _ in range(alg.k)])
             point = EvalPoint(x, tuple(c.coeffs))
             for mu in (1, 2):
-                term = adjoint(center.inverse(), potential.value(mu, x))
+                term = AlgebraElement(
+                    alg, conjugate(alg, center.inverse().g, potential.value(mu, x).coeffs)
+                )
                 expected = _CHART_SERIES[0] * term.coeffs
                 for j in range(1, order + 1):
                     term = bracket(c, term)
@@ -533,7 +536,7 @@ def test_chart_coefficients_at_the_center_do_not_depend_on_the_order(name, rows)
 
 def _order_six_cross_check(p: GaugePotential, x, centers, sections):
     """:func:`curvature_cross_check` as it was formulated with order-6
-    charts at every center and one ``adjoint`` per pair ``mu < nu``."""
+    charts at every center and one conjugation per pair ``mu < nu``."""
     alg = p.algebra
     m = p.base_dim
     base = tuple(float(c) for c in x)
@@ -544,7 +547,7 @@ def _order_six_cross_check(p: GaugePotential, x, centers, sections):
         restored = np.zeros((m, m, alg.k))
         for mu in range(m):
             for nu in range(mu + 1, m):
-                restored[mu, nu] = adjoint(g, AlgebraElement(alg, value(mu, nu))).coeffs
+                restored[mu, nu] = conjugate(alg, g.g, value(mu, nu))
                 restored[nu, mu] = -restored[mu, nu]
         return restored
 

@@ -18,12 +18,11 @@ from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.prolong import (
     SecondJet,
     VerticalPairBase,
+    _second_covariants,
     affine_diff,
-    commutator_curvature,
     commutator_tensor,
     pi,
     pushforward_second_jet,
-    second_covariant,
     theta,
     vertical_connection,
 )
@@ -209,10 +208,11 @@ def test_velocity_sections_follow_the_field():
     skew = ChristoffelField.from_strings(P21, [["0", "x1"]])
     other = ChristoffelField.from_strings(P21, [["f1^2", "x2*f1"]])
     x = (0.3, -0.6)
-    first = second_covariant(skew, s, 1, 2, x)
+    first = _second_covariants(skew, [(s, x)], ((1, 2),))[0]
     fresh = Section.from_strings(P21, ["x1*x2 + 1"])
-    assert second_covariant(other, s, 1, 2, x) == second_covariant(other, fresh, 1, 2, x)
-    assert second_covariant(skew, s, 1, 2, x) == first
+    again = _second_covariants(other, [(s, x)], ((1, 2),))[0]
+    assert again == _second_covariants(other, [(fresh, x)], ((1, 2),))[0]
+    assert _second_covariants(skew, [(s, x)], ((1, 2),))[0] == first
 
 
 # --- second covariant derivatives -------------------------------------------
@@ -221,19 +221,18 @@ def test_velocity_sections_follow_the_field():
 def test_second_covariant_flat_reduces_to_mixed_partial():
     flat = ChristoffelField.from_strings(P21, [["0", "0"]])
     s = Section.from_strings(P21, ["x1*x2"])
-    jet = second_covariant(flat, s, 1, 2, (0.0, 0.0))
+    jet = _second_covariants(flat, [(s, (0.0, 0.0))], ((1, 2),))[0][0][0]
     assert jet.fcircdot == (1.0,)
 
 
 def test_second_covariant_skew_jets():
     s = Section.from_strings(P21, ["0"])
     for x in ((0.7, -0.3), (2.0, 1.0)):
-        jet = second_covariant(SKEW, s, 1, 2, x)
+        ((jet, other),), _ = _second_covariants(SKEW, [(s, x)], ((1, 2), (2, 1)))
         assert jet.f == (0.0,)
         assert jet.fdot == (x[0],)
         assert jet.fcirc == (0.0,)
         assert jet.fcircdot == (1.0,)
-        other = second_covariant(SKEW, s, 2, 1, x)
         assert other.fdot == (0.0,)
         assert other.fcirc == (x[0],)
         assert other.fcircdot == (0.0,)
@@ -243,7 +242,7 @@ def test_second_covariant_validates_indices():
     s = Section.from_strings(P11, ["x1"])
     flat = ChristoffelField.from_strings(P11, [["0"]])
     with pytest.raises(ValueError):
-        second_covariant(flat, s, 1, 2, (0.0,))
+        _second_covariants(flat, [(s, (0.0,))], ((1, 2),))
 
 
 def test_second_covariant_matches_section_family_variation():
@@ -310,20 +309,22 @@ def test_prolonged_route_is_the_covariant_derivative_of_the_velocity_section():
 def test_commutator_flat_vanishes():
     flat = ChristoffelField.from_strings(P21, [["0", "0"]])
     s = Section.from_strings(P21, ["x1^2 + x2"])
-    out = commutator_curvature(flat, s, 1, 2, (0.4, -1.1))
-    assert max(abs(v) for v in out.w) <= 1e-12
+    out = commutator_tensor(flat, [(s, (0.4, -1.1))])[0][:, 0, 1, 0]
+    assert max(abs(v) for v in out) <= 1e-12
 
 
 def test_commutator_skew_recovers_unit_curvature():
     s = Section.from_strings(P21, ["0"])
-    out = commutator_curvature(SKEW, s, 1, 2, (0.7, -0.3))
-    assert abs(out.w[0] - 1.0) <= 1e-12
+    out = commutator_tensor(SKEW, [(s, (0.7, -0.3))])[0][:, 0, 1, 0]
+    assert abs(out[0] - 1.0) <= 1e-12
 
 
 def test_commutator_equal_indices_vanishes():
     field = ChristoffelField.from_strings(P21, [["f1^2", "x1*f1"]])
     s = Section.from_strings(P21, ["x1 + x2^2"])
-    out = commutator_curvature(field, s, 1, 1, (0.5, 0.25))
+    # commutator_tensor sets the diagonal to zero; the jets give it
+    ((j1, j2),), _ = _second_covariants(field, [(s, (0.5, 0.25))], ((1, 1), (1, 1)))
+    out = affine_diff(j1, theta(j2))
     assert max(abs(v) for v in out.w) <= 1e-12
 
 
@@ -338,21 +339,27 @@ def test_commutator_matches_curvature_coefficients():
         base_pt = EvalPoint.of(x)
         at = EvalPoint(base_pt.x, tuple(evaluate(c, base_pt) for c in s.comps))
         R = curvature_coefficients(field, at)
+        tensor = commutator_tensor(field, [(s, x)])[0][..., 0]
         for mu in range(1, m + 1):
             for nu in range(1, m + 1):
-                out = commutator_curvature(field, s, mu, nu, x)
+                if mu < nu:
+                    out = tensor[:, mu - 1, nu - 1]
+                else:
+                    # the tensor's diagonal and lower triangle are set by
+                    # construction; here the jets of the pair give them
+                    ((j1, j2),), _ = _second_covariants(field, [(s, x)], ((mu, nu), (nu, mu)))
+                    out = affine_diff(j1, theta(j2)).w
                 for a in range(n):
-                    assert abs(out.w[a] - R[a, mu - 1, nu - 1]) <= 1e-9
+                    assert abs(out[a] - R[a, mu - 1, nu - 1]) <= 1e-9
 
 
 _SECOND_COVARIANT_ROUTES = pytest.mark.parametrize(
     "route",
     [
         lambda field, s, x: commutator_tensor(field, [(s, x)]),
-        lambda field, s, x: second_covariant(field, s, 1, 2, x),
-        lambda field, s, x: commutator_curvature(field, s, 1, 2, x),
+        lambda field, s, x: _second_covariants(field, [(s, x)], ((1, 2),)),
     ],
-    ids=["commutator-tensor", "second-covariant", "commutator-curvature"],
+    ids=["commutator-tensor", "second-covariant"],
 )
 
 
@@ -411,5 +418,6 @@ def test_commutator_tensor_slices_are_the_per_pair_values():
             assert np.all(np.diagonal(R, axis1=1, axis2=2) == 0.0)
             for mu in range(1, m + 1):
                 for nu in range(1, m + 1):
-                    out = commutator_curvature(field, s, mu, nu, x)
+                    ((j1, j2),), _ = _second_covariants(field, [(s, x)], ((mu, nu), (nu, mu)))
+                    out = affine_diff(j1, theta(j2))
                     assert out.w == tuple(R[:, mu - 1, nu - 1])
