@@ -14,12 +14,10 @@ from .bundle import (
     ChristoffelField,
     FiberBundleMorphism,
     Section,
-    TotalTangent,
     TotalVectorField,
     VerticalVector,
     covariant_derivative,
     curvature_coefficients,
-    embed,
     is_parallel_morphism,
     nijenhuis_tensor,
 )
@@ -27,7 +25,6 @@ from .errors import (
     ClosureViolation,
     ConfigSchemaError,
     CurvcheckError,
-    DifferentiationUnsupported,
     DomainError,
     ExprSyntaxError,
     FiberMismatch,
@@ -45,7 +42,6 @@ from .lie import (
     bracket,
     builtin_algebra,
     exp,
-    fiber_quotient,
 )
 from .linear import (
     LinearChristoffel,
@@ -54,8 +50,6 @@ from .linear import (
     expand_linear,
     linear_curvature_consistency,
     linearity_detect,
-    reduced_covariant,
-    scaling_morphism,
 )
 from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, partial
 from .principal import (
@@ -98,11 +92,9 @@ __all__ = [
     "BundlePatch",
     "ChristoffelField",
     "Section",
-    "TotalTangent",
     "TotalVectorField",
     "VerticalVector",
     "FiberBundleMorphism",
-    "embed",
     "covariant_derivative",
     "nijenhuis_tensor",
     "curvature_coefficients",
@@ -122,7 +114,6 @@ __all__ = [
     "GroupElement",
     "bracket",
     "exp",
-    "fiber_quotient",
     "builtin_algebra",
     # principal connections
     "GaugePotential",
@@ -139,10 +130,8 @@ __all__ = [
     "LinearityReport",
     "expand_linear",
     "classical_curvature",
-    "reduced_covariant",
     "linearity_detect",
     "linear_curvature_consistency",
-    "scaling_morphism",
     # errors
     "CurvcheckError",
     "ExprSyntaxError",
@@ -153,7 +142,6 @@ __all__ = [
     "ClosureViolation",
     "SingularMatrix",
     "NotVertical",
-    "DifferentiationUnsupported",
     "IoError",
     "ConfigSchemaError",
 ]

@@ -49,12 +49,10 @@ from .numcore import (
 __all__ = [
     "BundlePatch",
     "ChristoffelField",
-    "TotalTangent",
     "VerticalVector",
     "Section",
     "TotalVectorField",
     "FiberBundleMorphism",
-    "embed",
     "covariant_derivative",
     "vertical_projection_field",
     "horizontal_part_field",
@@ -106,20 +104,6 @@ class ChristoffelField:
     @classmethod
     def from_strings(cls, patch: BundlePatch, rows) -> "ChristoffelField":
         return cls(patch, parse_grid(rows, patch.dims))
-
-
-@dataclass(frozen=True)
-class TotalTangent:
-    """Tangent vector of the total space at ``at``: base part ``a`` (length
-    m), fiber part ``b`` (length n)."""
-
-    at: EvalPoint
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
 
 
 @dataclass(frozen=True)
@@ -215,26 +199,28 @@ class FiberBundleMorphism:
 # float operations in the same order as at each point alone.
 
 
+class _Parts(NamedTuple):
+    """The base part ``a`` and fiber part ``b`` of a tangent at a point, as
+    arrays or as sequences of numbers."""
+
+    a: np.ndarray
+    b: np.ndarray
+
+
 def _symbol_values(field: ChristoffelField, p: EvalPoint) -> list[list[float]]:
     """``Gamma^a_mu(p)`` for every symbol, rows by fiber index."""
     return [[evaluate(e, p) for e in row] for row in field.gamma]
 
 
-def _projected(gamma, t: TotalTangent) -> tuple[float, ...]:
-    """The projection field applied to ``t`` (anything with base and fiber
-    parts ``a`` and ``b``): ``b^a + sum_mu Gamma^a_mu a^mu``, from the
-    symbol values ``gamma`` at its point."""
+def _projected(gamma, t: _Parts) -> tuple[float, ...]:
+    """The projection field applied to the tangent ``t``: ``b^a + sum_mu
+    Gamma^a_mu a^mu``, from the symbol values ``gamma`` at its point."""
     w = []
     for row, acc in zip(gamma, t.b):
         for g, comp in zip(row, t.a):
             acc = acc + g * comp
         w.append(acc)
     return tuple(w)
-
-
-def embed(v: VerticalVector) -> TotalTangent:
-    """A vertical vector regarded as a total-space tangent (zero base part)."""
-    return TotalTangent(v.at, (0.0,) * len(v.at.x), v.w)
 
 
 def _lifted(gamma, xi) -> tuple[float, ...]:
@@ -276,13 +262,6 @@ def _jet(V: TotalVectorField, p: EvalPoint):
     of ``V`` at ``p``, base components before fiber ones, as arrays: the
     first-order data of a bracket."""
     return sweep_grid(V.a + V.b, lambda c: gradient(c, p))
-
-
-class _Parts(NamedTuple):
-    """The base part ``a`` and fiber part ``b`` of a tangent at a point."""
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 def _bracket(jet_V, jet_W, p: EvalPoint) -> _Parts:
@@ -437,7 +416,7 @@ def is_parallel_morphism(
         gamma_hat = _symbol_values(field_hat, image)
         fiber_parts = []
         for mu, xi in enumerate(directions):
-            pushed_lift = TotalTangent(image, xi, [slots[mu] for slots in pushed])
+            pushed_lift = _Parts(xi, [slots[mu] for slots in pushed])
             fiber_parts.extend(_projected(gamma_hat, pushed_lift))
         # np.max keeps a NaN, which the row of the check then fails
         return float(np.max(np.abs(fiber_parts)))

@@ -17,7 +17,6 @@ __all__ = [
     "ClosureViolation",
     "SingularMatrix",
     "NotVertical",
-    "DifferentiationUnsupported",
     "IoError",
     "ConfigSchemaError",
 ]
@@ -67,10 +66,6 @@ class SingularMatrix(CurvcheckError):
 class NotVertical(CurvcheckError):
     """A velocity passed to the vertical trivialization is not tangent to the
     fiber."""
-
-
-class DifferentiationUnsupported(CurvcheckError):
-    """Reserved: raised if an expression node has no differentiation rule."""
 
 
 class IoError(CurvcheckError):

@@ -27,7 +27,13 @@ follow the same normal form if they need the round-trip property.
 :func:`parse` builds the post-order tape that :mod:`curvcheck.numcore` runs
 (:class:`Program`) as it builds the tree, so equal subexpressions of one
 source share one node; :func:`compile_expr` makes the tape of any other tree,
-once, splicing in the tapes its subtrees already hold.
+once, splicing in the tapes its subtrees already hold.  A programmatic tree
+is held to the grammar there, so evaluating it or binding it into a
+container raises :class:`TypeError` on a node the parser cannot produce: a
+``Var`` of a kind other than ``x`` or ``f`` or of an index below 1, an
+operator outside the grammar, or an exponent that is not an ``int``.  The
+exponent's digits are not bounded there, as a symbolic derivative may lower
+a parsed exponent by one.
 """
 
 from __future__ import annotations
@@ -427,6 +433,9 @@ def compile_expr(e: Expression) -> Program:
     spliced onto the tape in their order, which gives the same program.
     An instruction equal in operator and operand registers to an earlier
     one is not emitted again, so repeated subexpressions share a register.
+
+    Raises :class:`TypeError` on a node outside the grammar (module
+    docstring) and on anything that is not a node.
     """
     try:
         return e._program
@@ -451,27 +460,33 @@ def compile_expr(e: Expression) -> Program:
         elif isinstance(node, Const):
             instr = ("c", node.value, math.copysign(1.0, node.value))
         elif isinstance(node, Var):
-            instr = ("x" if node.kind == "x" else "f", node.index - 1, 0)
+            if node.kind not in ("x", "f") or not _is_int(node.index) or node.index < 1:
+                raise TypeError(f"not a node of the expression grammar: {node!r}")
+            instr = (node.kind, node.index - 1, 0)
         elif (program := getattr(node, "_program", None)) is not None:
             done[id(node)] = tape.splice(program, node)
             continue
         else:
-            stack.append(node)
-            stack.append(None)
-            if isinstance(node, Binary):
-                stack.append(node.right)
-                stack.append(node.left)
-            elif isinstance(node, Unary):
-                stack.append(node.operand)
-            elif isinstance(node, Power):
-                stack.append(node.base)
+            if isinstance(node, Binary) and node.op in _BINARY:
+                operands = (node.right, node.left)
+            elif isinstance(node, Unary) and (node.op == "neg" or node.op in FUNCTIONS):
+                operands = (node.operand,)
+            elif isinstance(node, Power) and _is_int(node.exponent):
+                operands = (node.base,)
             else:
-                raise TypeError(f"not an expression node: {node!r}")
+                raise TypeError(f"not a node of the expression grammar: {node!r}")
+            stack += (node, None, *operands)
             continue
         done[id(node)] = tape.emit(instr, node)
     program = tape.program()
     object.__setattr__(e, "_program", program)
     return program
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer of the grammar: an ``int``, not a
+    ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def max_indices(e: Expression) -> tuple[int, int]:

@@ -25,7 +25,6 @@ __all__ = [
     "expm",
     "group_stack",
     "conjugate",
-    "fiber_quotient",
     "builtin_algebra",
     "BUILTIN_ALGEBRAS",
 ]
@@ -311,11 +310,6 @@ def conjugate(algebra: MatrixLieAlgebra, g, coeffs) -> np.ndarray:
     the basis."""
     g = np.asarray(g, dtype=float)
     return algebra.expand(g @ algebra.matrix(coeffs) @ np.linalg.inv(g))
-
-
-def fiber_quotient(g: GroupElement, h: GroupElement) -> GroupElement:
-    """The unique group element ``q`` with ``g q = h``, i.e. ``g^{-1} h``."""
-    return GroupElement(np.linalg.solve(g.g, h.g))
 
 
 def _so2_basis():

@@ -30,15 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _symbolic
-from .bundle import (
-    BundlePatch,
-    ChristoffelField,
-    FiberBundleMorphism,
-    Section,
-    curvature_coefficients,
-)
+from .bundle import BundlePatch, ChristoffelField, curvature_coefficients
 from .exprdsl import Var, check_grid, parse_grid
-from .numcore import EvalPoint, each_sample, evaluate, gradient, partial, sweep_grid
+from .numcore import EvalPoint, each_sample, evaluate, gradient, sweep_grid
 
 __all__ = [
     "DEFAULT_LAMBDAS",
@@ -47,10 +41,8 @@ __all__ = [
     "LinearityReport",
     "expand_linear",
     "classical_curvature",
-    "reduced_covariant",
     "linearity_detect",
     "linear_curvature_consistency",
-    "scaling_morphism",
 ]
 
 #: Scale factors :func:`linearity_detect` probes by default.  Zero first so
@@ -99,25 +91,6 @@ def classical_curvature(linear: LinearChristoffel, x) -> np.ndarray:
         term = values[:, :, None, beta, None] * values[beta][None, None]
         out += term - term.swapaxes(1, 2)
     return out
-
-
-def reduced_covariant(
-    linear: LinearChristoffel, s: Section, mu: int, x
-) -> tuple[float, ...]:
-    """Covariant derivative ``d_mu v^alpha + sum_omega
-    Gamma^alpha_{mu omega}(x) v^omega(x)`` of a section along ``d/dx^mu``."""
-    m, n = linear.patch.dims
-    if not 1 <= mu <= m:
-        raise ValueError(f"direction must be in 1..{m}, got {mu}")
-    pt = EvalPoint.of(x)
-    svals = [evaluate(c, pt) for c in s.comps]
-    out = []
-    for alpha in range(n):
-        acc = partial(s.comps[alpha], pt, ("x", mu))
-        for omega in range(n):
-            acc += evaluate(linear.gamma3[alpha][mu - 1][omega], pt) * svals[omega]
-        out.append(acc)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -248,12 +221,3 @@ def linear_curvature_consistency(linear: LinearChristoffel, x, v) -> float:
     contracted = np.einsum("amnw,w->amn", classical, vvec)
     return float(np.abs(general - contracted).max())
 
-
-def scaling_morphism(patch: BundlePatch, factor: float) -> FiberBundleMorphism:
-    """Fiberwise scalar multiplication ``v -> factor * v`` over the identity
-    on the base."""
-    comps = tuple(
-        _symbolic.mul(_symbolic.const(float(factor)), Var("f", alpha + 1))
-        for alpha in range(patch.fiber_dim)
-    )
-    return FiberBundleMorphism(patch, patch, comps)

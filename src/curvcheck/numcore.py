@@ -238,13 +238,12 @@ def _apply(op: str, u: float, v, smooth: bool) -> float:
         if u <= 0.0:
             raise DomainError(f"log of non-positive value {u}")
         return math.log(u)
-    if op == "sqrt":
-        if u < 0.0:
-            raise DomainError(f"sqrt of negative value {u}")
-        if smooth and u == 0.0:
-            raise DomainError("sqrt has no finite derivative at zero")
-        return math.sqrt(u)
-    raise ValueError(f"unknown operator {op!r}")
+    # sqrt, the last primitive compile_expr admits
+    if u < 0.0:
+        raise DomainError(f"sqrt of negative value {u}")
+    if smooth and u == 0.0:
+        raise DomainError("sqrt has no finite derivative at zero")
+    return math.sqrt(u)
 
 
 def _power(u: float, k: int) -> float:

@@ -326,18 +326,6 @@ def exponential_chart_connection(
     return ChristoffelField(BundlePatch(p.base_dim, alg.k), tuple(zip(*columns)))
 
 
-def _identity_chart(p: GaugePotential) -> ChristoffelField:
-    """The exponential-chart field centred at the identity, built once per
-    potential and kept on it, as the prolonged connection is kept on its
-    field."""
-    chart = p.__dict__.get("_identity_chart")
-    if chart is None:
-        chart = exponential_chart_connection(p, p.algebra.identity_group())
-        # frozen dataclass: written the way its own __post_init__ writes
-        object.__setattr__(p, "_identity_chart", chart)
-    return chart
-
-
 def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
     """Matrix of phi(ad_C) = (1 - e^{-ad_C})/ad_C on coordinates, the map
     taking chart velocities at C to left-logarithmic algebra values, for
@@ -400,7 +388,7 @@ def _commutator_route(p: GaugePotential, samples) -> list[tuple[np.ndarray, np.n
     each section's numbers bit for bit its own."""
     alg = p.algebra
     upper = np.triu_indices(p.base_dim, 1)
-    field = _identity_chart(p)
+    field = exponential_chart_connection(p, alg.identity_group())
     points = [(Section(field.patch, s), x) for x, _, sections in samples for s in sections]
     tensors, gaps = commutator_tensor(field, points)
     s_at = np.reshape([evaluate(c, EvalPoint(x)) for s, x in points for c in s.comps], (-1, alg.k))

@@ -67,9 +67,8 @@ the sample axis, so every sample's numbers are bit for bit those of that
 sample alone.  The jets are then twisted and differenced one sample at a
 time.
 
-The prolonged connection is built once and kept on its field, so it lives
-exactly as long as the field.  Nothing is looked up by object identity or
-by hashing a tree.
+Each call of :func:`commutator_tensor` builds the prolonged connection
+once, through :func:`vertical_connection`, and keeps nothing on the field.
 """
 
 from __future__ import annotations
@@ -228,12 +227,8 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
 
     The prolonged patch has the same base and fiber dimension ``2n``: fiber
     variables ``f1..fn`` are the position block and ``f(n+1)..f(2n)`` the
-    variation block.  See the module docstring for the symbol layout.  Built
-    once per field and kept on it.
+    variation block.  See the module docstring for the symbol layout.
     """
-    prolonged = field.__dict__.get("_vertical_connection")
-    if prolonged is not None:
-        return prolonged
     m, n = field.patch.dims
     variation = [Var("f", n + b + 1) for b in range(n)]
     lifted = tuple(
@@ -243,10 +238,7 @@ def vertical_connection(field: ChristoffelField) -> ChristoffelField:
         )
         for row in field.gamma
     )
-    prolonged = ChristoffelField(BundlePatch(m, 2 * n), tuple(field.gamma) + lifted)
-    # frozen dataclass: written the way its own __post_init__ writes
-    object.__setattr__(field, "_vertical_connection", prolonged)
-    return prolonged
+    return ChristoffelField(BundlePatch(m, 2 * n), tuple(field.gamma) + lifted)
 
 
 def _prolonged_covariants(field: ChristoffelField, samples, pairs) -> np.ndarray:

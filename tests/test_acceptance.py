@@ -16,6 +16,7 @@ from curvcheck import principal
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
+    FiberBundleMorphism,
     Section,
     TotalVectorField,
     curvature_coefficients,
@@ -36,7 +37,6 @@ from curvcheck.linear import (
     expand_linear,
     linear_curvature_consistency,
     linearity_detect,
-    scaling_morphism,
 )
 from curvcheck.numcore import EvalPoint, StackedPoint
 from curvcheck.principal import (
@@ -313,9 +313,10 @@ def test_criterion_08_linear_layer():
             assert deviation <= 1e-9, deviation
             field = expand_linear(lin)
             for lam in (-1.0, 0.5, 2.0):
-                residuals = is_parallel_morphism(
-                    scaling_morphism(lin.patch, lam), field, field, pts
+                phi = FiberBundleMorphism.from_strings(
+                    lin.patch, lin.patch, [f"{lam!r}*f{a}" for a in (1, 2)]
                 )
+                residuals = is_parallel_morphism(phi, field, field, pts)
                 assert max(residuals) <= 1e-9
         quadratic = ChristoffelField.from_strings(BundlePatch(1, 1), [["f1^2"]])
         rng = SplitMix64(0)
@@ -328,7 +329,7 @@ def test_criterion_08_linear_layer():
         assert len(violation.x) == 1 and len(violation.v) == 1
         point_rng = SplitMix64(811)
         residuals = is_parallel_morphism(
-            scaling_morphism(quadratic.patch, 2.0),
+            FiberBundleMorphism.from_strings(quadratic.patch, quadratic.patch, ["2.0*f1"]),
             quadratic,
             quadratic,
             [sample_point(point_rng, 1, 1) for _ in range(6)],

@@ -4,9 +4,10 @@ run imports neither ``multiprocessing`` nor ``concurrent`` either, at
 ``--jobs 1`` or with forked workers.  No
 file of the package or its tests imports a name it never reads, no module
 of the package imports a private name of another, and no module of the
-package reads the process environment.  Every public function of the
-package runs in a check of ``fixtures/verify.json``, or a table here says
-why not, and every name any ``__all__`` lists exists."""
+package reads the process environment.  Every function that any
+``__all__`` of the package lists runs in a check of
+``fixtures/verify.json``, or a table here says why not, and every name any
+``__all__`` lists exists."""
 
 import ast
 import importlib
@@ -20,9 +21,7 @@ from pathlib import Path
 import pytest
 
 import curvcheck
-from curvcheck.checks import run_suite
-from curvcheck.config import load_config
-from curvcheck.report import emit
+from curvcheck.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -152,17 +151,24 @@ def test_no_module_reads_the_process_environment():
     assert {path: lines for path, lines in reads.items() if lines} == {}
 
 
-#: The public functions that no check of ``fixtures/verify.json`` runs, and
-#: why each stays.
+#: The public functions, of any module's ``__all__``, that no check of
+#: ``fixtures/verify.json`` runs, and why each stays.
 _UNREACHED = {
     "unparse": "the CLI's parse-expr command",
+    "parse_grid": "the from_strings constructors",
     "covariant_derivative": "a reference the tests compare the prolonged route against",
     "vtriv_principal": "a reference the tests compare the connection form against",
-    "embed": "a paper construct that no route reads yet",
-    "fiber_quotient": "a paper construct that no route reads yet",
-    "reduced_covariant": "a paper construct that no route reads yet",
-    "scaling_morphism": "a paper construct that no route reads yet",
+    "sample_christoffel": "the generated connections of bench/gen.py",
 }
+
+
+def _modules() -> list:
+    """The package and each of its modules but ``__main__``."""
+    return [curvcheck] + [
+        importlib.import_module(f"curvcheck.{path.stem}")
+        for path in sorted((ROOT / "src" / "curvcheck").glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
 
 
 def test_every_public_function_runs_in_a_check_or_says_why_not(tmp_path):
@@ -174,30 +180,29 @@ def test_every_public_function_runs_in_a_check_or_says_why_not(tmp_path):
         if event == "call":
             called.add(frame.f_code)
 
+    config = str(ROOT / "fixtures" / "verify.json")
     sys.setprofile(profile)
     try:
-        config = load_config(str(ROOT / "fixtures" / "verify.json"))
-        emit(run_suite(config, jobs=1), "json", str(tmp_path / "report.json"))
+        codes = [
+            main(["check", config, "--format", form, "--out", str(tmp_path / f"report.{form}")])
+            for form in ("json", "text")
+        ]
     finally:
         sys.setprofile(None)
-    functions = {
-        name: getattr(curvcheck, name)
-        for name in curvcheck.__all__
-        if inspect.isfunction(getattr(curvcheck, name))
+    assert codes == [0, 0]
+    unreached = {
+        name
+        for module in _modules()
+        for name in getattr(module, "__all__", ())
+        if inspect.isfunction(fn := getattr(module, name)) and fn.__code__ not in called
     }
-    unreached = {name for name, fn in functions.items() if fn.__code__ not in called}
     assert sorted(unreached) == sorted(_UNREACHED)
 
 
 def test_every_name_in_every_all_resolves():
-    modules = [curvcheck] + [
-        importlib.import_module(f"curvcheck.{path.stem}")
-        for path in sorted((ROOT / "src" / "curvcheck").glob("*.py"))
-        if path.stem not in ("__init__", "__main__")
-    ]
     missing = [
         f"{module.__name__}.{name}"
-        for module in modules
+        for module in _modules()
         for name in getattr(module, "__all__", ())
         if not hasattr(module, name)
     ]

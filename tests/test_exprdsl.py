@@ -533,6 +533,35 @@ def test_compile_rejects_non_expressions():
         compile_expr(3.0)
 
 
+_X1, _X2 = Var("x", 1), Var("x", 2)
+
+#: Hand-built nodes the grammar cannot produce.  Unrefused, each would
+#: give a wrong value: ``+x1`` adds register 0 to ``x1``, ``x0`` reads the
+#: last base coordinate, ``y1`` reads ``f1``, and ``sin`` of two operands
+#: is ``sin`` of the first.
+_OUTSIDE_THE_GRAMMAR = {
+    "unary-plus": Unary("+", _X1),
+    "index-zero": Var("x", 0),
+    "kind-y": Var("y", 1),
+    "bool-index": Var("x", True),
+    "binary-sin": Binary("sin", _X1, _X2),
+    "binary-modulo": Binary("%", _X1, _X2),
+    "float-exponent": Power(_X1, 0.5),
+    "bool-exponent": Power(_X1, True),
+    "under-a-parsed-tree": _symbolic.add(parse("x1*f1", (2, 1)), Var("x", 0)),
+}
+
+
+@pytest.mark.parametrize("node", _OUTSIDE_THE_GRAMMAR.values(), ids=_OUTSIDE_THE_GRAMMAR)
+def test_nodes_outside_the_grammar_are_refused(node):
+    with pytest.raises(TypeError, match="not a node of the expression grammar"):
+        compile_expr(node)
+    with pytest.raises(TypeError, match="not a node of the expression grammar"):
+        evaluate(node, EvalPoint((2.0, 5.0), (3.0,)))
+    with pytest.raises(TypeError, match="not a node of the expression grammar"):
+        ChristoffelField(BundlePatch(2, 1), ((node, Const(0.0)),))
+
+
 # --- generated round-trips -------------------------------------------------
 
 # The parser never produces negative Const nodes, so the generator follows

@@ -1,5 +1,5 @@
 """Tests for matrix Lie algebra numerics: brackets, structure constants,
-exponentials, adjoint action, fiber quotients."""
+exponentials, adjoint action."""
 
 import math
 
@@ -16,7 +16,6 @@ from curvcheck.lie import (
     conjugate,
     exp,
     expm,
-    fiber_quotient,
     group_stack,
 )
 from curvcheck.rng import SplitMix64
@@ -343,7 +342,7 @@ def test_a_stack_names_its_first_failing_matrix():
     assert group_stack(singular[:1]) is not None
 
 
-# --- group elements and quotients -------------------------------------------
+# --- group elements ---------------------------------------------------------
 
 
 def test_group_element_rejects_singular_matrix():
@@ -354,29 +353,3 @@ def test_group_element_rejects_singular_matrix():
 def test_group_element_rejects_non_square():
     with pytest.raises(ValueError):
         GroupElement(np.zeros((2, 3)))
-
-
-def test_fiber_quotient_of_element_with_itself():
-    g = exp(SO3.element((0.3, 0.1, -0.4)))
-    assert np.max(np.abs(fiber_quotient(g, g).g - np.eye(3))) <= 1e-12
-
-
-def test_fiber_quotient_from_identity():
-    h = _rotation(1.1)
-    out = fiber_quotient(GroupElement(np.eye(2)), h)
-    assert np.max(np.abs(out.g - h.g)) <= 1e-15
-
-
-def test_fiber_quotient_of_rotations_subtracts_angles():
-    alpha, beta = 0.7, 2.1
-    out = fiber_quotient(_rotation(alpha), _rotation(beta))
-    assert np.max(np.abs(out.g - _rotation(beta - alpha).g)) <= 1e-12
-
-
-def test_fiber_quotient_solves_left_division():
-    rng = SplitMix64(53)
-    for _ in range(5):
-        g = exp(sample_algebra_element(rng, SL2))
-        h = exp(sample_algebra_element(rng, SL2))
-        q = fiber_quotient(g, h)
-        assert np.max(np.abs((g @ q).g - h.g)) <= 1e-12

@@ -11,7 +11,9 @@ from curvcheck import linear
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
+    FiberBundleMorphism,
     Section,
+    covariant_derivative,
     curvature_coefficients,
     is_parallel_morphism,
 )
@@ -22,8 +24,6 @@ from curvcheck.linear import (
     expand_linear,
     linear_curvature_consistency,
     linearity_detect,
-    reduced_covariant,
-    scaling_morphism,
 )
 from curvcheck.numcore import EvalPoint, evaluate, gradient
 from curvcheck.rng import SplitMix64
@@ -163,18 +163,20 @@ def test_classical_curvature_equals_the_formula_entry_by_entry(patch):
 
 
 # --- the reduced covariant derivative ---------------------------------------
+# The covariant derivative of a section under a linear connection is the
+# general one under its fiber-linear expansion.
 
 
 def test_reduced_covariant_flat_is_plain_derivative():
     lin = LinearChristoffel.from_strings(P11, [[["0"]]])
     s = Section.from_strings(P11, ["x1^2"])
-    assert reduced_covariant(lin, s, 1, (1.5,)) == (3.0,)
+    assert covariant_derivative(expand_linear(lin), s, 1, (1.5,)).w == (3.0,)
 
 
 def test_reduced_covariant_exponential_cancellation():
     lin = LinearChristoffel.from_strings(P11, [[["1"]]])
     s = Section.from_strings(P11, ["exp(-x1)"])
-    out = reduced_covariant(lin, s, 1, (0.0,))
+    out = covariant_derivative(expand_linear(lin), s, 1, (0.0,)).w
     oracle = -math.exp(-0.0) + 1.0 * math.exp(-0.0)
     assert abs(out[0] - oracle) <= 1e-15
     assert abs(out[0]) <= 1e-15
@@ -182,36 +184,36 @@ def test_reduced_covariant_exponential_cancellation():
 
 def test_reduced_covariant_additive():
     rng = SplitMix64(17)
-    lin = LinearChristoffel.from_strings(P11, [[["sin(x1)"]]])
+    field = expand_linear(LinearChristoffel.from_strings(P11, [[["sin(x1)"]]]))
     s = Section.from_strings(P11, ["x1^2"])
     t = Section.from_strings(P11, ["cos(x1)"])
     both = Section.from_strings(P11, ["x1^2 + cos(x1)"])
     for _ in range(10):
         x = (rng.symmetric(2.0),)
-        lhs = reduced_covariant(lin, both, 1, x)
-        rhs = reduced_covariant(lin, s, 1, x)[0] + reduced_covariant(lin, t, 1, x)[0]
+        lhs = covariant_derivative(field, both, 1, x).w
+        rhs = covariant_derivative(field, s, 1, x).w[0] + covariant_derivative(field, t, 1, x).w[0]
         assert abs(lhs[0] - rhs) <= 1e-12
 
 
 def test_reduced_covariant_scales_with_section():
     rng = SplitMix64(19)
-    lin = LinearChristoffel.from_strings(P11, [[["x1"]]])
+    field = expand_linear(LinearChristoffel.from_strings(P11, [[["x1"]]]))
     s = Section.from_strings(P11, ["sin(x1) + x1^2"])
     scaled = Section.from_strings(P11, ["2*(sin(x1) + x1^2)"])
     for _ in range(10):
         x = (rng.symmetric(2.0),)
-        lhs = reduced_covariant(lin, scaled, 1, x)[0]
-        rhs = 2.0 * reduced_covariant(lin, s, 1, x)[0]
+        lhs = covariant_derivative(field, scaled, 1, x).w[0]
+        rhs = 2.0 * covariant_derivative(field, s, 1, x).w[0]
         assert abs(lhs - rhs) <= 1e-12
 
 
 def test_reduced_covariant_direction_validation():
-    lin = LinearChristoffel.from_strings(P11, [[["0"]]])
+    field = expand_linear(LinearChristoffel.from_strings(P11, [[["0"]]]))
     s = Section.from_strings(P11, ["x1"])
     with pytest.raises(ValueError):
-        reduced_covariant(lin, s, 2, (0.0,))
+        covariant_derivative(field, s, 2, (0.0,))
     with pytest.raises(ValueError):
-        reduced_covariant(lin, s, 0, (0.0,))
+        covariant_derivative(field, s, 0, (0.0,))
 
 
 # --- linearity detection ----------------------------------------------------
@@ -354,19 +356,19 @@ def test_scaling_is_parallel_for_linear_connections():
         lin = _random_linear(rng, P22)
         field = expand_linear(lin)
         for lam in (-1.0, 0.5, 2.0):
-            phi = scaling_morphism(P22, lam)
+            phi = FiberBundleMorphism.from_strings(P22, P22, [f"{lam!r}*f{a}" for a in (1, 2)])
             assert max(is_parallel_morphism(phi, field, field, pts)) <= 1e-9
 
 
 def test_scaling_not_parallel_for_quadratic_field():
     field = ChristoffelField.from_strings(P11, [["f1^2"]])
-    phi = scaling_morphism(P11, 2.0)
+    phi = FiberBundleMorphism.from_strings(P11, P11, ["2.0*f1"])
     residuals = is_parallel_morphism(phi, field, field, _sample_points(43, 1, 1, 8))
     assert max(residuals) > 1e-9
 
 
 def test_scaling_morphism_components():
-    phi = scaling_morphism(P22, -3.0)
+    phi = FiberBundleMorphism.from_strings(P22, P22, ["-3.0*f1", "-3.0*f2"])
     pt = EvalPoint((0.0, 0.0), (2.0, -1.0))
     assert evaluate(phi.comps[0], pt) == -6.0
     assert evaluate(phi.comps[1], pt) == 3.0

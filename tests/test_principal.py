@@ -449,7 +449,7 @@ def test_cross_check_so3():
     }
 
 
-def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
+def test_cross_check_builds_the_identity_chart_once_per_call(monkeypatch):
     built = []
     original = principal.exponential_chart_connection
 
@@ -466,10 +466,9 @@ def test_cross_check_builds_the_identity_chart_once_per_potential(monkeypatch):
     second = _cross_check(potential, (-0.1, 0.2), rng, centers=1)
     assert first.max_deviation <= 1e-6 and second.max_deviation <= 1e-6
     # route two: an order-1 chart at the identity and at the one random
-    # center, in every call; route three: the order-6 identity chart, once
-    # per potential
+    # center; route three: the order-6 identity chart; all in every call
     per_call = [(True, 1), (False, 1)]
-    assert built == per_call + [(True, 6)] + per_call
+    assert built == per_call + [(True, 6)] + per_call + [(True, 6)]
 
 
 class _RouteThreeChart(Exception):
@@ -496,16 +495,17 @@ def test_each_cross_check_route_builds_its_own_charts(monkeypatch):
     # center of each sample; route three: the order-6 identity chart
     assert built == [(True, 1)] + [(False, 1)] * 6 + [(True, 6)]
 
-    def refused(p):
-        raise _RouteThreeChart
+    def refused(p, center, order=6):
+        if np.array_equal(center.g, p.algebra.identity_group().g) and order == 6:
+            raise _RouteThreeChart
+        return original(p, center, order)
 
     # routes one and two never read route three's identity chart
-    monkeypatch.setattr(principal, "_identity_chart", refused)
-    fresh = GaugePotential.from_strings(SO3, POLYNOMIAL_ROWS, base_dim=2)
-    assert len(principal._structure_route(fresh, samples)) == 3
-    assert len(principal._chart_route(fresh, samples)) == 3
+    monkeypatch.setattr(principal, "exponential_chart_connection", refused)
+    assert len(principal._structure_route(potential, samples)) == 3
+    assert len(principal._chart_route(potential, samples)) == 3
     with pytest.raises(_RouteThreeChart):
-        principal._commutator_route(fresh, samples)
+        principal._commutator_route(potential, samples)
 
 
 def test_cross_check_on_a_one_dimensional_base():

@@ -189,11 +189,6 @@ def test_vertical_connection_of_linear_field_acts_diagonally():
         assert abs(evaluate(prolonged.gamma[1][0], p) - x * u) <= 1e-15
 
 
-def test_vertical_connection_is_cached():
-    field = ChristoffelField.from_strings(P11, [["f1^2"]])
-    assert vertical_connection(field) is vertical_connection(field)
-
-
 def test_vertical_connection_belongs_to_its_field():
     field = ChristoffelField.from_strings(P11, [["f1^2"]])
     twin = ChristoffelField.from_strings(P11, [["f1^2"]])
