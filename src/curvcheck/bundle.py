@@ -27,12 +27,11 @@ All value types are immutable; base indices ``mu`` are 1-based throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import _symbolic
+from . import _records, _symbolic
 from .exprdsl import Expression, check_grid, parse_grid
 from .numcore import (
     EvalPoint,
@@ -62,19 +61,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BundlePatch:
+class BundlePatch(_records.Value):
     """A trivialized patch: base dimension and fiber dimension."""
 
-    base_dim: int
-    fiber_dim: int
+    __slots__ = ("base_dim", "fiber_dim")
 
-    def __post_init__(self):
-        if self.base_dim < 1 or self.fiber_dim < 1:
-            raise ValueError(
-                f"patch dimensions must be positive, got "
-                f"({self.base_dim}, {self.fiber_dim})"
-            )
+    def __init__(self, base_dim: int, fiber_dim: int):
+        if base_dim < 1 or fiber_dim < 1:
+            raise ValueError(f"patch dimensions must be positive, got ({base_dim}, {fiber_dim})")
+        set_base_dim, set_fiber_dim = self._setters
+        set_base_dim(self, base_dim)
+        set_fiber_dim(self, fiber_dim)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -89,45 +86,39 @@ class BundlePatch:
             raise ValueError(f"{what} has dims ({len(p.x)}, {len(p.f)}), expected {dims}")
 
 
-@dataclass(frozen=True)
-class ChristoffelField:
+class ChristoffelField(_records.Value):
     """Generalized Christoffel symbols ``gamma[a-1][mu-1] = Gamma^a_mu(x, f)``
     of a (generally non-linear) connection on ``patch``."""
 
-    patch: BundlePatch
-    gamma: tuple[tuple[Expression, ...], ...]
+    __slots__ = ("patch", "gamma")
 
-    def __post_init__(self):
-        m, n = self.patch.dims
-        object.__setattr__(self, "gamma", check_grid(self.gamma, (n, m), m, n, "gamma"))
+    def __init__(self, patch: BundlePatch, gamma: tuple[tuple[Expression, ...], ...]):
+        m, n = patch.dims
+        self._set(patch, check_grid(gamma, (n, m), m, n, "gamma"))
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, rows) -> "ChristoffelField":
         return cls(patch, parse_grid(rows, patch.dims))
 
 
-@dataclass(frozen=True)
-class VerticalVector:
+class VerticalVector(_records.Value):
     """Vertical tangent vector at ``at`` with fiber components ``w``."""
 
-    at: EvalPoint
-    w: tuple[float, ...]
+    __slots__ = ("at", "w")
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", tuple(float(v) for v in self.w))
+    def __init__(self, at: EvalPoint, w: tuple[float, ...]):
+        self._set(at, tuple(map(float, w)))
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_records.Value):
     """A section ``x -> (x, comps(x))``; components are base-only
     expressions."""
 
-    patch: BundlePatch
-    comps: tuple[Expression, ...]
+    __slots__ = ("patch", "comps")
 
-    def __post_init__(self):
-        m, n = self.patch.dims
-        object.__setattr__(self, "comps", check_grid(self.comps, (n,), m, 0, "comps"))
+    def __init__(self, patch: BundlePatch, comps: tuple[Expression, ...]):
+        m, n = patch.dims
+        self._set(patch, check_grid(comps, (n,), m, 0, "comps"))
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, sources) -> "Section":
@@ -138,19 +129,15 @@ class Section:
         return tuple(evaluate(c, p) for c in self.comps)
 
 
-@dataclass(frozen=True)
-class TotalVectorField:
+class TotalVectorField(_records.Value):
     """Vector field on the total space with expression components: ``a`` over
     base directions, ``b`` over fiber directions, all functions of (x, f)."""
 
-    patch: BundlePatch
-    a: tuple[Expression, ...]
-    b: tuple[Expression, ...]
+    __slots__ = ("patch", "a", "b")
 
-    def __post_init__(self):
-        m, n = self.patch.dims
-        object.__setattr__(self, "a", check_grid(self.a, (m,), m, n, "a"))
-        object.__setattr__(self, "b", check_grid(self.b, (n,), m, n, "b"))
+    def __init__(self, patch: BundlePatch, a: tuple[Expression, ...], b: tuple[Expression, ...]):
+        m, n = patch.dims
+        self._set(patch, check_grid(a, (m,), m, n, "a"), check_grid(b, (n,), m, n, "b"))
 
     @classmethod
     def from_strings(cls, patch: BundlePatch, a_sources, b_sources) -> "TotalVectorField":
@@ -171,20 +158,16 @@ class TotalVectorField:
         )
 
 
-@dataclass(frozen=True)
-class FiberBundleMorphism:
+class FiberBundleMorphism(_records.Value):
     """A base-preserving bundle morphism ``(x, f) -> (x, comps(x, f))`` from
     ``source`` to ``target`` (same base dimension required)."""
 
-    source: BundlePatch
-    target: BundlePatch
-    comps: tuple[Expression, ...]
+    __slots__ = ("source", "target", "comps")
 
-    def __post_init__(self):
-        if self.source.base_dim != self.target.base_dim:
+    def __init__(self, source: BundlePatch, target: BundlePatch, comps: tuple[Expression, ...]):
+        if source.base_dim != target.base_dim:
             raise ValueError("morphism must preserve the base dimension")
-        shape = (self.target.fiber_dim,)
-        object.__setattr__(self, "comps", check_grid(self.comps, shape, *self.source.dims, "comps"))
+        self._set(source, target, check_grid(comps, (target.fiber_dim,), *source.dims, "comps"))
 
     @classmethod
     def from_strings(cls, source: BundlePatch, target: BundlePatch, sources):

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundle import BundlePatch, ChristoffelField, FiberBundleMorphism, Section
 from .errors import (
@@ -94,8 +95,7 @@ _EXPECT = {
     "linearity": ("linear", "nonlinear"),
 }
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """One validated check: ``params`` holds the check's kind-specific keys,
     with declaration names resolved to the declared objects and every
     optional key the config leaves out set to its default."""

@@ -19,11 +19,11 @@ at most :data:`MAX_EXPONENT_DIGITS` digits.
 There is no implicit multiplication: ``2x1`` is a syntax error.  Parentheses,
 function calls and unary minus nest at most :data:`MAX_NESTING` deep.
 
-Expression trees are immutable and compare structurally, so they are safe to
-share across threads.  ``unparse`` produces source that reparses to a
-structurally identical tree; the parser never produces negative ``Const``
-nodes (a leading minus becomes a ``neg`` node), and programmatic trees should
-follow the same normal form if they need the round-trip property.
+Expression trees are immutable and compare and hash structurally.
+``unparse`` produces source that reparses to a structurally identical tree;
+the parser never produces negative ``Const`` nodes (a leading minus becomes a
+``neg`` node), and programmatic trees should follow the same normal form if
+they need the round-trip property.
 :func:`parse` builds the post-order tape that :mod:`curvcheck.numcore` runs
 (:class:`Program`) as it builds the tree, so equal subexpressions of one
 source share one node; :func:`compile_expr` makes the tape of any other tree,
@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import _records
 from .errors import CurvcheckError, ExprSyntaxError, IndexOutOfRange, UnknownIdentifier
 
 __all__ = [
@@ -76,11 +76,11 @@ MAX_NESTING = 100
 MAX_EXPONENT_DIGITS = 15
 
 
-class Expression:
-    """Base class for expression tree nodes.  ``_program`` holds the
-    :class:`Program` of a parsed tree, or of a node :func:`compile_expr` ran
-    on; not being a dataclass field, it takes no part in equality, hashing
-    or pickling."""
+class Expression(_records.Value):
+    """Base class for expression tree nodes, compared and hashed over their
+    fields.  ``_program`` holds the :class:`Program` of a parsed tree, or of
+    a node :func:`compile_expr` ran on, and None until then; not being a
+    field, it takes no part in equality, hashing, copying or pickling."""
 
     __slots__ = ("_program",)
 
@@ -88,45 +88,70 @@ class Expression:
         return unparse(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expression):
     """Numeric literal (also produced by the ``pi`` keyword)."""
 
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set_value(self, value)
+        _set_program(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expression):
     """Coordinate variable; ``kind`` is ``"x"`` (base) or ``"f"`` (fiber),
     ``index`` is 1-based."""
 
-    kind: str
-    index: int
+    __slots__ = ("kind", "index")
+
+    def __init__(self, kind: str, index: int):
+        _set_kind(self, kind)
+        _set_index(self, index)
+        _set_program(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class Unary(Expression):
     """Unary operation: ``"neg"`` or one of :data:`FUNCTIONS`."""
 
-    op: str
-    operand: Expression
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expression):
+        _set_unary_op(self, op)
+        _set_operand(self, operand)
+        _set_program(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class Binary(Expression):
     """Binary operation, ``op`` in ``+ - * /``."""
 
-    op: str
-    left: Expression
-    right: Expression
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expression, right: Expression):
+        _set_binary_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_program(self, None)
 
 
-@dataclass(frozen=True, slots=True)
 class Power(Expression):
     """Integer power of a subexpression."""
 
-    base: Expression
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Expression, exponent: int):
+        _set_base(self, base)
+        _set_exponent(self, exponent)
+        _set_program(self, None)
+
+
+# The node constructors store their fields through these module names, the
+# fastest way to reach the slot setters: a run builds nodes by the thousand.
+_set_program = Expression._program.__set__
+(_set_value,) = Const._setters
+_set_kind, _set_index = Var._setters
+_set_unary_op, _set_operand = Unary._setters
+_set_binary_op, _set_left, _set_right = Binary._setters
+_set_base, _set_exponent = Power._setters
 
 
 #: One token: a number, a name, or any other non-space character (an
@@ -234,7 +259,7 @@ class _Reader:
                     raise ExprSyntaxError(message, self.offset(i)) from None
             raise
         root = self.tape.nodes[-1]
-        object.__setattr__(root, "_program", self.tape.program())
+        _set_program(root, self.tape.program())
         return root
 
     def expr(self) -> int:
@@ -438,10 +463,11 @@ def compile_expr(e: Expression) -> Program:
     docstring) and on anything that is not a node.
     """
     try:
-        return e._program
+        program = e._program
     except AttributeError:
-        if not isinstance(e, Expression):
-            raise TypeError(f"not an expression node: {e!r}") from None
+        raise TypeError(f"not an expression node: {e!r}") from None
+    if program is not None:
+        return program
     tape = _Tape()
     done = {}  # id(node) -> its register, for nodes of this tree
     stack = [e]
@@ -463,9 +489,6 @@ def compile_expr(e: Expression) -> Program:
             if node.kind not in ("x", "f") or not _is_int(node.index) or node.index < 1:
                 raise TypeError(f"not a node of the expression grammar: {node!r}")
             instr = (node.kind, node.index - 1, 0)
-        elif (program := getattr(node, "_program", None)) is not None:
-            done[id(node)] = tape.splice(program, node)
-            continue
         else:
             if isinstance(node, Binary) and node.op in _BINARY:
                 operands = (node.right, node.left)
@@ -475,11 +498,14 @@ def compile_expr(e: Expression) -> Program:
                 operands = (node.base,)
             else:
                 raise TypeError(f"not a node of the expression grammar: {node!r}")
-            stack += (node, None, *operands)
+            if node._program is None:
+                stack += (node, None, *operands)
+            else:
+                done[id(node)] = tape.splice(node._program, node)
             continue
         done[id(node)] = tape.emit(instr, node)
     program = tape.program()
-    object.__setattr__(e, "_program", program)
+    _set_program(e, program)
     return program
 
 

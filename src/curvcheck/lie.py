@@ -10,10 +10,9 @@ group are synthesized from the exponential, never from a logarithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from . import _records
 from .errors import ClosureViolation, DomainError, SingularMatrix
 
 __all__ = [
@@ -34,21 +33,17 @@ _JACOBI_TOL = 1e-10
 _DET_FLOOR = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixLieAlgebra:
+class MatrixLieAlgebra(_records.Frozen):
     """Matrix Lie algebra with basis ``E_1..E_k`` of d x d matrices and
     structure constants ``c[a, b, e]`` defined by
-    ``[E_a, E_b] = sum_e c[a, b, e] E_e``."""
+    ``[E_a, E_b] = sum_e c[a, b, e] E_e``; built by :meth:`from_basis`,
+    which keeps the (d*d, k) stack of the ``basis`` matrices and its
+    pseudo-inverse for :meth:`expand` (``_basis_stack``, ``_basis_pinv``)."""
 
-    d: int
-    k: int
-    basis: tuple  # k matrices, each a (d, d) ndarray
-    structure: np.ndarray  # (k, k, k)
-    name: str = "custom"
-    # the (d*d, k) basis stack and its pseudo-inverse, for coefficient
-    # expansion; set by from_basis
-    _basis_stack: np.ndarray = field(repr=False, compare=False, default=None)
-    _basis_pinv: np.ndarray = field(repr=False, compare=False, default=None)
+    __slots__ = ("d", "k", "basis", "structure", "name", "_basis_stack", "_basis_pinv")
+
+    def __init__(self, d: int, k: int, basis: tuple, structure, name: str, stack, pinv):
+        self._set(d, k, basis, structure, name, stack, pinv)
 
     @staticmethod
     def from_basis(basis, name: str = "custom") -> "MatrixLieAlgebra":
@@ -148,21 +143,19 @@ def _check_jacobi(c: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraElement:
+class AlgebraElement(_records.Frozen):
     """Element of a matrix Lie algebra, stored as basis coefficients."""
 
-    algebra: MatrixLieAlgebra
-    coeffs: np.ndarray
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float).reshape(-1)
-        if c.shape != (self.algebra.k,):
-            raise ValueError(
-                f"expected {self.algebra.k} coefficients, got {c.size}"
-            )
+    def __init__(self, algebra: MatrixLieAlgebra, coeffs: np.ndarray):
+        c = np.array(coeffs, dtype=float).reshape(-1)
+        if c.shape != (algebra.k,):
+            raise ValueError(f"expected {algebra.k} coefficients, got {c.size}")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        set_algebra, set_coeffs = self._setters
+        set_algebra(self, algebra)
+        set_coeffs(self, c)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -186,19 +179,19 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, factor * self.coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(_records.Frozen):
     """Invertible d x d matrix; the determinant must stay clear of zero."""
 
-    g: np.ndarray
+    __slots__ = ("g",)
 
-    def __post_init__(self):
-        mat = np.array(self.g, dtype=float)
+    def __init__(self, g: np.ndarray):
+        mat = np.array(g, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("group element must be a square matrix")
         group_stack(mat)
         mat.setflags(write=False)
-        object.__setattr__(self, "g", mat)
+        (set_g,) = self._setters
+        set_g(self, mat)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(np.linalg.inv(self.g))

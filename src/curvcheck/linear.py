@@ -25,11 +25,11 @@ matters: fiber-homogeneous functions of degree one need not be linear
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _symbolic
+from . import _records, _symbolic
 from .bundle import BundlePatch, ChristoffelField, curvature_coefficients
 from .exprdsl import Var, check_grid, parse_grid
 from .numcore import EvalPoint, each_sample, evaluate, gradient, sweep_grid
@@ -51,17 +51,15 @@ __all__ = [
 DEFAULT_LAMBDAS = (0.0, -2.0, -1.0, 0.5, 2.0, 7.0)
 
 
-@dataclass(frozen=True, eq=False)
-class LinearChristoffel:
+class LinearChristoffel(_records.Frozen):
     """Three-index symbols ``gamma3[alpha][mu][omega]``, base variables
     only."""
 
-    patch: BundlePatch
-    gamma3: tuple
+    __slots__ = ("patch", "gamma3")
 
-    def __post_init__(self):
-        m, n = self.patch.dims
-        object.__setattr__(self, "gamma3", check_grid(self.gamma3, (n, m, n), m, 0, "gamma3"))
+    def __init__(self, patch: BundlePatch, gamma3: tuple):
+        m, n = patch.dims
+        self._set(patch, check_grid(gamma3, (n, m, n), m, 0, "gamma3"))
 
     @staticmethod
     def from_strings(patch: BundlePatch, rows) -> "LinearChristoffel":
@@ -93,8 +91,7 @@ def classical_curvature(linear: LinearChristoffel, x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LinearityViolation:
+class LinearityViolation(NamedTuple):
     """First sample at which a connection failed the linearity probe."""
 
     alpha: int
@@ -119,8 +116,7 @@ class LinearityViolation:
         )
 
 
-@dataclass(frozen=True)
-class LinearityReport:
+class LinearityReport(NamedTuple):
     """Outcome of :func:`linearity_detect`: either the recovered three-index
     field or the first violating sample."""
 

@@ -62,10 +62,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _records
 from .errors import DomainError
 from .exprdsl import Expression, Program, compile_expr
 
@@ -89,33 +89,33 @@ __all__ = [
 Coordinate = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(_records.Value):
     """A point of the trivialized patch: base coordinates ``x``, fiber
     coordinates ``f`` (possibly empty for base-only expressions)."""
 
-    x: tuple[float, ...]
-    f: tuple[float, ...] = ()
+    __slots__ = ("x", "f")
+
+    def __init__(self, x: tuple[float, ...], f: tuple[float, ...] = ()):
+        set_x, set_f = self._setters
+        set_x(self, x)
+        set_f(self, f)
 
     @classmethod
     def of(cls, x, f=()) -> "EvalPoint":
         return cls(tuple(float(v) for v in x), tuple(float(v) for v in f))
 
 
-@dataclass(frozen=True, eq=False)
-class StackedPoint:
+class StackedPoint(_records.Frozen):
     """``size`` points of one patch, swept at once: ``x[i]`` and ``f[i]``
     are read-only 1-D float arrays of length ``size``, entry ``j`` the
     coordinate of point ``j``.  Compared and hashed by identity, as arrays
     have no hash."""
 
-    x: tuple
-    f: tuple = ()
-    size: int = field(init=False)
+    __slots__ = ("x", "f")
 
-    def __post_init__(self):
+    def __init__(self, x: tuple, f: tuple = ()):
         columns = []
-        for column in self.x + self.f:
+        for column in x + f:
             column = np.array(column, dtype=float)
             column.flags.writeable = False
             columns.append(column)
@@ -123,10 +123,12 @@ class StackedPoint:
             raise ValueError("a stacked point needs 1-D coordinate arrays of one length")
         if not len(columns[0]):
             raise ValueError("a stacked point needs at least one point")
-        m = len(self.x)
-        object.__setattr__(self, "x", tuple(columns[:m]))
-        object.__setattr__(self, "f", tuple(columns[m:]))
-        object.__setattr__(self, "size", len(columns[0]))
+        m = len(x)
+        self._set(tuple(columns[:m]), tuple(columns[m:]))
+
+    @property
+    def size(self) -> int:
+        return len(self.x[0] if self.x else self.f[0])
 
     @classmethod
     def of(cls, points) -> "StackedPoint":

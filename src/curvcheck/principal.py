@@ -55,11 +55,11 @@ its center and keeps order 6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _symbolic
+from . import _records, _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, curvature_coefficients
 from .errors import ClosureViolation, NotVertical
 from .exprdsl import Var, check_grid, parse_grid
@@ -90,20 +90,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class GaugePotential:
+class GaugePotential(_records.Frozen):
     """Algebra-valued local potential: ``a[mu][e]`` is the expression for
     the coefficient of basis element ``E_{e+1}`` in ``A_{mu+1}(x)``."""
 
-    algebra: MatrixLieAlgebra
-    base_dim: int
-    a: tuple  # (m, k) expressions, base variables only
+    __slots__ = ("algebra", "base_dim", "a")
 
-    def __post_init__(self):
-        if self.base_dim < 1:
+    def __init__(self, algebra: MatrixLieAlgebra, base_dim: int, a: tuple):
+        if base_dim < 1:
             raise ValueError("base dimension must be at least 1")
-        shape = (self.base_dim, self.algebra.k)
-        object.__setattr__(self, "a", check_grid(self.a, shape, self.base_dim, 0, "a"))
+        self._set(algebra, base_dim, check_grid(a, (base_dim, algebra.k), base_dim, 0, "a"))
 
     @staticmethod
     def from_strings(algebra: MatrixLieAlgebra, rows, base_dim: int) -> "GaugePotential":
@@ -118,23 +114,21 @@ class GaugePotential:
         return AlgebraElement(self.algebra, coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureField:
+class CurvatureField(_records.Frozen):
     """Curvature coefficients at a point: ``coeffs[mu, nu, e]`` is the
     ``E_{e+1}`` coefficient of ``F_{mu+1, nu+1}``; antisymmetric in the
     first two axes."""
 
-    algebra: MatrixLieAlgebra
-    coeffs: np.ndarray
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != self.algebra.k:
+    def __init__(self, algebra: MatrixLieAlgebra, coeffs: np.ndarray):
+        arr = np.array(coeffs, dtype=float)
+        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != algebra.k:
             raise ValueError("curvature coefficients must have shape (m, m, k)")
         if not np.array_equal(arr, -arr.transpose(1, 0, 2), equal_nan=True):
             raise ValueError("curvature coefficients must be antisymmetric in (mu, nu)")
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        self._set(algebra, arr)
 
     def element(self, mu: int, nu: int) -> AlgebraElement:
         """F_{mu nu} as an algebra element (1-based indices)."""
@@ -344,8 +338,7 @@ def _left_log_matrix(alg: MatrixLieAlgebra, coords: np.ndarray) -> np.ndarray:
     return expm(block)[..., :k, k:]
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     max_deviation: float
     pairwise: dict
     prolonged_deviation: float
@@ -447,8 +440,7 @@ def theta_bch(
     return (g, y, x, z + bracket(x, y))
 
 
-@dataclass(frozen=True)
-class ThetaBchReport:
+class ThetaBchReport(NamedTuple):
     direct_deviation: float
     swapped_deviation: float
     max_deviation: float

@@ -73,11 +73,11 @@ once, through :func:`vertical_connection`, and keeps nothing on the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _symbolic
+from . import _records, _symbolic
 from .bundle import BundlePatch, ChristoffelField, VerticalVector
 from .errors import FiberMismatch
 from .exprdsl import Expression, Var, check_grid
@@ -107,28 +107,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SecondJet:
+class SecondJet(_records.Value):
     """Second-order jet over base point ``x`` with the four fiber slots."""
 
-    x: tuple[float, ...]
-    f: tuple[float, ...]
-    fdot: tuple[float, ...]
-    fcirc: tuple[float, ...]
-    fcircdot: tuple[float, ...]
+    __slots__ = ("x", "f", "fdot", "fcirc", "fcircdot")
 
-    def __post_init__(self):
-        for name in ("x", "f", "fdot", "fcirc", "fcircdot"):
-            object.__setattr__(
-                self, name, tuple(float(v) for v in getattr(self, name))
-            )
-        n = len(self.f)
-        if not (len(self.fdot) == len(self.fcirc) == len(self.fcircdot) == n):
+    def __init__(self, x, f, fdot, fcirc, fcircdot):
+        slots = [tuple(map(float, v)) for v in (x, f, fdot, fcirc, fcircdot)]
+        if not (len(slots[1]) == len(slots[2]) == len(slots[3]) == len(slots[4])):
             raise ValueError("all fiber slots must have the same length")
+        self._set(*slots)
 
 
-@dataclass(frozen=True)
-class VerticalPairBase:
+class VerticalPairBase(NamedTuple):
     """Image of a second jet under the double projection: position ``f`` with
     the two first-order velocities, mixed slot forgotten."""
 

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .errors import IoError
 
 __all__ = ["CheckResult", "RunReport", "to_json_dict", "render_text", "emit"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One row of a run report.
 
     ``verdict`` is ``"pass"``, ``"fail"``, or ``"error"`` (the check raised
@@ -37,8 +36,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     tool_version: str
     config_digest: str
     seed: int
@@ -52,14 +50,9 @@ class RunReport:
 
 
 def to_json_dict(report: RunReport) -> dict:
-    return {
-        "verdict": report.verdict,
-        "tool_version": report.tool_version,
-        "config_digest": report.config_digest,
-        "seed": report.seed,
-        "duration_seconds": report.duration_seconds,
-        "checks": [asdict(c) for c in report.checks],
-    }
+    """The report as JSON values, keys in the order of the fields."""
+    checks = [c._asdict() for c in report.checks]
+    return {"verdict": report.verdict, **report._asdict(), "checks": checks}
 
 
 def _verdict_label(verdict: str) -> str:

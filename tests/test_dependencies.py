@@ -7,21 +7,31 @@ of the package imports a private name of another, and no module of the
 package reads the process environment.  Every function that any
 ``__all__`` of the package lists runs in a check of
 ``fixtures/verify.json``, or a table here says why not, and every name any
-``__all__`` lists exists."""
+``__all__`` lists exists.  No class of the package is a dataclass but the
+suite config, and no field of an immutable object can be assigned or
+deleted."""
 
 import ast
 import importlib
 import inspect
 import os
+import pickle
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curvcheck
+from curvcheck import _records, bundle, exprdsl, linear, principal, prolong
 from curvcheck.cli import main
+from curvcheck.config import CheckSpec
+from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
+from curvcheck.lie import AlgebraElement, GroupElement, builtin_algebra
+from curvcheck.numcore import EvalPoint, StackedPoint
+from curvcheck.report import CheckResult, RunReport
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -207,3 +217,105 @@ def test_every_name_in_every_all_resolves():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+#: The classes of the package that ``dataclasses`` still builds, and why.
+#: Every other class writes its methods once, in ``_records``, instead of
+#: executing generated ones at each import.
+_DATACLASSES = {
+    ("config", "SuiteConfig"): "cli and bench/tracer.py set its seed with dataclasses.replace",
+}
+
+
+def _dataclasses(path: Path) -> list[tuple[str, str]]:
+    """``(module, class)`` for every class of ``path`` decorated with
+    ``dataclass`` or ``dataclasses.dataclass``, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef):
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else target.id
+                if name == "dataclass":
+                    found.append((path.stem, node.name))
+    return found
+
+
+def test_no_class_but_the_suite_config_is_a_dataclass():
+    files = sorted((ROOT / "src" / "curvcheck").glob("*.py"))
+    assert sorted(found for path in files for found in _dataclasses(path)) == sorted(_DATACLASSES)
+
+
+_P = bundle.BundlePatch(2, 1)
+_SO3 = builtin_algebra("so3")
+_X1 = Var("x", 1)
+
+#: One object of every immutable class of the package.
+_IMMUTABLE = {
+    "Const": Const(2.0),
+    "Var": _X1,
+    "Unary": Unary("sin", _X1),
+    "Binary": Binary("+", _X1, Const(1.0)),
+    "Power": Power(_X1, 2),
+    "Program": exprdsl.compile_expr(parse("x1*f1", (1, 1))),
+    "EvalPoint": EvalPoint((1.0, 2.0), (3.0,)),
+    "StackedPoint": StackedPoint((np.array([1.0, 2.0]),), (np.array([3.0, 4.0]),)),
+    "SecondJet": prolong.SecondJet((1.0,), (2.0,), (3.0,), (4.0,), (5.0,)),
+    "VerticalPairBase": prolong.VerticalPairBase((1.0,), (2.0,), (3.0,), (4.0,)),
+    "BundlePatch": _P,
+    "ChristoffelField": bundle.ChristoffelField.from_strings(_P, [["x1*f1", "x2"]]),
+    "VerticalVector": bundle.VerticalVector(EvalPoint((1.0, 2.0), (3.0,)), (4.0,)),
+    "Section": bundle.Section.from_strings(_P, ["x1*x2"]),
+    "TotalVectorField": bundle.TotalVectorField.coordinate(_P, 1),
+    "FiberBundleMorphism": bundle.FiberBundleMorphism.from_strings(_P, _P, ["2*f1"]),
+    "_Parts": bundle._Parts((1.0, 0.0), (2.0,)),
+    "MatrixLieAlgebra": _SO3,
+    "AlgebraElement": AlgebraElement(_SO3, [1.0, 2.0, 3.0]),
+    "GroupElement": GroupElement(np.eye(3)),
+    "GaugePotential": principal.GaugePotential.from_strings(
+        _SO3, [["x1", "0", "0"], ["0", "x2", "0"]], 2
+    ),
+    "CurvatureField": principal.CurvatureField(_SO3, np.zeros((2, 2, 3))),
+    "CrossCheckReport": principal.CrossCheckReport(1e-12, {"one-two": 1e-12}, 0.0),
+    "ThetaBchReport": principal.ThetaBchReport(1e-9, 2e-9, 2e-9),
+    "LinearChristoffel": linear.LinearChristoffel.from_strings(_P, [[["x1"], ["x2"]]]),
+    "LinearityViolation": linear.LinearityViolation(
+        1, 1, (1.0, 2.0), (3.0,), 2.0, 1.0, 1.5, "homogeneity"
+    ),
+    "LinearityReport": linear.LinearityReport(None, None),
+    "CheckSpec": CheckSpec("poly", "curvature-coefficients", 10, 1e-9, None, {}),
+    "CheckResult": CheckResult("poly", "curvature-coefficients", 10, 1e-12, 1e-9, "pass"),
+    "RunReport": RunReport("0.1.0", "0" * 64, 0, 0.5, ()),
+}
+
+
+def test_the_table_holds_every_immutable_class():
+    classes = {
+        cls
+        for module in _modules()
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and (issubclass(cls, _records.Frozen) or issubclass(cls, tuple))
+    }
+    abstract = {_records.Frozen, _records.Value, exprdsl.Expression}
+    assert sorted(c.__name__ for c in classes - abstract) == sorted(_IMMUTABLE)
+    assert all(type(obj).__name__ == name for name, obj in _IMMUTABLE.items())
+
+
+@pytest.mark.parametrize("obj", _IMMUTABLE.values(), ids=_IMMUTABLE)
+def test_fields_can_be_neither_assigned_nor_deleted(obj):
+    fields = obj._fields if isinstance(obj, tuple) else type(obj).__slots__
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
+def test_a_report_row_survives_the_pipes_of_the_jobs_workers():
+    # a forked worker sends each row back pickled
+    row = CheckResult("axiom", "connection-axiom", 100, 2.5e-12, 1e-8, "pass", "")
+    back = pickle.loads(pickle.dumps(row))
+    assert type(back) is CheckResult and back == row
+    assert back._asdict() == row._asdict()

@@ -37,7 +37,6 @@ only must show in the twisted difference itself, which takes both orders.
 import inspect
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +113,12 @@ def test_planted_defect_fails_the_named_rows(monkeypatch, tmp_path, op, rule, sk
 
 
 # --- defects planted in the routes of four more check kinds -----------------
+
+
+def replace(obj, **changes):
+    """``obj`` rebuilt through its constructor with the fields ``changes``
+    replaced, as ``dataclasses.replace`` does for a dataclass."""
+    return type(obj)(*(changes.get(name, getattr(obj, name)) for name in obj.__slots__))
 
 
 def _theta_bch_without_bracket(original):
