@@ -53,7 +53,6 @@ from .linear import (
 )
 from .numcore import EvalPoint, directional, evaluate, gradient, mixed_second, partial
 from .principal import (
-    CurvatureField,
     GaugePotential,
     cartan_curvature,
     check_axiom,
@@ -117,7 +116,6 @@ __all__ = [
     "builtin_algebra",
     # principal connections
     "GaugePotential",
-    "CurvatureField",
     "check_axiom",
     "vtriv_principal",
     "cartan_curvature",

@@ -160,10 +160,13 @@ def _expect_seed(value, path: str) -> int:
 
 
 def _expect_number(value, path: str) -> float:
-    _expect(value, "number", path)
-    if not math.isfinite(value):
+    try:
+        number = float(_expect(value, "number", path))
+    except OverflowError:  # an integer past the largest double
+        number = math.inf
+    if not math.isfinite(number):
         _fail(path, "must be finite")
-    return float(value)
+    return number
 
 
 def _reject_unknown(obj: dict, allowed, path: str) -> None:
@@ -270,7 +273,7 @@ def _algebra(name: str, here: str, body: dict, tables: dict) -> MatrixLieAlgebra
         _fail(f"{here}.basis", "needs at least one matrix")
     matrices = [_matrix(entry, f"{here}.basis[{i}]") for i, entry in enumerate(basis)]
     try:
-        return MatrixLieAlgebra.from_basis(matrices, name=name)
+        return MatrixLieAlgebra.from_basis(matrices)
     except (ValueError, ClosureViolation) as exc:
         raise ConfigSchemaError(f"{here}.basis: {exc}") from exc
 
@@ -406,6 +409,8 @@ def load_config(path: str) -> SuiteConfig:
         ) from exc
     except RecursionError:
         raise ConfigSchemaError(f"{path}: JSON nests too deeply to read") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ConfigSchemaError(f"{path}: cannot read a JSON number: {exc}") from None
     _expect(document, "object", "config")
     _reject_unknown(document, _TOP_LEVEL_KEYS, "config")
     if "version" not in document:

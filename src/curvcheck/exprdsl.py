@@ -309,14 +309,18 @@ class _Reader:
         if text[:1] not in _LETTERS:
             raise ExprSyntaxError("expected a number, identifier, or '('", self.offset(i))
         if text[1:].isdigit() and text[0] in "xfv":
-            index = int(text[1:])
-            if index == 0:
+            digits = text[1:].lstrip("0")
+            if not digits:
                 message = f"variable indices are 1-based: {text!r} at offset {self.offset(i)}"
                 raise UnknownIdentifier(message)
             kind = "x" if text[0] == "x" else "f"
             side, limit = ("base", self.dims[0]) if kind == "x" else ("fiber", self.dims[1])
+            try:
+                index = int(digits)
+            except ValueError:  # more digits than the interpreter converts
+                index = limit + 1
             if index > limit:
-                message = f"{side} index {index} exceeds {side} dimension {limit}: {text!r}"
+                message = f"{side} index {digits} exceeds {side} dimension {limit}: {text!r}"
                 raise IndexOutOfRange(message)
             return self.tape.emit((kind, index - 1, 0))
         if text == "pi":

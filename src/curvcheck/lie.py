@@ -40,13 +40,13 @@ class MatrixLieAlgebra(_records.Frozen):
     which keeps the (d*d, k) stack of the ``basis`` matrices and its
     pseudo-inverse for :meth:`expand` (``_basis_stack``, ``_basis_pinv``)."""
 
-    __slots__ = ("d", "k", "basis", "structure", "name", "_basis_stack", "_basis_pinv")
+    __slots__ = ("d", "k", "basis", "structure", "_basis_stack", "_basis_pinv")
 
-    def __init__(self, d: int, k: int, basis: tuple, structure, name: str, stack, pinv):
-        self._set(d, k, basis, structure, name, stack, pinv)
+    def __init__(self, d: int, k: int, basis: tuple, structure, stack, pinv):
+        self._set(d, k, basis, structure, stack, pinv)
 
     @staticmethod
-    def from_basis(basis, name: str = "custom") -> "MatrixLieAlgebra":
+    def from_basis(basis) -> "MatrixLieAlgebra":
         mats = tuple(np.array(b, dtype=float) for b in basis)
         if not mats:
             raise ValueError("basis must contain at least one matrix")
@@ -77,13 +77,7 @@ class MatrixLieAlgebra(_records.Frozen):
                     structure[b, a] = -coeffs
             _check_jacobi(structure)
         structure.setflags(write=False)
-        return MatrixLieAlgebra(d, k, mats, structure, name, stack, pinv)
-
-    def element(self, coeffs) -> "AlgebraElement":
-        return AlgebraElement(self, coeffs)
-
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, np.zeros(self.k))
+        return MatrixLieAlgebra(d, k, mats, structure, stack, pinv)
 
     def identity_group(self) -> "GroupElement":
         return GroupElement(np.eye(self.d))
@@ -161,22 +155,9 @@ class AlgebraElement(_records.Frozen):
     def matrix(self) -> np.ndarray:
         return self.algebra.matrix(self.coeffs)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _same_algebra(self, other)
         return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, -self.coeffs)
-
-    def scaled(self, factor: float) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, factor * self.coeffs)
 
 
 class GroupElement(_records.Frozen):
@@ -195,9 +176,6 @@ class GroupElement(_records.Frozen):
 
     def inverse(self) -> "GroupElement":
         return GroupElement(np.linalg.inv(self.g))
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.g @ other.g)
 
 
 def group_stack(mats) -> np.ndarray:
@@ -349,4 +327,4 @@ def builtin_algebra(name: str) -> MatrixLieAlgebra:
     if key is None:
         known = ", ".join(sorted(BUILTIN_ALGEBRAS))
         raise ValueError(f"unknown algebra {name!r} (built in: {known})")
-    return MatrixLieAlgebra.from_basis(BUILTIN_ALGEBRAS[key](), name=key)
+    return MatrixLieAlgebra.from_basis(BUILTIN_ALGEBRAS[key]())

@@ -123,10 +123,6 @@ class LinearityReport(NamedTuple):
     field: LinearChristoffel | None
     violation: LinearityViolation | None
 
-    @property
-    def linear(self) -> bool:
-        return self.field is not None
-
 
 def linearity_detect(
     field: ChristoffelField, points, tol: float, lambdas: tuple = DEFAULT_LAMBDAS

@@ -77,7 +77,6 @@ from .prolong import commutator_tensor
 
 __all__ = [
     "GaugePotential",
-    "CurvatureField",
     "CrossCheckReport",
     "ThetaBchReport",
     "check_axiom",
@@ -112,30 +111,6 @@ class GaugePotential(_records.Frozen):
         pt = EvalPoint.of(x)
         coeffs = [evaluate(c, pt) for c in self.a[mu - 1]]
         return AlgebraElement(self.algebra, coeffs)
-
-
-class CurvatureField(_records.Frozen):
-    """Curvature coefficients at a point: ``coeffs[mu, nu, e]`` is the
-    ``E_{e+1}`` coefficient of ``F_{mu+1, nu+1}``; antisymmetric in the
-    first two axes."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: MatrixLieAlgebra, coeffs: np.ndarray):
-        arr = np.array(coeffs, dtype=float)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != algebra.k:
-            raise ValueError("curvature coefficients must have shape (m, m, k)")
-        if not np.array_equal(arr, -arr.transpose(1, 0, 2), equal_nan=True):
-            raise ValueError("curvature coefficients must be antisymmetric in (mu, nu)")
-        arr.setflags(write=False)
-        self._set(algebra, arr)
-
-    def element(self, mu: int, nu: int) -> AlgebraElement:
-        """F_{mu nu} as an algebra element (1-based indices)."""
-        m = self.coeffs.shape[0]
-        if not (1 <= mu <= m and 1 <= nu <= m):
-            raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
-        return AlgebraElement(self.algebra, self.coeffs[mu - 1, nu - 1])
 
 
 def _potential_along(p: GaugePotential, x, xi) -> np.ndarray:
@@ -239,10 +214,12 @@ def vtriv_principal(algebra: MatrixLieAlgebra, g0: GroupElement, w) -> AlgebraEl
     return AlgebraElement(algebra, coeffs)
 
 
-def cartan_curvature(p: GaugePotential, x) -> CurvatureField:
+def cartan_curvature(p: GaugePotential, x) -> np.ndarray:
     """Structure-equation curvature
     ``F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]`` at ``x``, from one
-    gradient of each potential component."""
+    gradient of each potential component, as ``F[mu, nu, e]``, the
+    ``E_{e+1}`` coefficient of ``F_{mu+1, nu+1}``; antisymmetric in
+    ``(mu, nu)``."""
     m = p.base_dim
     pt = EvalPoint.of(x)
     # grads[nu, e, mu] = d_mu of the E_{e+1} coefficient of A_nu
@@ -255,7 +232,7 @@ def cartan_curvature(p: GaugePotential, x) -> CurvatureField:
             entry = grads[nu, :, mu] - grads[mu, :, nu] + comm
             coeffs[mu, nu] = entry
             coeffs[nu, mu] = -entry
-    return CurvatureField(p.algebra, coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +325,7 @@ def _structure_route(p: GaugePotential, samples) -> list[np.ndarray]:
     """Route one: :func:`cartan_curvature` at each sample's base point, as
     ``(pairs mu < nu, k)``."""
     upper = np.triu_indices(p.base_dim, 1)
-    return list(each_sample(lambda sample: cartan_curvature(p, sample[0]).coeffs[upper], samples))
+    return list(each_sample(lambda sample: cartan_curvature(p, sample[0])[upper], samples))
 
 
 def _chart_route(p: GaugePotential, samples) -> list[np.ndarray]:

@@ -104,6 +104,15 @@ def test_parse_expr_respects_dims(capsys):
     assert capsys.readouterr().out == "f3\n"
 
 
+def test_parse_expr_rejects_an_index_past_the_digit_limit(capsys):
+    # 5000 digits are more than int() converts on Python 3.11 and later
+    source = "x" + "1" * 5000
+    assert main(["parse-expr", source, "--dims", "1,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvcheck: base index 111")
+    assert err.endswith(f"exceeds base dimension 1: {source!r}\n")
+
+
 def test_parse_expr_rejects_deep_nesting(capsys):
     assert main(["parse-expr", "(" * 400 + "x1" + ")" * 400]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,47 @@ def test_samples_and_seed_bounds(tmp_path):
                 continue
             with pytest.raises(ConfigSchemaError, match=re.escape(f"{where}: must be below 2^64")):
                 load_config(_write(tmp_path, doc))
+
+
+#: An integer that JSON reads exactly and no double holds.
+_PAST_DOUBLE = 10**400
+
+
+@pytest.mark.parametrize(
+    "where, put",
+    [
+        ("checks[0].tolerance", lambda doc: doc["checks"][0].update(tolerance=_PAST_DOUBLE)),
+        (
+            "checks[0].lambdas[1]",
+            lambda doc: doc["checks"][0].update(kind="linearity", lambdas=[0, _PAST_DOUBLE]),
+        ),
+        (
+            "algebras.a.basis[0][1]",
+            lambda doc: doc.update(algebras={"a": {"basis": [[0, _PAST_DOUBLE, 1, 0]]}}),
+        ),
+    ],
+    ids=["tolerance", "lambdas", "basis"],
+)
+def test_an_integer_past_the_largest_double_is_not_finite(tmp_path, where, put):
+    doc = _base()
+    put(doc)
+    with pytest.raises(ConfigSchemaError, match=re.escape(f"{where}: must be finite")):
+        load_config(_write(tmp_path, doc))
+
+
+def test_a_seed_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    # json.loads refuses an integer of more digits than the interpreter's
+    # limit (Python 3.11 and 3.10.7 on); where there is none, or it is
+    # higher, the seed reads and is not below 2^64
+    path = _write(tmp_path, _base())
+    text = Path(path).read_text(encoding="utf-8")
+    Path(path).write_text(text.replace('"version": 1', '"version": 1, "seed": ' + "1" * 5000))
+    assert main(["check", path]) == 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < 5000:
+        assert f"curvcheck: {path}: cannot read a JSON number" in capsys.readouterr().err
+    else:
+        assert "curvcheck: seed: must be below 2^64" in capsys.readouterr().err
 
 
 def test_gamma_shape_validation(tmp_path):

@@ -5,15 +5,16 @@ run imports neither ``multiprocessing`` nor ``concurrent`` either, at
 file of the package or its tests imports a name it never reads, no module
 of the package imports a private name of another, and no module of the
 package reads the process environment.  Every function that any
-``__all__`` of the package lists runs in a check of
-``fixtures/verify.json``, or a table here says why not, and every name any
-``__all__`` lists exists.  No class of the package is a dataclass but the
+``__all__`` of the package lists, and every public member of a class it
+lists, runs in a check of ``fixtures/verify.json``, or a table here says
+why not, and every name any ``__all__`` lists exists.  No class of the package is a dataclass but the
 suite config, and no field of an immutable object can be assigned or
 deleted."""
 
 import ast
 import importlib
 import inspect
+import operator
 import os
 import pickle
 import re
@@ -181,9 +182,10 @@ def _modules() -> list:
     ]
 
 
-def test_every_public_function_runs_in_a_check_or_says_why_not(tmp_path):
-    # a public function that no check runs can be wrong in a way no report
-    # shows; the table keeps each such one to a stated reason
+@pytest.fixture(scope="module")
+def check_run_codes(tmp_path_factory):
+    """The code objects that ``check fixtures/verify.json`` calls, in both
+    report formats."""
     called = set()
 
     def profile(frame, event, arg):
@@ -191,22 +193,85 @@ def test_every_public_function_runs_in_a_check_or_says_why_not(tmp_path):
             called.add(frame.f_code)
 
     config = str(ROOT / "fixtures" / "verify.json")
+    out = tmp_path_factory.mktemp("reach")
     sys.setprofile(profile)
     try:
         codes = [
-            main(["check", config, "--format", form, "--out", str(tmp_path / f"report.{form}")])
+            main(["check", config, "--format", form, "--out", str(out / f"report.{form}")])
             for form in ("json", "text")
         ]
     finally:
         sys.setprofile(None)
     assert codes == [0, 0]
+    return called
+
+
+def test_every_public_function_runs_in_a_check_or_says_why_not(check_run_codes):
+    # a public function that no check runs can be wrong in a way no report
+    # shows; the table keeps each such one to a stated reason
     unreached = {
         name
         for module in _modules()
         for name in getattr(module, "__all__", ())
-        if inspect.isfunction(fn := getattr(module, name)) and fn.__code__ not in called
+        if inspect.isfunction(fn := getattr(module, name)) and fn.__code__ not in check_run_codes
     }
     assert sorted(unreached) == sorted(_UNREACHED)
+
+
+#: The public members, of any class in any module's ``__all__``, that no
+#: check of ``fixtures/verify.json`` runs, and why each stays.
+_UNREACHED_MEMBERS = {
+    **{
+        f"{cls}.from_strings": "hides parse_grid and the patch's dims from the tests"
+        for cls in (
+            "ChristoffelField",
+            "Section",
+            "TotalVectorField",
+            "FiberBundleMorphism",
+            "LinearChristoffel",
+            "GaugePotential",
+        )
+    },
+    "GaugePotential.value": "a reference the tests compare the curvature routes against",
+    "StackedPoint.at": "over_samples reads it below _STACK_MIN, and verify.json "
+    "stacks at least 6 points",
+}
+
+
+def _members(cls):
+    """``(name, function)`` of each method, classmethod, staticmethod and
+    property getter that the package's source defines on ``cls``, so not the
+    ``__eq__`` that ``dataclasses`` generates: its public names and its
+    operator dunders (the names the ``operator`` module binds, as ``__add__``
+    and ``__matmul__``)."""
+    package = str(Path(curvcheck.__file__).parent)
+    for name, attr in vars(cls).items():
+        if name.startswith("_") and name not in vars(operator):
+            continue
+        fn = attr.fget if isinstance(attr, property) else attr
+        fn = getattr(fn, "__func__", fn)
+        if inspect.isfunction(fn) and fn.__code__.co_filename.startswith(package):
+            yield name, fn
+
+
+def test_every_public_member_runs_in_a_check_or_says_why_not(check_run_codes):
+    # as for the functions above: a member that no check runs can be wrong in
+    # a way no report shows
+    classes = {
+        cls
+        for module in _modules()
+        for name in getattr(module, "__all__", ())
+        if isinstance(cls := getattr(module, name), type) and not issubclass(cls, Exception)
+    }
+    unreached = {
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, fn in _members(cls)
+        if fn.__code__ not in check_run_codes
+    }
+    # names both a member no check runs and no table entry covers, and an
+    # entry whose member runs or is gone
+    assert sorted(unreached.symmetric_difference(_UNREACHED_MEMBERS)) == []
 
 
 def test_every_name_in_every_all_resolves():
@@ -275,7 +340,6 @@ _IMMUTABLE = {
     "GaugePotential": principal.GaugePotential.from_strings(
         _SO3, [["x1", "0", "0"], ["0", "x2", "0"]], 2
     ),
-    "CurvatureField": principal.CurvatureField(_SO3, np.zeros((2, 2, 3))),
     "CrossCheckReport": principal.CrossCheckReport(1e-12, {"one-two": 1e-12}, 0.0),
     "ThetaBchReport": principal.ThetaBchReport(1e-9, 2e-9, 2e-9),
     "LinearChristoffel": linear.LinearChristoffel.from_strings(_P, [[["x1"], ["x2"]]]),

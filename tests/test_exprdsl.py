@@ -141,6 +141,7 @@ def test_parse_determinism():
 
 
 _DEEP = MAX_NESTING + 1
+_ONES = "1" * 5000
 
 # source, dims, error, message, offset (None where the error has none):
 # every raise site of the parser
@@ -183,6 +184,12 @@ PARSE_ERRORS = [
     ("2*x0", DIMS, UnknownIdentifier, "variable indices are 1-based: 'x0' at offset 2", None),
     ("x1 + x3", (2, 2), IndexOutOfRange, "base index 3 exceeds base dimension 2: 'x3'", None),
     ("v3", (2, 2), IndexOutOfRange, "fiber index 3 exceeds fiber dimension 2: 'v3'", None),
+    # more digits than int() converts on Python 3.11 and later
+    pytest.param(
+        "f" + _ONES, (1, 2), IndexOutOfRange,
+        f"fiber index {_ONES} exceeds fiber dimension 2: 'f{_ONES}'", None,
+        id="f-of-5000-digits",
+    ),
 ]
 
 
@@ -193,6 +200,11 @@ def test_every_parse_error_keeps_its_message_and_offset(source, dims, error, mes
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
     assert getattr(excinfo.value, "offset", None) == offset
+
+
+def test_leading_zeros_of_an_index_are_not_counted_against_its_dimension():
+    # 5001 digits, more than int() converts on Python 3.11 and later
+    assert parse("x" + "0" * 5000 + "1", (1, 1)) == Var("x", 1)
 
 
 def test_unparse_examples():

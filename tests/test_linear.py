@@ -229,7 +229,7 @@ def test_detect_round_trips_linear_fields():
     for _ in range(3):
         lin = _random_linear(rng, P22)
         report = linearity_detect(expand_linear(lin), _sample_points(0, 2, 2, 32), 1e-9)
-        assert report.linear
+        assert report.field is not None
         assert report.violation is None
         recovered = expand_linear(report.field)
         original = expand_linear(lin)
@@ -246,7 +246,6 @@ def test_detect_round_trips_linear_fields():
 def test_detect_flags_quadratic_fiber_dependence():
     field = ChristoffelField.from_strings(P11, [["f1^2"]])
     report = linearity_detect(field, _sample_points(0, 1, 1, 64), 1e-9)
-    assert not report.linear
     assert report.field is None
     assert report.violation.stage == "homogeneity"
     # lambda = 0 passes for a quadratic (0 == 0), so the first genuine
@@ -257,7 +256,7 @@ def test_detect_flags_quadratic_fiber_dependence():
 def test_detect_flags_affine_offset_at_lambda_zero():
     field = ChristoffelField.from_strings(P11, [["x1"]])
     report = linearity_detect(field, _sample_points(0, 1, 1, 64), 1e-9)
-    assert not report.linear
+    assert report.field is None
     assert report.violation.stage == "homogeneity"
     assert report.violation.lam == 0.0
     assert report.violation.expected == 0.0
@@ -269,7 +268,7 @@ def test_detect_expansion_stage_catches_what_homogeneity_misses():
     # still rejects it.
     field = ChristoffelField.from_strings(P11, [["x1"]])
     report = linearity_detect(field, _sample_points(0, 1, 1, 64), 1e-9, lambdas=(1.0,))
-    assert not report.linear
+    assert report.field is None
     assert report.violation.stage == "expansion"
     assert report.violation.lam is None
 
@@ -292,7 +291,7 @@ def test_detect_deterministic_given_seed():
     field = ChristoffelField.from_strings(P22, [["x1*f2", "0"], ["sin(x1)*f1", "f2"]])
     a = linearity_detect(field, _sample_points(3, 2, 2, 64), 1e-9)
     b = linearity_detect(field, _sample_points(3, 2, 2, 64), 1e-9)
-    assert a.linear and b.linear
+    assert a.field is not None and b.field is not None
     for alpha in range(2):
         for mu in range(2):
             assert a.field.gamma3[alpha][mu] == b.field.gamma3[alpha][mu]
@@ -311,7 +310,7 @@ def test_detect_evaluates_each_reference_value_once(monkeypatch):
     monkeypatch.setattr(linear, "evaluate", counted)
     field = ChristoffelField.from_strings(P22, [["x1*f2", "0"], ["sin(x1)*f1", "f2"]])
     report = linearity_detect(field, _sample_points(3, 2, 2, 4), 1e-9)
-    assert report.linear
+    assert report.field is not None
     assert len(calls) <= 128
 
 
