@@ -23,46 +23,50 @@ _ZERO = Const(0.0)
 _ONE = Const(1.0)
 
 
-def _is_const(e: Expression, value: float) -> bool:
-    return isinstance(e, Const) and e.value == value
+# Each fold tests an operand for a constant once, then asks of its value
+# whether it is 0 or 1, in the order of the rules.
 
 
 def add(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0):
+    a_const, b_const = isinstance(a, Const), isinstance(b, Const)
+    if a_const and a.value == 0.0:
         return b
-    if _is_const(b, 0.0):
+    if b_const and b.value == 0.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if a_const and b_const:
         return Const(a.value + b.value)
     return Binary("+", a, b)
 
 
 def sub(a: Expression, b: Expression) -> Expression:
-    if _is_const(b, 0.0):
+    a_const, b_const = isinstance(a, Const), isinstance(b, Const)
+    if b_const and b.value == 0.0:
         return a
-    if _is_const(a, 0.0):
+    if a_const and a.value == 0.0:
         return neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
+    if a_const and b_const:
         return Const(a.value - b.value)
     return Binary("-", a, b)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    a_const, b_const = isinstance(a, Const), isinstance(b, Const)
+    if (a_const and a.value == 0.0) or (b_const and b.value == 0.0):
         return _ZERO
-    if _is_const(a, 1.0):
+    if a_const and a.value == 1.0:
         return b
-    if _is_const(b, 1.0):
+    if b_const and b.value == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if a_const and b_const:
         return Const(a.value * b.value)
     return Binary("*", a, b)
 
 
 def div(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    b_const = isinstance(b, Const)
+    if isinstance(a, Const) and a.value == 0.0 and not (b_const and b.value == 0.0):
         return _ZERO
-    if _is_const(b, 1.0):
+    if b_const and b.value == 1.0:
         return a
     return Binary("/", a, b)
 
@@ -70,7 +74,7 @@ def div(a: Expression, b: Expression) -> Expression:
 def neg(a: Expression) -> Expression:
     if isinstance(a, Unary) and a.op == "neg":
         return a.operand
-    if _is_const(a, 0.0):
+    if isinstance(a, Const) and a.value == 0.0:
         return _ZERO
     return Unary("neg", a)
 
@@ -125,13 +129,28 @@ def derivative(e: Expression, kind: str, index: int) -> Expression:
             d = _ZERO
         elif op == "x" or op == "f":
             d = _ONE if (op, a, b) == target else _ZERO
-        elif op == "+" or op == "-":
-            d = _FOLD[op](ds[a], ds[b])
-        elif op == "*":
-            d = add(mul(ds[a], nodes[b]), mul(nodes[a], ds[b]))
-        elif op == "/":
-            # quotient rule; keeps the denominator as an explicit square
-            d = div(sub(mul(ds[a], nodes[b]), mul(nodes[a], ds[b])), Power(nodes[b], 2))
+        elif op in _FOLD:
+            da, db = ds[a], ds[b]
+            if da is _ZERO and db is _ZERO:  # every binary rule folds to _ZERO
+                d = _ZERO
+            elif op == "*":
+                # the product rule without the term of a _ZERO derivative,
+                # which mul folds to _ZERO and add then drops
+                if da is _ZERO:
+                    d = mul(nodes[a], db)  # add(_ZERO, t) is t
+                elif db is _ZERO:
+                    d = add(mul(da, nodes[b]), _ZERO)  # a zero t becomes _ZERO
+                else:
+                    d = add(mul(da, nodes[b]), mul(nodes[a], db))
+            elif op == "/":
+                # quotient rule; keeps the denominator as an explicit square
+                d = div(sub(mul(da, nodes[b]), mul(nodes[a], db)), Power(nodes[b], 2))
+            else:
+                d = _FOLD[op](da, db)
+        elif ds[a] is _ZERO and op != "log":
+            # every rule of one operand folds to _ZERO but log's, which
+            # keeps 0/u where u is the constant 0
+            d = _ZERO
         elif op == "^":
             d = mul(mul(const(b), power(nodes[a], b - 1)), ds[a])
         elif op == "neg":

@@ -15,11 +15,19 @@ check through one table of kinds (:data:`_KINDS`).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+# the builtin sha256, which spares importing hashlib and with it OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:  # an interpreter built without the builtin hashes
+        from hashlib import sha256
 
 from .bundle import BundlePatch, ChristoffelField, FiberBundleMorphism, Section
 from .errors import (
@@ -75,8 +83,11 @@ _REFERENCES = {
     "linear_connection": ("linear_connections", "linear connection"),
 }
 
-# check keys holding a positive integer
-_INT_PARAMS = ("fiber_dim", "base_dim", "group_samples", "section_samples")
+# the largest value of ``samples`` and of each check key holding a positive
+# integer: no grid bounds these sizes, so a run of a size past all use (a
+# bound is at least 100 times any fixture's) is refused at load
+_MAX_SAMPLES = 1_000_000
+_INT_PARAMS = {"fiber_dim": 1000, "base_dim": 1000, "group_samples": 1000, "section_samples": 1000}
 
 # kinds that compare curvature over pairs mu < nu of base directions -> the
 # check key whose declaration gives the base dimension; at base_dim 1 there
@@ -145,10 +156,12 @@ def _expect(value, kind: str, path: str):
     return value
 
 
-def _expect_int(value, path: str, minimum: int | None = None) -> int:
+def _expect_int(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     _expect(value, "integer", path)
     if minimum is not None and value < minimum:
         _fail(path, f"must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be at most {maximum}, got {value}")
     return value
 
 
@@ -344,7 +357,7 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
     default_samples, default_tol, required, optional = _KINDS[kind]
     _reject_unknown(body, _CHECK_COMMON_KEYS + required + tuple(optional), here)
     _require(body, required, here, f"kind {kind!r} needs")
-    samples = _expect_int(body.get("samples", default_samples), f"{here}.samples", 1)
+    samples = _expect_int(body.get("samples", default_samples), f"{here}.samples", 1, _MAX_SAMPLES)
     tolerance = _expect_number(body.get("tolerance", default_tol), f"{here}.tolerance")
     if tolerance <= 0:
         _fail(f"{here}.tolerance", f"must be positive, got {tolerance}")
@@ -384,9 +397,9 @@ def _load_check(body, index: int, tables: dict) -> CheckSpec:
         params["lambdas"] = tuple(
             _expect_number(v, f"{here}.lambdas[{i}]") for i, v in enumerate(values)
         )
-    for key in _INT_PARAMS:
+    for key, maximum in _INT_PARAMS.items():
         if key in body:
-            params[key] = _expect_int(body[key], f"{here}.{key}", 1)
+            params[key] = _expect_int(body[key], f"{here}.{key}", 1, maximum)
     for key, default in optional.items():
         params.setdefault(key, default)
     return CheckSpec(name, kind, samples, tolerance, seed, params)
@@ -439,7 +452,7 @@ def load_config(path: str) -> SuiteConfig:
     return SuiteConfig(
         version=version,
         seed=seed,
-        digest=hashlib.sha256(raw).hexdigest(),
+        digest=sha256(raw).hexdigest(),
         checks=tuple(checks),
         **tables,
     )

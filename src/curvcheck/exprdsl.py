@@ -186,32 +186,38 @@ class _Tape:
     def __init__(self):
         self.code, self.nodes, self.registers = [], [], {}
 
-    def emit(self, instr: tuple, node: Expression | None = None) -> int:
-        """The register of ``instr``, appended if new, with ``node`` (by
-        default built from the operands' nodes) as its first subtree."""
+    def emit(self, instr: tuple) -> int:
+        """The register of ``instr``, appended if new, with the tree built
+        from its operands' nodes as its first subtree."""
         register = self.registers.get(instr)
         if register is None:
             register = self.registers[instr] = len(self.code)
             self.code.append(instr)
-            self.nodes.append(_node(instr, self.nodes) if node is None else node)
+            self.nodes.append(_node(instr, self.nodes))
         return register
 
     def splice(self, program: Program, root: Expression) -> int:
-        """:meth:`emit` each instruction of ``program``, the program of
-        ``root``, in order; the register of ``root``."""
-        if not self.code:  # every instruction is new, in the same register
-            self.code.extend(program.code)
-            self.nodes.extend(program.nodes + (root,))
-            self.registers.update(zip(program.code, range(len(program.code))))
-            return len(self.code) - 1
-        registers = []
+        """Emit each instruction of ``program``, the program of ``root``, in
+        order, with its subtree in ``program``; the register of ``root``."""
+        code, nodes, registers = self.code, self.nodes, self.registers
+        if not code:  # every instruction is new, in the same register
+            code.extend(program.code)
+            nodes.extend(program.nodes + (root,))
+            registers.update(zip(program.code, range(len(program.code))))
+            return len(code) - 1
+        spliced = []
         for (op, a, b), node in zip(program.code, program.nodes + (root,)):
             if op in _BINARY:
-                instr = (op, registers[a], registers[b])
+                instr = (op, spliced[a], spliced[b])
             else:
-                instr = (op, a, b) if op in ("c", "x", "f") else (op, registers[a], b)
-            registers.append(self.emit(instr, node))
-        return registers[-1]
+                instr = (op, a, b) if op in ("c", "x", "f") else (op, spliced[a], b)
+            register = registers.get(instr)
+            if register is None:
+                register = registers[instr] = len(code)
+                code.append(instr)
+                nodes.append(node)
+            spliced.append(register)
+        return spliced[-1]
 
     def program(self) -> Program:
         code = tuple(self.code)
@@ -473,41 +479,55 @@ def compile_expr(e: Expression) -> Program:
     if program is not None:
         return program
     tape = _Tape()
+    code, nodes, registers = tape.code, tape.nodes, tape.registers
     done = {}  # id(node) -> its register, for nodes of this tree
     stack = [e]
     while stack:
         node = stack.pop()
-        if node is None:  # the operands of the node below are done
-            node = stack.pop()
-            if isinstance(node, Binary):
-                instr = (node.op, done[id(node.left)], done[id(node.right)])
-            elif isinstance(node, Unary):
-                instr = (node.op, done[id(node.operand)], 0)
-            else:
-                instr = ("^", done[id(node.base)], node.exponent)
+        if node is None:  # the operands of the operator below are done
+            node, op, a, b = stack.pop()
+            instr = (op, done[id(a)], done[id(b)] if op in _BINARY else b)
         elif id(node) in done:
             continue
-        elif isinstance(node, Const):
-            instr = ("c", node.value, math.copysign(1.0, node.value))
-        elif isinstance(node, Var):
-            if node.kind not in ("x", "f") or not _is_int(node.index) or node.index < 1:
-                raise TypeError(f"not a node of the expression grammar: {node!r}")
-            instr = (node.kind, node.index - 1, 0)
         else:
+            # one test per node, the commonest kinds first: an operator sets
+            # its operands a and b (or its int b), a leaf its instruction
             if isinstance(node, Binary) and node.op in _BINARY:
-                operands = (node.right, node.left)
-            elif isinstance(node, Unary) and (node.op == "neg" or node.op in FUNCTIONS):
-                operands = (node.operand,)
+                op, a, b = node.op, node.left, node.right
+            elif isinstance(node, Const):
+                op, instr = None, ("c", node.value, math.copysign(1.0, node.value))
             elif isinstance(node, Power) and _is_int(node.exponent):
-                operands = (node.base,)
+                op, a, b = "^", node.base, node.exponent
+            elif isinstance(node, Unary) and (node.op == "neg" or node.op in FUNCTIONS):
+                op, a, b = node.op, node.operand, 0
+            elif isinstance(node, Var) and node.kind in ("x", "f") and (
+                _is_int(node.index) and node.index >= 1
+            ):
+                op, instr = None, (node.kind, node.index - 1, 0)
             else:
                 raise TypeError(f"not a node of the expression grammar: {node!r}")
-            if node._program is None:
-                stack += (node, None, *operands)
-            else:
-                done[id(node)] = tape.splice(node._program, node)
-            continue
-        done[id(node)] = tape.emit(instr, node)
+            if op is not None:
+                if node._program is not None:
+                    done[id(node)] = tape.splice(node._program, node)
+                    continue
+                # an operator whose operands are on the tape is emitted now;
+                # otherwise it waits below the operands that are not
+                register_a = done.get(id(a))
+                register_b = done.get(id(b)) if op in _BINARY else b
+                if register_a is None or register_b is None:
+                    stack += ((node, op, a, b), None)
+                    if register_b is None:
+                        stack.append(b)
+                    if register_a is None:
+                        stack.append(a)
+                    continue
+                instr = (op, register_a, register_b)
+        register = registers.get(instr)
+        if register is None:
+            register = registers[instr] = len(code)
+            code.append(instr)
+            nodes.append(node)
+        done[id(node)] = register
     program = tape.program()
     _set_program(e, program)
     return program

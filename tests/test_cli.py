@@ -197,8 +197,9 @@ def test_check_exit_two_on_a_literal_that_overflows(tmp_path, capsys):
 
 
 def _long_exponent() -> str:
-    # one digit past what int() reads from a string
-    return "9" * (sys.get_int_max_str_digits() + 1)
+    # past what int() reads from a string by default (4300 digits) and past
+    # MAX_EXPONENT_DIGITS, so it is too long to read with or without the limit
+    return "9" * 5000
 
 
 def test_parse_expr_rejects_an_exponent_too_long_to_read(capsys):

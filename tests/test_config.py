@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -58,9 +59,10 @@ def test_minimal_fixture_loads():
 
 
 def test_digest_is_sha256_of_raw_bytes():
-    path = FIXTURES / "minimal.json"
-    config = load_config(str(path))
-    assert config.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    # the loader's sha256 is the builtin one where the interpreter has it
+    for path in (FIXTURES / "minimal.json", FIXTURES / "verify.json"):
+        config = load_config(str(path))
+        assert config.digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_verify_fixture_loads():
@@ -240,6 +242,40 @@ def test_samples_and_seed_bounds(tmp_path):
 
 #: An integer that JSON reads exactly and no double holds.
 _PAST_DOUBLE = 10**400
+
+
+# each size no grid bounds, with a check of verify.json that reads it, and
+# its bound, at least 100 times the largest value any config here uses
+_SIZE_BOUNDS = [
+    ("samples", "coeffs-fd-skew", 1_000_000),
+    ("group_samples", "cartan-rot3", 1000),
+    ("section_samples", "cartan-rot3", 1000),
+    ("base_dim", "theta-swap", 1000),
+    ("fiber_dim", "theta-swap", 1000),
+]
+
+
+@pytest.mark.parametrize("key, name, bound", _SIZE_BOUNDS, ids=[key for key, *_ in _SIZE_BOUNDS])
+def test_each_size_is_bounded_above_at_its_json_path(tmp_path, capsys, key, name, bound):
+    doc = json.loads((FIXTURES / "verify.json").read_text(encoding="utf-8"))
+    index = [check["name"] for check in doc["checks"]].index(name)
+    doc["checks"][index][key] = bound
+    spec = load_config(_write(tmp_path, doc)).checks[index]
+    assert (spec.samples if key == "samples" else spec.params[key]) == bound
+    doc["checks"][index][key] = bound + 1
+    assert main(["check", _write(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"curvcheck: checks[{index}].{key}: must be at most {bound}, got {bound + 1}\n"
+
+
+def test_a_billion_samples_exit_two_at_load(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "minimal.json").read_text(encoding="utf-8"))
+    doc["checks"][0]["samples"] = 1_000_000_000
+    path = _write(tmp_path, doc)
+    start = time.perf_counter()
+    assert main(["check", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "checks[0].samples: must be at most" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

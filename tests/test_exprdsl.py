@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference
 from curvcheck import _symbolic
 from curvcheck.bundle import (
     BundlePatch,
@@ -661,3 +662,97 @@ def test_roundtrip_preserves_evaluation(tree):
         return ("nan", None) if math.isnan(value) else ("ok", value)
 
     assert run(reparsed) == run(tree)
+
+
+# --- the fast paths give the reference's trees and programs ----------------
+
+# Trees are built from recipes, once for the package and once for the
+# reference, so that neither side reads a program the other compiled.  A
+# recipe is ("leaf", value) or (op, held, operand...) where ``held`` compiles
+# the subtree before its parent is built, so the parent's compile splices it.
+_recipes = st.recursive(
+    st.sampled_from([0.0, -0.0, 1.0, "x", "f"]).map(lambda leaf: ("leaf", leaf)),
+    lambda children: st.one_of(
+        st.tuples(
+            st.sampled_from(["neg", "sin", "cos", "exp", "log", "sqrt"]), st.booleans(), children
+        ),
+        st.tuples(st.sampled_from(["+", "-", "*", "/"]), st.booleans(), children, children),
+        st.tuples(st.just("^"), st.booleans(), children, st.integers(-3, 3)),
+    ),
+    max_leaves=12,
+)
+
+
+def _build(recipe, compile_with, shared: dict | None):
+    """The tree of ``recipe``; equal subrecipes are one node when ``shared``
+    is a dict (keyed by repr, so that 0.0 and -0.0 stay apart)."""
+    key = repr(recipe)
+    if shared is not None and key in shared:
+        return shared[key]
+    op = recipe[0]
+    if op == "leaf":
+        leaf = recipe[1]
+        node = Var(leaf, 1) if isinstance(leaf, str) else Const(leaf)
+    else:
+        operands = [_build(r, compile_with, shared) for r in recipe[2:4] if isinstance(r, tuple)]
+        if op == "^":
+            node = Power(operands[0], recipe[3])
+        elif op in ("+", "-", "*", "/"):
+            node = Binary(op, *operands)
+        else:
+            node = Unary(op, *operands)
+        if recipe[1]:
+            compile_with(node)
+    if shared is not None:
+        shared[key] = node
+    return node
+
+
+def _code(compile_with, tree) -> str:
+    """The program of a fresh copy of ``tree``, by repr, so that 0.0 and
+    -0.0 (and NaNs) compare as written."""
+    program = compile_with(copy.deepcopy(tree))
+    return repr((program.code, program.max_x, program.max_f))
+
+
+@settings(max_examples=300)
+@given(_recipes, st.booleans())
+def test_derivative_and_compile_expr_give_the_reference_trees_and_programs(recipe, share):
+    tree = _build(recipe, compile_expr, {} if share else None)
+    want = _build(recipe, _reference.compile_expr, {} if share else None)
+    assert repr(compile_expr(tree)[:3]) == repr(_reference.compile_expr(want)[:3])
+    for variable in (("x", 1), ("f", 1), ("x", 2)):
+        got = _symbolic.derivative(tree, *variable)
+        expected = _reference.derivative(want, *variable)
+        assert got == expected
+        assert _code(compile_expr, got) == _code(_reference.compile_expr, expected)
+        # once more on the derivatives, which hold the folds' constants
+        again = _symbolic.derivative(got, "f", 1)
+        assert _code(compile_expr, again) == _code(
+            _reference.compile_expr, _reference.derivative(expected, "f", 1)
+        )
+
+
+_FOLD_OPERANDS = [Const(v) for v in (0.0, -0.0, 1.0, -1.0, 2.0, math.inf, math.nan)]
+_FOLD_OPERANDS.append(Var("x", 1))
+
+
+def _same_fold(got, expected, operands) -> bool:
+    """Whether two folds returned the same operand, the shared zero, or an
+    equal new tree, signed zeros and NaNs by repr."""
+    same = [got is o for o in operands] == [expected is o for o in operands]
+    zero = (got is _symbolic._ZERO) == (expected is _reference._ZERO)
+    return same and zero and repr(got) == repr(expected)
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+def test_each_binary_fold_gives_the_reference_result_on_every_pair(name):
+    for a in _FOLD_OPERANDS:
+        for b in _FOLD_OPERANDS:
+            got = getattr(_symbolic, name)(a, b)
+            assert _same_fold(got, getattr(_reference, name)(a, b), (a, b)), (a, b)
+
+
+def test_neg_gives_the_reference_result_on_every_operand():
+    for a in [*_FOLD_OPERANDS, Unary("neg", Var("x", 1))]:
+        assert _same_fold(_symbolic.neg(a), _reference.neg(a), (a,)), a
