@@ -179,12 +179,23 @@ class _Tape:
     """A program under construction, by :func:`parse` or :func:`compile_expr`.
     ``registers`` maps each instruction to its register, so an instruction
     equal in operator and operand registers to an earlier one is not emitted
-    again and repeated subexpressions share a register.  No node is hashed."""
+    again and repeated subexpressions share a register.  No node is hashed.
+    ``max_x`` and ``max_f`` are the largest indices of the coordinates
+    emitted so far, kept as they are emitted (:meth:`reach`)."""
 
-    __slots__ = ("code", "nodes", "registers")
+    __slots__ = ("code", "nodes", "registers", "max_x", "max_f")
 
     def __init__(self):
         self.code, self.nodes, self.registers = [], [], {}
+        self.max_x = self.max_f = 0
+
+    def reach(self, kind: str, index: int) -> None:
+        """Note that coordinate ``index`` (1-based) of ``kind`` is emitted."""
+        if kind == "x":
+            if index > self.max_x:
+                self.max_x = index
+        elif index > self.max_f:
+            self.max_f = index
 
     def emit(self, instr: tuple) -> int:
         """The register of ``instr``, appended if new, with the tree built
@@ -200,6 +211,8 @@ class _Tape:
         """Emit each instruction of ``program``, the program of ``root``, in
         order, with its subtree in ``program``; the register of ``root``."""
         code, nodes, registers = self.code, self.nodes, self.registers
+        self.max_x = max(self.max_x, program.max_x)
+        self.max_f = max(self.max_f, program.max_f)
         if not code:  # every instruction is new, in the same register
             code.extend(program.code)
             nodes.extend(program.nodes + (root,))
@@ -220,9 +233,7 @@ class _Tape:
         return spliced[-1]
 
     def program(self) -> Program:
-        code = tuple(self.code)
-        max_x, max_f = (max((a + 1 for op, a, _ in code if op == k), default=0) for k in "xf")
-        return Program(code, max_x, max_f, tuple(self.nodes[:-1]))
+        return Program(tuple(self.code), self.max_x, self.max_f, tuple(self.nodes[:-1]))
 
 
 class _Reader:
@@ -328,6 +339,7 @@ class _Reader:
             if index > limit:
                 message = f"{side} index {digits} exceeds {side} dimension {limit}: {text!r}"
                 raise IndexOutOfRange(message)
+            self.tape.reach(kind, index)
             return self.tape.emit((kind, index - 1, 0))
         if text == "pi":
             return self.tape.emit(("c", math.pi, 1.0))
@@ -457,6 +469,11 @@ class Program(NamedTuple):
     nodes: tuple
 
 
+#: Marks, on the stack of :func:`compile_expr`, an operator whose operands
+#: are pending below it; no node of any tree, so no operand is taken for it.
+_PENDING = object()
+
+
 def compile_expr(e: Expression) -> Program:
     """The :class:`Program` of ``e``, compiled on first use and kept on
     ``e``, so it lives exactly as long as the tree.  A parsed tree holds
@@ -484,7 +501,7 @@ def compile_expr(e: Expression) -> Program:
     stack = [e]
     while stack:
         node = stack.pop()
-        if node is None:  # the operands of the operator below are done
+        if node is _PENDING:  # the operands of the operator below are done
             node, op, a, b = stack.pop()
             instr = (op, done[id(a)], done[id(b)] if op in _BINARY else b)
         elif id(node) in done:
@@ -504,6 +521,7 @@ def compile_expr(e: Expression) -> Program:
                 _is_int(node.index) and node.index >= 1
             ):
                 op, instr = None, (node.kind, node.index - 1, 0)
+                tape.reach(node.kind, node.index)
             else:
                 raise TypeError(f"not a node of the expression grammar: {node!r}")
             if op is not None:
@@ -515,7 +533,7 @@ def compile_expr(e: Expression) -> Program:
                 register_a = done.get(id(a))
                 register_b = done.get(id(b)) if op in _BINARY else b
                 if register_a is None or register_b is None:
-                    stack += ((node, op, a, b), None)
+                    stack += ((node, op, a, b), _PENDING)
                     if register_b is None:
                         stack.append(b)
                     if register_a is None:

@@ -21,7 +21,11 @@ tape:
   pushes derivatives forward along seeded coordinate directions (forward
   mode, ibid.).  A tangent has one slot per seeded direction for
   :func:`directional`, and the slots ``d1, d2, d12`` of a two-direction jet
-  for :func:`mixed_second`.  No general Hessians are kept.
+  for :func:`mixed_second`: the derivatives along the first direction, along
+  the second, and along both.  The jet rules form each of the three slots
+  once, ``d1`` and ``d2`` by the first-order rule and ``d12`` by the
+  second-order one, with the terms that swap under swapping the directions
+  summed as a group.  No general Hessians are kept.
 
 Both derivative sweeps take every primitive's derivatives from one table,
 ``_DERIVATIVES``, and read it only at registers that depend on a seeded
@@ -288,30 +292,29 @@ _DERIVATIVES = {
 }
 
 _BINARY = frozenset("+-*/")
+_COORDINATES = frozenset("xf")
 
 
-def _unary_tangent(t: list, first: float, second: float, jet: bool) -> list:
-    """Chain rule through a unary primitive.  For a jet, ``d1*d2`` is formed
-    on its own, so swapping the directions gives a bit-identical ``d12``."""
-    out = [first * d for d in t]
-    if jet:
-        out[2] = second * (t[0] * t[1]) + first * t[2]
-    return out
+def _unary_tangent(t: list, first: float, second: float) -> list:
+    """Chain rule through a unary primitive on a jet ``[d1, d2, d12]``, each
+    slot formed once.  ``d1*d2`` is formed on its own, so swapping the
+    directions gives a bit-identical ``d12``."""
+    d1, d2, d12 = t
+    return [first * d1, first * d2, second * (d1 * d2) + first * d12]
 
 
-def _binary_tangent(tu: list, tv: list, partials: tuple, jet: bool) -> list:
-    """Chain rule through a binary primitive with the ``partials`` of its
-    table entry.  For a jet, the cross terms are summed as a group so that
-    swapping the directions gives a bit-identical ``d12`` (floating addition
-    is commutative but not associative); terms with a zero coefficient are
-    left out."""
+def _binary_tangent(tu: list, tv: list, partials: tuple) -> list:
+    """Chain rule through a binary primitive on jets ``[d1, d2, d12]`` with
+    the ``partials`` of its table entry, each slot formed once.  The cross
+    terms are summed as a group so that swapping the directions gives a
+    bit-identical ``d12`` (floating addition is commutative but not
+    associative); terms with a zero coefficient are left out."""
     du, dv, duv, dvv = partials
-    out = [du * a + dv * b for a, b in zip(tu, tv)]
-    if jet:
-        d12 = _plus(du * tu[2], duv, tu[0] * tv[1] + tu[1] * tv[0])
-        d12 += dv * tv[2]
-        out[2] = _plus(d12, dvv, tv[0] * tv[1])
-    return out
+    u1, u2, u12 = tu
+    v1, v2, v12 = tv
+    d12 = _plus(du * u12, duv, u1 * v2 + u2 * v1)
+    d12 += dv * v12
+    return [du * u1 + dv * v1, du * u2 + dv * v2, _plus(d12, dvv, v1 * v2)]
 
 
 def _plus(acc, coefficient, term):
@@ -371,21 +374,22 @@ def _primal(program: Program, point: EvalPoint, smooth: bool = False) -> list:
     apply = functools.partial(_per_sample, _apply) if isinstance(point, StackedPoint) else _apply
     vals = []
     push = vals.append
+    # a hash-consed tape holds each coordinate once, so they are tested late
     for op, a, b in program.code:
         if op == "*":
             push(vals[a] * vals[b])
         elif op == "+":
             push(vals[a] + vals[b])
-        elif op == "x":
-            push(x[a])
-        elif op == "f":
-            push(f[a])
         elif op == "c":
             push(a)
         elif op == "-":
             push(vals[a] - vals[b])
         elif op == "neg":
             push(-vals[a])
+        elif op == "x":
+            push(x[a])
+        elif op == "f":
+            push(f[a])
         elif op == "/":
             push(apply(op, vals[a], vals[b], smooth))
         else:
@@ -407,24 +411,32 @@ def _sweep(e: Expression, point: EvalPoint, seeds: dict, width: int, jet: bool):
     zero = [0.0] * width
     tangents = []
     push = tangents.append
+    # a hash-consed tape holds each coordinate once, so they are tested last
     for (op, a, b), y in zip(program.code, vals):
-        if op == "c":
-            push(None)
-        elif op == "x" or op == "f":
-            push(seeds.get((op, a)))
-        elif op in _BINARY:
+        if op in _BINARY:
             ta, tb = tangents[a], tangents[b]
             if ta is None and tb is None:
                 push(None)
+                continue
+            partials = rules[op](vals[a], vals[b], y)
+            ta = zero if ta is None else ta
+            tb = zero if tb is None else tb
+            if jet:
+                push(_binary_tangent(ta, tb, partials))
             else:
-                partials = rules[op](vals[a], vals[b], y)
-                push(_binary_tangent(zero if ta is None else ta,
-                                     zero if tb is None else tb, partials, jet))
-        elif tangents[a] is None:
+                du, dv = partials[0], partials[1]
+                push([du * p + dv * q for p, q in zip(ta, tb)])
+        elif op == "c":
             push(None)
-        else:
+        elif op not in _COORDINATES:
+            ta = tangents[a]
+            if ta is None:
+                push(None)
+                continue
             first, second = rules[op](vals[a], y, b)
-            push(_unary_tangent(tangents[a], first, second, jet))
+            push(_unary_tangent(ta, first, second) if jet else [first * p for p in ta])
+        else:
+            push(seeds.get((op, a)))
     return vals[-1], zero if tangents[-1] is None else tangents[-1]
 
 
@@ -480,10 +492,10 @@ def _adjoint(e: Expression, point: EvalPoint, seeded) -> tuple[float, dict]:
             push(None if adj[a] is None and adj[b] is None else 0.0)
         elif op == "c":
             push(None)
-        elif op == "x" or op == "f":
-            push(0.0 if (op, a) in seeded else None)
-        else:
+        elif op not in _COORDINATES:
             push(adj[a])
+        else:
+            push(0.0 if (op, a) in seeded else None)
     partials = {}
     if adj[-1] is not None:
         adj[-1] = 1.0
@@ -498,10 +510,10 @@ def _adjoint(e: Expression, point: EvalPoint, seeded) -> tuple[float, dict]:
                 adj[a] += g * du
             if adj[b] is not None:
                 adj[b] += g * dv
-        elif op == "x" or op == "f":
-            partials[op, a] = g
-        else:
+        elif op not in _COORDINATES:
             adj[a] += g * rules[op](vals[a], vals[i], b)[0]
+        else:
+            partials[op, a] = g
     return vals[-1], partials
 
 

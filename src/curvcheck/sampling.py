@@ -5,14 +5,15 @@ here before they call a route, and the routes compute from the samples
 they are given.  Everything draws from a :class:`~curvcheck.rng.SplitMix64`
 stream in a fixed order, so a seed pins the whole fixture family
 bit-for-bit.  The draw order is part of the reproducibility contract:
-change it and golden reports shift.  Polynomials are kept sparse (few
+change it and golden reports shift.  The trials of ``connection-axiom``
+come from one block of draws
+(:meth:`~curvcheck.rng.SplitMix64.symmetric_block`), value for value the
+draws of one ``symmetric`` call each.  Polynomials are kept sparse (few
 monomials, low degree) so curvature checks stay fast while still
 exercising nonlinear fiber dependence.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section
@@ -121,17 +122,26 @@ def sample_axiom_trials(rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, coun
     """``count`` trials of :func:`~curvcheck.principal.check_axiom`, each
     drawn as base point ``x0`` and base velocity ``xi`` (m draws each), the
     logs of ``g0`` and ``gamma0``, then the curve generators ``X`` and ``Y``,
-    every draw at scale 1.  The ``exp`` of all ``2 count`` logs is one
-    stacked :func:`~curvcheck.lie.expm`, bit-identical to one ``exp`` each."""
-    drawn = []
-    for _ in range(count):
-        x0, xi = (sample_point(rng, m).x for _ in range(2))
-        drawn.append((x0, xi, *(sample_algebra_element(rng, algebra) for _ in range(4))))
-    logs = np.array([log.coeffs for trial in drawn for log in trial[2:4]])
-    groups = expm(algebra.matrix(logs.reshape(-1, algebra.k)))
+    every draw at scale 1.  All ``count (2 m + 4 k)`` draws are one
+    :meth:`~curvcheck.rng.SplitMix64.symmetric_block`, value for value the
+    draws of one :meth:`~curvcheck.rng.SplitMix64.symmetric` call each in
+    that order, and the ``exp`` of all ``2 count`` logs is one stacked
+    :func:`~curvcheck.lie.expm`, bit-identical to one ``exp`` each."""
+    k = algebra.k
+    draws = rng.symmetric_block(count * (2 * m + 4 * k)).reshape(count, 2 * m + 4 * k)
+    points = draws[:, : 2 * m].tolist()
+    groups = expm(algebra.matrix(draws[:, 2 * m : 2 * m + 2 * k].reshape(2 * count, k)))
+    generators = draws[:, 2 * m + 2 * k :]
     return [
-        (x0, xi, GroupElement(groups[2 * i]), GroupElement(groups[2 * i + 1]), x, y)
-        for i, (x0, xi, _, _, x, y) in enumerate(drawn)
+        (
+            tuple(point[:m]),
+            tuple(point[m:]),
+            GroupElement(groups[2 * i]),
+            GroupElement(groups[2 * i + 1]),
+            AlgebraElement(algebra, generators[i, :k]),
+            AlgebraElement(algebra, generators[i, k:]),
+        )
+        for i, point in enumerate(points)
     ]
 
 

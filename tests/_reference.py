@@ -6,9 +6,16 @@ expression trees, as written before their fast paths: every fold asks
 and folds, and the compiler visits every operator twice and emits through
 one method.  The package's versions must give the same trees and the same
 programs, signed zeros included.
+
+The tangent sweep's chain rules, as written before each jet slot was
+formed once: a comprehension gives every slot the first-order rule and the
+mixed slot is then overwritten.  The package's rules must give the same
+slots, bit for bit.
 """
 
 import math
+
+import numpy as np
 
 from curvcheck.exprdsl import FUNCTIONS, Binary, Const, Expression, Power, Program, Unary, Var
 
@@ -208,3 +215,26 @@ def compile_expr(e: Expression) -> Program:
     program = tape.program()
     _set_program(e, program)
     return program
+
+
+def unary_tangent(t: list, first: float, second: float, jet: bool) -> list:
+    out = [first * d for d in t]
+    if jet:
+        out[2] = second * (t[0] * t[1]) + first * t[2]
+    return out
+
+
+def binary_tangent(tu: list, tv: list, partials: tuple, jet: bool) -> list:
+    du, dv, duv, dvv = partials
+    out = [du * a + dv * b for a, b in zip(tu, tv)]
+    if jet:
+        d12 = _plus(du * tu[2], duv, tu[0] * tv[1] + tu[1] * tv[0])
+        d12 += dv * tv[2]
+        out[2] = _plus(d12, dvv, tv[0] * tv[1])
+    return out
+
+
+def _plus(acc, coefficient, term):
+    if isinstance(coefficient, np.ndarray):
+        return np.where(coefficient != 0.0, acc + coefficient * term, acc)
+    return acc + coefficient * term if coefficient else acc

@@ -593,11 +593,18 @@ class _LockingStream(SplitMix64):
         self.draws = 0
         self.locked = False
 
-    def next_raw(self) -> int:
+    def _draw(self, count: int) -> None:
         if self.locked:
             raise AssertionError(f"draw {self.draws + 1} came after a route call")
-        self.draws += 1
+        self.draws += count
+
+    def next_raw(self) -> int:
+        self._draw(1)
         return self.inner.next_raw()
+
+    def symmetric_block(self, count: int, scale: float = 1.0):
+        self._draw(count)
+        return self.inner.symmetric_block(count, scale)
 
 
 #: The modules whose functions the runners call as routes.

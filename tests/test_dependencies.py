@@ -4,7 +4,8 @@ run imports neither ``multiprocessing`` nor ``concurrent`` either, at
 ``--jobs 1`` or with forked workers.  No
 file of the package or its tests imports a name it never reads, no module
 of the package imports a private name of another, and no module of the
-package reads the process environment.  Every function that any
+package reads the process environment, and none but ``rng`` and
+``sampling`` draws.  Every function that any
 ``__all__`` of the package lists, and every public member of a class it
 lists, runs in a check of ``fixtures/verify.json``, or a table here says
 why not, and every name any ``__all__`` lists exists.  No class of the package is a dataclass but the
@@ -33,6 +34,7 @@ from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
 from curvcheck.lie import AlgebraElement, GroupElement, builtin_algebra
 from curvcheck.numcore import EvalPoint, StackedPoint
 from curvcheck.report import CheckResult, RunReport
+from curvcheck.rng import SplitMix64
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -160,6 +162,32 @@ def test_no_module_reads_the_process_environment():
     files = sorted((ROOT / "src").rglob("*.py"))
     reads = {str(p.relative_to(ROOT)): _environment_reads(p) for p in files}
     assert {path: lines for path, lines in reads.items() if lines} == {}
+
+
+#: The draw methods of ``rng.SplitMix64``.
+_DRAWS = {"next_raw", "uniform", "symmetric", "int_below", "choice", "symmetric_block"}
+
+
+def _draw_calls(path: Path) -> list[int]:
+    """Lines of ``path`` that call a method named after a draw of
+    ``SplitMix64``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _DRAWS
+    )
+
+
+def test_only_the_generator_and_the_sampler_draw():
+    # the runners draw every sample through sampling before any route runs,
+    # so a route that drew would shift the draws of every later sample
+    files = sorted((ROOT / "src" / "curvcheck").glob("*.py"))
+    draws = {p.name: _draw_calls(p) for p in files if p.stem not in ("rng", "sampling")}
+    assert {name: lines for name, lines in draws.items() if lines} == {}
+    assert set(SplitMix64.__dict__) >= _DRAWS
+    assert _draw_calls(ROOT / "src" / "curvcheck" / "sampling.py")
 
 
 #: The public functions, of any module's ``__all__``, that no check of

@@ -562,6 +562,10 @@ _OUTSIDE_THE_GRAMMAR = {
     "float-exponent": Power(_X1, 0.5),
     "bool-exponent": Power(_X1, True),
     "under-a-parsed-tree": _symbolic.add(parse("x1*f1", (2, 1)), Var("x", 0)),
+    "none-left": Binary("+", None, _X1),
+    "none-right": Binary("+", _X1, None),
+    "none-operand": Unary("neg", None),
+    "none-base": Power(None, 2),
 }
 
 

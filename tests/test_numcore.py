@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference
+
 from curvcheck import _symbolic, numcore
 from curvcheck.errors import DomainError
 from curvcheck.exprdsl import MAX_EXPONENT_DIGITS, Binary, Const, Power, Unary, Var, parse
@@ -721,13 +723,60 @@ _VALUES = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
 def _binary(op, a, b):
     y = _VALUES[op](a[0], b[0])
     partials = numcore._DERIVATIVES[op](a[0], b[0], y)
-    return (y, *numcore._binary_tangent(list(a[1:]), list(b[1:]), partials, True))
+    return (y, *numcore._binary_tangent(list(a[1:]), list(b[1:]), partials))
 
 
 def _unary(op, a):
     y = numcore._apply(op, a[0], 0, True)
     first, second = numcore._DERIVATIVES[op](a[0], y, 0)
-    return (y, *numcore._unary_tangent(list(a[1:]), first, second, True))
+    return (y, *numcore._unary_tangent(list(a[1:]), first, second))
+
+
+#: The partials and slots of the bitwise comparisons with the reference rules.
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 1e-308, math.inf, -math.inf, math.nan)
+_specials = st.lists(st.sampled_from(_SPECIAL), min_size=10, max_size=10)
+
+
+def _bits(slots) -> bytes:
+    """The bytes of ``slots``, signed zeros apart, with every NaN as one: which
+    NaN a sum or product of two keeps is not pinned, even at one line of
+    Python run twice (a specialized float operation may swap its operands)."""
+    slots = np.array(slots, dtype=np.float64)
+    slots[np.isnan(slots)] = math.nan
+    return slots.tobytes()
+
+
+@settings(max_examples=400)
+@given(_specials)
+def test_the_jet_rules_are_the_reference_rules_bit_for_bit_on_floats(drawn):
+    partials, tu, tv = tuple(drawn[:4]), drawn[4:7], drawn[7:]
+    want = _reference.binary_tangent(tu, tv, partials, True)
+    assert _bits(numcore._binary_tangent(tu, tv, partials)) == _bits(want)
+    first, second = drawn[:2]
+    want = _reference.unary_tangent(tu, first, second, True)
+    assert _bits(numcore._unary_tangent(tu, first, second)) == _bits(want)
+
+
+@settings(max_examples=200)
+@given(st.lists(_specials, min_size=1, max_size=9), st.booleans())
+def test_the_jet_rules_are_the_reference_rules_bit_for_bit_on_stacks(rows, stacked_partials):
+    # a column per partial and slot, one entry per sample; the partials of
+    # + - and * are floats at a stacked point, those of / arrays
+    columns = [np.array(column) for column in zip(*rows)]
+    partials = tuple(columns[:4]) if stacked_partials else tuple(rows[0][:4])
+    tu, tv = columns[4:7], columns[7:]
+    first, second = partials[:2]
+    with np.errstate(all="ignore"):
+        pairs = [
+            (numcore._binary_tangent(tu, tv, partials),
+             _reference.binary_tangent(tu, tv, partials, True)),
+            (numcore._unary_tangent(tu, first, second),
+             _reference.unary_tangent(tu, first, second, True)),
+        ]
+    for got, want in pairs:
+        assert [_bits(slot) for slot in np.broadcast_arrays(*got)] == [
+            _bits(slot) for slot in np.broadcast_arrays(*want)
+        ]
 
 
 _component = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

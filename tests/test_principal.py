@@ -198,6 +198,23 @@ def test_stacked_axiom_trials_are_the_one_trial_draws():
         assert len(stacked) == 25
 
 
+def test_axiom_trials_are_the_documented_draws_one_at_a_time():
+    # x0 and xi (m draws each), the logs of g0 and gamma0, then X and Y (k
+    # draws each), every one a symmetric(1) draw of its own
+    for algebra in (SO3, SL2, SO2):
+        k = algebra.k
+        block, rng = SplitMix64(101), SplitMix64(101)
+        for trial in sample_axiom_trials(block, algebra, 2, 9):
+            x0, xi = (tuple(rng.symmetric(1.0) for _ in range(2)) for _ in range(2))
+            starts = [exp(sample_algebra_element(rng, algebra)) for _ in range(2)]
+            x, y = ([rng.symmetric(1.0) for _ in range(k)] for _ in range(2))
+            assert trial[:2] == (x0, xi)
+            assert all(type(c) is float for c in trial[0] + trial[1])
+            assert [g.g.tobytes() for g in trial[2:4]] == [g.g.tobytes() for g in starts]
+            assert [z.coeffs.tolist() for z in trial[4:]] == [x, y]
+        assert block.next_raw() == rng.next_raw()
+
+
 def test_omega_eval_is_one_row_of_the_stacked_axiom_form():
     rng = SplitMix64(97)
     for x0, xi, g0, _, x, _ in sample_axiom_trials(rng, SO3, 2, 10):

@@ -6,6 +6,9 @@ published SplitMix64 test vector), so these are regression pins, not
 copies of the implementation's own output.
 """
 
+import warnings
+
+import numpy as np
 import pytest
 
 from curvcheck.rng import SplitMix64, fnv1a64, stream
@@ -13,6 +16,7 @@ from curvcheck.rng import SplitMix64, fnv1a64, stream
 _MASK = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _reference_raw(seed: int, count: int) -> list[int]:
@@ -129,3 +133,23 @@ def test_stream_determinism_and_separation():
     assert _draws(5, "alpha") == _draws(5, "alpha")
     assert _draws(5, "alpha") != _draws(5, "beta")
     assert _draws(5, "alpha") != _draws(6, "alpha")
+
+
+#: Seeds from which a block's states wrap past 2^64 - 1: at its first draw
+#: (from 2^64 - 1 and from 2^63), and at its seventh, whose state is 0.
+_WRAPPING_SEEDS = (_MASK, (-7 * _GOLDEN) & _MASK, 2**63)
+
+
+@pytest.mark.parametrize("seed", (0, 1234567, *_WRAPPING_SEEDS))
+@pytest.mark.parametrize("count", (0, 1, 7, 1000))
+@pytest.mark.parametrize("scale", (1.0, 0.05))
+def test_a_block_is_its_draws_one_at_a_time(seed, count, scale):
+    block, single = SplitMix64(seed), SplitMix64(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning, no cast by value
+        drawn = block.symmetric_block(count, scale)
+    want = [single.symmetric(scale) for _ in range(count)]
+    assert drawn.dtype == np.float64 and drawn.shape == (count,)
+    assert drawn.tobytes() == np.array(want, dtype=np.float64).tobytes()
+    # the same state afterwards: the next draws agree too
+    assert [block.next_raw() for _ in range(3)] == [single.next_raw() for _ in range(3)]
