@@ -35,14 +35,7 @@ from .errors import (
     UnknownIdentifier,
 )
 from .exprdsl import Expression, parse, unparse
-from .lie import (
-    AlgebraElement,
-    GroupElement,
-    MatrixLieAlgebra,
-    bracket,
-    builtin_algebra,
-    exp,
-)
+from .lie import MatrixLieAlgebra, bracket, builtin_algebra, exp
 from .linear import (
     LinearChristoffel,
     LinearityReport,
@@ -109,8 +102,6 @@ __all__ = [
     "commutator_tensor",
     # Lie machinery
     "MatrixLieAlgebra",
-    "AlgebraElement",
-    "GroupElement",
     "bracket",
     "exp",
     "builtin_algebra",

@@ -300,9 +300,9 @@ def _run_bch(spec: CheckSpec, rng: SplitMix64, row: _Row) -> None:
     scale = 0.5 / algebra.k
     jets = []
     for _ in range(spec.samples):
-        g = exp(sample_algebra_element(rng, algebra, 0.5))
+        g = exp(algebra, sample_algebra_element(rng, algebra, 0.5))
         jets.append((g, *(sample_algebra_element(rng, algebra, scale) for _ in range(3))))
-    for sample, report in enumerate(theta_bch_verify(jets)):
+    for sample, report in enumerate(theta_bch_verify(algebra, jets)):
         note = f"at sample {sample}: direct jet {report.direct_deviation:.3e}, "
         note += f"swapped jet {report.swapped_deviation:.3e}"
         row.add(report.max_deviation, sample, note)

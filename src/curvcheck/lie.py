@@ -4,8 +4,14 @@ An algebra is given by a basis of d x d real matrices.  Structure constants
 are fitted by least squares against the basis; every operation that lands a
 matrix back in the algebra (brackets, conjugation) re-expands it the same way
 and checks the residual, so non-orthonormal and user-supplied bases work
-uniformly.  Group elements are plain invertible matrices; curves through the
-group are synthesized from the exponential, never from a logarithm.
+uniformly.
+
+Elements are plain arrays, and a function that needs the algebra takes it
+as its first argument.  An algebra element is its basis coefficients
+``(k,)``, or a stack of them ``(..., k)``; a group element is an invertible
+``d x d`` matrix, or a stack of them, that has passed the determinant floor
+of :func:`group_stack`.  Curves through the group are synthesized from the
+exponential, never from a logarithm.
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from .errors import ClosureViolation, DomainError, SingularMatrix
 
 __all__ = [
     "MatrixLieAlgebra",
-    "AlgebraElement",
-    "GroupElement",
     "bracket",
     "exp",
     "expm",
@@ -79,13 +83,14 @@ class MatrixLieAlgebra(_records.Frozen):
         structure.setflags(write=False)
         return MatrixLieAlgebra(d, k, mats, structure, stack, pinv)
 
-    def identity_group(self) -> "GroupElement":
-        return GroupElement(np.eye(self.d))
-
     def matrix(self, coeffs) -> np.ndarray:
         """The matrix ``sum_a c_a E_a`` of coefficients ``c``, or of each row
-        of a stack of coefficients ``(..., k)``, as ``(..., d, d)``."""
+        of a stack of coefficients ``(..., k)``, as ``(..., d, d)``; raises
+        :class:`ValueError` when the last axis does not hold ``k``
+        coefficients."""
         c = np.asarray(coeffs, dtype=float)
+        if c.shape[-1:] != (self.k,):
+            raise ValueError(f"expected {self.k} coefficients, got shape {c.shape}")
         out = np.zeros(c.shape[:-1] + (self.d, self.d))
         for a, e in enumerate(self.basis):
             out += c[..., a, None, None] * e
@@ -137,50 +142,9 @@ def _check_jacobi(c: np.ndarray) -> None:
         )
 
 
-class AlgebraElement(_records.Frozen):
-    """Element of a matrix Lie algebra, stored as basis coefficients."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: MatrixLieAlgebra, coeffs: np.ndarray):
-        c = np.array(coeffs, dtype=float).reshape(-1)
-        if c.shape != (algebra.k,):
-            raise ValueError(f"expected {algebra.k} coefficients, got {c.size}")
-        c.setflags(write=False)
-        set_algebra, set_coeffs = self._setters
-        set_algebra(self, algebra)
-        set_coeffs(self, c)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.algebra.matrix(self.coeffs)
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _same_algebra(self, other)
-        return AlgebraElement(self.algebra, self.coeffs + other.coeffs)
-
-
-class GroupElement(_records.Frozen):
-    """Invertible d x d matrix; the determinant must stay clear of zero."""
-
-    __slots__ = ("g",)
-
-    def __init__(self, g: np.ndarray):
-        mat = np.array(g, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("group element must be a square matrix")
-        group_stack(mat)
-        mat.setflags(write=False)
-        (set_g,) = self._setters
-        set_g(self, mat)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(np.linalg.inv(self.g))
-
-
 def group_stack(mats) -> np.ndarray:
     """``mats``, a square matrix or a stack ``(..., d, d)`` of them, once each
-    has passed the determinant floor of :class:`GroupElement`; raises
+    has passed the determinant floor that makes it a group element; raises
     :class:`SingularMatrix` with the determinant of the first that has not."""
     mats = np.asarray(mats, dtype=float)
     det = np.abs(np.linalg.det(mats))
@@ -192,28 +156,23 @@ def group_stack(mats) -> np.ndarray:
     return mats
 
 
-def _same_algebra(x: AlgebraElement, y: AlgebraElement) -> None:
-    if x.algebra is not y.algebra and not (
-        x.algebra.d == y.algebra.d
-        and x.algebra.k == y.algebra.k
-        and all(np.array_equal(a, b) for a, b in zip(x.algebra.basis, y.algebra.basis))
-    ):
-        raise ValueError("elements belong to different algebras")
+def bracket(algebra: MatrixLieAlgebra, x, y) -> np.ndarray:
+    """Coefficients of the matrix commutator ``XY - YX`` of the coefficients
+    ``x`` and ``y``, re-expanded in the basis."""
+    xm = algebra.matrix(x)
+    ym = algebra.matrix(y)
+    return algebra.expand(xm @ ym - ym @ xm, _CLOSURE_TOL)
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Matrix commutator ``XY - YX`` re-expanded in the basis."""
-    _same_algebra(x, y)
-    xm = x.matrix
-    ym = y.matrix
-    return AlgebraElement(x.algebra, x.algebra.expand(xm @ ym - ym @ xm, _CLOSURE_TOL))
-
-
-def exp(x: AlgebraElement) -> GroupElement:
-    """Group element ``exp(X)``, by :func:`expm`: scaling and squaring with
-    the degree-13 Pade approximant (Higham 2005).  ``exp`` of the zero
-    element is exactly the identity."""
-    return GroupElement(expm(x.matrix))
+def exp(algebra: MatrixLieAlgebra, x) -> np.ndarray:
+    """Group element ``exp(X)`` of coefficients ``x``, or of each row of a
+    stack ``(..., k)``, as a read-only ``(..., d, d)`` that has passed
+    :func:`group_stack`, by :func:`expm`: scaling and squaring with the
+    degree-13 Pade approximant (Higham 2005).  ``exp`` of the zero element is
+    exactly the identity."""
+    out = group_stack(expm(algebra.matrix(x)))
+    out.setflags(write=False)
+    return out
 
 
 #: Coefficients b_0..b_13 of the degree-13 Pade approximant to e^z, and the

@@ -6,8 +6,11 @@ valued in a matrix Lie algebra.  The connection form it determines is
     omega_(x,g)(xi, g V) = Ad_{g^{-1}} A_x(xi) + V,
 
 where the fiber velocity of a tangent is written left-logarithmically as
-``g V``.  This local form is nowhere assumed correct: :func:`check_axiom`
-measures it against finite-difference velocities of random product curves
+``g V``.  As in :mod:`~curvcheck.lie`, ``g`` is a matrix and ``V`` and the
+potential values are coefficient arrays; a function here that needs the
+algebra reads it from the potential or takes it first.  This local form is
+nowhere assumed correct: :func:`check_axiom` measures it against
+finite-difference velocities of random product curves
 ``t -> (x + t xi, g_t gamma_t)``.
 
 Curvature comes out three independent ways, one private route function
@@ -63,15 +66,7 @@ from . import _records, _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, curvature_coefficients
 from .errors import ClosureViolation, NotVertical
 from .exprdsl import Var, check_grid, parse_grid
-from .lie import (
-    AlgebraElement,
-    GroupElement,
-    MatrixLieAlgebra,
-    bracket,
-    conjugate,
-    expm,
-    group_stack,
-)
+from .lie import MatrixLieAlgebra, bracket, conjugate, expm, group_stack
 from .numcore import EvalPoint, central_difference, each_sample, evaluate, gradient, sweep_grid
 from .prolong import commutator_tensor
 
@@ -104,13 +99,12 @@ class GaugePotential(_records.Frozen):
     def from_strings(algebra: MatrixLieAlgebra, rows, base_dim: int) -> "GaugePotential":
         return GaugePotential(algebra, base_dim, parse_grid(rows, (base_dim, 1)))
 
-    def value(self, mu: int, x) -> AlgebraElement:
-        """A_mu(x) as an algebra element (mu is 1-based)."""
+    def value(self, mu: int, x) -> np.ndarray:
+        """The coefficients ``(k,)`` of A_mu(x) (mu is 1-based)."""
         if not 1 <= mu <= self.base_dim:
             raise ValueError(f"mu must be in 1..{self.base_dim}, got {mu}")
         pt = EvalPoint.of(x)
-        coeffs = [evaluate(c, pt) for c in self.a[mu - 1]]
-        return AlgebraElement(self.algebra, coeffs)
+        return np.array([evaluate(c, pt) for c in self.a[mu - 1]], dtype=float)
 
 
 def _potential_along(p: GaugePotential, x, xi) -> np.ndarray:
@@ -131,7 +125,7 @@ def _form(alg: MatrixLieAlgebra, g: np.ndarray, along: np.ndarray, v: np.ndarray
     ``(S, k)``: ``Ad_{g^{-1}} A_x(xi) + v`` at group elements ``g``
     ``(S, d, d)``, from the potential values ``A_x(xi)`` and left-logarithmic
     fiber components ``v``, both ``(S, k)``.  The inverses pass the
-    determinant floor, as ``GroupElement.inverse`` does."""
+    determinant floor of :func:`~curvcheck.lie.group_stack`."""
     return conjugate(alg, group_stack(np.linalg.inv(g)), along) + v
 
 
@@ -168,9 +162,9 @@ def check_axiom(p: GaugePotential, trials) -> tuple[float, ...]:
         return ()
     alg = p.algebra
     _, _, g0, gamma0, vel_g, vel_gamma = zip(*trials)
-    g0 = np.array([g.g for g in g0])
-    gamma0 = np.array([g.g for g in gamma0])
-    generators = alg.matrix(np.array([v.coeffs for v in vel_g + vel_gamma]))
+    g0 = np.array(g0)
+    gamma0 = np.array(gamma0)
+    generators = alg.matrix(vel_g + vel_gamma)
     # g_t and gamma_t at the stencil points, (trial, point, d, d) each; the
     # product curve is their pointwise product
     steps = expm(_STENCIL * _AXIOM_STEP * generators[:, None])
@@ -201,17 +195,16 @@ def check_axiom(p: GaugePotential, trials) -> tuple[float, ...]:
 _VERTICAL_TOL = 1e-8
 
 
-def vtriv_principal(algebra: MatrixLieAlgebra, g0: GroupElement, w) -> AlgebraElement:
+def vtriv_principal(algebra: MatrixLieAlgebra, g0, w) -> np.ndarray:
     """Vertical trivialization: algebra coefficients of ``g0^{-1} W`` for a
-    fiber velocity ``W`` at ``g0``.  Raises :class:`NotVertical` when
-    ``g0^{-1} W`` does not lie in the algebra span within
-    :data:`_VERTICAL_TOL`."""
-    candidate = np.linalg.solve(g0.g, np.asarray(w, dtype=float))
+    fiber velocity ``W`` at the group matrix ``g0``.  Raises
+    :class:`NotVertical` when ``g0^{-1} W`` does not lie in the algebra span
+    within :data:`_VERTICAL_TOL`."""
+    candidate = np.linalg.solve(g0, np.asarray(w, dtype=float))
     try:
-        coeffs = algebra.expand(candidate, _VERTICAL_TOL)
+        return algebra.expand(candidate, _VERTICAL_TOL)
     except ClosureViolation as exc:
         raise NotVertical(f"velocity is not tangent to the fiber at g0: {exc}") from None
-    return AlgebraElement(algebra, coeffs)
 
 
 def cartan_curvature(p: GaugePotential, x) -> np.ndarray:
@@ -224,11 +217,10 @@ def cartan_curvature(p: GaugePotential, x) -> np.ndarray:
     pt = EvalPoint.of(x)
     # grads[nu, e, mu] = d_mu of the E_{e+1} coefficient of A_nu
     values, grads = sweep_grid(p.a, lambda c: gradient(c, pt))
-    values = [AlgebraElement(p.algebra, row) for row in values]
     coeffs = np.zeros((m, m, p.algebra.k))
     for mu in range(m):
         for nu in range(mu + 1, m):
-            comm = bracket(values[mu], values[nu]).coeffs
+            comm = bracket(p.algebra, values[mu], values[nu])
             entry = grads[nu, :, mu] - grads[mu, :, nu] + comm
             coeffs[mu, nu] = entry
             coeffs[nu, mu] = -entry
@@ -258,11 +250,9 @@ def _ad_generator_matrices(alg: MatrixLieAlgebra) -> list[np.ndarray]:
     return [alg.structure[b].T.copy() for b in range(alg.k)]
 
 
-def exponential_chart_connection(
-    p: GaugePotential, center: GroupElement, order: int = 6
-) -> ChristoffelField:
+def exponential_chart_connection(p: GaugePotential, center, order: int = 6) -> ChristoffelField:
     """Generalized Christoffel symbols of ker omega in the exponential chart
-    ``g = center exp(sum_a c_a E_a)``.
+    ``g = center exp(sum_a c_a E_a)`` about the group matrix ``center``.
 
     Exact at the chart center; elsewhere truncated at series order
     ``order`` (module docstring).  The fiber variables of the returned
@@ -275,7 +265,7 @@ def exponential_chart_connection(
     alg = p.algebra
     # Ad_{center^-1} on basis coordinates: column e holds the coefficients
     # of the conjugated E_{e+1}
-    ad_center = conjugate(alg, center.inverse().g, np.eye(alg.k)).T
+    ad_center = conjugate(alg, group_stack(np.linalg.inv(center)), np.eye(alg.k)).T
     ad_mats = _ad_generator_matrices(alg)
     chart = [Var("f", b + 1) for b in range(alg.k)]
 
@@ -335,14 +325,15 @@ def _chart_route(p: GaugePotential, samples) -> list[np.ndarray]:
     the reference frame, as ``(1 + centers, pairs, k)`` per sample."""
     alg = p.algebra
     upper = np.triu_indices(p.base_dim, 1)
-    identity = (alg.identity_group(), exponential_chart_connection(p, alg.identity_group(), 1))
+    identity = np.eye(alg.d)
+    identity_chart = exponential_chart_connection(p, identity, 1)
 
     def at(sample) -> np.ndarray:
         base, centers, _ = sample
-        frames = [identity] + [(g, exponential_chart_connection(p, g, 1)) for g in centers]
+        charts = [identity_chart] + [exponential_chart_connection(p, g, 1) for g in centers]
         origin = EvalPoint(base, (0.0,) * alg.k)
-        coeffs = [curvature_coefficients(chart, origin) for _, chart in frames]
-        groups = np.reshape([g.g for g, _ in frames], (len(frames), 1, alg.d, alg.d))
+        coeffs = [curvature_coefficients(chart, origin) for chart in charts]
+        groups = np.reshape([identity, *centers], (len(charts), 1, alg.d, alg.d))
         return conjugate(alg, groups, np.moveaxis(coeffs, 1, -1)[:, upper[0], upper[1]])
 
     return list(each_sample(at, samples))
@@ -358,7 +349,7 @@ def _commutator_route(p: GaugePotential, samples) -> list[tuple[np.ndarray, np.n
     each section's numbers bit for bit its own."""
     alg = p.algebra
     upper = np.triu_indices(p.base_dim, 1)
-    field = exponential_chart_connection(p, alg.identity_group())
+    field = exponential_chart_connection(p, np.eye(alg.d))
     points = [(Section(field.patch, s), x) for x, _, sections in samples for s in sections]
     tensors, gaps = commutator_tensor(field, points)
     s_at = np.reshape([evaluate(c, EvalPoint(x)) for s, x in points for c in s.comps], (-1, alg.k))
@@ -408,13 +399,12 @@ def curvature_cross_check(p: GaugePotential, samples) -> list[CrossCheckReport]:
 # the BCH-twisted parameter swap
 
 
-def theta_bch(
-    g: GroupElement, x: AlgebraElement, y: AlgebraElement, z: AlgebraElement
-) -> tuple[GroupElement, AlgebraElement, AlgebraElement, AlgebraElement]:
-    """Parameter swap on iterated group jets: ``(g, X, Y, Z)`` maps to
-    ``(g, Y, X, Z + [X, Y])``.  The bracket correction is what distinguishes
-    the group case from the plain slot swap of vector fibers."""
-    return (g, y, x, z + bracket(x, y))
+def theta_bch(algebra: MatrixLieAlgebra, g, x, y, z) -> tuple:
+    """Parameter swap on iterated group jets: the group matrix ``g`` and the
+    coefficients ``(X, Y, Z)`` map to ``(g, Y, X, Z + [X, Y])``.  The bracket
+    correction is what distinguishes the group case from the plain slot swap
+    of vector fibers."""
+    return (g, y, x, z + bracket(algebra, x, y))
 
 
 class ThetaBchReport(NamedTuple):
@@ -456,9 +446,10 @@ def _extract_jet(
     return g, x, y, z
 
 
-def theta_bch_verify(jets) -> list[ThetaBchReport]:
+def theta_bch_verify(algebra: MatrixLieAlgebra, jets) -> list[ThetaBchReport]:
     """Deviations of :func:`theta_bch` from finite differences, one report
-    per ``(g, X, Y, Z)`` of ``jets``, all of one algebra.
+    per ``(g, X, Y, Z)`` of ``jets``, a group matrix and three coefficient
+    arrays of ``algebra`` each.
 
     Jet slots extracted from the surface ``sigma(t, eps) =
     g exp(tX) exp(eps(Y + tZ))`` must reproduce the inputs; slots extracted
@@ -471,10 +462,9 @@ def theta_bch_verify(jets) -> list[ThetaBchReport]:
     """
     if not jets:
         return []
-    g, *elements = zip(*jets)
-    alg = elements[0][0].algebra
-    g = np.array([h.g for h in g])
-    x, y, z = (alg.matrix([e.coeffs for e in slot]) for slot in elements)
+    g, *slots = zip(*jets)
+    g = np.array(g)
+    x, y, z = (algebra.matrix(slot) for slot in slots)
     # surface values (stencil point, jet, d, d)
     t, eps = _BCH_STEP * _JET_STENCIL.T[:, :, None, None, None]
     surface = g @ expm(t * x) @ expm(eps * (y + t * z))
@@ -482,16 +472,15 @@ def theta_bch_verify(jets) -> list[ThetaBchReport]:
     def slot_deviations(extracted, expected) -> np.ndarray:
         # each jet's largest deviation; np.max keeps a NaN, which the row of
         # the check then fails
-        g_exp, *slots = zip(*expected)
-        exact = (np.array([h.g for h in g_exp]), *(np.array([e.coeffs for e in s]) for s in slots))
+        exact = [np.array(slot) for slot in zip(*expected)]
         return np.max(
             [np.abs(u - v).reshape(len(jets), -1).max(axis=1) for u, v in zip(extracted, exact)],
             axis=0,
         )
 
-    direct = slot_deviations(_extract_jet(alg, surface), jets)
+    direct = slot_deviations(_extract_jet(algebra, surface), jets)
     swapped = slot_deviations(
-        _extract_jet(alg, surface[_JET_SWAP]), [theta_bch(*jet) for jet in jets]
+        _extract_jet(algebra, surface[_JET_SWAP]), [theta_bch(algebra, *jet) for jet in jets]
     )
     return [
         ThetaBchReport(d, s, float(np.max([d, s])))

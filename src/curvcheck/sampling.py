@@ -15,10 +15,12 @@ exercising nonlinear fiber dependence.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section
 from .exprdsl import Expression, Var
-from .lie import AlgebraElement, GroupElement, MatrixLieAlgebra, exp, expm
+from .lie import MatrixLieAlgebra, exp
 from .numcore import EvalPoint
 from .prolong import SecondJet
 from .rng import SplitMix64
@@ -111,11 +113,12 @@ def sample_second_jet(rng: SplitMix64, m: int, n: int) -> SecondJet:
 
 def sample_algebra_element(
     rng: SplitMix64, algebra: MatrixLieAlgebra, scale: float = 1.0
-) -> AlgebraElement:
-    """Element with basis coefficients uniform in [-scale, scale)."""
-    return AlgebraElement(
-        algebra, [rng.symmetric(scale) for _ in range(algebra.k)]
-    )
+) -> np.ndarray:
+    """Read-only basis coefficients ``(k,)``, each uniform in
+    [-scale, scale)."""
+    coeffs = np.array([rng.symmetric(scale) for _ in range(algebra.k)])
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def sample_axiom_trials(rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, count: int) -> list:
@@ -126,34 +129,30 @@ def sample_axiom_trials(rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, coun
     :meth:`~curvcheck.rng.SplitMix64.symmetric_block`, value for value the
     draws of one :meth:`~curvcheck.rng.SplitMix64.symmetric` call each in
     that order, and the ``exp`` of all ``2 count`` logs is one stacked
-    :func:`~curvcheck.lie.expm`, bit-identical to one ``exp`` each."""
+    :func:`~curvcheck.lie.exp`, bit-identical to one ``exp`` each.  The
+    matrices ``g0`` and ``gamma0`` and the coefficients ``X`` and ``Y`` are
+    read-only."""
     k = algebra.k
     draws = rng.symmetric_block(count * (2 * m + 4 * k)).reshape(count, 2 * m + 4 * k)
+    draws.setflags(write=False)
     points = draws[:, : 2 * m].tolist()
-    groups = expm(algebra.matrix(draws[:, 2 * m : 2 * m + 2 * k].reshape(2 * count, k)))
-    generators = draws[:, 2 * m + 2 * k :]
+    groups = exp(algebra, draws[:, 2 * m : 2 * m + 2 * k].reshape(count, 2, k))
+    generators = draws[:, 2 * m + 2 * k :].reshape(count, 2, k)
     return [
-        (
-            tuple(point[:m]),
-            tuple(point[m:]),
-            GroupElement(groups[2 * i]),
-            GroupElement(groups[2 * i + 1]),
-            AlgebraElement(algebra, generators[i, :k]),
-            AlgebraElement(algebra, generators[i, k:]),
-        )
+        (tuple(point[:m]), tuple(point[m:]), *groups[i], *generators[i])
         for i, point in enumerate(points)
     ]
 
 
 def sample_cross_check(
     rng: SplitMix64, algebra: MatrixLieAlgebra, m: int, centers: int, sections: int
-) -> tuple[list[GroupElement], list[tuple[Expression, ...]]]:
+) -> tuple[list[np.ndarray], list[tuple[Expression, ...]]]:
     """The chart centers and sections of
     :func:`~curvcheck.principal.curvature_cross_check` at one base point:
-    ``centers`` group elements (``exp`` of an element each), then
+    ``centers`` read-only group matrices (``exp`` of an element each), then
     ``sections`` tuples of ``algebra.k`` base-only polynomials in ``m``
     variables (``max_terms = 3``, ``max_degree = 2``, ``scale = 0.05``)."""
-    chart_centers = [exp(sample_algebra_element(rng, algebra)) for _ in range(centers)]
+    chart_centers = [exp(algebra, sample_algebra_element(rng, algebra)) for _ in range(centers)]
     comps = [
         tuple(sample_polynomial(rng, m, 0, 3, 2, 0.05) for _ in range(algebra.k))
         for _ in range(sections)

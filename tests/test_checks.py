@@ -279,6 +279,27 @@ def _cartan_row(tmp_path, rows):
     return row
 
 
+def test_the_group_elements_of_a_contracting_algebra_meet_the_determinant_floor(tmp_path):
+    # exp(c E) = e^{-60 c} has a determinant under the floor of lie.group_stack
+    # once c > 0.38; the axiom trials' logs are refused as one stack in trial
+    # order, and the cross-check's first such chart center at its draw
+    doc = {
+        "version": 1,
+        "seed": 0,
+        "algebras": {"contracting": {"basis": [[[-60.0]]]}},
+        "potentials": {"a": {"algebra": "contracting", "base_dim": 2, "a": [["x1"], ["x2"]]}},
+        "checks": [
+            {"name": "axiom", "kind": "connection-axiom", "potential": "a"},
+            {"name": "cartan", "kind": "cartan-cross-check", "potential": "a"},
+        ],
+    }
+    rows = run_suite(_config(tmp_path, doc)).checks
+    assert [(row.name, row.verdict, row.detail) for row in rows] == [
+        ("axiom", "error", "SingularMatrix: matrix is numerically singular (|det| = 1.356e-25)"),
+        ("cartan", "error", "SingularMatrix: matrix is numerically singular (|det| = 3.496e-24)"),
+    ]
+
+
 def test_cartan_cross_check_of_a_non_finite_potential_is_refused_by_its_jets(tmp_path):
     # route one's curvature holds NaNs; its antisymmetry test once counted
     # two matching NaNs as unequal and raised "curvature coefficients must be
@@ -483,9 +504,9 @@ def _replay_bch(spec, rng):
     algebra = spec.params["algebra"]
     deviations = []
     for _ in range(spec.samples):
-        g = exp(sample_algebra_element(rng, algebra, 0.5))
+        g = exp(algebra, sample_algebra_element(rng, algebra, 0.5))
         x, y, z = (sample_algebra_element(rng, algebra, 0.5 / algebra.k) for _ in range(3))
-        [report] = theta_bch_verify([(g, x, y, z)])
+        [report] = theta_bch_verify(algebra, [(g, x, y, z)])
         deviations.append(report.max_deviation)
     return deviations
 

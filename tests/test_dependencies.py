@@ -8,12 +8,14 @@ package reads the process environment, and none but ``rng`` and
 ``sampling`` draws.  Every function that any
 ``__all__`` of the package lists, and every public member of a class it
 lists, runs in a check of ``fixtures/verify.json``, or a table here says
-why not, and every name any ``__all__`` lists exists.  No class of the package is a dataclass but the
+why not, and every name any ``__all__`` lists exists, as does every name
+that ``bench/tracer.py`` wraps but a listed few.  No class of the package is a dataclass but the
 suite config, and no field of an immutable object can be assigned or
 deleted."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import operator
 import os
@@ -31,7 +33,7 @@ from curvcheck import _records, bundle, exprdsl, linear, principal, prolong
 from curvcheck.cli import main
 from curvcheck.config import CheckSpec
 from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
-from curvcheck.lie import AlgebraElement, GroupElement, builtin_algebra
+from curvcheck.lie import builtin_algebra
 from curvcheck.numcore import EvalPoint, StackedPoint
 from curvcheck.report import CheckResult, RunReport
 from curvcheck.rng import SplitMix64
@@ -312,6 +314,42 @@ def test_every_name_in_every_all_resolves():
     assert missing == []
 
 
+#: The names in the table of functions that ``bench/tracer.py`` wraps
+#: (``_WRAPPED``) that the package no longer defines, whose metrics read
+#: zero.  A function renamed in the package fails the test below instead of
+#: silently zeroing its metrics.
+_WRAPPED_BUT_GONE = {
+    "lie.adjoint",
+    "lie.fiber_quotient",
+    "bundle.project",
+    "bundle.embed",
+    "bundle.horizontal_lift",
+    "bundle.lie_bracket",
+    "bundle.nijenhuis_curvature",
+    "bundle.pushforward",
+    "prolong.second_covariant",
+    "prolong.commutator_curvature",
+    "principal.omega_eval",
+    "linear.reduced_covariant",
+    "linear.scaling_morphism",
+}
+
+
+def test_every_name_the_bench_tracer_wraps_resolves_but_the_listed_few():
+    # the tracer reads its table at import and imports no scipy until it
+    # installs, so loading it by path runs none of it
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = {
+        f"{module}.{name}"
+        for module, names in tracer._WRAPPED.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"curvcheck.{module}"), name)
+    }
+    assert sorted(missing) == sorted(_WRAPPED_BUT_GONE)
+
+
 #: The classes of the package that ``dataclasses`` still builds, and why.
 #: Every other class writes its methods once, in ``_records``, instead of
 #: executing generated ones at each import.
@@ -363,8 +401,6 @@ _IMMUTABLE = {
     "FiberBundleMorphism": bundle.FiberBundleMorphism.from_strings(_P, _P, ["2*f1"]),
     "_Parts": bundle._Parts((1.0, 0.0), (2.0,)),
     "MatrixLieAlgebra": _SO3,
-    "AlgebraElement": AlgebraElement(_SO3, [1.0, 2.0, 3.0]),
-    "GroupElement": GroupElement(np.eye(3)),
     "GaugePotential": principal.GaugePotential.from_strings(
         _SO3, [["x1", "0", "0"], ["0", "x2", "0"]], 2
     ),

@@ -123,7 +123,7 @@ def replace(obj, **changes):
 
 def _theta_bch_without_bracket(original):
     # (g, X, Y, Z) -> (g, Y, X, Z) instead of (g, Y, X, Z + [X, Y])
-    return lambda g, x, y, z: (g, y, x, z)
+    return lambda algebra, g, x, y, z: (g, y, x, z)
 
 
 def _chart_series_of_order_zero(original):

@@ -11,15 +11,7 @@ import pytest
 from curvcheck import principal
 from curvcheck.bundle import Section, curvature_coefficients
 from curvcheck.errors import IndexOutOfRange, NotVertical
-from curvcheck.lie import (
-    AlgebraElement,
-    GroupElement,
-    bracket,
-    builtin_algebra,
-    conjugate,
-    exp,
-    expm,
-)
+from curvcheck.lie import bracket, builtin_algebra, conjugate, exp, expm, group_stack
 from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.principal import (
     _CHART_SERIES,
@@ -44,6 +36,7 @@ from curvcheck.sampling import (
 
 SO2 = builtin_algebra("so2")
 SO3 = builtin_algebra("so3")
+I3 = np.eye(3)
 
 # A_1 = x1*E1, A_2 = x2*E2 on a two-dimensional base.
 SO3_POTENTIAL = GaugePotential.from_strings(
@@ -60,9 +53,9 @@ NONPOLYNOMIAL_ROWS = [
 ]
 
 
-def _rotation(angle: float) -> GroupElement:
+def _rotation(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
-    return GroupElement(np.array([[c, -s], [s, c]]))
+    return group_stack(np.array([[c, -s], [s, c]]))
 
 
 def test_potential_rejects_fiber_variables_and_bad_indices():
@@ -74,9 +67,9 @@ def test_potential_rejects_fiber_variables_and_bad_indices():
 
 def test_potential_value():
     out = SO3_POTENTIAL.value(1, (0.5, -1.0))
-    assert np.allclose(out.coeffs, (0.5, 0.0, 0.0))
+    assert np.allclose(out, (0.5, 0.0, 0.0))
     out = SO3_POTENTIAL.value(2, (0.5, -1.0))
-    assert np.allclose(out.coeffs, (0.0, -1.0, 0.0))
+    assert np.allclose(out, (0.0, -1.0, 0.0))
 
 
 @pytest.mark.parametrize("mu", [0, -1, 3])
@@ -95,53 +88,53 @@ def test_potential_value_rejects_an_index_outside_the_base(mu):
 def test_omega_at_identity_is_potential_plus_fiber():
     # A_x(xi) = 2*(0.5 E1) + 3*(-1.0 E2) = (1, -3, 0).
     along = _potential_along(SO3_POTENTIAL, (0.5, -1.0), (2.0, 3.0))
-    g, v = SO3.identity_group(), AlgebraElement(SO3, (0.1, 0.2, 0.3))
-    out = _form(SO3, g.g[None], along[None], v.coeffs[None])[0]
+    v = np.array((0.1, 0.2, 0.3))
+    out = _form(SO3, I3[None], along[None], v[None])[0]
     assert np.allclose(out, (1.1, -2.8, 0.3), atol=1e-12)
 
 
 def test_omega_on_vertical_tangents_returns_fiber_component():
     rng = SplitMix64(61)
     for _ in range(5):
-        g = exp(sample_algebra_element(rng, SO3))
+        g = exp(SO3, sample_algebra_element(rng, SO3))
         v = sample_algebra_element(rng, SO3)
         along = _potential_along(SO3_POTENTIAL, (0.3, 0.4), (0.0, 0.0))
-        out = _form(SO3, g.g[None], along[None], v.coeffs[None])[0]
-        assert np.array_equal(out, v.coeffs)
+        out = _form(SO3, g[None], along[None], v[None])[0]
+        assert np.array_equal(out, v)
 
 
 def test_omega_vertical_matches_vertical_trivialization():
     rng = SplitMix64(67)
     for _ in range(5):
-        g = exp(sample_algebra_element(rng, SO3))
+        g = exp(SO3, sample_algebra_element(rng, SO3))
         v = sample_algebra_element(rng, SO3)
         along = _potential_along(SO3_POTENTIAL, (0.1, 0.2), (0.0, 0.0))
-        via_omega = _form(SO3, g.g[None], along[None], v.coeffs[None])[0]
-        via_vtriv = vtriv_principal(SO3, g, g.g @ v.matrix)
-        assert np.max(np.abs(via_omega - via_vtriv.coeffs)) <= 1e-10
+        via_omega = _form(SO3, g[None], along[None], v[None])[0]
+        via_vtriv = vtriv_principal(SO3, g, g @ SO3.matrix(v))
+        assert np.max(np.abs(via_omega - via_vtriv)) <= 1e-10
 
 
 def test_omega_ignores_adjoint_on_abelian_fibers():
     g = _rotation(1.2)
     along = _potential_along(ABELIAN_POTENTIAL, (0.5, 0.0), (0.0, 1.0))
     # A_x(xi) = x1*E = 0.5 E, plus V = 0.25 E.
-    out = _form(SO2, g.g[None], along[None], AlgebraElement(SO2, (0.25,)).coeffs[None])[0]
+    out = _form(SO2, g[None], along[None], np.array([(0.25,)]))[0]
     assert np.allclose(out, (0.75,), atol=1e-12)
 
 
 def test_omega_right_translation_equivariance():
     rng = SplitMix64(71)
     for _ in range(10):
-        g = exp(sample_algebra_element(rng, SO3))
-        gamma = exp(sample_algebra_element(rng, SO3))
+        g = exp(SO3, sample_algebra_element(rng, SO3))
+        gamma = exp(SO3, sample_algebra_element(rng, SO3))
         xi = (rng.symmetric(1.0), rng.symmetric(1.0))
         v = sample_algebra_element(rng, SO3)
         x = (rng.symmetric(1.0), rng.symmetric(1.0))
         along = _potential_along(SO3_POTENTIAL, x, xi)[None]
-        base = _form(SO3, g.g[None], along, v.coeffs[None])[0]
-        moved = conjugate(SO3, gamma.inverse().g, v.coeffs)
-        translated = _form(SO3, (g.g @ gamma.g)[None], along, moved[None])[0]
-        expected = conjugate(SO3, gamma.inverse().g, base)
+        base = _form(SO3, g[None], along, v[None])[0]
+        moved = conjugate(SO3, np.linalg.inv(gamma), v)
+        translated = _form(SO3, (g @ gamma)[None], along, moved[None])[0]
+        expected = conjugate(SO3, np.linalg.inv(gamma), base)
         assert np.max(np.abs(translated - expected)) <= 1e-9
 
 
@@ -192,10 +185,20 @@ def test_stacked_axiom_trials_are_the_one_trial_draws():
         for trial, single in zip(stacked, singles):
             x0, xi, g0, gamma0, x, y = trial
             assert (x0, xi) == single[:2]
-            assert np.array_equal(g0.g, single[2].g) and np.array_equal(gamma0.g, single[3].g)
-            assert np.array_equal(x.coeffs, single[4].coeffs)
-            assert np.array_equal(y.coeffs, single[5].coeffs)
+            assert np.array_equal(g0, single[2]) and np.array_equal(gamma0, single[3])
+            assert np.array_equal(x, single[4])
+            assert np.array_equal(y, single[5])
         assert len(stacked) == 25
+
+
+def test_the_sampled_elements_are_read_only():
+    # a route that wrote into a sample would change what a later route reads
+    rng = SplitMix64(103)
+    _, _, g0, gamma0, x, y = sample_axiom_trials(rng, SO3, 2, 3)[1]
+    [center], _ = sample_cross_check(rng, SO3, 2, 1, 0)
+    for value in (sample_algebra_element(rng, SO3), g0, gamma0, x, y, center):
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0.0
 
 
 def test_axiom_trials_are_the_documented_draws_one_at_a_time():
@@ -206,25 +209,25 @@ def test_axiom_trials_are_the_documented_draws_one_at_a_time():
         block, rng = SplitMix64(101), SplitMix64(101)
         for trial in sample_axiom_trials(block, algebra, 2, 9):
             x0, xi = (tuple(rng.symmetric(1.0) for _ in range(2)) for _ in range(2))
-            starts = [exp(sample_algebra_element(rng, algebra)) for _ in range(2)]
+            starts = [exp(algebra, sample_algebra_element(rng, algebra)) for _ in range(2)]
             x, y = ([rng.symmetric(1.0) for _ in range(k)] for _ in range(2))
             assert trial[:2] == (x0, xi)
             assert all(type(c) is float for c in trial[0] + trial[1])
-            assert [g.g.tobytes() for g in trial[2:4]] == [g.g.tobytes() for g in starts]
-            assert [z.coeffs.tolist() for z in trial[4:]] == [x, y]
+            assert [g.tobytes() for g in trial[2:4]] == [g.tobytes() for g in starts]
+            assert [z.tolist() for z in trial[4:]] == [x, y]
         assert block.next_raw() == rng.next_raw()
 
 
 def test_omega_eval_is_one_row_of_the_stacked_axiom_form():
     rng = SplitMix64(97)
     for x0, xi, g0, _, x, _ in sample_axiom_trials(rng, SO3, 2, 10):
-        along = AlgebraElement(SO3, np.zeros(SO3.k))
+        along = np.zeros(SO3.k)
         for mu, scale in enumerate(xi, start=1):
-            along = along + AlgebraElement(SO3, scale * SO3_POTENTIAL.value(mu, x0).coeffs)
-        plain = AlgebraElement(SO3, conjugate(SO3, g0.inverse().g, along.coeffs))
+            along = along + scale * SO3_POTENTIAL.value(mu, x0)
+        plain = conjugate(SO3, np.linalg.inv(g0), along)
         row = _potential_along(SO3_POTENTIAL, x0, xi)
-        form = _form(SO3, g0.g[None], row[None], x.coeffs[None])[0]
-        assert np.array_equal(form, (plain + x).coeffs)
+        form = _form(SO3, g0[None], row[None], x[None])[0]
+        assert np.array_equal(form, plain + x)
 
 
 def _drop_adjoint(monkeypatch):
@@ -257,17 +260,17 @@ def test_axiom_drop_adjoint_harmless_on_abelian(monkeypatch):
 def test_vtriv_recovers_exponential_generator():
     rng = SplitMix64(73)
     for _ in range(5):
-        g0 = exp(sample_algebra_element(rng, SO3))
+        g0 = exp(SO3, sample_algebra_element(rng, SO3))
         x = sample_algebra_element(rng, SO3)
-        w = g0.g @ x.matrix
+        w = g0 @ SO3.matrix(x)
         out = vtriv_principal(SO3, g0, w)
-        assert np.max(np.abs(out.coeffs - x.coeffs)) <= 1e-12
+        assert np.max(np.abs(out - x)) <= 1e-12
 
 
 def test_vtriv_of_zero_velocity():
-    g0 = exp(AlgebraElement(SO3, (0.2, -0.1, 0.5)))
+    g0 = exp(SO3, (0.2, -0.1, 0.5))
     out = vtriv_principal(SO3, g0, np.zeros((3, 3)))
-    assert np.array_equal(out.coeffs, np.zeros(3))
+    assert np.array_equal(out, np.zeros(3))
 
 
 def test_vtriv_rotation_derivative():
@@ -281,12 +284,12 @@ def test_vtriv_rotation_derivative():
         ]
     )
     out = vtriv_principal(SO2, _rotation(alpha), w)
-    assert np.allclose(out.coeffs, (1.0,), atol=1e-12)
+    assert np.allclose(out, (1.0,), atol=1e-12)
 
 
 def test_vtriv_rejects_non_vertical_velocity():
     with pytest.raises(NotVertical):
-        vtriv_principal(SO3, SO3.identity_group(), np.eye(3))
+        vtriv_principal(SO3, I3, np.eye(3))
 
 
 # --- structure-equation curvature -------------------------------------------
@@ -372,11 +375,11 @@ def test_chart_connection_at_center_matches_conjugated_potential():
     rng = SplitMix64(79)
     x = (0.7, -0.4)
     for _ in range(3):
-        center = exp(sample_algebra_element(rng, SO3))
+        center = exp(SO3, sample_algebra_element(rng, SO3))
         field = exponential_chart_connection(SO3_POTENTIAL, center)
         origin = EvalPoint(x, (0.0, 0.0, 0.0))
         for mu in (1, 2):
-            expected = conjugate(SO3, center.inverse().g, SO3_POTENTIAL.value(mu, x).coeffs)
+            expected = conjugate(SO3, np.linalg.inv(center), SO3_POTENTIAL.value(mu, x))
             got = [evaluate(field.gamma[a][mu - 1], origin) for a in range(3)]
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
@@ -389,23 +392,21 @@ def test_chart_connection_off_center_matches_truncated_series(name, order):
     alg = builtin_algebra(name)
     potential = GaugePotential.from_strings(alg, POLYNOMIAL_ROWS, base_dim=2)
     rng = SplitMix64(113)
-    centers = [alg.identity_group()] + [
-        exp(sample_algebra_element(rng, alg)) for _ in range(2)
+    centers = [np.eye(alg.d)] + [
+        exp(alg, sample_algebra_element(rng, alg)) for _ in range(2)
     ]
     for center in centers:
         field = exponential_chart_connection(potential, center, order)
         for _ in range(4):
             x = tuple(rng.symmetric(1.0) for _ in range(2))
-            c = AlgebraElement(alg, [rng.symmetric(0.5) for _ in range(alg.k)])
-            point = EvalPoint(x, tuple(c.coeffs))
+            c = [rng.symmetric(0.5) for _ in range(alg.k)]
+            point = EvalPoint(x, tuple(c))
             for mu in (1, 2):
-                term = AlgebraElement(
-                    alg, conjugate(alg, center.inverse().g, potential.value(mu, x).coeffs)
-                )
-                expected = _CHART_SERIES[0] * term.coeffs
+                term = conjugate(alg, np.linalg.inv(center), potential.value(mu, x))
+                expected = _CHART_SERIES[0] * term
                 for j in range(1, order + 1):
-                    term = bracket(c, term)
-                    expected = expected + _CHART_SERIES[j] * term.coeffs
+                    term = bracket(alg, c, term)
+                    expected = expected + _CHART_SERIES[j] * term
                 got = [evaluate(field.gamma[a][mu - 1], point) for a in range(alg.k)]
                 assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
@@ -413,7 +414,7 @@ def test_chart_connection_off_center_matches_truncated_series(name, order):
 def test_chart_connection_shares_its_series_terms():
     # each term (ad_C)^j w is built once and shared by the terms after it;
     # the bound is half of the 886 nodes of K(ad_C) expanded into monomials
-    field = exponential_chart_connection(SO3_POTENTIAL, SO3.identity_group(), 6)
+    field = exponential_chart_connection(SO3_POTENTIAL, I3, 6)
     seen = set()
     stack = [e for row in field.gamma for e in row]
     while stack:
@@ -464,7 +465,7 @@ def test_cross_check_builds_the_identity_chart_once_per_call(monkeypatch):
     original = principal.exponential_chart_connection
 
     def counting(p, center, order=6):
-        built.append((np.array_equal(center.g, p.algebra.identity_group().g), order))
+        built.append((np.array_equal(center, np.eye(p.algebra.d)), order))
         return original(p, center, order)
 
     monkeypatch.setattr(principal, "exponential_chart_connection", counting)
@@ -490,7 +491,7 @@ def test_each_cross_check_route_builds_its_own_charts(monkeypatch):
     original = principal.exponential_chart_connection
 
     def counting(p, center, order=6):
-        built.append((np.array_equal(center.g, p.algebra.identity_group().g), order))
+        built.append((np.array_equal(center, np.eye(p.algebra.d)), order))
         return original(p, center, order)
 
     monkeypatch.setattr(principal, "exponential_chart_connection", counting)
@@ -506,7 +507,7 @@ def test_each_cross_check_route_builds_its_own_charts(monkeypatch):
     assert built == [(True, 1)] + [(False, 1)] * 6 + [(True, 6)]
 
     def refused(p, center, order=6):
-        if np.array_equal(center.g, p.algebra.identity_group().g) and order == 6:
+        if np.array_equal(center, np.eye(p.algebra.d)) and order == 6:
             raise _RouteThreeChart
         return original(p, center, order)
 
@@ -533,7 +534,7 @@ def test_chart_coefficients_at_the_center_do_not_depend_on_the_order(name, rows)
     alg = builtin_algebra(name)
     potential = GaugePotential.from_strings(alg, rows, base_dim=2)
     rng = SplitMix64(29)
-    centers = [alg.identity_group()] + [exp(sample_algebra_element(rng, alg)) for _ in range(2)]
+    centers = [np.eye(alg.d)] + [exp(alg, sample_algebra_element(rng, alg)) for _ in range(2)]
     for center in centers:
         low = exponential_chart_connection(potential, center, 1)
         high = exponential_chart_connection(potential, center, 6)
@@ -551,18 +552,18 @@ def _order_six_cross_check(p: GaugePotential, x, centers, sections):
     m = p.base_dim
     base = tuple(float(c) for c in x)
     reference = cartan_curvature(p, base)
-    identity_field = exponential_chart_connection(p, alg.identity_group())
+    identity_field = exponential_chart_connection(p, np.eye(alg.d))
 
     def conjugated(g, value):
         restored = np.zeros((m, m, alg.k))
         for mu in range(m):
             for nu in range(mu + 1, m):
-                restored[mu, nu] = conjugate(alg, g.g, value(mu, nu))
+                restored[mu, nu] = conjugate(alg, g, value(mu, nu))
                 restored[nu, mu] = -restored[mu, nu]
         return restored
 
     chart_values = []
-    for center in (alg.identity_group(), *centers):
+    for center in (np.eye(alg.d), *centers):
         field = exponential_chart_connection(p, center)
         coeffs = curvature_coefficients(field, EvalPoint(base, (0.0,) * alg.k))
         chart_values.append(conjugated(center, lambda mu, nu: coeffs[:, mu, nu]))
@@ -577,7 +578,7 @@ def _order_six_cross_check(p: GaugePotential, x, centers, sections):
         gaps.append(gap[0])
         commutator_values.append(
             conjugated(
-                exp(AlgebraElement(alg, s_at)), lambda mu, nu: log_factor @ vertical[:, mu, nu]
+                exp(alg, s_at), lambda mu, nu: log_factor @ vertical[:, mu, nu]
             )
         )
 
@@ -626,11 +627,11 @@ def test_cross_checks_of_many_samples_are_each_samples_own(name, rows):
 
 
 def test_the_batched_routes_take_an_empty_sample_list():
-    identity_field = exponential_chart_connection(SO3_POTENTIAL, SO3.identity_group())
+    identity_field = exponential_chart_connection(SO3_POTENTIAL, I3)
     R, gaps = commutator_tensor(identity_field, [])
     assert (R.shape, gaps.shape) == ((3, 2, 2, 0), (0,))
     assert curvature_cross_check(SO3_POTENTIAL, []) == []
-    assert theta_bch_verify([]) == []
+    assert theta_bch_verify(SO3, []) == []
     assert check_axiom(SO3_POTENTIAL, []) == ()
 
 
@@ -645,68 +646,57 @@ def test_cross_check_deterministic_given_seed():
 
 
 def test_theta_bch_equal_slots_fix_the_correction():
-    g = SO3.identity_group()
-    x = AlgebraElement(SO3, (0.4, 0.0, -0.2))
-    z = AlgebraElement(SO3, (0.0, 0.1, 0.0))
-    out = theta_bch(g, x, x, z)
-    assert out[0] is g
-    assert np.array_equal(out[1].coeffs, x.coeffs)
-    assert np.array_equal(out[2].coeffs, x.coeffs)
-    assert np.allclose(out[3].coeffs, z.coeffs, atol=1e-12)
+    x = np.array((0.4, 0.0, -0.2))
+    z = np.array((0.0, 0.1, 0.0))
+    out = theta_bch(SO3, I3, x, x, z)
+    assert out[0] is I3
+    assert np.array_equal(out[1], x)
+    assert np.array_equal(out[2], x)
+    assert np.allclose(out[3], z, atol=1e-12)
 
 
 def test_theta_bch_abelian_is_plain_swap():
     g = _rotation(0.3)
-    x = AlgebraElement(SO2, (0.7,))
-    y = AlgebraElement(SO2, (-0.4,))
-    z = AlgebraElement(SO2, (0.2,))
-    out = theta_bch(g, x, y, z)
-    assert np.array_equal(out[1].coeffs, y.coeffs)
-    assert np.array_equal(out[2].coeffs, x.coeffs)
-    assert np.allclose(out[3].coeffs, z.coeffs, atol=1e-15)
+    x, y, z = np.array((0.7,)), np.array((-0.4,)), np.array((0.2,))
+    out = theta_bch(SO2, g, x, y, z)
+    assert np.array_equal(out[1], y)
+    assert np.array_equal(out[2], x)
+    assert np.allclose(out[3], z, atol=1e-15)
 
 
 def test_theta_bch_so3_bracket_correction():
-    g = SO3.identity_group()
-    e1 = AlgebraElement(SO3, (1.0, 0.0, 0.0))
-    e2 = AlgebraElement(SO3, (0.0, 1.0, 0.0))
-    zero = AlgebraElement(SO3, np.zeros(SO3.k))
-    out = theta_bch(g, e1, e2, zero)
-    assert np.array_equal(out[1].coeffs, e2.coeffs)
-    assert np.array_equal(out[2].coeffs, e1.coeffs)
-    assert np.allclose(out[3].coeffs, (0.0, 0.0, 1.0), atol=1e-12)
+    e1, e2, _ = np.eye(3)
+    out = theta_bch(SO3, I3, e1, e2, np.zeros(SO3.k))
+    assert np.array_equal(out[1], e2)
+    assert np.array_equal(out[2], e1)
+    assert np.allclose(out[3], (0.0, 0.0, 1.0), atol=1e-12)
 
 
 def test_theta_bch_verify_abelian():
     [report] = theta_bch_verify(
-        [(_rotation(0.4), AlgebraElement(SO2, (0.3,)), AlgebraElement(SO2, (-0.2,)), AlgebraElement(SO2, (0.1,)))]
+        SO2, [(_rotation(0.4), np.array((0.3,)), np.array((-0.2,)), np.array((0.1,)))]
     )
     assert report.max_deviation <= 1e-6
 
 
 def test_theta_bch_verify_so3_recovers_bracket():
-    [report] = theta_bch_verify(
-        [(SO3.identity_group(), AlgebraElement(SO3, (1.0, 0.0, 0.0)), AlgebraElement(SO3, (0.0, 1.0, 0.0)),
-          AlgebraElement(SO3, np.zeros(SO3.k)))]
-    )
+    e1, e2, _ = np.eye(3)
+    [report] = theta_bch_verify(SO3, [(I3, e1, e2, np.zeros(SO3.k))])
     assert report.max_deviation <= 1e-4
 
 
-def _theta_bch_verify_alone(g, x, y, z):
+def _theta_bch_verify_alone(alg, g, x, y, z):
     """:func:`theta_bch_verify` as it was formulated for one jet at a time:
     one surface of nine matrices, its slots one matrix at a time."""
-    alg = x.algebra
     t, eps = principal._BCH_STEP * principal._JET_STENCIL.T[:, :, None, None]
-    surface = g.g @ expm(t * x.matrix) @ expm(eps * (y.matrix + t * z.matrix))
+    surface = g @ expm(t * alg.matrix(x)) @ expm(eps * (alg.matrix(y) + t * alg.matrix(z)))
 
     def slot_deviation(extracted, expected):
-        g_exp, *elements = expected
-        exact = (g_exp.g, *(e.coeffs for e in elements))
-        return float(np.max([np.abs(u - v).max() for u, v in zip(extracted, exact)]))
+        return float(np.max([np.abs(u - v).max() for u, v in zip(extracted, expected)]))
 
     direct = slot_deviation(principal._extract_jet(alg, surface), (g, x, y, z))
     swapped = slot_deviation(
-        principal._extract_jet(alg, surface[principal._JET_SWAP]), theta_bch(g, x, y, z)
+        principal._extract_jet(alg, surface[principal._JET_SWAP]), theta_bch(alg, g, x, y, z)
     )
     return direct, swapped, float(np.max([direct, swapped]))
 
@@ -716,20 +706,19 @@ def test_theta_bch_checks_of_many_jets_are_each_jets_own(name):
     alg = builtin_algebra(name)
     rng = SplitMix64(len(name) + 40)
     jets = [
-        (exp(sample_algebra_element(rng, alg, 0.5)),
+        (exp(alg, sample_algebra_element(rng, alg, 0.5)),
          *(sample_algebra_element(rng, alg, 0.5 / alg.k) for _ in range(3)))
         for _ in range(9)
     ]
-    reports = theta_bch_verify(jets)
+    reports = theta_bch_verify(alg, jets)
     assert len(reports) == len(jets)
     for report, jet in zip(reports, jets):
-        expected = _theta_bch_verify_alone(*jet)
+        expected = _theta_bch_verify_alone(alg, *jet)
         assert (report.direct_deviation, report.swapped_deviation, report.max_deviation) == expected
-        assert [report] == theta_bch_verify([jet])
+        assert [report] == theta_bch_verify(alg, [jet])
 
 
 def test_theta_bch_verify_zero_slots_exact():
-    [report] = theta_bch_verify(
-        [(SO3.identity_group(), AlgebraElement(SO3, np.zeros(SO3.k)), AlgebraElement(SO3, np.zeros(SO3.k)), AlgebraElement(SO3, np.zeros(SO3.k)))]
-    )
+    zero = np.zeros(SO3.k)
+    [report] = theta_bch_verify(SO3, [(I3, zero, zero, zero)])
     assert report.max_deviation == 0.0
