@@ -16,7 +16,6 @@ from .bundle import (
     Section,
     TotalVectorField,
     VerticalVector,
-    covariant_derivative,
     curvature_coefficients,
     is_parallel_morphism,
     nijenhuis_tensor,
@@ -30,7 +29,6 @@ from .errors import (
     FiberMismatch,
     IndexOutOfRange,
     IoError,
-    NotVertical,
     SingularMatrix,
     UnknownIdentifier,
 )
@@ -53,7 +51,6 @@ from .principal import (
     exponential_chart_connection,
     theta_bch,
     theta_bch_verify,
-    vtriv_principal,
 )
 from .prolong import (
     SecondJet,
@@ -87,7 +84,6 @@ __all__ = [
     "TotalVectorField",
     "VerticalVector",
     "FiberBundleMorphism",
-    "covariant_derivative",
     "nijenhuis_tensor",
     "curvature_coefficients",
     "is_parallel_morphism",
@@ -108,7 +104,6 @@ __all__ = [
     # principal connections
     "GaugePotential",
     "check_axiom",
-    "vtriv_principal",
     "cartan_curvature",
     "exponential_chart_connection",
     "curvature_cross_check",
@@ -130,7 +125,6 @@ __all__ = [
     "FiberMismatch",
     "ClosureViolation",
     "SingularMatrix",
-    "NotVertical",
     "IoError",
     "ConfigSchemaError",
 ]

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _records, _symbolic
-from .exprdsl import Expression, check_grid, parse_grid
+from .exprdsl import Expression, check_grid
 from .numcore import (
     EvalPoint,
     StackedPoint,
@@ -41,7 +41,6 @@ from .numcore import (
     evaluate,
     gradient,
     over_samples,
-    partial,
     sweep_grid,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "Section",
     "TotalVectorField",
     "FiberBundleMorphism",
-    "covariant_derivative",
     "vertical_projection_field",
     "horizontal_part_field",
     "nijenhuis_tensor",
@@ -96,10 +94,6 @@ class ChristoffelField(_records.Value):
         m, n = patch.dims
         self._set(patch, check_grid(gamma, (n, m), m, n, "gamma"))
 
-    @classmethod
-    def from_strings(cls, patch: BundlePatch, rows) -> "ChristoffelField":
-        return cls(patch, parse_grid(rows, patch.dims))
-
 
 class VerticalVector(_records.Value):
     """Vertical tangent vector at ``at`` with fiber components ``w``."""
@@ -120,10 +114,6 @@ class Section(_records.Value):
         m, n = patch.dims
         self._set(patch, check_grid(comps, (n,), m, 0, "comps"))
 
-    @classmethod
-    def from_strings(cls, patch: BundlePatch, sources) -> "Section":
-        return cls(patch, parse_grid(sources, patch.dims))
-
     def value(self, x) -> tuple[float, ...]:
         p = EvalPoint.of(x)
         return tuple(evaluate(c, p) for c in self.comps)
@@ -138,10 +128,6 @@ class TotalVectorField(_records.Value):
     def __init__(self, patch: BundlePatch, a: tuple[Expression, ...], b: tuple[Expression, ...]):
         m, n = patch.dims
         self._set(patch, check_grid(a, (m,), m, n, "a"), check_grid(b, (n,), m, n, "b"))
-
-    @classmethod
-    def from_strings(cls, patch: BundlePatch, a_sources, b_sources) -> "TotalVectorField":
-        return cls(patch, parse_grid(a_sources, patch.dims), parse_grid(b_sources, patch.dims))
 
     @classmethod
     def coordinate(cls, patch: BundlePatch, mu: int) -> "TotalVectorField":
@@ -168,10 +154,6 @@ class FiberBundleMorphism(_records.Value):
         if source.base_dim != target.base_dim:
             raise ValueError("morphism must preserve the base dimension")
         self._set(source, target, check_grid(comps, (target.fiber_dim,), *source.dims, "comps"))
-
-    @classmethod
-    def from_strings(cls, source: BundlePatch, target: BundlePatch, sources):
-        return cls(source, target, parse_grid(sources, source.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +199,6 @@ def _lifted(gamma, xi) -> tuple[float, ...]:
             acc -= g * comp
         b.append(acc)
     return tuple(b)
-
-
-def covariant_derivative(
-    field: ChristoffelField, section: Section, mu: int, x
-) -> VerticalVector:
-    """Covariant derivative of ``section`` along ``d/dx^mu`` at base point
-    ``x``: components ``ds^a/dx^mu + Gamma^a_mu(x, s(x))``."""
-    if section.patch != field.patch:
-        raise ValueError("section and connection patches differ")
-    m = field.patch.base_dim
-    if not 1 <= mu <= m:
-        raise ValueError(f"mu must be in 1..{m}, got {mu}")
-    base_pt = EvalPoint.of(x)
-    field.patch.check_point(base_pt, base=True)
-    svals = tuple(evaluate(c, base_pt) for c in section.comps)
-    at = EvalPoint(base_pt.x, svals)
-    w = tuple(
-        partial(c, base_pt, ("x", mu)) + evaluate(row[mu - 1], at)
-        for c, row in zip(section.comps, field.gamma)
-    )
-    return VerticalVector(at, w)
 
 
 def _jet(V: TotalVectorField, p: EvalPoint):

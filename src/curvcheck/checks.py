@@ -34,6 +34,7 @@ from .bundle import (
     nijenhuis_tensor,
 )
 from .config import CheckSpec, SuiteConfig
+from .errors import DomainError
 from .lie import exp
 from .linear import linear_curvature_consistency, linearity_detect
 from .numcore import (
@@ -124,8 +125,13 @@ def _fd_curvature(field: ChristoffelField, points: StackedPoint) -> np.ndarray:
         for k, z in enumerate(points.x + points.f)
     ]
     stencil = StackedPoint(tuple(columns[:m]), tuple(columns[m:]))
+    try:
+        values = sweep_grid(field.gamma, lambda e: evaluate(e, stencil))
+    except DomainError as exc:
+        # stencil point i shifts sample i % S
+        raise DomainError(str(exc.__cause__), exc.sample % points.size) from exc.__cause__
     # [a, mu, block, point]; block 1 + 4 i + j shifts coordinate i by _FD_SHIFTS[j]
-    values = sweep_grid(field.gamma, lambda e: evaluate(e, stencil)).reshape(n, m, -1, points.size)
+    values = values.reshape(n, m, -1, points.size)
     grads = central_difference(*(values[:, :, 1 + j::4] for j in range(4)), _FD_STEP)
     return _coordinate_curvature(values[:, :, 0], grads[:, :, :m], grads[:, :, m:])
 

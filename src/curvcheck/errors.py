@@ -16,7 +16,6 @@ __all__ = [
     "FiberMismatch",
     "ClosureViolation",
     "SingularMatrix",
-    "NotVertical",
     "IoError",
     "ConfigSchemaError",
 ]
@@ -48,7 +47,15 @@ class IndexOutOfRange(CurvcheckError):
 
 class DomainError(CurvcheckError):
     """Evaluation left the domain of a primitive (log of a non-positive
-    number, square root of a negative number, division by zero, ...)."""
+    number, square root of a negative number, division by zero, ...).
+
+    Raised with a ``sample``, the message ends in ``at sample i`` and the
+    error carries the 0-based index ``i`` as ``sample``; else it is ``None``.
+    """
+
+    def __init__(self, message: str, sample: int | None = None):
+        super().__init__(message if sample is None else f"{message} at sample {sample}")
+        self.sample = sample
 
 
 class FiberMismatch(CurvcheckError):
@@ -61,11 +68,6 @@ class ClosureViolation(CurvcheckError):
 
 class SingularMatrix(CurvcheckError):
     """A group element's matrix is singular or numerically near-singular."""
-
-
-class NotVertical(CurvcheckError):
-    """A velocity passed to the vertical trivialization is not tangent to the
-    fiber."""
 
 
 class IoError(CurvcheckError):

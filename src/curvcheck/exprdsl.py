@@ -61,7 +61,6 @@ __all__ = [
     "compile_expr",
     "max_indices",
     "check_grid",
-    "parse_grid",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
@@ -592,11 +591,3 @@ def check_grid(grid, shape: tuple[int, ...], m: int, n: int, where: str) -> tupl
     if len(items) != shape[0]:
         raise ValueError(f"{where} needs {shape[0]} entries, got {len(items)}")
     return tuple(check_grid(e, shape[1:], m, n, f"{where}[{i}]") for i, e in enumerate(items))
-
-
-def parse_grid(sources, dims: tuple[int, int]):
-    """:func:`parse` of every string in the nested sequences ``sources``,
-    as nested tuples of the same shape."""
-    if isinstance(sources, str):
-        return parse(sources, dims)
-    return tuple(parse_grid(item, dims) for item in sources)

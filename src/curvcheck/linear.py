@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _records, _symbolic
 from .bundle import BundlePatch, ChristoffelField, curvature_coefficients
-from .exprdsl import Var, check_grid, parse_grid
+from .exprdsl import Var, check_grid
 from .numcore import EvalPoint, each_sample, evaluate, gradient, sweep_grid
 
 __all__ = [
@@ -60,10 +60,6 @@ class LinearChristoffel(_records.Frozen):
     def __init__(self, patch: BundlePatch, gamma3: tuple):
         m, n = patch.dims
         self._set(patch, check_grid(gamma3, (n, m, n), m, 0, "gamma3"))
-
-    @staticmethod
-    def from_strings(patch: BundlePatch, rows) -> "LinearChristoffel":
-        return LinearChristoffel(patch, parse_grid(rows, patch.dims))
 
 
 def expand_linear(linear: LinearChristoffel) -> ChristoffelField:

@@ -56,9 +56,10 @@ silently, on floats too.
 Array arithmetic costs a fixed overhead per instruction, so a stack pays
 only from a few points on: :func:`over_samples`, the one place that reads
 ``_STACK_MIN``, sweeps fewer points one at a time on floats.  Every loop
-over samples, here and in the routes, is :func:`each_sample`, the one place
-that adds ``at sample i`` to a domain error, and :func:`stack_samples`
-stacks the per-sample results.
+over samples, here and in the routes, is :func:`each_sample`, which adds
+``at sample i`` to a domain error (a primitive that runs once for a whole
+stack names sample 0), and :func:`stack_samples` stacks the per-sample
+results.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def each_sample(route, items):
         try:
             yield route(item)
         except DomainError as exc:
-            raise DomainError(f"{exc} at sample {sample}") from exc
+            raise DomainError(str(exc), sample) from exc
 
 
 def stack_samples(results):
@@ -334,9 +335,13 @@ _ARRAY_PRIMITIVES = frozenset(("+", "-", "*", "neg"))
 def _per_sample(rule, *args):
     """``rule`` at every sample of its array arguments, on Python floats (an
     argument that is no array is the same at every sample), stacked by
-    :func:`stack_samples`."""
+    :func:`stack_samples`.  With no array argument ``rule`` runs once, and
+    a domain error names sample 0, the first that meets it."""
     if not any(isinstance(a, np.ndarray) for a in args):
-        return rule(*args)
+        try:
+            return rule(*args)
+        except DomainError as exc:
+            raise DomainError(str(exc), 0) from exc
     columns = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args]
     return stack_samples(each_sample(lambda row: rule(*row), zip(*columns)))
 

@@ -64,8 +64,7 @@ import numpy as np
 
 from . import _records, _symbolic
 from .bundle import BundlePatch, ChristoffelField, Section, curvature_coefficients
-from .errors import ClosureViolation, NotVertical
-from .exprdsl import Var, check_grid, parse_grid
+from .exprdsl import Var, check_grid
 from .lie import MatrixLieAlgebra, bracket, conjugate, expm, group_stack
 from .numcore import EvalPoint, central_difference, each_sample, evaluate, gradient, sweep_grid
 from .prolong import commutator_tensor
@@ -75,7 +74,6 @@ __all__ = [
     "CrossCheckReport",
     "ThetaBchReport",
     "check_axiom",
-    "vtriv_principal",
     "cartan_curvature",
     "exponential_chart_connection",
     "curvature_cross_check",
@@ -94,17 +92,6 @@ class GaugePotential(_records.Frozen):
         if base_dim < 1:
             raise ValueError("base dimension must be at least 1")
         self._set(algebra, base_dim, check_grid(a, (base_dim, algebra.k), base_dim, 0, "a"))
-
-    @staticmethod
-    def from_strings(algebra: MatrixLieAlgebra, rows, base_dim: int) -> "GaugePotential":
-        return GaugePotential(algebra, base_dim, parse_grid(rows, (base_dim, 1)))
-
-    def value(self, mu: int, x) -> np.ndarray:
-        """The coefficients ``(k,)`` of A_mu(x) (mu is 1-based)."""
-        if not 1 <= mu <= self.base_dim:
-            raise ValueError(f"mu must be in 1..{self.base_dim}, got {mu}")
-        pt = EvalPoint.of(x)
-        return np.array([evaluate(c, pt) for c in self.a[mu - 1]], dtype=float)
 
 
 def _potential_along(p: GaugePotential, x, xi) -> np.ndarray:
@@ -189,22 +176,6 @@ def check_axiom(p: GaugePotential, trials) -> tuple[float, ...]:
     lhs, inner = np.split(omega, 2)
     rhs = conjugate(alg, group_stack(np.linalg.inv(gamma0)), inner) + velocities[:, 2]
     return tuple(float(r) for r in np.abs(lhs - rhs).max(axis=1))
-
-
-#: Largest distance from the algebra span :func:`vtriv_principal` accepts.
-_VERTICAL_TOL = 1e-8
-
-
-def vtriv_principal(algebra: MatrixLieAlgebra, g0, w) -> np.ndarray:
-    """Vertical trivialization: algebra coefficients of ``g0^{-1} W`` for a
-    fiber velocity ``W`` at the group matrix ``g0``.  Raises
-    :class:`NotVertical` when ``g0^{-1} W`` does not lie in the algebra span
-    within :data:`_VERTICAL_TOL`."""
-    candidate = np.linalg.solve(g0, np.asarray(w, dtype=float))
-    try:
-        return algebra.expand(candidate, _VERTICAL_TOL)
-    except ClosureViolation as exc:
-        raise NotVertical(f"velocity is not tangent to the fiber at g0: {exc}") from None
 
 
 def cartan_curvature(p: GaugePotential, x) -> np.ndarray:

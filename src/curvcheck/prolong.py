@@ -320,9 +320,6 @@ def _second_covariants(
     if any(s.patch != field.patch for s, _ in samples):
         raise ValueError("section and connection patches differ")
     m, n = field.patch.dims
-    for mu, nu in pairs:
-        if not (1 <= mu <= m and 1 <= nu <= m):
-            raise ValueError(f"indices must be in 1..{m}, got mu={mu}, nu={nu}")
     points = [EvalPoint.of(x) for _, x in samples]
     for x in points:
         field.patch.check_point(x, base=True)

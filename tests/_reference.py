@@ -11,13 +11,24 @@ The tangent sweep's chain rules, as written before each jet slot was
 formed once: a comprehension gives every slot the first-order rule and the
 mixed slot is then overwritten.  The package's rules must give the same
 slots, bit for bit.
+
+The covariant derivative of a section, the vertical trivialization and the
+values of a gauge potential, written on the public containers and sweeps:
+the routes of the package are compared against them.  :func:`parse_grid`
+builds every container of the tests from expression sources.
 """
 
 import math
 
 import numpy as np
 
-from curvcheck.exprdsl import FUNCTIONS, Binary, Const, Expression, Power, Program, Unary, Var
+from curvcheck.bundle import ChristoffelField, Section, VerticalVector
+from curvcheck.exprdsl import (
+    FUNCTIONS, Binary, Const, Expression, Power, Program, Unary, Var, parse
+)
+from curvcheck.lie import MatrixLieAlgebra
+from curvcheck.numcore import EvalPoint, evaluate, partial
+from curvcheck.principal import GaugePotential
 
 _ZERO = Const(0.0)
 _ONE = Const(1.0)
@@ -238,3 +249,45 @@ def _plus(acc, coefficient, term):
     if isinstance(coefficient, np.ndarray):
         return np.where(coefficient != 0.0, acc + coefficient * term, acc)
     return acc + coefficient * term if coefficient else acc
+
+
+def parse_grid(sources, dims: tuple[int, int]):
+    """:func:`~curvcheck.exprdsl.parse` of every string in the nested
+    sequences ``sources``, as nested tuples of the same shape."""
+    if isinstance(sources, str):
+        return parse(sources, dims)
+    return tuple(parse_grid(item, dims) for item in sources)
+
+
+def covariant_derivative(field: ChristoffelField, section: Section, mu: int, x) -> VerticalVector:
+    """Covariant derivative of ``section`` along ``d/dx^mu`` at base point
+    ``x``: components ``ds^a/dx^mu + Gamma^a_mu(x, s(x))``."""
+    if section.patch != field.patch:
+        raise ValueError("section and connection patches differ")
+    m = field.patch.base_dim
+    if not 1 <= mu <= m:
+        raise ValueError(f"mu must be in 1..{m}, got {mu}")
+    base = EvalPoint.of(x)
+    field.patch.check_point(base, base=True)
+    at = EvalPoint(base.x, section.value(x))
+    w = tuple(
+        partial(c, base, ("x", mu)) + evaluate(row[mu - 1], at)
+        for c, row in zip(section.comps, field.gamma)
+    )
+    return VerticalVector(at, w)
+
+
+def vtriv_principal(algebra: MatrixLieAlgebra, g0, w) -> np.ndarray:
+    """Vertical trivialization: algebra coefficients of ``g0^{-1} W`` for a
+    fiber velocity ``W`` at the group matrix ``g0``.  Raises
+    :class:`~curvcheck.errors.ClosureViolation` when ``g0^{-1} W`` lies
+    farther than 1e-8 from the algebra span."""
+    return algebra.expand(np.linalg.solve(g0, np.asarray(w, dtype=float)), 1e-8)
+
+
+def potential_value(potential: GaugePotential, mu: int, x) -> np.ndarray:
+    """The coefficients ``(k,)`` of ``A_mu(x)`` (``mu`` is 1-based)."""
+    if not 1 <= mu <= potential.base_dim:
+        raise ValueError(f"mu must be in 1..{potential.base_dim}, got {mu}")
+    pt = EvalPoint.of(x)
+    return np.array([evaluate(c, pt) for c in potential.a[mu - 1]], dtype=float)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import parse_grid, potential_value
 from curvcheck import principal
 from curvcheck.bundle import (
     BundlePatch,
@@ -71,10 +72,8 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SO2 = builtin_algebra("so2")
 SO3 = builtin_algebra("so3")
-ABELIAN_POTENTIAL = GaugePotential.from_strings(SO2, [["0"], ["x1"]], base_dim=2)
-SO3_POTENTIAL = GaugePotential.from_strings(
-    SO3, [["1", "0", "0"], ["0", "1", "0"]], base_dim=2
-)
+ABELIAN_POTENTIAL = GaugePotential(SO2, 2, parse_grid([["0"], ["x1"]], (2, 1)))
+SO3_POTENTIAL = GaugePotential(SO3, 2, parse_grid([["1", "0", "0"], ["0", "1", "0"]], (2, 1)))
 
 
 def _run(num: int, label: str, body) -> None:
@@ -168,8 +167,8 @@ def test_criterion_02_commutator_identity_on_sections():
 def test_criterion_03_worked_fixture_jets():
     def body():
         patch = BundlePatch(2, 1)
-        skew = ChristoffelField.from_strings(patch, [["0", "x1"]])
-        zero = Section.from_strings(patch, ["0"])
+        skew = ChristoffelField(patch, parse_grid([["0", "x1"]], patch.dims))
+        zero = Section(patch, parse_grid(["0"], patch.dims))
         for x in ((0.7, -0.3), (1.3, 0.25)):
             ((j12, j21),), _ = _second_covariants(skew, [(zero, x)], ((1, 2), (2, 1)))
             assert j12.f == (0.0,)
@@ -233,7 +232,9 @@ def test_criterion_05_cartan_cross_check():
         # field-strength component is the plain derivative, exactly 1.
         x = (0.8, -0.2)
         lie_term = bracket(
-            ABELIAN_POTENTIAL.algebra, ABELIAN_POTENTIAL.value(1, x), ABELIAN_POTENTIAL.value(2, x)
+            ABELIAN_POTENTIAL.algebra,
+            potential_value(ABELIAN_POTENTIAL, 1, x),
+            potential_value(ABELIAN_POTENTIAL, 2, x),
         )
         assert tuple(lie_term) == (0.0,)
         f12 = cartan_curvature(ABELIAN_POTENTIAL, x)[0, 1]
@@ -313,12 +314,11 @@ def test_criterion_08_linear_layer():
             assert deviation <= 1e-9, deviation
             field = expand_linear(lin)
             for lam in (-1.0, 0.5, 2.0):
-                phi = FiberBundleMorphism.from_strings(
-                    lin.patch, lin.patch, [f"{lam!r}*f{a}" for a in (1, 2)]
-                )
+                scaling = parse_grid([f"{lam!r}*f{a}" for a in (1, 2)], lin.patch.dims)
+                phi = FiberBundleMorphism(lin.patch, lin.patch, scaling)
                 residuals = is_parallel_morphism(phi, field, field, pts)
                 assert max(residuals) <= 1e-9
-        quadratic = ChristoffelField.from_strings(BundlePatch(1, 1), [["f1^2"]])
+        quadratic = ChristoffelField(BundlePatch(1, 1), parse_grid([["f1^2"]], (1, 1)))
         rng = SplitMix64(0)
         points = [sample_point(rng, 1, 1) for _ in range(64)]
         detection = linearity_detect(quadratic, points, 1e-9)
@@ -329,7 +329,7 @@ def test_criterion_08_linear_layer():
         assert len(violation.x) == 1 and len(violation.v) == 1
         point_rng = SplitMix64(811)
         residuals = is_parallel_morphism(
-            FiberBundleMorphism.from_strings(quadratic.patch, quadratic.patch, ["2.0*f1"]),
+            FiberBundleMorphism(quadratic.patch, quadratic.patch, parse_grid(["2.0*f1"], (1, 1))),
             quadratic,
             quadratic,
             [sample_point(point_rng, 1, 1) for _ in range(6)],

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import covariant_derivative, parse_grid
 from curvcheck import bundle, numcore
 from curvcheck.bundle import (
     BundlePatch,
@@ -20,7 +21,6 @@ from curvcheck.bundle import (
     _Parts,
     _projected,
     _symbol_values,
-    covariant_derivative,
     curvature_coefficients,
     is_parallel_morphism,
     nijenhuis_tensor,
@@ -33,10 +33,10 @@ from curvcheck.sampling import sample_christoffel, sample_point, sample_polynomi
 P11 = BundlePatch(1, 1)
 P21 = BundlePatch(2, 1)
 
-FLAT11 = ChristoffelField.from_strings(P11, [["0"]])
-FLAT21 = ChristoffelField.from_strings(P21, [["0", "0"]])
+FLAT11 = ChristoffelField(P11, parse_grid([["0"]], P11.dims))
+FLAT21 = ChristoffelField(P21, parse_grid([["0", "0"]], P21.dims))
 # Gamma^1_1 = 0, Gamma^1_2 = x1: constant curvature R^1_12 = 1.
-SKEW = ChristoffelField.from_strings(P21, [["0", "x1"]])
+SKEW = ChristoffelField(P21, parse_grid([["0", "x1"]], P21.dims))
 
 
 def test_patch_rejects_nonpositive_dimensions():
@@ -48,14 +48,14 @@ def test_patch_rejects_nonpositive_dimensions():
 
 def test_christoffel_shape_and_bounds_validated():
     with pytest.raises(ValueError):
-        ChristoffelField.from_strings(P21, [["0"]])
+        ChristoffelField(P21, parse_grid([["0"]], P21.dims))
     with pytest.raises(IndexOutOfRange):
-        ChristoffelField.from_strings(P11, [["x2"]])
+        ChristoffelField(P11, parse_grid([["x2"]], P11.dims))
 
 
 def test_section_rejects_fiber_variables():
     with pytest.raises(ValueError):
-        Section.from_strings(P11, ["f1"])
+        Section(P11, parse_grid(["f1"], P11.dims))
 
 
 # --- projection -------------------------------------------------------------
@@ -67,14 +67,14 @@ def test_project_flat_kills_horizontal():
 
 
 def test_project_is_identity_on_vertical():
-    field = ChristoffelField.from_strings(P11, [["sin(x1)*f1"]])
+    field = ChristoffelField(P11, parse_grid([["sin(x1)*f1"]], P11.dims))
     p = EvalPoint((0.3,), (0.8,))
     assert _projected(_symbol_values(field, p), _Parts((0.0,), (3.0,))) == (3.0,)
 
 
 def test_project_substitutes_coefficients():
     # Gamma^1_1 = f1 at (x=1, f=2) on (a=1, b=0): w = 0 + f1*1 = 2.
-    field = ChristoffelField.from_strings(P11, [["f1"]])
+    field = ChristoffelField(P11, parse_grid([["f1"]], P11.dims))
     p = EvalPoint((1.0,), (2.0,))
     assert _projected(_symbol_values(field, p), _Parts((1.0,), (0.0,))) == (2.0,)
 
@@ -114,7 +114,7 @@ def test_horizontal_lift_substitutes_coefficients():
 
 
 def test_horizontal_lift_of_zero_is_zero():
-    field = ChristoffelField.from_strings(P21, [["f1^2", "x1*f1"]])
+    field = ChristoffelField(P21, parse_grid([["f1^2", "x1*f1"]], P21.dims))
     b = _lifted(_symbol_values(field, EvalPoint((1.0, 2.0), (3.0,))), (0.0, 0.0))
     assert b == (0.0,)
 
@@ -132,11 +132,11 @@ def test_lift_then_project_vanishes():
         assert max(abs(v) for v in res) <= 1e-12
 
 
-# --- covariant derivative ---------------------------------------------------
+# --- covariant derivative (the reference the prolonged routes are judged by) -
 
 
 def test_covariant_derivative_flat_is_plain_derivative():
-    s = Section.from_strings(P11, ["x1^2"])
+    s = Section(P11, parse_grid(["x1^2"], P11.dims))
     out = covariant_derivative(FLAT11, s, 1, (3.0,))
     assert out.w == (6.0,)
     assert out.at == EvalPoint((3.0,), (9.0,))
@@ -145,8 +145,8 @@ def test_covariant_derivative_flat_is_plain_derivative():
 def test_covariant_derivative_cancellation():
     # Gamma^1_1 = f1 with s = exp(-x1): derivative -e^{-x} plus
     # Gamma(x, s(x)) = e^{-x} cancels for every x.
-    field = ChristoffelField.from_strings(P11, [["f1"]])
-    s = Section.from_strings(P11, ["exp(-x1)"])
+    field = ChristoffelField(P11, parse_grid([["f1"]], P11.dims))
+    s = Section(P11, parse_grid(["exp(-x1)"], P11.dims))
     for x in (0.0, 0.7, -1.3):
         expected = -math.exp(-x) + math.exp(-x)
         out = covariant_derivative(field, s, 1, (x,))
@@ -154,26 +154,26 @@ def test_covariant_derivative_cancellation():
 
 
 def test_covariant_derivative_picks_mu_column():
-    s = Section.from_strings(P21, ["0"])
+    s = Section(P21, parse_grid(["0"], P21.dims))
     assert covariant_derivative(SKEW, s, 2, (1.0, 0.0)).w == (1.0,)
     assert covariant_derivative(SKEW, s, 1, (1.0, 0.0)).w == (0.0,)
 
 
 def test_covariant_derivative_validates_mu():
-    s = Section.from_strings(P11, ["x1"])
+    s = Section(P11, parse_grid(["x1"], P11.dims))
     with pytest.raises(ValueError):
         covariant_derivative(FLAT11, s, 2, (0.0,))
 
 
 def test_covariant_derivative_rejects_a_section_of_another_patch():
-    s = Section.from_strings(BundlePatch(2, 2), ["x1", "x2"])
+    s = Section(BundlePatch(2, 2), parse_grid(["x1", "x2"], (2, 2)))
     with pytest.raises(ValueError, match="patches differ"):
         covariant_derivative(SKEW, s, 1, (0.5, 0.25))
 
 
 @pytest.mark.parametrize("x", [(1.0, 0.0, 7.0), (1.0,)], ids=["extra", "missing"])
 def test_covariant_derivative_rejects_a_base_point_of_another_dimension(x):
-    s = Section.from_strings(P21, ["0"])
+    s = Section(P21, parse_grid(["0"], P21.dims))
     expected = rf"base point has dims \({len(x)}, 0\), expected \(2, 0\)"
     with pytest.raises(ValueError, match=expected):
         covariant_derivative(SKEW, s, 2, x)
@@ -191,7 +191,7 @@ def test_pointwise_routes_reject_a_point_of_another_patch(p):
     expected = rf"point has dims \({len(p.x)}, {len(p.f)}\), expected \(2, 1\)"
     V = TotalVectorField.coordinate(P21, 1)
     W = TotalVectorField.coordinate(P21, 2)
-    identity = FiberBundleMorphism.from_strings(P21, P21, ["f1"])
+    identity = FiberBundleMorphism(P21, P21, parse_grid(["f1"], P21.dims))
     routes = [
         lambda: nijenhuis_tensor(SKEW, (V, W), StackedPoint.of((p,))),
         lambda: curvature_coefficients(SKEW, p),
@@ -206,8 +206,8 @@ def test_pointwise_routes_reject_a_point_of_another_patch(p):
 
 
 def test_bracket_coordinate_fields():
-    V = TotalVectorField.from_strings(P11, ["1"], ["0"])
-    W = TotalVectorField.from_strings(P11, ["0"], ["x1"])
+    V = TotalVectorField(P11, parse_grid(["1"], P11.dims), parse_grid(["0"], P11.dims))
+    W = TotalVectorField(P11, parse_grid(["0"], P11.dims), parse_grid(["x1"], P11.dims))
     p = EvalPoint((0.4,), (0.9,))
     out = _bracket(_jet(V, p), _jet(W, p), p)
     assert tuple(out.a) == (0.0,)
@@ -215,7 +215,7 @@ def test_bracket_coordinate_fields():
 
 
 def test_bracket_with_itself_vanishes():
-    V = TotalVectorField.from_strings(P11, ["x1*f1"], ["sin(x1)"])
+    V = TotalVectorField(P11, parse_grid(["x1*f1"], P11.dims), parse_grid(["sin(x1)"], P11.dims))
     p = EvalPoint((0.2,), (0.6,))
     out = _bracket(_jet(V, p), _jet(V, p), p)
     assert tuple(out.a) == (0.0,)
@@ -223,8 +223,8 @@ def test_bracket_with_itself_vanishes():
 
 
 def test_bracket_euler_field():
-    V = TotalVectorField.from_strings(P11, ["0"], ["f1"])
-    W = TotalVectorField.from_strings(P11, ["0"], ["1"])
+    V = TotalVectorField(P11, parse_grid(["0"], P11.dims), parse_grid(["f1"], P11.dims))
+    W = TotalVectorField(P11, parse_grid(["0"], P11.dims), parse_grid(["1"], P11.dims))
     p = EvalPoint((0.0,), (5.0,))
     out = _bracket(_jet(V, p), _jet(W, p), p)
     assert tuple(out.b) == (-1.0,)
@@ -296,9 +296,9 @@ def test_jacobi_identity_pointwise():
 
 
 def test_nijenhuis_vanishes_on_vertical_argument():
-    field = ChristoffelField.from_strings(P11, [["x1*f1"]])
-    vertical = TotalVectorField.from_strings(P11, ["0"], ["f1"])
-    other = TotalVectorField.from_strings(P11, ["x1"], ["f1^2"])
+    field = ChristoffelField(P11, parse_grid([["x1*f1"]], P11.dims))
+    vertical = TotalVectorField(P11, parse_grid(["0"], P11.dims), parse_grid(["f1"], P11.dims))
+    other = TotalVectorField(P11, parse_grid(["x1"], P11.dims), parse_grid(["f1^2"], P11.dims))
     p = EvalPoint((0.7,), (0.4,))
     at = StackedPoint.of((p,))
     for pair in ((vertical, other), (other, vertical)):
@@ -344,7 +344,7 @@ def test_curvature_coefficients_skew_constant():
 def test_curvature_coefficients_nonlinear_example():
     # Gamma^1_1 = f1^2, Gamma^1_2 = x1*f1: R^1_12 = f + x1 f^2, which is 2
     # at x = (1, 0), f = 1.
-    field = ChristoffelField.from_strings(P21, [["f1^2", "x1*f1"]])
+    field = ChristoffelField(P21, parse_grid([["f1^2", "x1*f1"]], P21.dims))
     R = curvature_coefficients(field, EvalPoint((1.0, 0.0), (1.0,)))
     assert abs(R[0, 0, 1] - 2.0) <= 1e-15
 
@@ -360,7 +360,7 @@ def test_curvature_antisymmetry_random():
 
 
 def test_curvature_zero_on_one_dimensional_base():
-    field = ChristoffelField.from_strings(P11, [["x1*f1^2"]])
+    field = ChristoffelField(P11, parse_grid([["x1*f1^2"]], P11.dims))
     R = curvature_coefficients(field, EvalPoint((0.9,), (1.1,)))
     assert R.shape == (1, 1, 1)
     assert np.all(R == 0.0)
@@ -452,22 +452,22 @@ def test_nijenhuis_tensor_evaluates_each_symbol_once(monkeypatch):
 
 
 def test_identity_morphism_is_parallel():
-    field = ChristoffelField.from_strings(P11, [["x1*f1^2"]])
-    phi = FiberBundleMorphism.from_strings(P11, P11, ["f1"])
+    field = ChristoffelField(P11, parse_grid([["x1*f1^2"]], P11.dims))
+    phi = FiberBundleMorphism(P11, P11, parse_grid(["f1"], P11.dims))
     samples = [EvalPoint((0.3,), (0.7,)), EvalPoint((-1.0,), (2.0,))]
     assert is_parallel_morphism(phi, field, field, samples) == (0.0, 0.0)
 
 
 def test_fiber_doubling_parallel_for_linear_connection():
-    field = ChristoffelField.from_strings(P11, [["f1"]])
-    phi = FiberBundleMorphism.from_strings(P11, P11, ["2*f1"])
+    field = ChristoffelField(P11, parse_grid([["f1"]], P11.dims))
+    phi = FiberBundleMorphism(P11, P11, parse_grid(["2*f1"], P11.dims))
     samples = [EvalPoint((0.5,), (1.5,)), EvalPoint((2.0,), (-0.4,))]
     assert max(is_parallel_morphism(phi, field, field, samples)) <= 1e-9
 
 
 def test_fiber_doubling_not_parallel_for_quadratic_connection():
-    field = ChristoffelField.from_strings(P11, [["f1^2"]])
-    phi = FiberBundleMorphism.from_strings(P11, P11, ["2*f1"])
+    field = ChristoffelField(P11, parse_grid([["f1^2"]], P11.dims))
+    phi = FiberBundleMorphism(P11, P11, parse_grid(["2*f1"], P11.dims))
     (residual,) = is_parallel_morphism(phi, field, field, [EvalPoint((0.0,), (1.0,))])
     # Residual |2 f^2 - (2f)^2| = 2 f^2, exactly 2 at f = 1.
     assert residual == 2.0
@@ -497,8 +497,8 @@ def test_parallel_morphism_residuals_equal_the_composed_public_routes():
                 [sample_point(rng, 3, 2) for _ in range(4)],
             )
         )
-    overflow = ChristoffelField.from_strings(P21, [["1e300*f1^3", "x1"]])
-    phi = FiberBundleMorphism.from_strings(P21, P21, ["2*f1"])
+    overflow = ChristoffelField(P21, parse_grid([["1e300*f1^3", "x1"]], P21.dims))
+    phi = FiberBundleMorphism(P21, P21, parse_grid(["2*f1"], P21.dims))
     cases.append((phi, overflow, FLAT21, [EvalPoint((0.5, 0.2), (1e3,))]))
     for phi, field, field_hat, points in cases:
         m = field.patch.base_dim
@@ -554,4 +554,4 @@ def test_parallel_morphism_evaluates_each_value_once_per_sample(monkeypatch):
 
 def test_morphism_requires_matching_base():
     with pytest.raises(ValueError):
-        FiberBundleMorphism.from_strings(P11, P21, ["f1"])
+        FiberBundleMorphism(P11, P21, parse_grid(["f1"], P11.dims))

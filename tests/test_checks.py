@@ -92,6 +92,36 @@ def test_domain_error_becomes_error_row(tmp_path):
         assert result.detail.endswith(" at sample 0")
 
 
+@pytest.mark.parametrize("constant, message", [
+    ("log(-1)", "log of non-positive value -1.0"),
+    ("sqrt(-2)", "sqrt of negative value -2.0"),
+])
+@pytest.mark.parametrize("samples", [numcore._STACK_MIN - 3, numcore._STACK_MIN + 4])
+def test_a_constant_outside_its_domain_names_sample_0(tmp_path, constant, message, samples):
+    # a constant is evaluated once for a whole stack, as for one point on
+    # floats; sample 0 is the first to meet it either way
+    for kind in ("curvature-coefficients", "nijenhuis-vs-coefficients", "commutator-identity"):
+        config = _single_check_config(tmp_path, ["x1", f"{constant}*f1"], kind=kind,
+                                      samples=samples)
+        result = run_check(config.checks[0], config.seed)
+        assert result.detail == f"DomainError: {message} at sample 0", kind
+
+
+def test_a_domain_error_of_the_stencil_alone_names_the_sample_it_shifts(tmp_path):
+    # the exact side evaluates the symbol at the sample itself, inside the
+    # domain; only the stencil point that shifts x1 by 2 steps, point 3 of
+    # the stencil of this one sample, leaves it
+    edge = 0.18177173679852715
+    config = _single_check_config(tmp_path, [f"log({edge} - x1)*f1", "x2"], name="coeffs",
+                                  samples=1)
+    (spec,) = config.checks
+    x1 = sample_point(stream(config.seed, spec.name), 2, 1).x[0]
+    assert checks._FD_STEP < edge - x1 < 2.0 * checks._FD_STEP
+    value = edge - (x1 + 2.0 * checks._FD_STEP)
+    detail = f"DomainError: log of non-positive value {value} at sample 0"
+    assert run_check(spec, config.seed).detail == detail
+
+
 def test_a_commutator_domain_error_names_its_sample(tmp_path):
     # log(x1) of a named section faults at the first sample whose base point
     # has x1 <= 0, which the check's stream puts at sample 4 under seed 2;

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _reference import parse_grid
 import curvcheck
 from curvcheck import _records, bundle, exprdsl, linear, principal, prolong
 from curvcheck.cli import main
@@ -196,9 +197,6 @@ def test_only_the_generator_and_the_sampler_draw():
 #: ``fixtures/verify.json`` runs, and why each stays.
 _UNREACHED = {
     "unparse": "the CLI's parse-expr command",
-    "parse_grid": "the from_strings constructors",
-    "covariant_derivative": "a reference the tests compare the prolonged route against",
-    "vtriv_principal": "a reference the tests compare the connection form against",
     "sample_christoffel": "the generated connections of bench/gen.py",
 }
 
@@ -251,18 +249,6 @@ def test_every_public_function_runs_in_a_check_or_says_why_not(check_run_codes):
 #: The public members, of any class in any module's ``__all__``, that no
 #: check of ``fixtures/verify.json`` runs, and why each stays.
 _UNREACHED_MEMBERS = {
-    **{
-        f"{cls}.from_strings": "hides parse_grid and the patch's dims from the tests"
-        for cls in (
-            "ChristoffelField",
-            "Section",
-            "TotalVectorField",
-            "FiberBundleMorphism",
-            "LinearChristoffel",
-            "GaugePotential",
-        )
-    },
-    "GaugePotential.value": "a reference the tests compare the curvature routes against",
     "StackedPoint.at": "over_samples reads it below _STACK_MIN, and verify.json "
     "stacks at least 6 points",
 }
@@ -324,12 +310,14 @@ _WRAPPED_BUT_GONE = {
     "bundle.project",
     "bundle.embed",
     "bundle.horizontal_lift",
+    "bundle.covariant_derivative",
     "bundle.lie_bracket",
     "bundle.nijenhuis_curvature",
     "bundle.pushforward",
     "prolong.second_covariant",
     "prolong.commutator_curvature",
     "principal.omega_eval",
+    "principal.vtriv_principal",
     "linear.reduced_covariant",
     "linear.scaling_morphism",
 }
@@ -394,19 +382,19 @@ _IMMUTABLE = {
     "SecondJet": prolong.SecondJet((1.0,), (2.0,), (3.0,), (4.0,), (5.0,)),
     "VerticalPairBase": prolong.VerticalPairBase((1.0,), (2.0,), (3.0,), (4.0,)),
     "BundlePatch": _P,
-    "ChristoffelField": bundle.ChristoffelField.from_strings(_P, [["x1*f1", "x2"]]),
+    "ChristoffelField": bundle.ChristoffelField(_P, parse_grid([["x1*f1", "x2"]], _P.dims)),
     "VerticalVector": bundle.VerticalVector(EvalPoint((1.0, 2.0), (3.0,)), (4.0,)),
-    "Section": bundle.Section.from_strings(_P, ["x1*x2"]),
+    "Section": bundle.Section(_P, parse_grid(["x1*x2"], _P.dims)),
     "TotalVectorField": bundle.TotalVectorField.coordinate(_P, 1),
-    "FiberBundleMorphism": bundle.FiberBundleMorphism.from_strings(_P, _P, ["2*f1"]),
+    "FiberBundleMorphism": bundle.FiberBundleMorphism(_P, _P, parse_grid(["2*f1"], _P.dims)),
     "_Parts": bundle._Parts((1.0, 0.0), (2.0,)),
     "MatrixLieAlgebra": _SO3,
-    "GaugePotential": principal.GaugePotential.from_strings(
-        _SO3, [["x1", "0", "0"], ["0", "x2", "0"]], 2
+    "GaugePotential": principal.GaugePotential(
+        _SO3, 2, parse_grid([["x1", "0", "0"], ["0", "x2", "0"]], (2, 1))
     ),
     "CrossCheckReport": principal.CrossCheckReport(1e-12, {"one-two": 1e-12}, 0.0),
     "ThetaBchReport": principal.ThetaBchReport(1e-9, 2e-9, 2e-9),
-    "LinearChristoffel": linear.LinearChristoffel.from_strings(_P, [[["x1"], ["x2"]]]),
+    "LinearChristoffel": linear.LinearChristoffel(_P, parse_grid([[["x1"], ["x2"]]], _P.dims)),
     "LinearityViolation": linear.LinearityViolation(
         1, 1, (1.0, 2.0), (3.0,), 2.0, 1.0, 1.5, "homogeneity"
     ),

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference
+from _reference import parse_grid
 from curvcheck import _symbolic
 from curvcheck.bundle import (
     BundlePatch,
@@ -386,46 +387,47 @@ def _parsed(sources, dims):
     return [_parsed(s, dims) for s in sources]
 
 
-# container -> (from_strings of the sources, constructor fed trees, the
-# sources, the dims they parse against, the grids to compare)
+# container -> (constructor fed the tests' parse_grid of the sources,
+# constructor fed trees, the sources, the dims they parse against, the grids
+# to compare)
 FROM_STRINGS = {
     "christoffel": (
-        lambda s: ChristoffelField.from_strings(_P22, s),
+        lambda s: ChristoffelField(_P22, parse_grid(s, (2, 2))),
         lambda t: ChristoffelField(_P22, t),
         [["x1*f2", "0"], ["sin(x2)", "v1^2"]],
         (2, 2),
         lambda c: (c.gamma,),
     ),
     "section": (
-        lambda s: Section.from_strings(_P22, s),
+        lambda s: Section(_P22, parse_grid(s, (2, 2))),
         lambda t: Section(_P22, t),
         ["x1", "cos(x2) - 1"],
         (2, 2),
         lambda c: (c.comps,),
     ),
     "vector-field": (
-        lambda s: TotalVectorField.from_strings(_P22, *s),
+        lambda s: TotalVectorField(_P22, *parse_grid(s, (2, 2))),
         lambda t: TotalVectorField(_P22, *t),
         [["1", "f1"], ["x2*f2", "0"]],
         (2, 2),
         lambda c: (c.a, c.b),
     ),
     "morphism": (
-        lambda s: FiberBundleMorphism.from_strings(_P22, BundlePatch(2, 1), s),
+        lambda s: FiberBundleMorphism(_P22, BundlePatch(2, 1), parse_grid(s, (2, 2))),
         lambda t: FiberBundleMorphism(_P22, BundlePatch(2, 1), t),
         ["f1 + x1*f2"],
         (2, 2),
         lambda c: (c.comps,),
     ),
     "potential": (
-        lambda s: GaugePotential.from_strings(builtin_algebra("so2"), s, 2),
+        lambda s: GaugePotential(builtin_algebra("so2"), 2, parse_grid(s, (2, 1))),
         lambda t: GaugePotential(builtin_algebra("so2"), 2, t),
         [["x2"], ["-x1"]],
         (2, 1),
         lambda c: (c.a,),
     ),
     "linear": (
-        lambda s: LinearChristoffel.from_strings(_P22, s),
+        lambda s: LinearChristoffel(_P22, parse_grid(s, (2, 2))),
         lambda t: LinearChristoffel(_P22, t),
         [[["x1", "0"], ["1", "x2"]], [["0", "x1*x2"], ["2", "0"]]],
         (2, 2),
@@ -436,9 +438,9 @@ FROM_STRINGS = {
 
 @pytest.mark.parametrize("container", FROM_STRINGS)
 def test_from_strings_equals_the_constructor_fed_parsed_trees(container):
-    from_strings, construct, sources, dims, grids = FROM_STRINGS[container]
+    from_sources, construct, sources, dims, grids = FROM_STRINGS[container]
     expected = grids(construct(_parsed(sources, dims)))
-    assert grids(from_strings(sources)) == expected
+    assert grids(from_sources(sources)) == expected
     assert all(isinstance(grid, tuple) for grid in expected)
 
 

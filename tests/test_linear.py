@@ -7,13 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from _reference import covariant_derivative, parse_grid
 from curvcheck import linear
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
     FiberBundleMorphism,
     Section,
-    covariant_derivative,
     curvature_coefficients,
     is_parallel_morphism,
 )
@@ -33,12 +33,12 @@ P11 = BundlePatch(1, 1)
 P21 = BundlePatch(2, 1)
 P22 = BundlePatch(2, 2)
 
-FLAT22 = LinearChristoffel.from_strings(
-    P22, [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+FLAT22 = LinearChristoffel(
+    P22, parse_grid([[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], P22.dims)
 )
 # m=2, n=1, Gamma^1_{11} = x2: constant-coefficient test case with
 # curvature R^1_{12;1} = -1 by hand differentiation.
-XCOEFF = LinearChristoffel.from_strings(P21, [[["x2"], ["0"]]])
+XCOEFF = LinearChristoffel(P21, parse_grid([[["x2"], ["0"]]], P21.dims))
 
 
 def _random_linear(rng: SplitMix64, patch: BundlePatch) -> LinearChristoffel:
@@ -48,14 +48,14 @@ def _random_linear(rng: SplitMix64, patch: BundlePatch) -> LinearChristoffel:
         [[templates[rng.int_below(len(templates))] for _ in range(n)] for _ in range(m)]
         for _ in range(n)
     ]
-    return LinearChristoffel.from_strings(patch, rows)
+    return LinearChristoffel(patch, parse_grid(rows, patch.dims))
 
 
 def test_symbols_reject_fiber_variables_and_shape_mismatch():
     with pytest.raises(ValueError):
-        LinearChristoffel.from_strings(P21, [[["f1"], ["0"]]])
+        LinearChristoffel(P21, parse_grid([[["f1"], ["0"]]], P21.dims))
     with pytest.raises(ValueError):
-        LinearChristoffel.from_strings(P21, [[["x1"]]])
+        LinearChristoffel(P21, parse_grid([[["x1"]]], P21.dims))
 
 
 # --- the fiber-linear expansion ---------------------------------------------
@@ -69,16 +69,15 @@ def test_expand_zero_symbols_is_flat():
 
 
 def test_expand_unit_symbol_gives_fiber_coordinate():
-    lin = LinearChristoffel.from_strings(P11, [[["1"]]])
+    lin = LinearChristoffel(P11, parse_grid([[["1"]]], P11.dims))
     field = expand_linear(lin)
     for v in (-2.0, 0.0, 3.5):
         assert evaluate(field.gamma[0][0], EvalPoint((0.7,), (v,))) == v
 
 
 def test_expand_cross_symbol():
-    lin = LinearChristoffel.from_strings(
-        P22, [[["0", "x1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
-    )
+    rows = [[["0", "x1"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    lin = LinearChristoffel(P22, parse_grid(rows, P22.dims))
     field = expand_linear(lin)
     pt = EvalPoint((1.5, -0.4), (10.0, 3.0))
     assert evaluate(field.gamma[0][0], pt) == 1.5 * 3.0
@@ -168,14 +167,14 @@ def test_classical_curvature_equals_the_formula_entry_by_entry(patch):
 
 
 def test_reduced_covariant_flat_is_plain_derivative():
-    lin = LinearChristoffel.from_strings(P11, [[["0"]]])
-    s = Section.from_strings(P11, ["x1^2"])
+    lin = LinearChristoffel(P11, parse_grid([[["0"]]], P11.dims))
+    s = Section(P11, parse_grid(["x1^2"], P11.dims))
     assert covariant_derivative(expand_linear(lin), s, 1, (1.5,)).w == (3.0,)
 
 
 def test_reduced_covariant_exponential_cancellation():
-    lin = LinearChristoffel.from_strings(P11, [[["1"]]])
-    s = Section.from_strings(P11, ["exp(-x1)"])
+    lin = LinearChristoffel(P11, parse_grid([[["1"]]], P11.dims))
+    s = Section(P11, parse_grid(["exp(-x1)"], P11.dims))
     out = covariant_derivative(expand_linear(lin), s, 1, (0.0,)).w
     oracle = -math.exp(-0.0) + 1.0 * math.exp(-0.0)
     assert abs(out[0] - oracle) <= 1e-15
@@ -184,10 +183,10 @@ def test_reduced_covariant_exponential_cancellation():
 
 def test_reduced_covariant_additive():
     rng = SplitMix64(17)
-    field = expand_linear(LinearChristoffel.from_strings(P11, [[["sin(x1)"]]]))
-    s = Section.from_strings(P11, ["x1^2"])
-    t = Section.from_strings(P11, ["cos(x1)"])
-    both = Section.from_strings(P11, ["x1^2 + cos(x1)"])
+    field = expand_linear(LinearChristoffel(P11, parse_grid([[["sin(x1)"]]], P11.dims)))
+    s = Section(P11, parse_grid(["x1^2"], P11.dims))
+    t = Section(P11, parse_grid(["cos(x1)"], P11.dims))
+    both = Section(P11, parse_grid(["x1^2 + cos(x1)"], P11.dims))
     for _ in range(10):
         x = (rng.symmetric(2.0),)
         lhs = covariant_derivative(field, both, 1, x).w
@@ -197,9 +196,9 @@ def test_reduced_covariant_additive():
 
 def test_reduced_covariant_scales_with_section():
     rng = SplitMix64(19)
-    field = expand_linear(LinearChristoffel.from_strings(P11, [[["x1"]]]))
-    s = Section.from_strings(P11, ["sin(x1) + x1^2"])
-    scaled = Section.from_strings(P11, ["2*(sin(x1) + x1^2)"])
+    field = expand_linear(LinearChristoffel(P11, parse_grid([[["x1"]]], P11.dims)))
+    s = Section(P11, parse_grid(["sin(x1) + x1^2"], P11.dims))
+    scaled = Section(P11, parse_grid(["2*(sin(x1) + x1^2)"], P11.dims))
     for _ in range(10):
         x = (rng.symmetric(2.0),)
         lhs = covariant_derivative(field, scaled, 1, x).w[0]
@@ -208,8 +207,8 @@ def test_reduced_covariant_scales_with_section():
 
 
 def test_reduced_covariant_direction_validation():
-    field = expand_linear(LinearChristoffel.from_strings(P11, [[["0"]]]))
-    s = Section.from_strings(P11, ["x1"])
+    field = expand_linear(LinearChristoffel(P11, parse_grid([[["0"]]], P11.dims)))
+    s = Section(P11, parse_grid(["x1"], P11.dims))
     with pytest.raises(ValueError):
         covariant_derivative(field, s, 2, (0.0,))
     with pytest.raises(ValueError):
@@ -244,7 +243,7 @@ def test_detect_round_trips_linear_fields():
 
 
 def test_detect_flags_quadratic_fiber_dependence():
-    field = ChristoffelField.from_strings(P11, [["f1^2"]])
+    field = ChristoffelField(P11, parse_grid([["f1^2"]], P11.dims))
     report = linearity_detect(field, _sample_points(0, 1, 1, 64), 1e-9)
     assert report.field is None
     assert report.violation.stage == "homogeneity"
@@ -254,7 +253,7 @@ def test_detect_flags_quadratic_fiber_dependence():
 
 
 def test_detect_flags_affine_offset_at_lambda_zero():
-    field = ChristoffelField.from_strings(P11, [["x1"]])
+    field = ChristoffelField(P11, parse_grid([["x1"]], P11.dims))
     report = linearity_detect(field, _sample_points(0, 1, 1, 64), 1e-9)
     assert report.field is None
     assert report.violation.stage == "homogeneity"
@@ -266,7 +265,7 @@ def test_detect_expansion_stage_catches_what_homogeneity_misses():
     # With the scaling probes restricted to lambda = 1 the affine field
     # sails through stage one; the rebuilt-from-extraction comparison
     # still rejects it.
-    field = ChristoffelField.from_strings(P11, [["x1"]])
+    field = ChristoffelField(P11, parse_grid([["x1"]], P11.dims))
     report = linearity_detect(field, _sample_points(0, 1, 1, 64), 1e-9, lambdas=(1.0,))
     assert report.field is None
     assert report.violation.stage == "expansion"
@@ -278,7 +277,7 @@ def test_detect_probes_no_sample_after_the_first_violation():
     # at sample 1: the violation ends the probe before sample 1 is
     # evaluated, and under a tolerance that forgives it the domain error
     # names sample 1
-    field = ChristoffelField.from_strings(P11, [["f1^2*log(x1)"]])
+    field = ChristoffelField(P11, parse_grid([["f1^2*log(x1)"]], P11.dims))
     points = [EvalPoint((0.5,), (0.7,)), EvalPoint((-0.5,), (0.7,))]
     report = linearity_detect(field, points, 1e-9)
     assert report.violation.stage == "homogeneity"
@@ -288,7 +287,7 @@ def test_detect_probes_no_sample_after_the_first_violation():
 
 
 def test_detect_deterministic_given_seed():
-    field = ChristoffelField.from_strings(P22, [["x1*f2", "0"], ["sin(x1)*f1", "f2"]])
+    field = ChristoffelField(P22, parse_grid([["x1*f2", "0"], ["sin(x1)*f1", "f2"]], P22.dims))
     a = linearity_detect(field, _sample_points(3, 2, 2, 64), 1e-9)
     b = linearity_detect(field, _sample_points(3, 2, 2, 64), 1e-9)
     assert a.field is not None and b.field is not None
@@ -308,7 +307,7 @@ def test_detect_evaluates_each_reference_value_once(monkeypatch):
         return evaluate(e, p)
 
     monkeypatch.setattr(linear, "evaluate", counted)
-    field = ChristoffelField.from_strings(P22, [["x1*f2", "0"], ["sin(x1)*f1", "f2"]])
+    field = ChristoffelField(P22, parse_grid([["x1*f2", "0"], ["sin(x1)*f1", "f2"]], P22.dims))
     report = linearity_detect(field, _sample_points(3, 2, 2, 4), 1e-9)
     assert report.field is not None
     assert len(calls) <= 128
@@ -355,19 +354,20 @@ def test_scaling_is_parallel_for_linear_connections():
         lin = _random_linear(rng, P22)
         field = expand_linear(lin)
         for lam in (-1.0, 0.5, 2.0):
-            phi = FiberBundleMorphism.from_strings(P22, P22, [f"{lam!r}*f{a}" for a in (1, 2)])
+            scaling = parse_grid([f"{lam!r}*f{a}" for a in (1, 2)], P22.dims)
+            phi = FiberBundleMorphism(P22, P22, scaling)
             assert max(is_parallel_morphism(phi, field, field, pts)) <= 1e-9
 
 
 def test_scaling_not_parallel_for_quadratic_field():
-    field = ChristoffelField.from_strings(P11, [["f1^2"]])
-    phi = FiberBundleMorphism.from_strings(P11, P11, ["2.0*f1"])
+    field = ChristoffelField(P11, parse_grid([["f1^2"]], P11.dims))
+    phi = FiberBundleMorphism(P11, P11, parse_grid(["2.0*f1"], P11.dims))
     residuals = is_parallel_morphism(phi, field, field, _sample_points(43, 1, 1, 8))
     assert max(residuals) > 1e-9
 
 
 def test_scaling_morphism_components():
-    phi = FiberBundleMorphism.from_strings(P22, P22, ["-3.0*f1", "-3.0*f2"])
+    phi = FiberBundleMorphism(P22, P22, parse_grid(["-3.0*f1", "-3.0*f2"], P22.dims))
     pt = EvalPoint((0.0, 0.0), (2.0, -1.0))
     assert evaluate(phi.comps[0], pt) == -6.0
     assert evaluate(phi.comps[1], pt) == 3.0

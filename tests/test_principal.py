@@ -8,9 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from _reference import parse_grid, potential_value, vtriv_principal
 from curvcheck import principal
 from curvcheck.bundle import Section, curvature_coefficients
-from curvcheck.errors import IndexOutOfRange, NotVertical
+from curvcheck.errors import ClosureViolation, IndexOutOfRange
 from curvcheck.lie import bracket, builtin_algebra, conjugate, exp, expm, group_stack
 from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.principal import (
@@ -24,7 +25,6 @@ from curvcheck.principal import (
     exponential_chart_connection,
     theta_bch,
     theta_bch_verify,
-    vtriv_principal,
 )
 from curvcheck.prolong import commutator_tensor
 from curvcheck.rng import SplitMix64
@@ -39,12 +39,10 @@ SO3 = builtin_algebra("so3")
 I3 = np.eye(3)
 
 # A_1 = x1*E1, A_2 = x2*E2 on a two-dimensional base.
-SO3_POTENTIAL = GaugePotential.from_strings(
-    SO3, [["x1", "0", "0"], ["0", "x2", "0"]], base_dim=2
-)
+SO3_POTENTIAL = GaugePotential(SO3, 2, parse_grid([["x1", "0", "0"], ["0", "x2", "0"]], (2, 1)))
 # A_1 = 0, A_2 = x1*E: constant curvature F_12 = E.
-ABELIAN_POTENTIAL = GaugePotential.from_strings(SO2, [["0"], ["x1"]], base_dim=2)
-FLAT_SO3 = GaugePotential.from_strings(SO3, [["0", "0", "0"], ["0", "0", "0"]], base_dim=2)
+ABELIAN_POTENTIAL = GaugePotential(SO2, 2, parse_grid([["0"], ["x1"]], (2, 1)))
+FLAT_SO3 = GaugePotential(SO3, 2, parse_grid([["0", "0", "0"], ["0", "0", "0"]], (2, 1)))
 # Rows of a two-dimensional potential in a three-dimensional algebra.
 POLYNOMIAL_ROWS = [["x1", "x2*x1", "0.5"], ["x2^2", "-x1", "x1*x2 + 0.3"]]
 NONPOLYNOMIAL_ROWS = [
@@ -60,15 +58,15 @@ def _rotation(angle: float) -> np.ndarray:
 
 def test_potential_rejects_fiber_variables_and_bad_indices():
     with pytest.raises(ValueError):
-        GaugePotential.from_strings(SO2, [["f1"], ["0"]], base_dim=2)
+        GaugePotential(SO2, 2, parse_grid([["f1"], ["0"]], (2, 1)))
     with pytest.raises(IndexOutOfRange):
-        GaugePotential.from_strings(SO2, [["x3"], ["0"]], base_dim=2)
+        GaugePotential(SO2, 2, parse_grid([["x3"], ["0"]], (2, 1)))
 
 
 def test_potential_value():
-    out = SO3_POTENTIAL.value(1, (0.5, -1.0))
+    out = potential_value(SO3_POTENTIAL, 1, (0.5, -1.0))
     assert np.allclose(out, (0.5, 0.0, 0.0))
-    out = SO3_POTENTIAL.value(2, (0.5, -1.0))
+    out = potential_value(SO3_POTENTIAL, 2, (0.5, -1.0))
     assert np.allclose(out, (0.0, -1.0, 0.0))
 
 
@@ -76,7 +74,7 @@ def test_potential_value():
 def test_potential_value_rejects_an_index_outside_the_base(mu):
     # index 0 would otherwise read row m, as Python indexes from the end
     with pytest.raises(ValueError, match=r"1\.\.2"):
-        SO3_POTENTIAL.value(mu, (0.5, -1.0))
+        potential_value(SO3_POTENTIAL, mu, (0.5, -1.0))
 
 
 # --- the connection form ----------------------------------------------------
@@ -164,8 +162,8 @@ def test_axiom_holds_for_abelian_potential():
 
 
 SL2 = builtin_algebra("sl2")
-SL2_POTENTIAL = GaugePotential.from_strings(
-    SL2, [["x1*x2", "1 - x2", "0.5"], ["x2^2", "0", "x1"]], base_dim=2
+SL2_POTENTIAL = GaugePotential(
+    SL2, 2, parse_grid([["x1*x2", "1 - x2", "0.5"], ["x2^2", "0", "x1"]], (2, 1))
 )
 
 
@@ -223,7 +221,7 @@ def test_omega_eval_is_one_row_of_the_stacked_axiom_form():
     for x0, xi, g0, _, x, _ in sample_axiom_trials(rng, SO3, 2, 10):
         along = np.zeros(SO3.k)
         for mu, scale in enumerate(xi, start=1):
-            along = along + scale * SO3_POTENTIAL.value(mu, x0)
+            along = along + scale * potential_value(SO3_POTENTIAL, mu, x0)
         plain = conjugate(SO3, np.linalg.inv(g0), along)
         row = _potential_along(SO3_POTENTIAL, x0, xi)
         form = _form(SO3, g0[None], row[None], x[None])[0]
@@ -288,7 +286,7 @@ def test_vtriv_rotation_derivative():
 
 
 def test_vtriv_rejects_non_vertical_velocity():
-    with pytest.raises(NotVertical):
+    with pytest.raises(ClosureViolation):
         vtriv_principal(SO3, I3, np.eye(3))
 
 
@@ -308,9 +306,7 @@ def test_cartan_curvature_abelian_example():
 
 def test_cartan_curvature_constant_so3_example():
     # A_1 = E1, A_2 = E2 constant: F_12 = [E1, E2] = E3.
-    p = GaugePotential.from_strings(
-        SO3, [["1", "0", "0"], ["0", "1", "0"]], base_dim=2
-    )
+    p = GaugePotential(SO3, 2, parse_grid([["1", "0", "0"], ["0", "1", "0"]], (2, 1)))
     out = cartan_curvature(p, (0.0, 0.0))
     assert np.allclose(out[0, 1], (0.0, 0.0, 1.0), atol=1e-12)
 
@@ -324,8 +320,8 @@ def test_cartan_curvature_antisymmetric_by_construction():
 def test_cartan_curvature_of_a_non_finite_potential_keeps_its_nans():
     # x1*1e300*1e300 is inf, and inf * 0 in the bracket is NaN on both sides
     # of the diagonal, where the pair loop writes the entry and its negation
-    potential = GaugePotential.from_strings(
-        SO3, [["x1*1e300*1e300", "0", "0"], ["0", "0", "0"]], base_dim=2
+    potential = GaugePotential(
+        SO3, 2, parse_grid([["x1*1e300*1e300", "0", "0"], ["0", "0", "0"]], (2, 1))
     )
     with np.errstate(all="ignore"):
         out = cartan_curvature(potential, (0.3, 0.6))
@@ -379,7 +375,7 @@ def test_chart_connection_at_center_matches_conjugated_potential():
         field = exponential_chart_connection(SO3_POTENTIAL, center)
         origin = EvalPoint(x, (0.0, 0.0, 0.0))
         for mu in (1, 2):
-            expected = conjugate(SO3, np.linalg.inv(center), SO3_POTENTIAL.value(mu, x))
+            expected = conjugate(SO3, np.linalg.inv(center), potential_value(SO3_POTENTIAL, mu, x))
             got = [evaluate(field.gamma[a][mu - 1], origin) for a in range(3)]
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
@@ -390,7 +386,7 @@ def test_chart_connection_off_center_matches_truncated_series(name, order):
     # oracle: sum_j K_j (ad_C)^j Ad_{center^-1} A_mu(x), with ad_C taken
     # as matrix commutators rather than from the structure constants
     alg = builtin_algebra(name)
-    potential = GaugePotential.from_strings(alg, POLYNOMIAL_ROWS, base_dim=2)
+    potential = GaugePotential(alg, 2, parse_grid(POLYNOMIAL_ROWS, (2, 1)))
     rng = SplitMix64(113)
     centers = [np.eye(alg.d)] + [
         exp(alg, sample_algebra_element(rng, alg)) for _ in range(2)
@@ -402,7 +398,7 @@ def test_chart_connection_off_center_matches_truncated_series(name, order):
             c = [rng.symmetric(0.5) for _ in range(alg.k)]
             point = EvalPoint(x, tuple(c))
             for mu in (1, 2):
-                term = conjugate(alg, np.linalg.inv(center), potential.value(mu, x))
+                term = conjugate(alg, np.linalg.inv(center), potential_value(potential, mu, x))
                 expected = _CHART_SERIES[0] * term
                 for j in range(1, order + 1):
                     term = bracket(alg, c, term)
@@ -469,9 +465,7 @@ def test_cross_check_builds_the_identity_chart_once_per_call(monkeypatch):
         return original(p, center, order)
 
     monkeypatch.setattr(principal, "exponential_chart_connection", counting)
-    potential = GaugePotential.from_strings(
-        SO3, [["x1", "0", "0"], ["0", "x2", "0"]], base_dim=2
-    )
+    potential = GaugePotential(SO3, 2, parse_grid([["x1", "0", "0"], ["0", "x2", "0"]], (2, 1)))
     rng = SplitMix64(5)
     first = _cross_check(potential, (0.3, 0.6), rng, centers=1)
     second = _cross_check(potential, (-0.1, 0.2), rng, centers=1)
@@ -495,7 +489,7 @@ def test_each_cross_check_route_builds_its_own_charts(monkeypatch):
         return original(p, center, order)
 
     monkeypatch.setattr(principal, "exponential_chart_connection", counting)
-    potential = GaugePotential.from_strings(SO3, POLYNOMIAL_ROWS, base_dim=2)
+    potential = GaugePotential(SO3, 2, parse_grid(POLYNOMIAL_ROWS, (2, 1)))
     rng = SplitMix64(13)
     samples = [
         (tuple(rng.symmetric(1.0) for _ in range(2)), *sample_cross_check(rng, SO3, 2, 2, 2))
@@ -521,7 +515,7 @@ def test_each_cross_check_route_builds_its_own_charts(monkeypatch):
 
 def test_cross_check_on_a_one_dimensional_base():
     # no pair mu < nu: every route's curvature is the empty antisymmetric array
-    potential = GaugePotential.from_strings(SO3, [["x1", "x1*x1", "0.5"]], base_dim=1)
+    potential = GaugePotential(SO3, 1, parse_grid([["x1", "x1*x1", "0.5"]], (1, 1)))
     report = _cross_check(potential, (0.3,), SplitMix64(3))
     assert report.max_deviation == 0.0
 
@@ -532,7 +526,7 @@ def test_chart_coefficients_at_the_center_do_not_depend_on_the_order(name, rows)
     # at c = 0 every series term (ad_C)^j w with j >= 2 has value and first
     # partials zero, so the first partials read there are those of order 1
     alg = builtin_algebra(name)
-    potential = GaugePotential.from_strings(alg, rows, base_dim=2)
+    potential = GaugePotential(alg, 2, parse_grid(rows, (2, 1)))
     rng = SplitMix64(29)
     centers = [np.eye(alg.d)] + [exp(alg, sample_algebra_element(rng, alg)) for _ in range(2)]
     for center in centers:
@@ -598,7 +592,7 @@ def _order_six_cross_check(p: GaugePotential, x, centers, sections):
 @pytest.mark.parametrize("rows", [POLYNOMIAL_ROWS, NONPOLYNOMIAL_ROWS], ids=["poly", "exp-sin-div"])
 def test_cross_check_equals_the_order_six_pairwise_formulation(name, rows):
     alg = builtin_algebra(name)
-    potential = GaugePotential.from_strings(alg, rows, base_dim=2)
+    potential = GaugePotential(alg, 2, parse_grid(rows, (2, 1)))
     for seed in range(4):
         rng = SplitMix64(seed)
         x = tuple(rng.symmetric(1.0) for _ in range(2))
@@ -614,7 +608,7 @@ def test_cross_checks_of_many_samples_are_each_samples_own(name, rows):
     # route three of all samples' sections is one stack, split back at each
     # sample's section count, equal or not, none included
     alg = builtin_algebra(name)
-    potential = GaugePotential.from_strings(alg, rows, base_dim=2)
+    potential = GaugePotential(alg, 2, parse_grid(rows, (2, 1)))
     rng = SplitMix64(len(name))
     for counts in [(2, 2, 2, 2), (1, 3, 1, 3), (3, 0, 1, 2)]:
         samples = [

@@ -4,12 +4,12 @@ changes, the induced vertical connection, and the commutator identity."""
 import numpy as np
 import pytest
 
+from _reference import covariant_derivative, parse_grid
 from curvcheck import _symbolic, prolong
 from curvcheck.bundle import (
     BundlePatch,
     ChristoffelField,
     Section,
-    covariant_derivative,
     curvature_coefficients,
 )
 from curvcheck.errors import FiberMismatch
@@ -36,7 +36,7 @@ from curvcheck.sampling import (
 
 P11 = BundlePatch(1, 1)
 P21 = BundlePatch(2, 1)
-SKEW = ChristoffelField.from_strings(P21, [["0", "x1"]])
+SKEW = ChristoffelField(P21, parse_grid([["0", "x1"]], P21.dims))
 
 
 def _jet1(f, fdot, fcirc, fcircdot, x=0.0):
@@ -159,7 +159,7 @@ def test_pushforward_theta_equivariance_random():
 
 
 def test_vertical_connection_of_flat_is_flat():
-    flat = ChristoffelField.from_strings(P11, [["0"]])
+    flat = ChristoffelField(P11, parse_grid([["0"]], P11.dims))
     prolonged = vertical_connection(flat)
     assert prolonged.patch.dims == (1, 2)
     p = EvalPoint((0.3,), (0.7, -0.2))
@@ -171,7 +171,7 @@ def test_vertical_connection_of_flat_is_flat():
 def test_vertical_connection_variation_block():
     # Gamma^1_1 = f1: position symbol keeps its value, variation symbol is
     # dGamma/df * u = u, so at (x, f=2, u=3) the symbols read (2, 3).
-    field = ChristoffelField.from_strings(P11, [["f1"]])
+    field = ChristoffelField(P11, parse_grid([["f1"]], P11.dims))
     prolonged = vertical_connection(field)
     p = EvalPoint((0.9,), (2.0, 3.0))
     values = tuple(evaluate(row[0], p) for row in prolonged.gamma)
@@ -181,7 +181,7 @@ def test_vertical_connection_variation_block():
 def test_vertical_connection_of_linear_field_acts_diagonally():
     # Gamma^1_1 = x1*f1 prolongs to x1*u on the variation block: the same
     # linear action on both slots.
-    field = ChristoffelField.from_strings(P11, [["x1*f1"]])
+    field = ChristoffelField(P11, parse_grid([["x1*f1"]], P11.dims))
     prolonged = vertical_connection(field)
     for x, f, u in ((0.5, 2.0, 3.0), (-1.2, 0.4, -0.7), (2.0, 0.0, 1.0)):
         p = EvalPoint((x,), (f, u))
@@ -190,8 +190,8 @@ def test_vertical_connection_of_linear_field_acts_diagonally():
 
 
 def test_vertical_connection_belongs_to_its_field():
-    field = ChristoffelField.from_strings(P11, [["f1^2"]])
-    twin = ChristoffelField.from_strings(P11, [["f1^2"]])
+    field = ChristoffelField(P11, parse_grid([["f1^2"]], P11.dims))
+    twin = ChristoffelField(P11, parse_grid([["f1^2"]], P11.dims))
     assert vertical_connection(field) is not vertical_connection(twin)
     assert vertical_connection(field) == vertical_connection(twin)
 
@@ -199,12 +199,12 @@ def test_vertical_connection_belongs_to_its_field():
 def test_velocity_sections_follow_the_field():
     # A section's jets under one field and then another are those of a fresh
     # section: nothing computed under the first field is reused.
-    s = Section.from_strings(P21, ["x1*x2 + 1"])
-    skew = ChristoffelField.from_strings(P21, [["0", "x1"]])
-    other = ChristoffelField.from_strings(P21, [["f1^2", "x2*f1"]])
+    s = Section(P21, parse_grid(["x1*x2 + 1"], P21.dims))
+    skew = ChristoffelField(P21, parse_grid([["0", "x1"]], P21.dims))
+    other = ChristoffelField(P21, parse_grid([["f1^2", "x2*f1"]], P21.dims))
     x = (0.3, -0.6)
     first = _second_covariants(skew, [(s, x)], ((1, 2),))[0]
-    fresh = Section.from_strings(P21, ["x1*x2 + 1"])
+    fresh = Section(P21, parse_grid(["x1*x2 + 1"], P21.dims))
     again = _second_covariants(other, [(s, x)], ((1, 2),))[0]
     assert again == _second_covariants(other, [(fresh, x)], ((1, 2),))[0]
     assert _second_covariants(skew, [(s, x)], ((1, 2),))[0] == first
@@ -214,14 +214,14 @@ def test_velocity_sections_follow_the_field():
 
 
 def test_second_covariant_flat_reduces_to_mixed_partial():
-    flat = ChristoffelField.from_strings(P21, [["0", "0"]])
-    s = Section.from_strings(P21, ["x1*x2"])
+    flat = ChristoffelField(P21, parse_grid([["0", "0"]], P21.dims))
+    s = Section(P21, parse_grid(["x1*x2"], P21.dims))
     jet = _second_covariants(flat, [(s, (0.0, 0.0))], ((1, 2),))[0][0][0]
     assert jet.fcircdot == (1.0,)
 
 
 def test_second_covariant_skew_jets():
-    s = Section.from_strings(P21, ["0"])
+    s = Section(P21, parse_grid(["0"], P21.dims))
     for x in ((0.7, -0.3), (2.0, 1.0)):
         ((jet, other),), _ = _second_covariants(SKEW, [(s, x)], ((1, 2), (2, 1)))
         assert jet.f == (0.0,)
@@ -234,8 +234,8 @@ def test_second_covariant_skew_jets():
 
 
 def test_second_covariant_validates_indices():
-    s = Section.from_strings(P11, ["x1"])
-    flat = ChristoffelField.from_strings(P11, [["0"]])
+    s = Section(P11, parse_grid(["x1"], P11.dims))
+    flat = ChristoffelField(P11, parse_grid([["0"]], P11.dims))
     with pytest.raises(ValueError):
         _second_covariants(flat, [(s, (0.0,))], ((1, 2),))
 
@@ -275,7 +275,8 @@ def test_second_covariant_matches_section_family_variation():
 
 def test_prolonged_route_is_the_covariant_derivative_of_the_velocity_section():
     # Reference: the section (s, ds/dx^nu + Gamma_nu(x, s)) of the vertical
-    # bundle built as expressions, through bundle.covariant_derivative.
+    # bundle built as expressions, through the covariant_derivative of
+    # tests/_reference.py.
     rng = SplitMix64(31)
     for m, n in ((1, 1), (2, 2), (3, 2)):
         patch = BundlePatch(m, n)
@@ -302,21 +303,21 @@ def test_prolonged_route_is_the_covariant_derivative_of_the_velocity_section():
 
 
 def test_commutator_flat_vanishes():
-    flat = ChristoffelField.from_strings(P21, [["0", "0"]])
-    s = Section.from_strings(P21, ["x1^2 + x2"])
+    flat = ChristoffelField(P21, parse_grid([["0", "0"]], P21.dims))
+    s = Section(P21, parse_grid(["x1^2 + x2"], P21.dims))
     out = commutator_tensor(flat, [(s, (0.4, -1.1))])[0][:, 0, 1, 0]
     assert max(abs(v) for v in out) <= 1e-12
 
 
 def test_commutator_skew_recovers_unit_curvature():
-    s = Section.from_strings(P21, ["0"])
+    s = Section(P21, parse_grid(["0"], P21.dims))
     out = commutator_tensor(SKEW, [(s, (0.7, -0.3))])[0][:, 0, 1, 0]
     assert abs(out[0] - 1.0) <= 1e-12
 
 
 def test_commutator_equal_indices_vanishes():
-    field = ChristoffelField.from_strings(P21, [["f1^2", "x1*f1"]])
-    s = Section.from_strings(P21, ["x1 + x2^2"])
+    field = ChristoffelField(P21, parse_grid([["f1^2", "x1*f1"]], P21.dims))
+    s = Section(P21, parse_grid(["x1 + x2^2"], P21.dims))
     # commutator_tensor sets the diagonal to zero; the jets give it
     ((j1, j2),), _ = _second_covariants(field, [(s, (0.5, 0.25))], ((1, 1), (1, 1)))
     out = affine_diff(j1, theta(j2))
@@ -360,7 +361,7 @@ _SECOND_COVARIANT_ROUTES = pytest.mark.parametrize(
 
 @_SECOND_COVARIANT_ROUTES
 def test_second_covariants_reject_a_section_of_another_patch(route):
-    s = Section.from_strings(BundlePatch(2, 2), ["x1", "x2"])
+    s = Section(BundlePatch(2, 2), parse_grid(["x1", "x2"], (2, 2)))
     with pytest.raises(ValueError, match="section and connection patches differ"):
         route(SKEW, s, (0.5, 0.25))
 
@@ -368,7 +369,7 @@ def test_second_covariants_reject_a_section_of_another_patch(route):
 @_SECOND_COVARIANT_ROUTES
 @pytest.mark.parametrize("x", [(0.5, 0.25, 7.0), (0.5,)], ids=["extra", "missing"])
 def test_second_covariants_reject_a_base_point_of_another_dimension(route, x):
-    s = Section.from_strings(P21, ["x1*x2"])
+    s = Section(P21, parse_grid(["x1*x2"], P21.dims))
     expected = rf"base point has dims \({len(x)}, 0\), expected \(2, 0\)"
     with pytest.raises(ValueError, match=expected):
         route(SKEW, s, x)
@@ -385,10 +386,8 @@ def test_the_commutator_route_of_many_samples_gives_each_its_own_numbers(size):
         field = sample_christoffel(rng, patch)
         samples = [(sample_section(rng, patch), tuple(rng.symmetric(1.0) for _ in range(m)))
                    for _ in range(size)]
-        samples[1] = (
-            Section.from_strings(patch, ["sin(x1)/(2 + x2)"] + ["log(3 + x1*x2)"] * (n - 1)),
-            samples[1][1],
-        )
+        comps = ["sin(x1)/(2 + x2)"] + ["log(3 + x1*x2)"] * (n - 1)
+        samples[1] = (Section(patch, parse_grid(comps, (m, n))), samples[1][1])
         R, gaps = commutator_tensor(field, samples)
         assert R.shape == (n, m, m, size) and gaps.shape == (size,)
         for sample, (s, x) in enumerate(samples):
