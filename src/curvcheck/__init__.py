@@ -15,7 +15,6 @@ from .bundle import (
     FiberBundleMorphism,
     Section,
     TotalVectorField,
-    VerticalVector,
     curvature_coefficients,
     is_parallel_morphism,
     nijenhuis_tensor,
@@ -53,8 +52,7 @@ from .principal import (
     theta_bch_verify,
 )
 from .prolong import (
-    SecondJet,
-    VerticalPairBase,
+    SLOTS,
     affine_diff,
     commutator_tensor,
     pi,
@@ -82,14 +80,12 @@ __all__ = [
     "ChristoffelField",
     "Section",
     "TotalVectorField",
-    "VerticalVector",
     "FiberBundleMorphism",
     "nijenhuis_tensor",
     "curvature_coefficients",
     "is_parallel_morphism",
     # second jets
-    "SecondJet",
-    "VerticalPairBase",
+    "SLOTS",
     "theta",
     "pi",
     "affine_diff",

@@ -47,7 +47,6 @@ from .numcore import (
 __all__ = [
     "BundlePatch",
     "ChristoffelField",
-    "VerticalVector",
     "Section",
     "TotalVectorField",
     "FiberBundleMorphism",
@@ -93,15 +92,6 @@ class ChristoffelField(_records.Value):
     def __init__(self, patch: BundlePatch, gamma: tuple[tuple[Expression, ...], ...]):
         m, n = patch.dims
         self._set(patch, check_grid(gamma, (n, m), m, n, "gamma"))
-
-
-class VerticalVector(_records.Value):
-    """Vertical tangent vector at ``at`` with fiber components ``w``."""
-
-    __slots__ = ("at", "w")
-
-    def __init__(self, at: EvalPoint, w: tuple[float, ...]):
-        self._set(at, tuple(map(float, w)))
 
 
 class Section(_records.Value):

@@ -1,17 +1,19 @@
 """Second-order jets of sections and the prolonged (vertical) connection.
 
-A second jet over base point ``x`` carries fiber slots
+A second jet over a base point carries the fiber slots
 
     (f; fdot; fcirc; fcircdot)
 
 where ``fdot`` is the first-parameter velocity, ``fcirc`` the
-second-parameter velocity, and ``fcircdot`` the mixed second velocity.  The
-slot swap
+second-parameter velocity, and ``fcircdot`` the mixed second velocity.  It
+is held as a float array of shape ``(4, n)`` with these rows (:data:`SLOTS`),
+and many jets as one stack of shape ``(..., 4, n)``; no function here reads
+the base point, as the chart transitions are fiber-only.  The slot swap
 
     theta(f; fdot; fcirc; fcircdot) = (f; fcirc; fdot; fcircdot)
 
-exchanges the two parameters.  Forgetting the mixed slot and reordering gives
-the double projection
+exchanges the two parameters: it permutes the rows.  Forgetting the mixed
+slot and reordering gives the double projection
 
     pi(f; fdot; fcirc; fcircdot) = (f; fcirc; fdot),
 
@@ -64,8 +66,8 @@ tangent sweeps, the prolonged symbols at ``(x, s(x), fdot)``) is one sweep
 over the points of all samples through
 :func:`~curvcheck.numcore.over_samples`, and the jets' arithmetic runs on
 the sample axis, so every sample's numbers are bit for bit those of that
-sample alone.  The jets are then twisted and differenced one sample at a
-time.
+sample alone.  The jets of all samples and pairs are then twisted and
+differenced as one stack.
 
 Each call of :func:`commutator_tensor` builds the prolonged connection
 once, through :func:`vertical_connection`, and keeps nothing on the field.
@@ -73,12 +75,10 @@ once, through :func:`vertical_connection`, and keeps nothing on the field.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from . import _records, _symbolic
-from .bundle import BundlePatch, ChristoffelField, VerticalVector
+from . import _symbolic
+from .bundle import BundlePatch, ChristoffelField
 from .errors import FiberMismatch
 from .exprdsl import Expression, Var, check_grid
 from .numcore import (
@@ -96,8 +96,7 @@ from .numcore import (
 )
 
 __all__ = [
-    "SecondJet",
-    "VerticalPairBase",
+    "SLOTS",
     "theta",
     "pi",
     "affine_diff",
@@ -106,73 +105,54 @@ __all__ = [
     "commutator_tensor",
 ]
 
-
-class SecondJet(_records.Value):
-    """Second-order jet over base point ``x`` with the four fiber slots."""
-
-    __slots__ = ("x", "f", "fdot", "fcirc", "fcircdot")
-
-    def __init__(self, x, f, fdot, fcirc, fcircdot):
-        slots = [tuple(map(float, v)) for v in (x, f, fdot, fcirc, fcircdot)]
-        if not (len(slots[1]) == len(slots[2]) == len(slots[3]) == len(slots[4])):
-            raise ValueError("all fiber slots must have the same length")
-        self._set(*slots)
+#: The rows of a second jet: a float array of shape ``(4, n)``, or a stack
+#: of them of shape ``(..., 4, n)``.
+SLOTS = ("f", "fdot", "fcirc", "fcircdot")
 
 
-class VerticalPairBase(NamedTuple):
-    """Image of a second jet under the double projection: position ``f`` with
-    the two first-order velocities, mixed slot forgotten."""
-
-    x: tuple[float, ...]
-    f: tuple[float, ...]
-    first: tuple[float, ...]
-    second: tuple[float, ...]
-
-
-def theta(j: SecondJet) -> SecondJet:
+def theta(j: np.ndarray) -> np.ndarray:
     """Swap the two differentiation parameters (involution; fixes ``f`` and
     the mixed slot)."""
-    return SecondJet(j.x, j.f, j.fcirc, j.fdot, j.fcircdot)
+    return j[..., [0, 2, 1, 3], :]
 
 
-def pi(j: SecondJet) -> VerticalPairBase:
+def pi(j: np.ndarray) -> np.ndarray:
     """Double projection: forget the mixed slot, ordering the variation
-    velocity first."""
-    return VerticalPairBase(j.x, j.f, j.fcirc, j.fdot)
+    velocity first, as rows ``(f, fcirc, fdot)``."""
+    return j[..., [0, 2, 1], :]
 
 
 #: Largest slot deviation of two jets over the same fiber.
 _FIBER_TOL = 1e-12
 
 
-def affine_diff(j1: SecondJet, j2: SecondJet) -> VerticalVector:
-    """Affine difference of two jets over the same double-projection fiber.
+def affine_diff(j1: np.ndarray, j2: np.ndarray) -> np.ndarray:
+    """Affine difference of two jets, or of two stacks of jets, over the same
+    double-projection fibers: the difference of their mixed slots, the
+    vertical vectors at their ``f``, of shape ``(..., n)``.
 
-    Requires ``pi(j1) == pi(j2)`` componentwise within :data:`_FIBER_TOL`
-    (and the same base point); the difference of the mixed slots is then a
-    vertical vector at ``(x, f)``.  Raises :class:`FiberMismatch` otherwise.
+    Requires ``pi(j1) == pi(j2)`` componentwise within :data:`_FIBER_TOL`.
+    Raises :class:`FiberMismatch` otherwise, naming the worst slot of the
+    first pair of the stack that fails, and for jets of different shapes.
     """
-    slots = ("x", "f", "fdot", "fcirc")
-    deviations = []
-    for name in slots:
-        a = getattr(j1, name)
-        b = getattr(j2, name)
-        if len(a) != len(b):
-            raise FiberMismatch(f"jets have different {name} lengths")
-        # np.max keeps a NaN, and a NaN never passes the comparison
-        deviations.append(float(np.max(np.abs(np.subtract(a, b)), initial=0.0)))
-    worst = int(np.argmax(deviations))  # the first NaN, if there is one
-    if not deviations[worst] <= _FIBER_TOL:
+    if j1.shape != j2.shape:
+        raise FiberMismatch(f"jets have different shapes {j1.shape} and {j2.shape}")
+    # np.max keeps a NaN, and a NaN never passes the comparison
+    deviations = np.max(np.abs(j1[..., :3, :] - j2[..., :3, :]), axis=-1, initial=0.0)
+    failing = ~np.all(deviations <= _FIBER_TOL, axis=-1)
+    if failing.any():
+        first = deviations[failing][0]  # the first failing pair, in stack order
+        worst = int(np.argmax(first))  # the first NaN, if there is one
         raise FiberMismatch(
-            f"jets sit over different fibers: slot {slots[worst]!r} differs by "
-            f"{deviations[worst]:.3e} (tolerance {_FIBER_TOL:.1e})"
+            f"jets sit over different fibers: slot {SLOTS[worst]!r} differs by "
+            f"{first[worst]:.3e} (tolerance {_FIBER_TOL:.1e})"
         )
-    w = tuple(a - b for a, b in zip(j1.fcircdot, j2.fcircdot))
-    return VerticalVector(EvalPoint(j1.x, j1.f), w)
+    return j1[..., 3, :] - j2[..., 3, :]
 
 
-def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet:
-    """Push a second jet through a fiber chart transition ``f' = h(f)``.
+def pushforward_second_jet(h: tuple[Expression, ...], j: np.ndarray) -> np.ndarray:
+    """Push a second jet ``j`` of shape ``(4, n)`` through a fiber chart
+    transition ``f' = h(f)``.
 
     ``h`` is a tuple of n expressions in the fiber variables only.  First
     order slots transform by the Jacobian of ``h``; the mixed slot picks up
@@ -188,25 +168,24 @@ def pushforward_second_jet(h: tuple[Expression, ...], j: SecondJet) -> SecondJet
     legs is symmetric in them bit for bit, as every second-order rule is, so
     ``theta-equivariance`` would read 0 on every input.
     """
-    n = len(j.f)
+    f, fdot, fcirc, fcircdot = j.tolist()
+    n = len(f)
     h = check_grid(h, (n,), 0, n, "h")
-    p = EvalPoint(j.x, j.f)
-    seeds = [(0.0, 0.0, 0.0)] * len(j.x) + list(zip(j.fdot, j.fcirc, j.fcircdot))
+    p = EvalPoint.of((), f)
+    seeds = list(zip(fdot, fcirc, fcircdot))
     values, legs = zip(*(directional(e, p, seeds) for e in h))
     new_fdot, new_fcirc, new_mixed = (list(slot) for slot in zip(*legs))
     for w in range(n):
         for a in range(n):
-            if j.fcirc[a] == 0.0:
+            if fcirc[a] == 0.0:
                 continue
             for b in range(n):
-                if j.fdot[b] == 0.0:
+                if fdot[b] == 0.0:
                     continue
                 new_mixed[w] += (
-                    mixed_second(h[w], p, ("f", a + 1), ("f", b + 1))
-                    * j.fcirc[a]
-                    * j.fdot[b]
+                    mixed_second(h[w], p, ("f", a + 1), ("f", b + 1)) * fcirc[a] * fdot[b]
                 )
-    return SecondJet(j.x, values, new_fdot, new_fcirc, new_mixed)
+    return np.array([values, new_fdot, new_fcirc, new_mixed])
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +278,12 @@ def _pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array([pair[i] - 1 for pair in pairs], dtype=int) for i in (0, 1))
 
 
-def _second_covariants(
-    field: ChristoffelField, samples, pairs
-) -> tuple[list[list[SecondJet]], np.ndarray]:
-    """The jets ``D_mu D_nu s`` of the module docstring, one list per
-    ``(s, x)`` of ``samples`` with one jet per ``(mu, nu)`` of ``pairs``,
-    and the largest gap of each sample's jets, a NaN kept, from
-    :func:`_prolonged_covariants`, which shares no value with them.
+def _second_covariants(field: ChristoffelField, samples, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The jets ``D_mu D_nu s`` of the module docstring as one stack of shape
+    ``(S, pairs, 4, n)``, one jet per ``(s, x)`` of ``samples`` and
+    ``(mu, nu)`` of ``pairs``, and the largest gap of each sample's jets, a
+    NaN kept, from :func:`_prolonged_covariants`, which shares no value with
+    them.
 
     The section side (values and gradients of ``s``, and its mixed second
     derivatives, both orders of each pair) is computed one sample at a time
@@ -315,11 +293,11 @@ def _second_covariants(
     on the sample axis in the order of one sample alone.  A domain error
     names its sample.
     """
+    m, n = field.patch.dims
     if not samples:
-        return [], np.zeros(0)
+        return np.zeros((0, len(pairs), 4, n)), np.zeros(0)
     if any(s.patch != field.patch for s, _ in samples):
         raise ValueError("section and connection patches differ")
-    m, n = field.patch.dims
     points = [EvalPoint.of(x) for _, x in samples]
     for x in points:
         field.patch.check_point(x, base=True)
@@ -354,13 +332,8 @@ def _second_covariants(
     checks = _prolonged_covariants(field, samples, pairs)
     # np.max keeps a NaN, which the row of the check then fails
     gaps = np.max(np.abs(checks - np.concatenate((fcirc, acc))), axis=(0, 1), initial=0.0)
-    f = svals.T.tolist()
-    slots = (slot.transpose(2, 1, 0).tolist() for slot in (fdot, fcirc, acc))
-    jets = [
-        [SecondJet(x.x, f[sample], *jet) for jet in zip(*by_sample)]
-        for sample, (x, *by_sample) in enumerate(zip(points, *slots))
-    ]
-    return jets, gaps
+    f = np.broadcast_to(svals[:, None], fdot.shape)
+    return np.stack((f, fdot, fcirc, acc)).transpose(3, 2, 0, 1), gaps
 
 
 def commutator_tensor(field: ChristoffelField, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -373,9 +346,10 @@ def commutator_tensor(field: ChristoffelField, samples) -> tuple[np.ndarray, np.
     jets, shape (S,), each sample's numbers bit for bit those of that sample
     alone.
 
-    Each pair ``mu < nu`` is computed; the lower triangle is its exact
-    negation (``affine_diff`` of the swapped jets subtracts the same mixed
-    slots the other way round) and the diagonal is zero.
+    Each pair ``mu < nu`` is computed, all pairs of all samples in one
+    :func:`affine_diff`; the lower triangle is its exact negation
+    (``affine_diff`` of the swapped jets subtracts the same mixed slots the
+    other way round) and the diagonal is zero.
     """
     m, n = field.patch.dims
     upper = [(mu, nu) for mu in range(1, m + 1) for nu in range(mu + 1, m + 1)]
@@ -383,8 +357,7 @@ def commutator_tensor(field: ChristoffelField, samples) -> tuple[np.ndarray, np.
         field, samples, [pair for mu, nu in upper for pair in ((mu, nu), (nu, mu))]
     )
     R = np.zeros((n, m, m, len(samples)))
-    for sample, row in enumerate(jets):
-        for (mu, nu), j1, j2 in zip(upper, row[::2], row[1::2]):
-            R[:, mu - 1, nu - 1, sample] = affine_diff(j1, theta(j2)).w
-            R[:, nu - 1, mu - 1, sample] = -R[:, mu - 1, nu - 1, sample]
+    mu, nu = _pair_indices(upper)
+    R[:, mu, nu] = affine_diff(jets[:, 0::2], theta(jets[:, 1::2])).transpose(2, 1, 0)
+    R[:, nu, mu] = -R[:, mu, nu]
     return R, gaps

@@ -22,7 +22,6 @@ from .bundle import BundlePatch, ChristoffelField, Section
 from .exprdsl import Expression, Var
 from .lie import MatrixLieAlgebra, exp
 from .numcore import EvalPoint
-from .prolong import SecondJet
 from .rng import SplitMix64
 
 __all__ = [
@@ -102,13 +101,15 @@ def sample_transition(rng: SplitMix64, n: int) -> tuple[Expression, ...]:
     return tuple(sample_polynomial(rng, 0, n, max_terms=3) for _ in range(n))
 
 
-def sample_second_jet(rng: SplitMix64, m: int, n: int) -> SecondJet:
-    """Jet with all slots uniform in [-1, 1)."""
+def sample_second_jet(rng: SplitMix64, m: int, n: int) -> np.ndarray:
+    """Jet of shape ``(4, n)`` with all slots uniform in [-1, 1).
 
-    def draw(count: int) -> tuple[float, ...]:
-        return tuple(rng.symmetric(1.0) for _ in range(count))
-
-    return SecondJet(draw(m), draw(n), draw(n), draw(n), draw(n))
+    The ``m`` coordinates of a base point are drawn first and dropped: no
+    route reads the base point of a jet, and ``m`` only sets how many draws
+    come before each jet's slots."""
+    for _ in range(m):
+        rng.symmetric(1.0)
+    return np.array([[rng.symmetric(1.0) for _ in range(n)] for _ in range(4)])
 
 
 def sample_algebra_element(

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from curvcheck.bundle import ChristoffelField, Section, VerticalVector
+from curvcheck.bundle import ChristoffelField, Section
 from curvcheck.exprdsl import (
     FUNCTIONS, Binary, Const, Expression, Power, Program, Unary, Var, parse
 )
@@ -259,9 +259,10 @@ def parse_grid(sources, dims: tuple[int, int]):
     return tuple(parse_grid(item, dims) for item in sources)
 
 
-def covariant_derivative(field: ChristoffelField, section: Section, mu: int, x) -> VerticalVector:
+def covariant_derivative(field: ChristoffelField, section: Section, mu: int, x) -> tuple[float, ...]:
     """Covariant derivative of ``section`` along ``d/dx^mu`` at base point
-    ``x``: components ``ds^a/dx^mu + Gamma^a_mu(x, s(x))``."""
+    ``x``: the components ``ds^a/dx^mu + Gamma^a_mu(x, s(x))`` of a vertical
+    vector at ``(x, s(x))``."""
     if section.patch != field.patch:
         raise ValueError("section and connection patches differ")
     m = field.patch.base_dim
@@ -270,11 +271,10 @@ def covariant_derivative(field: ChristoffelField, section: Section, mu: int, x) 
     base = EvalPoint.of(x)
     field.patch.check_point(base, base=True)
     at = EvalPoint(base.x, section.value(x))
-    w = tuple(
+    return tuple(
         partial(c, base, ("x", mu)) + evaluate(row[mu - 1], at)
         for c, row in zip(section.comps, field.gamma)
     )
-    return VerticalVector(at, w)
 
 
 def vtriv_principal(algebra: MatrixLieAlgebra, g0, w) -> np.ndarray:

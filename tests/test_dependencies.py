@@ -30,7 +30,7 @@ import pytest
 
 from _reference import parse_grid
 import curvcheck
-from curvcheck import _records, bundle, exprdsl, linear, principal, prolong
+from curvcheck import _records, bundle, exprdsl, linear, principal
 from curvcheck.cli import main
 from curvcheck.config import CheckSpec
 from curvcheck.exprdsl import Binary, Const, Power, Unary, Var, parse
@@ -379,11 +379,8 @@ _IMMUTABLE = {
     "Program": exprdsl.compile_expr(parse("x1*f1", (1, 1))),
     "EvalPoint": EvalPoint((1.0, 2.0), (3.0,)),
     "StackedPoint": StackedPoint((np.array([1.0, 2.0]),), (np.array([3.0, 4.0]),)),
-    "SecondJet": prolong.SecondJet((1.0,), (2.0,), (3.0,), (4.0,), (5.0,)),
-    "VerticalPairBase": prolong.VerticalPairBase((1.0,), (2.0,), (3.0,), (4.0,)),
     "BundlePatch": _P,
     "ChristoffelField": bundle.ChristoffelField(_P, parse_grid([["x1*f1", "x2"]], _P.dims)),
-    "VerticalVector": bundle.VerticalVector(EvalPoint((1.0, 2.0), (3.0,)), (4.0,)),
     "Section": bundle.Section(_P, parse_grid(["x1*x2"], _P.dims)),
     "TotalVectorField": bundle.TotalVectorField.coordinate(_P, 1),
     "FiberBundleMorphism": bundle.FiberBundleMorphism(_P, _P, parse_grid(["2*f1"], _P.dims)),

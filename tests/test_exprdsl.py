@@ -4,6 +4,7 @@ import copy
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ from curvcheck.lie import builtin_algebra
 from curvcheck.linear import LinearChristoffel
 from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.principal import GaugePotential
-from curvcheck.prolong import SecondJet, pushforward_second_jet
+from curvcheck.prolong import pushforward_second_jet
 
 DIMS = (3, 3)
 
@@ -241,7 +242,7 @@ def test_nodes_are_hashable_and_compare_structurally():
 
 
 _P11 = BundlePatch(1, 1)
-_JET = SecondJet((0.0,), (0.0,), (0.0,), (0.0,), (0.0,))
+_JET = np.zeros((4, 1))
 
 # container -> (builder taking one expression, an index above the limit,
 # a forbidden variable kind or None); the builder puts the expression where
@@ -292,7 +293,7 @@ def test_every_container_applies_the_index_rule(build, too_large, forbidden):
 
 
 _P22 = BundlePatch(2, 2)
-_JET2 = SecondJet((0.0,), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+_JET2 = np.zeros((4, 2))
 
 # container -> (builder taking one grid, the grid's name in errors, its
 # shape, and its base and fiber index limits, 0 forbidding that kind)

@@ -16,8 +16,7 @@ from curvcheck.errors import FiberMismatch
 from curvcheck.exprdsl import parse
 from curvcheck.numcore import EvalPoint, evaluate
 from curvcheck.prolong import (
-    SecondJet,
-    VerticalPairBase,
+    SLOTS,
     _second_covariants,
     affine_diff,
     commutator_tensor,
@@ -39,70 +38,70 @@ P21 = BundlePatch(2, 1)
 SKEW = ChristoffelField(P21, parse_grid([["0", "x1"]], P21.dims))
 
 
-def _jet1(f, fdot, fcirc, fcircdot, x=0.0):
-    return SecondJet((x,), (f,), (fdot,), (fcirc,), (fcircdot,))
+def _jet1(f, fdot, fcirc, fcircdot):
+    return np.array([[f], [fdot], [fcirc], [fcircdot]], dtype=float)
+
+
+def _same(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # --- theta and pi -----------------------------------------------------------
 
 
+def test_slots_name_the_rows_of_a_jet():
+    assert SLOTS == ("f", "fdot", "fcirc", "fcircdot")
+    assert sample_second_jet(SplitMix64(3), 2, 3).shape == (len(SLOTS), 3)
+
+
 def test_theta_swaps_velocity_slots():
-    assert theta(_jet1(1, 2, 3, 4)) == _jet1(1, 3, 2, 4)
+    assert _same(theta(_jet1(1, 2, 3, 4)), _jet1(1, 3, 2, 4))
 
 
 def test_theta_is_an_involution():
     rng = SplitMix64(11)
     for _ in range(20):
         j = sample_second_jet(rng, 2, 3)
-        assert theta(theta(j)) == j
+        assert _same(theta(theta(j)), j)
 
 
 def test_theta_fixes_symmetric_jets():
-    j = SecondJet((0.5,), (1.0,), (2.0,), (2.0,), (7.0,))
-    assert theta(j) == j
+    j = _jet1(1.0, 2.0, 2.0, 7.0)
+    assert _same(theta(j), j)
 
 
 def test_pi_orders_variation_first():
-    out = pi(_jet1(1, 2, 3, 4))
-    assert out == VerticalPairBase((0.0,), (1.0,), (3.0,), (2.0,))
+    assert _same(pi(_jet1(1, 2, 3, 4)), np.array([[1.0], [3.0], [2.0]]))
 
 
 def test_pi_after_theta_swaps_the_pair():
     rng = SplitMix64(13)
     for _ in range(20):
         j = sample_second_jet(rng, 1, 2)
-        a = pi(theta(j))
-        b = pi(j)
-        assert a == VerticalPairBase(b.x, b.f, b.second, b.first)
+        assert _same(pi(theta(j)), pi(j)[[0, 2, 1]])
 
 
 def test_pi_of_zero_jet_is_zero():
-    j = SecondJet((0.0,), (0.0,), (0.0,), (0.0,), (0.0,))
-    out = pi(j)
-    assert out.f == (0.0,) and out.first == (0.0,) and out.second == (0.0,)
+    assert _same(pi(np.zeros((4, 1))), np.zeros((3, 1)))
 
 
 # --- affine differences -----------------------------------------------------
 
 
 def test_affine_diff_subtracts_mixed_slots():
-    j1 = _jet1(1, 2, 3, 7)
-    j2 = _jet1(1, 2, 3, 4)
-    out = affine_diff(j1, j2)
-    assert out.w == (3.0,)
-    assert out.at == EvalPoint((0.0,), (1.0,))
+    assert _same(affine_diff(_jet1(1, 2, 3, 7), _jet1(1, 2, 3, 4)), np.array([3.0]))
 
 
 def test_affine_diff_of_jet_with_itself_is_zero():
     j = _jet1(1, 2, 3, 4)
-    assert affine_diff(j, j).w == (0.0,)
+    assert _same(affine_diff(j, j), np.array([0.0]))
 
 
 def test_affine_diff_rejects_a_non_finite_deviation():
     # Python's max drops a NaN that is not its first argument; the slot
     # with the NaN must still be named
-    j1 = SecondJet((0,), (0,), (float("nan"),), (2,), (5,))
-    j2 = SecondJet((0,), (0,), (1,), (2,), (3,))
+    j1 = _jet1(0, float("nan"), 2, 5)
+    j2 = _jet1(0, 1, 2, 3)
     for a, b in ((j1, j2), (j2, j1)):
         with pytest.raises(FiberMismatch, match="slot 'fdot' differs by nan"):
             affine_diff(a, b)
@@ -115,13 +114,64 @@ def test_affine_diff_rejects_different_fibers():
         affine_diff(j1, j2)
 
 
+# --- stacks of jets ---------------------------------------------------------
+
+
+def _jet_stack(seed: int, shape=(3, 2), n: int = 2) -> np.ndarray:
+    rng = SplitMix64(seed)
+    return np.array([sample_second_jet(rng, 1, n) for _ in range(np.prod(shape))]).reshape(
+        shape + (4, n)
+    )
+
+
+def test_theta_and_pi_of_a_stack_are_those_of_each_jet():
+    jets = _jet_stack(41)
+    for index in np.ndindex(jets.shape[:2]):
+        assert _same(theta(jets)[index], theta(jets[index]))
+        assert _same(pi(jets)[index], pi(jets[index]))
+
+
+def test_affine_diff_of_a_stack_is_that_of_each_pair():
+    # the second jets share the lower slots of the first, with mixed slots
+    # of their own
+    j1 = _jet_stack(43)
+    j2 = j1.copy()
+    j2[..., 3, :] = _jet_stack(47)[..., 3, :]
+    out = affine_diff(j1, j2)
+    assert out.shape == (3, 2, 2)
+    for index in np.ndindex(j1.shape[:2]):
+        assert _same(out[index], affine_diff(j1[index], j2[index]))
+
+
+def test_a_stack_names_the_slot_of_its_first_failing_pair():
+    # the second pair of the first sample has a NaN in fdot; a later pair
+    # moves f, which a stack that judged its pairs out of order would name
+    j1 = _jet_stack(53)
+    j2 = j1.copy()
+    j2[0, 1, 1, 0] = float("nan")
+    j2[2, 0, 0, 1] += 1.0
+    with pytest.raises(FiberMismatch) as alone:
+        affine_diff(j1[0, 1], j2[0, 1])
+    with pytest.raises(FiberMismatch) as stacked:
+        affine_diff(j1, j2)
+    assert "slot 'fdot' differs by nan" in str(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_affine_diff_rejects_jets_of_different_shapes():
+    with pytest.raises(FiberMismatch, match="different shapes"):
+        affine_diff(np.zeros((4, 2)), np.zeros((4, 3)))
+    with pytest.raises(FiberMismatch, match="different shapes"):
+        affine_diff(_jet_stack(59), _jet_stack(59)[:, :1])
+
+
 # --- chart changes ----------------------------------------------------------
 
 
 def test_pushforward_identity_transition():
     j = _jet1(2, 3, 5, 7)
     h = (parse("f1", (1, 1)),)
-    assert pushforward_second_jet(h, j) == j
+    assert _same(pushforward_second_jet(h, j), j)
 
 
 def test_pushforward_squaring_transition():
@@ -129,15 +179,15 @@ def test_pushforward_squaring_transition():
     # mixed slot is h''*fcirc*fdot + h'*fcircdot = 2*5*3 + 4*7 = 58.
     j = _jet1(2, 3, 5, 7)
     h = (parse("f1^2", (1, 1)),)
-    assert pushforward_second_jet(h, j) == _jet1(4, 12, 20, 58)
+    assert _same(pushforward_second_jet(h, j), _jet1(4, 12, 20, 58))
 
 
 def test_pushforward_theta_equivariance_on_example():
     j = _jet1(2, 3, 5, 7)
     h = (parse("f1^2", (1, 1)),)
     expected = _jet1(4, 20, 12, 58)
-    assert pushforward_second_jet(h, theta(j)) == expected
-    assert theta(pushforward_second_jet(h, j)) == expected
+    assert _same(pushforward_second_jet(h, theta(j)), expected)
+    assert _same(theta(pushforward_second_jet(h, j)), expected)
 
 
 def test_pushforward_theta_equivariance_random():
@@ -148,11 +198,7 @@ def test_pushforward_theta_equivariance_random():
         j = sample_second_jet(rng, 2, n)
         left = pushforward_second_jet(h, theta(j))
         right = theta(pushforward_second_jet(h, j))
-        worst = max(
-            max((abs(a - b) for a, b in zip(getattr(left, s), getattr(right, s))), default=0.0)
-            for s in ("f", "fdot", "fcirc", "fcircdot")
-        )
-        assert worst <= 1e-9
+        assert np.max(np.abs(left - right)) <= 1e-9
 
 
 # --- the induced vertical connection ----------------------------------------
@@ -206,8 +252,8 @@ def test_velocity_sections_follow_the_field():
     first = _second_covariants(skew, [(s, x)], ((1, 2),))[0]
     fresh = Section(P21, parse_grid(["x1*x2 + 1"], P21.dims))
     again = _second_covariants(other, [(s, x)], ((1, 2),))[0]
-    assert again == _second_covariants(other, [(fresh, x)], ((1, 2),))[0]
-    assert _second_covariants(skew, [(s, x)], ((1, 2),))[0] == first
+    assert _same(again, _second_covariants(other, [(fresh, x)], ((1, 2),))[0])
+    assert _same(_second_covariants(skew, [(s, x)], ((1, 2),))[0], first)
 
 
 # --- second covariant derivatives -------------------------------------------
@@ -216,21 +262,16 @@ def test_velocity_sections_follow_the_field():
 def test_second_covariant_flat_reduces_to_mixed_partial():
     flat = ChristoffelField(P21, parse_grid([["0", "0"]], P21.dims))
     s = Section(P21, parse_grid(["x1*x2"], P21.dims))
-    jet = _second_covariants(flat, [(s, (0.0, 0.0))], ((1, 2),))[0][0][0]
-    assert jet.fcircdot == (1.0,)
+    jet = _second_covariants(flat, [(s, (0.0, 0.0))], ((1, 2),))[0][0, 0]
+    assert jet[3].tolist() == [1.0]
 
 
 def test_second_covariant_skew_jets():
     s = Section(P21, parse_grid(["0"], P21.dims))
     for x in ((0.7, -0.3), (2.0, 1.0)):
         ((jet, other),), _ = _second_covariants(SKEW, [(s, x)], ((1, 2), (2, 1)))
-        assert jet.f == (0.0,)
-        assert jet.fdot == (x[0],)
-        assert jet.fcirc == (0.0,)
-        assert jet.fcircdot == (1.0,)
-        assert other.fdot == (0.0,)
-        assert other.fcirc == (x[0],)
-        assert other.fcircdot == (0.0,)
+        assert jet.tolist() == [[0.0], [x[0]], [0.0], [1.0]]
+        assert other[1:].tolist() == [[0.0], [x[0]], [0.0]]
 
 
 def test_second_covariant_validates_indices():
@@ -263,9 +304,9 @@ def test_second_covariant_matches_section_family_variation():
                 _symbolic.add(a, _symbolic.mul(_symbolic.const(sign * eps), b))
                 for a, b in zip(s.comps, u.comps)
             )
-            return covariant_derivative(field, Section(patch, comps), mu, x).w
+            return covariant_derivative(field, Section(patch, comps), mu, x)
 
-        direct = covariant_derivative(prolonged, stacked, mu, x).w
+        direct = covariant_derivative(prolonged, stacked, mu, x)
         plus = shifted(1.0)
         minus = shifted(-1.0)
         for a in range(n):
@@ -295,7 +336,7 @@ def test_prolonged_route_is_the_covariant_derivative_of_the_velocity_section():
                     for c, row in zip(s.comps, field.gamma)
                 )
                 paired = Section(vertical_connection(field).patch, s.comps + velocity)
-                reference = covariant_derivative(vertical_connection(field), paired, mu, x).w
+                reference = covariant_derivative(vertical_connection(field), paired, mu, x)
                 assert route == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
@@ -321,7 +362,7 @@ def test_commutator_equal_indices_vanishes():
     # commutator_tensor sets the diagonal to zero; the jets give it
     ((j1, j2),), _ = _second_covariants(field, [(s, (0.5, 0.25))], ((1, 1), (1, 1)))
     out = affine_diff(j1, theta(j2))
-    assert max(abs(v) for v in out.w) <= 1e-12
+    assert max(abs(v) for v in out) <= 1e-12
 
 
 def test_commutator_matches_curvature_coefficients():
@@ -344,7 +385,7 @@ def test_commutator_matches_curvature_coefficients():
                     # the tensor's diagonal and lower triangle are set by
                     # construction; here the jets of the pair give them
                     ((j1, j2),), _ = _second_covariants(field, [(s, x)], ((mu, nu), (nu, mu)))
-                    out = affine_diff(j1, theta(j2)).w
+                    out = affine_diff(j1, theta(j2))
                 for a in range(n):
                     assert abs(out[a] - R[a, mu - 1, nu - 1]) <= 1e-9
 
@@ -414,4 +455,4 @@ def test_commutator_tensor_slices_are_the_per_pair_values():
                 for nu in range(1, m + 1):
                     ((j1, j2),), _ = _second_covariants(field, [(s, x)], ((mu, nu), (nu, mu)))
                     out = affine_diff(j1, theta(j2))
-                    assert out.w == tuple(R[:, mu - 1, nu - 1])
+                    assert np.array_equal(out, R[:, mu - 1, nu - 1])
